@@ -782,11 +782,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             // The daemon stops accepting, drains every in-flight query and
             // answers with its lifetime metrics before closing.
             let metrics = remote.shutdown();
-            println!(
-                "skysr-d at {addr} drained and stopped: {} completed, {} executed, \
-                 {} cache hits, {} coalesced",
-                metrics.completed, metrics.executed, metrics.cache.hits, metrics.coalesced
-            );
+            println!("skysr-d at {addr} drained and stopped: {}", serve::lifetime(&metrics));
             Ok(())
         }
         "demo" => {

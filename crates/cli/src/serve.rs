@@ -7,16 +7,16 @@
 //! non-blocking TCP server and blocks until a client sends the `Shutdown`
 //! frame — at which point the daemon stops accepting, drains every
 //! in-flight query, answers the requester with a final metrics snapshot
-//! and exits. A multi-shard daemon speaks protocol v2: its `Welcome`
-//! advertises the region registry, `Submit` frames may carry a region id,
-//! and v1 clients are still served by the default shard (region 0).
+//! and exits. Its `Welcome` advertises the region registry, and `Submit`
+//! frames may carry a region id; region-less requests are routed by start
+//! vertex.
 
 use std::sync::Arc;
 
 use skysr_core::bssr::BssrConfig;
 use skysr_service::{
-    QueryService, Server, ServerConfig, Service, ServiceConfig, ServiceContext, ShardRegistry,
-    TelemetryConfig,
+    MetricsSnapshot, QueryService, Server, ServerConfig, Service, ServiceConfig, ServiceContext,
+    ShardRegistry, TelemetryConfig,
 };
 
 use crate::args::Args;
@@ -35,6 +35,15 @@ pub fn usage() -> &'static str {
      --shards N serves N regions (datasets seeded --seed, --seed+1, ...)\n\
      behind one multi-tenant router on a single socket.\n\
      `skysr-cli serve` accepts the same flags."
+}
+
+/// A daemon's lifetime counters, as its "drained and stopped" lines print
+/// them.
+pub fn lifetime(m: &MetricsSnapshot) -> String {
+    format!(
+        "{} completed, {} executed, {} cache hits, {} coalesced",
+        m.completed, m.executed, m.cache_hits, m.coalesced
+    )
 }
 
 /// Runs the daemon: bind, announce, serve until drained.
@@ -91,14 +100,9 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
             stats.join("; ")
         );
         server.join();
-        let metrics = router.metrics();
         eprintln!(
-            "skysr-d drained and stopped: {} completed, {} executed, {} cache hits, {} coalesced \
-             across {shards} shards ({} misrouted)",
-            metrics.completed,
-            metrics.executed,
-            metrics.cache.hits,
-            metrics.coalesced,
+            "skysr-d drained and stopped: {} across {shards} shards ({} misrouted)",
+            lifetime(&router.metrics()),
             router.misrouted()
         );
         return Ok(());
@@ -113,10 +117,6 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
     // The listening line goes to stdout so scripts (CI) can wait on it.
     println!("skysr-d listening on {} ({name}: |V|={v} |P|={p} |E|={e})", server.local_addr());
     server.join();
-    let metrics = service.metrics();
-    eprintln!(
-        "skysr-d drained and stopped: {} completed, {} executed, {} cache hits, {} coalesced",
-        metrics.completed, metrics.executed, metrics.cache.hits, metrics.coalesced
-    );
+    eprintln!("skysr-d drained and stopped: {}", lifetime(&service.metrics()));
     Ok(())
 }

@@ -88,19 +88,9 @@
 //!
 //! # Served-outcome taxonomy
 //!
-//! Every completed request is answered by exactly one rung, so the
-//! per-run counters tile: `completed = executed + cache_hits +
-//! coalesced_hits`. `executed` counts requests that ran the engine (cold
-//! and warm-seeded searches plus repairs), `cache_hits` exact-match
-//! answers from the result cache at the pinned epoch, and
-//! `coalesced_hits` followers answered by joining another request's
-//! in-flight computation. A duplicate burst's followers probe the cache
-//! *before* the leader has filled it — each probe counts one cache
-//! *miss* — and then join the leader's flight, so a coalescing-heavy
-//! cell legitimately reports near-zero `cache_hits` alongside a large
-//! `coalesced_hits`: the reuse shows up in `coalesced_hits` (and in
-//! `reuse_rate`, which is `(cache_hits + coalesced_hits) / completed`),
-//! not in `cache_hit_rate`.
+//! The per-run counters are views of the service's rung histograms;
+//! `docs/OPERATIONS.md` ("Counter taxonomy") defines each of them.
+//! `reuse_rate` is `(cache_hits + coalesced_hits) / completed`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -275,7 +265,7 @@ impl BenchReport {
             let m = &run.report.metrics;
             let c = &m.cache;
             let reuse_rate = if m.completed > 0 {
-                (c.hits + m.coalesced) as f64 / m.completed as f64
+                (m.cache_hits + m.coalesced) as f64 / m.completed as f64
             } else {
                 0.0
             };
@@ -300,7 +290,7 @@ impl BenchReport {
                  \"queue_wait_p50_ms\": {:.6}, \"queue_wait_p99_ms\": {:.6}, \
                  \"executed\": {}, \"coalesced_hits\": {}, \"prefix_seeded\": {}, \
                  \"seeded_ancestor\": {}, \"seeded_suffix\": {}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \"cache_hit_rate\": {:.6}, \
+                 \"cache_hits\": {}, \"cache_hit_rate\": {:.6}, \
                  \"reuse_rate\": {:.6}, \
                  \"cache_insertions\": {}, \"cache_evictions\": {}, \
                  \"cache_invalidations\": {}, \"epochs_published\": {}, \
@@ -323,9 +313,8 @@ impl BenchReport {
                 m.seeded_prefix,
                 m.seeded_ancestor,
                 m.seeded_suffix,
-                c.hits,
-                c.misses,
-                c.hit_rate(),
+                m.cache_hits,
+                m.cache_hit_rate,
                 reuse_rate,
                 c.insertions,
                 c.evictions,
@@ -392,7 +381,7 @@ impl std::fmt::Display for BenchReport {
                 m.executed,
                 m.coalesced,
                 m.seeded_prefix + m.seeded_ancestor + m.seeded_suffix,
-                m.cache.hit_rate() * 100.0,
+                m.cache_hit_rate * 100.0,
                 m.cache.invalidations
             )?;
         }

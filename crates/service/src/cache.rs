@@ -14,35 +14,30 @@
 //! skyline valid only for its epoch, so a lookup supplies the requester's
 //! pinned epoch and an entry answers only when the stamps match:
 //!
-//! * an **older** entry is dropped on sight and the lookup counts a miss
-//!   plus an `invalidations` counter bump — *lazy invalidation*: no epoch
-//!   publish ever scans the cache, stale entries die on first touch (or by
-//!   ordinary LRU pressure);
+//! * an **older** entry is dropped on sight and counted in
+//!   `invalidations` — *lazy invalidation*: no epoch publish ever scans
+//!   the cache, stale entries die on first touch (or by ordinary LRU
+//!   pressure);
 //! * a **newer** entry (the requester pinned an epoch that has since been
-//!   superseded) also misses, but is left in place — and
+//!   superseded) is not returned, but is left in place — and
 //!   [`insert`](ResultCache::insert) refuses to overwrite a newer-epoch
 //!   entry with an older result, so a slow straggler can never regress the
 //!   cache.
 //!
-//! Since the reuse-planner refactor all reads go through one non-counting,
-//! non-invalidating primitive — [`probe`](ResultCache::probe) — which the
-//! `ReusePlanner` drives (exact-hit, repair-source, prefix / ancestor /
-//! suffix seed probes are all the same call). Accounting is explicit and
-//! lives with the *policy*, not the probe: the planner counts exactly one
-//! lookup per cached request ([`note_lookup`](ResultCache::note_lookup))
-//! and performs lazy invalidation deliberately
-//! ([`discard_older`](ResultCache::discard_older)) when a stale entry has
-//! no repair path.
+//! All reads go through one non-invalidating primitive —
+//! [`probe`](ResultCache::probe) — which the `ReusePlanner` drives
+//! (exact-hit, repair-source, prefix / ancestor / suffix seed probes are
+//! all the same call); the planner performs lazy invalidation
+//! deliberately ([`discard_older`](ResultCache::discard_older)) when a
+//! stale entry has no repair path.
 //!
-//! Counters are exact: `hits + misses` equals the number of counted
-//! lookups (uncacheable traffic never reaches the cache since
-//! canonicalization is total; a service running with caching disabled
-//! performs no lookups at all), seed probes are not counted, inserting
-//! over an identical key refreshes the entry without counting an
-//! eviction, and `insertions` counts stored results so CI perf artifacts
-//! can cross-check `hits + coalesced + executed` against completed
-//! queries. `invalidations` (epoch-stale drops) and `evictions` (capacity
-//! displacement) are disjoint by construction.
+//! The cache counts only what it alone can see: stored results
+//! (`insertions`; inserting over an identical key refreshes the entry
+//! without counting an eviction), capacity displacement (`evictions`) and
+//! epoch-stale drops (`invalidations`), disjoint by construction. Whether
+//! a request was *answered* from the cache is its response's
+//! [`Served::CacheHit`](crate::Served::CacheHit) outcome, counted by the
+//! `exact_hit` rung of the service metrics.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -285,10 +280,6 @@ impl<K: Clone + Eq + std::hash::Hash, V: Default> Lru<K, V> {
 /// Counter values of a [`ResultCache`] at one instant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups answered from the cache (same-epoch entries only).
-    pub hits: u64,
-    /// Lookups that missed (no entry, or an entry of another epoch).
-    pub misses: u64,
     /// Results stored (first-time inserts and refreshes).
     pub insertions: u64,
     /// Entries displaced by capacity pressure. Refreshing an existing key
@@ -302,24 +293,10 @@ pub struct CacheCounters {
     pub len: u64,
 }
 
-impl CacheCounters {
-    /// Hits over total lookups, `0.0` when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Thread-safe LRU cache from canonicalized queries to epoch-stamped
 /// shared skylines.
 pub struct ResultCache {
     inner: Mutex<Lru<QueryKey, CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
@@ -330,16 +307,14 @@ impl ResultCache {
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache {
             inner: Mutex::new(Lru::new(capacity)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
     }
 
-    /// The unified non-counting, non-invalidating read primitive the
-    /// reuse planner drives.
+    /// The unified non-invalidating read primitive the reuse planner
+    /// drives.
     ///
     /// Returns the resident entry with whatever epoch stamp it carries,
     /// as long as that stamp is **not newer** than `epoch` (a requester
@@ -349,11 +324,8 @@ impl ResultCache {
     /// provably-untouched seed material, or lazy-invalidation candidate
     /// ([`discard_older`](ResultCache::discard_older)).
     ///
-    /// Probes never touch the hit/miss counters — the planner counts
-    /// exactly one lookup per cached request via
-    /// [`note_lookup`](ResultCache::note_lookup), so seed probes cannot
-    /// distort the hit rate. A found entry is marked recently used: reuse
-    /// as a seed or repair source is a use.
+    /// A found entry is marked recently used: reuse as a seed or repair
+    /// source is a use.
     pub fn probe(&self, key: &QueryKey, epoch: EpochId) -> Option<(EpochId, Arc<[SkylineRoute]>)> {
         let mut lru = self.inner.lock().expect("cache poisoned");
         let i = lru.index_of(key)?;
@@ -364,19 +336,6 @@ impl ResultCache {
         let routes = Arc::clone(&lru.value(i).routes);
         lru.promote_index(i);
         Some((entry_epoch, routes))
-    }
-
-    /// Counts one request-level lookup. The serving layer calls this once
-    /// per cached request after planning: `hit` iff the plan serves
-    /// straight from a same-epoch entry. Keeps `hits + misses` equal to
-    /// counted lookups and `hits` equal to responses served from the
-    /// cache.
-    pub fn note_lookup(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Lazy invalidation: removes `key`'s entry iff it is stamped strictly
@@ -395,19 +354,6 @@ impl ResultCache {
         lru.remove_index(i);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Reclassifies one already-counted miss as a hit.
-    ///
-    /// A flight leader whose post-claim re-probe finds the answer (a
-    /// racing previous leader cached it between this request's counted
-    /// lookup and the flight claim — see `worker_loop`) is ultimately
-    /// served from the cache. Converting its miss keeps both invariants
-    /// exact: `hits + misses` equals counted lookups, and `hits` equals
-    /// responses served from the cache.
-    pub fn reclassify_miss_as_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.misses.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Stores a skyline computed at `epoch`.
@@ -430,8 +376,6 @@ impl ResultCache {
     /// Current counter values.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
@@ -468,20 +412,19 @@ mod tests {
         QueryKey::canonicalize(&q, BssrConfig::default())
     }
 
-    /// The planner's counted request lookup, reconstructed from the
-    /// unified primitives: probe, count the one lookup, lazily invalidate
-    /// a stale entry (the no-repair policy).
+    /// The planner's exact-hit lookup, reconstructed from the unified
+    /// primitives: probe, lazily invalidate a stale entry (the no-repair
+    /// policy).
     fn get(cache: &ResultCache, key: &QueryKey, epoch: EpochId) -> Option<Arc<[SkylineRoute]>> {
         let hit = cache.probe(key, epoch).filter(|&(e, _)| e == epoch);
-        cache.note_lookup(hit.is_some());
         if hit.is_none() {
             cache.discard_older(key, epoch);
         }
         hit.map(|(_, r)| r)
     }
 
-    /// The planner's same-epoch seed probe (not counted), with the
-    /// no-repair lazy invalidation of stale seed entries.
+    /// The planner's same-epoch seed probe, with the no-repair lazy
+    /// invalidation of stale seed entries.
     fn peek(cache: &ResultCache, key: &QueryKey, epoch: EpochId) -> Option<Arc<[SkylineRoute]>> {
         match cache.probe(key, epoch) {
             Some((e, r)) if e == epoch => Some(r),
@@ -552,9 +495,8 @@ mod tests {
         let hit = get(&cache, &key(1), E0).expect("hit");
         assert_eq!(hit[0].pois, vec![VertexId(1)]);
         let c = cache.counters();
-        assert_eq!((c.hits, c.misses, c.insertions, c.evictions, c.len), (1, 1, 1, 0, 1));
+        assert_eq!((c.insertions, c.evictions, c.len), (1, 0, 1));
         assert_eq!(c.invalidations, 0);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -564,7 +506,6 @@ mod tests {
         // A requester pinned to a later epoch must not see the old skyline.
         assert!(get(&cache, &key(1), E1).is_none());
         let c = cache.counters();
-        assert_eq!((c.hits, c.misses), (0, 1));
         assert_eq!(c.invalidations, 1, "the stale entry was dropped");
         assert_eq!(c.len, 0);
         assert_eq!(c.evictions, 0, "invalidation is not an eviction");
@@ -593,21 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn reclassify_converts_a_counted_miss_into_a_hit() {
-        // The flight-leader re-probe path: one counted lookup missed, the
-        // answer then appeared; after reclassification the request reads
-        // as the cache hit it was ultimately served as.
-        let cache = ResultCache::new(4);
-        assert!(get(&cache, &key(1), E0).is_none());
-        cache.insert(key(1), E0, routes(1));
-        assert!(peek(&cache, &key(1), E0).is_some());
-        cache.reclassify_miss_as_hit();
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses), (1, 0));
-        assert!((c.hit_rate() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn seed_probes_do_not_count_lookups_and_respect_epochs() {
         let cache = ResultCache::new(4);
         assert!(peek(&cache, &key(1), E0).is_none());
@@ -616,10 +542,8 @@ mod tests {
         // Same-epoch only: a prefix skyline from epoch 0 must not seed an
         // epoch-1 search.
         assert!(peek(&cache, &key(1), E1).is_none());
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses), (0, 0), "probes are not traffic");
         // The stale probe's explicit discard lazily invalidated the entry.
-        assert_eq!(c.invalidations, 1);
+        assert_eq!(cache.counters().invalidations, 1);
         // But a probe refreshes recency: after probing 1 in a full cache,
         // the other entry is the eviction victim.
         let cache = ResultCache::new(2);
@@ -634,16 +558,13 @@ mod tests {
     #[test]
     fn probe_returns_stale_entries_without_invalidating() {
         // The repair-source path: a stale probe leaves the entry in place
-        // (it is the flight's repair raw material), and the planner counts
-        // the request as a miss.
+        // (it is the flight's repair raw material).
         let cache = ResultCache::new(4);
         cache.insert(key(1), E0, routes(1));
         let (e, r) = cache.probe(&key(1), E1).expect("stale entry visible to a newer pin");
         assert_eq!(e, E0);
         assert_eq!(r[0].pois, vec![VertexId(1)]);
-        cache.note_lookup(false);
         let c = cache.counters();
-        assert_eq!((c.hits, c.misses), (0, 1), "a stale return is a miss, not a serve");
         assert_eq!(c.invalidations, 0, "the entry was left for repair");
         assert_eq!(c.len, 1);
         // ...and promoting it refreshes the same slot.
@@ -651,9 +572,8 @@ mod tests {
         let (e, r) = cache.probe(&key(1), E1).expect("promoted entry answers its epoch");
         assert_eq!(e, E1);
         assert_eq!(r[0].pois, vec![VertexId(2)]);
-        cache.note_lookup(true);
         let c = cache.counters();
-        assert_eq!((c.hits, c.misses, c.len, c.evictions), (1, 1, 1, 0));
+        assert_eq!((c.len, c.evictions), (1, 0));
         // Newer entries are invisible to older pins, and stay.
         assert!(cache.probe(&key(1), E0).is_none());
         assert_eq!(cache.counters().len, 1);

@@ -27,10 +27,10 @@
 //!   query (start vertex + canonical form of every position + engine
 //!   configuration; complex requirements canonicalize too), with entries
 //!   stamped by weight epoch (lazy invalidation; stale entries are never
-//!   served) and exact hit/miss/insertion/eviction/invalidation counters;
-//! * [`metrics`] — aggregate counters (searches, coalesced hits,
-//!   warm-started searches, stale serves) and recorded per-query
-//!   latencies, snapshotted into throughput / percentile reports;
+//!   served) and exact insertion/eviction/invalidation counters;
+//! * [`metrics`] — one latency histogram per serving rung that each
+//!   response records itself in, and the counts, rates and percentiles
+//!   derived from them;
 //! * [`replay`] — a workload-replay driver with three stream shapes
 //!   (Zipf, duplicate bursts, prefix chains), optional open-loop arrivals
 //!   and mid-stream weight-update bursts, and epoch-aware verification

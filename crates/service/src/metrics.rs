@@ -1,7 +1,15 @@
-//! Aggregate service metrics: counters, latency histograms, snapshots.
+//! Aggregate service metrics: what each response records, and everything
+//! derived from it.
+//!
+//! A response records its outcome once, as one sample in the latency
+//! histogram of the [`Rung`] that served it. Counts by outcome
+//! (`completed`, `executed`, `coalesced`, cache hits, …), the end-to-end
+//! latency histogram and the mean skyline size are never recorded
+//! separately: [`MetricsSnapshot`] derives them from the rung histograms
+//! in one function whenever metrics are read, so they agree by
+//! construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use skysr_graph::EpochGcStats;
@@ -9,42 +17,6 @@ use skysr_graph::EpochGcStats;
 use crate::cache::CacheCounters;
 use crate::plan::SeedSource;
 use crate::telemetry::{Histogram, HistogramSnapshot, Rung, RungSummary};
-
-/// At most this many skyline-size samples are retained; beyond it,
-/// reservoir sampling keeps a uniform subset so the size summary stays
-/// statistically faithful while memory stays bounded on long-lived
-/// services. (Latency needs no reservoir — the log-bucketed
-/// [`Histogram`]s summarise every observation exactly.)
-const SAMPLE_CAP: usize = 65_536;
-
-#[derive(Debug, Default)]
-struct SampleSet {
-    /// Skyline size per sampled query.
-    samples: Vec<u32>,
-    /// Total samples offered (≥ `samples.len()`).
-    seen: u64,
-    /// SplitMix64 state for reservoir replacement choices.
-    rng: u64,
-}
-
-impl SampleSet {
-    /// Algorithm R: uniform reservoir over everything offered so far.
-    fn offer(&mut self, sample: u32) {
-        self.seen += 1;
-        if self.samples.len() < SAMPLE_CAP {
-            self.samples.push(sample);
-            return;
-        }
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        let j = (z ^ (z >> 31)) % self.seen;
-        if let Some(slot) = self.samples.get_mut(j as usize) {
-            *slot = sample;
-        }
-    }
-}
 
 /// Where one response's time went — recorded split so saturation (queue
 /// wait under open-loop overload) never masquerades as service time.
@@ -74,8 +46,8 @@ impl LatencyBreakdown {
     }
 }
 
-/// How one successfully answered query was served — drives which counters
-/// [`MetricsRecorder::record`] bumps.
+/// How one successfully answered query was served — its [`Rung`] is the
+/// response's entry in the metrics record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Served {
     /// A BSSR search ran; `seeded` records which cached skyline
@@ -112,125 +84,119 @@ pub enum Served {
     Approximate,
 }
 
-/// Shared recorder the workers write into.
+/// A recorded count that no rung histogram implies: requests that ended
+/// without a response, the staleness tripwire, and the details of a
+/// repair. The wire codec, [`MetricsSnapshot::merge`] and the Prometheus
+/// exporter all walk [`Counter::ALL`], so none of them can skip one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Counter {
+    /// Queries rejected by validation.
+    Failed,
+    /// Responses whose skyline was computed under a different weight
+    /// epoch than the request was pinned to. The epoch-stamped cache
+    /// refuses cross-epoch answers by construction, so this staying zero
+    /// is the serving layer's staleness guarantee — CI gates on it.
+    StaleServed,
+    /// Repairs that fell back to a full warm-seeded re-search.
+    RepairFallbacks,
+    /// Cached routes proven untouched by repair's lower-bound tier (no
+    /// graph search at all), summed over all repairs.
+    RoutesUntouched,
+    /// Cached routes whose shortest-path legs were re-run at the new
+    /// epoch, summed over all repairs.
+    RoutesRescored,
+    /// Requests the admission gate refused before queueing: their
+    /// deadline was judged unmeetable under the current backlog. Answered
+    /// [`QueryError::Overloaded`](skysr_core::error::QueryError).
+    Rejected,
+    /// Requests whose deadline expired while queued: dropped at dequeue
+    /// without executing and answered
+    /// [`QueryError::Overloaded`](skysr_core::error::QueryError).
+    ShedDeadline,
+}
+
+impl Counter {
+    /// Every counter, in wire order.
+    pub const ALL: [Counter; 7] = [
+        Counter::Failed,
+        Counter::StaleServed,
+        Counter::RepairFallbacks,
+        Counter::RoutesUntouched,
+        Counter::RoutesRescored,
+        Counter::Rejected,
+        Counter::ShedDeadline,
+    ];
+
+    /// The Prometheus series this counter exports as, and its help text.
+    pub fn series(self) -> (&'static str, &'static str) {
+        match self {
+            Counter::Failed => ("skysr_failed_total", "Queries rejected by validation"),
+            Counter::StaleServed => {
+                ("skysr_stale_served_total", "Responses served from a wrong-epoch entry")
+            }
+            Counter::RepairFallbacks => {
+                ("skysr_repair_fallbacks_total", "Repairs that fell back to a re-search")
+            }
+            Counter::RoutesUntouched => {
+                ("skysr_routes_untouched_total", "Cached routes repair proved untouched")
+            }
+            Counter::RoutesRescored => {
+                ("skysr_routes_rescored_total", "Cached routes whose legs repair re-ran")
+            }
+            Counter::Rejected => ("skysr_rejected_total", "Requests refused at admission"),
+            Counter::ShedDeadline => {
+                ("skysr_shed_deadline_total", "Requests whose deadline expired in the queue")
+            }
+        }
+    }
+}
+
+/// Shared recorder the workers write into: relaxed atomics only, no
+/// locks.
 ///
-/// Counters and latency histograms are atomics (lock-free, contention-
-/// free recording); skyline sizes go into a mutex-guarded, size-capped
-/// reservoir (one push per query — negligible next to a BSSR search).
-/// Latency is recorded as a [`LatencyBreakdown`]: end-to-end, queue-wait
-/// and engine-time each get their own histogram, and end-to-end is
-/// additionally keyed by serving [`Rung`] so per-rung tails are visible.
+/// A response records its end-to-end latency in its rung's histogram, its
+/// queue wait, its engine time when an engine ran, and its skyline size
+/// into an exact sum and max; a repair also records its fallback flag and
+/// route tiers. Everything else a [`MetricsSnapshot`] reports is derived.
 #[derive(Debug, Default)]
 pub struct MetricsRecorder {
-    completed: AtomicU64,
-    failed: AtomicU64,
-    executed: AtomicU64,
-    coalesced: AtomicU64,
-    seeded_prefix: AtomicU64,
-    seeded_ancestor: AtomicU64,
-    seeded_suffix: AtomicU64,
-    stale_served: AtomicU64,
-    repairs: AtomicU64,
-    repair_fallbacks: AtomicU64,
-    routes_untouched: AtomicU64,
-    routes_rescored: AtomicU64,
-    approximate_served: AtomicU64,
-    rejected: AtomicU64,
-    shed_deadline: AtomicU64,
-    latency: Histogram,
+    rungs: [Histogram; 8],
     queue_wait: Histogram,
     engine: Histogram,
-    rungs: [Histogram; 8],
-    samples: Mutex<SampleSet>,
+    skyline_routes: AtomicU64,
+    max_skyline_size: AtomicU64,
+    counters: [AtomicU64; Counter::ALL.len()],
 }
 
 impl MetricsRecorder {
     /// Records one successfully answered query. `latency` carries the
-    /// queue-wait / service / engine split; `served` tells whether a
-    /// search actually ran and how the answer was shared.
+    /// queue-wait / service / engine split; `served` picks the rung.
     pub fn record(&self, latency: LatencyBreakdown, skyline_size: usize, served: Served) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        match served {
-            Served::Search { seeded } => {
-                self.executed.fetch_add(1, Ordering::Relaxed);
-                match seeded {
-                    Some(SeedSource::Prefix) => self.seeded_prefix.fetch_add(1, Ordering::Relaxed),
-                    Some(SeedSource::Ancestor) => {
-                        self.seeded_ancestor.fetch_add(1, Ordering::Relaxed)
-                    }
-                    Some(SeedSource::Suffix) => self.seeded_suffix.fetch_add(1, Ordering::Relaxed),
-                    None => 0,
-                };
-            }
-            Served::CacheHit => {}
-            Served::Coalesced => {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            Served::Repaired { fallback, routes_untouched, routes_rescored } => {
-                // A repair runs real graph work (legs / relevance ball /
-                // fallback search), so it counts as executed — `hits +
-                // coalesced + executed == completed` stays exact.
-                self.executed.fetch_add(1, Ordering::Relaxed);
-                if fallback {
-                    self.repair_fallbacks.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.repairs.fetch_add(1, Ordering::Relaxed);
-                }
-                self.routes_untouched.fetch_add(routes_untouched as u64, Ordering::Relaxed);
-                self.routes_rescored.fetch_add(routes_rescored as u64, Ordering::Relaxed);
-            }
-            Served::Approximate => {
-                // Not `executed`: that counter means "an engine run produced
-                // an exact answer" (the invariant the span audit checks).
-                // Approximate responses get their own term, so `completed ==
-                // executed + hits + coalesced + approximate_served` stays
-                // exact.
-                self.approximate_served.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let total = latency.total();
-        self.latency.record(total);
+        self.rungs[Rung::of(served).index()].record(latency.total());
         self.queue_wait.record(latency.queue_wait);
         if let Some(engine) = latency.engine {
             self.engine.record(engine);
         }
-        self.rungs[Rung::of(served).index()].record(total);
-        self.samples
-            .lock()
-            .expect("metrics poisoned")
-            .offer(skyline_size.min(u32::MAX as usize) as u32);
+        self.skyline_routes.fetch_add(skyline_size as u64, Ordering::Relaxed);
+        self.max_skyline_size.fetch_max(skyline_size as u64, Ordering::Relaxed);
+        if let Served::Repaired { fallback, routes_untouched, routes_rescored } = served {
+            self.add(Counter::RepairFallbacks, fallback as u64);
+            self.add(Counter::RoutesUntouched, routes_untouched as u64);
+            self.add(Counter::RoutesRescored, routes_rescored as u64);
+        }
     }
 
-    /// Records a query rejected by validation.
-    pub fn record_failure(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
+    /// Counts one request that ended without a response (failed,
+    /// rejected, shed) or one stale serve. The repair counters ride on
+    /// [`record`](Self::record).
+    pub fn count(&self, counter: Counter) {
+        self.add(counter, 1);
     }
 
-    /// Records a *stale serve*: a response whose skyline was computed under
-    /// a different weight epoch than the request was pinned to.
-    ///
-    /// The epoch-stamped cache refuses cross-epoch answers by construction,
-    /// so this counter staying at zero is the serving layer's staleness
-    /// guarantee — CI gates on it. A nonzero value means the invalidation
-    /// layer is broken.
-    pub fn record_stale_serve(&self) {
-        self.stale_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request the admission gate refused outright: its deadline
-    /// was judged unmeetable given the current backlog and cost model, so
-    /// no work was queued. The request was answered
-    /// [`QueryError::Overloaded`](skysr_core::error::QueryError) — neither
-    /// `completed` nor `failed` (it was not invalid, just shed).
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request whose deadline expired while it sat in the queue:
-    /// it was dropped at dequeue without executing and answered
-    /// [`QueryError::Overloaded`](skysr_core::error::QueryError).
-    pub fn record_shed_deadline(&self) {
-        self.shed_deadline.fetch_add(1, Ordering::Relaxed);
+    fn add(&self, counter: Counter, n: u64) {
+        if n > 0 {
+            self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Snapshot over everything recorded so far. `wall` is the wall-clock
@@ -243,117 +209,109 @@ impl MetricsRecorder {
         cache: CacheCounters,
         epochs: EpochGcStats,
     ) -> MetricsSnapshot {
-        let sizes = self.samples.lock().expect("metrics poisoned").samples.clone();
-        let completed = self.completed.load(Ordering::Relaxed);
-        let executed = self.executed.load(Ordering::Relaxed);
-        let latency_hist = self.latency.snapshot();
-        MetricsSnapshot {
-            completed,
-            failed: self.failed.load(Ordering::Relaxed),
-            executed,
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            seeded_prefix: self.seeded_prefix.load(Ordering::Relaxed),
-            seeded_ancestor: self.seeded_ancestor.load(Ordering::Relaxed),
-            seeded_suffix: self.seeded_suffix.load(Ordering::Relaxed),
-            stale_served: self.stale_served.load(Ordering::Relaxed),
-            repairs: self.repairs.load(Ordering::Relaxed),
-            repair_fallbacks: self.repair_fallbacks.load(Ordering::Relaxed),
-            routes_untouched: self.routes_untouched.load(Ordering::Relaxed),
-            routes_rescored: self.routes_rescored.load(Ordering::Relaxed),
-            approximate_served: self.approximate_served.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
-            wall,
-            throughput_qps: if wall.as_secs_f64() > 0.0 {
-                completed as f64 / wall.as_secs_f64()
-            } else {
-                0.0
-            },
-            latency_mean: latency_hist.mean(),
-            latency_p50: latency_hist.quantile(0.50),
-            latency_p90: latency_hist.quantile(0.90),
-            latency_p99: latency_hist.quantile(0.99),
-            latency_max: latency_hist.max(),
-            latency_hist,
-            queue_wait_hist: self.queue_wait.snapshot(),
-            engine_hist: self.engine.snapshot(),
+        let mut snap = MetricsSnapshot {
             rungs: Rung::ALL
                 .iter()
                 .map(|&rung| RungSummary { rung, hist: self.rungs[rung.index()].snapshot() })
                 .collect(),
-            mean_skyline_size: if sizes.is_empty() {
-                0.0
-            } else {
-                sizes.iter().map(|&s| s as f64).sum::<f64>() / sizes.len() as f64
-            },
-            max_skyline_size: sizes.iter().copied().max().unwrap_or(0) as usize,
+            queue_wait_hist: self.queue_wait.snapshot(),
+            engine_hist: self.engine.snapshot(),
+            skyline_routes: self.skyline_routes.load(Ordering::Relaxed),
+            max_skyline_size: self.max_skyline_size.load(Ordering::Relaxed) as usize,
             cache,
             epochs,
+            wall,
+            ..MetricsSnapshot::default()
+        };
+        for c in Counter::ALL {
+            *snap.counter_mut(c) = self.counters[c as usize].load(Ordering::Relaxed);
         }
+        snap.derived()
     }
 }
 
 /// Aggregate view of a service's activity over an observation window.
-#[derive(Clone, Debug)]
+///
+/// The first group of fields is the record a [`MetricsRecorder`] holds;
+/// every field of the second group is derived from it by one function,
+/// which [`MetricsRecorder::snapshot`], [`merge`](Self::merge) and the
+/// wire decoder all call. So `completed = executed + cache_hits +
+/// coalesced + approximate_served` and its kin hold by construction.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Queries answered successfully (cache hits included).
-    pub completed: u64,
-    /// Queries rejected by validation.
+    /// Per-rung end-to-end latency histograms, ladder order (one entry
+    /// per [`Rung`], empty histograms included) — the outcome record.
+    pub rungs: Vec<RungSummary>,
+    /// Submission-to-dequeue wait histogram (every response), split out
+    /// so open-loop saturation shows honest service time.
+    pub queue_wait_hist: HistogramSnapshot,
+    /// Engine-execution histogram (search / repair time only; one sample
+    /// per response that actually ran an engine).
+    pub engine_hist: HistogramSnapshot,
+    /// Queries rejected by validation ([`Counter::Failed`]).
     pub failed: u64,
-    /// Queries that ran an actual BSSR search.
+    /// Responses served from another epoch's entry — always zero unless
+    /// the epoch-invalidation layer is broken ([`Counter::StaleServed`]).
+    pub stale_served: u64,
+    /// Repairs that fell back to a re-search
+    /// ([`Counter::RepairFallbacks`]).
+    pub repair_fallbacks: u64,
+    /// Cached routes repair proved untouched
+    /// ([`Counter::RoutesUntouched`]).
+    pub routes_untouched: u64,
+    /// Cached routes whose legs repair re-ran
+    /// ([`Counter::RoutesRescored`]).
+    pub routes_rescored: u64,
+    /// Requests refused at admission; counted in neither `completed` nor
+    /// `failed` ([`Counter::Rejected`]).
+    pub rejected: u64,
+    /// Requests whose deadline expired in the queue; counted in neither
+    /// `completed` nor `failed` ([`Counter::ShedDeadline`]).
+    pub shed_deadline: u64,
+    /// Skyline routes returned, summed over every response.
+    pub skyline_routes: u64,
+    /// Largest skyline returned.
+    pub max_skyline_size: usize,
+    /// Result-cache counters at snapshot time.
+    pub cache: CacheCounters,
+    /// Weight-epoch history / GC accounting at snapshot time (retained
+    /// overlays, compactions, rebases).
+    pub epochs: EpochGcStats,
+    /// Observation window.
+    pub wall: Duration,
+
+    /// Queries answered successfully: the rung counts summed.
+    pub completed: u64,
+    /// Responses an engine run answered exactly: the `repaired`,
+    /// `warm_*` and `cold` rungs.
     pub executed: u64,
-    /// Queries answered by joining another request's in-flight search
-    /// (request coalescing). `executed + coalesced + cache hits =
-    /// completed`.
+    /// Responses that joined another request's in-flight search.
     pub coalesced: u64,
-    /// Searches warm-started from a cached *prefix* skyline (semantic
-    /// reuse); a subset of `executed`.
+    /// Searches warm-started from a cached *prefix* skyline.
     pub seeded_prefix: u64,
     /// Searches warm-started from a cached *ancestor-category* variant's
-    /// skyline (a position's category replaced by one of its ancestors);
-    /// a subset of `executed`.
+    /// skyline (a position's category replaced by one of its ancestors).
     pub seeded_ancestor: u64,
     /// Searches warm-started from a cached *suffix* skyline (⟨c₂…c_k⟩
-    /// prepended one leg); a subset of `executed`.
+    /// prepended one leg).
     pub seeded_suffix: u64,
-    /// Responses served from a cache entry of a *different* weight epoch
-    /// than the request was pinned to. Always zero unless the
-    /// epoch-invalidation layer is broken — the CI staleness gate asserts
-    /// on it.
-    pub stale_served: u64,
     /// Cached skylines promoted to a newer epoch by incremental repair
-    /// (the cheap tiers: untouched / rescored), without a full re-search.
-    /// A subset of `executed`.
+    /// without a full re-search: the `repaired` rung less
+    /// `repair_fallbacks`.
     pub repairs: u64,
-    /// Repair attempts that had to fall back to a full warm-seeded
-    /// re-search. Also a subset of `executed`; `repairs +
-    /// repair_fallbacks` is the total number of repair attempts.
-    pub repair_fallbacks: u64,
-    /// Cached routes proven untouched by repair's lower-bound tier (no
-    /// graph search at all), summed over all repair attempts.
-    pub routes_untouched: u64,
-    /// Cached routes whose shortest-path legs were re-run at the new
-    /// epoch, summed over all repair attempts.
-    pub routes_rescored: u64,
     /// Responses served in degraded mode: the deadline expired mid-engine
     /// and the partial skyline proven so far was returned flagged
     /// approximate (leaders of truncated flights plus any requests
-    /// coalesced onto them). Counted in `completed` — the caller got a
-    /// valid (if incomplete) answer. `completed == executed + cache hits +
-    /// coalesced + approximate_served`.
+    /// coalesced onto them).
     pub approximate_served: u64,
-    /// Requests the admission gate refused before queueing: deadline
-    /// judged unmeetable under the current backlog. Answered
-    /// `Overloaded`; counted in neither `completed` nor `failed`.
-    pub rejected: u64,
-    /// Requests whose deadline expired while queued: dropped at dequeue,
-    /// never executed, answered `Overloaded`. Counted in neither
-    /// `completed` nor `failed`.
-    pub shed_deadline: u64,
-    /// Observation window.
-    pub wall: Duration,
+    /// Responses answered from the result cache: the `exact_hit` rung.
+    pub cache_hits: u64,
+    /// `cache_hits / completed` (`0.0` before the first response).
+    pub cache_hit_rate: f64,
     /// Completed queries per second of the window.
     pub throughput_qps: f64,
+    /// End-to-end latency histogram: the rung histograms merged.
+    pub latency_hist: HistogramSnapshot,
     /// Mean submission-to-completion latency (exact, over every response).
     pub latency_mean: Duration,
     /// Median latency (log-bucketed: within 1/32 above the true value).
@@ -364,91 +322,98 @@ pub struct MetricsSnapshot {
     pub latency_p99: Duration,
     /// Worst observed latency (exact).
     pub latency_max: Duration,
-    /// Full end-to-end latency histogram (every response; queueing
-    /// included), mergeable across snapshots.
-    pub latency_hist: HistogramSnapshot,
-    /// Submission-to-dequeue wait histogram — the queueing share of
-    /// `latency_hist`, split out so open-loop saturation shows honest
-    /// service time.
-    pub queue_wait_hist: HistogramSnapshot,
-    /// Engine-execution histogram (search / repair time only; one sample
-    /// per response that actually ran an engine).
-    pub engine_hist: HistogramSnapshot,
-    /// Per-rung end-to-end latency histograms, ladder order (one entry
-    /// per [`Rung`], empty histograms included).
-    pub rungs: Vec<RungSummary>,
-    /// Mean number of skyline routes per answer.
+    /// Mean number of skyline routes per answer (exact).
     pub mean_skyline_size: f64,
-    /// Largest skyline returned.
-    pub max_skyline_size: usize,
-    /// Result-cache counters at snapshot time.
-    pub cache: CacheCounters,
-    /// Weight-epoch history / GC accounting at snapshot time (retained
-    /// overlays, compactions, rebases).
-    pub epochs: EpochGcStats,
 }
 
 impl MetricsSnapshot {
+    /// The recorded value of `counter`.
+    pub(crate) fn counter(&self, counter: Counter) -> u64 {
+        match counter {
+            Counter::Failed => self.failed,
+            Counter::StaleServed => self.stale_served,
+            Counter::RepairFallbacks => self.repair_fallbacks,
+            Counter::RoutesUntouched => self.routes_untouched,
+            Counter::RoutesRescored => self.routes_rescored,
+            Counter::Rejected => self.rejected,
+            Counter::ShedDeadline => self.shed_deadline,
+        }
+    }
+
+    pub(crate) fn counter_mut(&mut self, counter: Counter) -> &mut u64 {
+        match counter {
+            Counter::Failed => &mut self.failed,
+            Counter::StaleServed => &mut self.stale_served,
+            Counter::RepairFallbacks => &mut self.repair_fallbacks,
+            Counter::RoutesUntouched => &mut self.routes_untouched,
+            Counter::RoutesRescored => &mut self.routes_rescored,
+            Counter::Rejected => &mut self.rejected,
+            Counter::ShedDeadline => &mut self.shed_deadline,
+        }
+    }
+
+    /// This snapshot with every derived field computed from the recorded
+    /// ones — the only place a derived value is computed.
+    pub(crate) fn derived(self) -> MetricsSnapshot {
+        let n = |rung: Rung| self.rungs.get(rung.index()).map_or(0, |s| s.hist.count());
+        let completed: u64 = self.rungs.iter().map(|s| s.hist.count()).sum();
+        let per_answer = |x: u64| if completed > 0 { x as f64 / completed as f64 } else { 0.0 };
+        let mut latency_hist = HistogramSnapshot::default();
+        for s in &self.rungs {
+            latency_hist.merge(&s.hist);
+        }
+        MetricsSnapshot {
+            completed,
+            // The rungs that ran an engine to an exact answer: all others.
+            executed: completed - n(Rung::ExactHit) - n(Rung::Coalesced) - n(Rung::Approximate),
+            coalesced: n(Rung::Coalesced),
+            seeded_prefix: n(Rung::WarmPrefix),
+            seeded_ancestor: n(Rung::WarmAncestor),
+            seeded_suffix: n(Rung::WarmSuffix),
+            repairs: n(Rung::Repaired).saturating_sub(self.repair_fallbacks),
+            approximate_served: n(Rung::Approximate),
+            cache_hits: n(Rung::ExactHit),
+            cache_hit_rate: per_answer(n(Rung::ExactHit)),
+            throughput_qps: if self.wall > Duration::ZERO {
+                completed as f64 / self.wall.as_secs_f64()
+            } else {
+                0.0
+            },
+            latency_mean: latency_hist.mean(),
+            latency_p50: latency_hist.quantile(0.50),
+            latency_p90: latency_hist.quantile(0.90),
+            latency_p99: latency_hist.quantile(0.99),
+            latency_max: latency_hist.max(),
+            latency_hist,
+            mean_skyline_size: per_answer(self.skyline_routes),
+            ..self
+        }
+    }
+
     /// Folds `other` into `self` — how a [`crate::shard::Router`] builds
     /// the deployment-wide aggregate out of per-shard snapshots.
     ///
-    /// Counters and histograms add exactly (bucket boundaries are fixed,
-    /// so histogram merging loses nothing); the latency summaries are
-    /// recomputed from the merged histogram. `wall` is the *longest* of
-    /// the two windows — shards serve concurrently, not back-to-back —
-    /// and `throughput_qps` is total completed over that window.
-    /// `mean_skyline_size` is the completed-weighted combination of two
-    /// sampled means. Cache counters sum; the epoch/GC gauges sum except
-    /// `retention`, reported as the largest configured ring (each shard
-    /// owns its own ring — there is no shared retention to report).
+    /// The records add exactly (histogram bucket boundaries are fixed, so
+    /// merging loses nothing) and the derived fields are recomputed from
+    /// the sum. `wall` is the *longest* of the two windows — shards serve
+    /// concurrently, not back-to-back. Cache counters sum; the epoch/GC
+    /// gauges sum except `retention`, reported as the largest configured
+    /// ring (each shard owns its own ring — there is no shared retention
+    /// to report).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        let self_weight = self.completed as f64;
-        let other_weight = other.completed as f64;
-        if self_weight + other_weight > 0.0 {
-            self.mean_skyline_size = (self.mean_skyline_size * self_weight
-                + other.mean_skyline_size * other_weight)
-                / (self_weight + other_weight);
-        }
-        self.max_skyline_size = self.max_skyline_size.max(other.max_skyline_size);
-
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.executed += other.executed;
-        self.coalesced += other.coalesced;
-        self.seeded_prefix += other.seeded_prefix;
-        self.seeded_ancestor += other.seeded_ancestor;
-        self.seeded_suffix += other.seeded_suffix;
-        self.stale_served += other.stale_served;
-        self.repairs += other.repairs;
-        self.repair_fallbacks += other.repair_fallbacks;
-        self.routes_untouched += other.routes_untouched;
-        self.routes_rescored += other.routes_rescored;
-        self.approximate_served += other.approximate_served;
-        self.rejected += other.rejected;
-        self.shed_deadline += other.shed_deadline;
-
-        self.wall = self.wall.max(other.wall);
-        self.throughput_qps = if self.wall.as_secs_f64() > 0.0 {
-            self.completed as f64 / self.wall.as_secs_f64()
-        } else {
-            0.0
-        };
-
-        self.latency_hist.merge(&other.latency_hist);
-        self.queue_wait_hist.merge(&other.queue_wait_hist);
-        self.engine_hist.merge(&other.engine_hist);
-        self.latency_mean = self.latency_hist.mean();
-        self.latency_p50 = self.latency_hist.quantile(0.50);
-        self.latency_p90 = self.latency_hist.quantile(0.90);
-        self.latency_p99 = self.latency_hist.quantile(0.99);
-        self.latency_max = self.latency_hist.max();
         for (mine, theirs) in self.rungs.iter_mut().zip(&other.rungs) {
             debug_assert_eq!(mine.rung, theirs.rung, "rung summaries are ladder-ordered");
             mine.hist.merge(&theirs.hist);
         }
+        self.queue_wait_hist.merge(&other.queue_wait_hist);
+        self.engine_hist.merge(&other.engine_hist);
+        for c in Counter::ALL {
+            *self.counter_mut(c) += other.counter(c);
+        }
+        self.skyline_routes += other.skyline_routes;
+        self.max_skyline_size = self.max_skyline_size.max(other.max_skyline_size);
+        self.wall = self.wall.max(other.wall);
 
-        self.cache.hits += other.cache.hits;
-        self.cache.misses += other.cache.misses;
         self.cache.insertions += other.cache.insertions;
         self.cache.evictions += other.cache.evictions;
         self.cache.invalidations += other.cache.invalidations;
@@ -460,6 +425,8 @@ impl MetricsSnapshot {
         self.epochs.compacted += other.epochs.compacted;
         self.epochs.rebases += other.epochs.rebases;
         self.epochs.overlay_len += other.epochs.overlay_len;
+
+        *self = std::mem::take(self).derived();
     }
 }
 
@@ -469,13 +436,12 @@ impl std::fmt::Display for MetricsSnapshot {
             d.as_secs_f64() * 1e3
         }
         writeln!(f, "queries     {} completed, {} failed", self.completed, self.failed)?;
-        let shared = self.completed - self.executed.min(self.completed);
         writeln!(
             f,
             "executed    {} searches ({} answers shared: {} cache hits, {} coalesced)",
             self.executed,
-            shared,
-            shared - self.coalesced.min(shared),
+            self.completed - self.executed,
+            self.cache_hits,
             self.coalesced
         )?;
         writeln!(
@@ -531,10 +497,10 @@ impl std::fmt::Display for MetricsSnapshot {
         }
         writeln!(
             f,
-            "cache       {:.1}% hit rate ({} hits / {} misses, {} evictions, {} resident)",
-            self.cache.hit_rate() * 100.0,
-            self.cache.hits,
-            self.cache.misses,
+            "cache       {:.1}% hit rate ({} of {} answers, {} evictions, {} resident)",
+            self.cache_hit_rate * 100.0,
+            self.cache_hits,
+            self.completed,
             self.cache.evictions,
             self.cache.len
         )?;
@@ -575,8 +541,109 @@ impl std::fmt::Display for MetricsSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One answered request: how it was served, its skyline size and its
+    /// latency split.
+    pub(crate) type Outcome = (Served, usize, LatencyBreakdown);
+
+    /// The counters [`MetricsRecorder::count`] bumps; the repair counters
+    /// ride on [`MetricsRecorder::record`].
+    const EVENTS: [Counter; 4] =
+        [Counter::Failed, Counter::StaleServed, Counter::Rejected, Counter::ShedDeadline];
+
+    /// Random outcomes covering every `Served` variant.
+    pub(crate) fn outcomes() -> impl Strategy<Value = Vec<Outcome>> {
+        let one = (0u32..10, 0usize..30, 0u64..3_000_000, 0u64..900_000, 0usize..6);
+        prop::collection::vec(one, 0..80).prop_map(|v| {
+            v.into_iter()
+                .map(|(kind, size, queue_ns, service_ns, routes)| {
+                    let seeded = |s| Served::Search { seeded: Some(s) };
+                    let served = match kind {
+                        0 => Served::Search { seeded: None },
+                        1 => seeded(SeedSource::Prefix),
+                        2 => seeded(SeedSource::Ancestor),
+                        3 => seeded(SeedSource::Suffix),
+                        4 => Served::CacheHit,
+                        5 => Served::Coalesced,
+                        6 | 7 => Served::Repaired {
+                            fallback: kind == 7,
+                            routes_untouched: routes,
+                            routes_rescored: routes / 2,
+                        },
+                        _ => Served::Approximate,
+                    };
+                    let ran = !matches!(served, Served::CacheHit | Served::Coalesced);
+                    let engine = ran.then_some(Duration::from_nanos(service_ns / 2));
+                    let latency = LatencyBreakdown {
+                        queue_wait: Duration::from_nanos(queue_ns),
+                        service: Duration::from_nanos(service_ns),
+                        engine,
+                    };
+                    (served, size, latency)
+                })
+                .collect()
+        })
+    }
+
+    /// A recorder fed `outcomes` and `events[i]` counts of `EVENTS[i]`.
+    pub(crate) fn recorder(outcomes: &[Outcome], events: &[u64]) -> MetricsRecorder {
+        let rec = MetricsRecorder::default();
+        for &(served, size, latency) in outcomes {
+            rec.record(latency, size, served);
+        }
+        for (&c, &k) in EVENTS.iter().zip(events) {
+            for _ in 0..k {
+                rec.count(c);
+            }
+        }
+        rec
+    }
+
+    fn snapshot(rec: &MetricsRecorder) -> MetricsSnapshot {
+        rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default())
+    }
+
+    /// Cache and epoch stats varied by `k`.
+    fn stats(k: u64) -> (CacheCounters, EpochGcStats) {
+        let cache =
+            CacheCounters { insertions: k + 1, evictions: k / 3, invalidations: k / 2, len: k };
+        let n = k as usize;
+        let epochs = EpochGcStats {
+            retained: n % 4,
+            retained_max: n % 5,
+            retention: n % 3,
+            compacted: k,
+            rebases: k / 7,
+            overlay_len: 2 * n,
+        };
+        (cache, epochs)
+    }
+
+    /// Two stats combined as `merge` documents: sums, but the largest
+    /// retention.
+    fn summed(
+        (ca, ea): (CacheCounters, EpochGcStats),
+        (cb, eb): (CacheCounters, EpochGcStats),
+    ) -> (CacheCounters, EpochGcStats) {
+        let cache = CacheCounters {
+            insertions: ca.insertions + cb.insertions,
+            evictions: ca.evictions + cb.evictions,
+            invalidations: ca.invalidations + cb.invalidations,
+            len: ca.len + cb.len,
+        };
+        let epochs = EpochGcStats {
+            retained: ea.retained + eb.retained,
+            retained_max: ea.retained_max + eb.retained_max,
+            retention: ea.retention.max(eb.retention),
+            compacted: ea.compacted + eb.compacted,
+            rebases: ea.rebases + eb.rebases,
+            overlay_len: ea.overlay_len + eb.overlay_len,
+        };
+        (cache, epochs)
+    }
 
     /// Asserts a bucketed duration is within the histogram's 1/32 bound
     /// above the exact value.
@@ -590,74 +657,88 @@ mod tests {
         LatencyBreakdown::service_only(Duration::from_micros(us))
     }
 
-    #[test]
-    fn reservoir_bounds_memory_and_stays_representative() {
-        let rec = MetricsRecorder::default();
-        // Far beyond the cap, all with the same latency: the reservoir must
-        // stay capped and every retained sample must be a real observation.
-        for _ in 0..(SAMPLE_CAP as u64 + 10_000) {
-            rec.record(lat(5), 1, Served::Search { seeded: None });
-        }
-        let inner = rec.samples.lock().unwrap();
-        assert_eq!(inner.samples.len(), SAMPLE_CAP);
-        assert_eq!(inner.seen, SAMPLE_CAP as u64 + 10_000);
-        assert!(inner.samples.iter().all(|&s| s == 1));
-        drop(inner);
-        let snap =
-            rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
-        assert_eq!(snap.completed, SAMPLE_CAP as u64 + 10_000);
-        // Histograms summarise *every* sample, not a reservoir subset.
-        assert_eq!(snap.latency_hist.count(), SAMPLE_CAP as u64 + 10_000);
-        assert_bucketed(snap.latency_p50, Duration::from_micros(5));
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn snapshot_aggregates_counters_and_sizes() {
-        let rec = MetricsRecorder::default();
-        rec.record(lat(100), 2, Served::Search { seeded: None });
-        rec.record(lat(300), 4, Served::CacheHit);
-        rec.record(lat(200), 3, Served::Search { seeded: Some(SeedSource::Prefix) });
-        rec.record(lat(150), 2, Served::Coalesced);
-        rec.record(lat(120), 2, Served::Search { seeded: Some(SeedSource::Ancestor) });
-        rec.record(lat(130), 2, Served::Search { seeded: Some(SeedSource::Suffix) });
-        rec.record_failure();
-        let snap =
-            rec.snapshot(Duration::from_secs(2), CacheCounters::default(), EpochGcStats::default());
-        assert_eq!(snap.completed, 6);
-        assert_eq!(snap.executed, 4);
-        assert_eq!(snap.coalesced, 1);
-        assert_eq!(snap.seeded_prefix, 1);
-        assert_eq!(snap.seeded_ancestor, 1);
-        assert_eq!(snap.seeded_suffix, 1);
-        assert_eq!(snap.failed, 1);
-        assert!((snap.throughput_qps - 3.0).abs() < 1e-12);
-        assert_bucketed(snap.latency_p50, Duration::from_micros(130));
-        assert_eq!(snap.latency_max, Duration::from_micros(300), "max is tracked exactly");
-        assert!((snap.mean_skyline_size - 2.5).abs() < 1e-12);
-        assert_eq!(snap.max_skyline_size, 4);
-        // Per-rung histograms partition the responses.
-        let count_of = |r: Rung| {
-            snap.rungs.iter().find(|s| s.rung == r).expect("all rungs present").hist.count()
-        };
-        assert_eq!(count_of(Rung::Cold), 1);
-        assert_eq!(count_of(Rung::ExactHit), 1);
-        assert_eq!(count_of(Rung::Coalesced), 1);
-        assert_eq!(count_of(Rung::WarmPrefix), 1);
-        assert_eq!(count_of(Rung::WarmAncestor), 1);
-        assert_eq!(count_of(Rung::WarmSuffix), 1);
-        assert_eq!(count_of(Rung::Repaired), 0);
-        assert_eq!(snap.rungs.iter().map(|s| s.hist.count()).sum::<u64>(), snap.completed);
-        // The report renders without panicking and mentions the headline
-        // numbers.
-        let text = snap.to_string();
-        assert!(text.contains("6 completed"), "{text}");
-        assert!(text.contains("1 coalesced"), "{text}");
-        assert!(text.contains("1 prefix-, 1 ancestor-, 1 suffix-seeded"), "{text}");
-        assert!(text.contains("queries/s"), "{text}");
-        assert!(text.contains("0 stale serves"), "{text}");
-        assert!(text.contains("split       queue-wait"), "{text}");
-        assert!(text.contains("warm_prefix"), "{text}");
-        assert!(!text.contains("repaired  "), "empty rungs are omitted: {text}");
+        // Every derived value equals the same figure counted straight from
+        // the outcomes, and merging the snapshots of two recorders that
+        // split the outcomes equals one recorder fed all of them.
+        #[test]
+        fn derived_values_and_merge_match_the_recorded_outcomes(
+            case in outcomes().prop_flat_map(|o| {
+                let n = o.len();
+                (Just(o), 0..n + 1)
+            }),
+            events in prop::collection::vec(0u64..4, 4),
+            walls in (1u64..5_000, 1u64..5_000),
+            ks in (0u64..50, 0u64..50),
+        ) {
+            let (outcomes, split) = case;
+            let all = snapshot(&recorder(&outcomes, &events));
+            let of = |f: &dyn Fn(Served) -> bool| {
+                outcomes.iter().filter(|o| f(o.0)).count() as u64
+            };
+            let sum = |f: &dyn Fn(&Outcome) -> u64| outcomes.iter().map(f).sum::<u64>();
+            prop_assert_eq!(all.completed, outcomes.len() as u64);
+            prop_assert_eq!(all.cache_hits, of(&|s| s == Served::CacheHit));
+            prop_assert_eq!(all.coalesced, of(&|s| s == Served::Coalesced));
+            prop_assert_eq!(all.approximate_served, of(&|s| s == Served::Approximate));
+            prop_assert_eq!(
+                all.executed,
+                of(&|s| matches!(s, Served::Search { .. } | Served::Repaired { .. }))
+            );
+            prop_assert_eq!(
+                all.completed,
+                all.executed + all.cache_hits + all.coalesced + all.approximate_served
+            );
+            for (source, seeded) in [
+                (SeedSource::Prefix, all.seeded_prefix),
+                (SeedSource::Ancestor, all.seeded_ancestor),
+                (SeedSource::Suffix, all.seeded_suffix),
+            ] {
+                prop_assert_eq!(seeded, of(&|s| s == Served::Search { seeded: Some(source) }));
+            }
+            let repairs = |fell_back| {
+                of(&|s| matches!(s, Served::Repaired { fallback, .. } if fallback == fell_back))
+            };
+            prop_assert_eq!((all.repairs, all.repair_fallbacks), (repairs(false), repairs(true)));
+            let tiers = |o: &Outcome| match o.0 {
+                Served::Repaired { routes_untouched, routes_rescored, .. } => {
+                    (routes_untouched as u64, routes_rescored as u64)
+                }
+                _ => (0, 0),
+            };
+            prop_assert_eq!(all.routes_untouched, sum(&|o| tiers(o).0));
+            prop_assert_eq!(all.routes_rescored, sum(&|o| tiers(o).1));
+            for (&c, &k) in EVENTS.iter().zip(&events) {
+                prop_assert_eq!(all.counter(c), k);
+            }
+            let total = |o: &Outcome| o.2.total().as_nanos() as u64;
+            prop_assert_eq!(all.latency_hist.count(), all.completed);
+            prop_assert_eq!(all.latency_hist.sum_ns(), sum(&total));
+            let max = outcomes.iter().map(total).max().unwrap_or(0);
+            prop_assert_eq!(all.latency_max, Duration::from_nanos(max));
+            prop_assert_eq!(all.queue_wait_hist.count(), all.completed);
+            prop_assert_eq!(all.engine_hist.count(), sum(&|o| o.2.engine.is_some() as u64));
+            let per_answer = |x: u64| {
+                if outcomes.is_empty() { 0.0 } else { x as f64 / outcomes.len() as f64 }
+            };
+            prop_assert_eq!(all.mean_skyline_size, per_answer(sum(&|o| o.1 as u64)));
+            prop_assert_eq!(all.max_skyline_size, outcomes.iter().map(|o| o.1).max().unwrap_or(0));
+            prop_assert_eq!(all.cache_hit_rate, per_answer(all.cache_hits));
+            prop_assert_eq!(all.throughput_qps, all.completed as f64);
+
+            let (head, tail) = outcomes.split_at(split);
+            let half: Vec<u64> = events.iter().map(|k| k / 2).collect();
+            let rest: Vec<u64> = events.iter().zip(&half).map(|(k, h)| k - h).collect();
+            let (wall_a, wall_b) = (Duration::from_millis(walls.0), Duration::from_millis(walls.1));
+            let ((ca, ea), (cb, eb)) = (stats(ks.0), stats(ks.1));
+            let mut merged = recorder(head, &half).snapshot(wall_a, ca, ea);
+            merged.merge(&recorder(tail, &rest).snapshot(wall_b, cb, eb));
+            let (cache, epochs) = summed(stats(ks.0), stats(ks.1));
+            let whole = recorder(&outcomes, &events).snapshot(wall_a.max(wall_b), cache, epochs);
+            prop_assert_eq!(merged, whole);
+        }
     }
 
     #[test]
@@ -676,16 +757,14 @@ mod tests {
                 Served::Search { seeded: None },
             );
         }
-        let snap =
-            rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
+        let snap = snapshot(&rec);
         assert_bucketed(snap.latency_p50, Duration::from_micros(1_010));
         assert_bucketed(snap.queue_wait_hist.quantile(0.5), Duration::from_millis(1));
         assert_bucketed(snap.engine_hist.quantile(0.5), Duration::from_micros(8));
         assert_eq!(snap.engine_hist.count(), 100);
         // A cache hit records no engine sample.
         rec.record(lat(5), 1, Served::CacheHit);
-        let snap =
-            rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
+        let snap = snapshot(&rec);
         assert_eq!(snap.engine_hist.count(), 100);
         assert_eq!(snap.latency_hist.count(), 101);
     }
@@ -698,29 +777,32 @@ mod tests {
         rec.record(lat(8), 1, Served::Coalesced);
         rec.record(lat(30), 1, Served::Approximate);
         rec.record(lat(25), 2, Served::Approximate);
-        rec.record_rejected();
-        rec.record_shed_deadline();
-        rec.record_shed_deadline();
-        let snap =
-            rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
+        rec.count(Counter::Rejected);
+        rec.count(Counter::ShedDeadline);
+        rec.count(Counter::ShedDeadline);
+        let snap = snapshot(&rec);
         // Shed requests never reach `completed` or `failed`; approximate
         // responses complete without counting as exact executions.
-        assert_eq!(snap.completed, 5);
-        assert_eq!(snap.failed, 0);
-        assert_eq!(snap.executed, 1);
-        assert_eq!(snap.approximate_served, 2);
-        assert_eq!(snap.rejected, 1);
-        assert_eq!(snap.shed_deadline, 2);
-        let hits = snap.rungs.iter().find(|s| s.rung == Rung::ExactHit).unwrap().hist.count();
-        assert_eq!(snap.completed, snap.executed + hits + snap.coalesced + snap.approximate_served);
-        let approx = snap.rungs.iter().find(|s| s.rung == Rung::Approximate).unwrap();
-        assert_eq!(approx.hist.count(), 2);
-        assert_eq!(snap.rungs.iter().map(|s| s.hist.count()).sum::<u64>(), snap.completed);
+        assert_eq!((snap.completed, snap.failed, snap.executed), (5, 0, 1));
+        assert_eq!((snap.approximate_served, snap.rejected, snap.shed_deadline), (2, 1, 2));
+        // The report counts only the exact hit as a cache hit: the two
+        // approximate answers are shared answers, not hits.
         let text = snap.to_string();
+        assert!(
+            text.contains("1 searches (4 answers shared: 1 cache hits, 1 coalesced)"),
+            "{text}"
+        );
+        assert!(text.contains("20.0% hit rate (1 of 5 answers"), "{text}");
+        assert!(text.contains("5 completed"), "{text}");
         assert!(text.contains("1 rejected at admission"), "{text}");
         assert!(text.contains("2 shed expired in queue"), "{text}");
         assert!(text.contains("2 served approximate"), "{text}");
-        assert!(text.contains("approximate"), "{text}");
+        assert!(text.contains("0 prefix-, 0 ancestor-, 0 suffix-seeded"), "{text}");
+        assert!(text.contains("queries/s"), "{text}");
+        assert!(text.contains("split       queue-wait"), "{text}");
+        assert!(text.contains("approximate "), "{text}");
+        assert!(!text.contains("repaired  "), "empty rungs are omitted: {text}");
+        assert!(text.contains("1.20 routes/answer mean, 2 max"), "{text}");
     }
 
     #[test]
@@ -729,13 +811,10 @@ mod tests {
         // this counter is never bumped; when it is, the snapshot and the
         // rendered report must expose it.
         let rec = MetricsRecorder::default();
-        let clean =
-            rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
-        assert_eq!(clean.stale_served, 0);
-        rec.record_stale_serve();
-        rec.record_stale_serve();
-        let snap =
-            rec.snapshot(Duration::from_secs(1), CacheCounters::default(), EpochGcStats::default());
+        assert_eq!(snapshot(&rec).stale_served, 0);
+        rec.count(Counter::StaleServed);
+        rec.count(Counter::StaleServed);
+        let snap = snapshot(&rec);
         assert_eq!(snap.stale_served, 2);
         assert!(snap.to_string().contains("2 stale serves"), "{snap}");
     }

@@ -32,7 +32,7 @@ pub use client::RemoteService;
 pub use server::{ServeBackend, Server, ServerConfig};
 pub use wire::{
     DatasetFingerprint, Frame, FrameReader, ProtocolError, FEATURE_MULTI_TENANT, FEATURE_STREAMING,
-    PROTOCOL_V1, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 
 use crate::context::ServiceContext;

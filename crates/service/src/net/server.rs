@@ -25,7 +25,7 @@ use skysr_core::route::SkylineRoute;
 
 use super::wire::{
     DatasetFingerprint, Frame, FrameReader, ProtocolError, FEATURE_MULTI_TENANT, FEATURE_STREAMING,
-    MAX_FRAME, PROTOCOL_V1, PROTOCOL_VERSION,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
 use crate::service::{QueryRequest, QueryService, Service, Ticket};
 use crate::shard::{RegionInfo, Router};
@@ -139,8 +139,8 @@ impl Server {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         // The registry (and the default shard's fingerprint inside it) is
-        // captured once at spawn, like the v1 fingerprint was: the
-        // handshake advertises the epoch the daemon *started* serving.
+        // captured once at spawn: the handshake advertises the epoch the
+        // daemon *started* serving.
         let registry = backend.regions();
         let fingerprint = registry
             .first()
@@ -261,10 +261,9 @@ impl Conn {
 struct EventLoop {
     listener: TcpListener,
     service: Arc<dyn ServeBackend>,
-    /// The registry advertised to v2 clients, captured at spawn.
+    /// The registry advertised in every `Welcome`, captured at spawn.
     registry: Vec<RegionInfo>,
-    /// The default shard's fingerprint — the fixed `Welcome` field every
-    /// client (v1 or v2) decodes.
+    /// The default shard's fingerprint, advertised in every `Welcome`.
     fingerprint: DatasetFingerprint,
     config: ServerConfig,
     conns: Vec<Conn>,
@@ -459,41 +458,19 @@ fn dispatch(
         busy = true;
         match frame {
             Frame::Hello { version, features: _ } => {
-                match version {
-                    // A v1 client is served, not rejected: it gets the
-                    // exact v1 Welcome shape (no registry bytes — a v1
-                    // decoder treats trailing bytes as garbage) and its
-                    // region-less submissions route to the default shard.
-                    PROTOCOL_V1 => {
-                        conn.queue_frame(&Frame::Welcome {
-                            version: PROTOCOL_V1,
-                            features: FEATURE_STREAMING,
-                            fingerprint,
-                            registry: Vec::new(),
-                        });
-                        conn.greeted = true;
-                    }
-                    PROTOCOL_VERSION => {
-                        conn.queue_frame(&Frame::Welcome {
-                            version: PROTOCOL_VERSION,
-                            features: FEATURE_STREAMING | FEATURE_MULTI_TENANT,
-                            fingerprint,
-                            registry: registry.to_vec(),
-                        });
-                        conn.greeted = true;
-                    }
-                    // Anything else: answer with our identity either way
-                    // — a mismatched client needs the Welcome to diagnose
-                    // — then hang up.
-                    _ => {
-                        conn.queue_frame(&Frame::Welcome {
-                            version: PROTOCOL_VERSION,
-                            features: FEATURE_STREAMING | FEATURE_MULTI_TENANT,
-                            fingerprint,
-                            registry: registry.to_vec(),
-                        });
-                        conn.close_after_flush = true;
-                    }
+                // Answer with our identity either way — a mismatched
+                // client needs the Welcome to diagnose — and hang up on a
+                // version we do not speak.
+                conn.queue_frame(&Frame::Welcome {
+                    version: PROTOCOL_VERSION,
+                    features: FEATURE_STREAMING | FEATURE_MULTI_TENANT,
+                    fingerprint,
+                    registry: registry.to_vec(),
+                });
+                if version == PROTOCOL_VERSION {
+                    conn.greeted = true;
+                } else {
+                    conn.close_after_flush = true;
                 }
             }
             Frame::Submit { id, streaming, request } => {

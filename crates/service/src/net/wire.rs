@@ -8,22 +8,14 @@
 //!
 //! A connection opens with a version handshake: the client sends
 //! [`Frame::Hello`] (protocol version + feature flags), the server
-//! answers [`Frame::Welcome`] (its version, features, and a
-//! [`DatasetFingerprint`] of the dataset it serves). Version mismatches
-//! are a typed [`ProtocolError::VersionMismatch`], never a garbled
-//! stream.
-//!
-//! **v2 (multi-tenant).** A v2 `Welcome` additionally carries the
-//! *dataset registry* — one `(region id, name, fingerprint)` entry per
-//! resident shard — and a v2 `Submit`'s options may address a region
-//! (option flag bit 3). Compatibility is one-directional by design: a
-//! v1 client greeting a v2 daemon is answered with a v1-*shaped*
-//! `Welcome` (version 1, no registry — the default shard's fingerprint
-//! only) and served single-shard, since a v1 `Submit` can never carry a
-//! region and region-less requests route to the default shard. The
-//! version field of the `Welcome` being decoded says whether registry
-//! bytes follow, so both shapes parse exactly (v1 payloads end after the
-//! fingerprint; trailing bytes stay an error).
+//! answers [`Frame::Welcome`] (its version, features, the
+//! [`DatasetFingerprint`] of its default shard, and the *dataset
+//! registry* — one `(region id, name, fingerprint)` entry per resident
+//! shard). A `Submit`'s options may address a region (option flag bit 3);
+//! region-less requests are routed by start vertex. One protocol version
+//! is spoken: a mismatched `Hello` is answered with the server's
+//! `Welcome` and the connection closes, so the client reports a typed
+//! [`ProtocolError::VersionMismatch`], never a garbled stream.
 //!
 //! Decoding is defensive end to end: adversarial bytes produce
 //! [`ProtocolError`]s (`Oversized`, `Malformed`), never panics — every
@@ -43,7 +35,7 @@ use skysr_core::route::SkylineRoute;
 use skysr_graph::{Cost, EpochId, VertexId, WeightDelta};
 
 use crate::cache::CacheCounters;
-use crate::metrics::{MetricsSnapshot, Served};
+use crate::metrics::{Counter, MetricsSnapshot, Served};
 use crate::plan::{ReuseStrategies, SeedSource};
 use crate::service::{QueryRequest, QueryResponse, RequestOptions};
 use crate::shard::{RegionId, RegionInfo};
@@ -51,22 +43,15 @@ use crate::telemetry::{HistogramSnapshot, Rung, RungSummary};
 use skysr_graph::EpochGcStats;
 
 /// Protocol version this build speaks. Bumped on any incompatible frame
-/// change; the handshake rejects mismatches outright — with one
-/// deliberate exception: a v2 *server* still serves a v1 client (see the
-/// module docs), so old deployments keep working against a multi-tenant
-/// daemon.
-pub const PROTOCOL_VERSION: u16 = 2;
-
-/// The protocol version before multi-tenancy: one dataset, no registry,
-/// no region addressing. What a v2 server speaks *down* to when greeted
-/// by a v1 client.
-pub const PROTOCOL_V1: u16 = 1;
+/// change; the handshake rejects mismatches outright. Version 3 carries
+/// only the recorded metrics in [`Frame::MetricsRep`].
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Feature flag: the peer understands [`Frame::Progress`] streaming.
 pub const FEATURE_STREAMING: u32 = 1;
 
-/// Feature flag (v2): the peer understands the multi-tenant extensions —
-/// the `Welcome` registry and region-addressed `Submit` options.
+/// Feature flag: the peer understands the multi-tenant extensions — the
+/// `Welcome` registry and region-addressed `Submit` options.
 pub const FEATURE_MULTI_TENANT: u32 = 2;
 
 /// Largest frame either side accepts (length prefix included), generous
@@ -170,21 +155,16 @@ pub enum Frame {
     },
     /// S→C, the handshake answer.
     Welcome {
-        /// Server protocol version — the version *this connection* will
-        /// speak: a v2 daemon answers a v1 client with `version: 1` (and
-        /// an empty, un-encoded registry).
+        /// Server protocol version.
         version: u16,
         /// Server feature flags.
         features: u32,
         /// What the daemon is serving: the default shard's fingerprint —
-        /// the whole story for a single-shard daemon or a v1 connection,
-        /// kept in the fixed part of the frame so v1 clients decode it
-        /// unchanged.
+        /// the whole story for a single-shard daemon.
         fingerprint: DatasetFingerprint,
-        /// v2 only: the dataset registry, one entry per resident region
+        /// The dataset registry, one entry per resident region
         /// (registration order; entry 0 is the default shard, whose
-        /// fingerprint repeats `fingerprint`). Never encoded when
-        /// `version` is 1.
+        /// fingerprint repeats `fingerprint`).
         registry: Vec<RegionInfo>,
     },
     /// C→S: one query submission.
@@ -221,7 +201,8 @@ pub enum Frame {
     /// C→S: request a metrics snapshot.
     MetricsReq,
     /// S→C: the snapshot (also the acknowledged farewell to
-    /// [`Frame::Shutdown`]).
+    /// [`Frame::Shutdown`]). Only its recorded fields travel; the decoder
+    /// derives the rest, as the sender did.
     MetricsRep(Box<MetricsSnapshot>),
     /// C→S: publish a weight-update batch as one new epoch.
     PublishWeights(Vec<WeightDelta>),
@@ -470,8 +451,6 @@ fn take_options(r: &mut Reader<'_>) -> Result<RequestOptions, ProtocolError> {
     }
     let deadline = if flags & 1 != 0 { Some(r.duration()?) } else { None };
     let reuse = if flags & 4 != 0 { Some(strategies_from_bits(r.u8()?)) } else { None };
-    // v2 region addressing. A v1 peer never sets bit 3, so v1 payloads
-    // decode unchanged.
     let region = if flags & 8 != 0 { Some(RegionId(r.u16()?)) } else { None };
     Ok(RequestOptions { deadline, trace: flags & 2 != 0, reuse, region })
 }
@@ -622,50 +601,22 @@ fn take_histogram(r: &mut Reader<'_>) -> Result<HistogramSnapshot, ProtocolError
     Ok(HistogramSnapshot::from_parts(buckets, count, sum_ns, max_ns))
 }
 
+/// The recorded fields of a snapshot, in a fixed order: the eight rung
+/// histograms in ladder order, queue wait, engine time, the counters, the
+/// skyline sum and max, cache and epoch stats, the wall time.
 fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
-    for v in [
-        m.completed,
-        m.failed,
-        m.executed,
-        m.coalesced,
-        m.seeded_prefix,
-        m.seeded_ancestor,
-        m.seeded_suffix,
-        m.stale_served,
-        m.repairs,
-        m.repair_fallbacks,
-        m.routes_untouched,
-        m.routes_rescored,
-        m.approximate_served,
-        m.rejected,
-        m.shed_deadline,
-    ] {
-        put_u64(out, v);
+    let empty = HistogramSnapshot::default();
+    for rung in Rung::ALL {
+        put_histogram(out, m.rungs.get(rung.index()).map_or(&empty, |s| &s.hist));
     }
-    put_duration(out, m.wall);
-    put_f64(out, m.throughput_qps);
-    for d in [m.latency_mean, m.latency_p50, m.latency_p90, m.latency_p99, m.latency_max] {
-        put_duration(out, d);
-    }
-    put_histogram(out, &m.latency_hist);
     put_histogram(out, &m.queue_wait_hist);
     put_histogram(out, &m.engine_hist);
-    put_u8(out, m.rungs.len() as u8);
-    for rs in &m.rungs {
-        let idx = Rung::ALL.iter().position(|r| *r == rs.rung).expect("rung is in ALL");
-        put_u8(out, idx as u8);
-        put_histogram(out, &rs.hist);
+    for c in Counter::ALL {
+        put_u64(out, m.counter(c));
     }
-    put_f64(out, m.mean_skyline_size);
+    put_u64(out, m.skyline_routes);
     put_u64(out, m.max_skyline_size as u64);
-    for v in [
-        m.cache.hits,
-        m.cache.misses,
-        m.cache.insertions,
-        m.cache.evictions,
-        m.cache.invalidations,
-        m.cache.len,
-    ] {
+    for v in [m.cache.insertions, m.cache.evictions, m.cache.invalidations, m.cache.len] {
         put_u64(out, v);
     }
     put_u64(out, m.epochs.retained as u64);
@@ -674,55 +625,32 @@ fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
     put_u64(out, m.epochs.compacted);
     put_u64(out, m.epochs.rebases);
     put_u64(out, m.epochs.overlay_len as u64);
+    put_duration(out, m.wall);
 }
 
 fn take_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, ProtocolError> {
-    let completed = r.u64()?;
-    let failed = r.u64()?;
-    let executed = r.u64()?;
-    let coalesced = r.u64()?;
-    let seeded_prefix = r.u64()?;
-    let seeded_ancestor = r.u64()?;
-    let seeded_suffix = r.u64()?;
-    let stale_served = r.u64()?;
-    let repairs = r.u64()?;
-    let repair_fallbacks = r.u64()?;
-    let routes_untouched = r.u64()?;
-    let routes_rescored = r.u64()?;
-    let approximate_served = r.u64()?;
-    let rejected = r.u64()?;
-    let shed_deadline = r.u64()?;
-    let wall = r.duration()?;
-    let throughput_qps = r.f64()?;
-    let latency_mean = r.duration()?;
-    let latency_p50 = r.duration()?;
-    let latency_p90 = r.duration()?;
-    let latency_p99 = r.duration()?;
-    let latency_max = r.duration()?;
-    let latency_hist = take_histogram(r)?;
-    let queue_wait_hist = take_histogram(r)?;
-    let engine_hist = take_histogram(r)?;
-    let nrungs = r.u8()? as usize;
-    if nrungs > Rung::ALL.len() {
-        return Err(ProtocolError::Malformed("too many rung summaries"));
-    }
-    let mut rungs = Vec::with_capacity(nrungs);
-    for _ in 0..nrungs {
-        let idx = r.u8()? as usize;
-        let rung = *Rung::ALL.get(idx).ok_or(ProtocolError::Malformed("unknown rung index"))?;
+    let mut rungs = Vec::with_capacity(Rung::ALL.len());
+    for rung in Rung::ALL {
         rungs.push(RungSummary { rung, hist: take_histogram(r)? });
     }
-    let mean_skyline_size = r.f64()?;
-    let max_skyline_size = r.u64()? as usize;
-    let cache = CacheCounters {
-        hits: r.u64()?,
-        misses: r.u64()?,
+    let mut m = MetricsSnapshot {
+        rungs,
+        queue_wait_hist: take_histogram(r)?,
+        engine_hist: take_histogram(r)?,
+        ..MetricsSnapshot::default()
+    };
+    for c in Counter::ALL {
+        *m.counter_mut(c) = r.u64()?;
+    }
+    m.skyline_routes = r.u64()?;
+    m.max_skyline_size = r.u64()? as usize;
+    m.cache = CacheCounters {
         insertions: r.u64()?,
         evictions: r.u64()?,
         invalidations: r.u64()?,
         len: r.u64()?,
     };
-    let epochs = EpochGcStats {
+    m.epochs = EpochGcStats {
         retained: r.u64()? as usize,
         retained_max: r.u64()? as usize,
         retention: r.u64()? as usize,
@@ -730,38 +658,8 @@ fn take_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, ProtocolError> {
         rebases: r.u64()?,
         overlay_len: r.u64()? as usize,
     };
-    Ok(MetricsSnapshot {
-        completed,
-        failed,
-        executed,
-        coalesced,
-        seeded_prefix,
-        seeded_ancestor,
-        seeded_suffix,
-        stale_served,
-        repairs,
-        repair_fallbacks,
-        routes_untouched,
-        routes_rescored,
-        approximate_served,
-        rejected,
-        shed_deadline,
-        wall,
-        throughput_qps,
-        latency_mean,
-        latency_p50,
-        latency_p90,
-        latency_p99,
-        latency_max,
-        latency_hist,
-        queue_wait_hist,
-        engine_hist,
-        rungs,
-        mean_skyline_size,
-        max_skyline_size,
-        cache,
-        epochs,
-    })
+    m.wall = r.duration()?;
+    Ok(m.derived())
 }
 
 // ---------------------------------------------------------------------
@@ -785,19 +683,14 @@ impl Frame {
                 put_u64(&mut body, fingerprint.arcs);
                 put_u64(&mut body, fingerprint.pois);
                 put_u64(&mut body, fingerprint.epoch.get());
-                // The registry exists only on the wire of a v2
-                // connection: a v1 client rejects any trailing bytes, so
-                // a v1-shaped Welcome must end exactly here.
-                if *version >= 2 {
-                    put_u16(&mut body, registry.len() as u16);
-                    for info in registry {
-                        put_u16(&mut body, info.id.0);
-                        put_str(&mut body, &info.name);
-                        put_u64(&mut body, info.fingerprint.vertices);
-                        put_u64(&mut body, info.fingerprint.arcs);
-                        put_u64(&mut body, info.fingerprint.pois);
-                        put_u64(&mut body, info.fingerprint.epoch.get());
-                    }
+                put_u16(&mut body, registry.len() as u16);
+                for info in registry {
+                    put_u16(&mut body, info.id.0);
+                    put_str(&mut body, &info.name);
+                    put_u64(&mut body, info.fingerprint.vertices);
+                    put_u64(&mut body, info.fingerprint.arcs);
+                    put_u64(&mut body, info.fingerprint.pois);
+                    put_u64(&mut body, info.fingerprint.epoch.get());
                 }
             }
             Frame::Submit { id, streaming, request } => {
@@ -873,32 +766,25 @@ impl Frame {
                     pois: r.u64()?,
                     epoch: EpochId(r.u64()?),
                 };
-                // The announced version tells us whether registry bytes
-                // follow: v1 payloads end right here.
-                let registry = if version >= 2 {
-                    let n = r.u16()? as usize;
-                    if n > MAX_REGIONS {
-                        return Err(ProtocolError::Malformed("too many registry entries"));
+                let n = r.u16()? as usize;
+                if n > MAX_REGIONS {
+                    return Err(ProtocolError::Malformed("too many registry entries"));
+                }
+                let mut registry = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let id = RegionId(r.u16()?);
+                    let name = r.str()?;
+                    if name.len() > MAX_REGION_NAME {
+                        return Err(ProtocolError::Malformed("region name too long"));
                     }
-                    let mut registry = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let id = RegionId(r.u16()?);
-                        let name = r.str()?;
-                        if name.len() > MAX_REGION_NAME {
-                            return Err(ProtocolError::Malformed("region name too long"));
-                        }
-                        let fingerprint = DatasetFingerprint {
-                            vertices: r.u64()?,
-                            arcs: r.u64()?,
-                            pois: r.u64()?,
-                            epoch: EpochId(r.u64()?),
-                        };
-                        registry.push(RegionInfo { id, name, fingerprint });
-                    }
-                    registry
-                } else {
-                    Vec::new()
-                };
+                    let fingerprint = DatasetFingerprint {
+                        vertices: r.u64()?,
+                        arcs: r.u64()?,
+                        pois: r.u64()?,
+                        epoch: EpochId(r.u64()?),
+                    };
+                    registry.push(RegionInfo { id, name, fingerprint });
+                }
                 Frame::Welcome { version, features, fingerprint, registry }
             }
             T_SUBMIT => {
@@ -1044,6 +930,8 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> Result<Frame, Protoco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::tests::{outcomes, recorder};
+    use proptest::prelude::*;
 
     fn sample_query() -> SkySrQuery {
         SkySrQuery {
@@ -1261,7 +1149,7 @@ mod tests {
                 b
             },
             // Submit with an undefined option flag (bit 4 — beyond the
-            // v2 region bit).
+            // region bit).
             {
                 let mut body = vec![T_SUBMIT];
                 put_u64(&mut body, 1);
@@ -1288,10 +1176,10 @@ mod tests {
                 b.extend(body);
                 b
             },
-            // v2 Welcome announcing an absurd registry size.
+            // Welcome announcing an absurd registry size.
             {
                 let mut body = vec![T_WELCOME];
-                put_u16(&mut body, 2);
+                put_u16(&mut body, PROTOCOL_VERSION);
                 put_u32(&mut body, FEATURE_STREAMING | FEATURE_MULTI_TENANT);
                 for _ in 0..4 {
                     put_u64(&mut body, 1); // fingerprint
@@ -1302,16 +1190,14 @@ mod tests {
                 b.extend(body);
                 b
             },
-            // v1 Welcome with trailing registry bytes: a v1 payload ends
-            // at the fingerprint, whatever follows is garbage.
+            // Welcome that ends before its registry count.
             {
                 let mut body = vec![T_WELCOME];
-                put_u16(&mut body, 1);
+                put_u16(&mut body, PROTOCOL_VERSION);
                 put_u32(&mut body, FEATURE_STREAMING);
                 for _ in 0..4 {
                     put_u64(&mut body, 1); // fingerprint
                 }
-                put_u16(&mut body, 0); // v2-style registry count on a v1 frame
                 let mut b = Vec::new();
                 put_u32(&mut b, body.len() as u32);
                 b.extend(body);
@@ -1328,66 +1214,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn metrics_snapshot_roundtrips() {
-        // Build a real snapshot by running a recorder briefly.
-        use crate::metrics::{LatencyBreakdown, MetricsRecorder};
-        let rec = MetricsRecorder::default();
-        rec.record(
-            LatencyBreakdown {
-                queue_wait: Duration::from_micros(10),
-                service: Duration::from_micros(90),
-                engine: Some(Duration::from_micros(70)),
-            },
-            2,
-            Served::Search { seeded: Some(SeedSource::Prefix) },
-        );
-        rec.record(
-            LatencyBreakdown {
-                queue_wait: Duration::from_micros(1),
-                service: Duration::from_micros(2),
-                engine: None,
-            },
-            2,
-            Served::CacheHit,
-        );
-        rec.record_stale_serve();
-        let m = rec.snapshot(
-            Duration::from_millis(5),
-            CacheCounters {
-                hits: 1,
-                misses: 1,
-                insertions: 1,
-                evictions: 0,
-                invalidations: 0,
-                len: 1,
-            },
-            EpochGcStats {
-                retained: 2,
-                retained_max: 3,
-                retention: 4,
-                compacted: 5,
-                rebases: 1,
-                overlay_len: 6,
-            },
-        );
-        let Frame::MetricsRep(back) = roundtrip(&Frame::MetricsRep(Box::new(m.clone()))) else {
-            panic!("wrong frame");
-        };
-        assert_eq!(back.completed, m.completed);
-        assert_eq!(back.stale_served, 1);
-        assert_eq!(back.latency_hist, m.latency_hist);
-        assert_eq!(back.queue_wait_hist, m.queue_wait_hist);
-        assert_eq!(back.engine_hist, m.engine_hist);
-        assert_eq!(back.rungs.len(), m.rungs.len());
-        for (a, b) in back.rungs.iter().zip(m.rungs.iter()) {
-            assert_eq!(a.rung, b.rung);
-            assert_eq!(a.hist, b.hist);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // A snapshot over random outcomes decodes to an equal snapshot:
+        // the recorded fields travel, the decoder derives the rest.
+        #[test]
+        fn metrics_snapshot_roundtrips(
+            outcomes in outcomes(),
+            events in prop::collection::vec(0u64..4, 4),
+            k in 0u64..1_000,
+        ) {
+            let m = recorder(&outcomes, &events).snapshot(
+                Duration::from_micros(37 * k + 1),
+                CacheCounters { insertions: k, evictions: k / 2, invalidations: k / 3, len: k / 4 },
+                EpochGcStats {
+                    retained: 2,
+                    retained_max: 3,
+                    retention: 4,
+                    compacted: k,
+                    rebases: 1,
+                    overlay_len: 6,
+                },
+            );
+            let Frame::MetricsRep(back) = roundtrip(&Frame::MetricsRep(Box::new(m.clone()))) else {
+                panic!("wrong frame");
+            };
+            prop_assert_eq!(*back, m);
         }
-        assert_eq!(back.cache, m.cache);
-        assert_eq!(back.epochs, m.epochs);
-        assert_eq!(back.throughput_qps.to_bits(), m.throughput_qps.to_bits());
-        assert_eq!(back.latency_p99, m.latency_p99);
     }
 
     #[test]
@@ -1419,37 +1273,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_welcome_has_no_registry_bytes() {
-        // A v1-shaped Welcome (what a v2 daemon sends a v1 client) must
-        // serialize to exactly the v1 layout: type + version + features +
-        // fingerprint, nothing after — a v1 peer rejects trailing bytes.
-        let frame = Frame::Welcome {
-            version: PROTOCOL_V1,
-            features: FEATURE_STREAMING,
-            fingerprint: DatasetFingerprint { vertices: 10, arcs: 40, pois: 5, epoch: EpochId(0) },
-            registry: Vec::new(),
-        };
-        let bytes = frame.to_bytes();
-        assert_eq!(bytes.len(), 4 + 1 + 2 + 4 + 32, "v1 Welcome layout drifted");
-        let Frame::Welcome { version, registry, .. } = roundtrip(&frame) else {
-            panic!("wrong frame");
-        };
-        assert_eq!(version, PROTOCOL_V1);
-        assert!(registry.is_empty());
-    }
-
-    #[test]
-    fn region_less_options_stay_v1_compatible() {
-        // A region-less Submit must not grow new bytes: its option flags
-        // stay within the v1 mask, so a v1 daemon decodes it unchanged.
+    fn region_less_options_carry_no_region_bytes() {
+        // A region-less Submit carries no region id: the same request
+        // addressed to a region is exactly one u16 longer.
         let request = QueryRequest::new(sample_query());
-        let Frame::Submit { request: back, .. } =
-            roundtrip(&Frame::Submit { id: 8, streaming: false, request: request.clone() })
-        else {
+        let submit = |request| Frame::Submit { id: 8, streaming: false, request };
+        let Frame::Submit { request: back, .. } = roundtrip(&submit(request.clone())) else {
             panic!("wrong frame");
         };
         assert_eq!(back, request);
         assert_eq!(back.options.region, None);
+        let addressed = submit(request.clone().region(RegionId(1))).to_bytes();
+        assert_eq!(submit(request).to_bytes().len() + 2, addressed.len());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ladder inside the worker loop, which made every new reuse source a
 //! surgery on concurrent code. This module extracts the *policy* into an
 //! explicit pipeline: for each dequeued job the [`ReusePlanner`] probes
-//! the cache (through the unified, non-counting
+//! the cache (through the unified
 //! [`probe`](crate::cache::ResultCache::probe)) and emits an ordered
 //! [`ReusePlan`] over the rung ladder
 //!
@@ -39,9 +39,9 @@
 //!   shortest-path leg through a first-position match
 //!   ([`seed_suffix_routes`](skysr_core::bssr::warm::seed_suffix_routes)).
 //!
-//! Cache accounting is part of planning (policy), not probing: exactly one
-//! lookup is counted per cached request, and lazy invalidation of stale
-//! entries happens here, deliberately, only when no repair path exists.
+//! Lazy invalidation of stale entries is part of planning (policy), not
+//! probing: it happens here, deliberately, only when no repair path
+//! exists.
 
 use std::sync::Arc;
 
@@ -56,8 +56,8 @@ use crate::context::ServiceContext;
 use crate::service::ServiceConfig;
 
 /// The admission-time cost estimate for a request: which band of the rung
-/// ladder its plan will land on, resolved *cheaply* (one non-counting
-/// cache probe, no seed probes) before the request is queued.
+/// ladder its plan will land on, resolved *cheaply* (one cache probe,
+/// no seed probes) before the request is queued.
 ///
 /// The scheduler ([`ScheduledQueue`](crate::pool::ScheduledQueue)) maps
 /// classes to bands so cheap rungs overtake expensive ones, and the
@@ -277,13 +277,10 @@ impl ReusePlanner {
 
     /// Plans the serving of `query` pinned to `epoch`.
     ///
-    /// Probes the cache through the non-counting
-    /// [`probe`](ResultCache::probe) and resolves every rung's raw
-    /// material eagerly. Accounting happens here: exactly one counted
-    /// lookup per cached request (hit iff the plan is an exact hit), and
-    /// lazy invalidation of a stale entry when no repair path exists for
-    /// it. `key` must be this planner's [`key_of`](Self::key_of) for the
-    /// same query.
+    /// Probes the cache through [`probe`](ResultCache::probe) and
+    /// resolves every rung's raw material eagerly, lazily invalidating a
+    /// stale entry when no repair path exists for it. `key` must be this
+    /// planner's [`key_of`](Self::key_of) for the same query.
     pub fn plan(
         &self,
         query: &SkySrQuery,
@@ -295,20 +292,16 @@ impl ReusePlanner {
         let st = &self.strategies;
         let mut steps = Vec::with_capacity(2);
 
-        // Rung 1: exact hit. One counted lookup per cached request.
+        // Rung 1: exact hit.
         let mut stale: Option<(EpochId, Arc<[SkylineRoute]>)> = None;
         if st.caching {
             let key = key.expect("caching implies a key");
             match cache.probe(key, epoch) {
                 Some((e, routes)) if e == epoch => {
-                    cache.note_lookup(true);
                     steps.push(PlanStep::ExactHit(e, routes));
                     return ReusePlan { steps };
                 }
-                found => {
-                    cache.note_lookup(false);
-                    stale = found;
-                }
+                found => stale = found,
             }
         }
 
@@ -357,12 +350,12 @@ impl ReusePlanner {
     /// Cheaply classifies `query`'s expected serving cost at admission
     /// time — the scheduler's cost model.
     ///
-    /// Unlike [`plan`](Self::plan) this does **no accounting** (no counted
-    /// lookup, no lazy invalidation) and **no seed probes**: it reads the
-    /// cache through the non-counting [`probe`](ResultCache::probe) once
-    /// and inspects the delta index. The later authoritative `plan` call
-    /// repeats the probe; the only side effect of probing twice is an
-    /// extra LRU recency promotion of the same entry, which is benign.
+    /// Unlike [`plan`](Self::plan) this does **no lazy invalidation** and
+    /// **no seed probes**: it reads the cache through
+    /// [`probe`](ResultCache::probe) once and inspects the delta index.
+    /// The later authoritative `plan` call repeats the probe; the only
+    /// side effect of probing twice is an extra LRU recency promotion of
+    /// the same entry, which is benign.
     /// Warm-seeded and cold searches are deliberately one class — telling
     /// them apart would cost the seed probes this path exists to avoid.
     pub fn classify(
@@ -541,13 +534,9 @@ mod tests {
         // park under a flight must not have paid seed probes.
         assert!(matches!(plan.terminal(), PlanStep::ProbeSeeds), "{plan:?}");
         assert_eq!(plan.steps.len(), 2);
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses), (0, 1), "planning counted exactly one lookup");
         // The leader-side resolution of an empty cache is a cold search.
         let step = planner.seed_step(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
         assert!(matches!(step, PlanStep::ColdSearch));
-        // Seed probes are never counted as lookups.
-        assert_eq!(cache.counters().misses, 1);
     }
 
     #[test]
@@ -561,7 +550,6 @@ mod tests {
         assert!(plan.is_exact_hit());
         assert!(!plan.coalesces(), "a hit never reaches the coalescing rung");
         assert_eq!(plan.steps.len(), 1);
-        assert_eq!(cache.counters().hits, 1);
     }
 
     #[test]
@@ -685,10 +673,8 @@ mod tests {
         let q = ex.query();
         let key = planner.key_of(&q);
 
-        // Empty cache → Search; classification counts no lookup.
+        // Empty cache → Search.
         assert_eq!(planner.classify(key.as_ref(), EpochId::BASE, &cache, &ctx), CostClass::Search);
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses), (0, 0), "classification is non-counting");
 
         // Resident fresh entry → Hit.
         fill(&ctx, &cache, &planner, &q, EpochId::BASE);
@@ -718,14 +704,14 @@ mod tests {
     fn caching_disabled_plans_probe_nothing() {
         let (ex, ctx, cache) = harness();
         let engine = BssrConfig::default();
-        let planner = ReusePlanner::new(ReuseStrategies::none(), engine);
         let q = ex.query();
+        // A resident answer a caching planner would serve as a hit.
+        fill(&ctx, &cache, &ReusePlanner::new(all_on(), engine), &q, EpochId::BASE);
+        let planner = ReusePlanner::new(ReuseStrategies::none(), engine);
         assert!(planner.key_of(&q).is_none(), "no keyed machinery, no key");
         let plan = planner.plan(&q, None, EpochId::BASE, &cache, &ctx);
         assert!(matches!(plan.terminal(), PlanStep::ColdSearch));
         assert_eq!(plan.steps.len(), 1);
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses), (0, 0), "disabled cache sees no lookups");
         // Coalesce-only (cache off): a key exists, no cache rungs.
         let co = ReusePlanner::new(
             ReuseStrategies { coalesce: true, ..ReuseStrategies::none() },
@@ -736,6 +722,5 @@ mod tests {
         let plan = co.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
         assert!(plan.coalesces());
         assert!(matches!(plan.terminal(), PlanStep::ColdSearch));
-        assert_eq!((cache.counters().hits, cache.counters().misses), (0, 0));
     }
 }

@@ -30,7 +30,7 @@ use skysr_graph::{EpochId, WeightDelta};
 
 use crate::cache::{QueryKey, ResultCache};
 use crate::context::ServiceContext;
-use crate::metrics::{LatencyBreakdown, MetricsRecorder, MetricsSnapshot, Served};
+use crate::metrics::{Counter, LatencyBreakdown, MetricsRecorder, MetricsSnapshot, Served};
 use crate::net::DatasetFingerprint;
 use crate::plan::{CostClass, PlanStep, ReusePlan, ReusePlanner, ReuseStrategies, SeedSource};
 use crate::pool::{Begin, InflightTable, SchedKey, ScheduledQueue};
@@ -93,7 +93,7 @@ pub struct ServiceConfig {
     /// shard, so shard-local metrics and routing agree by construction.
     pub region: RegionId,
     /// Human-readable region/dataset name advertised by
-    /// [`QueryService::regions`] and the v2 handshake registry.
+    /// [`QueryService::regions`] and the handshake registry.
     pub region_name: String,
 }
 
@@ -688,15 +688,14 @@ impl Service {
     /// shed submission hands back, so every caller (blocking submitter,
     /// network event loop) observes shedding as a normal typed failure.
     fn shed_ticket(&self) -> Ticket {
-        self.metrics.record_rejected();
+        self.metrics.count(Counter::Rejected);
         let (tx, ticket) = Ticket::channel();
         let _ = tx.send(Err(QueryError::Overloaded));
         ticket
     }
 
     /// `Some(region)` when the request explicitly addresses a region this
-    /// service does not serve. Region-less requests always pass — that is
-    /// the legacy single-shard path every pre-v2 caller takes.
+    /// service does not serve. Region-less requests always pass.
     fn region_mismatch(&self, request: &QueryRequest) -> Option<RegionId> {
         match request.options.region {
             Some(region) if region != self.config.region => Some(region),
@@ -708,7 +707,7 @@ impl Service {
     /// typed failure a mis-addressed request gets at submission, counted
     /// as a failed query (it was never queued, so it is not a shed).
     fn unknown_region_ticket(&self, region: RegionId) -> Ticket {
-        self.metrics.record_failure();
+        self.metrics.count(Counter::Failed);
         let (tx, ticket) = Ticket::channel();
         let _ = tx.send(Err(QueryError::UnknownRegion(region.0)));
         ticket
@@ -793,7 +792,7 @@ impl Service {
     /// execution" bucket as a queue-expired shed, it just never made it
     /// into the queue.
     pub(crate) fn note_shed_parked(&self) {
-        self.metrics.record_shed_deadline();
+        self.metrics.count(Counter::ShedDeadline);
     }
 
     /// The shared context.
@@ -947,8 +946,7 @@ fn respond(
 ///    `ExactHit → Coalesce → Repair → WarmSeed → ColdSearch` with every
 ///    rung's raw material resolved (hit routes, repair source + shared
 ///    [`DeltaIndex`](skysr_graph::DeltaIndex), seed skyline +
-///    provenance). Accounting (one counted lookup, lazy invalidation) is
-///    part of planning.
+///    provenance). Lazy invalidation of a stale entry is part of planning.
 /// 3. **ExactHit** answers immediately; the plan is complete.
 /// 4. **Coalesce.** `InflightTable::begin` on the (key, epoch) pair
 ///    atomically either parks this request under an in-flight duplicate of
@@ -958,10 +956,8 @@ fn respond(
 ///    its planning probe may have raced a previous leader of the same
 ///    flight, which filled the cache and completed between the miss and
 ///    the `begin` — this re-probe is flight *mechanism*, not reuse
-///    policy, so it stays here. On a hit the request's already-counted
-///    miss is reclassified so the exact-counter invariants survive the
-///    race. (`probe` never invalidates, so a stale repair source is
-///    safe.)
+///    policy, so it stays here. (`probe` never invalidates, so a stale
+///    repair source is safe.)
 /// 5. **Terminal rung.** The leader runs the planned terminal — repair
 ///    against the shared epoch-pair index, a warm-seeded search from the
 ///    planned source, or a cold search — and the executed [`Served`]
@@ -1016,7 +1012,7 @@ fn worker_loop(
         // response for a span to describe.
         let deadline_at = options.deadline.map(|d| submitted + d);
         if deadline_at.is_some_and(|at| dequeued >= at) {
-            metrics.record_shed_deadline();
+            metrics.count(Counter::ShedDeadline);
             let _ = reply.send(Err(QueryError::Overloaded));
             continue;
         }
@@ -1070,7 +1066,7 @@ fn worker_loop(
                 );
                 continue;
             }
-            metrics.record_stale_serve();
+            metrics.count(Counter::StaleServed);
             pending.attempts.push("exact:stale-refused");
             step = PlanStep::ColdSearch;
         } else if planner.strategies().caching {
@@ -1094,13 +1090,10 @@ fn worker_loop(
             // planning probe and winning the flight, a previous leader for
             // the same (key, epoch) may have filled the cache and
             // completed. Re-probe so a flight completed moments ago is
-            // never re-searched; on a hit, the request's already-counted
-            // miss is reclassified so the exact-counter invariants survive
-            // the race.
+            // never re-searched.
             if planner.strategies().caching {
                 if let Some((e, routes)) = cache.probe(&fk.0, epoch) {
                     if e == epoch {
-                        cache.reclassify_miss_as_hit();
                         let waiters = inflight.complete(&fk);
                         leader.pending.attempts.push("exact:hit-after-flight");
                         cost.observe(CostClass::Hit, dequeued.elapsed());
@@ -1297,10 +1290,10 @@ fn worker_loop(
                     Some(fk) => inflight.complete(fk),
                     None => Vec::new(),
                 };
-                metrics.record_failure();
+                metrics.count(Counter::Failed);
                 let _ = leader.reply.send(Err(e.clone()));
                 for w in waiters {
-                    metrics.record_failure();
+                    metrics.count(Counter::Failed);
                     let _ = w.reply.send(Err(e.clone()));
                 }
             }
@@ -1343,7 +1336,7 @@ mod tests {
         let m = service.metrics();
         assert_eq!(m.completed, 2);
         assert_eq!(m.executed, 1);
-        assert_eq!(m.cache.hits, 1);
+        assert_eq!(m.cache_hits, 1);
         assert_eq!(m.stale_served, 0);
     }
 

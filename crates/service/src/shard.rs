@@ -17,11 +17,11 @@
 //! Addressing: a [`QueryRequest`] carrying
 //! [`region`](crate::RequestOptions::region) is dispatched to that shard
 //! (or answered [`QueryError::UnknownRegion`] when no such shard is
-//! registered). A region-less request — every pre-v2 caller — falls back
-//! to *vertex-space routing*: the start vertex is mapped against each
-//! shard's vertex-id space and the choice is a pure function of the
-//! start id and the registry shape, so the same start vertex always
-//! resolves to the same shard ([`Router::route_start`]).
+//! registered). A region-less request falls back to *vertex-space
+//! routing*: the start vertex is mapped against each shard's vertex-id
+//! space and the choice is a pure function of the start id and the
+//! registry shape, so the same start vertex always resolves to the same
+//! shard ([`Router::route_start`]).
 //!
 //! [`Router`] implements [`QueryService`], so every driver in this crate
 //! (replay, bench, the daemon event loop) serves a multi-tenant registry

@@ -1,6 +1,6 @@
 //! Exporters: JSON-lines span dumps and Prometheus-style text exposition.
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{Counter, MetricsSnapshot};
 use crate::telemetry::histogram::HistogramSnapshot;
 use crate::telemetry::trace::TraceSpan;
 
@@ -21,26 +21,36 @@ pub fn spans_to_json_lines(spans: &[TraceSpan]) -> String {
 /// `_count`. Each entry's labels (e.g. `workload="duplicate"`) are
 /// attached to every series it contributes, so a multi-run bench exports
 /// as one self-consistent page.
+///
+/// Every recorded [`Counter`] exports through one loop over
+/// [`Counter::ALL`]; the rung-derived counts and the cache and epoch
+/// gauges follow.
 pub fn prometheus(entries: &[(&[(&str, &str)], &MetricsSnapshot)]) -> String {
     type CounterFn = fn(&MetricsSnapshot) -> u64;
     type HistFn = fn(&MetricsSnapshot) -> &HistogramSnapshot;
     let mut out = String::with_capacity(4096);
-    let counters: [(&str, &str, CounterFn); 12] = [
+    let mut series = |name: &str, help: &str, get: &dyn Fn(&MetricsSnapshot) -> u64| {
+        let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for (labels, snap) in entries {
+            out.push_str(&format!("{name}{} {}\n", label_set(labels, &[]), get(snap)));
+        }
+    };
+    for c in Counter::ALL {
+        let (name, help) = c.series();
+        series(name, help, &|m| m.counter(c));
+    }
+    let derived: [(&str, &str, CounterFn); 9] = [
         ("skysr_completed_total", "Queries answered successfully", |m| m.completed),
-        ("skysr_failed_total", "Queries rejected by validation", |m| m.failed),
         ("skysr_executed_total", "Queries that ran a BSSR search or repair", |m| m.executed),
         ("skysr_coalesced_total", "Queries answered by joining an in-flight search", |m| {
             m.coalesced
         }),
-        ("skysr_stale_served_total", "Responses served from a wrong-epoch entry", |m| {
-            m.stale_served
-        }),
         ("skysr_repairs_total", "Cached skylines promoted in place by repair", |m| m.repairs),
-        ("skysr_repair_fallbacks_total", "Repairs that fell back to a re-search", |m| {
-            m.repair_fallbacks
+        ("skysr_approximate_served_total", "Partial skylines served past a deadline", |m| {
+            m.approximate_served
         }),
-        ("skysr_cache_hits_total", "Result-cache hits", |m| m.cache.hits),
-        ("skysr_cache_misses_total", "Result-cache misses", |m| m.cache.misses),
+        ("skysr_cache_hits_total", "Queries answered from the result cache", |m| m.cache_hits),
         ("skysr_cache_evictions_total", "Result-cache evictions", |m| m.cache.evictions),
         ("skysr_cache_invalidations_total", "Entries dropped by epoch invalidation", |m| {
             m.cache.invalidations
@@ -49,12 +59,8 @@ pub fn prometheus(entries: &[(&[(&str, &str)], &MetricsSnapshot)]) -> String {
             m.epochs.retained as u64
         }),
     ];
-    for (name, help, get) in counters {
-        let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        for (labels, snap) in entries {
-            out.push_str(&format!("{name}{} {}\n", label_set(labels, &[]), get(snap)));
-        }
+    for (name, help, get) in derived {
+        series(name, help, &get);
     }
 
     let hists: [(&str, &str, HistFn); 3] = [
@@ -129,4 +135,38 @@ fn histogram_series_with(
         h.sum_ns() as f64 / 1e9
     ));
     out.push_str(&format!("{name}_count{} {}\n", label_set(labels, extra), h.count()));
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use super::*;
+    use crate::metrics::{LatencyBreakdown, MetricsRecorder, Served};
+
+    #[test]
+    fn every_series_the_operations_guide_names_is_exported() {
+        let guide = include_str!("../../../../docs/OPERATIONS.md");
+        let section = guide.split("## Counter taxonomy").nth(1).expect("a counter taxonomy");
+        let section = section.split("\n## ").next().unwrap_or(section);
+        let rec = MetricsRecorder::default();
+        rec.record(LatencyBreakdown::default(), 1, Served::CacheHit);
+        let snap = rec.snapshot(Duration::from_secs(1), Default::default(), Default::default());
+        let page = prometheus(&[(&[("shard", "0")], &snap)]);
+        let exported = |name: &str| {
+            page.contains(&format!("# TYPE {name} "))
+                || page.lines().any(|l| l.split(['{', ' ']).next() == Some(name))
+        };
+        let mut named = 0;
+        for line in section.lines() {
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+            for name in words.filter(|w| w.starts_with("skysr_")) {
+                named += 1;
+                // A series the guide lists as removed must stay gone.
+                let removed = line.contains("removed");
+                assert_eq!(exported(name), !removed, "{name} (removed: {removed})\n{page}");
+            }
+        }
+        assert!(named >= 15, "the guide names only {named} series");
+    }
 }

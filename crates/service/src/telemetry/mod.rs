@@ -4,9 +4,9 @@
 //! Three layers, cheapest first:
 //!
 //! 1. **Histograms** ([`histogram`]) — always on. Every response lands in
-//!    log-bucketed atomic histograms (end-to-end, queue-wait, engine time,
-//!    and one per serving [`Rung`]), a handful of relaxed `fetch_add`s per
-//!    request. Snapshots ride inside
+//!    log-bucketed atomic histograms (one per serving [`Rung`], which is
+//!    the response's outcome record, plus queue-wait and engine time), a
+//!    handful of relaxed `fetch_add`s per request. Snapshots ride inside
 //!    [`MetricsSnapshot`](crate::MetricsSnapshot) and are mergeable across
 //!    workers.
 //! 2. **Trace spans** ([`trace`]) — sampled. Each request's full story
@@ -106,7 +106,7 @@ impl Rung {
 
 /// One rung's latency summary inside a
 /// [`MetricsSnapshot`](crate::MetricsSnapshot).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RungSummary {
     /// Which rung.
     pub rung: Rung,

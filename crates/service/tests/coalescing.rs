@@ -69,7 +69,7 @@ fn n_identical_queries_run_exactly_one_search() {
     let m = service.shutdown();
     assert_eq!(m.completed, 64);
     assert_eq!(m.executed, 1, "exactly one engine search");
-    assert_eq!(m.coalesced + m.cache.hits, 63, "everyone else shared it");
+    assert_eq!(m.coalesced + m.cache_hits, 63, "everyone else shared it");
     assert!(m.coalesced > 0, "the slow flight must park followers");
     // Byte-identical: every response shares the leader's allocation.
     for r in &responses[1..] {

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
-use skysr_service::net::wire::{read_frame, Frame, FEATURE_STREAMING, MAX_FRAME, PROTOCOL_V1};
+use skysr_service::net::wire::{read_frame, Frame, MAX_FRAME, PROTOCOL_VERSION};
 use skysr_service::replay::{build_pool, replay_remote, ReplaySpec};
 use skysr_service::{
     QueryRequest, QueryService, RegionId, RemoteService, Served, Server, ServerConfig, Service,
@@ -154,12 +154,10 @@ fn deadline_cutoff_yields_valid_approximate_partials() {
 }
 
 #[test]
-fn v1_client_is_served_unchanged_by_a_v2_multi_shard_daemon() {
-    // Backward compatibility across the protocol bump: a daemon serving
-    // two regions behind a router still answers a protocol-1 client
-    // exactly as the old single-shard daemon did — a version-1 Welcome
-    // with no registry bytes, region-less submits served by the default
-    // shard — while a v2 client on the same socket sees the full
+fn region_less_remote_requests_are_routed_by_a_multi_shard_daemon() {
+    // A daemon serving two regions behind a router: a client that sets no
+    // region on its requests is served by the shard vertex-space routing
+    // picks for each start, while the same connection sees the full
     // registry and can address either region.
     let mut registry = ShardRegistry::new();
     for (i, seed) in [21u64, 22].into_iter().enumerate() {
@@ -174,56 +172,27 @@ fn v1_client_is_served_unchanged_by_a_v2_multi_shard_daemon() {
     let router = Arc::new(registry.into_router());
     let mut server = Server::spawn("127.0.0.1:0", Arc::clone(&router), ServerConfig::default())
         .expect("bind a loopback listener");
-    let addr = server.local_addr();
+    let remote = RemoteService::connect(server.local_addr()).expect("connect");
     let pool =
         build_pool(&city(), &ReplaySpec { distinct: 6, seq_len: 2, ..ReplaySpec::default() });
-
-    // The v1 client, frame by frame. Region-less `RequestOptions` encode
-    // byte-identically to protocol 1, so these are the exact frames an
-    // old binary puts on the wire.
-    {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(30))).expect("set timeout");
-        s.write_all(&Frame::Hello { version: PROTOCOL_V1, features: FEATURE_STREAMING }.to_bytes())
-            .expect("write v1 hello");
-        let Frame::Welcome { version, registry, fingerprint, .. } =
-            read_frame(&mut s, MAX_FRAME).expect("read welcome")
-        else {
-            panic!("handshake must answer Welcome");
-        };
-        assert_eq!(version, PROTOCOL_V1, "the daemon downgrades the connection, not the client");
-        assert!(registry.is_empty(), "a v1 Welcome must not carry registry bytes");
-        assert_eq!(fingerprint.epoch.0, 0);
-        for (i, q) in pool.iter().enumerate() {
-            let submit = Frame::Submit {
-                id: i as u64,
-                streaming: false,
-                request: QueryRequest::new(q.clone()),
-            };
-            s.write_all(&submit.to_bytes()).expect("write v1 submit");
-            let Frame::Final { id, response } = read_frame(&mut s, MAX_FRAME).expect("read final")
-            else {
-                panic!("a valid v1 submit must be answered Final, never faulted");
-            };
-            assert_eq!(id, i as u64);
-            assert!(!response.routes.is_empty(), "the default shard serves v1 traffic");
-        }
+    for q in &pool {
+        let request = QueryRequest::new(q.clone());
+        assert_eq!(request.options.region, None);
+        let response = remote.submit(request).wait().expect("region-less submit is served");
+        assert!(!response.routes.is_empty(), "a routed request is answered in full");
     }
 
-    // Every v1 submit was served, each by the shard vertex-space routing
-    // deterministically assigns its start — never misrouted, never
-    // faulted.
+    // Every region-less submit was served, each by the shard vertex-space
+    // routing deterministically assigns its start — never misrouted.
     let expected_on = |region: RegionId| {
         pool.iter().filter(|q| router.route_start(q.start) == region).count() as u64
     };
     assert_eq!(router.shard_metrics(RegionId(0)).unwrap().completed, expected_on(RegionId(0)));
-    let south_v1 = expected_on(RegionId(1));
-    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed, south_v1);
+    let south = expected_on(RegionId(1));
+    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed, south);
     assert_eq!(router.misrouted(), 0);
 
-    // A v2 client on the same daemon sees both regions and reaches the
-    // second one by address.
-    let remote = RemoteService::connect(addr).expect("v2 connect");
+    // The connection sees both regions and reaches the second by address.
     let regions = remote.regions();
     assert_eq!(regions.len(), 2);
     assert_eq!((regions[0].id, regions[1].id), (RegionId(0), RegionId(1)));
@@ -235,8 +204,8 @@ fn v1_client_is_served_unchanged_by_a_v2_multi_shard_daemon() {
     remote
         .submit(QueryRequest::new(pool_south[0].clone()).region(RegionId(1)))
         .wait()
-        .expect("addressed v2 submit is served");
-    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed, south_v1 + 1);
+        .expect("addressed submit is served");
+    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed, south + 1);
     let farewell = remote.shutdown();
     server.join();
     assert_eq!(farewell.completed, pool.len() as u64 + 1, "the farewell merges every shard");
@@ -277,17 +246,18 @@ fn hostile_clients_do_not_kill_the_daemon() {
         let _ = s.read_to_end(&mut rest);
     }
 
-    // A version-mismatched handshake is answered with the server's
-    // Welcome (so the client can report both versions) and then closed.
-    {
+    // A version-mismatched handshake — an older protocol's or an unknown
+    // one — is answered with the server's Welcome (so the client can
+    // report both versions) and then closed.
+    for version in [1, 2, 9999] {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
-        s.write_all(&Frame::Hello { version: 9999, features: 0 }.to_bytes()).expect("write hello");
+        s.write_all(&Frame::Hello { version, features: 0 }.to_bytes()).expect("write hello");
         let frame = read_frame(&mut s, MAX_FRAME).expect("read welcome");
-        assert!(matches!(frame, Frame::Welcome { .. }));
+        assert!(matches!(frame, Frame::Welcome { version: PROTOCOL_VERSION, .. }), "v{version}");
         let mut rest = Vec::new();
         let _ = s.read_to_end(&mut rest);
-        assert!(rest.is_empty(), "nothing follows the farewell Welcome");
+        assert!(rest.is_empty(), "nothing follows the farewell Welcome to v{version}");
     }
 
     // After all of that, the daemon still serves real clients.

@@ -93,7 +93,7 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
     );
     assert_eq!(
         m.completed,
-        m.executed + m.cache.hits + m.coalesced + m.approximate_served,
+        m.executed + m.cache_hits + m.coalesced + m.approximate_served,
         "served-outcome taxonomy must tile: {m:?}"
     );
 
@@ -205,6 +205,6 @@ fn aging_bound_prevents_cold_starvation_under_cheap_flood() {
         "cold search starved for {waited:?} under a cheap-traffic flood (age_limit {age_limit:?})"
     );
     let m = service.shutdown();
-    assert!(m.cache.hits > 0, "the flood must actually exercise the hit band");
+    assert!(m.cache_hits > 0, "the flood must actually exercise the hit band");
     assert!(m.executed >= 2, "prime + cold search");
 }
