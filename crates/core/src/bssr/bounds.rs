@@ -8,7 +8,10 @@
 //! multi-destination Dijkstra each. Endpoint sets are restricted to PoIs
 //! within `l̄(ϕ)` of the start (Algorithm 4, lines 3–4): any sequenced
 //! route using a PoI outside that ball is already longer than the best
-//! perfect route and hence dominated.
+//! perfect route and hence dominated. The restricted sets come from
+//! scanning the ball against each position's similarity oracle, so their
+//! cost follows the ball's size rather than the size of the positions'
+//! compiled candidate lists.
 //!
 //! Pruning rules applied to a candidate partial route `R` of size `k`:
 //!
@@ -22,13 +25,13 @@
 //!   `δ(R) = sim_acc(R) · (1 − σ*)` with σ\* the best non-perfect
 //!   similarity over the remaining positions.
 
-use skysr_graph::fxhash::FxHashSet;
+use skysr_graph::fxhash::FxHashMap;
 use skysr_graph::multi_source::min_set_distance;
 use skysr_graph::{dijkstra_with, Cost, DijkstraWorkspace, Settle, VertexId};
 
 use crate::context::QueryContext;
 use crate::dominance::SkylineSet;
-use crate::prepared::PreparedQuery;
+use crate::prepared::{Position, PreparedQuery};
 use crate::route::PartialRoute;
 use crate::stats::QueryStats;
 
@@ -78,60 +81,54 @@ impl MinDistBounds {
         let mut lp = vec![0.0f64; k];
 
         if mode != LowerBoundMode::Off && k >= 2 {
-            // Restrict endpoints to the l̄(ϕ) ball around the start
-            // (Algorithm 4 lines 3–4). With no known perfect route the
-            // ball is the whole graph.
-            let in_ball: Option<FxHashSet<u32>> = if l_phi.is_finite() {
-                let mut ball = FxHashSet::default();
+            if l_phi.is_finite() {
+                // Restrict endpoints to the l̄(ϕ) ball around the start
+                // (Algorithm 4 lines 3–4).
+                let mut ball = Vec::new();
                 let s = dijkstra_with(ctx.graph, ws, &[(pq.start, Cost::ZERO)], |v, d| {
                     if d >= l_phi {
                         Settle::Stop
                     } else {
-                        ball.insert(v.0);
+                        ball.push(v);
                         Settle::Continue
                     }
                 });
                 stats.search.merge(&s);
-                Some(ball)
+                // One scan of the ball per position: its in-ball matches
+                // with their similarities. Every ball vertex is scanned,
+                // PoI or not — a destination pseudo-position's one member
+                // need not be a PoI.
+                let in_ball = |pos: &Position| -> FxHashMap<u32, f64> {
+                    ball.iter()
+                        .filter_map(|&v| {
+                            let s = pos.sim_of(ctx, v);
+                            (s > 0.0).then_some((v.0, s))
+                        })
+                        .collect()
+                };
+                // A pair of in-ball PoIs is at distance < 2·l̄(ϕ) via the
+                // start, so the search radius can be bounded accordingly.
+                let radius = l_phi * 2.0;
+                let mut prev = in_ball(&pq.positions[0]);
+                for g in 1..k {
+                    let next = in_ball(&pq.positions[g]);
+                    // Ascending, the compiled lists' order, so each search
+                    // starts exactly as the list-filtered one did.
+                    let mut sources: Vec<VertexId> = prev.keys().map(|&v| VertexId(v)).collect();
+                    sources.sort_unstable();
+                    let sim = |v: VertexId| next.get(&v.0).copied().unwrap_or(0.0);
+                    (ls[g], lp[g]) = gap_distances(ctx, ws, &sources, sim, radius, stats);
+                    prev = next;
+                }
             } else {
-                None
-            };
-            let contains = |set: &Option<FxHashSet<u32>>, v: VertexId| match set {
-                Some(s) => s.contains(&v.0),
-                None => true,
-            };
-
-            // A pair of in-ball PoIs is at distance < 2·l̄(ϕ) via the
-            // start, so the search radius can be bounded accordingly.
-            let radius = if l_phi.is_finite() { l_phi * 2.0 } else { Cost::INFINITY };
-
-            for g in 1..k {
-                let sources: Vec<VertexId> = pq.positions[g - 1]
-                    .semantic
-                    .iter()
-                    .copied()
-                    .filter(|&p| contains(&in_ball, p))
-                    .collect();
-                let sem_dest: FxHashSet<u32> = pq.positions[g]
-                    .semantic
-                    .iter()
-                    .filter(|&&p| contains(&in_ball, p))
-                    .map(|p| p.0)
-                    .collect();
-                let per_dest: FxHashSet<u32> = pq.positions[g]
-                    .perfect
-                    .iter()
-                    .filter(|&&p| contains(&in_ball, p))
-                    .map(|p| p.0)
-                    .collect();
-                let r =
-                    min_set_distance(ctx.graph, ws, &sources, |v| sem_dest.contains(&v.0), radius);
-                stats.search.merge(&r.stats);
-                ls[g] = r.hit.map_or(f64::INFINITY, |(_, d)| d.get());
-                let r =
-                    min_set_distance(ctx.graph, ws, &sources, |v| per_dest.contains(&v.0), radius);
-                stats.search.merge(&r.stats);
-                lp[g] = r.hit.map_or(f64::INFINITY, |(_, d)| d.get());
+                // No known perfect route: the ball is the whole graph and
+                // the compiled lists are the endpoint sets.
+                for g in 1..k {
+                    let next = &pq.positions[g];
+                    let sim = |v: VertexId| next.sim_of(ctx, v);
+                    let sources = &pq.positions[g - 1].semantic;
+                    (ls[g], lp[g]) = gap_distances(ctx, ws, sources, sim, Cost::INFINITY, stats);
+                }
             }
         }
 
@@ -221,11 +218,159 @@ impl MinDistBounds {
     }
 }
 
+/// `(ls, lp)` for one gap: the distance from `sources` to the nearest
+/// vertex whose `sim` is positive (a semantic match), and to the nearest
+/// whose `sim` is 1 (a perfect match); `∞` when none lies within `radius`.
+fn gap_distances(
+    ctx: &QueryContext<'_>,
+    ws: &mut DijkstraWorkspace,
+    sources: &[VertexId],
+    sim: impl Fn(VertexId) -> f64,
+    radius: Cost,
+    stats: &mut QueryStats,
+) -> (f64, f64) {
+    let r = min_set_distance(ctx.graph, ws, sources, |v| sim(v) > 0.0, radius);
+    stats.search.merge(&r.stats);
+    let ls = r.hit.map_or(f64::INFINITY, |(_, d)| d.get());
+    let r = min_set_distance(ctx.graph, ws, sources, |v| sim(v) >= 1.0, radius);
+    stats.search.merge(&r.stats);
+    let lp = r.hit.map_or(f64::INFINITY, |(_, d)| d.get());
+    (ls, lp)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paper_example::PaperExample;
+    use crate::poi::PoiTable;
+    use crate::prepared::Position;
+    use crate::query::{PositionSpec, SkySrQuery};
     use crate::route::SkylineRoute;
+    use proptest::prelude::*;
+    use skysr_category::{CategoryId, ForestBuilder, Requirement};
+    use skysr_graph::fxhash::FxHashSet;
+    use skysr_graph::{GraphBuilder, SearchStats};
+
+    /// The endpoint computation the ball scan replaced, kept as its
+    /// reference: every ball vertex into a hash set, then each gap's full
+    /// compiled lists filtered through it. Returns the per-gap `ls`, `lp`
+    /// and the summed search work.
+    fn reference_gaps(
+        ctx: &QueryContext<'_>,
+        pq: &PreparedQuery,
+        l_phi: Cost,
+        ws: &mut DijkstraWorkspace,
+    ) -> (Vec<f64>, Vec<f64>, SearchStats) {
+        let mut search = SearchStats::default();
+        let in_ball: Option<FxHashSet<u32>> = l_phi.is_finite().then(|| {
+            let mut ball = FxHashSet::default();
+            let s = dijkstra_with(ctx.graph, ws, &[(pq.start, Cost::ZERO)], |v, d| {
+                if d >= l_phi {
+                    Settle::Stop
+                } else {
+                    ball.insert(v.0);
+                    Settle::Continue
+                }
+            });
+            search.merge(&s);
+            ball
+        });
+        let contains = |v: VertexId| in_ball.as_ref().is_none_or(|b| b.contains(&v.0));
+        let radius = if l_phi.is_finite() { l_phi * 2.0 } else { Cost::INFINITY };
+        let (mut ls, mut lp) = (Vec::new(), Vec::new());
+        for g in 1..pq.len() {
+            let sources: Vec<VertexId> =
+                pq.positions[g - 1].semantic.iter().copied().filter(|&p| contains(p)).collect();
+            let filtered = |list: &[VertexId]| -> FxHashSet<u32> {
+                list.iter().filter(|&&p| contains(p)).map(|p| p.0).collect()
+            };
+            let sem_dest = filtered(&pq.positions[g].semantic);
+            let per_dest = filtered(&pq.positions[g].perfect);
+            for (dest, out) in [(&sem_dest, &mut ls), (&per_dest, &mut lp)] {
+                let r = min_set_distance(ctx.graph, ws, &sources, |v| dest.contains(&v.0), radius);
+                search.merge(&r.stats);
+                out.push(r.hit.map_or(f64::INFINITY, |(_, d)| d.get()));
+            }
+        }
+        (ls, lp, search)
+    }
+
+    // Positions are `(kind, a, b)`: kind 0–1 the category `a`, 2 the
+    // requirement "`a` or `b`", 3 "`a` but not `b`". A destination
+    // pseudo-position is appended when `dest` is set: the extra vertex `n`,
+    // never a PoI, for even values, vertex `dest mod n` otherwise.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn ball_scan_matches_list_filtering(
+            n in 4usize..12,
+            directed in any::<bool>(),
+            weights in prop::collection::vec(0.5f64..6.0, 12),
+            extra in prop::collection::vec((0usize..64, 0usize..64, 0.5f64..6.0), 0..8),
+            poi_cats in prop::collection::vec(prop::collection::vec(0usize..8, 0..3), 12),
+            start in 0usize..64,
+            positions in prop::collection::vec((0usize..4, 0usize..8, 0usize..8), 2..5),
+            ends in (prop::option::of(0usize..64), prop::option::of(0.5f64..30.0)),
+        ) {
+            let (dest, l_phi) = ends;
+            let mut fb = ForestBuilder::new();
+            let food = fb.add_root("Food");
+            let asian = fb.add_child(food, "Asian");
+            fb.add_child(asian, "Sushi");
+            fb.add_child(food, "Italian");
+            let shop = fb.add_root("Shop");
+            let clothing = fb.add_child(shop, "Clothing");
+            fb.add_child(clothing, "Shoes");
+            fb.add_child(shop, "Gift");
+            let forest = fb.build();
+
+            let mut gb = if directed { GraphBuilder::directed() } else { GraphBuilder::new() };
+            let vs: Vec<VertexId> = (0..=n).map(|_| gb.add_vertex()).collect();
+            for i in 0..n {
+                gb.add_edge(vs[i], vs[i + 1], weights[i]);
+                if directed {
+                    gb.add_edge(vs[i + 1], vs[i], weights[i] * 1.5 + 0.25);
+                }
+            }
+            for &(a, b, w) in &extra {
+                gb.add_edge(vs[a % n], vs[b % n], w);
+            }
+            let graph = gb.build();
+            let mut pois = PoiTable::new(graph.num_vertices());
+            for (&v, cats) in vs[..n].iter().zip(&poi_cats) {
+                for &c in cats {
+                    pois.add_poi(v, CategoryId(c as u32));
+                }
+            }
+            pois.finalize(&forest);
+            let ctx = QueryContext::new(&graph, &forest, &pois);
+
+            let cat = |c: usize| CategoryId(c as u32);
+            let specs = positions.iter().map(|&(kind, a, b)| match kind {
+                0 | 1 => PositionSpec::Category(cat(a)),
+                2 => PositionSpec::Requirement(Requirement::any_of([cat(a), cat(b)])),
+                _ => PositionSpec::Requirement(Requirement::category(cat(a)).but_not(cat(b))),
+            });
+            let query = SkySrQuery::with_positions(vs[start % n], specs);
+            let mut pq = PreparedQuery::prepare(&ctx, &query).unwrap();
+            if let Some(d) = dest {
+                let d = if d % 2 == 0 { vs[n] } else { vs[d % n] };
+                pq.positions.push(Position::destination(d).into());
+            }
+            let l_phi = l_phi.map_or(Cost::INFINITY, Cost::new);
+
+            let mut ws = DijkstraWorkspace::new(graph.num_vertices());
+            let (ls, lp, search) = reference_gaps(&ctx, &pq, l_phi, &mut ws);
+            let mut stats = QueryStats::default();
+            let b =
+                MinDistBounds::compute(&ctx, &pq, l_phi, LowerBoundMode::Full, &mut ws, &mut stats);
+            prop_assert_eq!(b.ls_gaps(), &ls[..]);
+            prop_assert_eq!(b.lp_gaps(), &lp[..]);
+            // Same sources in the same order: the searches do the same work.
+            prop_assert_eq!(stats.search, search);
+        }
+    }
 
     fn skyline(entries: &[(f64, f64)]) -> SkylineSet {
         let mut s = SkylineSet::new();

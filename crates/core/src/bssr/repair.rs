@@ -304,11 +304,12 @@ impl<'g> Bssr<'g> {
     /// origin view).
     ///
     /// The in-place tiers consult only the start vertex, the cached
-    /// scores, the delta and the graph — *query preparation (similarity
-    /// tables, candidate PoI sets) is skipped entirely* and paid only when
-    /// the repair has to fall back to a real search. That asymmetry is
-    /// most of repair's speed: on serving workloads the per-request cost
-    /// drops from "compile + search" to a handful of lower-bound probes.
+    /// scores, the delta and the graph: this entry point compiles the
+    /// query only when the repair has to fall back to a real search. The
+    /// service instead prepares through its memo of compiled category
+    /// positions before every repair — k `Arc` clones — and calls
+    /// [`Bssr::repair_prepared`]. Either way the per-request cost drops
+    /// from "compile + search" to a handful of lower-bound probes.
     ///
     /// The result is score-equivalent to a cold [`Bssr::run`] at the
     /// engine's epoch. Passing a skyline that was *not* computed for this

@@ -7,8 +7,17 @@
 //! baselines consume. Plain-category positions resolve through a dense
 //! per-category table; complex requirements (§6) precompute a per-vertex
 //! map by scanning the PoI list once.
+//!
+//! A plain-category position depends only on its category, the forest,
+//! the PoI table and the similarity measure — never on the start vertex or
+//! the edge weights. A long-lived caller serving many queries over one
+//! such bundle can therefore compile each category once and share the
+//! result through a [`PositionMemo`].
+
+use std::sync::{Arc, OnceLock};
 
 use skysr_category::similarity::SimilarityTable;
+use skysr_category::CategoryId;
 use skysr_graph::fxhash::FxHashMap;
 use skysr_graph::{EpochId, VertexId};
 
@@ -104,13 +113,45 @@ impl Position {
     }
 }
 
+/// Compiled plain-category positions, one lazily filled slot per forest
+/// category, shared by every query prepared through
+/// [`PreparedQuery::prepare_memoized`].
+///
+/// An entry is valid for exactly one forest, PoI table and similarity
+/// measure — the ones of the first context that filled it — and for every
+/// weight epoch, since a compiled position holds no distances. The owner
+/// keeps that pairing: one memo per immutable (forest, PoI table,
+/// similarity) bundle, sized to the forest's category count. Memory is
+/// bounded by one entry per category.
+#[derive(Debug)]
+pub struct PositionMemo {
+    slots: Box<[OnceLock<Arc<Position>>]>,
+}
+
+impl PositionMemo {
+    /// An empty memo for a forest of `num_categories` categories.
+    pub fn new(num_categories: usize) -> PositionMemo {
+        PositionMemo { slots: (0..num_categories).map(|_| OnceLock::new()).collect() }
+    }
+
+    /// The compiled position for `c`, compiling it on first use. Concurrent
+    /// first uses block on one compile and all receive the same `Arc`.
+    fn get_or_compile(&self, ctx: &QueryContext<'_>, c: CategoryId) -> Arc<Position> {
+        Arc::clone(self.slots[c.index()].get_or_init(|| {
+            let compiled = PreparedQuery::compile_position(ctx, &PositionSpec::Category(c));
+            Arc::new(compiled.expect("a forest category compiles"))
+        }))
+    }
+}
+
 /// A fully compiled query, ready for any of the search algorithms.
 #[derive(Debug)]
 pub struct PreparedQuery {
     /// Start vertex.
     pub start: VertexId,
-    /// Compiled positions, in sequence order.
-    pub positions: Vec<Position>,
+    /// Compiled positions, in sequence order. Shared, so memoized
+    /// positions cost a reference count per query.
+    pub positions: Vec<Arc<Position>>,
     /// The weight epoch of the graph view this query was compiled against:
     /// any search running this prepared query observes exactly that epoch's
     /// edge weights, so its result is attributable to (and only valid for)
@@ -124,6 +165,30 @@ impl PreparedQuery {
         ctx: &QueryContext<'_>,
         query: &SkySrQuery,
     ) -> Result<PreparedQuery, QueryError> {
+        Self::prepare_with(ctx, query, None)
+    }
+
+    /// [`PreparedQuery::prepare`] taking plain-category positions from
+    /// `memo` (compiling and storing those it lacks). Requirement
+    /// positions still compile per call, and validation is unchanged.
+    ///
+    /// `memo` must only ever be used with the forest, PoI table and
+    /// similarity measure of `ctx` (see [`PositionMemo`]); the graph and
+    /// its epoch may differ from call to call.
+    pub fn prepare_memoized(
+        ctx: &QueryContext<'_>,
+        query: &SkySrQuery,
+        memo: &PositionMemo,
+    ) -> Result<PreparedQuery, QueryError> {
+        debug_assert_eq!(memo.slots.len(), ctx.forest.num_categories(), "memo of another forest");
+        Self::prepare_with(ctx, query, Some(memo))
+    }
+
+    fn prepare_with(
+        ctx: &QueryContext<'_>,
+        query: &SkySrQuery,
+        memo: Option<&PositionMemo>,
+    ) -> Result<PreparedQuery, QueryError> {
         if query.is_empty() {
             return Err(QueryError::EmptySequence);
         }
@@ -133,7 +198,14 @@ impl PreparedQuery {
         let positions = query
             .sequence
             .iter()
-            .map(|spec| Self::compile_position(ctx, spec))
+            .map(|spec| match (spec, memo) {
+                (PositionSpec::Category(c), Some(memo))
+                    if c.index() < ctx.forest.num_categories() =>
+                {
+                    Ok(memo.get_or_compile(ctx, *c))
+                }
+                _ => Self::compile_position(ctx, spec).map(Arc::new),
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(PreparedQuery { start: query.start, positions, epoch: ctx.graph.epoch() })
     }
@@ -256,8 +328,10 @@ impl skysr_category::Similarity for DynSim<'_> {
 mod tests {
     use super::*;
     use crate::poi::PoiTable;
+    use proptest::prelude::*;
     use skysr_category::{ForestBuilder, Requirement};
     use skysr_graph::GraphBuilder;
+    use std::sync::Barrier;
 
     struct Fixture {
         graph: skysr_graph::RoadNetwork,
@@ -386,6 +460,141 @@ mod tests {
         let ctx2 = QueryContext::new(&pinned, &fx.forest, &fx.pois);
         assert_eq!(ctx2.epoch(), EpochId(1));
         assert_eq!(PreparedQuery::prepare(&ctx2, &q).unwrap().epoch, EpochId(1));
+    }
+
+    /// A generated forest — category `i` is a root when `parents[i]` is
+    /// `None` (always for `i = 0`), else a child of category
+    /// `parents[i] mod i` — with vertex `v` tagged by the categories
+    /// `poi_cats[v]` (mod the forest size) on a small path graph.
+    fn generated(parents: &[Option<usize>], poi_cats: &[Vec<usize>]) -> Fixture {
+        let mut fb = ForestBuilder::new();
+        let mut ids: Vec<CategoryId> = Vec::new();
+        for (i, parent) in parents.iter().enumerate() {
+            let name = format!("c{i}");
+            let id = match parent {
+                Some(p) if i > 0 => fb.add_child(ids[p % i], &name),
+                _ => fb.add_root(&name),
+            };
+            ids.push(id);
+        }
+        let forest = fb.build();
+        let mut gb = GraphBuilder::new();
+        let vs: Vec<_> = poi_cats.iter().map(|_| gb.add_vertex()).collect();
+        for w in vs.windows(2) {
+            gb.add_edge(w[0], w[1], 1.0);
+        }
+        let graph = gb.build();
+        let mut pois = PoiTable::new(graph.num_vertices());
+        for (v, cats) in vs.iter().zip(poi_cats) {
+            for &c in cats {
+                pois.add_poi(*v, ids[c % ids.len()]);
+            }
+        }
+        pois.finalize(&forest);
+        Fixture { graph, forest, pois }
+    }
+
+    fn assert_same_position(ctx: &QueryContext<'_>, got: &Position, want: &Position) {
+        assert_eq!(got.perfect, want.perfect);
+        assert_eq!(got.semantic, want.semantic);
+        assert_eq!(got.sigma_star, want.sigma_star);
+        assert_eq!(got.trees, want.trees);
+        assert_eq!(got.allow_revisit, want.allow_revisit);
+        for v in 0..ctx.graph.num_vertices() {
+            let v = VertexId(v as u32);
+            assert_eq!(got.sim_of(ctx, v), want.sim_of(ctx, v), "sim_of({v:?})");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn memoized_positions_equal_fresh_compiles(
+            parents in prop::collection::vec(prop::option::of(0usize..64), 1..10),
+            poi_cats in prop::collection::vec(prop::collection::vec(0usize..64, 0..3), 2..12),
+        ) {
+            let fx = generated(&parents, &poi_cats);
+            let ctx = QueryContext::new(&fx.graph, &fx.forest, &fx.pois);
+            let memo = PositionMemo::new(fx.forest.num_categories());
+            let cats: Vec<CategoryId> = fx.forest.categories().collect();
+            // Three threads race on every category's first use.
+            let barrier = Barrier::new(3);
+            let per_thread: Vec<Vec<Arc<Position>>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..3)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            cats.iter()
+                                .map(|&c| {
+                                    let q = SkySrQuery::new(VertexId(0), [c]);
+                                    let pq = PreparedQuery::prepare_memoized(&ctx, &q, &memo);
+                                    pq.unwrap().positions.pop().unwrap()
+                                })
+                                .collect()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (i, &c) in cats.iter().enumerate() {
+                let fresh = PreparedQuery::prepare(&ctx, &SkySrQuery::new(VertexId(0), [c]));
+                assert_same_position(&ctx, &per_thread[0][i], &fresh.unwrap().positions[0]);
+                for other in &per_thread[1..] {
+                    prop_assert!(Arc::ptr_eq(&per_thread[0][i], &other[i]), "{c:?} compiled twice");
+                }
+            }
+        }
+
+        #[test]
+        fn memoized_prepare_keeps_requirements_and_validation(
+            parents in prop::collection::vec(prop::option::of(0usize..64), 1..10),
+            poi_cats in prop::collection::vec(prop::collection::vec(0usize..64, 0..3), 2..12),
+            a in 0usize..64,
+            b in 0usize..64,
+        ) {
+            let fx = generated(&parents, &poi_cats);
+            let ctx = QueryContext::new(&fx.graph, &fx.forest, &fx.pois);
+            let memo = PositionMemo::new(fx.forest.num_categories());
+            let cats: Vec<CategoryId> = fx.forest.categories().collect();
+            let (ca, cb) = (cats[a % cats.len()], cats[b % cats.len()]);
+            let requirements = [
+                Requirement::any_of([ca, cb]),
+                Requirement::all_of([ca, cb]),
+                Requirement::category(ca).but_not(cb),
+            ];
+            for req in requirements {
+                let q = SkySrQuery::with_positions(
+                    VertexId(0),
+                    [PositionSpec::Requirement(req), PositionSpec::Category(cb)],
+                );
+                let fresh = PreparedQuery::prepare(&ctx, &q).unwrap();
+                let memoized = PreparedQuery::prepare_memoized(&ctx, &q, &memo).unwrap();
+                let again = PreparedQuery::prepare_memoized(&ctx, &q, &memo).unwrap();
+                for (got, want) in memoized.positions.iter().zip(&fresh.positions) {
+                    assert_same_position(&ctx, got, want);
+                }
+                // Requirements compile per call; only categories are shared.
+                prop_assert!(!Arc::ptr_eq(&memoized.positions[0], &again.positions[0]));
+                prop_assert!(Arc::ptr_eq(&memoized.positions[1], &again.positions[1]));
+            }
+            let unknown = CategoryId(cats.len() as u32);
+            let invalid = [
+                SkySrQuery::new(VertexId(0), []),
+                SkySrQuery::new(VertexId(fx.graph.num_vertices() as u32), [ca]),
+                SkySrQuery::new(VertexId(0), [ca, unknown]),
+                SkySrQuery::with_positions(
+                    VertexId(0),
+                    [PositionSpec::Requirement(Requirement::any_of([ca, unknown]))],
+                ),
+            ];
+            for q in invalid {
+                prop_assert_eq!(
+                    PreparedQuery::prepare_memoized(&ctx, &q, &memo).unwrap_err(),
+                    PreparedQuery::prepare(&ctx, &q).unwrap_err()
+                );
+            }
+        }
     }
 
     #[test]

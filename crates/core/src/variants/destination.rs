@@ -41,7 +41,7 @@ impl DestinationQuery {
             return Err(QueryError::UnknownDestination(self.destination));
         }
         let mut pq = PreparedQuery::prepare(ctx, &self.query)?;
-        pq.positions.push(Position::destination(self.destination));
+        pq.positions.push(Position::destination(self.destination).into());
         let mut engine = Bssr::with_config(ctx, cfg);
         let mut result = engine.run_prepared(&pq);
         for route in &mut result.routes {
@@ -85,7 +85,7 @@ mod tests {
         let got = dq.run(&ctx, BssrConfig::default()).unwrap();
         // Oracle: run on the augmented prepared query directly.
         let mut pq = PreparedQuery::prepare(&ctx, &ex.query()).unwrap();
-        pq.positions.push(Position::destination(ex.p(4)));
+        pq.positions.push(Position::destination(ex.p(4)).into());
         let mut want = naive_skysr(&ctx, &pq, crate::naive::DEFAULT_CANDIDATE_LIMIT);
         for r in &mut want {
             r.pois.pop();

@@ -5,7 +5,9 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use skysr_category::{CategoryForest, Similarity, WuPalmer};
-use skysr_core::{PoiTable, QueryContext};
+use skysr_core::error::QueryError;
+use skysr_core::prepared::PositionMemo;
+use skysr_core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery};
 use skysr_data::dataset::Dataset;
 use skysr_graph::{
     DeltaIndex, DeltaSet, EpochGcStats, EpochId, Landmarks, RoadNetwork, VertexId, WeightDelta,
@@ -45,6 +47,13 @@ pub struct ServiceContext {
     forest: CategoryForest,
     pois: PoiTable,
     similarity: Arc<dyn Similarity>,
+    /// Compiled category positions, filled on first use and valid at every
+    /// epoch: they depend only on the immutable forest, PoI table and
+    /// similarity. Reached only through [`PinnedContext::prepare`] — never
+    /// through a [`QueryContext`], so oracles re-answering through
+    /// [`Self::query_context`] or [`PinnedContext::query_context`] compile
+    /// fresh and would expose a wrong entry as a mismatch.
+    positions: PositionMemo,
     /// Landmark (ALT) oracle over the epoch-0 weights, built lazily on the
     /// first repair attempt. `None` inside means the graph does not
     /// support landmarks (directed) — repair then skips its cheap
@@ -78,6 +87,7 @@ impl ServiceContext {
     ) -> ServiceContext {
         ServiceContext {
             graph: WeightEpoch::new(graph),
+            positions: PositionMemo::new(forest.num_categories()),
             forest,
             pois,
             similarity,
@@ -127,6 +137,7 @@ impl ServiceContext {
             forest: &self.forest,
             pois: &self.pois,
             similarity: &*self.similarity,
+            positions: &self.positions,
         }
     }
 
@@ -264,6 +275,7 @@ pub struct PinnedContext<'a> {
     forest: &'a CategoryForest,
     pois: &'a PoiTable,
     similarity: &'a dyn Similarity,
+    positions: &'a PositionMemo,
 }
 
 impl PinnedContext<'_> {
@@ -281,6 +293,13 @@ impl PinnedContext<'_> {
     /// algorithm in `skysr-core`.
     pub fn query_context(&self) -> QueryContext<'_> {
         QueryContext::with_similarity(&self.graph, self.forest, self.pois, self.similarity)
+    }
+
+    /// Compiles `query` at this snapshot's epoch, taking its category
+    /// positions from the context's memo ([`PreparedQuery::prepare_memoized`]):
+    /// after a category's first use, a position costs an `Arc` clone.
+    pub fn prepare(&self, query: &SkySrQuery) -> Result<PreparedQuery, QueryError> {
+        PreparedQuery::prepare_memoized(&self.query_context(), query, self.positions)
     }
 }
 
@@ -353,6 +372,23 @@ mod tests {
         // Historical pin round-trips.
         assert_eq!(ctx.pin_at(EpochId::BASE).unwrap().epoch(), EpochId::BASE);
         assert!(ctx.pin_at(EpochId(7)).is_none());
+    }
+
+    #[test]
+    fn prepare_shares_category_positions_across_epochs() {
+        let ex = PaperExample::new();
+        let ctx = paper_service_context();
+        let before = ctx.pin().prepare(&ex.query()).unwrap();
+        let (from, to, w) = ctx.graph().arc(0);
+        ctx.publish_weights(&[WeightDelta::new(from, to, w.get() * 3.0)]);
+        let after = ctx.pin().prepare(&ex.query()).unwrap();
+        assert_eq!((before.epoch, after.epoch), (EpochId::BASE, EpochId(1)));
+        for (a, b) in before.positions.iter().zip(&after.positions) {
+            assert!(Arc::ptr_eq(a, b), "a category position compiled twice");
+        }
+        // The oracles' path, `query_context()`, compiles fresh.
+        let fresh = PreparedQuery::prepare(&ctx.pin().query_context(), &ex.query()).unwrap();
+        assert!(!Arc::ptr_eq(&fresh.positions[0], &after.positions[0]));
     }
 
     #[test]

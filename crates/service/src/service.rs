@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch};
+use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch, ProgressSink, WarmSeeds};
 use skysr_core::dominance::SkylineSet;
 use skysr_core::error::QueryError;
 use skysr_core::query::SkySrQuery;
@@ -958,7 +958,9 @@ fn respond(
 ///    the `begin` — this re-probe is flight *mechanism*, not reuse
 ///    policy, so it stays here. (`probe` never invalidates, so a stale
 ///    repair source is safe.)
-/// 5. **Terminal rung.** The leader runs the planned terminal — repair
+/// 5. **Terminal rung.** The leader prepares the query once, taking its
+///    category positions from the context's memo
+///    ([`PinnedContext::prepare`]), and runs the planned terminal — repair
 ///    against the shared epoch-pair index, a warm-seeded search from the
 ///    planned source, or a cold search — and the executed [`Served`]
 ///    outcome becomes the single source of truth for the response and the
@@ -979,6 +981,7 @@ fn respond(
 ///    never cached.
 ///
 /// [`PinnedContext`]: crate::context::PinnedContext
+/// [`PinnedContext::prepare`]: crate::context::PinnedContext::prepare
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     ctx: &ServiceContext,
@@ -1164,81 +1167,52 @@ fn worker_loop(
         }
         let engine_t0 = Instant::now();
         let mut exec = ExecTrace::default();
-        let outcome = match step {
-            PlanStep::Repair { cached, index } => {
-                exec.delta_index = Some((index.delta().from_epoch(), index.delta().to_epoch()));
-                engine.repair(&query, &cached, &index, ctx.landmarks()).map(|r| {
+        // Category positions come from the context's memo: after a
+        // category's first use, preparing costs one `Arc` clone per position.
+        let outcome = pinned.prepare(&query).map(|pq| {
+            let (seeds, source) = match &step {
+                PlanStep::Repair { cached, index } => {
+                    exec.delta_index = Some((index.delta().from_epoch(), index.delta().to_epoch()));
+                    let r = engine.repair_prepared(&pq, cached, index, ctx.landmarks());
+                    exec.repair_tier = Some(r.repair.outcome.label());
+                    exec.profile = r.stats.profile();
                     let served = Served::Repaired {
                         fallback: !r.repair.repaired_in_place(),
                         routes_untouched: r.repair.routes_untouched,
                         routes_rescored: r.repair.routes_rescored,
                     };
-                    exec.repair_tier = Some(r.repair.outcome.label());
-                    exec.profile = r.stats.profile();
-                    (r.routes, served)
-                })
-            }
-            PlanStep::WarmSeed { source, seeds } => {
-                // Anytime streaming: with a progress channel attached, run
-                // the observed engine variant, which reports each
-                // provisional Pareto point as the search proves it. A
-                // receiver that hung up (deadline cutoff) just makes the
-                // sends no-ops.
-                let run = match (&progress, source) {
-                    (Some(tx), SeedSource::Suffix) => {
-                        let mut sink = |r: &SkylineRoute| {
-                            let _ = tx.send(r.clone());
-                        };
-                        engine.run_with_suffix_seeds_observed(&query, &seeds, &mut sink)
-                    }
-                    (Some(tx), SeedSource::Prefix | SeedSource::Ancestor) => {
-                        let mut sink = |r: &SkylineRoute| {
-                            let _ = tx.send(r.clone());
-                        };
-                        engine.run_with_seeds_observed(&query, &seeds, &mut sink)
-                    }
-                    (None, SeedSource::Suffix) => engine.run_with_suffix_seeds(&query, &seeds),
-                    (None, SeedSource::Prefix | SeedSource::Ancestor) => {
-                        engine.run_with_seeds(&query, &seeds)
-                    }
-                };
-                run.map(|result| {
-                    // A seed probe only helps when it actually seeded
-                    // routes (an unreachable position can leave it dry).
-                    let seeded = (result.stats.warm_seed_routes > 0).then_some(source);
-                    exec.profile = result.stats.profile();
-                    let served = if result.truncated {
-                        Served::Approximate
-                    } else {
-                        Served::Search { seeded }
-                    };
-                    (result.routes, served)
-                })
-            }
-            PlanStep::ColdSearch => {
-                let run = match &progress {
-                    Some(tx) => {
-                        let mut sink = |r: &SkylineRoute| {
-                            let _ = tx.send(r.clone());
-                        };
-                        engine.run_observed(&query, &mut sink)
-                    }
-                    None => engine.run(&query),
-                };
-                run.map(|r| {
-                    exec.profile = r.stats.profile();
-                    let served = if r.truncated {
-                        Served::Approximate
-                    } else {
-                        Served::Search { seeded: None }
-                    };
-                    (r.routes, served)
-                })
-            }
-            PlanStep::ExactHit(..) | PlanStep::Coalesce | PlanStep::ProbeSeeds => {
-                unreachable!("ExactHit/Coalesce/ProbeSeeds resolve before the terminal runs")
-            }
-        };
+                    return (r.routes, served);
+                }
+                PlanStep::WarmSeed { source: SeedSource::Suffix, seeds } => {
+                    (WarmSeeds::Suffix(seeds), Some(SeedSource::Suffix))
+                }
+                PlanStep::WarmSeed { source, seeds } => {
+                    (WarmSeeds::PrefixOrFull(seeds), Some(*source))
+                }
+                PlanStep::ColdSearch => (WarmSeeds::None, None),
+                PlanStep::ExactHit(..) | PlanStep::Coalesce | PlanStep::ProbeSeeds => {
+                    unreachable!("ExactHit/Coalesce/ProbeSeeds resolve before the terminal runs")
+                }
+            };
+            // Anytime streaming: with a progress channel attached, the
+            // engine reports each provisional Pareto point as the search
+            // proves it. A receiver that hung up (deadline cutoff) just
+            // makes the sends no-ops.
+            let mut send = progress.as_ref().map(|tx| {
+                move |r: &SkylineRoute| {
+                    let _ = tx.send(r.clone());
+                }
+            });
+            let sink = send.as_mut().map(|f| f as ProgressSink<'_>);
+            let result = engine.run_prepared_observed(&pq, seeds, sink);
+            exec.profile = result.stats.profile();
+            // A seed probe only helps when it actually seeded routes (an
+            // unreachable position can leave it dry).
+            let seeded = source.filter(|_| result.stats.warm_seed_routes > 0);
+            let served =
+                if result.truncated { Served::Approximate } else { Served::Search { seeded } };
+            (result.routes, served)
+        });
         exec.engine = Some(engine_t0.elapsed());
         scratch = Some(engine.into_scratch());
         match outcome {

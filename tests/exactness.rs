@@ -166,7 +166,7 @@ proptest! {
         );
         let mut engine = Bssr::new(&ctx);
         let prefix = engine.run(&prefix_query).expect("valid prefix").routes;
-        let warm = engine.run_with_seeds(&built.query, &prefix).expect("valid query");
+        let warm = engine.run_prepared_warm(&pq, &prefix);
         assert_same_skyline(&warm.routes, &oracle, "warm-started");
     }
 

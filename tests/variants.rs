@@ -61,7 +61,7 @@ fn destination_variant_matches_oracle() {
             .run(&ctx, BssrConfig::default())
             .unwrap();
         let mut pq = PreparedQuery::prepare(&ctx, &q).unwrap();
-        pq.positions.push(Position::destination(VertexId(dest)));
+        pq.positions.push(Position::destination(VertexId(dest)).into());
         let mut want = naive_skysr(&ctx, &pq, 1_000_000);
         for r in &mut want {
             r.pois.pop();
