@@ -1,9 +1,11 @@
 //! Dataset selection shared by the workload commands (`replay`, `bench`,
 //! `serve`): either an explicit dataset FILE, or a generation recipe
-//! (`--preset`/`--scale`/`--seed`).
+//! (`--preset`/`--scale`/`--seed`) — plus the serving-stack and
+//! `--shards` flags `replay` and `serve` share.
 
 use skysr_data::codec;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
+use skysr_service::ServiceConfig;
 
 use crate::args::Args;
 
@@ -70,6 +72,64 @@ pub fn load_or_generate(city: &CityArgs) -> Result<Dataset, String> {
             Ok(dspec.generate())
         }
     }
+}
+
+/// The datasets of a `--shards N` command, named `region-0`, `region-1`,
+/// …: the FILE's or recipe's city for one shard, and for more, N
+/// generated cities seeded `--seed`, `--seed`+1, ….
+pub fn region_datasets(city: &CityArgs, shards: usize) -> Result<Vec<(String, Dataset)>, String> {
+    if shards == 0 {
+        return Err("--shards must be at least 1".into());
+    }
+    if shards > 1 && city.file.is_some() {
+        return Err(
+            "--shards generates one dataset per region and conflicts with a dataset FILE argument"
+                .into(),
+        );
+    }
+    (0..shards)
+        .map(|i| {
+            let region = CityArgs {
+                file: city.file.clone(),
+                preset: city.preset,
+                scale: city.scale,
+                seed: city.seed + i as u64,
+            };
+            Ok((format!("region-{i}"), load_or_generate(&region)?))
+        })
+        .collect()
+}
+
+/// The serving-stack flags `replay` and `serve` share. They configure a
+/// service this process builds, so `replay --connect` rejects them.
+pub const SERVICE_FLAGS: [&str; 9] = [
+    "workers",
+    "queue",
+    "cache",
+    "coalesce",
+    "prefix-reuse",
+    "ancestor-reuse",
+    "suffix-reuse",
+    "repair",
+    "admission",
+];
+
+/// Parses [`SERVICE_FLAGS`] into a service configuration: four workers
+/// by default, every other field at its [`ServiceConfig::default`].
+pub fn service_flags(args: &mut Args) -> Result<ServiceConfig, String> {
+    let d = ServiceConfig { workers: 4, ..ServiceConfig::default() };
+    Ok(ServiceConfig {
+        workers: parse_flag(args, "workers", d.workers)?,
+        queue_capacity: parse_flag(args, "queue", d.queue_capacity)?,
+        cache_capacity: parse_flag(args, "cache", d.cache_capacity)?,
+        coalesce: parse_flag(args, "coalesce", d.coalesce)?,
+        prefix_reuse: parse_flag(args, "prefix-reuse", d.prefix_reuse)?,
+        ancestor_reuse: parse_flag(args, "ancestor-reuse", d.ancestor_reuse)?,
+        suffix_reuse: parse_flag(args, "suffix-reuse", d.suffix_reuse)?,
+        repair: parse_flag(args, "repair", d.repair)?,
+        admission: parse_flag(args, "admission", d.admission)?,
+        ..d
+    })
 }
 
 /// Rejects sequence lengths the dataset's category forest cannot serve.

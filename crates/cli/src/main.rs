@@ -68,7 +68,13 @@
 //! router, each shard driving its own stream and update process through
 //! region-stamped requests; every gate (`--verify`, staleness, trace
 //! completeness) is enforced per shard and any misrouted request fails
-//! the run.
+//! the run. A single-tenant replay is the one-shard case of the same run.
+//! `--connect HOST:PORT` replays through a running `skysr-d` instead,
+//! auditing every answer against a local shadow built from the same
+//! dataset recipe. The daemon's serving stack is fixed at its startup, so
+//! the serving-stack flags (`--workers`, `--queue`, `--cache`,
+//! `--coalesce`, the three `--*-reuse` toggles, `--repair`,
+//! `--admission`) are rejected with `--connect`; set them on `skysr-d`.
 //!
 //! `bench` replays duplicate-heavy, prefix-heavy, dynamic (weight
 //! updates racing the stream), hierarchy (ancestor+suffix seeding vs.
@@ -106,7 +112,8 @@ use std::time::Duration;
 
 use skysr_cli::args::Args;
 use skysr_cli::city::{
-    check_seq_len, dataset_args, load, load_or_generate, parse_flag, parse_preset, CityArgs,
+    check_seq_len, dataset_args, load, load_or_generate, parse_flag, parse_preset, region_datasets,
+    service_flags, SERVICE_FLAGS,
 };
 use skysr_cli::serve;
 use skysr_core::bssr::{Bssr, BssrConfig};
@@ -117,12 +124,15 @@ use skysr_core::{SkySrQuery, SkylineRoute};
 use skysr_data::codec;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_graph::VertexId;
-use skysr_service::bench::{bench, BenchSpec};
+use skysr_service::bench::{bench, BenchReport, BenchSpec};
 use skysr_service::replay::{
-    build_pool, replay, replay_remote, replay_sharded, ReplaySpec, StreamPattern, TelemetryMode,
+    build_pool, replay_remote, replay_sharded, ReplaySpec, ShardReplay, ShardedReplayReport,
+    StreamPattern,
 };
 use skysr_service::telemetry::export::{prometheus, spans_to_json_lines};
-use skysr_service::{MetricsSnapshot, QueryService, RemoteService, ServiceContext};
+use skysr_service::{
+    MetricsSnapshot, QueryService, RegionId, RemoteService, ServiceContext, TelemetryConfig,
+};
 
 /// How long `--connect` commands wait for a daemon still binding its
 /// socket (CI starts the daemon in the background and races it).
@@ -297,28 +307,30 @@ fn run(argv: Vec<String>) -> Result<(), String> {
         }
         "replay" => {
             let city = dataset_args(&mut args)?;
+            let connect = args.optional("connect");
+            if connect.is_some() {
+                if let Some(flag) = SERVICE_FLAGS.into_iter().find(|&f| args.optional(f).is_some())
+                {
+                    return Err(format!(
+                        "--{flag} is unsupported with --connect (the daemon's serving stack is \
+                         fixed at its startup; set it with skysr-d's own --{flag})"
+                    ));
+                }
+            }
             let mut spec = ReplaySpec {
                 total: parse_flag(&mut args, "queries", 1000)?,
                 distinct: parse_flag(&mut args, "distinct", 100)?,
                 seq_len: parse_flag(&mut args, "seq-len", 3)?,
                 zipf_exponent: parse_flag(&mut args, "zipf", 1.0)?,
-                workers: parse_flag(&mut args, "workers", 4)?,
-                cache_capacity: parse_flag(&mut args, "cache", 1024)?,
-                queue_capacity: parse_flag(&mut args, "queue", 256)?,
                 burst: parse_flag(&mut args, "burst", 16)?,
-                coalesce: parse_flag(&mut args, "coalesce", true)?,
-                prefix_reuse: parse_flag(&mut args, "prefix-reuse", true)?,
-                ancestor_reuse: parse_flag(&mut args, "ancestor-reuse", true)?,
-                suffix_reuse: parse_flag(&mut args, "suffix-reuse", true)?,
+                service: service_flags(&mut args)?,
                 qps: parse_flag(&mut args, "qps", 0.0)?,
                 update_rate: parse_flag(&mut args, "update-rate", 0.0)?,
                 update_burst: parse_flag(&mut args, "update-burst", 32)?,
                 update_magnitude: parse_flag(&mut args, "update-magnitude", 2.0)?,
                 update_every: parse_flag(&mut args, "update-every", 0)?,
-                repair: parse_flag(&mut args, "repair", false)?,
                 retention: parse_flag(&mut args, "retention", 0)?,
                 overload: parse_flag(&mut args, "overload", 0.0)?,
-                admission: parse_flag(&mut args, "admission", false)?,
                 seed: city.seed,
                 ..ReplaySpec::default()
             };
@@ -338,14 +350,13 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             };
             spec.verify = parse_flag(&mut args, "verify", false)?;
             let shards: usize = parse_flag(&mut args, "shards", 1)?;
-            let connect = args.optional("connect");
             let trace_out = args.optional("trace-out");
             let metrics_out = args.optional("metrics-out");
             // Dumping spans only makes sense over a complete record:
             // --trace-out switches span retention to full (every request),
             // which also arms the trace-completeness audit.
             if trace_out.is_some() {
-                spec.telemetry = TelemetryMode::Full;
+                spec.service.telemetry = TelemetryConfig::trace_all(spec.total);
             }
             if connect.is_some() {
                 if trace_out.is_some() {
@@ -413,119 +424,27 @@ fn run(argv: Vec<String>) -> Result<(), String> {
                         .into(),
                 );
             }
-            if shards == 0 {
-                return Err("--shards must be at least 1".into());
+            if shards > 1 && connect.is_some() {
+                return Err("--shards replays against an in-process multi-shard router; a \
+                     daemon's shard layout is fixed at startup (serve --shards)"
+                    .into());
             }
-            if shards > 1 {
-                if connect.is_some() {
-                    return Err("--shards replays against an in-process multi-shard router; \
-                         a daemon's shard layout is fixed at startup (serve --shards)"
-                        .into());
-                }
-                if spec.overload > 0.0 {
-                    return Err(
-                        "--overload calibration is single-tenant; drive shards with an explicit \
-                         --qps instead"
-                            .into(),
-                    );
-                }
-                if city.file.is_some() {
-                    return Err("--shards generates one dataset per region and conflicts with a \
-                         dataset FILE argument"
-                        .into());
-                }
-                let mut regions: Vec<(String, Dataset)> = Vec::with_capacity(shards);
-                for i in 0..shards {
-                    let region = CityArgs {
-                        file: None,
-                        preset: city.preset,
-                        scale: city.scale,
-                        seed: city.seed + i as u64,
-                    };
-                    let dataset = load_or_generate(&region)?;
-                    check_seq_len(&dataset, spec.seq_len)?;
-                    regions.push((format!("region-{i}"), dataset));
-                }
-                eprintln!(
-                    "replaying {} requests per shard ({} distinct, {} stream) over {shards} \
-                     shards x {} workers ...",
-                    spec.total, spec.distinct, spec.pattern, spec.workers
-                );
-                let sharded = replay_sharded(regions, &spec);
-                println!("{sharded}");
-                if let Some(path) = &trace_out {
-                    let mut lines = String::new();
-                    for s in &sharded.shards {
-                        lines.push_str(&spans_to_json_lines(&s.report.spans));
-                    }
-                    std::fs::write(path, lines).map_err(|e| format!("cannot write {path}: {e}"))?;
-                    eprintln!("wrote {path}");
-                }
-                if let Some(path) = &metrics_out {
-                    let pattern = spec.pattern.to_string();
-                    let ids: Vec<String> =
-                        sharded.shards.iter().map(|s| s.region.to_string()).collect();
-                    let labels: Vec<[(&str, &str); 2]> = ids
-                        .iter()
-                        .map(|id| [("pattern", pattern.as_str()), ("shard", id.as_str())])
-                        .collect();
-                    let entries: Vec<(&[(&str, &str)], &MetricsSnapshot)> = sharded
-                        .shards
-                        .iter()
-                        .zip(&labels)
-                        .map(|(s, l)| (l.as_slice(), &s.report.metrics))
-                        .collect();
-                    std::fs::write(path, prometheus(&entries))
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    eprintln!("wrote {path}");
-                }
-                for s in &sharded.shards {
-                    if let Some(v) = s.report.trace_violations.filter(|&v| v > 0) {
-                        return Err(format!(
-                            "shard {} ({}): trace-completeness invariant violated: {v} \
-                             violation(s)",
-                            s.region, s.name
-                        ));
-                    }
-                    if s.report.verify_mismatches.is_some_and(|m| m > 0) {
-                        return Err(format!(
-                            "shard {} ({}): verification failed: concurrent and sequential \
-                             skylines differ",
-                            s.region, s.name
-                        ));
-                    }
-                    if let Some(skipped) = s.report.verify_skipped.filter(|&n| n > 0) {
-                        eprintln!(
-                            "note: shard {}: {skipped} response(s) were unverifiable (pinned \
-                             epochs beyond the --retention ring) and were skipped",
-                            s.region
-                        );
-                    }
-                    if s.report.stale_served() > 0 {
-                        return Err(format!(
-                            "shard {} ({}): staleness gate failed: {} answer(s) served from a \
-                             non-pinned-epoch cache entry",
-                            s.region,
-                            s.name,
-                            s.report.stale_served()
-                        ));
-                    }
-                }
-                if sharded.misrouted > 0 {
-                    return Err(format!(
-                        "routing gate failed: {} request(s) named a region no shard serves",
-                        sharded.misrouted
-                    ));
-                }
-                return Ok(());
+            if shards > 1 && spec.overload > 0.0 {
+                return Err("--overload calibration is single-tenant; drive shards with an \
+                     explicit --qps instead"
+                    .into());
             }
-            let dataset = load_or_generate(&city)?;
-            check_seq_len(&dataset, spec.seq_len)?;
-            let report = match &connect {
+            let mut regions = region_datasets(&city, shards)?;
+            for (_, dataset) in &regions {
+                check_seq_len(dataset, spec.seq_len)?;
+            }
+            // A remote replay is one lane, audited against a shadow built
+            // from the daemon's dataset recipe (replay_remote checks the
+            // handshake fingerprint); an in-process one is a lane per
+            // region.
+            let fleet = match &connect {
                 Some(addr) => {
-                    // The dataset recipe builds the *shadow*: the daemon
-                    // must serve the same dataset (checked against its
-                    // handshake fingerprint inside replay_remote).
+                    let (_, dataset) = regions.pop().expect("one region over --connect");
                     let pool = build_pool(&dataset, &spec);
                     let shadow = Arc::new(ServiceContext::from_dataset(dataset));
                     let remote = RemoteService::connect_retry(addr.as_str(), CONNECT_TIMEOUT)
@@ -534,54 +453,66 @@ fn run(argv: Vec<String>) -> Result<(), String> {
                         "replaying {} requests ({} distinct, {} stream) over {addr} ...",
                         spec.total, spec.distinct, spec.pattern
                     );
-                    replay_remote(&remote, shadow, &pool, &spec).map_err(|e| e.to_string())?
+                    let report =
+                        replay_remote(&remote, shadow, &pool, &spec).map_err(|e| e.to_string())?;
+                    let wall = report.wall;
+                    let lane =
+                        ShardReplay { region: RegionId::default(), name: addr.clone(), report };
+                    ShardedReplayReport { shards: vec![lane], wall, misrouted: 0 }
                 }
                 None => {
                     eprintln!(
-                        "replaying {} requests ({} distinct, {} stream) on {} workers ...",
-                        spec.total, spec.distinct, spec.pattern, spec.workers
+                        "replaying {} requests ({} distinct, {} stream) on {shards} shard(s) x \
+                         {} workers ...",
+                        spec.total, spec.distinct, spec.pattern, spec.service.workers
                     );
-                    replay(dataset, &spec)
+                    replay_sharded(regions, &spec)
                 }
             };
-            println!("{report}");
+            // One lane prints, and fails, exactly as a single report; more
+            // print the fleet form and fail per shard.
+            match fleet.shards.as_slice() {
+                [one] => println!("{}", one.report),
+                _ => println!("{fleet}"),
+            }
             if let Some(path) = &trace_out {
-                std::fs::write(path, spans_to_json_lines(&report.spans))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("wrote {} trace spans to {path}", report.spans.len());
+                let lines: String =
+                    fleet.shards.iter().map(|s| spans_to_json_lines(&s.report.spans)).collect();
+                std::fs::write(path, lines).map_err(|e| format!("cannot write {path}: {e}"))?;
+                eprintln!("wrote {path}");
             }
             if let Some(path) = &metrics_out {
+                // Every series carries the shard label; a single-tenant
+                // run is shard 0 (the default shard).
                 let pattern = spec.pattern.to_string();
-                // Single-tenant runs are shard 0 (the default shard), so
-                // the exporter's label schema is identical either way.
-                let labels = [("pattern", pattern.as_str()), ("shard", "0")];
-                std::fs::write(path, prometheus(&[(&labels, &report.metrics)]))
+                let ids: Vec<String> = fleet.shards.iter().map(|s| s.region.to_string()).collect();
+                let labels: Vec<[(&str, &str); 2]> = ids
+                    .iter()
+                    .map(|id| [("pattern", pattern.as_str()), ("shard", id.as_str())])
+                    .collect();
+                let entries: Vec<(&[(&str, &str)], &MetricsSnapshot)> = fleet
+                    .shards
+                    .iter()
+                    .zip(&labels)
+                    .map(|(s, l)| (l.as_slice(), &s.report.metrics))
+                    .collect();
+                std::fs::write(path, prometheus(&entries))
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!("wrote {path}");
             }
-            if let Some(v) = report.trace_violations.filter(|&v| v > 0) {
-                return Err(format!(
-                    "trace-completeness invariant violated: {v} violation(s) (a response \
-                     without exactly one matching span, or rung/epoch disagreement)"
-                ));
+            for s in &fleet.shards {
+                if let Some(skipped) = s.report.verify_skipped.filter(|&n| n > 0) {
+                    eprintln!(
+                        "note: shard {}: {skipped} response(s) were unverifiable (pinned epochs \
+                         beyond the --retention ring) and were skipped",
+                        s.region
+                    );
+                }
             }
-            if report.verify_mismatches.is_some_and(|m| m > 0) {
-                return Err("verification failed: concurrent and sequential skylines differ".into());
+            match fleet.shards.as_slice() {
+                [one] => one.report.check(),
+                _ => fleet.check(),
             }
-            if let Some(skipped) = report.verify_skipped.filter(|&n| n > 0) {
-                eprintln!(
-                    "note: {skipped} response(s) were unverifiable (pinned epochs beyond the \
-                     --retention ring) and were skipped"
-                );
-            }
-            if report.stale_served() > 0 {
-                return Err(format!(
-                    "staleness gate failed: {} answer(s) served from a non-pinned-epoch cache \
-                     entry",
-                    report.stale_served()
-                ));
-            }
-            Ok(())
         }
         "bench" => {
             let city = dataset_args(&mut args)?;
@@ -594,37 +525,15 @@ fn run(argv: Vec<String>) -> Result<(), String> {
                 update_rate: parse_flag(&mut args, "update-rate", 200.0)?,
                 update_burst: parse_flag(&mut args, "update-burst", 16)?,
                 seed: city.seed,
-                ..BenchSpec::default()
             };
             let out = args.optional("out");
-            let require_speedup: Option<f64> = args
-                .optional("require-speedup")
-                .map(|s| s.parse().map_err(|_| "bad --require-speedup".to_string()))
-                .transpose()?;
-            let require_hierarchy_speedup: Option<f64> = args
-                .optional("require-hierarchy-speedup")
-                .map(|s| s.parse().map_err(|_| "bad --require-hierarchy-speedup".to_string()))
-                .transpose()?;
-            let require_repair_speedup: Option<f64> = args
-                .optional("require-repair-speedup")
-                .map(|s| s.parse().map_err(|_| "bad --require-repair-speedup".to_string()))
-                .transpose()?;
-            let require_telemetry_ratio: Option<f64> = args
-                .optional("require-telemetry-ratio")
-                .map(|s| s.parse().map_err(|_| "bad --require-telemetry-ratio".to_string()))
-                .transpose()?;
-            let require_net_ratio: Option<f64> = args
-                .optional("require-net-ratio")
-                .map(|s| s.parse().map_err(|_| "bad --require-net-ratio".to_string()))
-                .transpose()?;
-            let require_overload_ratio: Option<f64> = args
-                .optional("require-overload-ratio")
-                .map(|s| s.parse().map_err(|_| "bad --require-overload-ratio".to_string()))
-                .transpose()?;
-            let require_shard_speedup: Option<f64> = args
-                .optional("require-shard-speedup")
-                .map(|s| s.parse().map_err(|_| "bad --require-shard-speedup".to_string()))
-                .transpose()?;
+            let mut gates = Vec::new();
+            for gate in BENCH_GATES {
+                let flag = format!("require-{gate}");
+                if let Some(x) = args.optional(&flag) {
+                    gates.push((gate, x.parse::<f64>().map_err(|_| format!("bad --{flag}"))?));
+                }
+            }
             let trace_out = args.optional("trace-out");
             let metrics_out = args.optional("metrics-out");
             args.finish()?;
@@ -683,93 +592,11 @@ fn run(argv: Vec<String>) -> Result<(), String> {
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!("wrote {path}");
             }
-            let trace_violations: usize =
-                report.runs.iter().filter_map(|r| r.report.trace_violations).sum();
-            if trace_violations > 0 {
-                return Err(format!(
-                    "trace-completeness invariant violated in {trace_violations} case(s) \
-                     across the traced bench cells"
-                ));
+            for run in &report.runs {
+                run.report.check().map_err(|e| format!("{}/{}: {e}", run.workload, run.mode))?;
             }
-            if report.verify_mismatches() > 0 {
-                return Err("verification failed: reuse answers differ from sequential".into());
-            }
-            if report.stale_served() > 0 {
-                return Err(format!(
-                    "staleness gate failed: {} answer(s) served from a non-pinned-epoch cache \
-                     entry",
-                    report.stale_served()
-                ));
-            }
-            if let Some(min) = require_speedup {
-                if report.speedup_duplicate < min {
-                    return Err(format!(
-                        "duplicate-workload speedup {:.2}x is below the required {min:.2}x",
-                        report.speedup_duplicate
-                    ));
-                }
-            }
-            if let Some(min) = require_hierarchy_speedup {
-                if report.speedup_hierarchy < min {
-                    return Err(format!(
-                        "hierarchy-workload speedup {:.2}x is below the required {min:.2}x \
-                         (ancestor+suffix seeding vs. cold searches)",
-                        report.speedup_hierarchy
-                    ));
-                }
-            }
-            if let Some(min) = require_repair_speedup {
-                if report.speedup_repair < min {
-                    return Err(format!(
-                        "repair-workload speedup {:.2}x is below the required {min:.2}x \
-                         (repair vs. invalidate-and-recompute)",
-                        report.speedup_repair
-                    ));
-                }
-            }
-            if let Some(min) = require_telemetry_ratio {
-                if report.telemetry_overhead_ratio < min {
-                    return Err(format!(
-                        "telemetry overhead ratio {:.3} is below the required {min:.3} \
-                         (full tracing costs more throughput than allowed)",
-                        report.telemetry_overhead_ratio
-                    ));
-                }
-            }
-            if let Some(min) = require_net_ratio {
-                if report.net_ratio < min {
-                    return Err(format!(
-                        "net overhead ratio {:.3} is below the required {min:.3} \
-                         (the loopback socket transport costs more throughput than allowed)",
-                        report.net_ratio
-                    ));
-                }
-            }
-            if let Some(max) = require_overload_ratio {
-                // An overloaded service must both degrade (shed something —
-                // otherwise the cell never actually overloaded and the
-                // ratio is vacuous) and keep the cheap rung responsive.
-                if report.overload_shed == 0 {
-                    return Err("overload gate failed: the 2x-capacity cell shed nothing, so the \
-                         hit-rung latency bound was never tested under real overload"
-                        .into());
-                }
-                if !(report.overload_hit_p99_ratio > 0.0 && report.overload_hit_p99_ratio <= max) {
-                    return Err(format!(
-                        "overload gate failed: hit-rung p99 under 2x load is {:.2}x the \
-                         uncontended value (floored at the deadline budget; limit {max:.2}x)",
-                        report.overload_hit_p99_ratio
-                    ));
-                }
-            }
-            if let Some(min) = require_shard_speedup {
-                if report.speedup_shards < min {
-                    return Err(format!(
-                        "shard-scaling speedup {:.2}x is below the required {min:.2}x \
-                         ({} shards behind a router vs. one monolith)",
-                        report.speedup_shards, report.shard_count
-                    ));
-                }
+            for (gate, x) in gates {
+                bench_gate(&report, gate, x)?;
             }
             Ok(())
         }
@@ -805,6 +632,67 @@ fn run(argv: Vec<String>) -> Result<(), String> {
         }
         other => Err(format!("unknown command {other:?}")),
     }
+}
+
+/// The bench's `--require-<gate> X` flags, applied in this order by
+/// [`bench_gate`].
+const BENCH_GATES: [&str; 7] = [
+    "speedup",
+    "hierarchy-speedup",
+    "repair-speedup",
+    "telemetry-ratio",
+    "net-ratio",
+    "overload-ratio",
+    "shard-speedup",
+];
+
+/// Applies one `--require-<gate> X` threshold to a bench report.
+fn bench_gate(r: &BenchReport, gate: &str, x: f64) -> Result<(), String> {
+    Err(match gate {
+        "speedup" if r.speedup_duplicate < x => format!(
+            "duplicate-workload speedup {:.2}x is below the required {x:.2}x",
+            r.speedup_duplicate
+        ),
+        "hierarchy-speedup" if r.speedup_hierarchy < x => format!(
+            "hierarchy-workload speedup {:.2}x is below the required {x:.2}x \
+             (ancestor+suffix seeding vs. cold searches)",
+            r.speedup_hierarchy
+        ),
+        "repair-speedup" if r.speedup_repair < x => format!(
+            "repair-workload speedup {:.2}x is below the required {x:.2}x \
+             (repair vs. invalidate-and-recompute)",
+            r.speedup_repair
+        ),
+        "telemetry-ratio" if r.telemetry_overhead_ratio < x => format!(
+            "telemetry overhead ratio {:.3} is below the required {x:.3} \
+             (full tracing costs more throughput than allowed)",
+            r.telemetry_overhead_ratio
+        ),
+        "net-ratio" if r.net_ratio < x => format!(
+            "net overhead ratio {:.3} is below the required {x:.3} \
+             (the loopback socket transport costs more throughput than allowed)",
+            r.net_ratio
+        ),
+        // An overloaded service must both degrade (shed something —
+        // otherwise the cell never actually overloaded and the ratio is
+        // vacuous) and keep the cheap rung responsive.
+        "overload-ratio" if r.overload_shed == 0 => "overload gate failed: the 2x-capacity cell \
+             shed nothing, so the hit-rung latency bound was never tested under real overload"
+            .to_owned(),
+        "overload-ratio" if !(r.overload_hit_p99_ratio > 0.0 && r.overload_hit_p99_ratio <= x) => {
+            format!(
+                "overload gate failed: hit-rung p99 under 2x load is {:.2}x the \
+                 uncontended value (floored at the deadline budget; limit {x:.2}x)",
+                r.overload_hit_p99_ratio
+            )
+        }
+        "shard-speedup" if r.speedup_shards < x => format!(
+            "shard-scaling speedup {:.2}x is below the required {x:.2}x \
+             ({} shards behind a router vs. one monolith)",
+            r.speedup_shards, r.shard_count
+        ),
+        _ => return Ok(()),
+    })
 }
 
 fn print_routes(dataset: &Dataset, routes: &[SkylineRoute]) {

@@ -13,14 +13,12 @@
 
 use std::sync::Arc;
 
-use skysr_core::bssr::BssrConfig;
 use skysr_service::{
-    MetricsSnapshot, QueryService, Server, ServerConfig, Service, ServiceConfig, ServiceContext,
-    ShardRegistry, TelemetryConfig,
+    MetricsSnapshot, QueryService, Server, ServerConfig, Service, ServiceContext, ShardRegistry,
 };
 
 use crate::args::Args;
-use crate::city::{dataset_args, load_or_generate, parse_flag, CityArgs};
+use crate::city::{dataset_args, parse_flag, region_datasets, service_flags};
 
 /// Usage text of the standalone `skysr-d` binary (the `serve` flags).
 pub fn usage() -> &'static str {
@@ -50,45 +48,18 @@ pub fn lifetime(m: &MetricsSnapshot) -> String {
 pub fn run_serve(args: &mut Args) -> Result<(), String> {
     let city = dataset_args(args)?;
     let addr = args.optional("addr").unwrap_or_else(|| "127.0.0.1:7878".to_owned());
-    let config = ServiceConfig {
-        workers: parse_flag(args, "workers", 4)?,
-        queue_capacity: parse_flag(args, "queue", 256)?,
-        cache_capacity: parse_flag(args, "cache", 1024)?,
-        coalesce: parse_flag(args, "coalesce", true)?,
-        prefix_reuse: parse_flag(args, "prefix-reuse", true)?,
-        ancestor_reuse: parse_flag(args, "ancestor-reuse", true)?,
-        suffix_reuse: parse_flag(args, "suffix-reuse", true)?,
-        repair: parse_flag(args, "repair", false)?,
-        admission: parse_flag(args, "admission", false)?,
-        engine: BssrConfig::default(),
-        telemetry: TelemetryConfig::default(),
-        ..ServiceConfig::default()
-    };
+    let config = service_flags(args)?;
     let shards: usize = parse_flag(args, "shards", 1)?;
     args.finish()?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
+    let mut regions = region_datasets(&city, shards)?;
     if shards > 1 {
-        if city.file.is_some() {
-            return Err("--shards generates one dataset per region and conflicts with a dataset \
-                 FILE argument"
-                .into());
-        }
         let mut registry = ShardRegistry::new();
         let mut stats = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let region = CityArgs {
-                file: None,
-                preset: city.preset,
-                scale: city.scale,
-                seed: city.seed + i as u64,
-            };
-            let dataset = load_or_generate(&region)?;
+        for (name, dataset) in regions {
             let (v, p, e) = dataset.stats();
-            stats.push(format!("region-{i}: |V|={v} |P|={p} |E|={e}"));
+            stats.push(format!("{name}: |V|={v} |P|={p} |E|={e}"));
             let ctx = Arc::new(ServiceContext::from_dataset(dataset));
-            registry.add(format!("region-{i}"), ctx, config.clone());
+            registry.add(name, ctx, config.clone());
         }
         let router = Arc::new(registry.into_router());
         let mut server = Server::spawn(addr.as_str(), Arc::clone(&router), ServerConfig::default())
@@ -107,7 +78,9 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
         );
         return Ok(());
     }
-    let dataset = load_or_generate(&city)?;
+    // One region is served by a bare service, whose handshake advertises
+    // the configured region name rather than a registry-assigned one.
+    let (_, dataset) = regions.pop().expect("one shard, one dataset");
     let (v, p, e) = dataset.stats();
     let name = dataset.name.clone();
     let ctx = Arc::new(ServiceContext::from_dataset(dataset));

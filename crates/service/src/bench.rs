@@ -2,8 +2,9 @@
 //! exact-match-cache baseline on reuse-friendly workloads and serializes
 //! the evidence as a JSON metrics artifact (`BENCH_pr.json` in CI).
 //!
-//! Three workloads, each replayed twice over the *same* shared context and
-//! query pool:
+//! Nine workload cells, each a baseline and a treatment run (eighteen
+//! rows). All but the shard cell replay over the *same* shared context and
+//! query pools:
 //!
 //! * **duplicate** ([`StreamPattern::DuplicateBursts`]) — baseline
 //!   (coalescing off) vs. reuse (coalescing on);
@@ -64,16 +65,16 @@
 //!   approximate-served count. The overloaded run keeps `verify`
 //!   on, which also proves every degraded answer is a *valid* partial
 //!   (mutually non-dominated, never better than the exact skyline).
-//! * **shards** — the scale-out cell: [`BenchSpec::shards`] regions
+//! * **shards** — the scale-out cell: four regions
 //!   served behind one [`Router`](crate::Router) (each shard its own
 //!   graph, worker pool and result cache) vs. a *monolith* serving the
-//!   union — one service on a `shards ×` larger graph whose working set
+//!   union — one service on a four times larger graph whose working set
 //!   is the union of every region's, on the **same fixed per-process
 //!   budget** (identical cache capacity and total worker count). Both
 //!   sides replay the same total number of requests; uniform popularity
 //!   keeps the working set the whole pool, so each shard's region pool
 //!   *fits* its cache while the monolith's union pool thrashes its LRU —
-//!   and every monolith miss re-searches a `shards ×` larger graph. The
+//!   and every monolith miss re-searches a four times larger graph. The
 //!   aggregate-throughput ratio (`speedup_shards`, CI-gated via
 //!   `--require-shard-speedup`) is the evidence that shard-per-region
 //!   placement beats scale-up under a fixed per-process budget. The
@@ -95,17 +96,31 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use skysr_core::bssr::BssrConfig;
+use skysr_core::bssr::Bssr;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 
 use crate::context::ServiceContext;
 use crate::net::{RemoteService, Server, ServerConfig};
 use crate::replay::{
     build_pool, replay, replay_on, replay_remote, replay_sharded, ReplayReport, ReplaySpec,
-    ShardedReplayReport, StreamPattern, TelemetryMode,
+    ShardedReplayReport, StreamPattern, HIERARCHY_CHAIN,
 };
 use crate::service::{QueryService, Service, ServiceConfig};
 use crate::telemetry::{Rung, TelemetryConfig};
+
+/// Update-wave cadence of the repair cell: one weight-delta burst
+/// publishes after every this-many requests drain, so both modes pay a
+/// deterministic number of epoch crossings per cached key.
+const REPAIR_UPDATE_EVERY: usize = 16;
+
+/// Regions in the shard-scaling cell (its monolith baseline serves a graph
+/// scaled by this factor).
+const SHARDS: usize = 4;
+
+/// Per-region dataset scale of the shard-scaling cell (the cell generates
+/// its own datasets — `SHARDS` small cities plus one `SHARDS ×` larger
+/// one — independent of the bench's main dataset).
+const SHARD_SCALE: f64 = 0.05;
 
 /// Parameters of one bench-smoke run.
 #[derive(Clone, Debug)]
@@ -125,21 +140,8 @@ pub struct BenchSpec {
     pub update_rate: f64,
     /// Edge reweightings per update burst in the dynamic/repair cells.
     pub update_burst: usize,
-    /// Update-wave cadence of the repair cell: one weight-delta burst
-    /// publishes after every this-many requests drain, so both modes pay
-    /// a deterministic number of epoch crossings per cached key.
-    pub repair_update_every: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Engine configuration.
-    pub engine: BssrConfig,
-    /// Regions in the shard-scaling cell (its monolith baseline serves a
-    /// graph scaled by this factor).
-    pub shards: usize,
-    /// Per-region dataset scale of the shard-scaling cell (the cell
-    /// generates its own datasets — `shards` small cities plus one
-    /// `shards ×` larger one — independent of the bench's main dataset).
-    pub shard_scale: f64,
 }
 
 impl Default for BenchSpec {
@@ -152,11 +154,7 @@ impl Default for BenchSpec {
             burst: 24,
             update_rate: 200.0,
             update_burst: 16,
-            repair_update_every: 16,
             seed: 7,
-            engine: BssrConfig::default(),
-            shards: 4,
-            shard_scale: 0.05,
         }
     }
 }
@@ -301,7 +299,7 @@ impl BenchReport {
                 run.workload,
                 run.mode,
                 m.completed,
-                run.report.workers,
+                run.report.workers.map(|w| w.to_string()).unwrap_or_else(|| "null".to_owned()),
                 run.report.wall.as_secs_f64(),
                 m.throughput_qps,
                 m.latency_p50.as_secs_f64() * 1e3,
@@ -436,16 +434,18 @@ fn cell_spec(
         pattern,
         burst: bench.burst,
         seed: bench.seed,
-        workers: bench.workers,
-        coalesce: reuse,
-        prefix_reuse: reuse,
-        ancestor_reuse: reuse,
-        suffix_reuse: reuse,
-        engine: bench.engine,
-        update_rate,
-        update_burst: bench.update_burst,
         // The baseline is PR 1's exact-match LRU: caching stays ON in both
         // modes; only the new reuse mechanisms are toggled.
+        service: ServiceConfig {
+            workers: bench.workers,
+            coalesce: reuse,
+            prefix_reuse: reuse,
+            ancestor_reuse: reuse,
+            suffix_reuse: reuse,
+            ..ServiceConfig::default()
+        },
+        update_rate,
+        update_burst: bench.update_burst,
         // Reuse runs carry the correctness gate.
         verify: reuse,
         ..ReplaySpec::default()
@@ -460,16 +460,15 @@ fn cell_spec(
 /// three requests.
 fn hierarchy_cell_spec(bench: &BenchSpec, reuse: bool) -> ReplaySpec {
     let distinct = bench.distinct * 4;
+    let base = cell_spec(bench, StreamPattern::Hierarchy, true, 0.0);
     ReplaySpec {
-        pattern: StreamPattern::Hierarchy,
         distinct,
-        total: distinct * crate::replay::HIERARCHY_CHAIN,
-        ancestor_reuse: reuse,
-        suffix_reuse: reuse,
+        total: distinct * HIERARCHY_CHAIN,
+        service: ServiceConfig { ancestor_reuse: reuse, suffix_reuse: reuse, ..base.service },
         // The treatment carries the correctness gate (ancestor/suffix
         // seeds must be oracle-exact).
         verify: reuse,
-        ..cell_spec(bench, StreamPattern::Hierarchy, true, 0.0)
+        ..base
     }
 }
 
@@ -478,9 +477,10 @@ fn hierarchy_cell_spec(bench: &BenchSpec, reuse: bool) -> ReplaySpec {
 /// docs for why neither a closed-loop burst nor an open-loop stream can
 /// measure this fairly).
 fn repair_cell_spec(bench: &BenchSpec, repair: bool) -> ReplaySpec {
+    let base = cell_spec(bench, StreamPattern::Zipf, true, 0.0);
     ReplaySpec {
-        repair,
-        update_every: bench.repair_update_every.max(1),
+        service: ServiceConfig { repair, ..base.service },
+        update_every: REPAIR_UPDATE_EVERY,
         // Three times the burst-cell volume: the signal is *accumulated*
         // epoch crossings per cached key, so a longer stream drives the
         // measured ratio far above the CI gate's 1.5x and out of
@@ -491,7 +491,7 @@ fn repair_cell_spec(bench: &BenchSpec, repair: bool) -> ReplaySpec {
         // already-verified invalidate path — re-proving it here would
         // only slow the bench down.
         verify: repair,
-        ..cell_spec(bench, StreamPattern::Zipf, true, 0.0)
+        ..base
     }
 }
 
@@ -507,19 +507,19 @@ fn repair_cell_spec(bench: &BenchSpec, repair: bool) -> ReplaySpec {
 /// a deadline and admission control.
 fn overload_cell_spec(bench: &BenchSpec, overload: f64, deadline: Option<Duration>) -> ReplaySpec {
     let distinct = bench.distinct * 16;
+    let base = cell_spec(bench, StreamPattern::Zipf, true, bench.update_rate / 4.0);
     ReplaySpec {
         distinct,
         total: distinct * 2,
         zipf_exponent: 1.0,
-        repair: true,
+        service: ServiceConfig { repair: true, admission: deadline.is_some(), ..base.service },
         deadline,
         overload,
-        admission: deadline.is_some(),
         // Both modes carry the correctness gate; in the overloaded mode it
         // additionally proves every degraded partial is consistent with
         // the exact skyline.
         verify: true,
-        ..cell_spec(bench, StreamPattern::Zipf, true, bench.update_rate / 4.0)
+        ..base
     }
 }
 
@@ -550,7 +550,7 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
 
     {
         let qctx = ctx.query_context();
-        let mut engine = skysr_core::bssr::Bssr::with_config(&qctx, spec.engine);
+        let mut engine = Bssr::new(&qctx);
         for q in dup_pool.iter().chain(&pre_pool).chain(&hier_pool).chain(&over_pool) {
             let _ = engine.run(q);
         }
@@ -616,20 +616,25 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     // the cleanest estimate of each mode's cost. Correctness is not
     // re-verified here (the duplicate cell above already did), but full
     // tracing's own completeness audit still runs in the traced mode.
-    let telemetry_cell = |telemetry| ReplaySpec {
-        total: spec.total * 8,
-        verify: false,
-        telemetry,
-        ..cell_spec(spec, StreamPattern::DuplicateBursts, true, 0.0)
+    let telemetry_cell = |telemetry| {
+        let base = cell_spec(spec, StreamPattern::DuplicateBursts, true, 0.0);
+        ReplaySpec {
+            total: spec.total * 8,
+            verify: false,
+            service: ServiceConfig { telemetry, ..base.service },
+            ..base
+        }
     };
     let mut base: Option<ReplayReport> = None;
     let mut treat: Option<ReplayReport> = None;
     for _ in 0..5 {
-        let b = replay_on(Arc::clone(&ctx), &dup_pool, &telemetry_cell(TelemetryMode::Off));
+        let off = telemetry_cell(TelemetryConfig::disabled());
+        let b = replay_on(Arc::clone(&ctx), &dup_pool, &off);
         if base.as_ref().is_none_or(|old| b.metrics.throughput_qps > old.metrics.throughput_qps) {
             base = Some(b);
         }
-        let t = replay_on(Arc::clone(&ctx), &dup_pool, &telemetry_cell(TelemetryMode::Full));
+        let traced = telemetry_cell(TelemetryConfig::trace_all(spec.total * 8));
+        let t = replay_on(Arc::clone(&ctx), &dup_pool, &traced);
         if treat.as_ref().is_none_or(|old| t.metrics.throughput_qps > old.metrics.throughput_qps) {
             treat = Some(t);
         }
@@ -652,24 +657,12 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     // context doubles as the remote replay's shadow: this cell publishes
     // no weight updates, so fingerprints match by construction. Ratios
     // use driver-side requests/wall — see the module docs.
+    let base = cell_spec(spec, StreamPattern::DuplicateBursts, true, 0.0);
     let net_spec = ReplaySpec {
         total: spec.total * 4,
         verify: false,
-        telemetry: TelemetryMode::Off,
-        ..cell_spec(spec, StreamPattern::DuplicateBursts, true, 0.0)
-    };
-    let daemon_config = ServiceConfig {
-        workers: net_spec.workers,
-        queue_capacity: net_spec.queue_capacity,
-        cache_capacity: net_spec.cache_capacity,
-        coalesce: net_spec.coalesce,
-        prefix_reuse: net_spec.prefix_reuse,
-        ancestor_reuse: net_spec.ancestor_reuse,
-        suffix_reuse: net_spec.suffix_reuse,
-        repair: net_spec.repair,
-        engine: net_spec.engine,
-        telemetry: TelemetryConfig::disabled(),
-        ..ServiceConfig::default()
+        service: ServiceConfig { telemetry: TelemetryConfig::disabled(), ..base.service },
+        ..base
     };
     let wall_qps = |r: &ReplayReport| r.total as f64 / r.wall.as_secs_f64().max(1e-9);
     let mut base: Option<ReplayReport> = None;
@@ -679,7 +672,7 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
         if base.as_ref().is_none_or(|old| wall_qps(&b) > wall_qps(old)) {
             base = Some(b);
         }
-        let daemon = Arc::new(Service::new(Arc::clone(&ctx), daemon_config.clone()));
+        let daemon = Arc::new(Service::new(Arc::clone(&ctx), net_spec.service.clone()));
         let mut server = Server::spawn("127.0.0.1:0", daemon, ServerConfig::default())
             .expect("bind a loopback listener");
         let remote =
@@ -737,28 +730,32 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
 
     // Shard-scaling cell. Self-contained datasets (the main dataset was
     // consumed above, and the comparison needs a graph family at two
-    // scales): `shards` small cities vs. one `shards ×` larger one, all
+    // scales): `SHARDS` small cities vs. one `SHARDS ×` larger one, all
     // deterministically seeded. Uniform popularity (zipf 0) makes the
     // working set the whole pool; the cache capacity sits between one
     // region's pool and the union pool, so shards fit and the monolith
     // thrashes. Several passes let fitting caches actually pay off.
     // Workers split evenly so both sides field the same total.
-    let shard_count = spec.shards.max(1);
     let shard_distinct = spec.distinct * 4;
     let shard_passes = 10;
+    let shard_workers = (spec.workers / SHARDS).max(1);
+    let base = cell_spec(spec, StreamPattern::Zipf, true, 0.0);
     let lane_spec = ReplaySpec {
         total: shard_distinct * shard_passes,
         distinct: shard_distinct,
         zipf_exponent: 0.0,
-        cache_capacity: shard_distinct * 5 / 4,
-        workers: (spec.workers / shard_count).max(1),
+        service: ServiceConfig {
+            cache_capacity: shard_distinct * 5 / 4,
+            workers: shard_workers,
+            ..base.service
+        },
         verify: true,
-        ..cell_spec(spec, StreamPattern::Zipf, true, 0.0)
+        ..base
     };
     let mono_spec = ReplaySpec {
-        total: shard_count * shard_distinct * shard_passes,
-        distinct: shard_count * shard_distinct,
-        workers: (spec.workers / shard_count).max(1) * shard_count,
+        total: SHARDS * shard_distinct * shard_passes,
+        distinct: SHARDS * shard_distinct,
+        service: ServiceConfig { workers: shard_workers * SHARDS, ..lane_spec.service.clone() },
         verify: false,
         ..lane_spec.clone()
     };
@@ -768,12 +765,12 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
     let mut base: Option<ReplayReport> = None;
     let mut treat: Option<ShardedReplayReport> = None;
     for _ in 0..2 {
-        let b = replay(city(spec.shard_scale * shard_count as f64, spec.seed + 99), &mono_spec);
+        let b = replay(city(SHARD_SCALE * SHARDS as f64, spec.seed + 99), &mono_spec);
         if base.as_ref().is_none_or(|old| b.metrics.throughput_qps > old.metrics.throughput_qps) {
             base = Some(b);
         }
-        let regions: Vec<(String, Dataset)> = (0..shard_count)
-            .map(|i| (format!("region-{i}"), city(spec.shard_scale, spec.seed + 100 + i as u64)))
+        let regions: Vec<(String, Dataset)> = (0..SHARDS)
+            .map(|i| (format!("region-{i}"), city(SHARD_SCALE, spec.seed + 100 + i as u64)))
             .collect();
         let t = replay_sharded(regions, &lane_spec);
         assert_eq!(t.misrouted, 0, "a replay stamps every request with its own region");
@@ -796,7 +793,7 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
         total: treat.total(),
         distinct: treat.shards.iter().map(|s| s.report.distinct).sum(),
         pattern: StreamPattern::Zipf,
-        workers: treat.shards.iter().map(|s| s.report.workers).sum(),
+        workers: Some(treat.shards.iter().filter_map(|s| s.report.workers).sum()),
         qps: 0.0,
         wall: treat.wall,
         epochs_published: treat.shards.iter().map(|s| s.report.epochs_published).sum(),
@@ -827,7 +824,7 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
         overload_shed,
         overload_approximate,
         speedup_shards,
-        shard_count,
+        shard_count: SHARDS,
     }
 }
 

@@ -31,11 +31,13 @@
 //! * [`metrics`] — one latency histogram per serving rung that each
 //!   response records itself in, and the counts, rates and percentiles
 //!   derived from them;
-//! * [`replay`] — a workload-replay driver with three stream shapes
-//!   (Zipf, duplicate bursts, prefix chains), optional open-loop arrivals
-//!   and mid-stream weight-update bursts, and epoch-aware verification
-//!   against sequential execution, summarised in a
-//!   [`replay::ReplayReport`]. The CLI's `replay` subcommand is a thin
+//! * [`replay`] — a workload-replay driver with four stream shapes
+//!   (Zipf, duplicate bursts, prefix chains, hierarchy chains), optional
+//!   open-loop arrivals and mid-stream weight-update bursts, and
+//!   epoch-aware verification against sequential execution, summarised
+//!   in a [`replay::ReplayReport`]. In-process, sharded and remote
+//!   replays share one lane runner and one check
+//!   ([`ReplayReport::check`]). The CLI's `replay` subcommand is a thin
 //!   wrapper around it;
 //! * [`mod@bench`] — the bench-smoke harness comparing the reuse layer to
 //!   the exact-match baseline (including a dynamic, update-heavy cell, a
@@ -98,7 +100,7 @@
 //! let ctx = Arc::new(ServiceContext::from_dataset(dataset));
 //! let service = Service::new(ctx, ServiceConfig { workers: 4, ..Default::default() });
 //!
-//! for outcome in service.run_batch(workload.queries.iter().cloned()) {
+//! for outcome in service.run_queries(&workload.queries) {
 //!     let response = outcome.expect("generated queries are valid");
 //!     assert!(!response.routes.is_empty());
 //! }

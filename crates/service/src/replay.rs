@@ -5,7 +5,7 @@
 //! Real query traffic repeats itself — popular start areas and category
 //! sequences recur, which is exactly what the cross-query reuse layer
 //! (result cache, request coalescing, semantic prefix reuse) exploits.
-//! Three stream shapes are supported ([`StreamPattern`]):
+//! Four stream shapes are supported ([`StreamPattern`]):
 //!
 //! * **Zipf** — `total` requests drawn from the pool with
 //!   Zipf(`zipf_exponent`) popularity, shuffled into an arrival order
@@ -58,6 +58,7 @@
 //! the report's stale-serve count (which must be zero) this is the
 //! end-to-end proof that staleness never leaks.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,19 +82,6 @@ use crate::net::{DatasetFingerprint, ProtocolError, RemoteService};
 use crate::service::{QueryRequest, QueryResponse, QueryService, Service, ServiceConfig, Ticket};
 use crate::shard::{RegionId, ShardRegistry};
 use crate::telemetry::{Rung, TelemetryConfig, TraceSpan};
-
-/// Span-retention policy of a replay run (histograms always record).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TelemetryMode {
-    /// Default sampled tracing: every 64th span plus the slowest.
-    Sampled,
-    /// Retain a span for *every* request — the mode `--trace-out` uses,
-    /// and the only one under which the trace-completeness invariant is
-    /// audited ([`ReplayReport::trace_violations`]).
-    Full,
-    /// No span retention (the overhead-gate baseline).
-    Off,
-}
 
 /// Shape of the replayed request stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,22 +131,14 @@ pub struct ReplaySpec {
     /// RNG seed for pool generation, stream sampling, arrival times and
     /// update placement.
     pub seed: u64,
-    /// Worker threads (0 = one per CPU).
-    pub workers: usize,
-    /// Result-cache capacity (0 disables caching).
-    pub cache_capacity: usize,
-    /// Request coalescing (see [`ServiceConfig::coalesce`]).
-    pub coalesce: bool,
-    /// Semantic prefix reuse (see [`ServiceConfig::prefix_reuse`]).
-    pub prefix_reuse: bool,
-    /// Ancestor-category reuse (see [`ServiceConfig::ancestor_reuse`]).
-    pub ancestor_reuse: bool,
-    /// Suffix reuse (see [`ServiceConfig::suffix_reuse`]).
-    pub suffix_reuse: bool,
-    /// Submission-queue capacity.
-    pub queue_capacity: usize,
-    /// Engine configuration.
-    pub engine: BssrConfig,
+    /// The serving stack every replayed service is built with. A sharded
+    /// replay builds one such service per region; a remote replay ignores
+    /// it (the daemon's stack is fixed at its startup) except for
+    /// [`engine`](ServiceConfig::engine), the oracle's engine. Full span
+    /// retention ([`TelemetryConfig::trace_all`]) with a capacity of at
+    /// least [`total`](ReplaySpec::total) also arms the trace-completeness
+    /// audit ([`ReplayReport::trace_violations`]).
+    pub service: ServiceConfig,
     /// Open-loop target arrival rate in queries/second; `0` replays the
     /// stream as a closed-loop batch (submit-everything, PR 1 behaviour).
     pub qps: f64,
@@ -182,10 +162,6 @@ pub struct ReplaySpec {
     /// Must be ≥ 1; factors are relative to the *base* weights, so traffic
     /// stays bounded over arbitrarily long runs.
     pub update_magnitude: f64,
-    /// Incremental skyline repair (see [`ServiceConfig::repair`]): cached
-    /// entries at older epochs are repaired against the exact epoch delta
-    /// and promoted in place instead of invalidated and recomputed.
-    pub repair: bool,
     /// Weight-epoch history retention: keep at most this many epochs
     /// pinnable, compacting older unleased overlays (`0` = unlimited).
     /// Combines with [`verify`](ReplaySpec::verify): the oracle pins only
@@ -195,9 +171,6 @@ pub struct ReplaySpec {
     /// Also re-answer every request sequentially at its pinned epoch and
     /// compare skylines (score-equivalent multisets).
     pub verify: bool,
-    /// Span retention: sampled (default), full (audits the one-span-per-
-    /// response invariant), or off.
-    pub telemetry: TelemetryMode,
     /// Serving deadline attached to every submitted request (`None` = no
     /// deadline). With one, the service schedules deadline-aware, sheds
     /// requests whose deadline lapsed in queue
@@ -213,10 +186,6 @@ pub struct ReplaySpec {
     /// "2× capacity" overload cell. Mutually exclusive with an explicit
     /// [`qps`](ReplaySpec::qps) and with closed-loop update waves.
     pub overload: f64,
-    /// Admission control (see [`ServiceConfig::admission`]): shed
-    /// provably-unmeetable deadlines at submission instead of queueing
-    /// them to fail.
-    pub admission: bool,
 }
 
 impl Default for ReplaySpec {
@@ -229,27 +198,28 @@ impl Default for ReplaySpec {
             burst: 16,
             zipf_exponent: 1.0,
             seed: 7,
-            workers: 4,
-            cache_capacity: 1024,
-            coalesce: true,
-            prefix_reuse: true,
-            ancestor_reuse: true,
-            suffix_reuse: true,
-            queue_capacity: 256,
-            engine: BssrConfig::default(),
+            // Four workers rather than one per CPU, so a replay's pool
+            // does not depend on the machine it runs on.
+            service: ServiceConfig { workers: 4, ..ServiceConfig::default() },
             qps: 0.0,
             update_rate: 0.0,
             update_burst: 32,
             update_magnitude: 2.0,
             update_every: 0,
-            repair: false,
             retention: 0,
             verify: false,
-            telemetry: TelemetryMode::Sampled,
             deadline: None,
             overload: 0.0,
-            admission: false,
         }
+    }
+}
+
+impl ReplaySpec {
+    /// Whether the replayed service keeps every span: full tracing, the
+    /// only retention under which the trace-completeness audit runs.
+    fn audits_spans(&self) -> bool {
+        let t = &self.service.telemetry;
+        t.tracing && t.sample_every == 1
     }
 }
 
@@ -262,11 +232,13 @@ pub struct ReplayReport {
     pub distinct: usize,
     /// Stream shape replayed.
     pub pattern: StreamPattern,
-    /// Worker threads used.
-    pub workers: usize,
+    /// Worker threads of the replayed service; `None` over the wire,
+    /// where the pool is the daemon's and the client cannot see it.
+    pub workers: Option<usize>,
     /// Open-loop target rate (0 = closed loop).
     pub qps: f64,
-    /// Wall-clock time of the concurrent replay.
+    /// Wall-clock time of the concurrent replay (in a sharded replay, of
+    /// this shard's own stream).
     pub wall: Duration,
     /// Weight epochs published while the stream was in flight.
     pub epochs_published: u64,
@@ -286,8 +258,8 @@ pub struct ReplayReport {
     /// retention.
     pub verify_skipped: Option<usize>,
     /// Trace spans drained from the service after the stream completed
-    /// (retention governed by [`ReplaySpec::telemetry`]), sorted by
-    /// request id.
+    /// (retention governed by the spec's [`ServiceConfig::telemetry`]),
+    /// sorted by request id.
     pub spans: Vec<TraceSpan>,
     /// `Some(violations)` when full tracing ran: breaks of the trace-
     /// completeness invariant (every successful response has exactly one
@@ -324,19 +296,42 @@ impl ReplayReport {
     pub fn approximate_served(&self) -> u64 {
         self.metrics.approximate_served
     }
+
+    /// The replay's gates: trace completeness (when audited), oracle
+    /// exactness (when verified) and zero stale serves. `Err` names the
+    /// first gate that failed. Responses the oracle had to skip
+    /// ([`verify_skipped`](Self::verify_skipped)) fail nothing.
+    pub fn check(&self) -> Result<(), String> {
+        if let Some(v) = self.trace_violations.filter(|&v| v > 0) {
+            return Err(format!(
+                "trace-completeness invariant violated: {v} violation(s) (a response without \
+                 exactly one matching span, or rung/epoch disagreement)"
+            ));
+        }
+        if self.verify_mismatches.is_some_and(|m| m > 0) {
+            return Err("verification failed: concurrent and sequential skylines differ".into());
+        }
+        if self.stale_served() > 0 {
+            return Err(format!(
+                "staleness gate failed: {} answer(s) served from a non-pinned-epoch cache entry",
+                self.stale_served()
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl std::fmt::Display for ReplayReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "replayed    {} requests ({} distinct, {} stream) on {} workers in {:.2} s",
-            self.total,
-            self.distinct,
-            self.pattern,
-            self.workers,
-            self.wall.as_secs_f64()
+            "replayed    {} requests ({} distinct, {} stream)",
+            self.total, self.distinct, self.pattern
         )?;
+        if let Some(workers) = self.workers {
+            write!(f, " on {workers} workers")?;
+        }
+        write!(f, " in {:.2} s", self.wall.as_secs_f64())?;
         if self.qps > 0.0 {
             write!(f, " (open loop @ {:.0} q/s target", self.qps)?;
             if self.overload > 0.0 {
@@ -553,80 +548,12 @@ pub fn replay(dataset: Dataset, spec: &ReplaySpec) -> ReplayReport {
     replay_on(ctx, &pool, spec)
 }
 
-/// Replays `spec`'s stream over an already-built pool and shared context.
+/// Replays `spec`'s stream over an already-built pool and shared context:
+/// the one-region case of [`replay_sharded`], the region named by the
+/// spec's [`ServiceConfig::region_name`].
 pub fn replay_on(ctx: Arc<ServiceContext>, pool: &[SkySrQuery], spec: &ReplaySpec) -> ReplayReport {
-    assert!(!pool.is_empty(), "replay needs a non-empty pool");
-    assert!(
-        !(spec.update_every > 0 && (spec.qps > 0.0 || spec.update_rate > 0.0)),
-        "synchronous update waves (update_every) are closed-loop and exclusive with the \
-         open-loop qps/update_rate knobs"
-    );
-    assert!(
-        spec.overload == 0.0 || (spec.qps == 0.0 && spec.update_every == 0),
-        "overload resolves its own open-loop rate: exclusive with an explicit qps and with \
-         closed-loop update waves"
-    );
-    let stream = request_stream(spec, pool.len());
-    if spec.retention > 0 {
-        ctx.set_epoch_retention(spec.retention);
-    }
-    if spec.repair {
-        // Build the landmark oracle before the clock starts: repair's
-        // cheap tiers consult it on the very first repaired request.
-        let _ = ctx.landmarks();
-    }
-    // Overload mode resolves its open-loop rate from *measured* capacity
-    // before the real service exists, so the calibration pass cannot warm
-    // the cache the measured run will use.
-    let spec = &ReplaySpec {
-        qps: if spec.overload > 0.0 {
-            measure_capacity(&ctx, pool, &stream, spec) * spec.overload
-        } else {
-            spec.qps
-        },
-        ..spec.clone()
-    };
-    let service = Service::new(Arc::clone(&ctx), service_config(spec, stream.len()));
-    let workers = service.config().workers;
-    let epoch_before = ctx.current_epoch();
-
-    let publish_ctx = Arc::clone(&ctx);
-    let publish = move |deltas: &[WeightDelta]| publish_ctx.publish_weights(deltas);
-    let (outcomes, wall) = drive(&service, pool, &stream, spec, ctx.graph(), &publish);
-    let metrics = service.metrics();
-    let spans = service.traces().drain();
-    drop(service);
-    // With a bounded ring, measure the history *after* every worker lease
-    // is released and a final sweep ran: the soak gate asserts the drained
-    // service holds at most K epochs.
-    if spec.retention > 0 {
-        ctx.compact_epochs();
-    }
-    let epoch_gc = ctx.epoch_gc_stats();
-    let epochs_published = ctx.current_epoch().get() - epoch_before.get();
-
-    let audit =
-        spec.verify.then(|| count_oracle_mismatches(&ctx, pool, spec.engine, &stream, &outcomes));
-    let trace_violations =
-        (spec.telemetry == TelemetryMode::Full).then(|| audit_spans(&spans, &outcomes, &metrics));
-
-    ReplayReport {
-        total: stream.len(),
-        distinct: pool.len(),
-        pattern: spec.pattern,
-        workers,
-        qps: spec.qps,
-        wall,
-        epochs_published,
-        epoch_gc,
-        metrics,
-        verify_mismatches: audit.map(|(mismatches, _)| mismatches),
-        verify_skipped: audit.map(|(_, skipped)| skipped),
-        spans,
-        trace_violations,
-        overload: spec.overload,
-        met_deadline: met_deadline(spec, &outcomes),
-    }
+    let lane = Lane::new(spec.service.region_name.clone(), ctx, Cow::Borrowed(pool), spec.clone());
+    run_lanes(vec![lane]).shards.pop().expect("one lane reports once").report
 }
 
 /// One shard's slice of a [`replay_sharded`] run.
@@ -676,16 +603,19 @@ impl ShardedReplayReport {
         merged
     }
 
-    /// Whether every shard passed its gates: zero oracle mismatches (when
-    /// verification ran), zero stale serves, zero trace violations (when
-    /// full tracing ran) and nothing misrouted.
-    pub fn all_ok(&self) -> bool {
-        self.misrouted == 0
-            && self.shards.iter().all(|s| {
-                s.report.verify_mismatches.unwrap_or(0) == 0
-                    && s.report.stale_served() == 0
-                    && s.report.trace_violations.unwrap_or(0) == 0
-            })
+    /// Every shard's [`ReplayReport::check`], the failure prefixed with
+    /// the failing shard, then the routing gate: nothing misrouted.
+    pub fn check(&self) -> Result<(), String> {
+        for s in &self.shards {
+            s.report.check().map_err(|e| format!("shard {} ({}): {e}", s.region, s.name))?;
+        }
+        if self.misrouted > 0 {
+            return Err(format!(
+                "routing gate failed: {} request(s) named a region no shard serves",
+                self.misrouted
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -706,27 +636,16 @@ impl std::fmt::Display for ShardedReplayReport {
     }
 }
 
-/// A shard lane of [`replay_sharded`]: one region's dataset, pool, stream
-/// and salted spec, plus the epoch watermark its accounting starts from.
-struct ShardLane {
-    region: RegionId,
-    name: String,
-    ctx: Arc<ServiceContext>,
-    pool: Vec<SkySrQuery>,
-    stream: Vec<usize>,
-    spec: ReplaySpec,
-    epoch_before: EpochId,
-}
-
 /// Replays `spec` concurrently against several regions behind one
 /// [`Router`](crate::Router) — the multi-tenant twin of [`replay`].
 ///
 /// Each `(name, dataset)` pair becomes one shard with its own
 /// [`ServiceContext`], worker pool, cache and telemetry, registered
 /// through a [`ShardRegistry`]. Every shard gets its own query pool,
-/// request stream and (if enabled) weight-update process, derived from
-/// `spec` with a shard-salted seed (shard 0 keeps the caller's seed, so a
-/// one-shard sharded replay is bit-identical to [`replay`]). Each lane
+/// request stream, (if enabled) weight-update process and overload
+/// calibration, derived from `spec` with a shard-salted seed (shard 0
+/// keeps the caller's seed, so a one-shard sharded replay is
+/// bit-identical to [`replay`]). Each lane
 /// drives its stream through
 /// [`Router::region_service`](crate::shard::Router::region_service) —
 /// requests are region-stamped and dispatched exactly like network
@@ -741,177 +660,283 @@ struct ShardLane {
 /// architecture claims.
 ///
 /// # Panics
-/// If `datasets` is empty, the stream is empty, or `spec.overload` is set
-/// (capacity calibration is single-tenant — drive shards with an explicit
-/// [`qps`](ReplaySpec::qps) instead).
+/// If `datasets` is empty or the stream is empty.
 pub fn replay_sharded(datasets: Vec<(String, Dataset)>, spec: &ReplaySpec) -> ShardedReplayReport {
     assert!(!datasets.is_empty(), "a sharded replay needs at least one region");
     assert!(spec.total > 0 && spec.distinct > 0, "replay needs a non-empty stream");
-    assert!(
-        spec.overload == 0.0,
-        "overload capacity calibration is single-tenant; drive shards with an explicit qps"
-    );
+    let lanes = datasets
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, dataset))| {
+            // Salt the seed per shard so pools, streams and updater bursts
+            // differ across regions; shard 0 keeps the caller's seed.
+            let spec = ReplaySpec {
+                seed: spec.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                ..spec.clone()
+            };
+            let pool = build_pool(&dataset, &spec);
+            let ctx = Arc::new(ServiceContext::from_dataset(dataset));
+            Lane::new(name, ctx, Cow::Owned(pool), spec)
+        })
+        .collect();
+    run_lanes(lanes)
+}
 
+/// Drives in-process lanes as the shards of one router and reports each.
+///
+/// Every lane is set up before its service exists — retention ring,
+/// landmark oracle, overload calibration — so none of that lands in the
+/// service's measured window. All lanes then drive concurrently, each
+/// through its own region-scoped view so the router's dispatch path is
+/// on the hot path. Each lane's metrics and spans are captured while its
+/// service is up; the fleet is shut down and dropped (releasing every
+/// worker lease) before each lane's epoch history is measured.
+fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
     let mut registry = ShardRegistry::new();
-    let mut lanes = Vec::with_capacity(datasets.len());
-    for (i, (name, dataset)) in datasets.into_iter().enumerate() {
-        // Salt the seed per shard so pools, streams and updater bursts
-        // differ across regions; shard 0 keeps the caller's seed.
-        let spec = ReplaySpec {
-            seed: spec.seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            ..spec.clone()
-        };
-        let pool = build_pool(&dataset, &spec);
-        let stream = request_stream(&spec, pool.len());
-        let ctx = Arc::new(ServiceContext::from_dataset(dataset));
-        if spec.retention > 0 {
-            ctx.set_epoch_retention(spec.retention);
+    let mut regions = Vec::with_capacity(lanes.len());
+    for lane in &mut lanes {
+        if lane.spec.retention > 0 {
+            lane.ctx.set_epoch_retention(lane.spec.retention);
         }
-        if spec.repair {
-            let _ = ctx.landmarks();
+        if lane.spec.service.repair {
+            // Build the landmark oracle before the clock starts: repair's
+            // cheap tiers consult it on the very first repaired request.
+            let _ = lane.ctx.landmarks();
         }
-        let epoch_before = ctx.current_epoch();
-        let region =
-            registry.add(name.clone(), Arc::clone(&ctx), service_config(&spec, stream.len()));
-        lanes.push(ShardLane { region, name, ctx, pool, stream, spec, epoch_before });
+        if lane.spec.overload > 0.0 {
+            lane.spec.qps = lane.measure_capacity() * lane.spec.overload;
+        }
+        let config = lane.spec.service.clone();
+        regions.push(registry.add(lane.name.clone(), Arc::clone(&lane.ctx), config));
     }
     let router = registry.into_router();
 
-    // Drive every lane concurrently, each through its own region-scoped
-    // service view so the router's dispatch path is on the hot path.
+    let drive_lane = |lane: &Lane<'_>, region: RegionId| {
+        let router = &router;
+        let service = router.region_service(region).expect("region was registered");
+        let publish = move |deltas: &[WeightDelta]| {
+            router.publish_weights_to(region, deltas).expect("region was registered")
+        };
+        lane.drive(&service, &publish)
+    };
     let t0 = Instant::now();
     let driven: Vec<(Vec<Result<QueryResponse, QueryError>>, Duration)> =
         std::thread::scope(|scope| {
+            // The first lane drives on this thread, so a one-lane replay
+            // starts submitting the moment its service exists — the same
+            // window a bare service's replay measures.
             let handles: Vec<_> = lanes
                 .iter()
-                .map(|lane| {
-                    let router = &router;
-                    scope.spawn(move || {
-                        let service =
-                            router.region_service(lane.region).expect("region was registered");
-                        let publish = move |deltas: &[WeightDelta]| {
-                            router
-                                .publish_weights_to(lane.region, deltas)
-                                .expect("region was registered")
-                        };
-                        drive(
-                            &service,
-                            &lane.pool,
-                            &lane.stream,
-                            &lane.spec,
-                            lane.ctx.graph(),
-                            &publish,
-                        )
-                    })
-                })
+                .zip(&regions)
+                .skip(1)
+                .map(|(lane, &region)| scope.spawn(move || drive_lane(lane, region)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("shard driver panicked")).collect()
+            let mut driven = vec![drive_lane(&lanes[0], regions[0])];
+            driven.extend(handles.into_iter().map(|h| h.join().expect("lane driver panicked")));
+            driven
         });
     let wall = t0.elapsed();
 
-    // Capture per-shard metrics and spans while the services are still
-    // up, then shut the whole fleet down so every worker lease is
-    // released before the per-shard history is measured.
-    let observed: Vec<(MetricsSnapshot, Vec<TraceSpan>, usize)> = lanes
+    let observed: Vec<(MetricsSnapshot, Vec<TraceSpan>, usize)> = regions
         .iter()
-        .map(|lane| {
-            let service = router.shard(lane.region).expect("region was registered");
+        .map(|&region| {
+            let service = router.shard(region).expect("region was registered");
             (service.metrics(), service.traces().drain(), service.config().workers)
         })
         .collect();
     let misrouted = router.misrouted();
     let _ = router.shutdown();
+    drop(router);
 
     let shards = lanes
-        .into_iter()
-        .zip(driven)
-        .zip(observed)
-        .map(|((lane, (outcomes, _)), (metrics, spans, workers))| {
-            let ShardLane { region, name, ctx, pool, stream, spec, epoch_before } = lane;
-            if spec.retention > 0 {
-                ctx.compact_epochs();
+        .iter()
+        .zip(regions)
+        .zip(driven.into_iter().zip(observed))
+        .map(|((lane, region), ((outcomes, lane_wall), (metrics, spans, workers)))| {
+            // With a bounded ring, measure the history after a final
+            // sweep: the soak gate asserts the drained service holds at
+            // most K epochs.
+            if lane.spec.retention > 0 {
+                lane.ctx.compact_epochs();
             }
-            let epoch_gc = ctx.epoch_gc_stats();
-            let epochs_published = ctx.current_epoch().get() - epoch_before.get();
-            let audit = spec
-                .verify
-                .then(|| count_oracle_mismatches(&ctx, &pool, spec.engine, &stream, &outcomes));
-            let trace_violations = (spec.telemetry == TelemetryMode::Full)
-                .then(|| audit_spans(&spans, &outcomes, &metrics));
-            ShardReplay {
-                region,
-                name,
-                report: ReplayReport {
-                    total: stream.len(),
-                    distinct: pool.len(),
-                    pattern: spec.pattern,
-                    workers,
-                    qps: spec.qps,
-                    wall,
-                    epochs_published,
-                    epoch_gc,
-                    metrics,
-                    verify_mismatches: audit.map(|(mismatches, _)| mismatches),
-                    verify_skipped: audit.map(|(_, skipped)| skipped),
-                    spans,
-                    trace_violations,
-                    overload: 0.0,
-                    met_deadline: met_deadline(&spec, &outcomes),
-                },
-            }
+            let epoch_gc = lane.ctx.epoch_gc_stats();
+            let report = lane.report(&outcomes, lane_wall, metrics, spans, Some(workers), epoch_gc);
+            ShardReplay { region, name: lane.name.clone(), report }
         })
         .collect();
-
     ShardedReplayReport { shards, wall, misrouted }
 }
 
-/// The [`ServiceConfig`] a replay spec resolves to.
-fn service_config(spec: &ReplaySpec, stream_len: usize) -> ServiceConfig {
-    ServiceConfig {
-        workers: spec.workers,
-        queue_capacity: spec.queue_capacity,
-        cache_capacity: spec.cache_capacity,
-        coalesce: spec.coalesce,
-        prefix_reuse: spec.prefix_reuse,
-        ancestor_reuse: spec.ancestor_reuse,
-        suffix_reuse: spec.suffix_reuse,
-        repair: spec.repair,
-        admission: spec.admission,
-        engine: spec.engine,
-        telemetry: match spec.telemetry {
-            TelemetryMode::Sampled => TelemetryConfig::default(),
-            TelemetryMode::Full => TelemetryConfig::trace_all(stream_len),
-            TelemetryMode::Off => TelemetryConfig::disabled(),
-        },
-        ..ServiceConfig::default()
-    }
+/// One replay lane: a named region's context, query pool, request stream
+/// and spec, plus the weight epoch its accounting starts from.
+struct Lane<'a> {
+    name: String,
+    ctx: Arc<ServiceContext>,
+    pool: Cow<'a, [SkySrQuery]>,
+    stream: Vec<usize>,
+    spec: ReplaySpec,
+    epoch_before: EpochId,
 }
 
-/// Measures the service's sustainable throughput (completed requests per
-/// second) with a short closed-loop pass over a prefix of the stream, on a
-/// scratch service configured like the real one — its own cache, no
-/// deadlines, no admission — so calibration neither warms nor sheds
-/// anything the measured run will see. The closed loop self-throttles to
-/// the pool's pace, which *is* capacity.
-fn measure_capacity(
-    ctx: &Arc<ServiceContext>,
-    pool: &[SkySrQuery],
-    stream: &[usize],
-    spec: &ReplaySpec,
-) -> f64 {
-    let n = stream.len().min(256);
-    let calibration =
-        ReplaySpec { deadline: None, admission: false, overload: 0.0, ..spec.clone() };
-    let service = Service::new(
-        Arc::clone(ctx),
-        ServiceConfig { telemetry: TelemetryConfig::disabled(), ..service_config(&calibration, n) },
-    );
-    let t0 = Instant::now();
-    let outcomes = service.run_batch(stream[..n].iter().map(|&i| pool[i].clone()));
-    let wall = t0.elapsed().max(Duration::from_micros(1));
-    drop(service);
-    let completed = outcomes.iter().filter(|o| o.is_ok()).count().max(1);
-    completed as f64 / wall.as_secs_f64()
+impl<'a> Lane<'a> {
+    fn new(
+        name: String,
+        ctx: Arc<ServiceContext>,
+        pool: Cow<'a, [SkySrQuery]>,
+        spec: ReplaySpec,
+    ) -> Lane<'a> {
+        assert!(!pool.is_empty(), "replay needs a non-empty pool");
+        assert!(
+            !(spec.update_every > 0 && (spec.qps > 0.0 || spec.update_rate > 0.0)),
+            "synchronous update waves (update_every) are closed-loop and exclusive with the \
+             open-loop qps/update_rate knobs"
+        );
+        assert!(
+            spec.overload == 0.0 || (spec.qps == 0.0 && spec.update_every == 0),
+            "overload resolves its own open-loop rate: exclusive with an explicit qps and with \
+             closed-loop update waves"
+        );
+        let stream = request_stream(&spec, pool.len());
+        let epoch_before = ctx.current_epoch();
+        Lane { name, ctx, pool, stream, spec, epoch_before }
+    }
+
+    /// Measures the lane's sustainable throughput (completed requests per
+    /// second) with a short closed-loop pass over a prefix of its stream,
+    /// on a scratch service configured like the real one — its own cache,
+    /// no deadlines, no admission, no spans — so calibration neither warms
+    /// nor sheds anything the measured run will see. The closed loop
+    /// self-throttles to the pool's pace, which *is* capacity.
+    fn measure_capacity(&self) -> f64 {
+        let queries: Vec<SkySrQuery> =
+            self.stream.iter().take(256).map(|&i| self.pool[i].clone()).collect();
+        let config = ServiceConfig {
+            admission: false,
+            telemetry: TelemetryConfig::disabled(),
+            ..self.spec.service.clone()
+        };
+        let service = Service::new(Arc::clone(&self.ctx), config);
+        let t0 = Instant::now();
+        let outcomes = service.run_queries(&queries);
+        let wall = t0.elapsed().max(Duration::from_micros(1));
+        drop(service);
+        let completed = outcomes.iter().filter(|o| o.is_ok()).count().max(1);
+        completed as f64 / wall.as_secs_f64()
+    }
+
+    /// Runs the lane's arrival process (closed-loop batch, synchronous
+    /// update waves, or open-loop Poisson arrivals) against any
+    /// [`QueryService`], with the optional wall-clock updater publishing
+    /// weight bursts through `publish` from a scoped thread until the
+    /// stream drains. The lane's graph only *generates* deltas (base
+    /// weights, which never change) — publication goes through `publish`,
+    /// so a shard publishes through the router and a remote lane over the
+    /// wire, mirrored into its shadow.
+    fn drive(
+        &self,
+        service: &dyn QueryService,
+        publish: &(dyn Fn(&[WeightDelta]) -> EpochId + Sync),
+    ) -> (Vec<Result<QueryResponse, QueryError>>, Duration) {
+        let (pool, stream, spec, graph) =
+            (&self.pool[..], &self.stream[..], &self.spec, self.ctx.graph());
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // The updater publishes weight-delta bursts at exponential
+            // instants until the stream drains.
+            let updater = (spec.update_rate > 0.0).then(|| {
+                let stop = &stop;
+                let rate = spec.update_rate;
+                let burst = spec.update_burst.max(1);
+                let magnitude = spec.update_magnitude.max(1.0);
+                let seed = spec.seed ^ 0x7570_6474; // "updt"
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    while !stop.load(Ordering::Relaxed) {
+                        // Sleep in small slices so a drained stream stops
+                        // the updater promptly.
+                        let deadline =
+                            Instant::now() + Duration::from_secs_f64(exp_sample(&mut rng) / rate);
+                        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+                            if stop.load(Ordering::Relaxed) {
+                                return;
+                            }
+                            std::thread::sleep(left.min(Duration::from_millis(2)));
+                        }
+                        let deltas = random_traffic_deltas(graph, burst, magnitude, &mut rng);
+                        publish(&deltas);
+                    }
+                })
+            });
+
+            let t0 = Instant::now();
+            let outcomes = if spec.qps > 0.0 {
+                open_loop_batch(service, pool, stream, spec.qps, spec.seed, spec.deadline)
+            } else if spec.update_every > 0 {
+                // Closed-loop epoch waves: drain a chunk, publish a burst,
+                // repeat.
+                let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x7761_7665); // "wave"
+                let burst = spec.update_burst.max(1);
+                let magnitude = spec.update_magnitude.max(1.0);
+                let mut outcomes = Vec::with_capacity(stream.len());
+                for chunk in stream.chunks(spec.update_every) {
+                    outcomes.extend(run_requests(service, pool, chunk, spec.deadline));
+                    let deltas = random_traffic_deltas(graph, burst, magnitude, &mut rng);
+                    publish(&deltas);
+                }
+                outcomes
+            } else {
+                run_requests(service, pool, stream, spec.deadline)
+            };
+            let wall = t0.elapsed();
+            stop.store(true, Ordering::Relaxed);
+            if let Some(handle) = updater {
+                handle.join().expect("updater thread panicked");
+            }
+            (outcomes, wall)
+        })
+    }
+
+    /// The lane's report — the one place a [`ReplayReport`] is built. Runs
+    /// the oracle audit when the spec verifies and the span audit when the
+    /// service kept every span.
+    fn report(
+        &self,
+        outcomes: &[Result<QueryResponse, QueryError>],
+        wall: Duration,
+        metrics: MetricsSnapshot,
+        spans: Vec<TraceSpan>,
+        workers: Option<usize>,
+        epoch_gc: EpochGcStats,
+    ) -> ReplayReport {
+        let spec = &self.spec;
+        let audit = spec.verify.then(|| {
+            count_oracle_mismatches(
+                &self.ctx,
+                &self.pool,
+                spec.service.engine,
+                &self.stream,
+                outcomes,
+            )
+        });
+        let trace_violations = spec.audits_spans().then(|| audit_spans(&spans, outcomes, &metrics));
+        ReplayReport {
+            total: self.stream.len(),
+            distinct: self.pool.len(),
+            pattern: spec.pattern,
+            workers,
+            qps: spec.qps,
+            wall,
+            epochs_published: self.ctx.current_epoch().get() - self.epoch_before.get(),
+            epoch_gc,
+            metrics,
+            verify_mismatches: audit.map(|(mismatches, _)| mismatches),
+            verify_skipped: audit.map(|(_, skipped)| skipped),
+            spans,
+            trace_violations,
+            overload: spec.overload,
+            met_deadline: met_deadline(spec, outcomes),
+        }
+    }
 }
 
 /// The met-deadline split, when the spec set one: of the requests that
@@ -973,79 +998,6 @@ fn audit_spans(
     violations
 }
 
-/// The transport-agnostic stream driver shared by [`replay_on`] and
-/// [`replay_remote`]: runs `spec`'s arrival process (closed-loop batch,
-/// synchronous update waves, or open-loop Poisson arrivals) against any
-/// [`QueryService`], with the optional wall-clock updater publishing
-/// weight bursts through `publish` from a scoped thread until the stream
-/// drains. `graph` is only used to *generate* deltas (base weights, which
-/// never change) — publication itself goes through `publish`, so a remote
-/// driver can route it over the wire and mirror it locally.
-fn drive(
-    service: &dyn QueryService,
-    pool: &[SkySrQuery],
-    stream: &[usize],
-    spec: &ReplaySpec,
-    graph: &RoadNetwork,
-    publish: &(dyn Fn(&[WeightDelta]) -> EpochId + Sync),
-) -> (Vec<Result<QueryResponse, QueryError>>, Duration) {
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        // The updater publishes weight-delta bursts at exponential
-        // instants until the stream drains.
-        let updater = (spec.update_rate > 0.0).then(|| {
-            let stop = &stop;
-            let rate = spec.update_rate;
-            let burst = spec.update_burst.max(1);
-            let magnitude = spec.update_magnitude.max(1.0);
-            let seed = spec.seed ^ 0x7570_6474; // "updt"
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                while !stop.load(Ordering::Relaxed) {
-                    // Sleep in small slices so a drained stream stops the
-                    // updater promptly.
-                    let deadline =
-                        Instant::now() + Duration::from_secs_f64(exp_sample(&mut rng) / rate);
-                    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(left.min(Duration::from_millis(2)));
-                    }
-                    let deltas = random_traffic_deltas(graph, burst, magnitude, &mut rng);
-                    publish(&deltas);
-                }
-            })
-        });
-
-        let t0 = Instant::now();
-        let outcomes = if spec.qps > 0.0 {
-            open_loop_batch(service, pool, stream, spec.qps, spec.seed, spec.deadline)
-        } else if spec.update_every > 0 {
-            // Closed-loop epoch waves: drain a chunk, publish a burst,
-            // repeat.
-            let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x7761_7665); // "wave"
-            let burst = spec.update_burst.max(1);
-            let magnitude = spec.update_magnitude.max(1.0);
-            let mut outcomes = Vec::with_capacity(stream.len());
-            for chunk in stream.chunks(spec.update_every) {
-                outcomes.extend(run_requests(service, pool, chunk, spec.deadline));
-                let deltas = random_traffic_deltas(graph, burst, magnitude, &mut rng);
-                publish(&deltas);
-            }
-            outcomes
-        } else {
-            run_requests(service, pool, stream, spec.deadline)
-        };
-        let wall = t0.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = updater {
-            handle.join().expect("updater thread panicked");
-        }
-        (outcomes, wall)
-    })
-}
-
 /// Replays `spec`'s stream through a live `skysr-d` daemon, auditing the
 /// answers against a local *shadow* dataset.
 ///
@@ -1057,9 +1009,13 @@ fn drive(
 /// ([`ReplaySpec::verify`]) re-answers each response at its pinned epoch
 /// from an epoch history provably identical to the daemon's.
 ///
+/// The daemon's serving stack is its own: of `spec.service` only the
+/// engine is used, by the oracle. The report carries the daemon's
+/// metrics snapshot, no spans and no worker count.
+///
 /// Unsupported over the wire (asserted): bounded retention (the shadow
-/// cannot mirror server-side compaction) and full trace retention (spans
-/// are not exported per-request).
+/// cannot mirror server-side compaction), full trace retention (spans
+/// are not exported per-request) and overload calibration.
 ///
 /// # Panics
 /// On spec combinations the wire cannot support (see above), and on a
@@ -1070,19 +1026,13 @@ pub fn replay_remote(
     pool: &[SkySrQuery],
     spec: &ReplaySpec,
 ) -> Result<ReplayReport, ProtocolError> {
-    assert!(!pool.is_empty(), "replay needs a non-empty pool");
     assert!(
         spec.retention == 0,
         "remote replay audits against an unbounded shadow history (retention must be 0)"
     );
     assert!(
-        spec.telemetry != TelemetryMode::Full,
-        "trace spans are not exported over the wire; use sampled or off telemetry"
-    );
-    assert!(
-        !(spec.update_every > 0 && (spec.qps > 0.0 || spec.update_rate > 0.0)),
-        "synchronous update waves (update_every) are closed-loop and exclusive with the \
-         open-loop qps/update_rate knobs"
+        !spec.audits_spans(),
+        "trace spans are not exported over the wire; use sampled or disabled telemetry"
     );
     assert!(
         spec.overload == 0.0,
@@ -1097,12 +1047,11 @@ pub fn replay_remote(
              the daemon's dataset spec (and epoch)"
         )));
     }
-    let stream = request_stream(spec, pool.len());
-    let epoch_before = shadow.current_epoch();
-
+    let lane =
+        Lane::new(spec.service.region_name.clone(), shadow, Cow::Borrowed(pool), spec.clone());
     let publish = |deltas: &[WeightDelta]| {
         let published = remote.publish_weights(deltas);
-        let mirrored = shadow.publish_weights(deltas);
+        let mirrored = lane.ctx.publish_weights(deltas);
         assert_eq!(
             published, mirrored,
             "shadow context diverged from the daemon's epoch sequence — is something else \
@@ -1110,32 +1059,11 @@ pub fn replay_remote(
         );
         published
     };
-    let (outcomes, wall) = drive(remote, pool, &stream, spec, shadow.graph(), &publish);
+    let (outcomes, wall) = lane.drive(remote, &publish);
     let metrics = remote.metrics();
-    let epochs_published = shadow.current_epoch().get() - epoch_before.get();
-
-    let audit = spec
-        .verify
-        .then(|| count_oracle_mismatches(&shadow, pool, spec.engine, &stream, &outcomes));
-
-    Ok(ReplayReport {
-        total: stream.len(),
-        distinct: pool.len(),
-        pattern: spec.pattern,
-        workers: spec.workers,
-        qps: spec.qps,
-        wall,
-        epochs_published,
-        // Server-side accounting, as carried in the metrics snapshot.
-        epoch_gc: metrics.epochs,
-        metrics,
-        verify_mismatches: audit.map(|(mismatches, _)| mismatches),
-        verify_skipped: audit.map(|(_, skipped)| skipped),
-        spans: Vec::new(),
-        trace_violations: None,
-        overload: spec.overload,
-        met_deadline: met_deadline(spec, &outcomes),
-    })
+    // Server-side accounting, as carried in the metrics snapshot.
+    let epoch_gc = metrics.epochs;
+    Ok(lane.report(&outcomes, wall, metrics, Vec::new(), None, epoch_gc))
 }
 
 /// Builds the stream entry's request with the spec's deadline attached.
@@ -1269,6 +1197,74 @@ fn valid_approximate(routes: &[SkylineRoute], oracle: &[SkylineRoute]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A clean two-shard fleet of a tiny verified, fully traced replay:
+    /// the starting point the gate tests mutate.
+    fn clean_fleet() -> ShardedReplayReport {
+        use skysr_data::dataset::{DatasetSpec, Preset};
+        let city = |seed| DatasetSpec::preset(Preset::CalSmall).scale(0.05).seed(seed).generate();
+        let spec = ReplaySpec {
+            total: 40,
+            distinct: 4,
+            seq_len: 2,
+            verify: true,
+            service: ServiceConfig {
+                workers: 2,
+                telemetry: TelemetryConfig::trace_all(40),
+                ..ServiceConfig::default()
+            },
+            ..ReplaySpec::default()
+        };
+        let fleet =
+            replay_sharded(vec![("north".into(), city(3)), ("south".into(), city(4))], &spec);
+        assert_eq!(fleet.check(), Ok(()), "the unmutated fleet passes every gate");
+        fleet
+    }
+
+    #[test]
+    fn report_check_fails_each_gate_with_its_message() {
+        let clean = clean_fleet().shards.swap_remove(0).report;
+        assert_eq!((clean.trace_violations, clean.verify_mismatches), (Some(0), Some(0)));
+        let fails = |mutate: fn(&mut ReplayReport)| {
+            let mut report = clean.clone();
+            mutate(&mut report);
+            report.check().expect_err("a gate must fail")
+        };
+        let err = fails(|r| r.trace_violations = Some(2));
+        assert!(err.starts_with("trace-completeness invariant violated: 2 violation(s)"), "{err}");
+        assert_eq!(
+            fails(|r| r.verify_mismatches = Some(1)),
+            "verification failed: concurrent and sequential skylines differ"
+        );
+        let err = fails(|r| r.metrics.stale_served = 3);
+        assert!(err.starts_with("staleness gate failed: 3 answer(s) served"), "{err}");
+        // Responses beyond the retention ring are counted, not failed.
+        let mut skipped = clean.clone();
+        skipped.verify_skipped = Some(5);
+        assert_eq!(skipped.check(), Ok(()));
+    }
+
+    #[test]
+    fn fleet_check_prefixes_the_failing_shard_and_gates_misroutes() {
+        let clean = clean_fleet();
+        let mut stale = clean.clone();
+        stale.shards[1].report.metrics.stale_served = 1;
+        let err = stale.check().expect_err("a stale shard fails the fleet");
+        assert!(err.starts_with("shard 1 (south): staleness gate failed"), "{err}");
+        let mut mismatched = clean.clone();
+        mismatched.shards[0].report.verify_mismatches = Some(4);
+        assert_eq!(
+            mismatched.check(),
+            Err("shard 0 (north): verification failed: concurrent and sequential skylines differ"
+                .to_owned())
+        );
+        let mut misrouted = clean;
+        misrouted.misrouted = 2;
+        assert_eq!(
+            misrouted.check(),
+            Err("routing gate failed: 2 request(s) named a region no shard serves".to_owned())
+        );
+    }
 
     #[test]
     fn zipf_stream_is_skewed_and_deterministic() {

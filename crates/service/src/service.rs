@@ -775,18 +775,6 @@ impl Service {
         }
     }
 
-    /// Submits every query and waits for all answers, preserving order.
-    /// (The borrowing twin of [`QueryService::run_queries`], kept generic
-    /// over any query iterator.)
-    pub fn run_batch(
-        &self,
-        queries: impl IntoIterator<Item = SkySrQuery>,
-    ) -> Vec<Result<QueryResponse, QueryError>> {
-        let tickets: Vec<Ticket> =
-            queries.into_iter().map(|q| self.enqueue(QueryRequest::new(q), None)).collect();
-        tickets.into_iter().map(Ticket::wait).collect()
-    }
-
     /// Counts a request the network server shed while it sat *parked*
     /// (queue full) past its deadline — the same "expired before
     /// execution" bucket as a queue-expired shed, it just never made it
@@ -1341,7 +1329,7 @@ mod tests {
             ctx,
             ServiceConfig { workers: 2, queue_capacity: 2, ..ServiceConfig::default() },
         );
-        let outcomes = svc.run_batch((0..64).map(|_| ex.query()));
+        let outcomes = svc.run_queries(&vec![ex.query(); 64]);
         assert_eq!(outcomes.len(), 64);
         for o in outcomes {
             assert_eq!(o.unwrap().routes.len(), 2);

@@ -62,7 +62,7 @@ fn n_identical_queries_run_exactly_one_search() {
     // the flight — none can even be a cache hit until the leader finishes.
     let (ex, _sim, service) = slow_service(8, Duration::from_micros(500));
     let responses: Vec<_> = service
-        .run_batch((0..64).map(|_| ex.query()))
+        .run_queries(&vec![ex.query(); 64])
         .into_iter()
         .map(|r| r.expect("valid query"))
         .collect();
@@ -93,7 +93,7 @@ fn interleaved_distinct_queries_coalesce_per_key() {
     let queries: Vec<_> =
         (0..64).map(|i| if i % 2 == 0 { qa.clone() } else { qb.clone() }).collect();
     let responses: Vec<_> =
-        service.run_batch(queries).into_iter().map(|r| r.expect("valid query")).collect();
+        service.run_queries(&queries).into_iter().map(|r| r.expect("valid query")).collect();
     let m = service.shutdown();
     assert_eq!(m.completed, 64);
     assert_eq!(m.executed, 2, "one search per distinct key");
@@ -125,7 +125,7 @@ fn coalescing_disabled_searches_duplicates_redundantly() {
         ctx,
         ServiceConfig { workers: 8, coalesce: false, ..ServiceConfig::default() },
     );
-    for outcome in service.run_batch((0..64).map(|_| ex.query())) {
+    for outcome in service.run_queries(&vec![ex.query(); 64]) {
         outcome.expect("valid query");
     }
     let m = service.shutdown();

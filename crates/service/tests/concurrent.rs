@@ -21,7 +21,7 @@ fn concurrent_replay_matches_sequential_execution() {
     let spec = ReplaySpec {
         total: 400,
         distinct: 60,
-        workers: 4,
+        service: ServiceConfig { workers: 4, ..ServiceConfig::default() },
         seq_len: 2,
         verify: true,
         ..ReplaySpec::default()
@@ -29,7 +29,7 @@ fn concurrent_replay_matches_sequential_execution() {
     let report = replay(city(), &spec);
     assert_eq!(report.verify_mismatches, Some(0));
     assert_eq!(report.metrics.completed, 400);
-    assert_eq!(report.workers, 4);
+    assert_eq!(report.workers, Some(4));
     assert!(report.metrics.cache_hits > 0, "skewed stream must hit the cache");
     assert!(report.metrics.executed < report.metrics.completed, "cache hits must save searches");
     assert!(report.metrics.throughput_qps > 0.0);
@@ -43,9 +43,8 @@ fn caching_disabled_still_matches_sequential() {
     let spec = ReplaySpec {
         total: 120,
         distinct: 40,
-        workers: 4,
+        service: ServiceConfig { workers: 4, cache_capacity: 0, ..ServiceConfig::default() },
         seq_len: 2,
-        cache_capacity: 0,
         verify: true,
         ..ReplaySpec::default()
     };
@@ -68,11 +67,14 @@ fn all_reuse_disabled_runs_every_search_and_matches_sequential() {
     let spec = ReplaySpec {
         total: 120,
         distinct: 40,
-        workers: 4,
+        service: ServiceConfig {
+            workers: 4,
+            cache_capacity: 0,
+            coalesce: false,
+            prefix_reuse: false,
+            ..ServiceConfig::default()
+        },
         seq_len: 2,
-        cache_capacity: 0,
-        coalesce: false,
-        prefix_reuse: false,
         verify: true,
         ..ReplaySpec::default()
     };
@@ -94,7 +96,7 @@ fn prefix_chain_replay_warm_starts_and_stays_exact() {
     let spec = ReplaySpec {
         total: 90,
         distinct: 10,
-        workers: 1,
+        service: ServiceConfig { workers: 1, ..ServiceConfig::default() },
         seq_len: 3,
         pattern: StreamPattern::PrefixChains,
         verify: true,
@@ -120,7 +122,7 @@ fn prefix_chain_replay_concurrent_matches_sequential() {
     let spec = ReplaySpec {
         total: 300,
         distinct: 12,
-        workers: 8,
+        service: ServiceConfig { workers: 8, ..ServiceConfig::default() },
         seq_len: 3,
         pattern: StreamPattern::PrefixChains,
         verify: true,
@@ -136,7 +138,7 @@ fn duplicate_burst_replay_verifies_against_sequential() {
     let spec = ReplaySpec {
         total: 300,
         distinct: 20,
-        workers: 8,
+        service: ServiceConfig { workers: 8, ..ServiceConfig::default() },
         seq_len: 2,
         burst: 16,
         pattern: StreamPattern::DuplicateBursts,
@@ -167,8 +169,8 @@ fn cache_hits_equal_cold_runs_on_generated_queries() {
 
     let service =
         Service::new(Arc::clone(&ctx), ServiceConfig { workers: 4, ..ServiceConfig::default() });
-    let cold = service.run_batch(workload.queries.iter().cloned());
-    let warm = service.run_batch(workload.queries.iter().cloned());
+    let cold = service.run_queries(&workload.queries);
+    let warm = service.run_queries(&workload.queries);
     for ((cold, warm), want) in cold.iter().zip(&warm).zip(&reference) {
         let cold = cold.as_ref().unwrap();
         let warm = warm.as_ref().unwrap();
@@ -191,8 +193,8 @@ fn eviction_pressure_keeps_answers_correct() {
         Arc::clone(&ctx),
         ServiceConfig { workers: 4, cache_capacity: 4, ..ServiceConfig::default() },
     );
-    let first = service.run_batch(workload.queries.iter().cloned());
-    let second = service.run_batch(workload.queries.iter().cloned());
+    let first = service.run_queries(&workload.queries);
+    let second = service.run_queries(&workload.queries);
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.as_ref().unwrap().routes, b.as_ref().unwrap().routes);
     }

@@ -49,7 +49,6 @@ fn remote_replay_is_oracle_exact_with_midstream_updates() {
         total: 240,
         distinct: 24,
         seq_len: 2,
-        workers: 4,
         update_every: 40,
         update_burst: 8,
         verify: true,

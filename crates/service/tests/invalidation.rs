@@ -61,8 +61,8 @@ fn answers_track_the_fresh_oracle_across_updates() {
         // Two passes per round: the first searches (or invalidates stale
         // entries), the second must be served entirely from the refreshed
         // cache — both verified against the oracle.
-        let mut responses = service.run_batch(dataset_pool.iter().cloned());
-        responses.extend(service.run_batch(dataset_pool.iter().cloned()));
+        let mut responses = service.run_queries(&dataset_pool);
+        responses.extend(service.run_queries(&dataset_pool));
         // Oracle: a cold sequential engine over the snapshot pinned at each
         // response's reported epoch.
         for (q, outcome) in dataset_pool.iter().cycle().zip(responses) {
@@ -242,7 +242,7 @@ fn update_heavy_replay_verifies_at_pinned_epochs() {
     let spec = ReplaySpec {
         total: 240,
         distinct: 20,
-        workers: 4,
+        service: ServiceConfig { workers: 4, ..ServiceConfig::default() },
         seq_len: 2,
         qps: 2500.0,
         update_rate: 250.0,

@@ -42,9 +42,8 @@ fn overload_spec(seed: u64) -> ReplaySpec {
         seq_len: 2,
         pattern: StreamPattern::Zipf,
         zipf_exponent: 0.5,
-        workers: 4,
+        service: ServiceConfig { workers: 4, repair: true, ..ServiceConfig::default() },
         seed,
-        repair: true,
         update_rate: 100.0,
         update_burst: 8,
         verify: true,
@@ -72,8 +71,12 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
     assert_eq!(calm.metrics.completed, 192, "nothing sheds without a deadline");
     let deadline = calm.metrics.latency_p50.max(Duration::from_millis(1));
 
-    let overloaded =
-        ReplaySpec { overload: 2.0, admission: true, deadline: Some(deadline), ..base };
+    let overloaded = ReplaySpec {
+        overload: 2.0,
+        service: ServiceConfig { admission: true, ..base.service },
+        deadline: Some(deadline),
+        ..base
+    };
     let report = replay_on(ctx, &pool, &overloaded);
 
     // The oracle audited every produced response: exact answers as

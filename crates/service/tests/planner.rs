@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_service::replay::{build_pool, replay_on, ReplaySpec, StreamPattern};
-use skysr_service::ServiceContext;
+use skysr_service::{ServiceConfig, ServiceContext};
 
 /// One strategy subset of the ladder under test.
 #[derive(Clone, Copy, Debug)]
@@ -56,12 +56,15 @@ fn spec_for(subset: Subset, pattern: StreamPattern, distinct: usize, seed: u64) 
         distinct,
         seq_len: 2,
         pattern,
-        workers: 4,
+        service: ServiceConfig {
+            workers: 4,
+            prefix_reuse: subset.prefix,
+            ancestor_reuse: subset.ancestor,
+            suffix_reuse: subset.suffix,
+            repair: subset.repair,
+            ..ServiceConfig::default()
+        },
         seed,
-        prefix_reuse: subset.prefix,
-        ancestor_reuse: subset.ancestor,
-        suffix_reuse: subset.suffix,
-        repair: subset.repair,
         // One weight-delta wave mid-cycle and one at the cycle boundary:
         // cached entries from cycle 1 are stale by cycle 2, so the repair
         // (or lazy-invalidation) rung runs for real.
@@ -153,9 +156,8 @@ fn bounded_retention_verification_skips_instead_of_refusing() {
         total: 300,
         distinct: 12,
         seq_len: 2,
-        workers: 4,
+        service: ServiceConfig { workers: 4, repair: true, ..ServiceConfig::default() },
         seed: 41,
-        repair: true,
         retention: 3,
         update_every: 20,
         update_burst: 6,

@@ -29,13 +29,12 @@ fn update_heavy_repair_replay_verifies_and_repairs_in_place() {
     let spec = ReplaySpec {
         total: 240,
         distinct: 16,
-        workers: 4,
+        service: ServiceConfig { workers: 4, repair: true, ..ServiceConfig::default() },
         seq_len: 2,
         qps: 2000.0,
         update_rate: 250.0,
         update_burst: 8,
         update_magnitude: 2.0,
-        repair: true,
         verify: true,
         ..ReplaySpec::default()
     };
@@ -65,12 +64,11 @@ fn bounded_retention_soak_keeps_history_within_the_ring() {
     let spec = ReplaySpec {
         total: 400,
         distinct: 16,
-        workers,
         seq_len: 2,
         qps: 3000.0,
         update_rate: 400.0,
         update_burst: 8,
-        repair: true,
+        service: ServiceConfig { workers, repair: true, ..ServiceConfig::default() },
         retention: K,
         ..ReplaySpec::default()
     };

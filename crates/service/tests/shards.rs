@@ -197,7 +197,7 @@ fn sharded_replay_verifies_every_shard_with_zero_misroutes() {
         total: 160,
         distinct: 16,
         seq_len: 2,
-        workers: 2,
+        service: ServiceConfig { workers: 2, ..ServiceConfig::default() },
         update_every: 40,
         update_burst: 8,
         verify: true,
@@ -207,7 +207,7 @@ fn sharded_replay_verifies_every_shard_with_zero_misroutes() {
     let report = replay_sharded(datasets, &spec);
     assert_eq!(report.shards.len(), 2);
     assert_eq!(report.misrouted, 0);
-    assert!(report.all_ok(), "every shard must verify clean");
+    assert_eq!(report.check(), Ok(()), "every shard must verify clean");
     for shard in &report.shards {
         assert_eq!(shard.report.metrics.completed, 160);
         assert_eq!(shard.report.verify_mismatches, Some(0), "shard {} oracle", shard.name);

@@ -9,9 +9,7 @@ use std::time::Duration;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_data::workload::WorkloadSpec;
-use skysr_service::replay::{
-    build_pool, replay_on, replay_sharded, ReplaySpec, StreamPattern, TelemetryMode,
-};
+use skysr_service::replay::{build_pool, replay_on, replay_sharded, ReplaySpec, StreamPattern};
 use skysr_service::telemetry::export::prometheus;
 use skysr_service::{QueryService, Rung, Service, ServiceConfig, ServiceContext, TelemetryConfig};
 
@@ -32,11 +30,14 @@ fn full_tracing_yields_one_span_per_response_across_every_rung() {
         seq_len: 2,
         pattern: StreamPattern::DuplicateBursts,
         burst: 16,
-        workers: 4,
-        repair: true,
+        service: ServiceConfig {
+            workers: 4,
+            repair: true,
+            telemetry: TelemetryConfig::trace_all(400),
+            ..ServiceConfig::default()
+        },
         update_every: 40,
         update_burst: 8,
-        telemetry: TelemetryMode::Full,
         ..ReplaySpec::default()
     };
     let pool = build_pool(&d, &spec);
@@ -106,8 +107,8 @@ fn service_responses_and_drained_spans_agree() {
         },
     );
     // Two passes: the second is answered from the cache.
-    let mut outcomes = service.run_batch(queries.iter().cloned());
-    outcomes.extend(service.run_batch(queries.iter().cloned()));
+    let mut outcomes = service.run_queries(&queries);
+    outcomes.extend(service.run_queries(&queries));
     let spans = service.traces().drain();
     let responses: Vec<_> = outcomes.into_iter().map(|o| o.expect("valid queries")).collect();
 
@@ -144,16 +145,19 @@ fn prometheus_shard_labels_reconcile_with_span_audits() {
         seq_len: 2,
         pattern: StreamPattern::DuplicateBursts,
         burst: 16,
-        workers: 2,
+        service: ServiceConfig {
+            workers: 2,
+            telemetry: TelemetryConfig::trace_all(200),
+            ..ServiceConfig::default()
+        },
         update_every: 50,
         update_burst: 8,
         verify: true,
-        telemetry: TelemetryMode::Full,
         ..ReplaySpec::default()
     };
     let datasets = vec![("north".to_owned(), dataset(21)), ("south".to_owned(), dataset(22))];
     let fleet = replay_sharded(datasets, &spec);
-    assert!(fleet.all_ok());
+    assert_eq!(fleet.check(), Ok(()));
 
     // Export exactly the way `replay --shards N --metrics-out` does: one
     // labelled entry per shard, ids as the `shard` label values.
@@ -206,15 +210,16 @@ fn prometheus_shard_labels_reconcile_with_span_audits() {
 #[test]
 fn sampled_and_disabled_retention_modes() {
     let d = dataset(9);
-    for (mode, expect_spans) in [(TelemetryMode::Sampled, true), (TelemetryMode::Off, false)] {
+    for (mode, expect_spans) in
+        [(TelemetryConfig::default(), true), (TelemetryConfig::disabled(), false)]
+    {
         let spec = ReplaySpec {
             total: 300,
             distinct: 6,
             seq_len: 2,
             pattern: StreamPattern::DuplicateBursts,
             burst: 12,
-            workers: 4,
-            telemetry: mode,
+            service: ServiceConfig { workers: 4, telemetry: mode, ..ServiceConfig::default() },
             ..ReplaySpec::default()
         };
         let pool = build_pool(&d, &spec);

@@ -8,8 +8,7 @@ use skysr::prelude::*;
 
 fn main() {
     let dataset = DatasetSpec::preset(Preset::CalSmall).scale(0.3).seed(3).generate();
-    let spec =
-        ReplaySpec { total: 500, distinct: 80, workers: 4, verify: true, ..Default::default() };
+    let spec = ReplaySpec { total: 500, distinct: 80, verify: true, ..Default::default() };
     let report = replay(dataset, &spec);
     println!("{report}");
 }
