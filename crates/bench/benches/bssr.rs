@@ -1,9 +1,10 @@
-//! End-to-end BSSR benchmarks: the full algorithm vs its ablations on a
-//! generated city, per sequence length — the Criterion companion to
-//! Figure 3 / Tables 7–8.
+//! End-to-end BSSR benchmarks: the paper's algorithm (`paper`, all four
+//! optimisations) vs the engine's default (`default`, Optimisation 3 off)
+//! and its ablations on a generated city, per sequence length — the
+//! Criterion companion to Figure 3 / Tables 7–8.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skysr_core::bssr::{Bssr, BssrConfig, LowerBoundMode, QueuePolicy};
+use skysr_core::bssr::{Bssr, BssrConfig, QueuePolicy};
 use skysr_core::SkySrQuery;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_data::workload::WorkloadSpec;
@@ -24,14 +25,14 @@ fn bench_bssr(c: &mut Criterion) {
     for k in [2usize, 3, 4] {
         let qs = queries(&d, k);
         let configs: [(&str, BssrConfig); 5] = [
-            ("full", BssrConfig::default()),
+            ("paper", BssrConfig::paper()),
+            ("default", BssrConfig::default()),
             ("no_opt", BssrConfig::unoptimized()),
             ("no_init", BssrConfig { use_init_search: false, ..BssrConfig::default() }),
             (
                 "distance_queue",
                 BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..BssrConfig::default() },
             ),
-            ("no_bounds", BssrConfig { lower_bound: LowerBoundMode::Off, ..BssrConfig::default() }),
         ];
         for (name, cfg) in configs {
             group.bench_with_input(BenchmarkId::new(name, k), &k, |b, _| {

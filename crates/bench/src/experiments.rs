@@ -103,7 +103,7 @@ pub fn table7(cfg: &ExpConfig, datasets: &[Dataset]) {
             let with = run_batch(&ctx, &qs, Algo::Bssr, RunOpts::default());
             let mut no_init = Bssr::with_config(
                 &ctx,
-                BssrConfig { use_init_search: false, ..BssrConfig::default() },
+                BssrConfig { use_init_search: false, ..BssrConfig::paper() },
             );
             let mut wo_sum = 0.0;
             for q in &qs {
@@ -145,7 +145,7 @@ pub fn table8(cfg: &ExpConfig, datasets: &[Dataset]) {
             {
                 let mut engine = Bssr::with_config(
                     &ctx,
-                    BssrConfig { queue_policy: policy, ..BssrConfig::default() },
+                    BssrConfig { queue_policy: policy, ..BssrConfig::paper() },
                 );
                 let mut sum = 0u64;
                 for q in &qs {
@@ -171,7 +171,7 @@ pub fn fig4(cfg: &ExpConfig, datasets: &[Dataset]) {
     for d in datasets {
         let ctx = d.context();
         let qs = workload(cfg, d, cfg.seq_max, cfg.queries);
-        let mut engine = Bssr::new(&ctx);
+        let mut engine = Bssr::with_config(&ctx, BssrConfig::paper());
         let (mut ls_ratio, mut lp_ratio, mut n) = (0.0, 0.0, 0);
         for q in &qs {
             let result = engine.run(q).unwrap();
@@ -206,9 +206,9 @@ pub fn fig5(cfg: &ExpConfig, datasets: &[Dataset]) {
         let mut t = Table::new(vec!["|Sq|", "with cache", "w/o cache", "cache hits"]);
         for k in 2..=cfg.seq_max {
             let qs = workload(cfg, d, k, cfg.queries);
-            let mut with = Bssr::new(&ctx);
+            let mut with = Bssr::with_config(&ctx, BssrConfig::paper());
             let mut without =
-                Bssr::with_config(&ctx, BssrConfig { use_cache: false, ..BssrConfig::default() });
+                Bssr::with_config(&ctx, BssrConfig { use_cache: false, ..BssrConfig::paper() });
             let (mut runs_w, mut hits, mut runs_wo) = (0u64, 0u64, 0u64);
             for q in &qs {
                 let s = with.run(q).unwrap().stats;
@@ -236,7 +236,7 @@ pub fn fig6(cfg: &ExpConfig, datasets: &[Dataset]) {
     let mut columns: Vec<Vec<String>> = Vec::new();
     for d in datasets {
         let ctx = d.context();
-        let mut engine = Bssr::new(&ctx);
+        let mut engine = Bssr::with_config(&ctx, BssrConfig::paper());
         let mut col = Vec::new();
         for k in 2..=cfg.seq_max {
             let qs = workload(cfg, d, k, cfg.queries);
@@ -264,7 +264,7 @@ pub fn table1_and_9() {
     println!("# Table 1 — example skyline routes in New York\n");
     let s = crate::fixtures::table1_fixture();
     let ctx = QueryContext::new(&s.graph, &s.forest, &s.pois);
-    let result = Bssr::new(&ctx).run(&s.query).unwrap();
+    let result = Bssr::with_config(&ctx, BssrConfig::paper()).run(&s.query).unwrap();
     let mut t = Table::new(vec!["Distance", "Semantic", "Sequenced route"]);
     for r in result.routes.iter().rev() {
         t.row(vec![
@@ -282,7 +282,7 @@ pub fn table1_and_9() {
         s.query.clone(),
         s.destination.expect("table9 has a destination"),
     );
-    let result = dq.run(&ctx, BssrConfig::default()).unwrap();
+    let result = dq.run(&ctx, BssrConfig::paper()).unwrap();
     let mut t = Table::new(vec!["Distance", "Semantic", "Sequenced route"]);
     for r in result.routes.iter().rev() {
         t.row(vec![
@@ -294,19 +294,19 @@ pub fn table1_and_9() {
     println!("{t}");
 }
 
-/// Ablation: lower-bound modes (supplements Figure 4 — shows the pruning
-/// the bounds actually buy, a design-choice ablation called out in
+/// Ablation: Optimisation 3 off and on (supplements Figure 4 — shows the
+/// pruning the bounds actually buy, a design-choice ablation called out in
 /// DESIGN.md).
 pub fn ablation_bounds(cfg: &ExpConfig, datasets: &[Dataset]) {
     println!("# Ablation — lower-bound modes (routes enqueued, |Sq| = {})\n", cfg.seq_max);
-    let mut t = Table::new(vec!["Dataset", "Off", "Semantic", "Full"]);
+    let mut t = Table::new(vec!["Dataset", "Off", "Full"]);
     for d in datasets {
         let ctx = d.context();
         let qs = workload(cfg, d, cfg.seq_max, cfg.queries);
         let mut cells = vec![d.name.clone()];
-        for mode in [LowerBoundMode::Off, LowerBoundMode::Semantic, LowerBoundMode::Full] {
+        for mode in [LowerBoundMode::Off, LowerBoundMode::Full] {
             let mut engine =
-                Bssr::with_config(&ctx, BssrConfig { lower_bound: mode, ..BssrConfig::default() });
+                Bssr::with_config(&ctx, BssrConfig { lower_bound: mode, ..BssrConfig::paper() });
             let mut enq = 0u64;
             for q in &qs {
                 enq += engine.run(q).unwrap().stats.routes_enqueued;
@@ -316,4 +316,24 @@ pub fn ablation_bounds(cfg: &ExpConfig, datasets: &[Dataset]) {
         t.row(cells);
     }
     println!("{t}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use skysr_data::dataset::{DatasetSpec, Preset};
+
+    #[test]
+    fn figure_4_engine_computes_the_bounds() {
+        let d = DatasetSpec::preset(Preset::TokyoSmall).scale(0.02).seed(51).generate();
+        let ctx = d.context();
+        let mut engine = Bssr::with_config(&ctx, BssrConfig::paper());
+        for k in [2, 3] {
+            for q in WorkloadSpec::new(k).queries(2).seed(5).generate(&d).queries {
+                let stats = engine.run(&q).unwrap().stats;
+                assert_eq!(stats.ls.len(), k - 1, "one semantic-match gap per position pair");
+                assert_eq!(stats.lp.len(), k - 1, "one perfect-match gap per position pair");
+            }
+        }
+    }
 }

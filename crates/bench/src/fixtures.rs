@@ -124,7 +124,7 @@ pub fn table9_fixture() -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skysr_core::bssr::Bssr;
+    use skysr_core::bssr::{Bssr, BssrConfig};
     use skysr_core::QueryContext;
     use skysr_graph::Cost;
 
@@ -132,7 +132,7 @@ mod tests {
     fn table1_reproduces_all_four_rows() {
         let s = table1_fixture();
         let ctx = QueryContext::new(&s.graph, &s.forest, &s.pois);
-        let result = Bssr::new(&ctx).run(&s.query).unwrap();
+        let result = Bssr::with_config(&ctx, BssrConfig::paper()).run(&s.query).unwrap();
         let rows: Vec<(f64, String)> = result
             .routes
             .iter()
@@ -166,7 +166,7 @@ mod tests {
             s.query.clone(),
             s.destination.unwrap(),
         );
-        let result = dq.run(&ctx, skysr_core::bssr::BssrConfig::default()).unwrap();
+        let result = dq.run(&ctx, BssrConfig::paper()).unwrap();
         // Table 9's exact numbers: the perfect route (beer garden across
         // town) costs 3300 + 2000 + 1500 + 651 = 7451 m including the
         // hotel leg; the "Bar" route costs 250 + 400 + 345 + 300 = 1295 m.

@@ -9,7 +9,9 @@ use skysr_core::{PreparedQuery, QueryContext, QueryStats, SkySrQuery};
 /// The algorithms compared in §7 (Figure 3, Table 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Algo {
-    /// BSSR with all four optimisations.
+    /// BSSR with all four optimisations ([`BssrConfig::paper`]); the
+    /// engine's default leaves Optimisation 3 off, as it costs more than
+    /// it prunes.
     Bssr,
     /// BSSR without optimisation techniques.
     BssrNoOpt,
@@ -82,7 +84,7 @@ pub fn run_batch(
     match algo {
         Algo::Bssr | Algo::BssrNoOpt => {
             let cfg =
-                if algo == Algo::Bssr { BssrConfig::default() } else { BssrConfig::unoptimized() };
+                if algo == Algo::Bssr { BssrConfig::paper() } else { BssrConfig::unoptimized() };
             let mut engine = Bssr::with_config(ctx, cfg);
             for q in queries {
                 let t0 = Instant::now();

@@ -35,15 +35,14 @@ use crate::prepared::{Position, PreparedQuery};
 use crate::route::PartialRoute;
 use crate::stats::QueryStats;
 
-/// Which lower-bound machinery is active (Optimisation 3 ablation).
+/// Whether Optimisation 3 is active. Off by default (see
+/// [`crate::bssr::BssrConfig`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum LowerBoundMode {
     /// No minimum-distance bounds.
-    Off,
-    /// Semantic-match minimum distance only.
-    Semantic,
-    /// Semantic- and perfect-match minimum distances (the full §5.3.3).
     #[default]
+    Off,
+    /// Semantic- and perfect-match minimum distances (the full §5.3.3).
     Full,
 }
 
@@ -193,28 +192,20 @@ impl MinDistBounds {
             return true;
         }
 
-        if self.mode == LowerBoundMode::Full {
-            // Lemma 5.8. Branch (ii): some remaining position deviates →
-            // semantic grows by ≥ δ.
-            let cond_a = match self.sigma_suffix[k] {
-                Some(sigma) => {
-                    let delta = rt.sim_acc() * (1.0 - sigma);
-                    skyline.threshold(s_rt + delta) <= rt.length()
-                }
-                // No remaining position *can* deviate: branch (ii) is
-                // impossible, so only the all-perfect branch matters.
-                None => true,
-            };
-            if cond_a {
-                // Branch (i): all remaining positions perfect → length
-                // grows by ≥ lp_suffix, semantic stays s_rt.
-                let lb = rt.length().get() + self.lp_suffix[k];
-                if Cost::new(lb) >= skyline.threshold(s_rt) {
-                    return true;
-                }
+        // Lemma 5.8. Branch (ii): some remaining position deviates →
+        // semantic grows by ≥ δ.
+        let cond_a = match self.sigma_suffix[k] {
+            Some(sigma) => {
+                let delta = rt.sim_acc() * (1.0 - sigma);
+                skyline.threshold(s_rt + delta) <= rt.length()
             }
-        }
-        false
+            // No remaining position *can* deviate: branch (ii) is
+            // impossible, so only the all-perfect branch matters.
+            None => true,
+        };
+        // Branch (i): all remaining positions perfect → length grows by
+        // ≥ lp_suffix, semantic stays s_rt.
+        cond_a && Cost::new(rt.length().get() + self.lp_suffix[k]) >= skyline.threshold(s_rt)
     }
 }
 
@@ -430,7 +421,7 @@ mod tests {
             &ctx,
             &pq,
             Cost::new(13.0),
-            LowerBoundMode::Semantic,
+            LowerBoundMode::Full,
             &mut ws,
             &mut stats,
         );
@@ -479,7 +470,7 @@ mod tests {
         // If a gap has no reachable pair, any partial route that still
         // needs it is pruned once any threshold exists.
         let b = MinDistBounds {
-            mode: LowerBoundMode::Semantic,
+            mode: LowerBoundMode::Full,
             ls: vec![0.0, f64::INFINITY],
             lp: vec![0.0, f64::INFINITY],
             ls_suffix: vec![f64::INFINITY, f64::INFINITY, 0.0],

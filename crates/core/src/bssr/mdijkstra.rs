@@ -22,7 +22,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use skysr_graph::{Cost, SearchStats, VersionedArray, VertexId};
+use skysr_graph::{Cost, SearchStats, StampedRecords, VertexId};
 
 use crate::bssr::bounds::MinDistBounds;
 use crate::bssr::cache::{CachedMatch, SearchCache};
@@ -33,36 +33,32 @@ use crate::prepared::PreparedQuery;
 use crate::route::PartialRoute;
 use crate::stats::QueryStats;
 
+/// One vertex's modified-Dijkstra state: `(distance, psim)`, the best
+/// distance from the step's source and the best similarity of a PoI on
+/// that path (Lemma 5.5(i)); a tuple, see [`StampedRecords`].
+type Probe = (f64, f64);
+
+const UNPROBED: Probe = (f64::INFINITY, 0.0);
+
 /// Reusable scratch buffers for modified-Dijkstra runs.
 pub(crate) struct Scratch {
-    dist: VersionedArray<f64>,
-    psim: VersionedArray<f64>,
-    visited: VersionedArray<bool>,
+    records: StampedRecords<Probe>,
     heap: BinaryHeap<Reverse<(Cost, VertexId)>>,
 }
 
 impl Scratch {
     pub(crate) fn new(n: usize) -> Scratch {
-        Scratch {
-            dist: VersionedArray::new(n),
-            psim: VersionedArray::new(n),
-            visited: VersionedArray::new(n),
-            heap: BinaryHeap::new(),
-        }
+        Scratch { records: StampedRecords::new(n, UNPROBED), heap: BinaryHeap::new() }
     }
 
     /// Ensures capacity for `n` vertices (recycled scratch may come from a
     /// smaller graph).
     pub(crate) fn ensure(&mut self, n: usize) {
-        self.dist.resize(n);
-        self.psim.resize(n);
-        self.visited.resize(n);
+        self.records.resize(n);
     }
 
     fn reset(&mut self) {
-        self.dist.clear();
-        self.psim.clear();
-        self.visited.clear();
+        self.records.clear();
         self.heap.clear();
     }
 }
@@ -133,7 +129,7 @@ pub(crate) fn mdijkstra_step(
     let lemma55 = env.lemma55[pos];
     let graph = env.ctx.graph;
     scratch.reset();
-    scratch.dist.set(source.index(), 0.0);
+    scratch.records.reach(source.index()).expect("a fresh step settles nothing").0 = 0.0;
     scratch.heap.push(Reverse((Cost::ZERO, source)));
 
     let mut local = SearchStats::default();
@@ -145,13 +141,10 @@ pub(crate) fn mdijkstra_step(
     let mut sky_version = skyline.version();
 
     while let Some(Reverse((d, u))) = scratch.heap.pop() {
-        if scratch.visited.get(u.index()).unwrap_or(false) {
+        // The first pop settles; later entries for `u` are stale.
+        let Some((_, psim)) = scratch.records.settle(u.index()) else {
             continue;
-        }
-        if scratch.dist.get(u.index()).is_some_and(|best| best < d.get()) {
-            continue;
-        }
-        scratch.visited.set(u.index(), true);
+        };
         local.settled += 1;
 
         if sky_version != skyline.version() {
@@ -162,7 +155,6 @@ pub(crate) fn mdijkstra_step(
             break; // Lemma 5.3: no surviving extension beyond this radius.
         }
 
-        let psim = scratch.psim.get(u.index()).unwrap_or(0.0);
         let usim = position.sim_of(env.ctx, u);
         if usim > 0.0 && (!lemma55 || usim > psim) {
             if env.use_cache {
@@ -179,14 +171,12 @@ pub(crate) fn mdijkstra_step(
         for (v, w) in graph.neighbors(u) {
             local.relaxed += 1;
             local.weight_sum += w.get();
-            if scratch.visited.get(v.index()).unwrap_or(false) {
+            let Some(rec) = scratch.records.reach(v.index()) else {
                 continue;
-            }
+            };
             let nd = d + w;
-            let slot = scratch.dist.get_or_insert(v.index(), f64::INFINITY);
-            if nd.get() < *slot {
-                *slot = nd.get();
-                scratch.psim.set(v.index(), child_psim);
+            if nd.get() < rec.0 {
+                *rec = (nd.get(), child_psim);
                 scratch.heap.push(Reverse((nd, v)));
                 local.pushed += 1;
             }

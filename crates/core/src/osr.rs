@@ -19,7 +19,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use skysr_graph::fxhash::FxHashSet;
-use skysr_graph::{Cost, RoadNetwork, SearchStats, VersionedArray, VertexId};
+use skysr_graph::{Cost, RoadNetwork, SearchStats, StampedRecords, VertexId};
 
 const NONE: u32 = u32::MAX;
 
@@ -32,15 +32,17 @@ pub struct OsrRoute {
     pub length: Cost,
 }
 
+/// One state's search record, `(distance, last_trans, prev_trans)`: the
+/// most recent transition state on the best-known path to the state, and
+/// for a transition state the one before it (a tuple, see
+/// [`StampedRecords`]).
+type StateRecord = (f64, u32, u32);
+
+const UNREACHED: StateRecord = (f64::INFINITY, NONE, NONE);
+
 /// Reusable state-space Dijkstra solver.
 pub struct OsrSolver {
-    dist: VersionedArray<f64>,
-    parent: VersionedArray<u32>,
-    /// Most recent transition state on the best-known path to each state.
-    last_trans: VersionedArray<u32>,
-    /// Previous transition state, chained per transition state.
-    prev_trans: VersionedArray<u32>,
-    visited: VersionedArray<bool>,
+    states: StampedRecords<StateRecord>,
     heap: BinaryHeap<Reverse<(Cost, u32)>>,
     num_vertices: usize,
     stats: SearchStats,
@@ -50,11 +52,7 @@ impl OsrSolver {
     /// Solver for graphs with `num_vertices` vertices.
     pub fn new(num_vertices: usize) -> OsrSolver {
         OsrSolver {
-            dist: VersionedArray::new(0),
-            parent: VersionedArray::new(0),
-            last_trans: VersionedArray::new(0),
-            prev_trans: VersionedArray::new(0),
-            visited: VersionedArray::new(0),
+            states: StampedRecords::new(0, UNREACHED),
             heap: BinaryHeap::new(),
             num_vertices,
             stats: SearchStats::default(),
@@ -81,33 +79,20 @@ impl OsrSolver {
             return None;
         }
         let n = self.num_vertices;
-        let states = n * (k + 1);
-        self.dist.resize(states);
-        self.parent.resize(states);
-        self.last_trans.resize(states);
-        self.prev_trans.resize(states);
-        self.visited.resize(states);
-        self.dist.clear();
-        self.parent.clear();
-        self.last_trans.clear();
-        self.prev_trans.clear();
-        self.visited.clear();
+        self.states.resize(n * (k + 1));
+        self.states.clear();
         self.heap.clear();
 
         let state = |stage: usize, v: VertexId| stage * n + v.index();
         let s0 = state(0, start);
-        self.dist.set(s0, 0.0);
+        self.states.reach(s0).expect("a fresh search settles nothing").0 = 0.0;
         self.heap.push(Reverse((Cost::ZERO, s0 as u32)));
 
         while let Some(Reverse((d, s))) = self.heap.pop() {
             let s = s as usize;
-            if self.visited.get(s).unwrap_or(false) {
+            let Some((_, last_trans, _)) = self.states.settle(s) else {
                 continue;
-            }
-            if self.dist.get(s).is_some_and(|best| best < d.get()) {
-                continue;
-            }
-            self.visited.set(s, true);
+            };
             self.stats.settled += 1;
             let stage = s / n;
             let v = VertexId((s % n) as u32);
@@ -119,32 +104,26 @@ impl OsrSolver {
             // Transition: take v as the stage-th PoI (if distinct so far).
             if sets[stage].contains(&v.0) && !self.on_poi_chain(s, v) {
                 let s2 = state(stage + 1, v);
-                let slot = self.dist.get_or_insert(s2, f64::INFINITY);
-                if d.get() < *slot {
-                    *slot = d.get();
-                    self.parent.set(s2, s as u32);
-                    self.prev_trans.set(s2, self.last_trans.get(s).unwrap_or(NONE));
-                    self.last_trans.set(s2, s2 as u32);
-                    self.heap.push(Reverse((d, s2 as u32)));
-                    self.stats.pushed += 1;
+                if let Some(next) = self.states.reach(s2) {
+                    if d.get() < next.0 {
+                        *next = (d.get(), s2 as u32, last_trans);
+                        self.heap.push(Reverse((d, s2 as u32)));
+                        self.stats.pushed += 1;
+                    }
                 }
             }
 
             // Stay in the stage and relax road edges.
-            let lt = self.last_trans.get(s).unwrap_or(NONE);
             for (u, w) in graph.neighbors(v) {
                 self.stats.relaxed += 1;
                 self.stats.weight_sum += w.get();
                 let s2 = state(stage, u);
-                if self.visited.get(s2).unwrap_or(false) {
+                let Some(next) = self.states.reach(s2) else {
                     continue;
-                }
+                };
                 let nd = d + w;
-                let slot = self.dist.get_or_insert(s2, f64::INFINITY);
-                if nd.get() < *slot {
-                    *slot = nd.get();
-                    self.parent.set(s2, s as u32);
-                    self.last_trans.set(s2, lt);
+                if nd.get() < next.0 {
+                    (next.0, next.1) = (nd.get(), last_trans);
                     self.heap.push(Reverse((nd, s2 as u32)));
                     self.stats.pushed += 1;
                 }
@@ -157,25 +136,33 @@ impl OsrSolver {
     /// `s` (walks the ≤ k transition chain).
     fn on_poi_chain(&self, s: usize, v: VertexId) -> bool {
         let n = self.num_vertices;
-        let mut t = self.last_trans.get(s).unwrap_or(NONE);
+        let mut t = self.last_trans(s);
         while t != NONE {
             if (t as usize) % n == v.index() {
                 return true;
             }
-            t = self.prev_trans.get(t as usize).unwrap_or(NONE);
+            t = self.prev_trans(t as usize);
         }
         false
     }
 
     fn reconstruct(&self, n: usize, goal: usize, length: Cost) -> OsrRoute {
         let mut pois = Vec::new();
-        let mut t = self.last_trans.get(goal).unwrap_or(NONE);
+        let mut t = self.last_trans(goal);
         while t != NONE {
             pois.push(VertexId(((t as usize) % n) as u32));
-            t = self.prev_trans.get(t as usize).unwrap_or(NONE);
+            t = self.prev_trans(t as usize);
         }
         pois.reverse();
         OsrRoute { pois, length }
+    }
+
+    fn last_trans(&self, s: usize) -> u32 {
+        self.states.get(s).map_or(NONE, |(_, last_trans, _)| last_trans)
+    }
+
+    fn prev_trans(&self, s: usize) -> u32 {
+        self.states.get(s).map_or(NONE, |(_, _, prev_trans)| prev_trans)
     }
 }
 

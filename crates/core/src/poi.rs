@@ -4,7 +4,8 @@
 //! category/categories each carries. Section 5 assumes one category per
 //! PoI; §6 lifts that to multiple categories, so the table stores a small
 //! list per vertex and everything downstream takes the max similarity over
-//! the list.
+//! the list. The lists live in one flat CSR array: the modified Dijkstra
+//! reads a vertex's list on every settle.
 //!
 //! Per the paper's association rule (§3): a PoI with category `c` is also
 //! associated with every ancestor of `c`, so `P_c` for an internal category
@@ -14,10 +15,16 @@ use skysr_category::{CategoryForest, CategoryId};
 use skysr_graph::VertexId;
 
 /// Immutable-after-finalise PoI/category table.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct PoiTable {
-    /// Per vertex: its categories (empty for plain road vertices).
-    cats: Vec<Vec<CategoryId>>,
+    /// `(vertex, category)` tags from [`PoiTable::add_poi`], folded into
+    /// the CSR by [`PoiTable::finalize`].
+    pending: Vec<(VertexId, CategoryId)>,
+    /// CSR over vertices: the categories of `v` are
+    /// `cat_list[cat_offsets[v]..cat_offsets[v + 1]]` (empty for plain
+    /// road vertices), in tagging order without repeats.
+    cat_offsets: Vec<u32>,
+    cat_list: Vec<CategoryId>,
     /// Per category: PoIs whose *own* category list contains it (no
     /// ancestor closure).
     by_exact_category: Vec<Vec<VertexId>>,
@@ -30,10 +37,12 @@ pub struct PoiTable {
 impl PoiTable {
     /// Creates a table for a graph of `num_vertices` vertices; PoIs are
     /// added with [`PoiTable::add_poi`], then [`PoiTable::finalize`] builds
-    /// the per-category / per-tree indexes.
+    /// the per-vertex lists and the per-category / per-tree indexes.
     pub fn new(num_vertices: usize) -> PoiTable {
         PoiTable {
-            cats: vec![Vec::new(); num_vertices],
+            pending: Vec::new(),
+            cat_offsets: vec![0; num_vertices + 1],
+            cat_list: Vec::new(),
             by_exact_category: Vec::new(),
             by_tree: Vec::new(),
             pois: Vec::new(),
@@ -41,21 +50,41 @@ impl PoiTable {
     }
 
     /// Tags vertex `v` with category `c` (repeatable for multi-category
-    /// PoIs, §6).
+    /// PoIs, §6; repeating a tag is a no-op).
     pub fn add_poi(&mut self, v: VertexId, c: CategoryId) {
-        let list = &mut self.cats[v.index()];
-        if !list.contains(&c) {
-            list.push(c);
-        }
+        self.pending.push((v, c));
     }
 
-    /// Builds the category/tree indexes. Must be called (once) before
-    /// queries run.
+    /// Builds the per-vertex lists from the added tags, and the
+    /// category/tree indexes. Must be called (once) before queries run.
+    ///
+    /// # Panics
+    /// If a tagged vertex is outside the table or a category outside
+    /// `forest`.
     pub fn finalize(&mut self, forest: &CategoryForest) {
+        let n = self.cat_offsets.len() - 1;
+        // Stably sorted by vertex: each vertex keeps its tagging order.
+        let mut tags = std::mem::take(&mut self.pending);
+        tags.sort_by_key(|&(v, _)| v);
+        if let Some(&(v, _)) = tags.last() {
+            assert!(v.index() < n, "PoI vertex {v:?} outside a table of {n} vertices");
+        }
+        let mut tags = tags.into_iter().peekable();
+        for i in 0..n {
+            let first = self.cat_list.len();
+            while let Some((_, c)) = tags.next_if(|&(v, _)| v.index() == i) {
+                if !self.cat_list[first..].contains(&c) {
+                    self.cat_list.push(c);
+                }
+            }
+            self.cat_offsets[i + 1] = self.cat_list.len() as u32;
+        }
+
         self.by_exact_category = vec![Vec::new(); forest.num_categories()];
         self.by_tree = vec![Vec::new(); forest.num_trees()];
         self.pois.clear();
-        for (i, cats) in self.cats.iter().enumerate() {
+        for (i, span) in self.cat_offsets.windows(2).enumerate() {
+            let cats = &self.cat_list[span[0] as usize..span[1] as usize];
             if cats.is_empty() {
                 continue;
             }
@@ -87,13 +116,15 @@ impl PoiTable {
     /// Categories of `v` (empty slice for non-PoIs).
     #[inline]
     pub fn categories_of(&self, v: VertexId) -> &[CategoryId] {
-        &self.cats[v.index()]
+        let i = v.index();
+        &self.cat_list[self.cat_offsets[i] as usize..self.cat_offsets[i + 1] as usize]
     }
 
     /// Whether `v` is a PoI.
     #[inline]
     pub fn is_poi(&self, v: VertexId) -> bool {
-        !self.cats[v.index()].is_empty()
+        let i = v.index();
+        self.cat_offsets[i] != self.cat_offsets[i + 1]
     }
 
     /// PoIs whose own category equals `c` (exact, no subtree closure).

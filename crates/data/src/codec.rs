@@ -17,6 +17,7 @@
 //! end
 //! ```
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -101,7 +102,10 @@ pub fn write_dataset<W: Write>(dataset: &Dataset, w: W) -> Result<(), CodecError
     Ok(())
 }
 
-/// Deserialises a dataset from a reader.
+/// Deserialises a dataset from a reader. Malformed input — including ids
+/// out of range, a parent listed after its child, a repeated category name
+/// or a negative or NaN edge weight — is a [`CodecError::Parse`], never a
+/// panic.
 pub fn read_dataset<R: Read>(r: R) -> Result<Dataset, CodecError> {
     let mut lines = BufReader::new(r).lines();
     let mut next = || -> Result<String, CodecError> {
@@ -123,6 +127,7 @@ pub fn read_dataset<R: Read>(r: R) -> Result<Dataset, CodecError> {
         .parse()
         .map_err(|_| parse_err("bad category count"))?;
     let mut fb = ForestBuilder::new();
+    let mut names = HashSet::new();
     for i in 0..ncat {
         let line = next()?;
         let mut parts = line.splitn(3, '\t');
@@ -135,10 +140,15 @@ pub fn read_dataset<R: Read>(r: R) -> Result<Dataset, CodecError> {
             .parse()
             .map_err(|_| parse_err("bad parent id"))?;
         let cname = parts.next().ok_or_else(|| parse_err("missing category name"))?;
+        if !names.insert(cname.to_owned()) {
+            return Err(parse_err(format!("duplicate category name {cname:?}")));
+        }
         let id = if parent < 0 {
             fb.add_root(cname)
-        } else {
+        } else if parent < i as i64 {
             fb.add_child(CategoryId(parent as u32), cname)
+        } else {
+            return Err(parse_err(format!("category {i}: parent {parent} not listed before it")));
         };
         if id.0 as usize != i {
             return Err(parse_err("categories out of order"));
@@ -180,6 +190,12 @@ pub fn read_dataset<R: Read>(r: R) -> Result<Dataset, CodecError> {
             p.next().and_then(|s| s.parse().ok()).ok_or_else(|| parse_err("bad edge head"))?;
         let weight: f64 =
             p.next().and_then(|s| s.parse().ok()).ok_or_else(|| parse_err("bad edge weight"))?;
+        if from as usize >= nv || to as usize >= nv {
+            return Err(parse_err(format!("edge {from}-{to} outside {nv} vertices")));
+        }
+        if weight.is_nan() || weight < 0.0 {
+            return Err(parse_err(format!("edge {from}-{to} has weight {weight}")));
+        }
         gb.add_edge(VertexId(from), VertexId(to), weight);
     }
     let graph = gb.build();
@@ -192,13 +208,16 @@ pub fn read_dataset<R: Read>(r: R) -> Result<Dataset, CodecError> {
         .parse()
         .map_err(|_| parse_err("bad poi count"))?;
     let mut pois = PoiTable::new(graph.num_vertices());
-    let mut poi_vertices = Vec::with_capacity(np);
+    let mut poi_vertices = Vec::new();
     for _ in 0..np {
         let line = next()?;
         let rest = line.strip_prefix("p\t").ok_or_else(|| parse_err("expected poi line"))?;
         let mut p = rest.split('\t');
         let v: u32 =
             p.next().and_then(|s| s.parse().ok()).ok_or_else(|| parse_err("bad poi vertex"))?;
+        if v as usize >= nv {
+            return Err(parse_err(format!("poi vertex {v} outside {nv} vertices")));
+        }
         poi_vertices.push(VertexId(v));
         for cat in p {
             let c: u32 = cat.parse().map_err(|_| parse_err("bad poi category"))?;
@@ -277,6 +296,83 @@ mod tests {
         write_dataset(&d, &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(read_dataset(&buf[..]).is_err());
+    }
+
+    /// A minimal dataset — two categories, two vertices, one edge, one
+    /// PoI — with `replace`'s lines swapped in.
+    fn tiny(replace: &[(&str, &str)]) -> Result<Dataset, CodecError> {
+        let mut text = "skysr-dataset v1\nname\ttiny\nforest\t2\nc\t-1\tFood\nc\t0\tSushi\n\
+                        graph\t2\t1\nv\t-\nv\t-\ne\t0\t1\t1.5\npois\t1\np\t1\t1\nend\n"
+            .to_owned();
+        for (from, to) in replace {
+            assert!(text.contains(from), "{from:?} is not a line of the template");
+            text = text.replace(from, to);
+        }
+        read_dataset(text.as_bytes())
+    }
+
+    fn assert_parse_error(replace: &[(&str, &str)]) {
+        match tiny(replace) {
+            Err(CodecError::Parse(_)) => {}
+            other => panic!("{replace:?}: expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tiny_template_parses() {
+        let d = tiny(&[]).unwrap();
+        assert_eq!(d.graph.num_vertices(), 2);
+        assert_eq!(d.pois.categories_of(VertexId(1)), &[CategoryId(1)]);
+    }
+
+    #[test]
+    fn poi_vertex_out_of_range_rejected() {
+        assert_parse_error(&[("p\t1\t1", "p\t2\t1")]);
+    }
+
+    #[test]
+    fn edge_endpoint_out_of_range_rejected() {
+        assert_parse_error(&[("e\t0\t1\t1.5", "e\t0\t2\t1.5")]);
+        assert_parse_error(&[("e\t0\t1\t1.5", "e\t7\t1\t1.5")]);
+    }
+
+    #[test]
+    fn nan_or_negative_edge_weight_rejected() {
+        assert_parse_error(&[("e\t0\t1\t1.5", "e\t0\t1\tNaN")]);
+        assert_parse_error(&[("e\t0\t1\t1.5", "e\t0\t1\t-2")]);
+    }
+
+    #[test]
+    fn category_parent_not_listed_before_rejected() {
+        assert_parse_error(&[("c\t0\tSushi", "c\t1\tSushi")]);
+        assert_parse_error(&[("c\t0\tSushi", "c\t5\tSushi")]);
+    }
+
+    #[test]
+    fn parent_id_above_u32_rejected() {
+        // 2³² would truncate to parent 0 and load as a valid child.
+        assert_parse_error(&[("c\t0\tSushi", "c\t4294967296\tSushi")]);
+    }
+
+    #[test]
+    fn duplicate_category_name_rejected() {
+        assert_parse_error(&[("c\t0\tSushi", "c\t0\tFood")]);
+    }
+
+    #[test]
+    fn oversized_counts_rejected_without_allocating() {
+        // A count is checked against the lines that follow, never used to
+        // size an allocation up front.
+        for count in ["18446744073709551615", "10000000000"] {
+            for (line, bad) in [
+                ("forest\t2", format!("forest\t{count}")),
+                ("graph\t2\t1", format!("graph\t{count}\t1")),
+                ("graph\t2\t1", format!("graph\t2\t{count}")),
+                ("pois\t1", format!("pois\t{count}")),
+            ] {
+                assert_parse_error(&[(line, bad.as_str())]);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::BinaryHeap;
 
 use crate::csr::RoadNetwork;
 use crate::stats::SearchStats;
-use crate::versioned::VersionedArray;
+use crate::versioned::StampedRecords;
 use crate::weight::Cost;
 use crate::VertexId;
 
@@ -25,65 +25,66 @@ pub enum Settle {
     Stop,
 }
 
+/// No predecessor: a source, or a vertex not reached through an edge.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One vertex's search state: `(distance, parent)`, the best distance
+/// found and the shortest-path predecessor (a tuple, see
+/// [`StampedRecords`]).
+type Reach = (f64, u32);
+
+const UNREACHED: Reach = (f64::INFINITY, NO_PARENT);
+
 /// Reusable scratch state for Dijkstra runs over one graph size.
 ///
-/// Holding distances in a [`VersionedArray`] makes the per-run reset O(1)
-/// instead of O(|V|), which matters because BSSR runs the modified Dijkstra
-/// algorithm hundreds of times per query.
+/// One [`StampedRecords`] record per vertex holds its distance, parent and
+/// settled flag, so the per-run reset is O(1) instead of O(|V|) — which
+/// matters because BSSR runs the modified Dijkstra algorithm hundreds of
+/// times per query — and a relaxation touches one record.
 #[derive(Clone, Debug)]
 pub struct DijkstraWorkspace {
-    dist: VersionedArray<f64>,
-    parent: VersionedArray<u32>,
-    visited: VersionedArray<bool>,
+    records: StampedRecords<Reach>,
     heap: BinaryHeap<Reverse<(Cost, VertexId)>>,
 }
 
 impl DijkstraWorkspace {
     /// Workspace for graphs with up to `n` vertices.
     pub fn new(n: usize) -> DijkstraWorkspace {
-        DijkstraWorkspace {
-            dist: VersionedArray::new(n),
-            parent: VersionedArray::new(n),
-            visited: VersionedArray::new(n),
-            heap: BinaryHeap::new(),
-        }
+        DijkstraWorkspace { records: StampedRecords::new(n, UNREACHED), heap: BinaryHeap::new() }
     }
 
     /// Ensures capacity for `n` vertices.
     pub fn ensure(&mut self, n: usize) {
-        self.dist.resize(n);
-        self.parent.resize(n);
-        self.visited.resize(n);
+        self.records.resize(n);
     }
 
     fn reset(&mut self) {
-        self.dist.clear();
-        self.parent.clear();
-        self.visited.clear();
+        self.records.clear();
         self.heap.clear();
     }
 
     /// Final distance of `v` from the last run's sources (if settled or
     /// queued; queued entries hold their best tentative distance).
     pub fn distance(&self, v: VertexId) -> Option<Cost> {
-        self.dist.get(v.index()).map(Cost::new)
+        self.records.get(v.index()).map(|(dist, _)| Cost::new(dist))
     }
 
     /// Whether `v` was settled in the last run.
     pub fn settled(&self, v: VertexId) -> bool {
-        self.visited.get(v.index()).unwrap_or(false)
+        self.records.is_settled(v.index())
     }
 
     /// Predecessor of `v` on its shortest path, if any.
     pub fn parent(&self, v: VertexId) -> Option<VertexId> {
-        self.parent.get(v.index()).map(VertexId)
+        let (_, parent) = self.records.get(v.index())?;
+        (parent != NO_PARENT).then_some(VertexId(parent))
     }
 
     /// Reconstructs the vertex path from a source to `v` (inclusive) using
     /// the last run's parent pointers. Returns `None` if `v` was not
     /// reached.
     pub fn path_to(&self, v: VertexId) -> Option<Vec<VertexId>> {
-        self.dist.get(v.index())?;
+        self.records.get(v.index())?;
         let mut path = vec![v];
         let mut cur = v;
         while let Some(p) = self.parent(cur) {
@@ -114,22 +115,19 @@ where
     ws.reset();
     let mut stats = SearchStats::default();
     for &(s, c) in sources {
-        let slot = ws.dist.get_or_insert(s.index(), f64::INFINITY);
-        if c.get() < *slot {
-            *slot = c.get();
+        let (dist, _) = ws.records.reach(s.index()).expect("nothing is settled before the search");
+        if c.get() < *dist {
+            *dist = c.get();
             ws.heap.push(Reverse((c, s)));
             stats.pushed += 1;
         }
     }
     while let Some(Reverse((d, u))) = ws.heap.pop() {
-        if ws.visited.get(u.index()).unwrap_or(false) {
+        // A vertex's first pop carries its final distance; any later entry
+        // for it is stale.
+        if ws.records.settle(u.index()).is_none() {
             continue;
         }
-        // Stale heap entry: a shorter distance was settled already.
-        if ws.dist.get(u.index()).is_some_and(|best| best < d.get()) {
-            continue;
-        }
-        ws.visited.set(u.index(), true);
         stats.settled += 1;
         match on_settle(u, d) {
             Settle::Stop => break,
@@ -139,14 +137,12 @@ where
         for (v, w) in graph.neighbors(u) {
             stats.relaxed += 1;
             stats.weight_sum += w.get();
-            if ws.visited.get(v.index()).unwrap_or(false) {
+            let Some(rec) = ws.records.reach(v.index()) else {
                 continue;
-            }
+            };
             let nd = d + w;
-            let slot = ws.dist.get_or_insert(v.index(), f64::INFINITY);
-            if nd.get() < *slot {
-                *slot = nd.get();
-                ws.parent.set(v.index(), u.0);
+            if nd.get() < rec.0 {
+                *rec = (nd.get(), u.0);
                 ws.heap.push(Reverse((nd, v)));
                 stats.pushed += 1;
             }
@@ -185,6 +181,7 @@ pub fn shortest_distance(
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use proptest::prelude::*;
 
     /// 0 -1- 1 -1- 2
     ///  \----5----/
@@ -328,5 +325,93 @@ mod tests {
         assert_eq!(stats.settled, 3);
         assert!(stats.relaxed >= 4);
         assert!(stats.weight_sum > 0.0);
+    }
+
+    /// One search: sources `(vertex, offset)` and, per vertex, the settle
+    /// decision (0 stop, 1 skip neighbours, anything else continue).
+    type Search = (Vec<(usize, u32)>, Vec<u32>);
+
+    fn arb_searches(n: usize) -> impl Strategy<Value = Vec<Search>> {
+        let search =
+            (prop::collection::vec((0..n, 0u32..4), 1..4), prop::collection::vec(0u32..12, n));
+        prop::collection::vec(search, 1..10)
+    }
+
+    /// Runs `searches` in order on one workspace, started `near_wrap`
+    /// clears before its stamps wrap around if set, and each on a fresh
+    /// workspace; after every search, everything a caller can observe must
+    /// agree.
+    fn recycled_matches_fresh(graph: &RoadNetwork, searches: &[Search], near_wrap: Option<u32>) {
+        let n = graph.num_vertices();
+        let mut recycled = DijkstraWorkspace::new(n);
+        if let Some(clears) = near_wrap {
+            recycled.records.clear_near_wrap(clears);
+        }
+        for (i, (sources, decide)) in searches.iter().enumerate() {
+            let sources: Vec<(VertexId, Cost)> =
+                sources.iter().map(|&(v, c)| (VertexId(v as u32), Cost::new(c as f64))).collect();
+            let run = |ws: &mut DijkstraWorkspace| {
+                let mut order = Vec::new();
+                let stats = dijkstra_with(graph, ws, &sources, |v, d| {
+                    order.push((v, d));
+                    match decide[v.index()] {
+                        0 => Settle::Stop,
+                        1 => Settle::SkipNeighbors,
+                        _ => Settle::Continue,
+                    }
+                });
+                (stats, order)
+            };
+            let mut fresh = DijkstraWorkspace::new(n);
+            assert_eq!(run(&mut recycled), run(&mut fresh), "search {i}: stats or settle order");
+            for v in graph.vertices() {
+                assert_eq!(recycled.distance(v), fresh.distance(v), "search {i}: distance {v:?}");
+                assert_eq!(recycled.parent(v), fresh.parent(v), "search {i}: parent {v:?}");
+                assert_eq!(recycled.settled(v), fresh.settled(v), "search {i}: settled {v:?}");
+                assert_eq!(recycled.path_to(v), fresh.path_to(v), "search {i}: path {v:?}");
+            }
+        }
+    }
+
+    fn random_graph(n: usize, directed: bool, edges: &[(usize, usize, u32)]) -> RoadNetwork {
+        let mut b = if directed { GraphBuilder::directed() } else { GraphBuilder::new() };
+        let vs: Vec<VertexId> = (0..n).map(|_| b.add_vertex()).collect();
+        for &(a, c, w) in edges {
+            // Small integer weights, zero included: ties and zero-length
+            // hops exercise the heap's tie-break.
+            b.add_edge(vs[a], vs[c], w as f64);
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn recycled_workspace_matches_fresh_per_search(
+            case in (2usize..14).prop_flat_map(|n| (
+                Just(n),
+                any::<bool>(),
+                prop::collection::vec((0..n, 0..n, 0u32..4), 0..30),
+                arb_searches(n),
+            )),
+        ) {
+            let (n, directed, edges, searches) = case;
+            recycled_matches_fresh(&random_graph(n, directed, &edges), &searches, None);
+        }
+
+        #[test]
+        fn recycled_workspace_matches_fresh_across_stamp_wrap(
+            case in (2usize..14).prop_flat_map(|n| (
+                Just(n),
+                any::<bool>(),
+                prop::collection::vec((0..n, 0..n, 0u32..4), 0..30),
+                arb_searches(n),
+                0u32..4,
+            )),
+        ) {
+            let (n, directed, edges, searches, near_wrap) = case;
+            recycled_matches_fresh(&random_graph(n, directed, &edges), &searches, Some(near_wrap));
+        }
     }
 }

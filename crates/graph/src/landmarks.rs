@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 use crate::csr::RoadNetwork;
 use crate::dijkstra::{dijkstra, DijkstraWorkspace};
 use crate::stats::SearchStats;
-use crate::versioned::VersionedArray;
+use crate::versioned::StampedRecords;
 use crate::weight::Cost;
 use crate::VertexId;
 
@@ -120,32 +120,28 @@ impl Landmarks {
         source: VertexId,
         target: VertexId,
     ) -> (Option<Cost>, SearchStats) {
-        let n = graph.num_vertices();
-        let mut g_score: VersionedArray<f64> = VersionedArray::new(n);
-        let mut closed: VersionedArray<bool> = VersionedArray::new(n);
+        // One record per vertex: its g-score, settled once closed.
+        let mut g_score = StampedRecords::new(graph.num_vertices(), f64::INFINITY);
         let mut heap: BinaryHeap<Reverse<(Cost, VertexId)>> = BinaryHeap::new();
         let mut stats = SearchStats::default();
-        g_score.set(source.index(), 0.0);
+        *g_score.reach(source.index()).expect("a fresh search settles nothing") = 0.0;
         heap.push(Reverse((self.lower_bound(source, target), source)));
         stats.pushed += 1;
         while let Some(Reverse((_, u))) = heap.pop() {
-            if closed.get(u.index()).unwrap_or(false) {
+            let Some(gu) = g_score.settle(u.index()) else {
                 continue;
-            }
-            closed.set(u.index(), true);
+            };
             stats.settled += 1;
-            let gu = g_score.get(u.index()).expect("queued vertices have g-scores");
             if u == target {
                 return (Some(Cost::new(gu)), stats);
             }
             for (v, w) in graph.neighbors(u) {
                 stats.relaxed += 1;
                 stats.weight_sum += w.get();
-                if closed.get(v.index()).unwrap_or(false) {
+                let Some(slot) = g_score.reach(v.index()) else {
                     continue;
-                }
+                };
                 let ng = gu + w.get();
-                let slot = g_score.get_or_insert(v.index(), f64::INFINITY);
                 if ng < *slot {
                     *slot = ng;
                     let f = Cost::new(ng) + self.lower_bound(v, target);

@@ -10,7 +10,7 @@
 //!   search ([`dijkstra`]), the multi-source multi-destination variant of
 //!   Lemma 5.9 ([`multi_source`]), and a resumable incremental
 //!   nearest-neighbour search ([`resumable`]) used by the PNE baseline,
-//! * versioned scratch arrays ([`versioned`]) so repeated searches avoid
+//! * stamped per-vertex records ([`versioned`]) so repeated searches avoid
 //!   O(|V|) reinitialisation,
 //! * dynamic edge weights ([`epoch`]): batched weight deltas published as
 //!   epoch-versioned copy-on-write overlays, so searches pin a consistent
@@ -45,7 +45,7 @@ pub use geometry::GeoPoint;
 pub use landmarks::Landmarks;
 pub use resumable::ResumableDijkstra;
 pub use stats::SearchStats;
-pub use versioned::VersionedArray;
+pub use versioned::StampedRecords;
 pub use weight::Cost;
 
 /// Identifier of a vertex in a [`RoadNetwork`].

@@ -26,7 +26,9 @@ fn main() {
         }
     }
 
-    // 3. Run BSSR (all four optimisations on by default).
+    // 3. Run BSSR. The default engine runs optimisations 1, 2 and 4; the
+    //    minimum-distance bounds (Optimisation 3) cost more than they prune,
+    //    so they are off unless asked for with `BssrConfig::paper()`.
     let ctx = dataset.context();
     let result = Bssr::new(&ctx).run(query).expect("valid query");
 

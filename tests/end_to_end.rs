@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: dataset generation → workload → queries →
 //! persistence, with the structural invariants each stage guarantees.
 
-use skysr::core::bssr::{Bssr, BssrConfig, LowerBoundMode, QueuePolicy};
+use skysr::core::bssr::{Bssr, BssrConfig, QueuePolicy};
 use skysr::graph::connectivity::is_connected;
 use skysr::prelude::*;
 
@@ -31,12 +31,14 @@ fn ablation_configs_agree_on_real_workload() {
     let ctx = d.context();
     let w = WorkloadSpec::new(3).queries(5).seed(3).generate(&d);
     let configs = [
+        // The default is the paper's BSSR without the bounds; each other
+        // optimisation is ablated from the paper's.
         BssrConfig::default(),
+        BssrConfig::paper(),
         BssrConfig::unoptimized(),
-        BssrConfig { use_init_search: false, ..BssrConfig::default() },
-        BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..BssrConfig::default() },
-        BssrConfig { lower_bound: LowerBoundMode::Off, ..BssrConfig::default() },
-        BssrConfig { use_cache: false, ..BssrConfig::default() },
+        BssrConfig { use_init_search: false, ..BssrConfig::paper() },
+        BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..BssrConfig::paper() },
+        BssrConfig { use_cache: false, ..BssrConfig::paper() },
     ];
     for q in &w.queries {
         let reference = Bssr::new(&ctx).run(q).unwrap().routes;

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use skysr::category::{CategoryForest, CategoryId, ForestBuilder};
-use skysr::core::bssr::{Bssr, BssrConfig, LowerBoundMode, QueuePolicy};
+use skysr::core::bssr::{Bssr, BssrConfig, QueuePolicy};
 use skysr::core::naive::naive_skysr;
 use skysr::core::variants::skyband::{naive_skyband, SkybandQuery};
 use skysr::core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery, SkylineRoute};
@@ -118,19 +118,17 @@ fn assert_same_skyline(got: &[SkylineRoute], want: &[SkylineRoute], label: &str)
 
 fn all_configs() -> Vec<(&'static str, BssrConfig)> {
     vec![
+        // The default is the paper's BSSR without the bounds; each other
+        // optimisation is ablated from the paper's.
         ("default", BssrConfig::default()),
+        ("paper", BssrConfig::paper()),
         ("unoptimized", BssrConfig::unoptimized()),
-        ("no-init", BssrConfig { use_init_search: false, ..BssrConfig::default() }),
+        ("no-init", BssrConfig { use_init_search: false, ..BssrConfig::paper() }),
         (
             "distance-queue",
-            BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..BssrConfig::default() },
+            BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..BssrConfig::paper() },
         ),
-        ("no-bounds", BssrConfig { lower_bound: LowerBoundMode::Off, ..BssrConfig::default() }),
-        (
-            "semantic-bounds",
-            BssrConfig { lower_bound: LowerBoundMode::Semantic, ..BssrConfig::default() },
-        ),
-        ("no-cache", BssrConfig { use_cache: false, ..BssrConfig::default() }),
+        ("no-cache", BssrConfig { use_cache: false, ..BssrConfig::paper() }),
     ]
 }
 
