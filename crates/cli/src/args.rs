@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 
 /// Parsed command line.
+#[derive(Clone)]
 pub struct Args {
     /// The command word (first argument).
     pub command: String,

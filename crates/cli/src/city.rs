@@ -5,7 +5,7 @@
 
 use skysr_data::codec;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
-use skysr_service::ServiceConfig;
+use skysr_service::{City, ServiceConfig};
 
 use crate::args::Args;
 
@@ -31,16 +31,15 @@ pub fn load(path: &str) -> Result<Dataset, String> {
 pub struct CityArgs {
     /// An explicit dataset file, exclusive with the recipe flags.
     pub file: Option<String>,
-    /// Preset of the generated city.
-    pub preset: Preset,
-    /// Optional down/up-scale factor of the preset.
-    pub scale: Option<f64>,
+    /// The generated city's preset and scale.
+    pub city: City,
     /// Generation (and workload) seed.
     pub seed: u64,
 }
 
-/// Consumes the dataset-selection arguments.
-pub fn dataset_args(args: &mut Args) -> Result<CityArgs, String> {
+/// Consumes the dataset-selection arguments; unset recipe flags keep
+/// `city` and `seed`.
+pub fn dataset_args(args: &mut Args, city: City, seed: u64) -> Result<CityArgs, String> {
     let file = args.positional_opt();
     let preset_arg = args.optional("preset");
     let scale_arg = args.optional("scale");
@@ -51,27 +50,10 @@ pub fn dataset_args(args: &mut Args) -> Result<CityArgs, String> {
                 .into(),
         );
     }
-    let preset = parse_preset(preset_arg.as_deref().unwrap_or("cal-small"))?;
-    let scale: Option<f64> =
-        scale_arg.map(|s| s.parse().map_err(|_| "bad --scale".to_string())).transpose()?;
-    let seed: u64 = parse_flag(args, "seed", 7)?;
-    Ok(CityArgs { file, preset, scale, seed })
-}
-
-/// Resolves [`CityArgs`] into a dataset: load the named file, or generate
-/// from the recipe.
-pub fn load_or_generate(city: &CityArgs) -> Result<Dataset, String> {
-    match &city.file {
-        Some(f) => load(f),
-        None => {
-            let mut dspec = DatasetSpec::preset(city.preset).seed(city.seed);
-            if let Some(s) = city.scale {
-                dspec = dspec.scale(s);
-            }
-            eprintln!("generating {} ...", dspec.name);
-            Ok(dspec.generate())
-        }
-    }
+    let preset = preset_arg.as_deref().map(parse_preset).transpose()?.unwrap_or(city.preset);
+    let scale = scale_arg.map(|s| s.parse().map_err(|_| "bad --scale")).transpose()?;
+    let city = City { preset, scale: scale.unwrap_or(city.scale) };
+    Ok(CityArgs { file, city, seed: parse_flag(args, "seed", seed)? })
 }
 
 /// The datasets of a `--shards N` command, named `region-0`, `region-1`,
@@ -81,23 +63,16 @@ pub fn region_datasets(city: &CityArgs, shards: usize) -> Result<Vec<(String, Da
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    if shards > 1 && city.file.is_some() {
-        return Err(
-            "--shards generates one dataset per region and conflicts with a dataset FILE argument"
-                .into(),
-        );
+    match &city.file {
+        Some(_) if shards > 1 => Err("--shards generates one dataset per region and conflicts \
+             with a dataset FILE argument"
+            .into()),
+        Some(f) => Ok(vec![("region-0".to_owned(), load(f)?)]),
+        None => {
+            eprintln!("generating {} ...", DatasetSpec::preset(city.city.preset).name);
+            Ok(city.city.regions(city.seed, shards))
+        }
     }
-    (0..shards)
-        .map(|i| {
-            let region = CityArgs {
-                file: city.file.clone(),
-                preset: city.preset,
-                scale: city.scale,
-                seed: city.seed + i as u64,
-            };
-            Ok((format!("region-{i}"), load_or_generate(&region)?))
-        })
-        .collect()
 }
 
 /// The serving-stack flags `replay` and `serve` share. They configure a
@@ -114,10 +89,8 @@ pub const SERVICE_FLAGS: [&str; 9] = [
     "admission",
 ];
 
-/// Parses [`SERVICE_FLAGS`] into a service configuration: four workers
-/// by default, every other field at its [`ServiceConfig::default`].
-pub fn service_flags(args: &mut Args) -> Result<ServiceConfig, String> {
-    let d = ServiceConfig { workers: 4, ..ServiceConfig::default() };
+/// Parses [`SERVICE_FLAGS`] over `d`: unset flags keep its values.
+pub fn service_flags(args: &mut Args, d: ServiceConfig) -> Result<ServiceConfig, String> {
     Ok(ServiceConfig {
         workers: parse_flag(args, "workers", d.workers)?,
         queue_capacity: parse_flag(args, "queue", d.queue_capacity)?,

@@ -11,100 +11,33 @@
 //! skysr-cli categories city.txt --top 15
 //! skysr-cli query city.txt --start 12 --categories "t0/n4,t1/n7" [--destination 99]
 //! skysr-cli replay [city.txt] --queries 1000 --workers 4 [--pattern duplicate] [--verify true]
+//! skysr-cli replay --scenario repair/zipf [--repair false]
 //! skysr-cli bench --out BENCH_pr.json [--require-speedup 2.0] [--require-repair-speedup 1.5]
 //! skysr-cli demo
 //! ```
 //!
-//! `replay` drives the concurrent `skysr-service` engine: it streams a
-//! skewed workload (`--pattern zipf` Zipf-popular arrivals, `duplicate`
-//! bursts of identical in-flight requests, `prefix` chains extended one
-//! position at a time, `hierarchy` category-subtree chains walking
-//! suffix → ancestor variant → full query) through a worker pool with a
-//! cross-query result cache, request coalescing and semantic reuse
-//! (prefix, ancestor-category and suffix warm starts — individually
-//! toggleable via `--prefix-reuse` / `--ancestor-reuse` /
-//! `--suffix-reuse`), and prints throughput, latency percentiles, cache
-//! and per-strategy reuse statistics.
-//! `--qps N` switches from closed-loop batching to an open-loop arrival
-//! process (exponential inter-arrivals at the target rate), and
-//! `--update-rate R` publishes bursts of `--update-burst` random
-//! edge-weight changes per second as new weight epochs while the stream is
-//! in flight; `--update-every N` instead publishes one burst after every
-//! N completed requests (synchronous closed-loop update waves).
-//! `--deadline-ms F` attaches a per-request deadline: requests whose
-//! deadline expires while still queued are shed un-executed, and a search
-//! truncated mid-engine returns a valid *approximate* partial skyline
-//! (never cached, audited by `--verify` as consistent with the exact
-//! answer). `--admission true` turns on the admission gate, which sheds
-//! provably-unmeetable deadlines at submit time, and `--overload X`
-//! measures the service's capacity with a short calibration pass and then
-//! drives an open-loop stream at `X` times it (exclusive with `--qps` and
-//! `--update-every`); the report adds shed/approximate/met-deadline
-//! accounting.
-//! `--verify true` re-answers every request sequentially *at
-//! the epoch it was served under* and fails unless the concurrent skylines
-//! are score-equivalent; the run also fails if any answer was served from
-//! a stale (non-pinned-epoch) cache entry — the staleness gate.
-//! `--repair true` turns on incremental skyline repair: a cached answer
-//! from an older epoch is repaired against the exact epoch delta and
-//! promoted in place instead of invalidated and recomputed (still
-//! oracle-exact under `--verify`), and one-epoch-stale prefix skylines
-//! provably untouched by the delta still seed warm starts.
-//! `--retention K` bounds the weight-epoch history to the newest K epochs
-//! (overlays beyond the ring are compacted once no reader leases them);
-//! combined with `--verify`, the oracle audits every response whose
-//! pinned epoch is still within the ring and reports how many it had to
-//! skip (epochs already compacted away).
-//! `--trace-out FILE` switches span retention to *full* (one
-//! [`TraceSpan`](skysr_service::TraceSpan) per request), dumps the spans
-//! as JSON lines, and fails the run if the trace-completeness invariant
-//! breaks (any response without exactly one span whose rung and epoch
-//! match); `--metrics-out FILE` writes the run's counters and latency
-//! histograms (end-to-end, queue-wait, engine, and per-rung) as
-//! Prometheus text exposition, every series carrying a `shard` label
-//! (`0` for a single-tenant run).
-//! `--shards N` replays multi-tenant: N regions (one generated dataset
-//! per shard, seeds `--seed`, `--seed`+1, …) behind one in-process
-//! router, each shard driving its own stream and update process through
-//! region-stamped requests; every gate (`--verify`, staleness, trace
-//! completeness) is enforced per shard and any misrouted request fails
-//! the run. A single-tenant replay is the one-shard case of the same run.
-//! `--connect HOST:PORT` replays through a running `skysr-d` instead,
-//! auditing every answer against a local shadow built from the same
-//! dataset recipe. The daemon's serving stack is fixed at its startup, so
-//! the serving-stack flags (`--workers`, `--queue`, `--cache`,
-//! `--coalesce`, the three `--*-reuse` toggles, `--repair`,
-//! `--admission`) are rejected with `--connect`; set them on `skysr-d`.
+//! `replay` streams a skewed workload (`--pattern
+//! zipf|duplicate|prefix|hierarchy`) through the concurrent
+//! `skysr-service` engine, optionally open-loop (`--qps`), under live
+//! weight updates (`--update-rate`, `--update-every`), deadlines and
+//! overload, over several in-process shards (`--shards N`) or against a
+//! running `skysr-d` (`--connect HOST:PORT`), and prints the report.
+//! `--verify true` re-answers every request at the epoch it was served
+//! under. Every run must pass `ReplayReport::check`. `--scenario NAME`
+//! runs one row of the scenario table (`skysr_service::scenario`) with
+//! its gates, the flags given overriding the row's values; `--scenario
+//! all` runs every in-process row and fails listing each failing row and
+//! gate. Without a row, unset flags take `ReplaySpec::default()`; the
+//! spec's own rules are `ReplaySpec::validate`. `docs/OPERATIONS.md`
+//! (§ Replay driver) describes every flag.
 //!
-//! `bench` replays duplicate-heavy, prefix-heavy, dynamic (weight
-//! updates racing the stream), hierarchy (ancestor+suffix seeding vs.
-//! cold searches over a subtree walk) and repair (incremental repair vs.
-//! invalidate-and-recompute under deterministic update waves) workloads
-//! twice each — baseline vs. treatment — and writes the
-//! JSON metrics artifact CI uploads as `BENCH_pr.json` (throughput,
-//! p50/p99, queue-wait percentiles, per-rung latency summaries,
-//! hit/coalesce/warm-start/repair rates, epochs published, invalidations,
-//! verified correctness, speedups). A sixth *telemetry* cell replays the
-//! duplicate stream with span retention off vs. a span per request and
-//! reports the throughput ratio; a seventh *net* cell toggles the
-//! transport (in-process vs. loopback `skysr-d`); an eighth *overload*
-//! cell drives a low-reuse stream at half vs. twice measured capacity
-//! with a deadline and admission control, reporting the hit-rung p99
-//! ratio and shed/approximate counts. `--require-speedup X`
-//! fails the run unless the duplicate-workload speedup reaches `X`;
-//! `--require-hierarchy-speedup X` and `--require-repair-speedup X` do
-//! the same for the hierarchy and repair cells;
-//! `--require-telemetry-ratio X` fails unless full tracing retains at
-//! least fraction `X` of untraced throughput (0.95 = at most 5%
-//! overhead); `--require-overload-ratio X` fails unless the overloaded
-//! cell actually shed load *and* kept its hit-rung p99 within `X` times
-//! its uncontended value floored at the deadline budget; a ninth
-//! *shards* cell serves four regions behind a router vs. a monolith on
-//! the union working set, gated by `--require-shard-speedup X` on the
-//! aggregate-throughput ratio; any stale serve fails either
-//! unconditionally.
-//! Bench also accepts `--trace-out`/`--metrics-out` (spans and Prometheus
-//! text across all cells, each labelled by workload and mode).
+//! `bench` replays each of its workload cells twice — baseline vs.
+//! treatment — verifies every answer, writes the JSON artifact CI uploads
+//! as `BENCH_pr.json`, and fails on any stale serve or on a
+//! `--require-<gate> X` threshold the run misses; `README.md`
+//! (§ Experiments and benchmarks) describes the cells and gates. It also
+//! accepts `--trace-out`/`--metrics-out` (spans and Prometheus text
+//! across all cells, each labelled by workload and mode).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -112,8 +45,8 @@ use std::time::Duration;
 
 use skysr_cli::args::Args;
 use skysr_cli::city::{
-    check_seq_len, dataset_args, load, load_or_generate, parse_flag, parse_preset, region_datasets,
-    service_flags, SERVICE_FLAGS,
+    check_seq_len, dataset_args, load, parse_flag, parse_preset, region_datasets, service_flags,
+    CityArgs, SERVICE_FLAGS,
 };
 use skysr_cli::serve;
 use skysr_core::bssr::{Bssr, BssrConfig};
@@ -124,14 +57,15 @@ use skysr_core::{SkySrQuery, SkylineRoute};
 use skysr_data::codec;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_graph::VertexId;
-use skysr_service::bench::{bench, BenchReport, BenchSpec};
+use skysr_service::bench::{bench, BenchReport, BenchRun, BenchSpec};
 use skysr_service::replay::{
-    build_pool, replay_remote, replay_sharded, ReplaySpec, ShardReplay, ShardedReplayReport,
-    StreamPattern,
+    build_pool, replay_remote, replay_sharded, ShardReplay, ShardedReplayReport,
 };
+use skysr_service::scenario::{self, City, Scenario};
 use skysr_service::telemetry::export::{prometheus, spans_to_json_lines};
 use skysr_service::{
-    MetricsSnapshot, QueryService, RegionId, RemoteService, ServiceContext, TelemetryConfig,
+    MetricsSnapshot, QueryService, RegionId, RemoteService, ReplaySpec, ServiceContext,
+    TelemetryConfig,
 };
 
 /// How long `--connect` commands wait for a daemon still binding its
@@ -159,14 +93,15 @@ fn usage() -> &'static str {
      skysr-cli categories FILE [--top N]\n  \
      skysr-cli query FILE --start VERTEX --categories \"A,B,C\"\n  \
      \t[--destination VERTEX] [--mode ordered|unordered|rated]\n  \
-     skysr-cli replay [FILE] [--preset P] [--scale F] [--seed N] [--queries N]\n  \
-     \t[--distinct N] [--workers N] [--seq-len K] [--zipf S] [--cache N]\n  \
-     \t[--queue N] [--pattern zipf|duplicate|prefix|hierarchy] [--burst N]\n  \
+     skysr-cli replay [FILE] [--scenario NAME|all] [--preset P] [--scale F]\n  \
+     \t[--seed N] [--queries N] [--distinct N] [--workers N] [--seq-len K]\n  \
+     \t[--zipf S] [--cache N] [--queue N]\n  \
+     \t[--pattern zipf|duplicate|prefix|hierarchy] [--burst N]\n  \
      \t[--coalesce true|false] [--prefix-reuse true|false]\n  \
      \t[--ancestor-reuse true|false] [--suffix-reuse true|false]\n  \
      \t[--verify true|false] [--repair true|false] [--retention K] [--qps F]\n  \
-     \t[--update-rate F] [--update-burst N] [--update-magnitude F]\n  \
-     \t[--update-every N] [--deadline-ms F] [--overload X]\n  \
+     \t[--update-rate F] [--update-burst N] [--update-every N]\n  \
+     \t[--deadline-ms F] [--overload X]\n  \
      \t[--admission true|false] [--shards N] [--trace-out FILE.jsonl]\n  \
      \t[--metrics-out FILE.prom] [--connect HOST:PORT]\n  \
      skysr-cli bench [FILE] [--preset P] [--scale F] [--seed N] [--queries N]\n  \
@@ -305,217 +240,9 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             }
             Ok(())
         }
-        "replay" => {
-            let city = dataset_args(&mut args)?;
-            let connect = args.optional("connect");
-            if connect.is_some() {
-                if let Some(flag) = SERVICE_FLAGS.into_iter().find(|&f| args.optional(f).is_some())
-                {
-                    return Err(format!(
-                        "--{flag} is unsupported with --connect (the daemon's serving stack is \
-                         fixed at its startup; set it with skysr-d's own --{flag})"
-                    ));
-                }
-            }
-            let mut spec = ReplaySpec {
-                total: parse_flag(&mut args, "queries", 1000)?,
-                distinct: parse_flag(&mut args, "distinct", 100)?,
-                seq_len: parse_flag(&mut args, "seq-len", 3)?,
-                zipf_exponent: parse_flag(&mut args, "zipf", 1.0)?,
-                burst: parse_flag(&mut args, "burst", 16)?,
-                service: service_flags(&mut args)?,
-                qps: parse_flag(&mut args, "qps", 0.0)?,
-                update_rate: parse_flag(&mut args, "update-rate", 0.0)?,
-                update_burst: parse_flag(&mut args, "update-burst", 32)?,
-                update_magnitude: parse_flag(&mut args, "update-magnitude", 2.0)?,
-                update_every: parse_flag(&mut args, "update-every", 0)?,
-                retention: parse_flag(&mut args, "retention", 0)?,
-                overload: parse_flag(&mut args, "overload", 0.0)?,
-                seed: city.seed,
-                ..ReplaySpec::default()
-            };
-            if let Some(ms) = args.optional("deadline-ms") {
-                let ms: f64 = ms.parse().map_err(|_| "bad --deadline-ms".to_string())?;
-                if !ms.is_finite() || ms <= 0.0 {
-                    return Err("--deadline-ms must be a positive finite number".into());
-                }
-                spec.deadline = Some(Duration::from_secs_f64(ms / 1000.0));
-            }
-            spec.pattern = match args.optional("pattern").as_deref() {
-                None | Some("zipf") => StreamPattern::Zipf,
-                Some("duplicate") => StreamPattern::DuplicateBursts,
-                Some("prefix") => StreamPattern::PrefixChains,
-                Some("hierarchy") => StreamPattern::Hierarchy,
-                Some(other) => return Err(format!("unknown --pattern {other:?}")),
-            };
-            spec.verify = parse_flag(&mut args, "verify", false)?;
-            let shards: usize = parse_flag(&mut args, "shards", 1)?;
-            let trace_out = args.optional("trace-out");
-            let metrics_out = args.optional("metrics-out");
-            // Dumping spans only makes sense over a complete record:
-            // --trace-out switches span retention to full (every request),
-            // which also arms the trace-completeness audit.
-            if trace_out.is_some() {
-                spec.service.telemetry = TelemetryConfig::trace_all(spec.total);
-            }
-            if connect.is_some() {
-                if trace_out.is_some() {
-                    return Err("--trace-out is unsupported with --connect (trace spans are not \
-                         exported over the wire)"
-                        .into());
-                }
-                if spec.retention > 0 {
-                    return Err(
-                        "--retention is unsupported with --connect (the local shadow cannot \
-                         mirror server-side epoch compaction)"
-                            .into(),
-                    );
-                }
-            }
-            args.finish()?;
-            // Reject what the replay driver would otherwise panic on,
-            // before paying for dataset generation.
-            if spec.total == 0 || spec.distinct == 0 || spec.seq_len == 0 {
-                return Err("--queries, --distinct and --seq-len must be at least 1".into());
-            }
-            if !spec.zipf_exponent.is_finite() || spec.zipf_exponent < 0.0 {
-                return Err("--zipf must be a non-negative finite number".into());
-            }
-            if !spec.qps.is_finite() || spec.qps < 0.0 {
-                return Err("--qps must be a non-negative finite number".into());
-            }
-            if !spec.update_rate.is_finite() || spec.update_rate < 0.0 {
-                return Err("--update-rate must be a non-negative finite number".into());
-            }
-            if !spec.update_magnitude.is_finite() || spec.update_magnitude < 1.0 {
-                return Err("--update-magnitude must be a finite number >= 1".into());
-            }
-            if spec.update_rate > 0.0 && spec.update_burst == 0 {
-                return Err("--update-burst must be at least 1".into());
-            }
-            if spec.update_every > 0 && (spec.qps > 0.0 || spec.update_rate > 0.0) {
-                return Err(
-                    "--update-every replays synchronous closed-loop update waves and conflicts \
-                     with the open-loop --qps/--update-rate knobs"
-                        .into(),
-                );
-            }
-            if !spec.overload.is_finite() || spec.overload < 0.0 {
-                return Err("--overload must be a non-negative finite number".into());
-            }
-            if spec.overload > 0.0 && (spec.qps > 0.0 || spec.update_every > 0) {
-                return Err(
-                    "--overload resolves its own open-loop rate from measured capacity and \
-                     conflicts with an explicit --qps and with --update-every"
-                        .into(),
-                );
-            }
-            if spec.overload > 0.0 && connect.is_some() {
-                return Err(
-                    "--overload is unsupported with --connect (capacity calibration runs on a \
-                     local scratch service); drive the daemon with an explicit --qps instead"
-                        .into(),
-                );
-            }
-            if spec.pattern == StreamPattern::Hierarchy && spec.seq_len < 2 {
-                return Err(
-                    "--pattern hierarchy needs --seq-len >= 2 (each chain walks the query's \
-                     suffix and an ancestor variant)"
-                        .into(),
-                );
-            }
-            if shards > 1 && connect.is_some() {
-                return Err("--shards replays against an in-process multi-shard router; a \
-                     daemon's shard layout is fixed at startup (serve --shards)"
-                    .into());
-            }
-            if shards > 1 && spec.overload > 0.0 {
-                return Err("--overload calibration is single-tenant; drive shards with an \
-                     explicit --qps instead"
-                    .into());
-            }
-            let mut regions = region_datasets(&city, shards)?;
-            for (_, dataset) in &regions {
-                check_seq_len(dataset, spec.seq_len)?;
-            }
-            // A remote replay is one lane, audited against a shadow built
-            // from the daemon's dataset recipe (replay_remote checks the
-            // handshake fingerprint); an in-process one is a lane per
-            // region.
-            let fleet = match &connect {
-                Some(addr) => {
-                    let (_, dataset) = regions.pop().expect("one region over --connect");
-                    let pool = build_pool(&dataset, &spec);
-                    let shadow = Arc::new(ServiceContext::from_dataset(dataset));
-                    let remote = RemoteService::connect_retry(addr.as_str(), CONNECT_TIMEOUT)
-                        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-                    eprintln!(
-                        "replaying {} requests ({} distinct, {} stream) over {addr} ...",
-                        spec.total, spec.distinct, spec.pattern
-                    );
-                    let report =
-                        replay_remote(&remote, shadow, &pool, &spec).map_err(|e| e.to_string())?;
-                    let wall = report.wall;
-                    let lane =
-                        ShardReplay { region: RegionId::default(), name: addr.clone(), report };
-                    ShardedReplayReport { shards: vec![lane], wall, misrouted: 0 }
-                }
-                None => {
-                    eprintln!(
-                        "replaying {} requests ({} distinct, {} stream) on {shards} shard(s) x \
-                         {} workers ...",
-                        spec.total, spec.distinct, spec.pattern, spec.service.workers
-                    );
-                    replay_sharded(regions, &spec)
-                }
-            };
-            // One lane prints, and fails, exactly as a single report; more
-            // print the fleet form and fail per shard.
-            match fleet.shards.as_slice() {
-                [one] => println!("{}", one.report),
-                _ => println!("{fleet}"),
-            }
-            if let Some(path) = &trace_out {
-                let lines: String =
-                    fleet.shards.iter().map(|s| spans_to_json_lines(&s.report.spans)).collect();
-                std::fs::write(path, lines).map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("wrote {path}");
-            }
-            if let Some(path) = &metrics_out {
-                // Every series carries the shard label; a single-tenant
-                // run is shard 0 (the default shard).
-                let pattern = spec.pattern.to_string();
-                let ids: Vec<String> = fleet.shards.iter().map(|s| s.region.to_string()).collect();
-                let labels: Vec<[(&str, &str); 2]> = ids
-                    .iter()
-                    .map(|id| [("pattern", pattern.as_str()), ("shard", id.as_str())])
-                    .collect();
-                let entries: Vec<(&[(&str, &str)], &MetricsSnapshot)> = fleet
-                    .shards
-                    .iter()
-                    .zip(&labels)
-                    .map(|(s, l)| (l.as_slice(), &s.report.metrics))
-                    .collect();
-                std::fs::write(path, prometheus(&entries))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("wrote {path}");
-            }
-            for s in &fleet.shards {
-                if let Some(skipped) = s.report.verify_skipped.filter(|&n| n > 0) {
-                    eprintln!(
-                        "note: shard {}: {skipped} response(s) were unverifiable (pinned epochs \
-                         beyond the --retention ring) and were skipped",
-                        s.region
-                    );
-                }
-            }
-            match fleet.shards.as_slice() {
-                [one] => one.report.check(),
-                _ => fleet.check(),
-            }
-        }
+        "replay" => replay(args),
         "bench" => {
-            let city = dataset_args(&mut args)?;
+            let city = dataset_args(&mut args, City::default(), BenchSpec::default().seed)?;
             let spec = BenchSpec {
                 total: parse_flag(&mut args, "queries", 144)?,
                 distinct: parse_flag(&mut args, "distinct", 8)?,
@@ -555,7 +282,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             if spec.update_burst == 0 {
                 return Err("--update-burst must be at least 1".into());
             }
-            let dataset = load_or_generate(&city)?;
+            let (_, dataset) = region_datasets(&city, 1)?.pop().expect("one region");
             check_seq_len(&dataset, spec.seq_len)?;
             eprintln!(
                 "benchmarking reuse vs. exact-match baseline ({} requests, {} workers) ...",
@@ -564,33 +291,22 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             let report = bench(dataset, &spec);
             println!("{report}");
             if let Some(path) = out {
-                std::fs::write(&path, report.to_json())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("wrote {path}");
+                write_file(&path, report.to_json())?;
             }
             if let Some(path) = &trace_out {
-                let mut lines = String::new();
-                for run in &report.runs {
-                    lines.push_str(&spans_to_json_lines(&run.report.spans));
-                }
-                std::fs::write(path, lines).map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("wrote {path}");
+                write_file(
+                    path,
+                    report.runs.iter().map(|r| spans_to_json_lines(&r.report.spans)).collect(),
+                )?;
             }
             if let Some(path) = &metrics_out {
-                let labels: Vec<[(&str, &str); 3]> = report
-                    .runs
-                    .iter()
-                    .map(|r| [("workload", r.workload), ("mode", r.mode), ("shard", "0")])
-                    .collect();
-                let entries: Vec<(&[(&str, &str)], &MetricsSnapshot)> = report
-                    .runs
-                    .iter()
-                    .zip(&labels)
-                    .map(|(r, l)| (l.as_slice(), &r.report.metrics))
-                    .collect();
-                std::fs::write(path, prometheus(&entries))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("wrote {path}");
+                let labels = |r: &BenchRun| {
+                    [("workload", r.workload), ("mode", r.mode), ("shard", "0")]
+                        .map(|(k, v)| (k, v.to_owned()))
+                };
+                let runs: Vec<_> =
+                    report.runs.iter().map(|r| (labels(r), &r.report.metrics)).collect();
+                write_prometheus(path, &runs)?;
             }
             for run in &report.runs {
                 run.report.check().map_err(|e| format!("{}/{}: {e}", run.workload, run.mode))?;
@@ -632,6 +348,191 @@ fn run(argv: Vec<String>) -> Result<(), String> {
         }
         other => Err(format!("unknown command {other:?}")),
     }
+}
+
+/// `replay`: one row of the scenario table (`--scenario NAME`), every
+/// in-process row (`--scenario all`), or an ad-hoc run, the caller's
+/// flags overriding the row's values. Prints each report and fails
+/// naming every failing row and its gate.
+fn replay(mut args: Args) -> Result<(), String> {
+    let connect = args.optional("connect");
+    let trace_out = args.optional("trace-out");
+    let metrics_out = args.optional("metrics-out");
+    let rows = match args.optional("scenario").as_deref() {
+        None => {
+            let ad_hoc = Scenario::new("ad-hoc", City::default(), ReplaySpec::default());
+            vec![Scenario { daemon: connect.is_some(), ..ad_hoc }]
+        }
+        Some("all") => {
+            if connect.is_some() || trace_out.is_some() || metrics_out.is_some() {
+                return Err(
+                    "--scenario all takes no --connect, --trace-out or --metrics-out".into()
+                );
+            }
+            scenario::table().into_iter().filter(|row| !row.daemon).collect()
+        }
+        Some(name) => vec![scenario::find(name).ok_or_else(|| {
+            let names: Vec<String> = scenario::table().into_iter().map(|row| row.name).collect();
+            format!("unknown --scenario {name:?}; the rows are all, {}", names.join(", "))
+        })?],
+    };
+    // Every row takes the flags before any runs, so a bad flag fails
+    // first.
+    let rows = rows
+        .into_iter()
+        .map(|row| override_row(args.clone(), row, connect.is_some(), trace_out.is_some()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut failures = Vec::new();
+    for (row, city) in &rows {
+        let spec = &row.spec;
+        let mut regions = region_datasets(city, row.shards)?;
+        for (_, dataset) in &regions {
+            check_seq_len(dataset, spec.seq_len)?;
+        }
+        let lanes = match &connect {
+            Some(addr) => format!("over {addr}"),
+            None => format!("on {} shard(s) x {} workers", row.shards, spec.service.workers),
+        };
+        eprintln!(
+            "{}: replaying {} requests ({} distinct, {} stream) {lanes} ...",
+            row.name, spec.total, spec.distinct, spec.pattern
+        );
+        // A remote replay is one lane, audited against a shadow built
+        // from the daemon's dataset recipe (replay_remote checks the
+        // handshake fingerprint); an in-process one is a lane per region.
+        let fleet = match &connect {
+            Some(addr) => {
+                let (_, dataset) = regions.pop().expect("one region over --connect");
+                let pool = build_pool(&dataset, spec);
+                let shadow = Arc::new(ServiceContext::from_dataset(dataset));
+                let remote = RemoteService::connect_retry(addr.as_str(), CONNECT_TIMEOUT)
+                    .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+                let report =
+                    replay_remote(&remote, shadow, &pool, spec).map_err(|e| e.to_string())?;
+                let wall = report.wall;
+                let lane = ShardReplay { region: RegionId::default(), name: addr.clone(), report };
+                ShardedReplayReport { shards: vec![lane], wall, misrouted: 0 }
+            }
+            None => replay_sharded(regions, spec),
+        };
+        match fleet.shards.as_slice() {
+            [one] => println!("{}", one.report),
+            _ => println!("{fleet}"),
+        }
+        if let Some(path) = &trace_out {
+            write_file(
+                path,
+                fleet.shards.iter().map(|s| spans_to_json_lines(&s.report.spans)).collect(),
+            )?;
+        }
+        if let Some(path) = &metrics_out {
+            // Every series carries the shard label; a single-tenant run
+            // is shard 0 (the default shard).
+            let labels = |s: &ShardReplay| {
+                [("pattern", spec.pattern.to_string()), ("shard", s.region.to_string())]
+            };
+            let runs: Vec<_> =
+                fleet.shards.iter().map(|s| (labels(s), &s.report.metrics)).collect();
+            write_prometheus(path, &runs)?;
+        }
+        failures.extend(row.check(&fleet).err());
+    }
+    failures.is_empty().then_some(()).ok_or_else(|| failures.join("\n"))
+}
+
+/// Applies the replay flags the caller set to `row` (unset ones keep the
+/// row's values) and checks the result: the spec's own rules
+/// ([`ReplaySpec::validate`]) and those of `--connect`, `--shards` and
+/// `--trace-out`.
+fn override_row(
+    mut args: Args,
+    mut row: Scenario,
+    connect: bool,
+    trace_out: bool,
+) -> Result<(Scenario, CityArgs), String> {
+    if row.daemon != connect {
+        let needs = match row.daemon {
+            true => "replays against skysr-d: pass --connect",
+            false => "replays in-process and takes no --connect",
+        };
+        return Err(format!("row {} {needs}", row.name));
+    }
+    if connect {
+        if let Some(flag) = SERVICE_FLAGS.into_iter().find(|&f| args.optional(f).is_some()) {
+            return Err(format!(
+                "--{flag} is unsupported with --connect (the daemon's serving stack is fixed at \
+                 its startup; set it with skysr-d's own --{flag})"
+            ));
+        }
+    }
+    let city = dataset_args(&mut args, row.city, row.spec.seed)?;
+    let spec = &mut row.spec;
+    spec.seed = city.seed;
+    spec.total = parse_flag(&mut args, "queries", spec.total)?;
+    spec.distinct = parse_flag(&mut args, "distinct", spec.distinct)?;
+    spec.seq_len = parse_flag(&mut args, "seq-len", spec.seq_len)?;
+    spec.pattern = parse_flag(&mut args, "pattern", spec.pattern)?;
+    spec.zipf_exponent = parse_flag(&mut args, "zipf", spec.zipf_exponent)?;
+    spec.burst = parse_flag(&mut args, "burst", spec.burst)?;
+    spec.service = service_flags(&mut args, spec.service.clone())?;
+    spec.qps = parse_flag(&mut args, "qps", spec.qps)?;
+    spec.update_rate = parse_flag(&mut args, "update-rate", spec.update_rate)?;
+    spec.update_burst = parse_flag(&mut args, "update-burst", spec.update_burst)?;
+    spec.update_every = parse_flag(&mut args, "update-every", spec.update_every)?;
+    spec.retention = parse_flag(&mut args, "retention", spec.retention)?;
+    spec.overload = parse_flag(&mut args, "overload", spec.overload)?;
+    spec.verify = parse_flag(&mut args, "verify", spec.verify)?;
+    if let Some(ms) = args.optional("deadline-ms") {
+        let ms: f64 = ms.parse().map_err(|_| "bad --deadline-ms".to_string())?;
+        // Out-of-range values saturate, and validation rejects them.
+        spec.deadline = Some(Duration::try_from_secs_f64(ms / 1e3).unwrap_or(Duration::MAX));
+    }
+    row.shards = parse_flag(&mut args, "shards", row.shards)?;
+    args.finish()?;
+    // Dumping spans only makes sense over a complete record: --trace-out
+    // switches span retention to full (every request), which also arms
+    // the trace-completeness audit. A fully traced row keeps every span
+    // of its stream, whatever --queries made of it.
+    if trace_out || row.spec.audits_spans() {
+        row.spec.service.telemetry = TelemetryConfig::trace_all(row.spec.total);
+    }
+    let spec = &row.spec;
+    spec.validate()?;
+    let local_only = [
+        (trace_out, "--trace-out", "trace spans are not exported over the wire"),
+        (spec.retention > 0, "--retention", "the daemon's epoch history is its own"),
+        (spec.overload > 0.0, "--overload", "capacity calibration runs on a local service"),
+        (row.shards > 1, "--shards", "a daemon's shard layout is fixed at its startup"),
+    ];
+    if let Some((_, flag, why)) = local_only.into_iter().find(|&(set, ..)| connect && set) {
+        return Err(format!("{flag} is unsupported with --connect ({why})"));
+    }
+    if row.shards > 1 && spec.overload > 0.0 {
+        return Err("--overload calibration is single-tenant; drive shards with an explicit \
+             --qps instead"
+            .into());
+    }
+    Ok((row, city))
+}
+
+/// Writes an export file and says so.
+fn write_file(path: &str, contents: String) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+/// Writes each run's metrics, under its label pairs, to `path` as
+/// Prometheus text.
+fn write_prometheus<const N: usize>(
+    path: &str,
+    runs: &[([(&str, String); N], &MetricsSnapshot)],
+) -> Result<(), String> {
+    let labels: Vec<[(&str, &str); N]> =
+        runs.iter().map(|(l, _)| l.each_ref().map(|(k, v)| (*k, v.as_str()))).collect();
+    let entries: Vec<(&[(&str, &str)], &MetricsSnapshot)> =
+        labels.iter().zip(runs).map(|(l, (_, m))| (l.as_slice(), *m)).collect();
+    write_file(path, prometheus(&entries))
 }
 
 /// The bench's `--require-<gate> X` flags, applied in this order by

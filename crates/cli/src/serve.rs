@@ -14,7 +14,8 @@
 use std::sync::Arc;
 
 use skysr_service::{
-    MetricsSnapshot, QueryService, Server, ServerConfig, Service, ServiceContext, ShardRegistry,
+    City, MetricsSnapshot, QueryService, ReplaySpec, Server, ServerConfig, Service, ServiceContext,
+    ShardRegistry,
 };
 
 use crate::args::Args;
@@ -46,9 +47,11 @@ pub fn lifetime(m: &MetricsSnapshot) -> String {
 
 /// Runs the daemon: bind, announce, serve until drained.
 pub fn run_serve(args: &mut Args) -> Result<(), String> {
-    let city = dataset_args(args)?;
+    // The daemon defaults to the stack and city a replay defaults to.
+    let defaults = ReplaySpec::default();
+    let city = dataset_args(args, City::default(), defaults.seed)?;
     let addr = args.optional("addr").unwrap_or_else(|| "127.0.0.1:7878".to_owned());
-    let config = service_flags(args)?;
+    let config = service_flags(args, defaults.service)?;
     let shards: usize = parse_flag(args, "shards", 1)?;
     args.finish()?;
     let mut regions = region_datasets(&city, shards)?;

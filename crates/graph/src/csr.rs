@@ -227,6 +227,18 @@ impl RoadNetwork {
         }
     }
 
+    /// A lease-free copy of this view: the same effective weights at
+    /// [`EpochId::BASE`], on storage no
+    /// [`WeightEpoch`](crate::epoch::WeightEpoch) tracks, so holding it
+    /// keeps no epoch from compaction. Shares the storage when the view
+    /// reweights no arc; otherwise an O(|arcs| + |V|) copy.
+    pub fn detached(&self) -> RoadNetwork {
+        match &self.overlay {
+            Some(o) if !o.is_empty() => self.with_weights_folded(&WeightOverlay::empty(o.epoch())),
+            _ => RoadNetwork { storage: Arc::clone(&self.storage), overlay: None },
+        }
+    }
+
     /// Arc slots of every stored arc `from → to` (several for parallel
     /// edges, empty if the arc does not exist).
     pub(crate) fn arcs_between(&self, from: VertexId, to: VertexId) -> Vec<u32> {

@@ -124,7 +124,7 @@ pub struct WeightOverlay {
 }
 
 impl WeightOverlay {
-    fn empty(epoch: EpochId) -> WeightOverlay {
+    pub(crate) fn empty(epoch: EpochId) -> WeightOverlay {
         WeightOverlay { epoch, arcs: Box::new([]), weights: Box::new([]), min_ratio: 1.0 }
     }
 
@@ -1091,6 +1091,17 @@ mod tests {
         epochs.compact();
         assert!(epochs.pin_at(EpochId(1)).is_none(), "released epochs are collectable");
         assert_eq!(epochs.gc_stats().retained, 2);
+    }
+
+    #[test]
+    fn a_detached_view_holds_no_lease() {
+        let epochs = WeightEpoch::with_retention(triangle(), 1);
+        epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 2.0)]);
+        let copy = epochs.pin().detached();
+        assert_eq!((copy.epoch(), weight_between(&copy, 0, 1)), (EpochId::BASE, 2.0));
+        epochs.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 3.0)]);
+        assert!(epochs.pin_at(EpochId(1)).is_none(), "the copy must not lease epoch 1");
+        assert_eq!(weight_between(&copy, 1, 2), 2.0, "the copy keeps the weights it copied");
     }
 
     #[test]

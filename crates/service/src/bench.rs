@@ -802,7 +802,6 @@ pub fn bench(dataset: Dataset, spec: &BenchSpec) -> BenchReport {
         verify_mismatches: Some(
             treat.shards.iter().filter_map(|s| s.report.verify_mismatches).sum(),
         ),
-        verify_skipped: Some(treat.shards.iter().filter_map(|s| s.report.verify_skipped).sum()),
         spans: Vec::new(),
         trace_violations: None,
         overload: 0.0,

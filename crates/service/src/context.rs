@@ -110,12 +110,14 @@ impl ServiceContext {
     /// current (or historical) traffic goes through [`Self::pin`] /
     /// [`Self::pin_at`].
     pub fn query_context(&self) -> QueryContext<'_> {
-        QueryContext::with_similarity(
-            self.graph.base(),
-            &self.forest,
-            &self.pois,
-            &*self.similarity,
-        )
+        self.query_context_on(self.graph.base())
+    }
+
+    /// A borrowed [`QueryContext`] over `graph`, a view of this context's
+    /// road network kept elsewhere (such as a replay's private weight
+    /// history), with this context's forest, PoI table and similarity.
+    pub(crate) fn query_context_on<'a>(&'a self, graph: &'a RoadNetwork) -> QueryContext<'a> {
+        QueryContext::with_similarity(graph, &self.forest, &self.pois, &*self.similarity)
     }
 
     /// A consistent snapshot of the context at the current weight epoch.
@@ -159,9 +161,7 @@ impl ServiceContext {
     /// Bounds the weight-epoch history to the newest `retention` epochs
     /// (`0` = unlimited, the default). Older overlays are compacted once
     /// no reader leases them; epochs that fell out of the ring can no
-    /// longer be pinned with [`Self::pin_at`] — in particular, replay
-    /// verification (which re-answers requests at historical epochs)
-    /// requires unlimited retention.
+    /// longer be pinned with [`Self::pin_at`].
     pub fn set_epoch_retention(&self, retention: usize) {
         self.graph.set_retention(retention);
     }

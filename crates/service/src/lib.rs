@@ -138,6 +138,7 @@ pub mod net;
 pub mod plan;
 pub mod pool;
 pub mod replay;
+pub mod scenario;
 mod service;
 pub mod shard;
 pub mod telemetry;
@@ -149,6 +150,7 @@ pub use metrics::{LatencyBreakdown, MetricsSnapshot, Served};
 pub use net::{ProtocolError, RemoteService, ServeBackend, Server, ServerConfig};
 pub use plan::{PlanStep, ReusePlan, ReusePlanner, ReuseStrategies, SeedSource};
 pub use replay::{ReplayReport, ReplaySpec, ShardReplay, ShardedReplayReport, StreamPattern};
+pub use scenario::{City, Gates, Scenario};
 pub use service::{
     AnytimeResponse, QueryRequest, QueryResponse, QueryService, RequestOptions, Service,
     ServiceConfig, StreamTicket, Ticket,

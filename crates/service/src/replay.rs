@@ -45,14 +45,11 @@
 //!
 //! With [`ReplaySpec::verify`] set, every answered request is re-answered
 //! by a sequential cold [`Bssr`] run *at the epoch the response reports it
-//! was pinned to*. With unbounded retention historical epochs stay
-//! pinnable and every response is audited; with a bounded
-//! [`ReplaySpec::retention`] ring, responses whose pinned epoch has been
-//! compacted away are skipped and counted
-//! ([`ReplayReport::verify_skipped`]) instead of refusing the flag
-//! combination. The skylines are
-//! compared with [`equivalent_skylines`]: same size and score-identical up
-//! to the score tolerance. (Exact route equality is deliberately not
+//! was pinned to*. Each lane mirrors every weight burst it publishes into
+//! a private, unbounded weight history and the oracle pins from that, so
+//! a bounded [`ReplaySpec::retention`] ring hides no response from it. The
+//! skylines are compared with [`equivalent_skylines`]: same size and
+//! score-identical up to the score tolerance. (Exact route equality is deliberately not
 //! required — a warm-started search may return a different
 //! *representative* route for a score-tied skyline point.) Together with
 //! the report's stale-serve count (which must be zero) this is the
@@ -66,7 +63,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
-use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch};
+use skysr_core::bssr::{Bssr, BssrScratch};
 use skysr_core::dominance::{skyline_of, SkylineSet};
 use skysr_core::error::QueryError;
 use skysr_core::query::SkySrQuery;
@@ -74,7 +71,7 @@ use skysr_core::route::{equivalent_skylines, SkylineRoute};
 use skysr_data::dataset::Dataset;
 use skysr_data::workload::WorkloadSpec;
 use skysr_data::zipf::Zipf;
-use skysr_graph::{EpochGcStats, EpochId, RoadNetwork, WeightDelta};
+use skysr_graph::{EpochGcStats, EpochId, RoadNetwork, WeightDelta, WeightEpoch};
 
 use crate::context::ServiceContext;
 use crate::metrics::{MetricsSnapshot, Served};
@@ -99,6 +96,28 @@ pub enum StreamPattern {
 
 /// Entries per hierarchy chain: suffix, ancestor variant, full query.
 pub const HIERARCHY_CHAIN: usize = 3;
+
+impl StreamPattern {
+    /// Every pattern, in the order the docs list them.
+    pub(crate) const ALL: [StreamPattern; 4] = [
+        StreamPattern::Zipf,
+        StreamPattern::DuplicateBursts,
+        StreamPattern::PrefixChains,
+        StreamPattern::Hierarchy,
+    ];
+}
+
+impl std::str::FromStr for StreamPattern {
+    type Err = String;
+
+    /// Parses the pattern's [`Display`](std::fmt::Display) name.
+    fn from_str(s: &str) -> Result<StreamPattern, String> {
+        StreamPattern::ALL
+            .into_iter()
+            .find(|p| p.to_string() == s)
+            .ok_or_else(|| format!("unknown stream pattern {s:?}"))
+    }
+}
 
 impl std::fmt::Display for StreamPattern {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -164,9 +183,8 @@ pub struct ReplaySpec {
     pub update_magnitude: f64,
     /// Weight-epoch history retention: keep at most this many epochs
     /// pinnable, compacting older unleased overlays (`0` = unlimited).
-    /// Combines with [`verify`](ReplaySpec::verify): the oracle pins only
-    /// epochs still within the ring and skips (and counts) responses
-    /// whose epoch was compacted away.
+    /// Verification is unaffected: the oracle pins from the lane's own
+    /// unbounded history.
     pub retention: usize,
     /// Also re-answer every request sequentially at its pinned epoch and
     /// compare skylines (score-equivalent multisets).
@@ -214,12 +232,69 @@ impl Default for ReplaySpec {
     }
 }
 
+/// The longest interval a replay schedules, as [`ReplaySpec::validate`]'s
+/// messages state it: a deadline, or the mean gap between open-loop
+/// arrivals or update bursts. A slower replay is not a workload anyone
+/// waits for, and a far slower one overflows the clock.
+const MAX_INTERVAL: Duration = Duration::from_secs(1000);
+
 impl ReplaySpec {
     /// Whether the replayed service keeps every span: full tracing, the
     /// only retention under which the trace-completeness audit runs.
-    fn audits_spans(&self) -> bool {
+    pub fn audits_spans(&self) -> bool {
         let t = &self.service.telemetry;
         t.tracing && t.sample_every == 1
+    }
+
+    /// Every rule the spec must meet on its own, before any dataset
+    /// exists. `Err` names the first rule it breaks. The replay entry
+    /// points panic on an invalid spec.
+    pub fn validate(&self) -> Result<(), String> {
+        let slow = |r: f64| r != 0.0 && !(r * MAX_INTERVAL.as_secs_f64() >= 1.0 && r.is_finite());
+        let sized = |x: f64, least: f64| x >= least && x.is_finite();
+        let updates = self.update_rate > 0.0 || self.update_every > 0;
+        let rules = [
+            (
+                [self.total, self.distinct, self.seq_len].contains(&0),
+                "total, distinct and seq_len must be at least 1",
+            ),
+            (
+                self.pattern == StreamPattern::Hierarchy && self.seq_len < 2,
+                "the hierarchy pattern needs seq_len >= 2 (each chain walks the query's suffix \
+                 and an ancestor variant)",
+            ),
+            (
+                self.pattern == StreamPattern::DuplicateBursts && self.burst < 2,
+                "the duplicate pattern needs bursts of at least 2 requests",
+            ),
+            (!sized(self.zipf_exponent, 0.0), "zipf_exponent must be a non-negative finite number"),
+            (slow(self.qps), "qps must be 0 or a finite rate of at least one per 1000 s"),
+            (
+                slow(self.update_rate),
+                "update_rate must be 0 or a finite rate of at least one per 1000 s",
+            ),
+            (
+                updates && self.update_burst == 0,
+                "update_burst must be at least 1 when weights update",
+            ),
+            (!sized(self.update_magnitude, 1.0), "update_magnitude must be a finite number >= 1"),
+            (
+                self.update_every > 0 && (self.qps > 0.0 || self.update_rate > 0.0),
+                "update_every replays synchronous closed-loop update waves and conflicts with the \
+                 open-loop qps and update_rate",
+            ),
+            (!sized(self.overload, 0.0), "overload must be a non-negative finite number"),
+            (
+                self.overload > 0.0 && (self.qps > 0.0 || self.update_every > 0),
+                "overload resolves its own open-loop rate from measured capacity and conflicts \
+                 with an explicit qps and with update_every",
+            ),
+            (
+                self.deadline.is_some_and(|d| d.is_zero() || d > MAX_INTERVAL),
+                "the deadline must be positive and at most 1000 s",
+            ),
+        ];
+        rules.into_iter().find(|&(broken, _)| broken).map_or(Ok(()), |(_, why)| Err(why.into()))
     }
 }
 
@@ -252,11 +327,6 @@ pub struct ReplayReport {
     /// whose concurrent skyline was not score-equivalent to a fresh
     /// sequential run at the request's pinned epoch.
     pub verify_mismatches: Option<usize>,
-    /// `Some(skipped)` when verification ran: responses that could not be
-    /// audited because their pinned epoch had already been compacted out
-    /// of a bounded retention ring. Always `Some(0)` with unlimited
-    /// retention.
-    pub verify_skipped: Option<usize>,
     /// Trace spans drained from the service after the stream completed
     /// (retention governed by the spec's [`ServiceConfig::telemetry`]),
     /// sorted by request id.
@@ -297,16 +367,25 @@ impl ReplayReport {
         self.metrics.approximate_served
     }
 
-    /// The replay's gates: trace completeness (when audited), oracle
-    /// exactness (when verified) and zero stale serves. `Err` names the
-    /// first gate that failed. Responses the oracle had to skip
-    /// ([`verify_skipped`](Self::verify_skipped)) fail nothing.
+    /// The replay's gates, each checked wherever it applies: trace
+    /// completeness and well-formed spans (under full tracing), oracle
+    /// exactness (when verified), zero stale serves, and under a bounded
+    /// retention ring of K epochs, at most K retained after drain and a
+    /// high-water mark of at most K plus one lease per worker. `Err` names
+    /// the first gate that failed.
     pub fn check(&self) -> Result<(), String> {
         if let Some(v) = self.trace_violations.filter(|&v| v > 0) {
             return Err(format!(
                 "trace-completeness invariant violated: {v} violation(s) (a response without \
                  exactly one matching span, or rung/epoch disagreement)"
             ));
+        }
+        if self.trace_violations.is_some() {
+            if let Some((id, why)) =
+                self.spans.iter().find_map(|s| malformed(s).map(|why| (s.request_id, why)))
+            {
+                return Err(format!("span gate failed: the span of request {id} {why}"));
+            }
         }
         if self.verify_mismatches.is_some_and(|m| m > 0) {
             return Err("verification failed: concurrent and sequential skylines differ".into());
@@ -317,7 +396,41 @@ impl ReplayReport {
                 self.stale_served()
             ));
         }
+        let e = &self.epoch_gc;
+        if e.retention > 0 && e.retained > e.retention {
+            return Err(format!(
+                "retention gate failed: {} epochs retained after drain, above the cap of {}",
+                e.retained, e.retention
+            ));
+        }
+        if let Some(workers) = self.workers.filter(|_| e.retention > 0) {
+            if e.retained_max > e.retention + workers {
+                return Err(format!(
+                    "high-water gate failed: {} epochs retained at once, above the cap of {} \
+                     plus {workers} worker leases",
+                    e.retained_max, e.retention
+                ));
+            }
+        }
         Ok(())
+    }
+}
+
+/// What is wrong with `span`, if anything: it must record at least one
+/// rung-ladder attempt, spend no longer queued and in the engine than end
+/// to end (to the microsecond the span file prints), and, when repaired,
+/// name its repair tier and delta index.
+fn malformed(span: &TraceSpan) -> Option<&'static str> {
+    if span.attempts.is_empty() {
+        Some("records no rung-ladder attempt")
+    } else if span.queue_wait + span.engine > span.total + Duration::from_micros(1) {
+        Some("spends longer queued and in the engine than end to end")
+    } else if span.rung == Rung::Repaired
+        && (span.repair_tier.is_none() || span.delta_index.is_none())
+    {
+        Some("is repaired but names no repair tier or delta index")
+    } else {
+        None
     }
 }
 
@@ -385,9 +498,6 @@ impl std::fmt::Display for ReplayReport {
             } else {
                 write!(f, "FAILED — {m} mismatching request(s)")?;
             }
-            if let Some(skipped) = self.verify_skipped.filter(|&n| n > 0) {
-                write!(f, " ({skipped} unverifiable: pinned epochs beyond the retention ring)")?;
-            }
         }
         Ok(())
     }
@@ -450,11 +560,10 @@ fn request_stream(spec: &ReplaySpec, pool_len: usize) -> Vec<usize> {
             // Bursts stay consecutive (no shuffle): the point is duplicates
             // being in flight at the same time.
             let zipf = Zipf::new(pool_len, spec.zipf_exponent);
-            let burst = spec.burst.max(2);
             let mut stream = Vec::with_capacity(spec.total);
             while stream.len() < spec.total {
                 let i = zipf.sample(&mut rng);
-                for _ in 0..burst.min(spec.total - stream.len()) {
+                for _ in 0..spec.burst.min(spec.total - stream.len()) {
                     stream.push(i);
                 }
             }
@@ -539,13 +648,12 @@ pub fn random_traffic_deltas(
 /// to run several replays (e.g. config comparisons) over one context.
 ///
 /// # Panics
-/// If `spec.total` or `spec.distinct` is zero, or the dataset cannot
-/// populate a workload of `spec.seq_len` (see [`WorkloadSpec::generate`]).
+/// If the spec is invalid ([`ReplaySpec::validate`]), or the dataset
+/// cannot populate a workload of `spec.seq_len` (see
+/// [`WorkloadSpec::generate`]).
 pub fn replay(dataset: Dataset, spec: &ReplaySpec) -> ReplayReport {
-    assert!(spec.total > 0 && spec.distinct > 0, "replay needs a non-empty stream");
-    let pool = build_pool(&dataset, spec);
-    let ctx = Arc::new(ServiceContext::from_dataset(dataset));
-    replay_on(ctx, &pool, spec)
+    let region = (spec.service.region_name.clone(), dataset);
+    replay_sharded(vec![region], spec).shards.pop().expect("one region reports once").report
 }
 
 /// Replays `spec`'s stream over an already-built pool and shared context:
@@ -603,11 +711,24 @@ impl ShardedReplayReport {
         merged
     }
 
-    /// Every shard's [`ReplayReport::check`], the failure prefixed with
-    /// the failing shard, then the routing gate: nothing misrouted.
+    /// Every shard's [`ReplayReport::check`], then the routing gate:
+    /// nothing misrouted.
     pub fn check(&self) -> Result<(), String> {
+        self.check_with(ReplayReport::check)
+    }
+
+    /// `lane` over every shard's report, a failure prefixed with the
+    /// failing shard when there are several, then the routing gate:
+    /// nothing misrouted. A one-lane fleet fails exactly as its report.
+    pub(crate) fn check_with(
+        &self,
+        lane: impl Fn(&ReplayReport) -> Result<(), String>,
+    ) -> Result<(), String> {
         for s in &self.shards {
-            s.report.check().map_err(|e| format!("shard {} ({}): {e}", s.region, s.name))?;
+            lane(&s.report).map_err(|e| match self.shards.len() {
+                1 => e,
+                _ => format!("shard {} ({}): {e}", s.region, s.name),
+            })?;
         }
         if self.misrouted > 0 {
             return Err(format!(
@@ -660,10 +781,11 @@ impl std::fmt::Display for ShardedReplayReport {
 /// architecture claims.
 ///
 /// # Panics
-/// If `datasets` is empty or the stream is empty.
+/// If `datasets` is empty or the spec is invalid
+/// ([`ReplaySpec::validate`]).
 pub fn replay_sharded(datasets: Vec<(String, Dataset)>, spec: &ReplaySpec) -> ShardedReplayReport {
     assert!(!datasets.is_empty(), "a sharded replay needs at least one region");
-    assert!(spec.total > 0 && spec.distinct > 0, "replay needs a non-empty stream");
+    spec.validate().unwrap_or_else(|e| panic!("invalid replay spec: {e}"));
     let lanes = datasets
         .into_iter()
         .enumerate()
@@ -768,14 +890,18 @@ fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
 }
 
 /// One replay lane: a named region's context, query pool, request stream
-/// and spec, plus the weight epoch its accounting starts from.
+/// and spec, plus the lane's own record of the weights it publishes.
 struct Lane<'a> {
     name: String,
     ctx: Arc<ServiceContext>,
     pool: Cow<'a, [SkySrQuery]>,
     stream: Vec<usize>,
     spec: ReplaySpec,
+    /// The service's epoch when the lane started: the mirror's epoch 0.
     epoch_before: EpochId,
+    /// Every burst the lane publishes, in an unbounded history of its
+    /// own: the oracle pins from here, never from the service's ring.
+    mirror: WeightEpoch,
 }
 
 impl<'a> Lane<'a> {
@@ -785,20 +911,32 @@ impl<'a> Lane<'a> {
         pool: Cow<'a, [SkySrQuery]>,
         spec: ReplaySpec,
     ) -> Lane<'a> {
+        spec.validate().unwrap_or_else(|e| panic!("invalid replay spec: {e}"));
         assert!(!pool.is_empty(), "replay needs a non-empty pool");
-        assert!(
-            !(spec.update_every > 0 && (spec.qps > 0.0 || spec.update_rate > 0.0)),
-            "synchronous update waves (update_every) are closed-loop and exclusive with the \
-             open-loop qps/update_rate knobs"
-        );
-        assert!(
-            spec.overload == 0.0 || (spec.qps == 0.0 && spec.update_every == 0),
-            "overload resolves its own open-loop rate: exclusive with an explicit qps and with \
-             closed-loop update waves"
-        );
         let stream = request_stream(&spec, pool.len());
-        let epoch_before = ctx.current_epoch();
-        Lane { name, ctx, pool, stream, spec, epoch_before }
+        // The mirror starts from a lease-free copy of the current view (a
+        // lane may start past epoch 0 on a reused context): a pinned view
+        // would lease its epoch and hold the service's ring above its cap.
+        let start = ctx.pin();
+        let (mirror, epoch_before) = (WeightEpoch::new(start.graph().detached()), start.epoch());
+        Lane { name, ctx, pool, stream, spec, epoch_before, mirror }
+    }
+
+    /// Publishes one burst through `publish` and into the lane's mirror,
+    /// in lockstep.
+    fn publish(
+        &self,
+        publish: &(dyn Fn(&[WeightDelta]) -> EpochId + Sync),
+        deltas: &[WeightDelta],
+    ) {
+        let published = publish(deltas);
+        let mirrored = self.mirror.publish(deltas);
+        assert_eq!(
+            published.get(),
+            self.epoch_before.get() + mirrored.get(),
+            "the lane's weight history diverged from the service's epochs — is something else \
+             publishing weights to it?"
+        );
     }
 
     /// Measures the lane's sustainable throughput (completed requests per
@@ -831,7 +969,7 @@ impl<'a> Lane<'a> {
     /// stream drains. The lane's graph only *generates* deltas (base
     /// weights, which never change) — publication goes through `publish`,
     /// so a shard publishes through the router and a remote lane over the
-    /// wire, mirrored into its shadow.
+    /// wire, each mirrored into the lane's own history.
     fn drive(
         &self,
         service: &dyn QueryService,
@@ -839,15 +977,15 @@ impl<'a> Lane<'a> {
     ) -> (Vec<Result<QueryResponse, QueryError>>, Duration) {
         let (pool, stream, spec, graph) =
             (&self.pool[..], &self.stream[..], &self.spec, self.ctx.graph());
+        let publish = &|deltas: &[WeightDelta]| self.publish(publish, deltas);
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             // The updater publishes weight-delta bursts at exponential
             // instants until the stream drains.
             let updater = (spec.update_rate > 0.0).then(|| {
                 let stop = &stop;
-                let rate = spec.update_rate;
-                let burst = spec.update_burst.max(1);
-                let magnitude = spec.update_magnitude.max(1.0);
+                let (rate, burst, magnitude) =
+                    (spec.update_rate, spec.update_burst, spec.update_magnitude);
                 let seed = spec.seed ^ 0x7570_6474; // "updt"
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(seed);
@@ -875,13 +1013,15 @@ impl<'a> Lane<'a> {
                 // Closed-loop epoch waves: drain a chunk, publish a burst,
                 // repeat.
                 let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x7761_7665); // "wave"
-                let burst = spec.update_burst.max(1);
-                let magnitude = spec.update_magnitude.max(1.0);
                 let mut outcomes = Vec::with_capacity(stream.len());
                 for chunk in stream.chunks(spec.update_every) {
                     outcomes.extend(run_requests(service, pool, chunk, spec.deadline));
-                    let deltas = random_traffic_deltas(graph, burst, magnitude, &mut rng);
-                    publish(&deltas);
+                    publish(&random_traffic_deltas(
+                        graph,
+                        spec.update_burst,
+                        spec.update_magnitude,
+                        &mut rng,
+                    ));
                 }
                 outcomes
             } else {
@@ -909,15 +1049,6 @@ impl<'a> Lane<'a> {
         epoch_gc: EpochGcStats,
     ) -> ReplayReport {
         let spec = &self.spec;
-        let audit = spec.verify.then(|| {
-            count_oracle_mismatches(
-                &self.ctx,
-                &self.pool,
-                spec.service.engine,
-                &self.stream,
-                outcomes,
-            )
-        });
         let trace_violations = spec.audits_spans().then(|| audit_spans(&spans, outcomes, &metrics));
         ReplayReport {
             total: self.stream.len(),
@@ -926,16 +1057,67 @@ impl<'a> Lane<'a> {
             workers,
             qps: spec.qps,
             wall,
-            epochs_published: self.ctx.current_epoch().get() - self.epoch_before.get(),
+            epochs_published: self.mirror.current_epoch().get(),
             epoch_gc,
             metrics,
-            verify_mismatches: audit.map(|(mismatches, _)| mismatches),
-            verify_skipped: audit.map(|(_, skipped)| skipped),
+            verify_mismatches: spec.verify.then(|| self.oracle_mismatches(outcomes)),
             spans,
             trace_violations,
             overload: spec.overload,
             met_deadline: met_deadline(spec, outcomes),
         }
+    }
+
+    /// Epoch-aware verification: every answered request is recomputed by
+    /// a cold sequential [`Bssr`] over the lane's mirror pinned to the
+    /// epoch the response reports, and compared as score-equivalent
+    /// multisets. Each (epoch, pool entry) reference is computed once. A
+    /// response pinned to an epoch the lane never published is a
+    /// mismatch: nothing explains its answer.
+    fn oracle_mismatches(&self, outcomes: &[Result<QueryResponse, QueryError>]) -> usize {
+        use std::collections::{BTreeMap, BTreeSet, HashMap};
+        let mut need: BTreeMap<EpochId, BTreeSet<usize>> = BTreeMap::new();
+        for (&i, outcome) in self.stream.iter().zip(outcomes) {
+            if let Ok(r) = outcome {
+                need.entry(r.epoch).or_default().insert(i);
+            }
+        }
+        let mut reference: HashMap<(EpochId, usize), Vec<SkylineRoute>> = HashMap::new();
+        let mut scratch = BssrScratch::new(self.ctx.graph().num_vertices());
+        for (&epoch, indexes) in &need {
+            let mirrored = epoch.get().checked_sub(self.epoch_before.get());
+            let Some(graph) = mirrored.and_then(|e| self.mirror.pin_at(EpochId(e))) else {
+                continue;
+            };
+            let qctx = self.ctx.query_context_on(&graph);
+            let mut bssr = Bssr::with_scratch(&qctx, self.spec.service.engine, scratch);
+            for &i in indexes {
+                let routes = bssr.run(&self.pool[i]).expect("generated queries are valid").routes;
+                reference.insert((epoch, i), routes);
+            }
+            scratch = bssr.into_scratch();
+        }
+        let exact = |i: usize, r: &QueryResponse| {
+            reference.get(&(r.epoch, i)).is_some_and(|oracle| {
+                // A degraded-mode partial is not expected to *equal* the
+                // exact skyline — it must be *consistent* with it.
+                if r.served == Served::Approximate {
+                    valid_approximate(&r.routes, oracle)
+                } else {
+                    equivalent_skylines(&r.routes, oracle)
+                }
+            })
+        };
+        let stream = self.stream.iter().zip(outcomes);
+        stream
+            .filter(|&(&i, outcome)| match outcome {
+                Ok(r) => !exact(i, r),
+                // Shed under overload (admission or expired in queue): the
+                // request produced no skyline to audit, by design.
+                Err(QueryError::Overloaded) => false,
+                Err(_) => true,
+            })
+            .count()
     }
 }
 
@@ -1004,32 +1186,28 @@ fn audit_spans(
 /// `shadow` must be built from the same dataset spec (and start at the
 /// same weight epoch) as the daemon's context — checked up front via the
 /// handshake's [`DatasetFingerprint`]. Weight updates are published
-/// *through the wire* and mirrored into the shadow in lockstep; the
-/// returned epoch must match the shadow's on every burst, so the oracle
-/// ([`ReplaySpec::verify`]) re-answers each response at its pinned epoch
-/// from an epoch history provably identical to the daemon's.
+/// *through the wire* and mirrored into the lane's own history in
+/// lockstep, like every lane's; the returned epoch must match the
+/// mirror's on every burst, so the oracle ([`ReplaySpec::verify`])
+/// re-answers each response at its pinned epoch from an epoch history
+/// provably identical to the daemon's.
 ///
-/// The daemon's serving stack is its own: of `spec.service` only the
-/// engine is used, by the oracle. The report carries the daemon's
-/// metrics snapshot, no spans and no worker count.
+/// The daemon's serving stack and epoch retention are its own: of
+/// `spec.service` only the engine is used, by the oracle. The report
+/// carries the daemon's metrics snapshot, no spans and no worker count.
 ///
-/// Unsupported over the wire (asserted): bounded retention (the shadow
-/// cannot mirror server-side compaction), full trace retention (spans
-/// are not exported per-request) and overload calibration.
+/// Unsupported over the wire (asserted): full trace retention (spans are
+/// not exported per-request) and overload calibration.
 ///
 /// # Panics
-/// On spec combinations the wire cannot support (see above), and on a
-/// mid-run epoch divergence between daemon and shadow.
+/// On an invalid spec, on spec combinations the wire cannot support (see
+/// above), and on a mid-run epoch divergence between daemon and mirror.
 pub fn replay_remote(
     remote: &RemoteService,
     shadow: Arc<ServiceContext>,
     pool: &[SkySrQuery],
     spec: &ReplaySpec,
 ) -> Result<ReplayReport, ProtocolError> {
-    assert!(
-        spec.retention == 0,
-        "remote replay audits against an unbounded shadow history (retention must be 0)"
-    );
     assert!(
         !spec.audits_spans(),
         "trace spans are not exported over the wire; use sampled or disabled telemetry"
@@ -1049,17 +1227,7 @@ pub fn replay_remote(
     }
     let lane =
         Lane::new(spec.service.region_name.clone(), shadow, Cow::Borrowed(pool), spec.clone());
-    let publish = |deltas: &[WeightDelta]| {
-        let published = remote.publish_weights(deltas);
-        let mirrored = lane.ctx.publish_weights(deltas);
-        assert_eq!(
-            published, mirrored,
-            "shadow context diverged from the daemon's epoch sequence — is something else \
-             publishing weights to this daemon?"
-        );
-        published
-    };
-    let (outcomes, wall) = lane.drive(remote, &publish);
+    let (outcomes, wall) = lane.drive(remote, &|deltas| remote.publish_weights(deltas));
     let metrics = remote.metrics();
     // Server-side accounting, as carried in the metrics snapshot.
     let epoch_gc = metrics.epochs;
@@ -1115,71 +1283,6 @@ fn open_loop_batch(
     tickets.into_iter().map(Ticket::wait).collect()
 }
 
-/// Epoch-aware verification: every answered request is recomputed by a
-/// cold sequential [`Bssr`] over a snapshot pinned to the epoch the
-/// response reports, and compared as score-equivalent multisets. Each
-/// (epoch, pool entry) reference is computed once. Returns
-/// `(mismatches, skipped)`: a response whose pinned epoch is no longer
-/// pinnable (compacted out of a bounded retention ring) cannot be audited
-/// and is skipped — counted, never silently dropped.
-fn count_oracle_mismatches(
-    ctx: &ServiceContext,
-    pool: &[SkySrQuery],
-    engine: BssrConfig,
-    stream: &[usize],
-    outcomes: &[Result<QueryResponse, QueryError>],
-) -> (usize, usize) {
-    use std::collections::{BTreeMap, BTreeSet, HashMap};
-    let mut need: BTreeMap<EpochId, BTreeSet<usize>> = BTreeMap::new();
-    for (&i, outcome) in stream.iter().zip(outcomes) {
-        if let Ok(r) = outcome {
-            need.entry(r.epoch).or_default().insert(i);
-        }
-    }
-    let mut reference: HashMap<(EpochId, usize), Vec<SkylineRoute>> = HashMap::new();
-    let mut scratch = BssrScratch::new(ctx.graph().num_vertices());
-    for (&epoch, indexes) in &need {
-        // With a bounded retention ring, an epoch the stream was served
-        // under may have been compacted since; its responses are skipped.
-        let Some(pinned) = ctx.pin_at(epoch) else {
-            continue;
-        };
-        let qctx = pinned.query_context();
-        let mut bssr = Bssr::with_scratch(&qctx, engine, scratch);
-        for &i in indexes {
-            let routes = bssr.run(&pool[i]).expect("generated queries are valid").routes;
-            reference.insert((epoch, i), routes);
-        }
-        scratch = bssr.into_scratch();
-    }
-    let mut mismatches = 0usize;
-    let mut skipped = 0usize;
-    for (&i, outcome) in stream.iter().zip(outcomes) {
-        match outcome {
-            Ok(r) => match reference.get(&(r.epoch, i)) {
-                Some(oracle) => {
-                    // A degraded-mode partial is not expected to *equal*
-                    // the exact skyline — it must be *consistent* with it.
-                    let ok = if r.served == Served::Approximate {
-                        valid_approximate(&r.routes, oracle)
-                    } else {
-                        equivalent_skylines(&r.routes, oracle)
-                    };
-                    if !ok {
-                        mismatches += 1;
-                    }
-                }
-                None => skipped += 1,
-            },
-            // Shed under overload (admission or expired in queue): the
-            // request produced no skyline to audit, by design.
-            Err(QueryError::Overloaded) => {}
-            Err(_) => mismatches += 1,
-        }
-    }
-    (mismatches, skipped)
-}
-
 /// Whether a degraded-mode partial skyline is *valid*: mutually
 /// non-dominated (a minimal set — no member dominates another), and never
 /// better than the exact answer (every partial point is dominated by or
@@ -1195,12 +1298,12 @@ fn valid_approximate(routes: &[SkylineRoute], oracle: &[SkylineRoute]) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A clean two-shard fleet of a tiny verified, fully traced replay:
     /// the starting point the gate tests mutate.
-    fn clean_fleet() -> ShardedReplayReport {
+    pub(crate) fn clean_fleet() -> ShardedReplayReport {
         use skysr_data::dataset::{DatasetSpec, Preset};
         let city = |seed| DatasetSpec::preset(Preset::CalSmall).scale(0.05).seed(seed).generate();
         let spec = ReplaySpec {
@@ -1225,23 +1328,122 @@ mod tests {
     fn report_check_fails_each_gate_with_its_message() {
         let clean = clean_fleet().shards.swap_remove(0).report;
         assert_eq!((clean.trace_violations, clean.verify_mismatches), (Some(0), Some(0)));
-        let fails = |mutate: fn(&mut ReplayReport)| {
+        let id = clean.spans[0].request_id;
+        let span = format!("span gate failed: the span of request {id} ");
+        type Mutation = fn(&mut ReplayReport);
+        let cases: [(Mutation, String); 8] = [
+            (|r| r.trace_violations = Some(2), "trace-completeness invariant violated: 2".into()),
+            (|r| r.verify_mismatches = Some(1), "verification failed: concurrent and".into()),
+            (|r| r.metrics.stale_served = 3, "staleness gate failed: 3 answer(s) served".into()),
+            // A bounded ring of K: at most K epochs after drain, at most K
+            // plus one lease per worker at any time.
+            (
+                |r| r.epoch_gc = EpochGcStats { retention: 2, retained: 3, ..r.epoch_gc },
+                "retention gate failed: 3 epochs retained after drain".into(),
+            ),
+            (
+                |r| r.epoch_gc = EpochGcStats { retention: 2, retained_max: 5, ..r.epoch_gc },
+                "high-water gate failed: 5 epochs retained at once".into(),
+            ),
+            // Every span of a fully traced run is well formed.
+            (|r| r.spans[0].attempts.clear(), format!("{span}records no rung-ladder attempt")),
+            (
+                |r| r.spans[0].engine = r.spans[0].total + Duration::from_millis(1),
+                format!("{span}spends longer queued and in the engine than end to end"),
+            ),
+            (
+                |r| (r.spans[0].rung, r.spans[0].repair_tier) = (Rung::Repaired, None),
+                format!("{span}is repaired but names no repair tier or delta index"),
+            ),
+        ];
+        for (mutate, want) in cases {
             let mut report = clean.clone();
             mutate(&mut report);
-            report.check().expect_err("a gate must fail")
-        };
-        let err = fails(|r| r.trace_violations = Some(2));
-        assert!(err.starts_with("trace-completeness invariant violated: 2 violation(s)"), "{err}");
-        assert_eq!(
-            fails(|r| r.verify_mismatches = Some(1)),
-            "verification failed: concurrent and sequential skylines differ"
-        );
-        let err = fails(|r| r.metrics.stale_served = 3);
-        assert!(err.starts_with("staleness gate failed: 3 answer(s) served"), "{err}");
-        // Responses beyond the retention ring are counted, not failed.
-        let mut skipped = clean.clone();
-        skipped.verify_skipped = Some(5);
-        assert_eq!(skipped.check(), Ok(()));
+            let err = report.check().expect_err("a gate must fail");
+            assert!(err.starts_with(&want), "{err}");
+        }
+        let mut bounded = clean.clone();
+        bounded.epoch_gc =
+            EpochGcStats { retention: 2, retained: 2, retained_max: 4, ..clean.epoch_gc };
+        assert_eq!(bounded.check(), Ok(()), "two workers may each lease one epoch beyond K");
+    }
+
+    #[test]
+    fn a_wrong_answer_at_a_compacted_epoch_is_a_mismatch() {
+        use skysr_data::dataset::{DatasetSpec, Preset};
+        let city = DatasetSpec::preset(Preset::CalSmall).scale(0.05).seed(3).generate();
+        let spec = ReplaySpec { total: 4, distinct: 2, seq_len: 2, ..ReplaySpec::default() };
+        let pool = build_pool(&city, &spec);
+        let ctx = Arc::new(ServiceContext::from_dataset(city));
+        ctx.set_epoch_retention(1);
+        let lane = Lane::new("solo".into(), Arc::clone(&ctx), Cow::Owned(pool), spec);
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..3 {
+            let deltas = random_traffic_deltas(ctx.graph(), 8, 2.0, &mut rng);
+            lane.publish(&|d| ctx.publish_weights(d), &deltas);
+        }
+        assert!(ctx.pin_at(EpochId(1)).is_none(), "the service's ring compacted epoch 1");
+        // Every response claims epoch 1; the first drops a skyline route.
+        let graph = lane.mirror.pin_at(EpochId(1)).expect("the mirror keeps every epoch");
+        let qctx = ctx.query_context_on(&graph);
+        let outcomes: Vec<_> = (0..lane.stream.len())
+            .map(|n| {
+                let mut routes = Bssr::new(&qctx).run(&lane.pool[lane.stream[n]]).unwrap().routes;
+                assert!(!routes.is_empty(), "a generated query has a skyline");
+                if n == 0 {
+                    routes.pop();
+                }
+                Ok(QueryResponse {
+                    routes: routes.into(),
+                    epoch: EpochId(1),
+                    served: Served::Search { seeded: None },
+                    latency: Duration::ZERO,
+                    request_id: n as u64,
+                    queue_wait: Duration::ZERO,
+                })
+            })
+            .collect();
+        assert_eq!(lane.oracle_mismatches(&outcomes), 1, "audited, not skipped");
+    }
+
+    /// `spec`'s first broken rule; the default spec breaks none.
+    fn rejected(spec: ReplaySpec) -> String {
+        assert_eq!(ReplaySpec::default().validate(), Ok(()));
+        spec.validate().expect_err("an invalid spec")
+    }
+
+    #[test]
+    fn a_deadline_the_clock_cannot_hold_is_rejected() {
+        let spec = ReplaySpec { deadline: Some(Duration::MAX), ..ReplaySpec::default() };
+        assert_eq!(rejected(spec), "the deadline must be positive and at most 1000 s");
+    }
+
+    #[test]
+    fn a_vanishing_arrival_rate_is_rejected() {
+        let spec = ReplaySpec { qps: 1e-300, ..ReplaySpec::default() };
+        assert_eq!(rejected(spec), "qps must be 0 or a finite rate of at least one per 1000 s");
+    }
+
+    #[test]
+    fn a_vanishing_update_rate_is_rejected() {
+        let spec = ReplaySpec { update_rate: 1e-300, ..ReplaySpec::default() };
+        let err = rejected(spec);
+        assert_eq!(err, "update_rate must be 0 or a finite rate of at least one per 1000 s");
+    }
+
+    #[test]
+    fn empty_update_waves_are_rejected() {
+        let spec = ReplaySpec { update_every: 5, update_burst: 0, ..ReplaySpec::default() };
+        assert_eq!(rejected(spec), "update_burst must be at least 1 when weights update");
+    }
+
+    #[test]
+    fn duplicate_bursts_below_two_are_rejected() {
+        for burst in [0, 1] {
+            let pattern = StreamPattern::DuplicateBursts;
+            let spec = ReplaySpec { pattern, burst, ..ReplaySpec::default() };
+            assert_eq!(rejected(spec), "the duplicate pattern needs bursts of at least 2 requests");
+        }
     }
 
     #[test]

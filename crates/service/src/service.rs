@@ -410,13 +410,8 @@ pub trait QueryService: Send + Sync {
     /// dataset. A single-shard [`Service`] advertises exactly its own
     /// region; a [`crate::shard::Router`] advertises every registered
     /// shard; [`crate::net::RemoteService`] relays the registry the
-    /// daemon's handshake carried. The default (an empty vector) means
-    /// "this endpoint predates multi-tenancy and does not advertise" —
-    /// callers must treat it as "address-less single shard", not as
-    /// "serves nothing".
-    fn regions(&self) -> Vec<RegionInfo> {
-        Vec::new()
-    }
+    /// daemon's handshake carried.
+    fn regions(&self) -> Vec<RegionInfo>;
 
     /// [`QueryService::submit`] with default options — the bare-query
     /// convenience wrapper.

@@ -62,7 +62,6 @@ fn remote_replay_is_oracle_exact_with_midstream_updates() {
     let report = replay_remote(&remote, shadow, &pool, &spec).expect("fingerprints match");
     assert_eq!(report.metrics.completed, 240);
     assert_eq!(report.verify_mismatches, Some(0), "remote answers must be oracle-exact");
-    assert_eq!(report.verify_skipped, Some(0), "unbounded shadow history skips nothing");
     assert_eq!(report.metrics.stale_served, 0, "no answer served cross-epoch");
     assert!(report.epochs_published >= 5, "update waves must publish through the wire");
     let farewell = remote.shutdown();
