@@ -1,10 +1,12 @@
 //! End-to-end BSSR benchmarks: the paper's algorithm (`paper`, all four
-//! optimisations) vs the engine's default (`default`, Optimisation 3 off)
-//! and its ablations on a generated city, per sequence length — the
-//! Criterion companion to Figure 3 / Tables 7–8.
+//! optimisations) vs the engine's default (`default`, Optimisation 3 off,
+//! grouped expansion) and its ablations on a generated city, per sequence
+//! length — the Criterion companion to Figure 3 / Tables 7–8.
+//! `default_memo` is the default with the paper's memoised per-route
+//! expansion instead, so it against `default` is the effect of grouping.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skysr_core::bssr::{Bssr, BssrConfig, QueuePolicy};
+use skysr_core::bssr::{Bssr, BssrConfig, Expansion, QueuePolicy};
 use skysr_core::SkySrQuery;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_data::workload::WorkloadSpec;
@@ -24,9 +26,13 @@ fn bench_bssr(c: &mut Criterion) {
     let mut group = c.benchmark_group("bssr");
     for k in [2usize, 3, 4] {
         let qs = queries(&d, k);
-        let configs: [(&str, BssrConfig); 5] = [
+        let configs: [(&str, BssrConfig); 6] = [
             ("paper", BssrConfig::paper()),
             ("default", BssrConfig::default()),
+            (
+                "default_memo",
+                BssrConfig { expansion: Expansion::Memoised, ..BssrConfig::default() },
+            ),
             ("no_opt", BssrConfig::unoptimized()),
             ("no_init", BssrConfig { use_init_search: false, ..BssrConfig::default() }),
             (

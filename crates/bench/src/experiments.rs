@@ -4,7 +4,7 @@
 //! so measured numbers can be placed side by side with the published ones
 //! (see `EXPERIMENTS.md` at the workspace root).
 
-use skysr_core::bssr::{Bssr, BssrConfig, LowerBoundMode, QueuePolicy};
+use skysr_core::bssr::{Bssr, BssrConfig, Expansion, LowerBoundMode, QueuePolicy};
 use skysr_data::dataset::Dataset;
 use skysr_data::workload::WorkloadSpec;
 
@@ -207,8 +207,10 @@ pub fn fig5(cfg: &ExpConfig, datasets: &[Dataset]) {
         for k in 2..=cfg.seq_max {
             let qs = workload(cfg, d, k, cfg.queries);
             let mut with = Bssr::with_config(&ctx, BssrConfig::paper());
-            let mut without =
-                Bssr::with_config(&ctx, BssrConfig { use_cache: false, ..BssrConfig::paper() });
+            let mut without = Bssr::with_config(
+                &ctx,
+                BssrConfig { expansion: Expansion::PerRoute, ..BssrConfig::paper() },
+            );
             let (mut runs_w, mut hits, mut runs_wo) = (0u64, 0u64, 0u64);
             for q in &qs {
                 let s = with.run(q).unwrap().stats;

@@ -12,14 +12,22 @@
 //!   continues through a perfectly matching PoI.
 //!
 //! The two Lemma 5.5 rules assume that the replacement PoI they argue with
-//! cannot already be part of the route. That holds whenever the position's
-//! category trees are disjoint from every other position's (always true for
-//! the paper's workloads, which draw positions from distinct trees); the
-//! caller passes a per-position `lemma55` flag and the rules are disabled
-//! where they would be unsound, preserving exactness for arbitrary
-//! sequences.
+//! is free to take the position: it is not already part of the route and
+//! no later position needs it. That holds whenever no PoI matching the
+//! position can match any other position (always true for the paper's
+//! workloads, which draw single-category PoIs and positions from distinct
+//! trees); the caller passes a per-position `lemma55` flag and the rules
+//! are disabled where they would be unsound, preserving exactness for
+//! arbitrary sequences and multi-category PoIs.
+//!
+//! A step expands a *group* of routes of one class (one size, one
+//! similarity product) with one multi-source search; a group of one is the
+//! paper's step. Each source starts at its route's length above the
+//! group's shortest, and each heap entry carries its origin route, its
+//! distance from that route's last PoI and its path similarity, so the
+//! vertex records stay one distance each. Why a group may share a search,
+//! and when one forms, is argued in [`crate::bssr`].
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use skysr_graph::{Cost, SearchStats, StampedRecords, VertexId};
@@ -33,22 +41,48 @@ use crate::prepared::PreparedQuery;
 use crate::route::PartialRoute;
 use crate::stats::QueryStats;
 
-/// One vertex's modified-Dijkstra state: `(distance, psim)`, the best
-/// distance from the step's source and the best similarity of a PoI on
-/// that path (Lemma 5.5(i)); a tuple, see [`StampedRecords`].
-type Probe = (f64, f64);
+/// One vertex-heap entry: `vertex` reached `dist` after the last PoI of
+/// route `origin` of the group, with `psim` the best similarity of a PoI on
+/// that path (Lemma 5.5(i)). `key` is `dist` plus the origin route's length
+/// above the group's shortest, and orders the heap as `(key, vertex)`
+/// ascending; a group of one has `key == dist`.
+#[derive(Clone, Copy, Debug)]
+struct Reach {
+    key: Cost,
+    vertex: VertexId,
+    origin: u32,
+    dist: Cost,
+    psim: f64,
+}
 
-const UNPROBED: Probe = (f64::INFINITY, 0.0);
+impl PartialEq for Reach {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for Reach {}
+impl PartialOrd for Reach {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Reach {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // BinaryHeap is a max-heap: the smallest (key, vertex) pops first.
+        (other.key, other.vertex).cmp(&(self.key, self.vertex))
+    }
+}
 
-/// Reusable scratch buffers for modified-Dijkstra runs.
+/// Reusable scratch buffers for modified-Dijkstra runs: one best key per
+/// vertex (see [`StampedRecords`]) and the vertex heap.
 pub(crate) struct Scratch {
-    records: StampedRecords<Probe>,
-    heap: BinaryHeap<Reverse<(Cost, VertexId)>>,
+    records: StampedRecords<f64>,
+    heap: BinaryHeap<Reach>,
 }
 
 impl Scratch {
     pub(crate) fn new(n: usize) -> Scratch {
-        Scratch { records: StampedRecords::new(n, UNPROBED), heap: BinaryHeap::new() }
+        Scratch { records: StampedRecords::new(n, f64::INFINITY), heap: BinaryHeap::new() }
     }
 
     /// Ensures capacity for `n` vertices (recycled scratch may come from a
@@ -68,7 +102,8 @@ pub(crate) struct StepEnv<'a, 'g> {
     pub ctx: &'a QueryContext<'g>,
     pub pq: &'a PreparedQuery,
     pub bounds: &'a MinDistBounds,
-    /// Per-position: whether the Lemma 5.5 rules are sound (tree-disjoint).
+    /// Per-position: whether the Lemma 5.5 rules are sound (no PoI matching
+    /// the position can match another one).
     pub lemma55: &'a [bool],
     /// `sigma_suffix[i]`: best similarity product positions `i..k` can
     /// still contribute (`[k] = 1`). Threshold probes use the *achievable*
@@ -76,7 +111,9 @@ pub(crate) struct StepEnv<'a, 'g> {
     /// of the optimistic `s(R)` — identical when every remaining position
     /// has a perfect match, strictly tighter otherwise.
     pub sigma_suffix: &'a [f64],
-    pub use_cache: bool,
+    /// Optimisation 4: memoise each search per (source, position). Only
+    /// ever set for groups of one.
+    pub memoise: bool,
 }
 
 impl StepEnv<'_, '_> {
@@ -87,79 +124,99 @@ impl StepEnv<'_, '_> {
     }
 }
 
-/// One `mDijkstra(R_d, c_d, p_d, Q_b, S)` invocation. `is_first` tags the
-/// very first step for Table 7's search-space metric.
+/// One `mDijkstra(R_d, c_d, p_d, Q_b, S)` invocation over every route of
+/// `group`, which must be non-empty and of one class (one size, one
+/// similarity product). `is_first` tags the very first step for Table 7's
+/// search-space metric.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mdijkstra_step(
     env: &StepEnv<'_, '_>,
     scratch: &mut Scratch,
     cache: &mut SearchCache,
-    rd: &PartialRoute,
-    source: VertexId,
+    group: &[PartialRoute],
     queue: &mut RouteQueue,
     skyline: &mut SkylineSet,
     stats: &mut QueryStats,
     is_first: bool,
 ) {
-    let pos = rd.len();
+    let pos = group[0].len();
     debug_assert!(pos < env.pq.len());
-    let base = rd.length();
-    let threshold_rd = skyline.threshold(env.min_semantic(rd));
-    let radius = if threshold_rd.is_finite() { threshold_rd - base } else { Cost::INFINITY };
-    if radius <= Cost::ZERO {
-        stats.threshold_prunes += 1;
+    debug_assert!(group.iter().all(|r| r.len() == pos && r.sim_acc() == group[0].sim_acc()));
+    let source_of = |rd: &PartialRoute| rd.last_poi().unwrap_or(env.pq.start);
+    // One class, one threshold: every member has the same minimum semantic.
+    let mut threshold = skyline.threshold(env.min_semantic(&group[0]));
+    let live = group.iter().filter(|rd| rd.length() < threshold).count();
+    stats.threshold_prunes += (group.len() - live) as u64;
+    if live == 0 {
         return;
     }
+    let base = group.iter().map(PartialRoute::length).min().expect("a group is never empty");
 
-    if env.use_cache {
-        if let Some(entry) = cache.lookup(source, pos, radius) {
+    if env.memoise {
+        debug_assert_eq!(group.len(), 1, "memoised expansion runs per route");
+        let radius = threshold - base;
+        if let Some(entry) = cache.lookup(source_of(&group[0]), pos, radius) {
             stats.cache_hits += 1;
             // Matches are distance-sorted; everything < radius is complete.
             let matches: Vec<CachedMatch> =
                 entry.matches.iter().take_while(|m| m.dist < radius).copied().collect();
             for m in matches {
-                process_candidate(env, rd, m.vertex, m.dist, m.sim, queue, skyline, stats);
+                process_candidate(env, &group[0], m.vertex, m.dist, m.sim, queue, skyline, stats);
             }
             return;
         }
     }
 
     stats.mdijkstra_runs += 1;
+    if live > 1 {
+        stats.grouped_routes += live as u64;
+    }
     let position = &env.pq.positions[pos];
     let lemma55 = env.lemma55[pos];
     let graph = env.ctx.graph;
-    scratch.reset();
-    scratch.records.reach(source.index()).expect("a fresh step settles nothing").0 = 0.0;
-    scratch.heap.push(Reverse((Cost::ZERO, source)));
-
     let mut local = SearchStats::default();
-    local.pushed += 1;
+    scratch.reset();
+    for (origin, rd) in group.iter().enumerate() {
+        if rd.length() >= threshold {
+            continue;
+        }
+        let (key, vertex) = (rd.length() - base, source_of(rd));
+        let rec = scratch.records.reach(vertex.index()).expect("nothing is settled yet");
+        // Of two routes ending at one PoI, the shorter dominates.
+        if key.get() < *rec {
+            *rec = key.get();
+            let reach = Reach { key, vertex, origin: origin as u32, dist: Cost::ZERO, psim: 0.0 };
+            scratch.heap.push(reach);
+            local.pushed += 1;
+        }
+    }
+
     let mut collected: Vec<CachedMatch> = Vec::new();
     // The threshold may tighten while we search (completions found by this
     // very step update S); track the skyline version to refresh lazily.
-    let mut threshold_rd = threshold_rd;
     let mut sky_version = skyline.version();
 
-    while let Some(Reverse((d, u))) = scratch.heap.pop() {
+    while let Some(Reach { key, vertex: u, origin, dist: d, psim }) = scratch.heap.pop() {
         // The first pop settles; later entries for `u` are stale.
-        let Some((_, psim)) = scratch.records.settle(u.index()) else {
+        if scratch.records.settle(u.index()).is_none() {
             continue;
-        };
+        }
         local.settled += 1;
 
         if sky_version != skyline.version() {
             sky_version = skyline.version();
-            threshold_rd = skyline.threshold(env.min_semantic(rd));
+            threshold = skyline.threshold(env.min_semantic(&group[0]));
         }
-        if base + d >= threshold_rd {
+        if base + key >= threshold {
             break; // Lemma 5.3: no surviving extension beyond this radius.
         }
 
         let usim = position.sim_of(env.ctx, u);
         if usim > 0.0 && (!lemma55 || usim > psim) {
-            if env.use_cache {
+            if env.memoise {
                 collected.push(CachedMatch { vertex: u, dist: d, sim: usim });
             }
+            let rd = &group[origin as usize];
             process_candidate(env, rd, u, d, usim, queue, skyline, stats);
         }
 
@@ -174,10 +231,11 @@ pub(crate) fn mdijkstra_step(
             let Some(rec) = scratch.records.reach(v.index()) else {
                 continue;
             };
-            let nd = d + w;
-            if nd.get() < rec.0 {
-                *rec = (nd.get(), child_psim);
-                scratch.heap.push(Reverse((nd, v)));
+            let nkey = key + w;
+            if nkey.get() < *rec {
+                *rec = nkey.get();
+                let reach = Reach { key: nkey, vertex: v, origin, dist: d + w, psim: child_psim };
+                scratch.heap.push(reach);
                 local.pushed += 1;
             }
         }
@@ -188,17 +246,11 @@ pub(crate) fn mdijkstra_step(
     }
     stats.search.merge(&local);
 
-    if env.use_cache {
+    if env.memoise {
         // Completeness radius: everything below the final threshold-derived
         // radius was settled before the break (settles are distance-ordered).
-        let explored = if scratch.heap.is_empty() && !threshold_rd.is_finite() {
-            Cost::INFINITY
-        } else if threshold_rd.is_finite() {
-            threshold_rd - base
-        } else {
-            Cost::INFINITY
-        };
-        cache.insert(source, pos, collected, explored);
+        let explored = if threshold.is_finite() { threshold - base } else { Cost::INFINITY };
+        cache.insert(source_of(&group[0]), pos, collected, explored);
     }
 }
 
@@ -251,9 +303,8 @@ mod tests {
         fn run_step(
             &self,
             rd: &PartialRoute,
-            source: VertexId,
             skyline: &mut SkylineSet,
-            use_cache: bool,
+            memoise: bool,
             cache: &mut SearchCache,
         ) -> (Vec<PartialRoute>, QueryStats) {
             let ctx = self.ex.context();
@@ -267,7 +318,7 @@ mod tests {
                 bounds: &bounds,
                 lemma55: &lemma55,
                 sigma_suffix: &sigma_suffix,
-                use_cache,
+                memoise,
             };
             let mut scratch = Scratch::new(ctx.graph.num_vertices());
             let mut queue = RouteQueue::new(QueuePolicy::Proposed);
@@ -276,8 +327,7 @@ mod tests {
                 &env,
                 &mut scratch,
                 cache,
-                rd,
-                source,
+                std::slice::from_ref(rd),
                 &mut queue,
                 skyline,
                 &mut stats,
@@ -308,8 +358,7 @@ mod tests {
             semantic: 0.5,
         });
         let mut cache = SearchCache::new();
-        let (routes, stats) =
-            rig.run_step(&PartialRoute::empty(), rig.ex.vq, &mut skyline, false, &mut cache);
+        let (routes, stats) = rig.run_step(&PartialRoute::empty(), &mut skyline, false, &mut cache);
         let mut found: Vec<u32> = routes.iter().map(|r| r.last_poi().unwrap().0).collect();
         found.sort_unstable();
         assert_eq!(found, vec![1, 2, 6, 10, 11]);
@@ -328,8 +377,7 @@ mod tests {
             semantic: 0.0,
         });
         let mut cache = SearchCache::new();
-        let (routes, _) =
-            rig.run_step(&PartialRoute::empty(), rig.ex.vq, &mut skyline, false, &mut cache);
+        let (routes, _) = rig.run_step(&PartialRoute::empty(), &mut skyline, false, &mut cache);
         let found: Vec<u32> = routes.iter().map(|r| r.last_poi().unwrap().0).collect();
         assert_eq!(found, vec![2]);
     }
@@ -351,7 +399,7 @@ mod tests {
             1.0,
         );
         let mut cache = SearchCache::new();
-        let (_, _) = rig.run_step(&rd, rig.ex.p(12), &mut skyline, false, &mut cache);
+        let (_, _) = rig.run_step(&rd, &mut skyline, false, &mut cache);
         assert!(skyline.routes().iter().any(|r| r.length == Cost::new(13.0) && r.semantic == 0.0));
         assert!(!skyline.routes().iter().any(|r| r.length == Cost::new(15.0)));
     }
@@ -367,12 +415,12 @@ mod tests {
         });
         let mut cache = SearchCache::new();
         let (routes1, stats1) =
-            rig.run_step(&PartialRoute::empty(), rig.ex.vq, &mut skyline.clone(), true, &mut cache);
+            rig.run_step(&PartialRoute::empty(), &mut skyline.clone(), true, &mut cache);
         assert_eq!(stats1.mdijkstra_runs, 1);
         assert_eq!(cache.len(), 1);
         // Second identical request must be served from cache.
         let (routes2, stats2) =
-            rig.run_step(&PartialRoute::empty(), rig.ex.vq, &mut skyline, true, &mut cache);
+            rig.run_step(&PartialRoute::empty(), &mut skyline, true, &mut cache);
         assert_eq!(stats2.mdijkstra_runs, 0);
         assert_eq!(stats2.cache_hits, 1);
         let ids = |rs: &[PartialRoute]| {
@@ -397,7 +445,7 @@ mod tests {
         });
         let rd = PartialRoute::empty().extend(rig.ex.p(2), Cost::new(6.0), 1.0);
         let mut cache = SearchCache::new();
-        let (routes, _) = rig.run_step(&rd, rig.ex.p(2), &mut skyline, false, &mut cache);
+        let (routes, _) = rig.run_step(&rd, &mut skyline, false, &mut cache);
         let found: Vec<u32> = routes.iter().map(|r| r.last_poi().unwrap().0).collect();
         assert_eq!(found, vec![5]);
     }
@@ -421,7 +469,7 @@ mod tests {
             bounds: &bounds,
             lemma55: &lemma55,
             sigma_suffix: &sigma_suffix,
-            use_cache: false,
+            memoise: false,
         };
         let mut scratch = Scratch::new(ctx.graph.num_vertices());
         let mut queue = RouteQueue::new(QueuePolicy::Proposed);
@@ -433,8 +481,7 @@ mod tests {
             &env,
             &mut scratch,
             &mut cache,
-            &rd,
-            rig.ex.p(5),
+            &[rd],
             &mut queue,
             &mut skyline,
             &mut stats,

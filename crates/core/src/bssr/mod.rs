@@ -16,7 +16,54 @@
 //! 2. the **arranged priority queue** ([`queue`]) dequeues large/cheap
 //!    routes first;
 //! 3. **possible minimum distances** ([`bounds`]) tighten the lower bound;
-//! 4. **on-the-fly caching** ([`cache`]) re-uses modified-Dijkstra results.
+//! 4. **on-the-fly caching** ([`cache`]) re-uses modified-Dijkstra results
+//!    per (source PoI, position) — one of the three [`Expansion`] settings.
+//!
+//! # Lemma 5.5 flags
+//!
+//! The path-similarity skip and the perfect-match cut (Lemma 5.5) replace
+//! a match by a better PoI on the way to it. That PoI must be free to take
+//! the position: not already in the route, and not needed by a later one.
+//! Position `i`'s flag therefore holds when no PoI matching `i` can match
+//! another position `j`: no tree carried by a PoI matching `i`
+//! ([`Position::carried_trees`](crate::prepared::Position::carried_trees))
+//! is one of `j`'s trees. Comparing the positions' own trees is not enough
+//! once a PoI is tagged in two trees: an Asian restaurant that is also a
+//! gift shop matches both positions of ⟨Asian, Gift⟩, and a Gift search from
+//! a route ending there would settle its own source as a perfect match,
+//! reject it as a repeat, and stop.
+//!
+//! # Grouped expansion
+//!
+//! The default engine ([`Expansion::Grouped`]) expands routes of one
+//! *class* — the same number of PoIs and the same similarity product —
+//! together. When it dequeues a route it also takes the queued routes of
+//! that class at the head of the queue (under the proposed order, every
+//! one of them: a class pops as one run) and expands the group with one
+//! multi-source modified Dijkstra, each source starting at its route's
+//! length. Dijkstra keeps one record per vertex, so a vertex is settled by
+//! the route whose extension to it is shortest, and only that route is
+//! extended to it.
+//!
+//! **Soundness.** Let `R` and `R'` be in one group and `R ⊕ u` no longer
+//! than `R' ⊕ u`. Both extensions have the same semantic score. For any
+//! completion `R' ⊕ u ⊕ T`, the route `R ⊕ u ⊕ T` has the same semantic
+//! score and no greater length — provided it is valid, that is, no PoI of
+//! `u ⊕ T` already lies in `R`. `R`'s PoIs match positions `1..=|R|` and
+//! those of `u ⊕ T` match later positions, so this holds whenever no PoI
+//! can match two positions: exactly when every position's Lemma 5.5 flag
+//! holds. A group therefore forms only then; otherwise the shorter route's
+//! prefix could hold a PoI that a later position needs, and the dominated
+//! route might be the only one that can complete. Queries whose positions
+//! can share a PoI keep the per-route search. The rest follows per origin
+//! as in the paper: a vertex reached through another route's settled
+//! vertex inherits that route's path, whose extension is shorter and whose
+//! Lemma 5.5 witnesses dominate by transitivity. The threshold is shared
+//! too: a class has one minimum semantic score, hence one `l̄`.
+//!
+//! Grouping replaces the memo rather than joining it: once routes of one
+//! class share a search, repeats of an exact (source, position) pair are
+//! rare, and the memo's lookups and copies cost about what they save.
 
 pub mod bounds;
 pub mod cache;
@@ -45,15 +92,36 @@ use crate::query::SkySrQuery;
 use crate::route::{PartialRoute, SkylineRoute};
 use crate::stats::{EngineProfile, QueryStats};
 
+/// How the modified-Dijkstra expansions of different queued routes share
+/// work.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Expansion {
+    /// One search per dequeued route, nothing shared ("BSSR w/o Opt").
+    PerRoute,
+    /// Optimisation 4 (§5.3.4): one search per dequeued route, memoised per
+    /// (source PoI, position) for the rest of the query.
+    Memoised,
+    /// One multi-source search per group of queued routes of one class
+    /// (one size, one similarity product); per route where positions can
+    /// share a PoI. See the module docs for why it is exact.
+    Grouped,
+}
+
 /// Which optimisations are active.
 ///
-/// The default runs Optimisations 1, 2 and 4 and leaves Optimisation 3
-/// (the minimum-distance bounds) off: computing them costs more search
-/// than their pruning saves. On the paper's §7.1 workload over full-size
-/// Tokyo they pruned 1.6 / 5.7 / 41 candidate routes per cold query at
-/// k = 2 / 3 / 4, yet a query settled 2.7k / 11.4k / 30.8k vertices with
-/// them and 1.8k / 9.0k / 26.6k without, and ran 1.2–1.3x faster without
-/// (2-vCPU VM). [`BssrConfig::paper`] is the paper's BSSR with all four.
+/// The default runs Optimisations 1 and 2, leaves Optimisation 3 (the
+/// minimum-distance bounds) off and expands routes in groups
+/// ([`Expansion::Grouped`]) instead of memoising per route.
+/// - The bounds cost more search than their pruning saves. On the paper's
+///   §7.1 workload over full-size Tokyo they pruned 1.6 / 5.7 / 41
+///   candidate routes per cold query at k = 2 / 3 / 4, yet a query settled
+///   2.7k / 11.4k / 30.8k vertices with them and 1.8k / 9.0k / 26.6k
+///   without, and ran 1.2–1.3x faster without (2-vCPU VM).
+/// - Grouping cut the settled vertices of the same workload by 41%
+///   (1,320 queries of seed 1: 17.4 M to 10.2 M, against the memo), and
+///   memoising on top of it saved nothing.
+///
+/// [`BssrConfig::paper`] is the paper's BSSR with all four optimisations.
 ///
 /// `Hash` because the configuration is part of `skysr-service`'s result
 /// cache key: runs under different configurations must not share entries.
@@ -65,25 +133,31 @@ pub struct BssrConfig {
     pub queue_policy: QueuePolicy,
     /// Optimisation 3: minimum-distance lower bounds (§5.3.3).
     pub lower_bound: LowerBoundMode,
-    /// Optimisation 4: on-the-fly caching (§5.3.4).
-    pub use_cache: bool,
+    /// How expansions share work: Optimisation 4's memo (§5.3.4), grouped
+    /// expansion, or nothing.
+    pub expansion: Expansion,
 }
 
 impl Default for BssrConfig {
     fn default() -> BssrConfig {
-        BssrConfig { lower_bound: LowerBoundMode::Off, ..BssrConfig::paper() }
+        BssrConfig {
+            lower_bound: LowerBoundMode::Off,
+            expansion: Expansion::Grouped,
+            ..BssrConfig::paper()
+        }
     }
 }
 
 impl BssrConfig {
     /// "BSSR" from Figure 3: the paper's algorithm with all four
-    /// optimisations, Optimisation 3 included.
+    /// optimisations, Optimisation 3 included and Optimisation 4's per-route
+    /// memo for expansions.
     pub fn paper() -> BssrConfig {
         BssrConfig {
             use_init_search: true,
             queue_policy: QueuePolicy::Proposed,
             lower_bound: LowerBoundMode::Full,
-            use_cache: true,
+            expansion: Expansion::Memoised,
         }
     }
 
@@ -94,7 +168,7 @@ impl BssrConfig {
             use_init_search: false,
             queue_policy: QueuePolicy::DistanceBased,
             lower_bound: LowerBoundMode::Off,
-            use_cache: false,
+            expansion: Expansion::PerRoute,
         }
     }
 }
@@ -125,8 +199,8 @@ pub enum WarmSeeds<'a> {
 /// dominated-or-equal by the final exact skyline.
 pub type ProgressSink<'s> = &'s mut dyn FnMut(&SkylineRoute);
 
-/// How many queue pops pass between deadline polls during a run with
-/// [`Bssr::set_deadline`] armed. See the poll site in
+/// How many routes taken off the queue pass between deadline polls during
+/// a run with [`Bssr::set_deadline`] armed. See the poll site in
 /// [`Bssr::run_prepared_observed`] for the rationale.
 pub const DEADLINE_CHECK_EVERY: u32 = 16;
 
@@ -259,9 +333,9 @@ impl<'g> Bssr<'g> {
     /// expanding, returns the partial skyline proven so far, and marks the
     /// result [`BssrResult::truncated`] — degraded mode instead of a
     /// timeout. Exactness is unaffected when the search finishes first;
-    /// the deadline is re-checked every [`DEADLINE_CHECK_EVERY`] queue
-    /// pops, so the overshoot is a bounded handful of expansions. The
-    /// setting persists across runs until changed.
+    /// the deadline is re-checked every [`DEADLINE_CHECK_EVERY`] routes
+    /// taken off the queue, so the overshoot is a bounded handful of
+    /// expansions. The setting persists across runs until changed.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
@@ -380,17 +454,7 @@ impl<'g> Bssr<'g> {
             )
         };
 
-        // Lemma 5.5 is sound for a position iff no other position can match
-        // PoIs from the same category trees (see mdijkstra docs).
-        let mut lemma55 = vec![true; k];
-        for (i, flag) in lemma55.iter_mut().enumerate() {
-            for j in 0..k {
-                if i != j && pq.positions[i].trees.iter().any(|t| pq.positions[j].trees.contains(t))
-                {
-                    *flag = false;
-                }
-            }
-        }
+        let lemma55 = lemma55_flags(pq);
 
         // σ-suffix: the best similarity product positions i..k can still
         // contribute. `1 − sim_acc(R) × sigma_suffix[|R|]` is then the
@@ -410,8 +474,10 @@ impl<'g> Bssr<'g> {
             bounds: &bounds,
             lemma55: &lemma55,
             sigma_suffix: &sigma_suffix,
-            use_cache: self.cfg.use_cache,
+            memoise: self.cfg.expansion == Expansion::Memoised,
         };
+        // Sound only when no PoI can match two positions (module docs).
+        let grouping = self.cfg.expansion == Expansion::Grouped && lemma55.iter().all(|&f| f);
         let mut cache = SearchCache::new();
         let mut queue = RouteQueue::new(self.cfg.queue_policy);
 
@@ -420,8 +486,7 @@ impl<'g> Bssr<'g> {
             &env,
             &mut self.scratch,
             &mut cache,
-            &PartialRoute::empty(),
-            pq.start,
+            &[PartialRoute::empty()],
             &mut queue,
             &mut skyline,
             &mut stats,
@@ -431,39 +496,48 @@ impl<'g> Bssr<'g> {
             emitter.flush(&skyline, sink);
         }
 
-        // Algorithm 1, lines 5–9. The deadline is polled every
-        // `DEADLINE_CHECK_EVERY` pops: `Instant::now` per iteration would
-        // be measurable on hit-dominated workloads, and a handful of
-        // overshot expansions cannot hurt correctness — the skyline only
-        // tightens.
+        // Algorithm 1, lines 5–9, one group of same-class routes at a time.
+        // The deadline is polled every `DEADLINE_CHECK_EVERY` routes taken
+        // off the queue: `Instant::now` per route would be measurable on
+        // hit-dominated workloads, and a handful of overshot expansions
+        // cannot hurt correctness — the skyline only tightens.
         let mut truncated = false;
         // Start one shy of the period so the very first pop polls: an
         // already-expired deadline must truncate before any expansion.
-        let mut pops_since_check = DEADLINE_CHECK_EVERY - 1;
-        while let Some(rd) = queue.pop() {
-            if let Some(deadline) = self.deadline {
-                pops_since_check += 1;
-                if pops_since_check >= DEADLINE_CHECK_EVERY {
-                    pops_since_check = 0;
-                    if Instant::now() >= deadline {
-                        truncated = true;
-                        break;
+        let mut taken_since_check = DEADLINE_CHECK_EVERY - 1;
+        let mut group: Vec<PartialRoute> = Vec::new();
+        'search: while let Some(head) = queue.pop() {
+            group.clear();
+            let (len, sim_acc) = (head.len(), head.sim_acc());
+            let mut next = Some(head);
+            while let Some(rd) = next {
+                if let Some(deadline) = self.deadline {
+                    taken_since_check += 1;
+                    if taken_since_check >= DEADLINE_CHECK_EVERY {
+                        taken_since_check = 0;
+                        if Instant::now() >= deadline {
+                            truncated = true;
+                            break 'search;
+                        }
                     }
                 }
+                // Re-check against the (possibly improved) threshold before
+                // spending a search on a stale route.
+                if rd.length() >= skyline.threshold(env.min_semantic(&rd)) {
+                    stats.threshold_prunes += 1;
+                } else {
+                    group.push(rd);
+                }
+                next = if grouping { queue.pop_class(len, sim_acc) } else { None };
             }
-            // Re-check against the (possibly improved) threshold before
-            // spending a search on a stale route.
-            if rd.length() >= skyline.threshold(env.min_semantic(&rd)) {
-                stats.threshold_prunes += 1;
+            if group.is_empty() {
                 continue;
             }
-            let source = rd.last_poi().expect("queued routes contain at least one PoI");
             mdijkstra_step(
                 &env,
                 &mut self.scratch,
                 &mut cache,
-                &rd,
-                source,
+                &group,
                 &mut queue,
                 &mut skyline,
                 &mut stats,
@@ -478,6 +552,14 @@ impl<'g> Bssr<'g> {
         self.profile.absorb(&stats.profile());
         BssrResult { routes: skyline.into_routes(), stats, truncated }
     }
+}
+
+/// Per position, whether the Lemma 5.5 rules are sound for it: no PoI
+/// matching it can match another position (see the module docs).
+fn lemma55_flags(pq: &PreparedQuery) -> Vec<bool> {
+    let ps = &pq.positions;
+    let shares = |i: usize, j: usize| ps[i].carried_trees.iter().any(|t| ps[j].trees.contains(t));
+    (0..ps.len()).map(|i| (0..ps.len()).all(|j| i == j || !shares(i, j))).collect()
 }
 
 #[cfg(test)]
@@ -510,21 +592,67 @@ mod tests {
     fn every_ablation_returns_the_same_skyline() {
         let ex = PaperExample::new();
         let ctx = ex.context();
-        // The default is the paper's BSSR without Optimisation 3; each other
-        // optimisation is ablated from the paper's.
+        // The default is the paper's BSSR without Optimisation 3 and with
+        // grouped instead of memoised expansion; each other optimisation is
+        // ablated from the paper's, and grouping is crossed with each.
+        let grouped = BssrConfig::default();
         let configs = [
-            BssrConfig::default(),
+            grouped,
             BssrConfig::paper(),
             BssrConfig::unoptimized(),
             BssrConfig { use_init_search: false, ..BssrConfig::paper() },
             BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..BssrConfig::paper() },
-            BssrConfig { use_cache: false, ..BssrConfig::paper() },
+            BssrConfig { expansion: Expansion::PerRoute, ..BssrConfig::paper() },
+            BssrConfig { use_init_search: false, ..grouped },
+            BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..grouped },
+            BssrConfig { lower_bound: LowerBoundMode::Full, ..grouped },
         ];
         for cfg in configs {
             let mut bssr = Bssr::with_config(&ctx, cfg);
             let result = bssr.run(&ex.query()).unwrap();
             expect_paper_skyline(&result.routes);
         }
+    }
+
+    #[test]
+    fn same_class_routes_share_one_search_and_keep_the_skyline() {
+        // Without NNinit every Asian restaurant within reach is queued at
+        // similarity 1, so the second step expands several routes at once.
+        let ex = PaperExample::new();
+        let ctx = ex.context();
+        for base in [BssrConfig::default(), BssrConfig::unoptimized()] {
+            let cfg = BssrConfig { use_init_search: false, expansion: Expansion::Grouped, ..base };
+            let grouped = Bssr::with_config(&ctx, cfg).run(&ex.query()).unwrap();
+            let per_route = BssrConfig { expansion: Expansion::PerRoute, ..cfg };
+            let single = Bssr::with_config(&ctx, per_route).run(&ex.query()).unwrap();
+            expect_paper_skyline(&grouped.routes);
+            assert_eq!(grouped.routes, single.routes, "{cfg:?}");
+            assert!(grouped.stats.grouped_routes > 0, "{cfg:?}: no group formed");
+            assert_eq!(single.stats.grouped_routes, 0);
+            assert!(grouped.stats.mdijkstra_runs < single.stats.mdijkstra_runs, "{cfg:?}");
+            assert!(grouped.stats.search.settled < single.stats.search.settled, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn positions_that_can_share_a_poi_never_group() {
+        // ⟨Gift, Hobby⟩ draws both positions from the Shop tree: a Gift
+        // route's prefix could hold the Hobby match another route needs.
+        let ex = PaperExample::new();
+        let ctx = ex.context();
+        let gift = ex.forest.by_name("Gift Shop").unwrap();
+        let hobby = ex.forest.by_name("Hobby Shop").unwrap();
+        let q = SkySrQuery::new(ex.vq, [gift, hobby]);
+        let pq = PreparedQuery::prepare(&ctx, &q).unwrap();
+        assert_eq!(lemma55_flags(&pq), vec![false, false]);
+        let cfg = BssrConfig { use_init_search: false, ..BssrConfig::default() };
+        let grouped = Bssr::with_config(&ctx, cfg).run_prepared(&pq);
+        assert_eq!(grouped.stats.grouped_routes, 0);
+        let per_route = BssrConfig { expansion: Expansion::PerRoute, ..cfg };
+        let single = Bssr::with_config(&ctx, per_route).run_prepared(&pq);
+        assert_eq!(grouped.routes, single.routes);
+        assert_eq!(grouped.stats.profile(), single.stats.profile(), "the same per-route search");
+        assert_eq!(lemma55_flags(&ex.prepared(&ctx)), vec![true; 3]);
     }
 
     #[test]
@@ -654,7 +782,9 @@ mod tests {
             SkySrQuery::with_positions(full.start, full.sequence[1..].to_vec()),
             SkySrQuery::new(ex.p(2), [gift, hobby]),
         ];
-        for cfg in [BssrConfig::default(), BssrConfig::paper(), BssrConfig::unoptimized()] {
+        let no_init = BssrConfig { use_init_search: false, ..BssrConfig::default() };
+        for cfg in [BssrConfig::default(), no_init, BssrConfig::paper(), BssrConfig::unoptimized()]
+        {
             let mut scratch = BssrScratch::new(4);
             for round in 0..3 {
                 for q in &queries {
@@ -666,6 +796,9 @@ mod tests {
                     assert_eq!(got.stats.profile(), fresh.stats.profile(), "{cfg:?} on {q:?}");
                 }
             }
+            // The grouped engines ran shared searches on the recycled scratch.
+            let grouped = scratch.profile().grouped_routes > 0;
+            assert_eq!(grouped, cfg.expansion == Expansion::Grouped, "{cfg:?}");
         }
     }
 

@@ -5,6 +5,11 @@
 //! **smallest semantic score**, then **smallest length score**. The
 //! conventional *distance-based* ordering (smallest length first) is kept
 //! for the Table 8 ablation.
+//!
+//! Under the proposed order the routes of one *class* — one size and one
+//! similarity product, hence one semantic score — pop one after another,
+//! shortest first. Grouped expansion (see [`crate::bssr`]) takes such a run
+//! with [`RouteQueue::pop_class`].
 
 use std::collections::BinaryHeap;
 
@@ -97,6 +102,23 @@ impl RouteQueue {
         }
     }
 
+    /// Dequeues the highest-priority route if it has `len` PoIs and
+    /// similarity product `sim_acc`. Repeated calls take the run of that
+    /// class at the head of the queue: under the proposed order, every
+    /// queued route of the class; under the distance order, only routes
+    /// that happen to be next by length.
+    pub fn pop_class(&mut self, len: usize, sim_acc: f64) -> Option<PartialRoute> {
+        let head = match self.policy {
+            QueuePolicy::Proposed => self.proposed.peek().map(|e| &e.0),
+            QueuePolicy::DistanceBased => self.distance.peek().map(|e| &e.0),
+        };
+        if head.is_some_and(|r| r.len() == len && r.sim_acc() == sim_acc) {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
     /// Number of queued routes.
     pub fn len(&self) -> usize {
         match self.policy {
@@ -153,6 +175,29 @@ mod tests {
         q.push(route(&[(3, 5.0, 0.2)]));
         assert_eq!(q.pop().unwrap().pois(), vec![VertexId(3)]);
         assert_eq!(q.pop().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn same_class_routes_pop_as_one_run_under_the_proposed_order() {
+        let mut q = RouteQueue::new(QueuePolicy::Proposed);
+        q.push(route(&[(1, 9.0, 0.5)]));
+        q.push(route(&[(2, 3.0, 1.0)]));
+        q.push(route(&[(3, 7.0, 0.5)]));
+        q.push(route(&[(4, 1.0, 0.5), (5, 1.0, 1.0)]));
+        q.push(route(&[(6, 5.0, 0.5)]));
+        let head = q.pop().unwrap();
+        assert_eq!(head.pois(), vec![VertexId(4), VertexId(5)]);
+        assert!(q.pop_class(2, 0.5).is_none(), "no other route has two PoIs");
+        let head = q.pop().unwrap();
+        assert_eq!(head.pois(), vec![VertexId(2)]);
+        assert!(q.pop_class(1, 1.0).is_none(), "no other route has similarity 1");
+        let head = q.pop().unwrap();
+        let mut run = vec![head.last_poi().unwrap()];
+        while let Some(r) = q.pop_class(1, 0.5) {
+            run.push(r.last_poi().unwrap());
+        }
+        assert_eq!(run, vec![VertexId(6), VertexId(3), VertexId(1)], "shortest first");
+        assert!(q.is_empty());
     }
 
     #[test]

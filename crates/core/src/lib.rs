@@ -11,7 +11,8 @@
 //! * **BSSR**, the bulk SkySR algorithm of §5 ([`bssr`]) with all four
 //!   optimisation techniques (NNinit, arranged priority queue, possible
 //!   minimum distances, on-the-fly caching), each independently toggleable
-//!   for the ablation experiments;
+//!   for the ablation experiments, and grouped expansion, which the default
+//!   engine runs instead of the caching;
 //! * the competitors used in §7: iterated optimal-sequenced-route search
 //!   with the Dijkstra-based solution ([`osr`]) and the PNE approach
 //!   ([`pne`]), wrapped into exact skyline baselines ([`baseline`]);

@@ -44,10 +44,15 @@ pub struct Position {
     /// σ\*: the best non-perfect similarity reachable at this position
     /// (drives the minimum semantic increment δ of Lemma 5.8).
     pub sigma_star: Option<f64>,
-    /// Category trees this position can match (used to decide whether the
-    /// Lemma 5.5 path-similarity pruning is sound for it — see
-    /// `bssr::Bssr`).
+    /// Category trees this position can match: a PoI matches it only
+    /// through a category of one of these trees.
     pub trees: Vec<u32>,
+    /// Category trees, ascending, that include every tree carried by a PoI
+    /// matching this position. A PoI tagged in two trees brings both, so no
+    /// PoI matching this position can match another position whose `trees`
+    /// miss all of these. BSSR derives its Lemma 5.5 flags and the
+    /// soundness of grouped expansion from that (see `bssr`).
+    pub carried_trees: Vec<u32>,
     /// Whether this position may revisit a vertex already in the route
     /// (used by the destination variant's pseudo-position; always `false`
     /// for real PoI positions per Definition 3.4(iii)).
@@ -108,6 +113,7 @@ impl Position {
             semantic: vec![dest],
             sigma_star: None,
             trees: Vec::new(),
+            carried_trees: Vec::new(),
             allow_revisit: true,
         }
     }
@@ -223,9 +229,11 @@ impl PreparedQuery {
                 let mut perfect = Vec::new();
                 let mut semantic = Vec::new();
                 let mut sigma_star: Option<f64> = None;
+                let mut carried_trees = vec![ctx.forest.tree_of(*c)];
                 for &p in ctx.pois.pois_in_tree_of(ctx.forest, *c) {
+                    let cats = ctx.pois.categories_of(p);
                     let mut best = 0.0f64;
-                    for &pc in ctx.pois.categories_of(p) {
+                    for &pc in cats {
                         let s = table.sim(pc);
                         if s > best {
                             best = s;
@@ -233,6 +241,10 @@ impl PreparedQuery {
                     }
                     if best <= 0.0 {
                         continue;
+                    }
+                    // A single category lies in this tree, already carried.
+                    if cats.len() > 1 {
+                        carry_trees(ctx, cats, &mut carried_trees);
                     }
                     semantic.push(p);
                     if best >= 1.0 {
@@ -247,6 +259,7 @@ impl PreparedQuery {
                     semantic,
                     sigma_star,
                     trees: vec![ctx.forest.tree_of(*c)],
+                    carried_trees: sorted(carried_trees),
                     allow_revisit: false,
                 })
             }
@@ -260,6 +273,7 @@ impl PreparedQuery {
                 let mut perfect = Vec::new();
                 let mut semantic = Vec::new();
                 let mut sigma_star: Option<f64> = None;
+                let mut carried_trees = Vec::new();
                 for &p in ctx.pois.pois() {
                     let s = req.similarity(
                         ctx.forest,
@@ -269,6 +283,7 @@ impl PreparedQuery {
                     if s <= 0.0 {
                         continue;
                     }
+                    carry_trees(ctx, ctx.pois.categories_of(p), &mut carried_trees);
                     map.insert(p.0, s);
                     semantic.push(p);
                     if s >= 1.0 {
@@ -277,16 +292,15 @@ impl PreparedQuery {
                         sigma_star = Some(s);
                     }
                 }
-                let mut trees: Vec<u32> =
+                let trees =
                     req.referenced_categories().iter().map(|&c| ctx.forest.tree_of(c)).collect();
-                trees.sort_unstable();
-                trees.dedup();
                 Ok(Position {
                     kind: PositionKind::PerVertex(map),
                     perfect,
                     semantic,
                     sigma_star,
-                    trees,
+                    trees: sorted(trees),
+                    carried_trees: sorted(carried_trees),
                     allow_revisit: false,
                 })
             }
@@ -308,6 +322,22 @@ impl PreparedQuery {
     pub fn unmatchable_position(&self) -> Option<usize> {
         self.positions.iter().position(|p| p.semantic.is_empty())
     }
+}
+
+/// Adds the trees of `cats` that `trees` lacks.
+fn carry_trees(ctx: &QueryContext<'_>, cats: &[CategoryId], trees: &mut Vec<u32>) {
+    for &c in cats {
+        let t = ctx.forest.tree_of(c);
+        if !trees.contains(&t) {
+            trees.push(t);
+        }
+    }
+}
+
+fn sorted(mut trees: Vec<u32>) -> Vec<u32> {
+    trees.sort_unstable();
+    trees.dedup();
+    trees
 }
 
 /// Adapter: `&dyn Similarity` as a `Similarity`.
@@ -397,6 +427,35 @@ mod tests {
         // Both Asian and Italian PoIs now match perfectly.
         assert_eq!(pos.perfect, vec![VertexId(1), VertexId(2), VertexId(4)]);
         assert_eq!(pos.sim_of(&ctx, VertexId(2)), 1.0);
+    }
+
+    #[test]
+    fn carried_trees_follow_multi_category_matches() {
+        let fx = fixture();
+        let asian = fx.forest.by_name("Asian").unwrap();
+        let gift = fx.forest.by_name("Gift").unwrap();
+        let (food, shop) = (fx.forest.tree_of(asian), fx.forest.tree_of(gift));
+        let q = SkySrQuery::with_positions(
+            VertexId(0),
+            [asian.into(), PositionSpec::Requirement(Requirement::any_of([gift]))],
+        );
+        let ctx = QueryContext::new(&fx.graph, &fx.forest, &fx.pois);
+        let pq = PreparedQuery::prepare(&ctx, &q).unwrap();
+        assert_eq!(pq.positions[0].carried_trees, vec![food]);
+        assert_eq!(pq.positions[1].carried_trees, vec![shop]);
+        // Vertex 1 is an Asian restaurant and a gift shop: both positions
+        // can match it, so each carries both trees.
+        let mut pois = PoiTable::new(fx.graph.num_vertices());
+        pois.add_poi(VertexId(1), asian);
+        pois.add_poi(VertexId(1), gift);
+        pois.add_poi(VertexId(3), gift);
+        pois.finalize(&fx.forest);
+        let ctx = QueryContext::new(&fx.graph, &fx.forest, &pois);
+        let pq = PreparedQuery::prepare(&ctx, &q).unwrap();
+        for pos in &pq.positions {
+            assert_eq!(pos.carried_trees, vec![food, shop]);
+        }
+        assert_eq!(pq.positions[0].trees, vec![food]);
     }
 
     #[test]
@@ -499,6 +558,7 @@ mod tests {
         assert_eq!(got.semantic, want.semantic);
         assert_eq!(got.sigma_star, want.sigma_star);
         assert_eq!(got.trees, want.trees);
+        assert_eq!(got.carried_trees, want.carried_trees);
         assert_eq!(got.allow_revisit, want.allow_revisit);
         for v in 0..ctx.graph.num_vertices() {
             let v = VertexId(v as u32);

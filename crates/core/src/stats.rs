@@ -8,11 +8,15 @@ use skysr_graph::SearchStats;
 /// Counters and timings for one SkySR query execution.
 #[derive(Clone, Debug, Default)]
 pub struct QueryStats {
-    /// Number of modified-Dijkstra executions actually run (cache misses).
+    /// Number of modified-Dijkstra searches actually run (cache misses); a
+    /// grouped expansion counts one search for its whole group.
     pub mdijkstra_runs: u64,
     /// Number of modified-Dijkstra invocations answered by the on-the-fly
     /// cache.
     pub cache_hits: u64,
+    /// Routes expanded by a search shared with other routes of their class
+    /// (grouped expansion); 0 when every search expanded one route.
+    pub grouped_routes: u64,
     /// Aggregate graph-search counters (settled / relaxed / weight sum).
     pub search: SearchStats,
     /// Weight sum of the *first* modified Dijkstra execution — Table 7's
@@ -64,6 +68,7 @@ impl QueryStats {
             seeds_survived: self.warm_seed_routes as u64,
             mdijkstra_runs: self.mdijkstra_runs,
             mdijkstra_cache_hits: self.cache_hits,
+            grouped_routes: self.grouped_routes,
         }
     }
 
@@ -103,10 +108,12 @@ pub struct EngineProfile {
     pub lower_bound_prunes: u64,
     /// Warm-start seed routes that survived validation into the search.
     pub seeds_survived: u64,
-    /// Modified-Dijkstra executions actually run.
+    /// Modified-Dijkstra searches actually run.
     pub mdijkstra_runs: u64,
     /// Modified-Dijkstra invocations answered by the on-the-fly cache.
     pub mdijkstra_cache_hits: u64,
+    /// Routes expanded by a search shared with other routes of their class.
+    pub grouped_routes: u64,
 }
 
 impl EngineProfile {
@@ -128,6 +135,7 @@ impl EngineProfile {
         self.mdijkstra_runs = self.mdijkstra_runs.saturating_add(other.mdijkstra_runs);
         self.mdijkstra_cache_hits =
             self.mdijkstra_cache_hits.saturating_add(other.mdijkstra_cache_hits);
+        self.grouped_routes = self.grouped_routes.saturating_add(other.grouped_routes);
     }
 }
 
@@ -153,6 +161,7 @@ mod tests {
         let s = QueryStats {
             mdijkstra_runs: 4,
             cache_hits: 2,
+            grouped_routes: 9,
             search: SearchStats { settled: 10, relaxed: 20, pushed: 30, weight_sum: 1.0 },
             warm_seed_routes: 3,
             routes_enqueued: 7,
@@ -171,5 +180,6 @@ mod tests {
         assert_eq!(total.settled, 20);
         assert_eq!(total.mdijkstra_runs, 8);
         assert_eq!(total.mdijkstra_cache_hits, 4);
+        assert_eq!(total.grouped_routes, 18);
     }
 }

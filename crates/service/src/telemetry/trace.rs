@@ -100,6 +100,7 @@ impl TraceSpan {
         push_kv(&mut s, "pruned_labels", &p.pruned_labels().to_string());
         push_kv(&mut s, "seeds_survived", &p.seeds_survived.to_string());
         push_kv(&mut s, "mdijkstra_runs", &p.mdijkstra_runs.to_string());
+        push_kv(&mut s, "grouped_routes", &p.grouped_routes.to_string());
         s.push_str(&format!("\"skyline\":{}", self.skyline));
         s.push('}');
         s

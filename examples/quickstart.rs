@@ -49,9 +49,10 @@ fn main() {
         );
     }
     println!(
-        "\nstats: {} modified-Dijkstra runs, {} cache hits, {} vertices settled, {:?} total",
+        "\nstats: {} modified-Dijkstra runs ({} routes expanded in groups), {} vertices settled, \
+         {:?} total",
         result.stats.mdijkstra_runs,
-        result.stats.cache_hits,
+        result.stats.grouped_routes,
         result.stats.search.settled,
         result.stats.total_time
     );

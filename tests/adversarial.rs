@@ -8,11 +8,13 @@
 //!    must not be reused for a wider request (thresholds loosen for
 //!    semantically better routes);
 //! 3. Lemma 5.5's path-similarity skip must not fire when the would-be
-//!    replacement PoI is already in the route (same-tree positions).
+//!    replacement PoI is already in the route (same-tree positions);
+//! 4. nor when one PoI can match two positions through categories of two
+//!    trees — which also keeps grouped expansion off.
 
 use skysr::category::{ForestBuilder, WuPalmer};
 use skysr::core::baseline::{DijBaseline, PneBaseline};
-use skysr::core::bssr::{Bssr, BssrConfig};
+use skysr::core::bssr::{Bssr, BssrConfig, Expansion};
 use skysr::core::naive::naive_skysr;
 use skysr::core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery};
 use skysr::graph::GraphBuilder;
@@ -120,13 +122,11 @@ fn cache_radius_discipline_preserves_exactness() {
 
     let pq = PreparedQuery::prepare(&ctx, &q).unwrap();
     let oracle = naive_skysr(&ctx, &pq, 1000);
-    let with_cache = Bssr::new(&ctx).run(&q).unwrap();
-    let without_cache =
-        Bssr::with_config(&ctx, BssrConfig { use_cache: false, ..BssrConfig::default() })
-            .run(&q)
-            .unwrap();
-    assert_eq!(with_cache.routes, oracle);
-    assert_eq!(without_cache.routes, oracle);
+    let with = |expansion| BssrConfig { expansion, ..BssrConfig::default() };
+    for expansion in [Expansion::Memoised, Expansion::PerRoute, Expansion::Grouped] {
+        let got = Bssr::with_config(&ctx, with(expansion)).run(&q).unwrap();
+        assert_eq!(got.routes, oracle, "{expansion:?}");
+    }
 }
 
 /// Same-tree positions: a route ⟨Gift, Hobby⟩ where the nearest Hobby
@@ -161,6 +161,49 @@ fn same_tree_positions_do_not_lose_routes() {
     assert_eq!(result.routes[0].pois, vec![g1, h1]);
     assert_eq!(result.routes[0].length.get(), 5.0);
     assert_eq!(result.routes[0].semantic, 0.0);
+}
+
+/// A PoI tagged in two trees matches two positions whose own trees are
+/// disjoint. v1 is an Asian restaurant and a gift shop; the skyline of
+/// ⟨Asian, Gift⟩ from v0 is ⟨v1, v3⟩ (length 3). Comparing only the
+/// positions' trees enabled the Lemma 5.5 rules: the Gift search from ⟨v1⟩
+/// settled v1 itself as a perfect match, rejected it as a repeat, and the
+/// perfect-match cut stopped the traversal there, leaving ⟨v2, v1⟩
+/// (length 4) as the answer.
+#[test]
+fn a_poi_tagged_in_two_trees_does_not_cut_its_own_search() {
+    let mut fb = ForestBuilder::new();
+    let food = fb.add_root("Food");
+    let asian = fb.add_child(food, "Asian");
+    let shop = fb.add_root("Shop");
+    let gift = fb.add_child(shop, "Gift");
+    let forest = fb.build();
+    let mut g = GraphBuilder::new();
+    let v: Vec<_> = (0..5).map(|_| g.add_vertex()).collect();
+    g.add_edge(v[0], v[2], 1.0);
+    g.add_edge(v[0], v[1], 2.0);
+    g.add_edge(v[1], v[3], 1.0);
+    g.add_edge(v[2], v[4], 10.0);
+    let graph = g.build();
+    let mut pois = PoiTable::new(graph.num_vertices());
+    pois.add_poi(v[2], asian);
+    pois.add_poi(v[1], asian);
+    pois.add_poi(v[1], gift);
+    pois.add_poi(v[3], gift);
+    pois.add_poi(v[4], gift);
+    pois.finalize(&forest);
+    let ctx = QueryContext::new(&graph, &forest, &pois);
+    let q = SkySrQuery::new(v[0], [asian, gift]);
+    let pq = PreparedQuery::prepare(&ctx, &q).unwrap();
+    let oracle = naive_skysr(&ctx, &pq, 1000);
+    assert_eq!(oracle.len(), 1);
+    assert_eq!(oracle[0].pois, vec![v[1], v[3]]);
+    assert_eq!(oracle[0].length.get(), 3.0);
+    for cfg in [BssrConfig::default(), BssrConfig::paper(), BssrConfig::unoptimized()] {
+        let got = Bssr::with_config(&ctx, cfg).run_prepared(&pq);
+        assert_eq!(got.routes, oracle, "{cfg:?}");
+        assert_eq!(got.stats.grouped_routes, 0, "{cfg:?}: v1 can serve both positions");
+    }
 }
 
 /// Zero-weight edges (co-located PoIs after edge splitting) must not break

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: dataset generation → workload → queries →
 //! persistence, with the structural invariants each stage guarantees.
 
-use skysr::core::bssr::{Bssr, BssrConfig, QueuePolicy};
+use skysr::core::bssr::{Bssr, BssrConfig, Expansion, LowerBoundMode, QueuePolicy};
 use skysr::graph::connectivity::is_connected;
 use skysr::prelude::*;
 
@@ -30,15 +30,20 @@ fn ablation_configs_agree_on_real_workload() {
     let d = tiny(Preset::TokyoSmall, 0.06, 13);
     let ctx = d.context();
     let w = WorkloadSpec::new(3).queries(5).seed(3).generate(&d);
+    let grouped = BssrConfig::default();
     let configs = [
-        // The default is the paper's BSSR without the bounds; each other
-        // optimisation is ablated from the paper's.
-        BssrConfig::default(),
+        // The default is the paper's BSSR without the bounds and with
+        // grouped instead of memoised expansion; each other optimisation is
+        // ablated from the paper's, and grouping is crossed with each.
+        grouped,
         BssrConfig::paper(),
         BssrConfig::unoptimized(),
         BssrConfig { use_init_search: false, ..BssrConfig::paper() },
         BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..BssrConfig::paper() },
-        BssrConfig { use_cache: false, ..BssrConfig::paper() },
+        BssrConfig { expansion: Expansion::PerRoute, ..BssrConfig::paper() },
+        BssrConfig { use_init_search: false, ..grouped },
+        BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..grouped },
+        BssrConfig { lower_bound: LowerBoundMode::Full, ..grouped },
     ];
     for q in &w.queries {
         let reference = Bssr::new(&ctx).run(q).unwrap().routes;
@@ -82,17 +87,20 @@ fn optimisations_reduce_search_effort_at_scale() {
     let ctx = d.context();
     let w = WorkloadSpec::new(4).queries(4).seed(5).generate(&d);
     let mut opt = Bssr::new(&ctx);
+    let mut paper = Bssr::with_config(&ctx, BssrConfig::paper());
     let mut plain = Bssr::with_config(&ctx, BssrConfig::unoptimized());
-    let (mut settled_opt, mut settled_plain, mut cache_hits) = (0u64, 0u64, 0u64);
+    let (mut settled_opt, mut settled_plain, mut grouped, mut cache_hits) = (0, 0, 0, 0);
     for q in &w.queries {
         let a = opt.run(q).unwrap().stats;
         let b = plain.run(q).unwrap().stats;
         settled_opt += a.search.settled;
         settled_plain += b.search.settled;
-        cache_hits += a.cache_hits;
+        grouped += a.grouped_routes;
+        cache_hits += paper.run(q).unwrap().stats.cache_hits;
     }
     assert!(settled_opt < settled_plain, "optimised {settled_opt} vs plain {settled_plain}");
-    assert!(cache_hits > 0, "on-the-fly cache never hit at |Sq| = 4");
+    assert!(grouped > 0, "grouped expansion never shared a search at |Sq| = 4");
+    assert!(cache_hits > 0, "the paper's on-the-fly cache never hit at |Sq| = 4");
 }
 
 #[test]

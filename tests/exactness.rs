@@ -1,12 +1,13 @@
 //! Property-based exactness: BSSR (under every optimisation configuration)
 //! must return exactly the skyline computed by the exhaustive oracle, on
 //! arbitrary small road networks, category forests and queries — including
-//! queries whose positions share category trees (where the Lemma 5.5
-//! shortcuts must disable themselves).
+//! queries whose positions share category trees and PoIs tagged in two
+//! trees (where the Lemma 5.5 shortcuts and grouped expansion must disable
+//! themselves).
 
 use proptest::prelude::*;
 use skysr::category::{CategoryForest, CategoryId, ForestBuilder};
-use skysr::core::bssr::{Bssr, BssrConfig, QueuePolicy};
+use skysr::core::bssr::{Bssr, BssrConfig, Expansion, LowerBoundMode, QueuePolicy, WarmSeeds};
 use skysr::core::naive::naive_skysr;
 use skysr::core::variants::skyband::{naive_skyband, SkybandQuery};
 use skysr::core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery, SkylineRoute};
@@ -19,7 +20,9 @@ struct Instance {
     directed: bool,
     path_weights: Vec<f64>,
     extra_edges: Vec<(usize, usize, f64)>,
-    poi_cats: Vec<Option<usize>>,
+    /// Categories per vertex: none (a road vertex), one, or two — possibly
+    /// from different trees.
+    poi_cats: Vec<Vec<usize>>,
     start: usize,
     query_cats: Vec<usize>,
 }
@@ -42,14 +45,17 @@ fn forest() -> CategoryForest {
 const NUM_CATS: usize = 8;
 
 fn arb_instance() -> impl Strategy<Value = Instance> {
-    (4usize..10, any::<bool>())
-        .prop_flat_map(|(n, directed)| {
+    (4usize..10, any::<bool>(), any::<bool>())
+        .prop_flat_map(|(n, directed, multi)| {
+            // Half the instances tag some vertices twice; the rest keep the
+            // single-category PoIs under which groups form.
+            let per_vertex = if multi { 0..3 } else { 0..2 };
             (
                 Just(n),
                 Just(directed),
                 prop::collection::vec(0.5f64..8.0, n - 1),
                 prop::collection::vec((0..n, 0..n, 0.5f64..8.0), 0..10),
-                prop::collection::vec(prop::option::of(0..NUM_CATS), n),
+                prop::collection::vec(prop::collection::vec(0..NUM_CATS, per_vertex), n),
                 0..n,
                 prop::collection::vec(0..NUM_CATS, 1..4),
             )
@@ -83,9 +89,9 @@ fn build(inst: &Instance) -> Built {
     }
     let graph = g.build();
     let mut pois = PoiTable::new(inst.n);
-    for (i, cat) in inst.poi_cats.iter().enumerate() {
-        if let Some(c) = cat {
-            pois.add_poi(vs[i], CategoryId(*c as u32));
+    for (i, cats) in inst.poi_cats.iter().enumerate() {
+        for &c in cats {
+            pois.add_poi(vs[i], CategoryId(c as u32));
         }
     }
     pois.finalize(&forest);
@@ -117,10 +123,12 @@ fn assert_same_skyline(got: &[SkylineRoute], want: &[SkylineRoute], label: &str)
 }
 
 fn all_configs() -> Vec<(&'static str, BssrConfig)> {
+    let grouped = BssrConfig::default();
     vec![
-        // The default is the paper's BSSR without the bounds; each other
-        // optimisation is ablated from the paper's.
-        ("default", BssrConfig::default()),
+        // The default is the paper's BSSR without the bounds and with
+        // grouped instead of memoised expansion; each other optimisation is
+        // ablated from the paper's, and grouping is crossed with each.
+        ("default", grouped),
         ("paper", BssrConfig::paper()),
         ("unoptimized", BssrConfig::unoptimized()),
         ("no-init", BssrConfig { use_init_search: false, ..BssrConfig::paper() }),
@@ -128,7 +136,17 @@ fn all_configs() -> Vec<(&'static str, BssrConfig)> {
             "distance-queue",
             BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..BssrConfig::paper() },
         ),
-        ("no-cache", BssrConfig { use_cache: false, ..BssrConfig::paper() }),
+        ("per-route", BssrConfig { expansion: Expansion::PerRoute, ..BssrConfig::paper() }),
+        ("grouped-no-init", BssrConfig { use_init_search: false, ..grouped }),
+        (
+            "grouped-distance-queue",
+            BssrConfig { queue_policy: QueuePolicy::DistanceBased, ..grouped },
+        ),
+        ("grouped-bounds", BssrConfig { lower_bound: LowerBoundMode::Full, ..grouped }),
+        (
+            "grouped-unoptimized",
+            BssrConfig { expansion: Expansion::Grouped, ..BssrConfig::unoptimized() },
+        ),
     ]
 }
 
@@ -166,6 +184,25 @@ proptest! {
         let prefix = engine.run(&prefix_query).expect("valid prefix").routes;
         let warm = engine.run_prepared_warm(&pq, &prefix);
         assert_same_skyline(&warm.routes, &oracle, "warm-started");
+    }
+
+    #[test]
+    fn suffix_seeded_bssr_matches_oracle(inst in arb_instance()) {
+        // Suffix reuse: the skyline of ⟨c₂, …, c_k⟩ from the same start,
+        // prepended one leg, seeds the default engine.
+        let built = build(&inst);
+        if built.query.len() < 2 {
+            return; // no proper suffix to reuse
+        }
+        let ctx = QueryContext::new(&built.graph, &built.forest, &built.pois);
+        let pq = PreparedQuery::prepare(&ctx, &built.query).expect("valid query");
+        let oracle = naive_skysr(&ctx, &pq, 5_000_000);
+        let suffix_query =
+            SkySrQuery::with_positions(built.query.start, built.query.sequence[1..].to_vec());
+        let mut engine = Bssr::new(&ctx);
+        let suffix = engine.run(&suffix_query).expect("valid suffix").routes;
+        let seeded = engine.run_prepared_seeded(&pq, WarmSeeds::Suffix(&suffix));
+        assert_same_skyline(&seeded.routes, &oracle, "suffix-seeded");
     }
 
     #[test]
