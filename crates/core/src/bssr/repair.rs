@@ -61,7 +61,7 @@
 
 use std::time::Instant;
 
-use skysr_graph::dijkstra::{dijkstra_with, shortest_distance, Settle};
+use skysr_graph::dijkstra::{dijkstra_with, point_to_point, Settle};
 use skysr_graph::fxhash::FxHashSet;
 use skysr_graph::{Cost, DeltaIndex, DijkstraWorkspace, Landmarks, VertexId};
 
@@ -141,15 +141,6 @@ pub fn safely_beyond(a: f64, b: f64) -> bool {
     a > b * (1.0 + MARGIN) + MARGIN
 }
 
-/// Scaled landmark lower bound on the distance from `start` to `v` at an
-/// epoch with weight-ratio floor `ratio` — admissible because every arc
-/// weight at that epoch is at least `ratio` times its origin weight, so
-/// every path (and hence the shortest distance) scales accordingly.
-#[inline]
-fn scaled_lb(landmarks: &Landmarks, ratio: f64, start: VertexId, v: VertexId) -> f64 {
-    ratio.clamp(0.0, 1.0) * landmarks.lower_bound(start, v).get()
-}
-
 /// The cheap wholesale-untouched check (repair tier 1): `true` iff every
 /// arc touched by `delta` has its tail provably farther from `start` *at
 /// the delta's older epoch* than `max_len`, the longest route of the
@@ -168,49 +159,85 @@ pub fn wholesale_untouched(
     start: VertexId,
     max_len: Cost,
 ) -> bool {
-    let delta = index.delta();
-    if delta.is_empty() {
-        return true;
-    }
-    let Some(lm) = landmarks else {
-        return false;
-    };
-    let ratio = delta.from_min_ratio();
-    // Fast path: one O(landmarks) probe of the precomputed touched-ball
-    // index clears the whole delta at once — the common "updates landed
-    // far away" case costs the same whether the batch touched 2 arcs or
-    // 2000, and is shared across every stale key of this epoch pair.
-    if safely_beyond(ratio.clamp(0.0, 1.0) * index.touched_floor(lm, start), max_len.get()) {
-        return true;
-    }
-    // Exact fallback: per-tail triangle bounds (strictly tighter than the
-    // ball floor), same verdict the pre-index implementation computed.
-    delta
-        .touches()
-        .iter()
-        .all(|t| safely_beyond(scaled_lb(lm, ratio, start, t.tail), max_len.get()))
+    index_clears(index, landmarks, start, max_len)
+        || safely_beyond(TouchBounds::new(index, landmarks, start).floor(), max_len.get())
 }
 
-/// The smallest scaled lower bound from `start` to any touched tail — the
-/// per-route skip floor of tier 2 (a route shorter than this provably
-/// keeps its length across the delta).
-fn touched_floor(index: &DeltaIndex, landmarks: Option<&Landmarks>, start: VertexId) -> f64 {
-    let Some(lm) = landmarks else {
-        return 0.0;
-    };
-    let delta = index.delta();
-    let ratio = delta.from_min_ratio();
-    delta
-        .touches()
-        .iter()
-        .map(|t| scaled_lb(lm, ratio, start, t.tail))
-        .fold(f64::INFINITY, f64::min)
+/// Tier 1's fast path: the delta is empty, or one O(landmarks) probe of
+/// the precomputed touched-ball index clears the whole delta at once. The
+/// common "updates landed far away" case costs the same whether the batch
+/// touched 2 arcs or 2000, and is shared across every stale key of this
+/// epoch pair.
+fn index_clears(
+    index: &DeltaIndex,
+    landmarks: Option<&Landmarks>,
+    start: VertexId,
+    max_len: Cost,
+) -> bool {
+    let ratio = index.delta().from_min_ratio().clamp(0.0, 1.0);
+    index.delta().is_empty()
+        || landmarks
+            .is_some_and(|lm| safely_beyond(ratio * index.touched_floor(lm, start), max_len.get()))
+}
+
+/// The landmark lower bound from one start to every touched tail of a
+/// delta, at the origin weight scale, computed once per repair. Each
+/// check scales them by its epoch's weight-ratio floor: admissible,
+/// because every arc weight at that epoch is at least the floor times its
+/// origin weight, so every path (and hence the shortest distance) scales
+/// accordingly.
+struct TouchBounds<'a> {
+    index: &'a DeltaIndex,
+    /// `lower_bound(start, tail)` per touch, in touch order; `None`
+    /// without an oracle.
+    origin: Option<Vec<f64>>,
+}
+
+impl<'a> TouchBounds<'a> {
+    fn new(index: &'a DeltaIndex, landmarks: Option<&Landmarks>, start: VertexId) -> Self {
+        let origin = landmarks.map(|lm| {
+            index.delta().touches().iter().map(|t| lm.lower_bound(start, t.tail).get()).collect()
+        });
+        TouchBounds { index, origin }
+    }
+
+    /// The smallest bound to any touched tail at the delta's older epoch:
+    /// tier 2's per-route skip floor (a route shorter than it provably
+    /// keeps its length across the delta). Tier 1 holds exactly when it is
+    /// safely beyond the skyline radius, since [`safely_beyond`] is
+    /// monotone in its first argument. 0 without an oracle.
+    fn floor(&self) -> f64 {
+        let Some(origin) = &self.origin else {
+            return 0.0;
+        };
+        let ratio = self.index.delta().from_min_ratio().clamp(0.0, 1.0);
+        ratio * origin.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// Tails of the *decreased* arcs not provably beyond `max_len` from
+    /// the start at the delta's newer epoch.
+    fn decreased_within(&self, max_len: Cost) -> FxHashSet<u32> {
+        let delta = self.index.delta();
+        let ratio = delta.to_min_ratio().clamp(0.0, 1.0);
+        delta
+            .touches()
+            .iter()
+            .enumerate()
+            .filter(|&(i, t)| {
+                let cleared = (self.origin.as_ref())
+                    .is_some_and(|lb| safely_beyond(ratio * lb[i], max_len.get()));
+                t.decreased() && !cleared
+            })
+            .map(|(_, t)| t.tail.0)
+            .collect()
+    }
 }
 
 /// Recomputes a route's length score at the engine's epoch as the sum of
 /// its point-to-point shortest-path legs (`start → p₁ → … → p_k`), each an
-/// early-terminating Dijkstra. `None` if a leg is unreachable (impossible
-/// for a route cached on the same topology; treated as "changed" upstream).
+/// early-terminating Dijkstra counted into `stats`. `None` if a leg is
+/// unreachable (impossible for a route cached on the same topology;
+/// treated as "changed" upstream).
 fn rescore_route(
     ctx: &QueryContext<'_>,
     start: VertexId,
@@ -221,13 +248,11 @@ fn rescore_route(
     let mut total = Cost::ZERO;
     let mut at = start;
     for &p in &route.pois {
-        let d = shortest_distance(ctx.graph, ws, at, p)?;
-        // `shortest_distance` leaves its stats inside `dijkstra_with`;
-        // count the legs as ordinary search work.
-        total += d;
+        let (d, leg) = point_to_point(ctx.graph, ws, at, p);
+        stats.search.merge(&leg);
+        total += d?;
         at = p;
     }
-    stats.search.settled += route.pois.len() as u64; // settled targets, at minimum
     Some(total)
 }
 
@@ -237,37 +262,26 @@ fn rescore_route(
 /// settled by one radius-bounded Dijkstra over the new-epoch graph.
 fn decreases_relevant(
     ctx: &QueryContext<'_>,
-    index: &DeltaIndex,
+    bounds: &TouchBounds<'_>,
     landmarks: Option<&Landmarks>,
     start: VertexId,
     max_len: Cost,
     ws: &mut DijkstraWorkspace,
     stats: &mut QueryStats,
 ) -> bool {
-    let delta = index.delta();
+    let index = bounds.index;
     // Fast path via the shared index: when the nearest *decreased* tail is
     // provably beyond the skyline radius (or nothing decreased at all —
     // the floor is then infinite), no per-tail probe or Dijkstra runs.
     if let Some(lm) = landmarks {
         let floor = index.decreased_floor(lm, start);
         if floor.is_infinite()
-            || safely_beyond(delta.to_min_ratio().clamp(0.0, 1.0) * floor, max_len.get())
+            || safely_beyond(index.delta().to_min_ratio().clamp(0.0, 1.0) * floor, max_len.get())
         {
             return false;
         }
     }
-    let suspicious: FxHashSet<u32> = delta
-        .touches()
-        .iter()
-        .filter(|t| t.decreased())
-        .filter(|t| match landmarks {
-            Some(lm) => {
-                !safely_beyond(scaled_lb(lm, delta.to_min_ratio(), start, t.tail), max_len.get())
-            }
-            None => true,
-        })
-        .map(|t| t.tail.0)
-        .collect();
+    let suspicious = bounds.decreased_within(max_len);
     if suspicious.is_empty() {
         return false;
     }
@@ -395,25 +409,33 @@ impl<'g> Bssr<'g> {
             };
         }
         let max_len = cached.iter().map(|r| r.length).max().expect("non-empty");
-
-        // Tier 1: every touched arc is provably beyond the skyline radius.
-        if wholesale_untouched(index, landmarks, start, max_len) {
+        let untouched = || {
             let mut routes = cached.to_vec();
             routes.sort_by_key(|r| r.length);
-            return InPlace::Promoted {
+            InPlace::Promoted {
                 routes,
                 repair: RepairStats {
                     outcome: RepairOutcome::Untouched,
                     routes_untouched: cached.len(),
                     routes_rescored: 0,
                 },
-            };
+            }
+        };
+
+        // Tier 1: every touched arc is provably beyond the skyline radius
+        // (`wholesale_untouched`, with its landmark pass kept for tier 2).
+        if index_clears(index, landmarks, start, max_len) {
+            return untouched();
+        }
+        let bounds = TouchBounds::new(index, landmarks, start);
+        let floor = bounds.floor();
+        if safely_beyond(floor, max_len.get()) {
+            return untouched();
         }
 
         // Tier 2: rescore each route's legs at the new epoch. Routes
         // strictly below the touched-distance floor provably kept their
         // length and skip the legs.
-        let floor = touched_floor(index, landmarks, start);
         let mut survivors: Vec<SkylineRoute> = Vec::with_capacity(cached.len());
         let mut routes_untouched = 0usize;
         let mut routes_rescored = 0usize;
@@ -448,7 +470,7 @@ impl<'g> Bssr<'g> {
             }
         }
         if all_unchanged
-            && !decreases_relevant(&ctx, index, landmarks, start, max_len, &mut self.ws, stats)
+            && !decreases_relevant(&ctx, &bounds, landmarks, start, max_len, &mut self.ws, stats)
         {
             survivors.sort_by_key(|r| r.length);
             return InPlace::Promoted {
@@ -607,6 +629,72 @@ mod tests {
         let r = Bssr::new(&qctx).repair(&h.ex.query(), &[], &index, Some(&h.landmarks)).unwrap();
         assert!(r.routes.is_empty());
         assert_eq!(r.repair.outcome, RepairOutcome::Untouched);
+    }
+
+    #[test]
+    fn a_rescored_repair_counts_its_legs_and_its_relevance_ball() {
+        use crate::poi::PoiTable;
+        use skysr_category::ForestBuilder;
+        use skysr_graph::{GraphBuilder, SearchStats};
+
+        // A line 0 —1— 1 —1— … —1— 9 with an Asian restaurant at 1 and a
+        // gift shop at 2; the decreased edge 7 — 8 lies beyond the
+        // skyline radius, so the repair rescores and runs its ball.
+        let mut fb = ForestBuilder::new();
+        let food = fb.add_root("Food");
+        let asian = fb.add_child(food, "Asian");
+        let shop = fb.add_root("Shop");
+        let gift = fb.add_child(shop, "Gift");
+        let forest = fb.build();
+        let mut gb = GraphBuilder::new();
+        let v: Vec<VertexId> = (0..10).map(|_| gb.add_vertex()).collect();
+        for w in v.windows(2) {
+            gb.add_edge(w[0], w[1], 1.0);
+        }
+        let graph = gb.build();
+        let mut pois = PoiTable::new(graph.num_vertices());
+        pois.add_poi(v[1], asian);
+        pois.add_poi(v[2], gift);
+        pois.finalize(&forest);
+        let query = SkySrQuery::new(v[0], [asian, gift]);
+        let cached = Bssr::new(&QueryContext::new(&graph, &forest, &pois)).run(&query).unwrap();
+        let cached = cached.routes;
+
+        let epochs = WeightEpoch::new(graph);
+        let to = epochs.publish(&[WeightDelta::new(v[7], v[8], 0.5)]);
+        let index = DeltaIndex::build(epochs.delta_between(EpochId::BASE, to).unwrap(), None);
+        let pinned = epochs.pin();
+        let ctx = QueryContext::new(&pinned, &forest, &pois);
+        let repaired = Bssr::new(&ctx).repair(&query, &cached, &index, None).unwrap();
+        assert_eq!(repaired.repair.outcome, RepairOutcome::Rescored);
+
+        // The same searches, run independently: every leg of every cached
+        // route, then the ball out to the skyline radius.
+        let mut ws = DijkstraWorkspace::new(pinned.num_vertices());
+        let mut expect = SearchStats::default();
+        for r in &cached {
+            let mut at = query.start;
+            for &p in &r.pois {
+                expect.merge(&dijkstra_with(&pinned, &mut ws, &[(at, Cost::ZERO)], |u, _| {
+                    if u == p {
+                        Settle::Stop
+                    } else {
+                        Settle::Continue
+                    }
+                }));
+                at = p;
+            }
+        }
+        let max_len = cached.iter().map(|r| r.length).max().unwrap();
+        expect.merge(&dijkstra_with(&pinned, &mut ws, &[(query.start, Cost::ZERO)], |_, d| {
+            if safely_beyond(d.get(), max_len.get()) {
+                Settle::Stop
+            } else {
+                Settle::Continue
+            }
+        }));
+        let got = repaired.stats.search;
+        assert_eq!((got.settled, got.relaxed), (expect.settled, expect.relaxed));
     }
 
     #[test]

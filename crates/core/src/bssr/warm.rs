@@ -17,7 +17,7 @@
 //! skyline over the same start vertex, the appended PoI semantically
 //! matches the last position and is not already on the route.
 
-use skysr_graph::dijkstra::shortest_distance;
+use skysr_graph::dijkstra::point_to_point;
 use skysr_graph::fxhash::FxHashMap;
 use skysr_graph::{dijkstra_with, Cost, DijkstraWorkspace, Settle, VertexId};
 
@@ -315,10 +315,11 @@ pub fn seed_suffix_routes(
             if skyline.dominated_or_equal(d_p1 + Cost::new(tail_len), 1.0 - sim_acc) {
                 continue;
             }
-            let Some(leg) = shortest_distance(ctx.graph, ws, p1, t.head) else {
+            let (leg, leg_stats) = point_to_point(ctx.graph, ws, p1, t.head);
+            stats.search.merge(&leg_stats);
+            let Some(leg) = leg else {
                 continue;
             };
-            stats.search.settled += 1; // settled target, at minimum
             let mut pois = Vec::with_capacity(k);
             pois.push(p1);
             pois.extend_from_slice(&t.route.pois);
@@ -359,6 +360,7 @@ mod tests {
     use crate::bssr::Bssr;
     use crate::paper_example::PaperExample;
     use crate::query::SkySrQuery;
+    use skysr_graph::dijkstra::shortest_distance;
     use skysr_graph::VertexId;
 
     fn fixture() -> (PaperExample, SkySrQuery) {

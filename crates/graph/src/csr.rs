@@ -146,11 +146,13 @@ impl RoadNetwork {
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Cost)> + '_ {
         let lo = self.storage.offsets[v.index()] as usize;
         let hi = self.storage.offsets[v.index() + 1] as usize;
-        // One range probe per call; the per-arc work below is a cursor
-        // comparison against an (almost always empty) sub-slice.
+        // The overlay is probed only at a vertex its lineage marked (one
+        // range probe per call); elsewhere no out-arc is reweighted and the
+        // base weights are read as they are. The per-arc work below is a
+        // cursor comparison against the probed (usually empty) sub-slice.
         let (oa, ow) = match &self.overlay {
-            Some(o) => o.range(lo as u32, hi as u32),
-            None => (&[][..], &[][..]),
+            Some(o) if o.may_reweight(v) => o.range(lo as u32, hi as u32),
+            _ => (&[][..], &[][..]),
         };
         let mut cursor = 0usize;
         self.storage.targets[lo..hi].iter().zip(&self.storage.weights[lo..hi]).enumerate().map(
@@ -203,16 +205,13 @@ impl RoadNetwork {
     /// behind [`WeightEpoch::compact`](crate::epoch::WeightEpoch::compact).
     /// O(|arcs| + |V|) copy; topology and coordinates are duplicated so the
     /// old storage (and every pinned view over it) stays untouched.
-    pub(crate) fn with_weights_folded(&self, extra: &WeightOverlay) -> RoadNetwork {
+    pub(crate) fn with_weights_folded(&self, extra: Option<&WeightOverlay>) -> RoadNetwork {
         let s = &self.storage;
         let mut weights = s.weights.clone();
-        if let Some(o) = &self.overlay {
+        for o in self.overlay.as_deref().into_iter().chain(extra) {
             for (slot, w) in o.entries() {
                 weights[slot as usize] = w;
             }
-        }
-        for (slot, w) in extra.entries() {
-            weights[slot as usize] = w;
         }
         RoadNetwork {
             storage: Arc::new(CsrStorage {
@@ -234,7 +233,7 @@ impl RoadNetwork {
     /// reweights no arc; otherwise an O(|arcs| + |V|) copy.
     pub fn detached(&self) -> RoadNetwork {
         match &self.overlay {
-            Some(o) if !o.is_empty() => self.with_weights_folded(&WeightOverlay::empty(o.epoch())),
+            Some(o) if !o.is_empty() => self.with_weights_folded(None),
             _ => RoadNetwork { storage: Arc::clone(&self.storage), overlay: None },
         }
     }

@@ -157,16 +157,16 @@ pub fn dijkstra(graph: &RoadNetwork, ws: &mut DijkstraWorkspace, source: VertexI
     dijkstra_with(graph, ws, &[(source, Cost::ZERO)], |_, _| Settle::Continue)
 }
 
-/// Convenience: shortest-path distance between two vertices, terminating as
-/// soon as the target settles.
-pub fn shortest_distance(
+/// Shortest-path distance between two vertices, terminating as soon as the
+/// target settles, with the search's statistics.
+pub fn point_to_point(
     graph: &RoadNetwork,
     ws: &mut DijkstraWorkspace,
     source: VertexId,
     target: VertexId,
-) -> Option<Cost> {
+) -> (Option<Cost>, SearchStats) {
     let mut found = None;
-    dijkstra_with(graph, ws, &[(source, Cost::ZERO)], |v, d| {
+    let stats = dijkstra_with(graph, ws, &[(source, Cost::ZERO)], |v, d| {
         if v == target {
             found = Some(d);
             Settle::Stop
@@ -174,7 +174,17 @@ pub fn shortest_distance(
             Settle::Continue
         }
     });
-    found
+    (found, stats)
+}
+
+/// Convenience: [`point_to_point`]'s distance alone.
+pub fn shortest_distance(
+    graph: &RoadNetwork,
+    ws: &mut DijkstraWorkspace,
+    source: VertexId,
+    target: VertexId,
+) -> Option<Cost> {
+    point_to_point(graph, ws, source, target).0
 }
 
 #[cfg(test)]

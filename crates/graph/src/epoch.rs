@@ -39,9 +39,13 @@
 //!   weight-ratio floors) — the raw material incremental skyline *repair*
 //!   classifies cached results against instead of recomputing them.
 //!
-//! Overlay entries are keyed by *arc slot* (see [`RoadNetwork::arc`]), so
-//! lookups during neighbour iteration are a cursor walk over a sorted
-//! sub-slice rather than a hash probe per arc.
+//! Overlay entries are keyed by *arc slot* (see [`RoadNetwork::arc`]) and
+//! sorted. Every overlay published over one base storage (one *lineage*,
+//! which a rebase restarts) shares one bit per vertex, set for the tail of
+//! every arc any overlay of the lineage reweights. Neighbour iteration
+//! reads an unmarked vertex's base weights with no overlay lookup at all;
+//! at a marked vertex it probes the overlay once for the vertex's slot
+//! range and walks that sorted sub-slice with a cursor.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,6 +118,8 @@ pub struct WeightOverlay {
     arcs: Box<[u32]>,
     /// `weights[i]` is the weight of arc `arcs[i]`.
     weights: Box<[f64]>,
+    /// The lineage's marks: the tail of every arc in `arcs` is marked.
+    marks: TailMarks,
     /// A lower bound on `min_a w_epoch(a) / w_origin(a)` over *all* arcs
     /// `a`, where `w_origin` is the weight under the manager's original
     /// (epoch-0) view. Maintained as a running minimum across publishes, so
@@ -124,8 +130,16 @@ pub struct WeightOverlay {
 }
 
 impl WeightOverlay {
-    pub(crate) fn empty(epoch: EpochId) -> WeightOverlay {
-        WeightOverlay { epoch, arcs: Box::new([]), weights: Box::new([]), min_ratio: 1.0 }
+    /// An overlay reweighting nothing, at the head of a fresh lineage of
+    /// marks over `num_vertices` vertices.
+    fn fresh(epoch: EpochId, min_ratio: f64, num_vertices: usize) -> WeightOverlay {
+        WeightOverlay {
+            epoch,
+            arcs: Box::new([]),
+            weights: Box::new([]),
+            marks: TailMarks::new(num_vertices),
+            min_ratio,
+        }
     }
 
     /// The epoch this overlay was published as.
@@ -149,6 +163,13 @@ impl WeightOverlay {
     #[inline]
     pub fn min_ratio(&self) -> f64 {
         self.min_ratio
+    }
+
+    /// Whether some out-arc of `v` may be reweighted. `false` guarantees
+    /// that none is: the overlay then holds no entry in `v`'s slot range.
+    #[inline]
+    pub(crate) fn may_reweight(&self, v: VertexId) -> bool {
+        self.marks.is_marked(v)
     }
 
     /// The overlay entries covering arc slots `lo..hi`, as parallel
@@ -175,6 +196,37 @@ impl WeightOverlay {
     pub fn heap_bytes(&self) -> usize {
         self.arcs.len() * std::mem::size_of::<u32>()
             + self.weights.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// One bit per vertex, shared by every overlay of one lineage: set for the
+/// tail of every arc some overlay of the lineage reweights.
+///
+/// Bits are set and never cleared. Overlays are cumulative, so a lineage's
+/// arc sets only grow, and a view at an older epoch may see a vertex marked
+/// that its own overlay does not reweight; its range probe then finds
+/// nothing. Bits are atomics because views of older epochs read them while
+/// `publish` sets new ones.
+#[derive(Clone, Debug)]
+struct TailMarks(Arc<[AtomicU64]>);
+
+impl TailMarks {
+    fn new(num_vertices: usize) -> TailMarks {
+        TailMarks((0..num_vertices.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    // `Relaxed` suffices on both sides: the bits publish nothing else, and
+    // an epoch's own marks are set while the store mutex is held, before
+    // the epoch is inserted. Every view of it comes from a pin under the
+    // same mutex, so the mutex orders those marks before any read through
+    // the view.
+    fn mark(&self, v: VertexId) {
+        self.0[v.index() / 64].fetch_or(1 << (v.index() % 64), Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn is_marked(&self, v: VertexId) -> bool {
+        self.0[v.index() / 64].load(Ordering::Relaxed) & (1 << (v.index() % 64)) != 0
     }
 }
 
@@ -521,19 +573,20 @@ impl WeightEpoch {
     /// pinnable (`0` = unlimited). See the module docs for the GC
     /// semantics.
     pub fn with_retention(base: RoadNetwork, retention: usize) -> WeightEpoch {
-        let zero = match base.overlay() {
+        let mut zero = WeightOverlay::fresh(EpochId::BASE, 1.0, base.num_vertices());
+        if let Some(o) = base.overlay() {
             // A re-managed pinned view keeps its weights but restarts the
-            // epoch counter: flatten its overlay into this manager's epoch 0.
-            // Ratios are measured against *this* manager's origin (the view
-            // as handed over), so the inherited overlay starts at 1.
-            Some(o) => Arc::new(WeightOverlay {
-                epoch: EpochId::BASE,
-                arcs: o.arcs.clone(),
-                weights: o.weights.clone(),
-                min_ratio: 1.0,
-            }),
-            None => Arc::new(WeightOverlay::empty(EpochId::BASE)),
-        };
+            // epoch counter: flatten its overlay into this manager's epoch 0,
+            // marking the inherited arcs in the new lineage. Ratios are
+            // measured against *this* manager's origin (the view as handed
+            // over), so the inherited overlay starts at 1.
+            for &slot in o.arcs.iter() {
+                zero.marks.mark(base.arc(slot as usize).0);
+            }
+            zero.arcs = o.arcs.clone();
+            zero.weights = o.weights.clone();
+        }
+        let zero = Arc::new(zero);
         let mut entries = BTreeMap::new();
         entries.insert(0u64, EpochEntry { base: base.clone(), overlay: zero, prior: None });
         WeightEpoch {
@@ -585,8 +638,9 @@ impl WeightEpoch {
     fn view(entry: &EpochEntry) -> RoadNetwork {
         // Even an empty epoch-0 overlay is cloned into the view: the clone
         // *is* the lease, and a pin that held no overlay would not block
-        // compaction of its epoch. (Iterating an empty overlay costs two
-        // partition-points on empty slices per neighbour scan — noise.)
+        // compaction of its epoch. Neighbour scans through the view probe
+        // the overlay only at vertices its lineage marked; at every other
+        // vertex they read base weights, as a view without an overlay does.
         entry.base.with_overlay(Arc::clone(&entry.overlay))
     }
 
@@ -602,6 +656,10 @@ impl WeightEpoch {
     /// deltas into a fresh overlay (last write wins within the batch);
     /// published epochs are never mutated. Afterwards a collection sweep
     /// compacts unleased epochs beyond the retention ring.
+    ///
+    /// Marks the tail of every reweighted arc in the lineage's shared
+    /// vertex bits (see the module docs), so neighbour scans at later
+    /// epochs probe the overlay only where some arc changed.
     ///
     /// An empty batch still publishes a (content-identical) new epoch —
     /// callers control epoch granularity.
@@ -662,6 +720,17 @@ impl WeightEpoch {
         let (&prev_id, prev) = store.entries.iter().next_back().expect("epoch 0 always exists");
         let epoch = EpochId(self.current.load(Ordering::Relaxed) + 1);
         debug_assert!(epoch.0 > prev_id);
+        // The previous overlay names the lineage (a rebase may have started
+        // a new one since the slots were resolved). The patch's tails are
+        // each delta's endpoints: `from` for `from → to`, and `to` for the
+        // reverse arcs of an undirected edge.
+        let marks = prev.overlay.marks.clone();
+        for d in deltas {
+            marks.mark(d.from);
+            if !self.base.is_directed() {
+                marks.mark(d.to);
+            }
+        }
         // Sorted two-pointer merge of the previous cumulative overlay with
         // the patch (patch wins on collision).
         let prev_overlay = &prev.overlay;
@@ -697,6 +766,7 @@ impl WeightEpoch {
             epoch,
             arcs: arcs.into_boxed_slice(),
             weights: weights.into_boxed_slice(),
+            marks,
             min_ratio: prev_overlay.min_ratio.min(patch_ratio),
         });
         let base = prev.base.clone();
@@ -713,7 +783,8 @@ impl WeightEpoch {
     /// beyond the retention ring), then a *base-CSR rebase* — the newest
     /// cumulative overlay is folded into a fresh base weight array and
     /// replaced by an empty overlay, so subsequent publishes merge against
-    /// an empty layer again. Returns the number of overlays dropped.
+    /// an empty layer again and mark vertices in a fresh lineage with no
+    /// marks. Returns the number of overlays dropped.
     ///
     /// Already-pinned views are untouched (they own their storage and
     /// overlay `Arc`s); only *new* pins observe the rebased storage.
@@ -725,15 +796,14 @@ impl WeightEpoch {
         let dropped = store.collect();
         let (&newest, entry) = store.entries.iter().next_back().expect("epoch 0 always exists");
         if !entry.overlay.is_empty() {
-            let folded = entry.base.with_weights_folded(&entry.overlay);
-            let overlay = Arc::new(WeightOverlay {
-                epoch: entry.overlay.epoch,
-                arcs: Box::new([]),
-                weights: Box::new([]),
-                // Entries folded into the base still deviate from the
-                // origin; the ratio floor must survive the fold.
-                min_ratio: entry.overlay.min_ratio,
-            });
+            let folded = entry.base.with_weights_folded(Some(&entry.overlay));
+            // Entries folded into the base still deviate from the origin;
+            // the ratio floor must survive the fold.
+            let overlay = Arc::new(WeightOverlay::fresh(
+                entry.overlay.epoch,
+                entry.overlay.min_ratio,
+                folded.num_vertices(),
+            ));
             // The displaced overlay stays as a lease anchor: views pinned
             // before the rebase hold clones of it.
             let prior = Some(Arc::clone(&entry.overlay));
@@ -1147,6 +1217,27 @@ mod tests {
         drop(held);
         epochs.compact();
         assert!(epochs.pin_at(EpochId::BASE).is_none(), "released epoch 0 is collectable");
+    }
+
+    #[test]
+    fn marks_cover_reweighted_tails_and_a_rebase_starts_a_fresh_lineage() {
+        let marked = |g: &RoadNetwork| -> Vec<u32> {
+            let o = g.overlay().expect("pinned views carry an overlay");
+            g.vertices().filter(|&v| o.may_reweight(v)).map(|v| v.0).collect()
+        };
+        let epochs = WeightEpoch::new(line(6));
+        let e0 = epochs.pin();
+        assert!(marked(&e0).is_empty());
+        epochs.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 4.0)]);
+        let e1 = epochs.pin();
+        assert_eq!(marked(&e1), [1, 2], "both tails of the undirected edge");
+        assert_eq!(marked(&e0), [1, 2], "older overlays of the lineage share the marks");
+        assert_eq!(weight_between(&e0, 1, 2), 1.0, "so their probe finds no entry");
+        epochs.compact();
+        assert!(marked(&epochs.pin()).is_empty(), "a rebase starts a lineage with no marks");
+        epochs.publish(&[WeightDelta::new(VertexId(4), VertexId(5), 2.0)]);
+        assert_eq!(marked(&epochs.pin()), [4, 5]);
+        assert_eq!(marked(&e1), [1, 2], "the old lineage keeps its own marks");
     }
 
     /// A 30-vertex line: 0 —1— 1 —1— 2 … so distances are exact hop

@@ -145,12 +145,15 @@ struct RandomUpdates {
     batches: Vec<Vec<(usize, f64)>>,
 }
 
-fn arb_updates() -> impl Strategy<Value = RandomUpdates> {
-    arb_graph().prop_flat_map(|graph| {
+fn arb_updates(batches: std::ops::Range<usize>) -> impl Strategy<Value = RandomUpdates> {
+    arb_graph().prop_flat_map(move |graph| {
         let edges = graph.path_weights.len() + graph.extra.len();
         (
             Just(graph),
-            prop::collection::vec(prop::collection::vec((0..edges, 0.1f64..20.0), 1..6), 1..5),
+            prop::collection::vec(
+                prop::collection::vec((0..edges, 0.1f64..20.0), 1..6),
+                batches.clone(),
+            ),
         )
             .prop_map(|(graph, batches)| RandomUpdates { graph, batches })
     })
@@ -189,6 +192,11 @@ fn rebuild_with_updates(g: &RandomGraph, batches: &[Vec<(usize, f64)>]) -> RoadN
     b.build()
 }
 
+/// Every vertex's out-arcs with their costs, as `neighbors()` reports them.
+fn adjacency(g: &RoadNetwork) -> Vec<Vec<(VertexId, Cost)>> {
+    g.vertices().map(|v| g.neighbors(v).collect()).collect()
+}
+
 fn publish_all(epochs: &WeightEpoch, g: &RandomGraph, batches: &[Vec<(usize, f64)>]) {
     let edges = input_edges(g);
     for batch in batches {
@@ -207,7 +215,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn pinned_overlay_equals_rebuilt_graph(u in arb_updates()) {
+    fn pinned_overlay_equals_rebuilt_graph(u in arb_updates(1..5)) {
         let net = build(&u.graph);
         let epochs = WeightEpoch::new(net);
         publish_all(&epochs, &u.graph, &u.batches);
@@ -232,7 +240,7 @@ proptest! {
     }
 
     #[test]
-    fn pins_are_immutable_across_later_publishes(u in arb_updates()) {
+    fn pins_are_immutable_across_later_publishes(u in arb_updates(1..5)) {
         let net = build(&u.graph);
         let epochs = WeightEpoch::new(net.clone());
         // Pin every intermediate epoch while publishing.
@@ -265,6 +273,28 @@ proptest! {
                 let b: Vec<_> = again.neighbors(v).collect();
                 prop_assert_eq!(a, b);
             }
+        }
+    }
+
+    #[test]
+    fn a_manager_over_a_pinned_overlay_matches_the_rebuilt_graph(
+        u in arb_updates(2..6),
+        cut in 0usize..4,
+    ) {
+        // One manager publishes the first batches; a second takes its
+        // pinned view, overlay and all, as epoch 0 and publishes the rest.
+        let split = 1 + cut % (u.batches.len() - 1);
+        let first = WeightEpoch::new(build(&u.graph));
+        publish_all(&first, &u.graph, &u.batches[..split]);
+        let second = WeightEpoch::new(first.pin());
+        let pinned = second.pin();
+        prop_assert_eq!(pinned.epoch(), EpochId::BASE);
+        let expect = rebuild_with_updates(&u.graph, &u.batches[..split]);
+        prop_assert_eq!(adjacency(&pinned), adjacency(&expect), "inherited epoch 0");
+        for k in split + 1..=u.batches.len() {
+            publish_all(&second, &u.graph, &u.batches[k - 1..k]);
+            let expect = rebuild_with_updates(&u.graph, &u.batches[..k]);
+            prop_assert_eq!(adjacency(&second.pin()), adjacency(&expect), "after batch {}", k);
         }
     }
 }

@@ -10,7 +10,8 @@
 //!   never drops (or keeps) a route a full search would decide otherwise.
 //! * **GC/compaction transparency** — compacting the epoch history never
 //!   changes any arc weight (nor `total_weight`) observable through any
-//!   still-pinnable epoch, with pins held across sweeps and rebases.
+//!   still-pinnable epoch, by arc slot or by neighbour scan, with pins held
+//!   across sweeps and rebases.
 
 use proptest::prelude::*;
 use skysr::category::{CategoryForest, CategoryId, ForestBuilder};
@@ -113,6 +114,11 @@ fn build(inst: &Instance) -> Built {
     Built { graph, forest, pois, query, deltas }
 }
 
+/// Every vertex's out-arcs with their costs, as `neighbors()` reports them.
+fn adjacency(g: &RoadNetwork) -> Vec<Vec<(VertexId, Cost)>> {
+    g.vertices().map(|v| g.neighbors(v).collect()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -200,11 +206,16 @@ proptest! {
         for (i, d) in batches.iter().enumerate() {
             let e = bounded.publish(std::slice::from_ref(*d));
             prop_assert_eq!(e, reference.publish(std::slice::from_ref(*d)));
+            // Neighbour scans read overlays through the lineage's marks,
+            // which every rebase below restarts.
+            let truth = adjacency(&reference.pin());
+            prop_assert_eq!(adjacency(&bounded.pin()), truth.clone(), "epoch {}", e);
             if i % 2 == 0 {
                 // Hold a lease on every other epoch across future sweeps.
                 held.push((e, bounded.pin_at(e).expect("fresh epoch pins")));
             }
             bounded.compact(); // sweep + rebase mid-stream
+            prop_assert_eq!(adjacency(&bounded.pin()), truth, "epoch {} after the rebase", e);
         }
 
         // Every epoch still pinnable from the bounded manager must agree
@@ -215,6 +226,7 @@ proptest! {
             for slot in 0..truth.num_arcs() {
                 prop_assert_eq!(view.arc(slot), truth.arc(slot), "epoch {}", e);
             }
+            prop_assert_eq!(adjacency(&view), adjacency(&truth), "epoch {}", e);
             let (a, b) = (view.total_weight(), truth.total_weight());
             prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "epoch {e}: {a} vs {b}");
         }
@@ -224,6 +236,7 @@ proptest! {
             for slot in 0..truth.num_arcs() {
                 prop_assert_eq!(view.arc(slot), truth.arc(slot));
             }
+            prop_assert_eq!(adjacency(view), adjacency(&truth), "held epoch {}", e);
             prop_assert!(bounded.pin_at(*e).is_some(), "leased epoch {e} stayed pinnable");
         }
     }
