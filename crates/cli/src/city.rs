@@ -1,7 +1,7 @@
-//! Dataset selection shared by the workload commands (`replay`, `bench`,
-//! `serve`): either an explicit dataset FILE, or a generation recipe
+//! Dataset selection shared by the workload commands (`replay`, `serve`):
+//! either an explicit dataset FILE, or a generation recipe
 //! (`--preset`/`--scale`/`--seed`) — plus the serving-stack and
-//! `--shards` flags `replay` and `serve` share.
+//! `--shards` flags they share.
 
 use skysr_data::codec;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};

@@ -12,7 +12,6 @@
 //! skysr-cli query city.txt --start 12 --categories "t0/n4,t1/n7" [--destination 99]
 //! skysr-cli replay [city.txt] --queries 1000 --workers 4 [--pattern duplicate] [--verify true]
 //! skysr-cli replay --scenario repair/zipf [--repair false]
-//! skysr-cli bench --out BENCH_pr.json [--require-speedup 2.0] [--require-repair-speedup 1.5]
 //! skysr-cli demo
 //! ```
 //!
@@ -27,17 +26,12 @@
 //! runs one row of the scenario table (`skysr_service::scenario`) with
 //! its gates, the flags given overriding the row's values; `--scenario
 //! all` runs every in-process row and fails listing each failing row and
-//! gate. Without a row, unset flags take `ReplaySpec::default()`; the
-//! spec's own rules are `ReplaySpec::validate`. `docs/OPERATIONS.md`
-//! (§ Replay driver) describes every flag.
-//!
-//! `bench` replays each of its workload cells twice — baseline vs.
-//! treatment — verifies every answer, writes the JSON artifact CI uploads
-//! as `BENCH_pr.json`, and fails on any stale serve or on a
-//! `--require-<gate> X` threshold the run misses; `README.md`
-//! (§ Experiments and benchmarks) describes the cells and gates. It also
-//! accepts `--trace-out`/`--metrics-out` (spans and Prometheus text
-//! across all cells, each labelled by workload and mode).
+//! gate. A row with a twin gate is replayed again as its twin, the flags
+//! given included and the row's mechanism switched off, and must do a
+//! fixed fraction of the twin's engine work. Without a row, unset flags
+//! take `ReplaySpec::default()`; the spec's own rules are
+//! `ReplaySpec::validate`. `docs/OPERATIONS.md` (§ Replay driver)
+//! describes every flag.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -57,7 +51,6 @@ use skysr_core::{SkySrQuery, SkylineRoute};
 use skysr_data::codec;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_graph::VertexId;
-use skysr_service::bench::{bench, BenchReport, BenchRun, BenchSpec};
 use skysr_service::replay::{
     build_pool, replay_remote, replay_sharded, ShardReplay, ShardedReplayReport,
 };
@@ -104,13 +97,6 @@ fn usage() -> &'static str {
      \t[--deadline-ms F] [--overload X]\n  \
      \t[--admission true|false] [--shards N] [--trace-out FILE.jsonl]\n  \
      \t[--metrics-out FILE.prom] [--connect HOST:PORT]\n  \
-     skysr-cli bench [FILE] [--preset P] [--scale F] [--seed N] [--queries N]\n  \
-     \t[--distinct N] [--workers N] [--seq-len K] [--burst N] [--out FILE.json]\n  \
-     \t[--update-rate F] [--update-burst N] [--require-speedup X]\n  \
-     \t[--require-hierarchy-speedup X] [--require-repair-speedup X]\n  \
-     \t[--require-telemetry-ratio X] [--require-net-ratio X]\n  \
-     \t[--require-overload-ratio X] [--require-shard-speedup X]\n  \
-     \t[--trace-out FILE.jsonl] [--metrics-out FILE.prom]\n  \
      skysr-cli serve [FILE] [--preset P] [--scale F] [--seed N]\n  \
      \t[--addr HOST:PORT] [--workers N] [--cache N] [--queue N]\n  \
      \t[--coalesce true|false] [--prefix-reuse true|false]\n  \
@@ -241,81 +227,6 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             Ok(())
         }
         "replay" => replay(args),
-        "bench" => {
-            let city = dataset_args(&mut args, City::default(), BenchSpec::default().seed)?;
-            let spec = BenchSpec {
-                total: parse_flag(&mut args, "queries", 144)?,
-                distinct: parse_flag(&mut args, "distinct", 8)?,
-                seq_len: parse_flag(&mut args, "seq-len", 3)?,
-                workers: parse_flag(&mut args, "workers", 8)?,
-                burst: parse_flag(&mut args, "burst", 24)?,
-                update_rate: parse_flag(&mut args, "update-rate", 200.0)?,
-                update_burst: parse_flag(&mut args, "update-burst", 16)?,
-                seed: city.seed,
-            };
-            let out = args.optional("out");
-            let mut gates = Vec::new();
-            for gate in BENCH_GATES {
-                let flag = format!("require-{gate}");
-                if let Some(x) = args.optional(&flag) {
-                    gates.push((gate, x.parse::<f64>().map_err(|_| format!("bad --{flag}"))?));
-                }
-            }
-            let trace_out = args.optional("trace-out");
-            let metrics_out = args.optional("metrics-out");
-            args.finish()?;
-            if spec.total == 0 || spec.distinct == 0 {
-                return Err("--queries and --distinct must be at least 1".into());
-            }
-            if spec.seq_len < 2 {
-                return Err(
-                    "bench needs --seq-len >= 2 (the hierarchy cell walks each query's suffix \
-                     and an ancestor variant)"
-                        .into(),
-                );
-            }
-            if !spec.update_rate.is_finite() || spec.update_rate <= 0.0 {
-                // The dynamic cells need a real updater; a zero/invalid rate
-                // would silently measure two static runs as "dynamic".
-                return Err("--update-rate must be a positive finite number".into());
-            }
-            if spec.update_burst == 0 {
-                return Err("--update-burst must be at least 1".into());
-            }
-            let (_, dataset) = region_datasets(&city, 1)?.pop().expect("one region");
-            check_seq_len(&dataset, spec.seq_len)?;
-            eprintln!(
-                "benchmarking reuse vs. exact-match baseline ({} requests, {} workers) ...",
-                spec.total, spec.workers
-            );
-            let report = bench(dataset, &spec);
-            println!("{report}");
-            if let Some(path) = out {
-                write_file(&path, report.to_json())?;
-            }
-            if let Some(path) = &trace_out {
-                write_file(
-                    path,
-                    report.runs.iter().map(|r| spans_to_json_lines(&r.report.spans)).collect(),
-                )?;
-            }
-            if let Some(path) = &metrics_out {
-                let labels = |r: &BenchRun| {
-                    [("workload", r.workload), ("mode", r.mode), ("shard", "0")]
-                        .map(|(k, v)| (k, v.to_owned()))
-                };
-                let runs: Vec<_> =
-                    report.runs.iter().map(|r| (labels(r), &r.report.metrics)).collect();
-                write_prometheus(path, &runs)?;
-            }
-            for run in &report.runs {
-                run.report.check().map_err(|e| format!("{}/{}: {e}", run.workload, run.mode))?;
-            }
-            for (gate, x) in gates {
-                bench_gate(&report, gate, x)?;
-            }
-            Ok(())
-        }
         "serve" => serve::run_serve(&mut args),
         "shutdown" => {
             let addr = args.require("connect")?;
@@ -384,41 +295,7 @@ fn replay(mut args: Args) -> Result<(), String> {
         .collect::<Result<Vec<_>, _>>()?;
     let mut failures = Vec::new();
     for (row, city) in &rows {
-        let spec = &row.spec;
-        let mut regions = region_datasets(city, row.shards)?;
-        for (_, dataset) in &regions {
-            check_seq_len(dataset, spec.seq_len)?;
-        }
-        let lanes = match &connect {
-            Some(addr) => format!("over {addr}"),
-            None => format!("on {} shard(s) x {} workers", row.shards, spec.service.workers),
-        };
-        eprintln!(
-            "{}: replaying {} requests ({} distinct, {} stream) {lanes} ...",
-            row.name, spec.total, spec.distinct, spec.pattern
-        );
-        // A remote replay is one lane, audited against a shadow built
-        // from the daemon's dataset recipe (replay_remote checks the
-        // handshake fingerprint); an in-process one is a lane per region.
-        let fleet = match &connect {
-            Some(addr) => {
-                let (_, dataset) = regions.pop().expect("one region over --connect");
-                let pool = build_pool(&dataset, spec);
-                let shadow = Arc::new(ServiceContext::from_dataset(dataset));
-                let remote = RemoteService::connect_retry(addr.as_str(), CONNECT_TIMEOUT)
-                    .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-                let report =
-                    replay_remote(&remote, shadow, &pool, spec).map_err(|e| e.to_string())?;
-                let wall = report.wall;
-                let lane = ShardReplay { region: RegionId::default(), name: addr.clone(), report };
-                ShardedReplayReport { shards: vec![lane], wall, misrouted: 0 }
-            }
-            None => replay_sharded(regions, spec),
-        };
-        match fleet.shards.as_slice() {
-            [one] => println!("{}", one.report),
-            _ => println!("{fleet}"),
-        }
+        let fleet = replay_row(row, city, connect.as_deref())?;
         if let Some(path) = &trace_out {
             write_file(
                 path,
@@ -429,15 +306,76 @@ fn replay(mut args: Args) -> Result<(), String> {
             // Every series carries the shard label; a single-tenant run
             // is shard 0 (the default shard).
             let labels = |s: &ShardReplay| {
-                [("pattern", spec.pattern.to_string()), ("shard", s.region.to_string())]
+                [("pattern", row.spec.pattern.to_string()), ("shard", s.region.to_string())]
             };
             let runs: Vec<_> =
                 fleet.shards.iter().map(|s| (labels(s), &s.report.metrics)).collect();
             write_prometheus(path, &runs)?;
         }
-        failures.extend(row.check(&fleet).err());
+        // A twin replays the row's city recipe (or FILE) at its own scale
+        // and shard count.
+        let twin = match (row.twin, row.twin_row()) {
+            (Some(gate), Some(twin)) => {
+                let city =
+                    CityArgs { file: city.file.clone(), city: twin.city, seed: twin.spec.seed };
+                let twin = replay_row(&twin, &city, None)?;
+                let (ours, theirs) = (gate.work.of(&fleet), gate.work.of(&twin));
+                println!(
+                    "twin        {} {ours} against the twin's {theirs} (at most 1/{} of it)",
+                    gate.work.gate(),
+                    gate.factor
+                );
+                Some(twin)
+            }
+            _ => None,
+        };
+        failures.extend(row.check(&fleet, twin.as_ref()).err());
     }
     failures.is_empty().then_some(()).ok_or_else(|| failures.join("\n"))
+}
+
+/// Replays one row in-process, or against the daemon at `connect`, and
+/// prints its report.
+fn replay_row(
+    row: &Scenario,
+    city: &CityArgs,
+    connect: Option<&str>,
+) -> Result<ShardedReplayReport, String> {
+    let spec = &row.spec;
+    let mut regions = region_datasets(city, row.shards)?;
+    for (_, dataset) in &regions {
+        check_seq_len(dataset, spec.seq_len)?;
+    }
+    let lanes = match connect {
+        Some(addr) => format!("over {addr}"),
+        None => format!("on {} shard(s) x {} workers", row.shards, spec.service.workers),
+    };
+    eprintln!(
+        "{}: replaying {} requests ({} distinct, {} stream) {lanes} ...",
+        row.name, spec.total, spec.distinct, spec.pattern
+    );
+    // A remote replay is one lane, audited against a shadow built from
+    // the daemon's dataset recipe (replay_remote checks the handshake
+    // fingerprint); an in-process one is a lane per region.
+    let fleet = match connect {
+        Some(addr) => {
+            let (_, dataset) = regions.pop().expect("one region over --connect");
+            let pool = build_pool(&dataset, spec);
+            let shadow = Arc::new(ServiceContext::from_dataset(dataset));
+            let remote = RemoteService::connect_retry(addr, CONNECT_TIMEOUT)
+                .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+            let report = replay_remote(&remote, shadow, &pool, spec).map_err(|e| e.to_string())?;
+            let wall = report.wall;
+            let lane = ShardReplay { region: RegionId::default(), name: addr.to_owned(), report };
+            ShardedReplayReport { shards: vec![lane], wall, misrouted: 0 }
+        }
+        None => replay_sharded(regions, spec),
+    };
+    match fleet.shards.as_slice() {
+        [one] => println!("{}", one.report),
+        _ => println!("{fleet}"),
+    }
+    Ok(fleet)
 }
 
 /// Applies the replay flags the caller set to `row` (unset ones keep the
@@ -524,76 +462,15 @@ fn write_file(path: &str, contents: String) -> Result<(), String> {
 
 /// Writes each run's metrics, under its label pairs, to `path` as
 /// Prometheus text.
-fn write_prometheus<const N: usize>(
+fn write_prometheus(
     path: &str,
-    runs: &[([(&str, String); N], &MetricsSnapshot)],
+    runs: &[([(&str, String); 2], &MetricsSnapshot)],
 ) -> Result<(), String> {
-    let labels: Vec<[(&str, &str); N]> =
+    let labels: Vec<[(&str, &str); 2]> =
         runs.iter().map(|(l, _)| l.each_ref().map(|(k, v)| (*k, v.as_str()))).collect();
     let entries: Vec<(&[(&str, &str)], &MetricsSnapshot)> =
         labels.iter().zip(runs).map(|(l, (_, m))| (l.as_slice(), *m)).collect();
     write_file(path, prometheus(&entries))
-}
-
-/// The bench's `--require-<gate> X` flags, applied in this order by
-/// [`bench_gate`].
-const BENCH_GATES: [&str; 7] = [
-    "speedup",
-    "hierarchy-speedup",
-    "repair-speedup",
-    "telemetry-ratio",
-    "net-ratio",
-    "overload-ratio",
-    "shard-speedup",
-];
-
-/// Applies one `--require-<gate> X` threshold to a bench report.
-fn bench_gate(r: &BenchReport, gate: &str, x: f64) -> Result<(), String> {
-    Err(match gate {
-        "speedup" if r.speedup_duplicate < x => format!(
-            "duplicate-workload speedup {:.2}x is below the required {x:.2}x",
-            r.speedup_duplicate
-        ),
-        "hierarchy-speedup" if r.speedup_hierarchy < x => format!(
-            "hierarchy-workload speedup {:.2}x is below the required {x:.2}x \
-             (ancestor+suffix seeding vs. cold searches)",
-            r.speedup_hierarchy
-        ),
-        "repair-speedup" if r.speedup_repair < x => format!(
-            "repair-workload speedup {:.2}x is below the required {x:.2}x \
-             (repair vs. invalidate-and-recompute)",
-            r.speedup_repair
-        ),
-        "telemetry-ratio" if r.telemetry_overhead_ratio < x => format!(
-            "telemetry overhead ratio {:.3} is below the required {x:.3} \
-             (full tracing costs more throughput than allowed)",
-            r.telemetry_overhead_ratio
-        ),
-        "net-ratio" if r.net_ratio < x => format!(
-            "net overhead ratio {:.3} is below the required {x:.3} \
-             (the loopback socket transport costs more throughput than allowed)",
-            r.net_ratio
-        ),
-        // An overloaded service must both degrade (shed something —
-        // otherwise the cell never actually overloaded and the ratio is
-        // vacuous) and keep the cheap rung responsive.
-        "overload-ratio" if r.overload_shed == 0 => "overload gate failed: the 2x-capacity cell \
-             shed nothing, so the hit-rung latency bound was never tested under real overload"
-            .to_owned(),
-        "overload-ratio" if !(r.overload_hit_p99_ratio > 0.0 && r.overload_hit_p99_ratio <= x) => {
-            format!(
-                "overload gate failed: hit-rung p99 under 2x load is {:.2}x the \
-                 uncontended value (floored at the deadline budget; limit {x:.2}x)",
-                r.overload_hit_p99_ratio
-            )
-        }
-        "shard-speedup" if r.speedup_shards < x => format!(
-            "shard-scaling speedup {:.2}x is below the required {x:.2}x \
-             ({} shards behind a router vs. one monolith)",
-            r.speedup_shards, r.shard_count
-        ),
-        _ => return Ok(()),
-    })
 }
 
 fn print_routes(dataset: &Dataset, routes: &[SkylineRoute]) {

@@ -39,11 +39,9 @@
 //!   replays share one lane runner and one check
 //!   ([`ReplayReport::check`]). The CLI's `replay` subcommand is a thin
 //!   wrapper around it;
-//! * [`mod@bench`] — the bench-smoke harness comparing the reuse layer to
-//!   the exact-match baseline (including a dynamic, update-heavy cell, a
-//!   repair-vs-invalidate cell, a tracing-overhead cell and a
-//!   2×-capacity overload cell) and
-//!   serializing the `BENCH_pr.json` CI artifact;
+//! * [`scenario`] — the scenario table: every replay CI runs as a named
+//!   row with typed gates, including twin gates that bound a mechanism's
+//!   engine work against the same row with the mechanism switched off;
 //! * [`shard`] — multi-tenant scale-out: a [`ShardRegistry`] builds one
 //!   complete share-nothing serving stack per region and seals into a
 //!   [`Router`] implementing [`QueryService`] — explicit
@@ -130,7 +128,6 @@
 //! (running `skysr-d`, tuning knobs, counter taxonomy, capacity
 //! planning).
 
-pub mod bench;
 pub mod cache;
 pub mod context;
 pub mod metrics;
@@ -143,14 +140,13 @@ mod service;
 pub mod shard;
 pub mod telemetry;
 
-pub use bench::{BenchReport, BenchSpec};
 pub use cache::{CacheCounters, QueryKey, ResultCache};
 pub use context::ServiceContext;
 pub use metrics::{LatencyBreakdown, MetricsSnapshot, Served};
 pub use net::{ProtocolError, RemoteService, ServeBackend, Server, ServerConfig};
 pub use plan::{PlanStep, ReusePlan, ReusePlanner, ReuseStrategies, SeedSource};
 pub use replay::{ReplayReport, ReplaySpec, ShardReplay, ShardedReplayReport, StreamPattern};
-pub use scenario::{City, Gates, Scenario};
+pub use scenario::{City, Gates, Scenario, TwinGate, Work};
 pub use service::{
     AnytimeResponse, QueryRequest, QueryResponse, QueryService, RequestOptions, Service,
     ServiceConfig, StreamTicket, Ticket,

@@ -5,8 +5,8 @@
 //! submission gets a client-side correlation id, a background reader
 //! thread demultiplexes answer frames back into per-request channels, and
 //! the tickets handed out are the *same* [`Ticket`]/[`StreamTicket`]
-//! types the in-process service returns — so replay, bench and the
-//! examples drive either transport through one code path.
+//! types the in-process service returns — so replay and the examples
+//! drive either transport through one code path.
 //!
 //! Request/response pairs without ids (`MetricsReq` → `MetricsRep`,
 //! `PublishWeights` → `WeightsPublished`) are matched FIFO, which is

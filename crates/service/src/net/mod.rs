@@ -15,7 +15,7 @@
 //! * [`RemoteService`] — the client: implements the same
 //!   [`QueryService`](crate::QueryService) trait as the in-process
 //!   [`Service`](crate::Service), so every driver in this crate (replay,
-//!   bench, examples) runs against either transport unchanged.
+//!   examples) runs against either transport unchanged.
 //!
 //! The anytime-streaming contract holds across the wire: every
 //! `Progress` route the daemon emits is a genuine valid route that is

@@ -7,7 +7,7 @@
 //!   shared [`ServiceContext`]);
 //! * [`QueryService`] — the transport-agnostic trait [`Service`] and the
 //!   network client ([`crate::net::RemoteService`]) both implement, so
-//!   replay/bench/verify drive either through `&dyn QueryService`.
+//!   replay and verify drive either through `&dyn QueryService`.
 //!
 //! Requests travel as a [`QueryRequest`] envelope (query + per-request
 //! options); answers come back through a [`Ticket`], or a
@@ -370,7 +370,7 @@ impl StreamTicket {
 /// The transport-agnostic query-service interface.
 ///
 /// Implemented by the in-process [`Service`] and by the network client
-/// [`crate::net::RemoteService`]; the replay/bench/verify drivers take
+/// [`crate::net::RemoteService`]; the replay and verify drivers take
 /// `&dyn QueryService`, so the same workload runs in-process or across a
 /// socket without changing a line. The contract every implementation
 /// upholds:

@@ -24,7 +24,7 @@
 //! shard ([`Router::route_start`]).
 //!
 //! [`Router`] implements [`QueryService`], so every driver in this crate
-//! (replay, bench, the daemon event loop) serves a multi-tenant registry
+//! (replay, the daemon event loop) serves a multi-tenant registry
 //! exactly as it serves one [`Service`]. [`Router::region_service`]
 //! adapts one region back into a `QueryService` view — how the sharded
 //! replay driver runs per-region workloads through the front door without

@@ -18,9 +18,9 @@ pub fn spans_to_json_lines(spans: &[TraceSpan]) -> String {
 /// Renders one or more labelled [`MetricsSnapshot`]s as Prometheus text
 /// exposition (text format 0.0.4): counters as `skysr_*_total`, gauges
 /// bare, histograms as cumulative `_bucket{le=…}` series with `_sum` and
-/// `_count`. Each entry's labels (e.g. `workload="duplicate"`) are
-/// attached to every series it contributes, so a multi-run bench exports
-/// as one self-consistent page.
+/// `_count`. Each entry's labels (e.g. `shard="1"`) are attached to
+/// every series it contributes, so a multi-shard replay exports as one
+/// self-consistent page.
 ///
 /// Every recorded [`Counter`] exports through one loop over
 /// [`Counter::ALL`]; the rung-derived counts and the cache and epoch

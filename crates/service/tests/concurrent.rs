@@ -84,6 +84,7 @@ fn all_reuse_disabled_runs_every_search_and_matches_sequential() {
     assert_eq!(report.metrics.coalesced, 0);
     assert_eq!(report.metrics.seeded_prefix, 0);
     assert_eq!(report.metrics.cache_hits, 0);
+    assert_eq!(report.epochs_published, 0, "a replay without updates publishes no epoch");
 }
 
 #[test]

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
-use skysr_service::net::wire::{read_frame, Frame, MAX_FRAME, PROTOCOL_VERSION};
+use skysr_service::net::wire::{
+    read_frame, Frame, FEATURE_MULTI_TENANT, FEATURE_STREAMING, MAX_FRAME, PROTOCOL_VERSION,
+};
 use skysr_service::replay::{build_pool, replay_remote, ReplaySpec};
 use skysr_service::{
     QueryRequest, QueryService, RegionId, RemoteService, Served, Server, ServerConfig, Service,
@@ -207,6 +209,74 @@ fn region_less_remote_requests_are_routed_by_a_multi_shard_daemon() {
     let farewell = remote.shutdown();
     server.join();
     assert_eq!(farewell.completed, pool.len() as u64 + 1, "the farewell merges every shard");
+}
+
+/// A reader that counts the bytes it hands out.
+struct Counted<R> {
+    inner: R,
+    bytes: usize,
+}
+
+impl<R: Read> Read for Counted<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes += n;
+        Ok(n)
+    }
+}
+
+#[test]
+fn a_request_costs_one_submit_and_one_final_on_the_wire() {
+    // The transport's work per request, counted: a non-streaming
+    // submission is answered by exactly one Final frame and no Progress,
+    // and the bytes on the wire are exactly the two frames' encodings —
+    // for cold searches, cache hits and coalesced duplicates alike. A
+    // client that offers streaming but asks for none streams nothing.
+    let (_service, mut server) = spawn_daemon(4);
+    let dataset = city();
+    let pool =
+        build_pool(&dataset, &ReplaySpec { distinct: 8, seq_len: 2, ..ReplaySpec::default() });
+    let mut writer = TcpStream::connect(server.local_addr()).expect("connect");
+    writer.set_read_timeout(Some(Duration::from_secs(60))).expect("set timeout");
+    let mut reader = Counted { inner: writer.try_clone().expect("clone the socket"), bytes: 0 };
+    let features = FEATURE_STREAMING | FEATURE_MULTI_TENANT;
+    let hello = Frame::Hello { version: PROTOCOL_VERSION, features }.to_bytes();
+    writer.write_all(&hello).expect("write hello");
+    assert!(matches!(read_frame(&mut reader, MAX_FRAME), Ok(Frame::Welcome { .. })));
+
+    // Every query six times over, pipelined on one connection.
+    let requests = 6 * pool.len();
+    for id in 0..requests as u64 {
+        let request = QueryRequest::new(pool[id as usize % pool.len()].clone());
+        let submit = Frame::Submit { id, streaming: false, request };
+        writer.write_all(&submit.to_bytes()).expect("write submit");
+    }
+    writer.write_all(&Frame::Shutdown.to_bytes()).expect("write shutdown");
+
+    // The answers, then the farewell snapshot, then the connection
+    // closes: nothing else crosses the wire.
+    let welcomed = reader.bytes;
+    let mut finals = vec![0usize; requests];
+    let mut encoded = 0;
+    loop {
+        match read_frame(&mut reader, MAX_FRAME).expect("a frame") {
+            Frame::Final { id, response } => {
+                finals[id as usize] += 1;
+                encoded += Frame::Final { id, response }.to_bytes().len();
+            }
+            Frame::MetricsRep(metrics) => {
+                encoded += Frame::MetricsRep(metrics).to_bytes().len();
+                break;
+            }
+            other => panic!("a non-streaming client got {other:?}"),
+        }
+    }
+    let mut rest = Vec::new();
+    let _ = reader.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "{} bytes after the farewell", rest.len());
+    server.join();
+    assert!(finals.iter().all(|&n| n == 1), "one Final per request: {finals:?}");
+    assert_eq!(reader.bytes - welcomed, encoded, "answer bytes are the frames' encodings");
 }
 
 #[test]

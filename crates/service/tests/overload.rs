@@ -32,13 +32,14 @@ fn city(seed: u64) -> Dataset {
     DatasetSpec::preset(Preset::CalSmall).scale(0.08).seed(seed).generate()
 }
 
-/// A low-reuse churned Zipf stream — wide pool, flat exponent, weight
-/// updates in flight — so load genuinely lands on the search rungs and 2×
-/// the cold-calibrated capacity overloads the service for real.
-fn overload_spec(seed: u64) -> ReplaySpec {
+/// A low-reuse churned Zipf stream of `total` requests — wide pool, flat
+/// exponent, weight updates in flight — so load genuinely lands on the
+/// search rungs and 2× the cold-calibrated capacity overloads the
+/// service for real.
+fn overload_spec(seed: u64, total: usize) -> ReplaySpec {
     ReplaySpec {
-        total: 192,
-        distinct: 96,
+        total,
+        distinct: total / 2,
         seq_len: 2,
         pattern: StreamPattern::Zipf,
         zipf_exponent: 0.5,
@@ -51,13 +52,25 @@ fn overload_spec(seed: u64) -> ReplaySpec {
     }
 }
 
+/// How many deadlines the overloaded stream's arrivals span. At arrival
+/// rate 2C against capacity C the backlog's wait grows at one second per
+/// second, so the requests arriving after the first deadline's worth of
+/// stream wait past their deadline and shed. The margin absorbs the two
+/// calibrations (the calm pass sizes the stream, the overloaded pass
+/// sets its own rate) disagreeing: a 3× lower calm reading still leaves
+/// ten deadlines of arrivals.
+const STREAM_DEADLINES: f64 = 32.0;
+
 #[test]
 fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
     let seed = 33;
-    let d = city(seed);
-    let base = overload_spec(seed);
-    let pool = build_pool(&d, &base);
-    let ctx = Arc::new(ServiceContext::from_dataset(d));
+    let base = overload_spec(seed, 192);
+    let ctx = |spec: &ReplaySpec| {
+        let d = city(seed);
+        let pool = build_pool(&d, spec);
+        (Arc::new(ServiceContext::from_dataset(d)), pool)
+    };
+    let (calm_ctx, pool) = ctx(&base);
 
     // Uncontended pass at half measured capacity: genuine service-time
     // latencies. The overloaded pass takes the *median* as its deadline —
@@ -66,16 +79,26 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
     // robust against capacity mis-calibration under a noisy scheduler,
     // which a generous multiple of the tail would not be).
     let uncontended = ReplaySpec { overload: 0.5, ..base.clone() };
-    let calm = replay_on(Arc::clone(&ctx), &pool, &uncontended);
+    let calm = replay_on(calm_ctx, &pool, &uncontended);
     assert_eq!(calm.verify_mismatches, Some(0), "uncontended run must be oracle-exact");
     assert_eq!(calm.metrics.completed, 192, "nothing sheds without a deadline");
     let deadline = calm.metrics.latency_p50.max(Duration::from_millis(1));
 
+    // The overloaded stream is sized from the calibrated capacity C (the
+    // calm pass ran at 0.5 C) so that it arrives over STREAM_DEADLINES
+    // deadlines: total = 2 C × deadline × STREAM_DEADLINES. A fixed-size
+    // stream could drain within one deadline on a fast host and shed
+    // nothing.
+    let capacity = calm.qps / uncontended.overload;
+    let arrivals = 2.0 * capacity * deadline.as_secs_f64() * STREAM_DEADLINES;
+    let total = (arrivals.ceil() as usize).clamp(192, 20_000);
+    let sized = overload_spec(seed, total);
+    let (ctx, pool) = ctx(&sized);
     let overloaded = ReplaySpec {
         overload: 2.0,
-        service: ServiceConfig { admission: true, ..base.service },
+        service: ServiceConfig { admission: true, ..sized.service.clone() },
         deadline: Some(deadline),
-        ..base
+        ..sized
     };
     let report = replay_on(ctx, &pool, &overloaded);
 
@@ -91,7 +114,7 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
     assert_eq!(m.failed, 0, "overload surfaces as Overloaded sheds, not failures");
     assert_eq!(
         m.completed + m.rejected + m.shed_deadline,
-        192,
+        total as u64,
         "every request completes or sheds: {m:?}"
     );
     assert_eq!(
@@ -100,9 +123,9 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
         "served-outcome taxonomy must tile: {m:?}"
     );
 
-    // 2× capacity against a deadline near the uncontended p99 must
-    // actually overload: part of the stream sheds (admission or expiry).
-    assert!(report.shed() > 0, "2x capacity with a p99-scale deadline must shed: {m:?}");
+    // 2× capacity over a stream many deadlines long must actually
+    // overload: part of the stream sheds (admission or expiry).
+    assert!(report.shed() > 0, "2x capacity over {total} requests must shed: {m:?}");
 
     // The met-deadline split covers exactly the requests that finished.
     let (met, finished) = report.met_deadline.expect("deadline runs report the split");
