@@ -77,17 +77,8 @@ pub fn region_datasets(city: &CityArgs, shards: usize) -> Result<Vec<(String, Da
 
 /// The serving-stack flags `replay` and `serve` share. They configure a
 /// service this process builds, so `replay --connect` rejects them.
-pub const SERVICE_FLAGS: [&str; 9] = [
-    "workers",
-    "queue",
-    "cache",
-    "coalesce",
-    "prefix-reuse",
-    "ancestor-reuse",
-    "suffix-reuse",
-    "repair",
-    "admission",
-];
+pub const SERVICE_FLAGS: [&str; 6] =
+    ["workers", "queue", "cache", "coalesce", "repair", "admission"];
 
 /// Parses [`SERVICE_FLAGS`] over `d`: unset flags keep its values.
 pub fn service_flags(args: &mut Args, d: ServiceConfig) -> Result<ServiceConfig, String> {
@@ -96,9 +87,6 @@ pub fn service_flags(args: &mut Args, d: ServiceConfig) -> Result<ServiceConfig,
         queue_capacity: parse_flag(args, "queue", d.queue_capacity)?,
         cache_capacity: parse_flag(args, "cache", d.cache_capacity)?,
         coalesce: parse_flag(args, "coalesce", d.coalesce)?,
-        prefix_reuse: parse_flag(args, "prefix-reuse", d.prefix_reuse)?,
-        ancestor_reuse: parse_flag(args, "ancestor-reuse", d.ancestor_reuse)?,
-        suffix_reuse: parse_flag(args, "suffix-reuse", d.suffix_reuse)?,
         repair: parse_flag(args, "repair", d.repair)?,
         admission: parse_flag(args, "admission", d.admission)?,
         ..d

@@ -90,18 +90,16 @@ fn usage() -> &'static str {
      \t[--seed N] [--queries N] [--distinct N] [--workers N] [--seq-len K]\n  \
      \t[--zipf S] [--cache N] [--queue N]\n  \
      \t[--pattern zipf|duplicate|prefix|hierarchy] [--burst N]\n  \
-     \t[--coalesce true|false] [--prefix-reuse true|false]\n  \
-     \t[--ancestor-reuse true|false] [--suffix-reuse true|false]\n  \
-     \t[--verify true|false] [--repair true|false] [--retention K] [--qps F]\n  \
+     \t[--coalesce true|false] [--verify true|false] [--repair true|false]\n  \
+     \t[--retention K] [--qps F]\n  \
      \t[--update-rate F] [--update-burst N] [--update-every N]\n  \
      \t[--deadline-ms F] [--overload X]\n  \
      \t[--admission true|false] [--shards N] [--trace-out FILE.jsonl]\n  \
      \t[--metrics-out FILE.prom] [--connect HOST:PORT]\n  \
      skysr-cli serve [FILE] [--preset P] [--scale F] [--seed N]\n  \
      \t[--addr HOST:PORT] [--workers N] [--cache N] [--queue N]\n  \
-     \t[--coalesce true|false] [--prefix-reuse true|false]\n  \
-     \t[--ancestor-reuse true|false] [--suffix-reuse true|false]\n  \
-     \t[--repair true|false] [--admission true|false] [--shards N]\n  \
+     \t[--coalesce true|false] [--repair true|false]\n  \
+     \t[--admission true|false] [--shards N]\n  \
      skysr-cli shutdown --connect HOST:PORT\n  \
      skysr-cli demo"
 }
@@ -404,6 +402,8 @@ fn override_row(
         }
     }
     let city = dataset_args(&mut args, row.city, row.spec.seed)?;
+    // The row carries the city it replays, so its twin does too.
+    row.city = city.city;
     let spec = &mut row.spec;
     spec.seed = city.seed;
     spec.total = parse_flag(&mut args, "queries", spec.total)?;
@@ -499,5 +499,30 @@ fn print_routes(dataset: &Dataset, routes: &[SkylineRoute]) {
             r.semantic,
             labels.join(" -> ")
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn replay_args(flags: &[&str]) -> Args {
+        let argv = ["replay"].iter().chain(flags).map(|s| s.to_string()).collect();
+        Args::parse(argv).expect("valid arguments")
+    }
+
+    #[test]
+    fn a_city_override_reaches_the_twin() {
+        let row = scenario::find("repair/waves").expect("a table row");
+        let flags = replay_args(&["--preset", "nyc-small", "--scale", "2.0"]);
+        let (row, city) = override_row(flags, row, false, false).expect("valid overrides");
+        let twin = row.twin_row().expect("repair/waves has a twin");
+        assert_eq!(twin.city, City { preset: Preset::NycSmall, scale: 2.0 });
+        assert_eq!(city.city, twin.city);
+        // The monolith twin scales the overridden city, not the table's.
+        let row = scenario::find("shards/four").expect("a table row");
+        let (row, _) = override_row(replay_args(&["--scale", "0.25"]), row, false, false)
+            .expect("valid overrides");
+        assert_eq!(row.twin_row().expect("a twin").city.scale, 1.0);
     }
 }

@@ -26,9 +26,8 @@ pub fn usage() -> &'static str {
     "usage:\n  \
      skysr-d [FILE] [--preset <tokyo|nyc|cal|tokyo-small|nyc-small|cal-small>]\n  \
      \t[--scale F] [--seed N] [--addr HOST:PORT] [--workers N] [--cache N]\n  \
-     \t[--queue N] [--coalesce true|false] [--prefix-reuse true|false]\n  \
-     \t[--ancestor-reuse true|false] [--suffix-reuse true|false]\n  \
-     \t[--repair true|false] [--admission true|false] [--shards N]\n\n\
+     \t[--queue N] [--coalesce true|false] [--repair true|false]\n  \
+     \t[--admission true|false] [--shards N]\n\n\
      Serves SkySR queries over the skysr-d wire protocol until a client\n\
      sends Shutdown (e.g. `skysr-cli shutdown --connect HOST:PORT`).\n\
      --shards N serves N regions (datasets seeded --seed, --seed+1, ...)\n\

@@ -173,26 +173,6 @@ impl BssrConfig {
     }
 }
 
-/// Warm-start seed material for one run (see [`warm`]).
-///
-/// All variants preserve exactness: seeds are validated against the target
-/// query, rescored under its own positions, and only ever *tighten* the
-/// pruning thresholds. Unusable routes are skipped, so foreign material
-/// degrades to a cold run.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum WarmSeeds<'a> {
-    /// Cold run.
-    #[default]
-    None,
-    /// A (k−1)-position prefix skyline, or any same-start full-length
-    /// skyline (ancestor-category reuse) — routes are completed/validated
-    /// by [`warm::seed_prefix_routes`].
-    PrefixOrFull(&'a [SkylineRoute]),
-    /// A skyline of the ⟨c₂, …, c_k⟩ suffix from the same start, prepended
-    /// one leg by [`warm::seed_suffix_routes`].
-    Suffix(&'a [SkylineRoute]),
-}
-
 /// Receiver for provisional Pareto points during an observed run (anytime
 /// streaming). Called once per distinct route, in the order the search
 /// proves them; the route is a skyline member at call time, so it is
@@ -360,34 +340,22 @@ impl<'g> Bssr<'g> {
     /// Runs a pre-compiled query (lets callers reuse the preparation across
     /// engines, e.g. when comparing configurations).
     pub fn run_prepared(&mut self, pq: &PreparedQuery) -> BssrResult {
-        self.run_prepared_seeded(pq, WarmSeeds::None)
+        self.run_prepared_observed(pq, &[], None)
     }
 
-    /// [`Bssr::run_prepared`] warm-started from a cached skyline of the
-    /// query's (k−1)-position prefix — or any same-start full-length
-    /// skyline, e.g. an ancestor-category variant's (semantic cache reuse;
-    /// see [`warm`]); an empty slice is a cold run.
+    /// [`Bssr::run_prepared`] warm-started from full-length routes of the
+    /// query — repair's rescored survivors (see [`warm`]); an empty slice
+    /// is a cold run.
     ///
     /// The result is score-equivalent to a cold run — the seeds only
     /// tighten the pruning thresholds, exactly as NNinit does. Routes in
-    /// `prefix` that do not fit the query are ignored, so passing a skyline
+    /// `seeds` that do not fit the query are ignored, so passing a skyline
     /// from an unrelated query degrades to a cold run.
-    pub fn run_prepared_warm(&mut self, pq: &PreparedQuery, prefix: &[SkylineRoute]) -> BssrResult {
-        let seeds =
-            if prefix.is_empty() { WarmSeeds::None } else { WarmSeeds::PrefixOrFull(prefix) };
-        self.run_prepared_seeded(pq, seeds)
-    }
-
-    /// [`Bssr::run_prepared`] with explicit warm-seed material. A
-    /// [`WarmSeeds::Suffix`] skyline of ⟨c₂, …, c_k⟩ over the same start is
-    /// prepended one shortest-path leg through a first-position match
-    /// ([`warm::seed_suffix_routes`]); exactness is preserved as for every
-    /// other warm start.
-    pub fn run_prepared_seeded(&mut self, pq: &PreparedQuery, seeds: WarmSeeds<'_>) -> BssrResult {
+    pub fn run_prepared_warm(&mut self, pq: &PreparedQuery, seeds: &[SkylineRoute]) -> BssrResult {
         self.run_prepared_observed(pq, seeds, None)
     }
 
-    /// The full engine: [`Bssr::run_prepared_seeded`] with an optional
+    /// The full engine: [`Bssr::run_prepared_warm`] with an optional
     /// provisional-point sink (anytime streaming). Every emitted route is a
     /// genuine valid sequenced route that was a skyline member when
     /// emitted, so it is dominated-or-equal by some member of the final
@@ -401,7 +369,7 @@ impl<'g> Bssr<'g> {
     pub fn run_prepared_observed(
         &mut self,
         pq: &PreparedQuery,
-        seeds: WarmSeeds<'_>,
+        seeds: &[SkylineRoute],
         mut sink: Option<ProgressSink<'_>>,
     ) -> BssrResult {
         let t0 = Instant::now();
@@ -425,18 +393,10 @@ impl<'g> Bssr<'g> {
             emitter.flush(&skyline, sink);
         }
 
-        // Warm start: seed completions of a cached skyline *before* the
-        // minimum-distance bounds are computed, so the tightened threshold
-        // also shrinks the bound-computation search radius.
-        match seeds {
-            WarmSeeds::None => {}
-            WarmSeeds::PrefixOrFull(routes) => {
-                warm::seed_prefix_routes(&ctx, pq, routes, &mut self.ws, &mut skyline, &mut stats);
-            }
-            WarmSeeds::Suffix(routes) => {
-                warm::seed_suffix_routes(&ctx, pq, routes, &mut self.ws, &mut skyline, &mut stats);
-            }
-        }
+        // Warm start: seed the routes *before* the minimum-distance bounds
+        // are computed, so the tightened threshold also shrinks the
+        // bound-computation search radius.
+        warm::seed_full_routes(&ctx, pq, seeds, &mut skyline, &mut stats);
         if let Some(sink) = sink.as_deref_mut() {
             emitter.flush(&skyline, sink);
         }
@@ -664,7 +624,7 @@ mod tests {
         let pq = PreparedQuery::prepare(&ctx, &ex.query()).unwrap();
         let result = bssr.run_prepared_observed(
             &pq,
-            WarmSeeds::None,
+            &[],
             Some(&mut |r: &SkylineRoute| provisional.push(r.clone())),
         );
         expect_paper_skyline(&result.routes);
@@ -881,74 +841,14 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_from_prefix_skyline_matches_cold_run() {
-        use crate::route::equivalent_skylines;
-        let ex = PaperExample::new();
-        let ctx = ex.context();
-        let full = ex.query();
-        let mut bssr = Bssr::new(&ctx);
-        // Every proper prefix ⟨c1..cj⟩ warm-starts the (j+1)-position
-        // query. A given prefix may contribute nothing (NNinit can already
-        // dominate all its completions — warm_seed_routes counts only
-        // *inserted* seeds), but across the chain at least one must.
-        let mut any_seeded = false;
-        for j in 1..full.len() {
-            let prefix_q = SkySrQuery::with_positions(full.start, full.sequence[..j].to_vec());
-            let next_q = SkySrQuery::with_positions(full.start, full.sequence[..=j].to_vec());
-            let prefix = bssr.run(&prefix_q).unwrap().routes;
-            let cold = bssr.run(&next_q).unwrap();
-            let pq = PreparedQuery::prepare(&ctx, &next_q).unwrap();
-            let warm = bssr.run_prepared_warm(&pq, &prefix);
-            assert!(
-                equivalent_skylines(&warm.routes, &cold.routes),
-                "prefix len {j}: warm {:?} vs cold {:?}",
-                warm.routes,
-                cold.routes
-            );
-            any_seeded |= warm.stats.warm_seed_routes > 0;
-            // The seeds can only tighten thresholds: never more enqueued
-            // work than the cold run.
-            assert!(warm.stats.routes_enqueued <= cold.stats.routes_enqueued);
-        }
-        assert!(any_seeded, "some prefix must seed surviving routes");
-    }
-
-    #[test]
-    fn suffix_warm_start_matches_cold_run() {
-        use crate::route::equivalent_skylines;
-        let ex = PaperExample::new();
-        let ctx = ex.context();
-        let full = ex.query();
-        let mut bssr = Bssr::new(&ctx);
-        let suffix_q = SkySrQuery::with_positions(full.start, full.sequence[1..].to_vec());
-        let suffix = bssr.run(&suffix_q).unwrap().routes;
-        let cold = bssr.run(&full).unwrap();
-        let pq = PreparedQuery::prepare(&ctx, &full).unwrap();
-        let warm = bssr.run_prepared_seeded(&pq, WarmSeeds::Suffix(&suffix));
-        assert!(
-            equivalent_skylines(&warm.routes, &cold.routes),
-            "suffix warm {:?} vs cold {:?}",
-            warm.routes,
-            cold.routes
-        );
-        assert!(warm.stats.routes_enqueued <= cold.stats.routes_enqueued);
-        // A foreign suffix (wrong positions entirely) degrades to cold.
-        let gift = ex.forest.by_name("Gift Shop").unwrap();
-        let foreign = bssr.run(&SkySrQuery::new(ex.vq, [gift])).unwrap().routes;
-        let degraded = bssr.run_prepared_seeded(&pq, WarmSeeds::Suffix(&foreign));
-        assert!(equivalent_skylines(&degraded.routes, &cold.routes));
-    }
-
-    #[test]
     fn warm_start_with_foreign_prefix_stays_exact() {
         use crate::route::equivalent_skylines;
         let ex = PaperExample::new();
         let ctx = ex.context();
-        // A prefix skyline computed for a *different* first position (Gift
-        // instead of Hobby) from the same start: its semantic scores are
-        // wrong for this query, so the seeder must rescore the routes
-        // under the query's own positions — the result must still be the
-        // exact skyline.
+        // A one-position skyline computed for a *different* first position
+        // (Gift instead of Hobby) from the same start: no route of it is a
+        // full-length route of this query, so the run degrades to a cold
+        // one and returns the exact skyline.
         let gift = ex.forest.by_name("Gift Shop").unwrap();
         let hobby = ex.forest.by_name("Hobby Shop").unwrap();
         let mut bssr = Bssr::new(&ctx);

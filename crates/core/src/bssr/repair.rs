@@ -145,10 +145,7 @@ pub fn safely_beyond(a: f64, b: f64) -> bool {
 /// arc touched by `delta` has its tail provably farther from `start` *at
 /// the delta's older epoch* than `max_len`, the longest route of the
 /// cached skyline. When it holds, the cached skyline is exactly the
-/// newer epoch's skyline (see the module docs for the argument) — and a
-/// cached *prefix* skyline stays a valid warm-start seed across the epoch
-/// boundary, which is how the service rescues one-epoch-stale prefix
-/// entries.
+/// newer epoch's skyline (see the module docs for the argument).
 ///
 /// `landmarks` must be built over the weight manager's origin (epoch-0)
 /// view; without an oracle the check degrades to "only an empty delta is

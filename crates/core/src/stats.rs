@@ -33,8 +33,8 @@ pub struct QueryStats {
     pub ls: Vec<f64>,
     /// Per-gap perfect-match minimum distances `lp[i]` (Figure 4).
     pub lp: Vec<f64>,
-    /// Sequenced routes seeded from a cached prefix skyline before the
-    /// search started (warm start; 0 for cold runs).
+    /// Full-length seed routes that entered the skyline set before the
+    /// search started (repair's warm re-search; 0 for cold runs).
     pub warm_seed_routes: usize,
     /// Routes pushed into the route priority queue.
     pub routes_enqueued: u64,

@@ -26,10 +26,10 @@
 //!
 //! All reads go through one non-invalidating primitive —
 //! [`probe`](ResultCache::probe) — which the `ReusePlanner` drives
-//! (exact-hit, repair-source, prefix / ancestor / suffix seed probes are
-//! all the same call); the planner performs lazy invalidation
-//! deliberately ([`discard_older`](ResultCache::discard_older)) when a
-//! stale entry has no repair path.
+//! (exact-hit and repair-source probes are the same call); the planner
+//! performs lazy invalidation deliberately
+//! ([`discard_older`](ResultCache::discard_older)) when a stale entry has
+//! no repair path.
 //!
 //! The cache counts only what it alone can see: stored results
 //! (`insertions`; inserting over an identical key refreshes the entry
@@ -43,7 +43,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use skysr_category::CategoryId;
 use skysr_core::bssr::BssrConfig;
 use skysr_core::query::CanonicalPosition;
 use skysr_core::query::SkySrQuery;
@@ -71,59 +70,6 @@ impl QueryKey {
             positions: query.canonical_positions().into_boxed_slice(),
             config,
         }
-    }
-
-    /// The key of this query's (k−1)-position prefix under the same start
-    /// and configuration — the entry a warm start reuses. `None` for
-    /// single-position queries.
-    pub fn prefix(&self) -> Option<QueryKey> {
-        (self.positions.len() >= 2).then(|| QueryKey {
-            start: self.start,
-            positions: self.positions[..self.positions.len() - 1].into(),
-            config: self.config,
-        })
-    }
-
-    /// The key of this query's ⟨c₂, …, c_k⟩ *suffix* under the same start
-    /// and configuration — the entry suffix reuse prepends one leg to.
-    /// `None` for single-position queries.
-    pub fn suffix(&self) -> Option<QueryKey> {
-        (self.positions.len() >= 2).then(|| QueryKey {
-            start: self.start,
-            positions: self.positions[1..].into(),
-            config: self.config,
-        })
-    }
-
-    /// The plain category at position `i`, if that position is (or
-    /// canonicalizes to) one — the anchor for ancestor-category probes.
-    pub fn position_category(&self, i: usize) -> Option<CategoryId> {
-        match self.positions.get(i)? {
-            CanonicalPosition::Category(c) => Some(*c),
-            CanonicalPosition::Requirement(_) => None,
-        }
-    }
-
-    /// This key with position `i` replaced by the plain category `c` —
-    /// the key an ancestor-category variant of the query lives under.
-    ///
-    /// # Panics
-    /// If `i` is out of range.
-    pub fn with_position_category(&self, i: usize, c: CategoryId) -> QueryKey {
-        let mut positions = self.positions.clone();
-        positions[i] = CanonicalPosition::Category(c);
-        QueryKey { start: self.start, positions, config: self.config }
-    }
-
-    /// Number of sequence positions.
-    pub fn len(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// Whether the key has no positions (never true for keys built by
-    /// [`QueryKey::canonicalize`] from a valid query).
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
     }
 }
 
@@ -423,19 +369,6 @@ mod tests {
         hit.map(|(_, r)| r)
     }
 
-    /// The planner's same-epoch seed probe, with the no-repair lazy
-    /// invalidation of stale seed entries.
-    fn peek(cache: &ResultCache, key: &QueryKey, epoch: EpochId) -> Option<Arc<[SkylineRoute]>> {
-        match cache.probe(key, epoch) {
-            Some((e, r)) if e == epoch => Some(r),
-            Some(_) => {
-                cache.discard_older(key, epoch);
-                None
-            }
-            None => None,
-        }
-    }
-
     #[test]
     fn requirement_queries_are_cacheable_and_spelling_insensitive() {
         let cfg = BssrConfig::default();
@@ -458,22 +391,6 @@ mod tests {
         );
         assert_eq!(QueryKey::canonicalize(&ab, cfg), QueryKey::canonicalize(&ba, cfg));
         assert_ne!(QueryKey::canonicalize(&ab, cfg), QueryKey::canonicalize(&plain, cfg));
-    }
-
-    #[test]
-    fn prefix_key_drops_the_last_position() {
-        let cfg = BssrConfig::default();
-        let q3 = SkySrQuery::new(VertexId(7), [CategoryId(0), CategoryId(1), CategoryId(2)]);
-        let q2 = SkySrQuery::new(VertexId(7), [CategoryId(0), CategoryId(1)]);
-        let q1 = SkySrQuery::new(VertexId(7), [CategoryId(0)]);
-        let k3 = QueryKey::canonicalize(&q3, cfg);
-        let k2 = k3.prefix().expect("3-position key has a prefix");
-        assert_eq!(k2, QueryKey::canonicalize(&q2, cfg));
-        let k1 = k2.prefix().expect("2-position key has a prefix");
-        assert_eq!(k1, QueryKey::canonicalize(&q1, cfg));
-        assert_eq!(k1.prefix(), None, "single-position keys have no prefix");
-        assert_eq!((k3.len(), k2.len(), k1.len()), (3, 2, 1));
-        assert!(!k3.is_empty());
     }
 
     #[test]
@@ -536,12 +453,12 @@ mod tests {
     #[test]
     fn seed_probes_do_not_count_lookups_and_respect_epochs() {
         let cache = ResultCache::new(4);
-        assert!(peek(&cache, &key(1), E0).is_none());
+        assert!(get(&cache, &key(1), E0).is_none());
         cache.insert(key(1), E0, routes(1));
-        assert!(peek(&cache, &key(1), E0).is_some());
-        // Same-epoch only: a prefix skyline from epoch 0 must not seed an
-        // epoch-1 search.
-        assert!(peek(&cache, &key(1), E1).is_none());
+        assert!(get(&cache, &key(1), E0).is_some());
+        // Same-epoch only: a skyline from epoch 0 must not answer an
+        // epoch-1 request.
+        assert!(get(&cache, &key(1), E1).is_none());
         // The stale probe's explicit discard lazily invalidated the entry.
         assert_eq!(cache.counters().invalidations, 1);
         // But a probe refreshes recency: after probing 1 in a full cache,
@@ -549,10 +466,10 @@ mod tests {
         let cache = ResultCache::new(2);
         cache.insert(key(1), E0, routes(1));
         cache.insert(key(2), E0, routes(2));
-        assert!(peek(&cache, &key(1), E0).is_some());
+        assert!(get(&cache, &key(1), E0).is_some());
         cache.insert(key(3), E0, routes(3));
-        assert!(peek(&cache, &key(2), E0).is_none(), "2 was evicted");
-        assert!(peek(&cache, &key(1), E0).is_some());
+        assert!(get(&cache, &key(2), E0).is_none(), "2 was evicted");
+        assert!(get(&cache, &key(1), E0).is_some());
     }
 
     #[test]

@@ -62,24 +62,17 @@
 //! ([`plan`]): for each dequeued job it probes the cache once through the
 //! unified non-counting [`ResultCache::probe`] and emits an ordered
 //! [`plan::ReusePlan`] over the rung ladder `ExactHit → Coalesce →
-//! Repair → WarmSeed{prefix|ancestor|suffix} → ColdSearch`, which the
-//! worker loop executes mechanically. The rungs: the result cache,
-//! request coalescing (concurrent duplicates park behind one in-flight
-//! computation and share its `Arc`'d skyline — the leader fills the cache
-//! *before* ending the flight, so a key is never searched twice
-//! concurrently), and semantic reuse (a cached skyline for the query's
-//! *prefix* ⟨c₁,…,c_{k−1}⟩, an *ancestor-category* variant, or its
-//! *suffix* ⟨c₂,…,c_k⟩ warm-starts the search via
-//! [`skysr_core::bssr::warm`], keeping results exact while tightening the
-//! pruning thresholds). All of these are
-//! epoch-exact: a cached skyline, an in-flight computation or a warm-start
-//! seed is reused only by requests pinned to the same weight epoch —
-//! except where *incremental repair* ([`ServiceConfig::repair`]) proves a
-//! cross-epoch reuse sound: a cached skyline at an older epoch is
-//! repaired against the exact weight delta
-//! ([`skysr_core::bssr::repair`]) and promoted to the new epoch in place,
-//! and a stale prefix skyline provably untouched by the delta still seeds
-//! a warm start. The weight-epoch history itself can be bounded
+//! Repair → ColdSearch`, which the worker loop executes mechanically. The
+//! rungs: the result cache, and request coalescing (concurrent duplicates
+//! park behind one in-flight computation and share its `Arc`'d skyline —
+//! the leader fills the cache *before* ending the flight, so a key is
+//! never searched twice concurrently). Both are epoch-exact: a cached
+//! skyline or an in-flight computation is reused only by requests pinned
+//! to the same weight epoch — except where *incremental repair*
+//! ([`ServiceConfig::repair`]) proves a cross-epoch reuse sound: a cached
+//! skyline at an older epoch is repaired against the exact weight delta
+//! ([`skysr_core::bssr::repair`]) and promoted to the new epoch in place.
+//! The weight-epoch history itself can be bounded
 //! ([`ServiceContext::set_epoch_retention`]): old overlays are compacted
 //! once no reader leases them, so long-running services under churn hold
 //! at most K epochs.
@@ -144,7 +137,7 @@ pub use cache::{CacheCounters, QueryKey, ResultCache};
 pub use context::ServiceContext;
 pub use metrics::{LatencyBreakdown, MetricsSnapshot, Served};
 pub use net::{ProtocolError, RemoteService, ServeBackend, Server, ServerConfig};
-pub use plan::{PlanStep, ReusePlan, ReusePlanner, ReuseStrategies, SeedSource};
+pub use plan::{PlanStep, ReusePlan, ReusePlanner, ReuseStrategies};
 pub use replay::{ReplayReport, ReplaySpec, ShardReplay, ShardedReplayReport, StreamPattern};
 pub use scenario::{City, Gates, Scenario, TwinGate, Work};
 pub use service::{

@@ -15,7 +15,6 @@ use std::time::Duration;
 use skysr_graph::EpochGcStats;
 
 use crate::cache::CacheCounters;
-use crate::plan::SeedSource;
 use crate::telemetry::{Histogram, HistogramSnapshot, Rung, RungSummary};
 
 /// Where one response's time went — recorded split so saturation (queue
@@ -50,14 +49,8 @@ impl LatencyBreakdown {
 /// response's entry in the metrics record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Served {
-    /// A BSSR search ran; `seeded` records which cached skyline
-    /// warm-started it (semantic reuse), if any actually contributed
-    /// seeds.
-    Search {
-        /// The reuse source whose seeds survived into the skyline set
-        /// (`None` for a cold search, or when the probe came up dry).
-        seeded: Option<SeedSource>,
-    },
+    /// A BSSR search ran.
+    Search,
     /// Answered from the result cache.
     CacheHit,
     /// Answered by joining another request's in-flight computation
@@ -282,19 +275,11 @@ pub struct MetricsSnapshot {
 
     /// Queries answered successfully: the rung counts summed.
     pub completed: u64,
-    /// Responses an engine run answered exactly: the `repaired`,
-    /// `warm_*` and `cold` rungs.
+    /// Responses an engine run answered exactly: the `repaired` and `cold`
+    /// rungs.
     pub executed: u64,
     /// Responses that joined another request's in-flight search.
     pub coalesced: u64,
-    /// Searches warm-started from a cached *prefix* skyline.
-    pub seeded_prefix: u64,
-    /// Searches warm-started from a cached *ancestor-category* variant's
-    /// skyline (a position's category replaced by one of its ancestors).
-    pub seeded_ancestor: u64,
-    /// Searches warm-started from a cached *suffix* skyline (⟨c₂…c_k⟩
-    /// prepended one leg).
-    pub seeded_suffix: u64,
     /// Cached skylines promoted to a newer epoch by incremental repair
     /// without a full re-search: the `repaired` rung less
     /// `repair_fallbacks`.
@@ -367,9 +352,6 @@ impl MetricsSnapshot {
             // The rungs that ran an engine to an exact answer: all others.
             executed: completed - n(Rung::ExactHit) - n(Rung::Coalesced) - n(Rung::Approximate),
             coalesced: n(Rung::Coalesced),
-            seeded_prefix: n(Rung::WarmPrefix),
-            seeded_ancestor: n(Rung::WarmAncestor),
-            seeded_suffix: n(Rung::WarmSuffix),
             repairs: n(Rung::Repaired).saturating_sub(self.repair_fallbacks),
             approximate_served: n(Rung::Approximate),
             cache_hits: n(Rung::ExactHit),
@@ -443,11 +425,6 @@ impl std::fmt::Display for MetricsSnapshot {
             self.completed - self.executed,
             self.cache_hits,
             self.coalesced
-        )?;
-        writeln!(
-            f,
-            "reuse       {} prefix-, {} ancestor-, {} suffix-seeded warm starts",
-            self.seeded_prefix, self.seeded_ancestor, self.seeded_suffix
         )?;
         writeln!(
             f,
@@ -556,20 +533,16 @@ pub(crate) mod tests {
 
     /// Random outcomes covering every `Served` variant.
     pub(crate) fn outcomes() -> impl Strategy<Value = Vec<Outcome>> {
-        let one = (0u32..10, 0usize..30, 0u64..3_000_000, 0u64..900_000, 0usize..6);
+        let one = (0u32..7, 0usize..30, 0u64..3_000_000, 0u64..900_000, 0usize..6);
         prop::collection::vec(one, 0..80).prop_map(|v| {
             v.into_iter()
                 .map(|(kind, size, queue_ns, service_ns, routes)| {
-                    let seeded = |s| Served::Search { seeded: Some(s) };
                     let served = match kind {
-                        0 => Served::Search { seeded: None },
-                        1 => seeded(SeedSource::Prefix),
-                        2 => seeded(SeedSource::Ancestor),
-                        3 => seeded(SeedSource::Suffix),
-                        4 => Served::CacheHit,
-                        5 => Served::Coalesced,
-                        6 | 7 => Served::Repaired {
-                            fallback: kind == 7,
+                        0 | 1 => Served::Search,
+                        2 => Served::CacheHit,
+                        3 => Served::Coalesced,
+                        4 | 5 => Served::Repaired {
+                            fallback: kind == 5,
                             routes_untouched: routes,
                             routes_rescored: routes / 2,
                         },
@@ -685,19 +658,12 @@ pub(crate) mod tests {
             prop_assert_eq!(all.approximate_served, of(&|s| s == Served::Approximate));
             prop_assert_eq!(
                 all.executed,
-                of(&|s| matches!(s, Served::Search { .. } | Served::Repaired { .. }))
+                of(&|s| matches!(s, Served::Search | Served::Repaired { .. }))
             );
             prop_assert_eq!(
                 all.completed,
                 all.executed + all.cache_hits + all.coalesced + all.approximate_served
             );
-            for (source, seeded) in [
-                (SeedSource::Prefix, all.seeded_prefix),
-                (SeedSource::Ancestor, all.seeded_ancestor),
-                (SeedSource::Suffix, all.seeded_suffix),
-            ] {
-                prop_assert_eq!(seeded, of(&|s| s == Served::Search { seeded: Some(source) }));
-            }
             let repairs = |fell_back| {
                 of(&|s| matches!(s, Served::Repaired { fallback, .. } if fallback == fell_back))
             };
@@ -754,7 +720,7 @@ pub(crate) mod tests {
                     engine: Some(Duration::from_micros(8)),
                 },
                 1,
-                Served::Search { seeded: None },
+                Served::Search,
             );
         }
         let snap = snapshot(&rec);
@@ -772,7 +738,7 @@ pub(crate) mod tests {
     #[test]
     fn overload_counters_keep_the_completed_partition_exact() {
         let rec = MetricsRecorder::default();
-        rec.record(lat(40), 1, Served::Search { seeded: None });
+        rec.record(lat(40), 1, Served::Search);
         rec.record(lat(5), 1, Served::CacheHit);
         rec.record(lat(8), 1, Served::Coalesced);
         rec.record(lat(30), 1, Served::Approximate);
@@ -797,7 +763,6 @@ pub(crate) mod tests {
         assert!(text.contains("1 rejected at admission"), "{text}");
         assert!(text.contains("2 shed expired in queue"), "{text}");
         assert!(text.contains("2 served approximate"), "{text}");
-        assert!(text.contains("0 prefix-, 0 ancestor-, 0 suffix-seeded"), "{text}");
         assert!(text.contains("queries/s"), "{text}");
         assert!(text.contains("split       queue-wait"), "{text}");
         assert!(text.contains("approximate "), "{text}");

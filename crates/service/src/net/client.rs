@@ -27,8 +27,7 @@ use skysr_core::route::SkylineRoute;
 use skysr_graph::{EpochId, WeightDelta};
 
 use super::wire::{
-    read_frame, DatasetFingerprint, Frame, ProtocolError, FEATURE_MULTI_TENANT, FEATURE_STREAMING,
-    MAX_FRAME, PROTOCOL_VERSION,
+    read_frame, DatasetFingerprint, Frame, ProtocolError, MAX_FRAME, PROTOCOL_VERSION,
 };
 use crate::metrics::MetricsSnapshot;
 use crate::service::{QueryRequest, QueryService, StreamTicket, Ticket};
@@ -89,7 +88,6 @@ pub struct RemoteService {
     shared: Arc<Shared>,
     next_id: AtomicU64,
     fingerprint: DatasetFingerprint,
-    features: u32,
     registry: Vec<RegionInfo>,
     reader: Mutex<Option<JoinHandle<()>>>,
 }
@@ -100,22 +98,13 @@ impl RemoteService {
         let stream = TcpStream::connect(addr).map_err(|e| ProtocolError::io("connect", e))?;
         let _ = stream.set_nodelay(true);
         let mut writer = stream;
-        super::wire::write_frame(
-            &mut writer,
-            &Frame::Hello {
-                version: PROTOCOL_VERSION,
-                features: FEATURE_STREAMING | FEATURE_MULTI_TENANT,
-            },
-        )?;
+        super::wire::write_frame(&mut writer, &Frame::Hello { version: PROTOCOL_VERSION })?;
         let mut read_half = writer.try_clone().map_err(|e| ProtocolError::io("clone stream", e))?;
-        let (version, features, fingerprint, registry) =
-            match read_frame(&mut read_half, MAX_FRAME)? {
-                Frame::Welcome { version, features, fingerprint, registry } => {
-                    (version, features, fingerprint, registry)
-                }
-                Frame::Fault { message } => return Err(ProtocolError::Disconnected(message)),
-                _ => return Err(ProtocolError::UnexpectedFrame("expected Welcome")),
-            };
+        let (version, fingerprint, registry) = match read_frame(&mut read_half, MAX_FRAME)? {
+            Frame::Welcome { version, fingerprint, registry } => (version, fingerprint, registry),
+            Frame::Fault { message } => return Err(ProtocolError::Disconnected(message)),
+            _ => return Err(ProtocolError::UnexpectedFrame("expected Welcome")),
+        };
         if version != PROTOCOL_VERSION {
             return Err(ProtocolError::VersionMismatch { ours: PROTOCOL_VERSION, theirs: version });
         }
@@ -131,7 +120,6 @@ impl RemoteService {
             shared,
             next_id: AtomicU64::new(1),
             fingerprint,
-            features,
             registry,
             reader: Mutex::new(Some(reader)),
         })
@@ -161,11 +149,6 @@ impl RemoteService {
     /// The dataset identity the daemon advertised in its handshake.
     pub fn fingerprint(&self) -> DatasetFingerprint {
         self.fingerprint
-    }
-
-    /// The feature flags the daemon advertised.
-    pub fn features(&self) -> u32 {
-        self.features
     }
 
     /// The dataset registry the daemon's `Welcome` carried — one entry

@@ -30,10 +30,7 @@ pub mod wire;
 
 pub use client::RemoteService;
 pub use server::{ServeBackend, Server, ServerConfig};
-pub use wire::{
-    DatasetFingerprint, Frame, FrameReader, ProtocolError, FEATURE_MULTI_TENANT, FEATURE_STREAMING,
-    PROTOCOL_VERSION,
-};
+pub use wire::{DatasetFingerprint, Frame, FrameReader, ProtocolError, PROTOCOL_VERSION};
 
 use crate::context::ServiceContext;
 

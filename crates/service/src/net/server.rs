@@ -24,8 +24,7 @@ use skysr_core::error::QueryError;
 use skysr_core::route::SkylineRoute;
 
 use super::wire::{
-    DatasetFingerprint, Frame, FrameReader, ProtocolError, FEATURE_MULTI_TENANT, FEATURE_STREAMING,
-    MAX_FRAME, PROTOCOL_VERSION,
+    DatasetFingerprint, Frame, FrameReader, ProtocolError, MAX_FRAME, PROTOCOL_VERSION,
 };
 use crate::service::{QueryRequest, QueryService, Service, Ticket};
 use crate::shard::{RegionInfo, Router};
@@ -457,13 +456,12 @@ fn dispatch(
         };
         busy = true;
         match frame {
-            Frame::Hello { version, features: _ } => {
+            Frame::Hello { version } => {
                 // Answer with our identity either way — a mismatched
                 // client needs the Welcome to diagnose — and hang up on a
                 // version we do not speak.
                 conn.queue_frame(&Frame::Welcome {
                     version: PROTOCOL_VERSION,
-                    features: FEATURE_STREAMING | FEATURE_MULTI_TENANT,
                     fingerprint,
                     registry: registry.to_vec(),
                 });

@@ -7,15 +7,16 @@
 //! resolution and the transport must not perturb them.
 //!
 //! A connection opens with a version handshake: the client sends
-//! [`Frame::Hello`] (protocol version + feature flags), the server
-//! answers [`Frame::Welcome`] (its version, features, the
-//! [`DatasetFingerprint`] of its default shard, and the *dataset
-//! registry* — one `(region id, name, fingerprint)` entry per resident
-//! shard). A `Submit`'s options may address a region (option flag bit 3);
-//! region-less requests are routed by start vertex. One protocol version
-//! is spoken: a mismatched `Hello` is answered with the server's
-//! `Welcome` and the connection closes, so the client reports a typed
-//! [`ProtocolError::VersionMismatch`], never a garbled stream.
+//! [`Frame::Hello`] (its protocol version), the server answers
+//! [`Frame::Welcome`] (its version, the [`DatasetFingerprint`] of its
+//! default shard, and the *dataset registry* — one `(region id, name,
+//! fingerprint)` entry per resident shard). A `Submit`'s options may
+//! address a region (option flag bit 3); region-less requests are routed
+//! by start vertex. One protocol version is spoken: a mismatched `Hello`
+//! is answered with the server's `Welcome` and the connection closes, so
+//! the client reports a typed [`ProtocolError::VersionMismatch`], never a
+//! garbled stream. A `Hello` of another version decodes to its version
+//! alone, whatever that version's layout carries after it.
 //!
 //! Decoding is defensive end to end: adversarial bytes produce
 //! [`ProtocolError`]s (`Oversized`, `Malformed`), never panics — every
@@ -36,7 +37,7 @@ use skysr_graph::{Cost, EpochId, VertexId, WeightDelta};
 
 use crate::cache::CacheCounters;
 use crate::metrics::{Counter, MetricsSnapshot, Served};
-use crate::plan::{ReuseStrategies, SeedSource};
+use crate::plan::ReuseStrategies;
 use crate::service::{QueryRequest, QueryResponse, RequestOptions};
 use crate::shard::{RegionId, RegionInfo};
 use crate::telemetry::{HistogramSnapshot, Rung, RungSummary};
@@ -44,15 +45,10 @@ use skysr_graph::EpochGcStats;
 
 /// Protocol version this build speaks. Bumped on any incompatible frame
 /// change; the handshake rejects mismatches outright. Version 3 carries
-/// only the recorded metrics in [`Frame::MetricsRep`].
-pub const PROTOCOL_VERSION: u16 = 3;
-
-/// Feature flag: the peer understands [`Frame::Progress`] streaming.
-pub const FEATURE_STREAMING: u32 = 1;
-
-/// Feature flag: the peer understands the multi-tenant extensions — the
-/// `Welcome` registry and region-addressed `Submit` options.
-pub const FEATURE_MULTI_TENANT: u32 = 2;
+/// only the recorded metrics in [`Frame::MetricsRep`]; version 4 drops
+/// the handshake's feature flags, the warm-start bits of a `Submit`'s
+/// reuse mask and the seed source of a served search.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Largest frame either side accepts (length prefix included), generous
 /// for city-scale metrics snapshots yet small enough that an adversarial
@@ -146,19 +142,15 @@ pub struct DatasetFingerprint {
 /// echoed verbatim so a client can demultiplex interleaved answers.
 #[derive(Clone, Debug)]
 pub enum Frame {
-    /// C→S, first frame on a connection: version + feature handshake.
+    /// C→S, first frame on a connection: the version handshake.
     Hello {
         /// Client protocol version.
         version: u16,
-        /// Client feature flags ([`FEATURE_STREAMING`]).
-        features: u32,
     },
     /// S→C, the handshake answer.
     Welcome {
         /// Server protocol version.
         version: u16,
-        /// Server feature flags.
-        features: u32,
         /// What the daemon is serving: the default shard's fingerprint —
         /// the whole story for a single-shard daemon.
         fingerprint: DatasetFingerprint,
@@ -408,23 +400,14 @@ fn take_query(r: &mut Reader<'_>) -> Result<SkySrQuery, ProtocolError> {
 }
 
 fn strategy_bits(s: ReuseStrategies) -> u8 {
-    (s.caching as u8)
-        | (s.coalesce as u8) << 1
-        | (s.prefix as u8) << 2
-        | (s.ancestor as u8) << 3
-        | (s.suffix as u8) << 4
-        | (s.repair as u8) << 5
+    (s.caching as u8) | (s.coalesce as u8) << 1 | (s.repair as u8) << 2
 }
 
-fn strategies_from_bits(bits: u8) -> ReuseStrategies {
-    ReuseStrategies {
-        caching: bits & 1 != 0,
-        coalesce: bits & 2 != 0,
-        prefix: bits & 4 != 0,
-        ancestor: bits & 8 != 0,
-        suffix: bits & 16 != 0,
-        repair: bits & 32 != 0,
+fn strategies_from_bits(bits: u8) -> Result<ReuseStrategies, ProtocolError> {
+    if bits & !0b111 != 0 {
+        return Err(ProtocolError::Malformed("unknown reuse bits"));
     }
+    Ok(ReuseStrategies { caching: bits & 1 != 0, coalesce: bits & 2 != 0, repair: bits & 4 != 0 })
 }
 
 fn put_options(out: &mut Vec<u8>, o: &RequestOptions) {
@@ -450,7 +433,7 @@ fn take_options(r: &mut Reader<'_>) -> Result<RequestOptions, ProtocolError> {
         return Err(ProtocolError::Malformed("unknown option flags"));
     }
     let deadline = if flags & 1 != 0 { Some(r.duration()?) } else { None };
-    let reuse = if flags & 4 != 0 { Some(strategies_from_bits(r.u8()?)) } else { None };
+    let reuse = if flags & 4 != 0 { Some(strategies_from_bits(r.u8()?)?) } else { None };
     let region = if flags & 8 != 0 { Some(RegionId(r.u16()?)) } else { None };
     Ok(RequestOptions { deadline, trace: flags & 2 != 0, reuse, region })
 }
@@ -485,18 +468,7 @@ fn take_route(r: &mut Reader<'_>) -> Result<SkylineRoute, ProtocolError> {
 
 fn put_served(out: &mut Vec<u8>, served: Served) {
     match served {
-        Served::Search { seeded } => {
-            put_u8(out, 0);
-            put_u8(
-                out,
-                match seeded {
-                    None => 0,
-                    Some(SeedSource::Prefix) => 1,
-                    Some(SeedSource::Ancestor) => 2,
-                    Some(SeedSource::Suffix) => 3,
-                },
-            );
-        }
+        Served::Search => put_u8(out, 0),
         Served::CacheHit => put_u8(out, 1),
         Served::Coalesced => put_u8(out, 2),
         Served::Repaired { fallback, routes_untouched, routes_rescored } => {
@@ -511,15 +483,7 @@ fn put_served(out: &mut Vec<u8>, served: Served) {
 
 fn take_served(r: &mut Reader<'_>) -> Result<Served, ProtocolError> {
     match r.u8()? {
-        0 => Ok(Served::Search {
-            seeded: match r.u8()? {
-                0 => None,
-                1 => Some(SeedSource::Prefix),
-                2 => Some(SeedSource::Ancestor),
-                3 => Some(SeedSource::Suffix),
-                _ => return Err(ProtocolError::Malformed("unknown seed source")),
-            },
-        }),
+        0 => Ok(Served::Search),
         1 => Ok(Served::CacheHit),
         2 => Ok(Served::Coalesced),
         3 => Ok(Served::Repaired {
@@ -670,15 +634,13 @@ impl Frame {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(64);
         match self {
-            Frame::Hello { version, features } => {
+            Frame::Hello { version } => {
                 put_u8(&mut body, T_HELLO);
                 put_u16(&mut body, *version);
-                put_u32(&mut body, *features);
             }
-            Frame::Welcome { version, features, fingerprint, registry } => {
+            Frame::Welcome { version, fingerprint, registry } => {
                 put_u8(&mut body, T_WELCOME);
                 put_u16(&mut body, *version);
-                put_u32(&mut body, *features);
                 put_u64(&mut body, fingerprint.vertices);
                 put_u64(&mut body, fingerprint.arcs);
                 put_u64(&mut body, fingerprint.pois);
@@ -756,10 +718,18 @@ impl Frame {
     fn decode(body: &[u8]) -> Result<Frame, ProtocolError> {
         let mut r = Reader::new(body);
         let frame = match r.u8()? {
-            T_HELLO => Frame::Hello { version: r.u16()?, features: r.u32()? },
+            // Another version's Hello decodes to its version alone: what
+            // follows it is that version's layout (up to version 3, a u32
+            // of feature flags), and the version alone decides the answer.
+            T_HELLO => {
+                let version = r.u16()?;
+                if version != PROTOCOL_VERSION {
+                    return Ok(Frame::Hello { version });
+                }
+                Frame::Hello { version }
+            }
             T_WELCOME => {
                 let version = r.u16()?;
-                let features = r.u32()?;
                 let fingerprint = DatasetFingerprint {
                     vertices: r.u64()?,
                     arcs: r.u64()?,
@@ -785,7 +755,7 @@ impl Frame {
                     };
                     registry.push(RegionInfo { id, name, fingerprint });
                 }
-                Frame::Welcome { version, features, fingerprint, registry }
+                Frame::Welcome { version, fingerprint, registry }
             }
             T_SUBMIT => {
                 let id = r.u64()?;
@@ -1041,7 +1011,7 @@ mod tests {
     #[test]
     fn multiple_frames_per_read_all_decode() {
         let frames = [
-            Frame::Hello { version: PROTOCOL_VERSION, features: FEATURE_STREAMING },
+            Frame::Hello { version: PROTOCOL_VERSION },
             Frame::Progress { id: 2, route: sample_route() },
             Frame::Shutdown,
             Frame::WeightsPublished { epoch: EpochId(4) },
@@ -1176,11 +1146,24 @@ mod tests {
                 b.extend(body);
                 b
             },
+            // Submit whose reuse mask sets a bit no strategy owns.
+            {
+                let mut body = vec![T_SUBMIT];
+                put_u64(&mut body, 1);
+                put_u8(&mut body, 0);
+                put_u32(&mut body, 0); // start
+                put_u16(&mut body, 0); // no positions
+                put_u8(&mut body, 0b100); // a reuse mask follows
+                put_u8(&mut body, 0b1000);
+                let mut b = Vec::new();
+                put_u32(&mut b, body.len() as u32);
+                b.extend(body);
+                b
+            },
             // Welcome announcing an absurd registry size.
             {
                 let mut body = vec![T_WELCOME];
                 put_u16(&mut body, PROTOCOL_VERSION);
-                put_u32(&mut body, FEATURE_STREAMING | FEATURE_MULTI_TENANT);
                 for _ in 0..4 {
                     put_u64(&mut body, 1); // fingerprint
                 }
@@ -1194,7 +1177,6 @@ mod tests {
             {
                 let mut body = vec![T_WELCOME];
                 put_u16(&mut body, PROTOCOL_VERSION);
-                put_u32(&mut body, FEATURE_STREAMING);
                 for _ in 0..4 {
                     put_u64(&mut body, 1); // fingerprint
                 }
@@ -1256,18 +1238,14 @@ mod tests {
             RegionInfo { id: RegionId(0), name: "bay-area".into(), fingerprint: fp(0) },
             RegionInfo { id: RegionId(1), name: "la-basin".into(), fingerprint: fp(1) },
         ];
-        let Frame::Welcome { version, features, fingerprint, registry: back } =
-            roundtrip(&Frame::Welcome {
-                version: PROTOCOL_VERSION,
-                features: FEATURE_STREAMING | FEATURE_MULTI_TENANT,
-                fingerprint: fp(0),
-                registry: registry.clone(),
-            })
-        else {
+        let Frame::Welcome { version, fingerprint, registry: back } = roundtrip(&Frame::Welcome {
+            version: PROTOCOL_VERSION,
+            fingerprint: fp(0),
+            registry: registry.clone(),
+        }) else {
             panic!("wrong frame");
         };
         assert_eq!(version, PROTOCOL_VERSION);
-        assert_eq!(features, FEATURE_STREAMING | FEATURE_MULTI_TENANT);
         assert_eq!(fingerprint, fp(0));
         assert_eq!(back, registry);
     }

@@ -1,43 +1,24 @@
 //! The reuse planner: serving policy as data.
 //!
-//! Four PRs of reuse machinery (exact-hit cache, request coalescing,
-//! prefix warm starts, incremental repair) used to live as one branch
-//! ladder inside the worker loop, which made every new reuse source a
-//! surgery on concurrent code. This module extracts the *policy* into an
-//! explicit pipeline: for each dequeued job the [`ReusePlanner`] probes
-//! the cache (through the unified
-//! [`probe`](crate::cache::ResultCache::probe)) and emits an ordered
-//! [`ReusePlan`] over the rung ladder
+//! For each dequeued job the [`ReusePlanner`] probes the cache (through
+//! the unified [`probe`](crate::cache::ResultCache::probe)) and emits an
+//! ordered [`ReusePlan`] over the rung ladder
 //!
 //! ```text
-//! ExactHit → Coalesce → Repair → WarmSeed{prefix|ancestor|suffix} → ColdSearch
+//! ExactHit → Coalesce → Repair → ColdSearch
 //! ```
 //!
 //! which the worker loop then executes *mechanically* — no reuse decision
 //! is made at execution time. Plans resolve their raw material eagerly
-//! (the hit's routes, the repair source plus its shared
-//! [`DeltaIndex`], the seed skyline and its provenance), so plan
-//! construction is unit-testable without spawning a worker pool, and the
-//! executed [`Served`](crate::metrics::Served) outcome is the single
-//! source of truth for both the response and the metrics.
+//! (the hit's routes, the repair source plus its shared [`DeltaIndex`]),
+//! so plan construction is unit-testable without spawning a worker pool,
+//! and the executed [`Served`](crate::metrics::Served) outcome is the
+//! single source of truth for both the response and the metrics.
 //!
-//! Three seed sources feed the `WarmSeed` rung, probed in decreasing
-//! expected quality:
-//!
-//! * **Prefix** — a same-epoch skyline for ⟨c₁…c_{k−1}⟩ (PR 2), extended
-//!   one Dijkstra leg. With repair enabled, a *stale* prefix entry is
-//!   rescued when the epoch delta provably cannot touch it
-//!   ([`wholesale_untouched`] over the shared per-epoch-pair index).
-//! * **Ancestor** — a same-epoch skyline for the query with position `i`'s
-//!   category replaced by one of its proper ancestors
-//!   (`is_ancestor_or_self(c_anc, c_i)`). Its routes are full-length
-//!   valid sequenced routes from the same start whose lengths are genuine
-//!   at this epoch; the seeder revalidates every PoI against the *child*
-//!   query's positions and rescores semantics — the same soundness
-//!   argument as prefix reuse.
-//! * **Suffix** — a same-epoch skyline for ⟨c₂…c_k⟩, prepended one
-//!   shortest-path leg through a first-position match
-//!   ([`seed_suffix_routes`](skysr_core::bssr::warm::seed_suffix_routes)).
+//! A search seeds its own threshold: NNinit
+//! ([`nninit`](skysr_core::bssr::nninit)) finds a finite one at every
+//! position, ancestor categories included, so no cached skyline of a
+//! related query is probed for seeds.
 //!
 //! Lazy invalidation of stale entries is part of planning (policy), not
 //! probing: it happens here, deliberately, only when no repair path
@@ -45,7 +26,6 @@
 
 use std::sync::Arc;
 
-use skysr_core::bssr::repair::wholesale_untouched;
 use skysr_core::bssr::BssrConfig;
 use skysr_core::query::SkySrQuery;
 use skysr_core::route::SkylineRoute;
@@ -56,8 +36,8 @@ use crate::context::ServiceContext;
 use crate::service::ServiceConfig;
 
 /// The admission-time cost estimate for a request: which band of the rung
-/// ladder its plan will land on, resolved *cheaply* (one cache probe,
-/// no seed probes) before the request is queued.
+/// ladder its plan will land on, resolved *cheaply* (one cache probe)
+/// before the request is queued.
 ///
 /// The scheduler ([`ScheduledQueue`](crate::pool::ScheduledQueue)) maps
 /// classes to bands so cheap rungs overtake expensive ones, and the
@@ -74,8 +54,7 @@ pub enum CostClass {
     /// Expected to repair a stale entry against the epoch delta: bounded,
     /// far below a search.
     Repair,
-    /// Expected to run the engine (warm-seeded or cold): the expensive
-    /// band.
+    /// Expected to run a search: the expensive band.
     Search,
 }
 
@@ -98,18 +77,6 @@ impl CostClass {
     }
 }
 
-/// Which cached skyline seeded a warm-started search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SeedSource {
-    /// The (k−1)-position prefix ⟨c₁…c_{k−1}⟩ of the query.
-    Prefix,
-    /// An ancestor-category variant: some position's category replaced by
-    /// one of its proper ancestors.
-    Ancestor,
-    /// The (k−1)-position suffix ⟨c₂…c_k⟩ of the query.
-    Suffix,
-}
-
 /// The reuse switches a service resolved at spawn time. Everything that
 /// reads the cache is implied off without one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,12 +85,6 @@ pub struct ReuseStrategies {
     pub caching: bool,
     /// Concurrent duplicates coalesce onto one in-flight search.
     pub coalesce: bool,
-    /// Prefix warm starts.
-    pub prefix: bool,
-    /// Ancestor-category warm starts.
-    pub ancestor: bool,
-    /// Suffix warm starts.
-    pub suffix: bool,
     /// Incremental repair of stale entries across epochs.
     pub repair: bool,
 }
@@ -133,26 +94,12 @@ impl ReuseStrategies {
     /// caching, and every cache-reading strategy with it.
     pub fn resolve(config: &ServiceConfig) -> ReuseStrategies {
         let caching = config.cache_capacity > 0;
-        ReuseStrategies {
-            caching,
-            coalesce: config.coalesce,
-            prefix: config.prefix_reuse && caching,
-            ancestor: config.ancestor_reuse && caching,
-            suffix: config.suffix_reuse && caching,
-            repair: config.repair && caching,
-        }
+        ReuseStrategies { caching, coalesce: config.coalesce, repair: config.repair && caching }
     }
 
     /// Everything off (the cold-search oracle configuration).
     pub fn none() -> ReuseStrategies {
-        ReuseStrategies {
-            caching: false,
-            coalesce: false,
-            prefix: false,
-            ancestor: false,
-            suffix: false,
-            repair: false,
-        }
+        ReuseStrategies { caching: false, coalesce: false, repair: false }
     }
 
     /// The switch-wise AND of two strategy sets — how a per-request
@@ -165,9 +112,6 @@ impl ReuseStrategies {
         ReuseStrategies {
             caching: self.caching && mask.caching,
             coalesce: self.coalesce && mask.coalesce,
-            prefix: self.prefix && mask.prefix,
-            ancestor: self.ancestor && mask.ancestor,
-            suffix: self.suffix && mask.suffix,
             repair: self.repair && mask.repair,
         }
     }
@@ -191,20 +135,6 @@ pub enum PlanStep {
         /// pair.
         index: Arc<DeltaIndex>,
     },
-    /// Run the search warm-started from `seeds`. Terminal.
-    WarmSeed {
-        /// Which cached skyline the seeds come from.
-        source: SeedSource,
-        /// The seed routes (validated and rescored by the seeder).
-        seeds: Arc<[SkylineRoute]>,
-    },
-    /// Resolve the warm-seed rung *after* winning the flight (via
-    /// [`ReusePlanner::seed_step`]) — emitted instead of an eager
-    /// [`WarmSeed`](PlanStep::WarmSeed)/[`ColdSearch`](PlanStep::ColdSearch)
-    /// whenever the plan passes through the coalescing rung, so duplicate
-    /// followers never pay seed probes they would discard on joining.
-    /// Terminal (resolves to one).
-    ProbeSeeds,
     /// Run the search cold. Terminal.
     ColdSearch,
 }
@@ -289,6 +219,10 @@ impl ReusePlanner {
         cache: &ResultCache,
         ctx: &ServiceContext,
     ) -> ReusePlan {
+        debug_assert!(
+            key.is_none_or(|k| *k == QueryKey::canonicalize(query, self.engine)),
+            "the key of another query"
+        );
         let st = &self.strategies;
         let mut steps = Vec::with_capacity(2);
 
@@ -326,23 +260,7 @@ impl ReusePlanner {
             }
         }
 
-        // Rung 4: warm-start seeds. With coalescing on, resolution is
-        // deferred to the flight leader ([`Self::seed_step`]): most
-        // requests planned here will park behind an in-flight duplicate,
-        // and followers must not pay (and then discard) the seed probes.
-        if st.caching {
-            if st.coalesce {
-                steps.push(PlanStep::ProbeSeeds);
-                return ReusePlan { steps };
-            }
-            let key = key.expect("caching implies a key");
-            if let Some((source, seeds)) = self.find_seeds(query, key, epoch, cache, ctx) {
-                steps.push(PlanStep::WarmSeed { source, seeds });
-                return ReusePlan { steps };
-            }
-        }
-
-        // Rung 5: cold search.
+        // Rung 4: cold search.
         steps.push(PlanStep::ColdSearch);
         ReusePlan { steps }
     }
@@ -350,14 +268,11 @@ impl ReusePlanner {
     /// Cheaply classifies `query`'s expected serving cost at admission
     /// time — the scheduler's cost model.
     ///
-    /// Unlike [`plan`](Self::plan) this does **no lazy invalidation** and
-    /// **no seed probes**: it reads the cache through
-    /// [`probe`](ResultCache::probe) once and inspects the delta index.
-    /// The later authoritative `plan` call repeats the probe; the only
-    /// side effect of probing twice is an extra LRU recency promotion of
-    /// the same entry, which is benign.
-    /// Warm-seeded and cold searches are deliberately one class — telling
-    /// them apart would cost the seed probes this path exists to avoid.
+    /// Unlike [`plan`](Self::plan) this does **no lazy invalidation**: it
+    /// reads the cache through [`probe`](ResultCache::probe) once and
+    /// inspects the delta index. The later authoritative `plan` call
+    /// repeats the probe; the only side effect of probing twice is an
+    /// extra LRU recency promotion of the same entry, which is benign.
     pub fn classify(
         &self,
         key: Option<&QueryKey>,
@@ -378,102 +293,6 @@ impl ReusePlanner {
         }
         CostClass::Search
     }
-
-    /// Resolves a deferred [`PlanStep::ProbeSeeds`] rung into its actual
-    /// terminal — called by the executor only after it won the flight (a
-    /// joined follower never pays these probes). Same policy as the eager
-    /// path: best seed source wins, dry probes fall to a cold search.
-    pub fn seed_step(
-        &self,
-        query: &SkySrQuery,
-        key: Option<&QueryKey>,
-        epoch: EpochId,
-        cache: &ResultCache,
-        ctx: &ServiceContext,
-    ) -> PlanStep {
-        debug_assert!(self.strategies.caching, "ProbeSeeds is only planned with caching on");
-        let key = key.expect("caching implies a key");
-        match self.find_seeds(query, key, epoch, cache, ctx) {
-            Some((source, seeds)) => PlanStep::WarmSeed { source, seeds },
-            None => PlanStep::ColdSearch,
-        }
-    }
-
-    /// Probes the seed sources in priority order: prefix (strongest — one
-    /// extension leg per route), then ancestor (full-length rescored
-    /// seeds), then suffix (one prepended leg). All probes are same-epoch
-    /// only, except the prefix *rescue*: with repair on, a stale prefix
-    /// entry provably untouched by the epoch delta still seeds — its
-    /// lengths are valid at the pinned epoch too.
-    fn find_seeds(
-        &self,
-        query: &SkySrQuery,
-        key: &QueryKey,
-        epoch: EpochId,
-        cache: &ResultCache,
-        ctx: &ServiceContext,
-    ) -> Option<(SeedSource, Arc<[SkylineRoute]>)> {
-        let st = &self.strategies;
-        if st.prefix {
-            if let Some(pk) = key.prefix() {
-                match cache.probe(&pk, epoch) {
-                    Some((e, routes)) if e == epoch && !routes.is_empty() => {
-                        return Some((SeedSource::Prefix, routes));
-                    }
-                    Some((e, routes)) if e < epoch && st.repair && !routes.is_empty() => {
-                        // Cross-epoch rescue: sound iff the delta provably
-                        // cannot touch any route of the prefix skyline.
-                        let max_len = routes.iter().map(|r| r.length).max().expect("non-empty");
-                        if let Some(index) = ctx.delta_index(e, epoch) {
-                            if wholesale_untouched(&index, ctx.landmarks(), query.start, max_len) {
-                                return Some((SeedSource::Prefix, routes));
-                            }
-                        }
-                    }
-                    Some((e, _)) if e < epoch && !st.repair => {
-                        // Stale and unrescuable (repair off): seeds scored
-                        // under other weights are useless — invalidate
-                        // lazily, as the request path would.
-                        cache.discard_older(&pk, epoch);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if st.ancestor {
-            let forest = ctx.forest();
-            for i in 0..key.len() {
-                let Some(c) = key.position_category(i) else { continue };
-                for anc in forest.proper_ancestors(c) {
-                    let ak = key.with_position_category(i, anc);
-                    if let Some((e, routes)) = cache.probe(&ak, epoch) {
-                        if e == epoch && !routes.is_empty() {
-                            return Some((SeedSource::Ancestor, routes));
-                        }
-                        if e < epoch && !st.repair {
-                            // Unusable cross-epoch seed material: drop it
-                            // instead of letting the probe's recency
-                            // promotion keep a dead entry resident.
-                            cache.discard_older(&ak, epoch);
-                        }
-                    }
-                }
-            }
-        }
-        if st.suffix {
-            if let Some(sk) = key.suffix() {
-                if let Some((e, routes)) = cache.probe(&sk, epoch) {
-                    if e == epoch && !routes.is_empty() {
-                        return Some((SeedSource::Suffix, routes));
-                    }
-                    if e < epoch && !st.repair {
-                        cache.discard_older(&sk, epoch);
-                    }
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -491,20 +310,7 @@ mod tests {
     }
 
     fn all_on() -> ReuseStrategies {
-        ReuseStrategies {
-            caching: true,
-            coalesce: true,
-            prefix: true,
-            ancestor: true,
-            suffix: true,
-            repair: false,
-        }
-    }
-
-    /// Seed probing resolves eagerly only without the coalescing rung —
-    /// the configuration the seed-priority tests use.
-    fn seeds_eager() -> ReuseStrategies {
-        ReuseStrategies { coalesce: false, ..all_on() }
+        ReuseStrategies { caching: true, coalesce: true, repair: false }
     }
 
     /// Runs `query` cold and inserts its skyline under its key at `epoch`.
@@ -522,21 +328,20 @@ mod tests {
     }
 
     #[test]
-    fn cold_cache_plans_coalesce_then_deferred_seed_probe() {
+    fn cold_cache_plans_coalesce_then_cold_search() {
         let (ex, ctx, cache) = harness();
         let planner = ReusePlanner::new(all_on(), BssrConfig::default());
         let q = ex.query();
+        // The query's prefix is cached: no rung reads another query's
+        // entry.
+        let prefix_q = SkySrQuery::with_positions(q.start, q.sequence[..2].to_vec());
+        fill(&ctx, &cache, &planner, &prefix_q, EpochId::BASE);
         let key = planner.key_of(&q);
         let plan = planner.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
         assert!(!plan.is_exact_hit());
         assert!(plan.coalesces());
-        // With coalescing on, the seed rung is deferred: followers that
-        // park under a flight must not have paid seed probes.
-        assert!(matches!(plan.terminal(), PlanStep::ProbeSeeds), "{plan:?}");
+        assert!(matches!(plan.terminal(), PlanStep::ColdSearch), "{plan:?}");
         assert_eq!(plan.steps.len(), 2);
-        // The leader-side resolution of an empty cache is a cold search.
-        let step = planner.seed_step(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
-        assert!(matches!(step, PlanStep::ColdSearch));
     }
 
     #[test]
@@ -553,85 +358,21 @@ mod tests {
     }
 
     #[test]
-    fn prefix_beats_ancestor_beats_suffix() {
-        let (ex, ctx, cache) = harness();
-        let planner = ReusePlanner::new(seeds_eager(), BssrConfig::default());
-        let q = ex.query(); // ⟨c₁, c₂, c₃⟩
-        let prefix_q = SkySrQuery::with_positions(q.start, q.sequence[..2].to_vec());
-        let suffix_q = SkySrQuery::with_positions(q.start, q.sequence[1..].to_vec());
-        let key = planner.key_of(&q);
-
-        // Only the suffix cached → suffix seeds.
-        fill(&ctx, &cache, &planner, &suffix_q, EpochId::BASE);
-        let plan = planner.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
-        assert!(
-            matches!(plan.terminal(), PlanStep::WarmSeed { source: SeedSource::Suffix, .. }),
-            "{plan:?}"
-        );
-
-        // Prefix cached too → prefix wins.
-        fill(&ctx, &cache, &planner, &prefix_q, EpochId::BASE);
-        let plan = planner.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
-        assert!(
-            matches!(plan.terminal(), PlanStep::WarmSeed { source: SeedSource::Prefix, .. }),
-            "{plan:?}"
-        );
-    }
-
-    #[test]
-    fn ancestor_variant_seeds_the_child_query() {
-        let (ex, ctx, cache) = harness();
-        let planner = ReusePlanner::new(seeds_eager(), BssrConfig::default());
-        // The paper query's first position is a leaf with a parent chain;
-        // cache the parent variant and plan the child.
-        let q = ex.query();
-        let key = planner.key_of(&q).unwrap();
-        let c0 = key.position_category(0).expect("paper query uses plain categories");
-        let parent = ctx.forest().parent(c0).expect("paper categories are not roots");
-        let anc_q = {
-            let mut seq = q.sequence.clone();
-            seq[0] = parent.into();
-            SkySrQuery::with_positions(q.start, seq)
-        };
-        fill(&ctx, &cache, &planner, &anc_q, EpochId::BASE);
-        let plan = planner.plan(&q, Some(&key), EpochId::BASE, &cache, &ctx);
-        assert!(
-            matches!(plan.terminal(), PlanStep::WarmSeed { source: SeedSource::Ancestor, .. }),
-            "{plan:?}"
-        );
-
-        // The child's entry never seeds the parent variant — ancestor
-        // probes walk *up* the tree only.
-        let (_, ctx2, cache2) = harness();
-        fill(&ctx2, &cache2, &planner, &q, EpochId::BASE);
-        let anc_key = planner.key_of(&anc_q);
-        let plan = planner.plan(&anc_q, anc_key.as_ref(), EpochId::BASE, &cache2, &ctx2);
-        assert!(matches!(plan.terminal(), PlanStep::ColdSearch), "{plan:?}");
-    }
-
-    #[test]
     fn toggled_off_strategies_never_appear_in_plans() {
         let (ex, ctx, cache) = harness();
         let q = ex.query();
-        let prefix_q = SkySrQuery::with_positions(q.start, q.sequence[..2].to_vec());
-        let suffix_q = SkySrQuery::with_positions(q.start, q.sequence[1..].to_vec());
         let engine = BssrConfig::default();
-        let seed_all = ReusePlanner::new(seeds_eager(), engine);
-        fill(&ctx, &cache, &seed_all, &prefix_q, EpochId::BASE);
-        fill(&ctx, &cache, &seed_all, &suffix_q, EpochId::BASE);
-
-        let off = ReuseStrategies { prefix: false, suffix: false, ..seeds_eager() };
-        let planner = ReusePlanner::new(off, engine);
-        let key = planner.key_of(&q);
-        let plan = planner.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
-        assert!(
-            matches!(plan.terminal(), PlanStep::ColdSearch),
-            "both seed sources are off: {plan:?}"
-        );
+        let key = ReusePlanner::new(all_on(), engine).key_of(&q);
         let no_coalesce =
             ReusePlanner::new(ReuseStrategies { coalesce: false, ..all_on() }, engine);
         let plan = no_coalesce.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
         assert!(!plan.coalesces());
+        assert!(matches!(plan.terminal(), PlanStep::ColdSearch), "{plan:?}");
+        // A mask clears switches and never sets them.
+        let masked = ReusePlanner::new(all_on(), engine).masked(ReuseStrategies::none());
+        assert_eq!(*masked.strategies(), ReuseStrategies::none());
+        let widened = ReusePlanner::new(ReuseStrategies::none(), engine).masked(all_on());
+        assert_eq!(*widened.strategies(), ReuseStrategies::none());
     }
 
     #[test]
@@ -657,10 +398,10 @@ mod tests {
         assert_eq!(cache.counters().len, 1);
 
         // Repair off: the same stale entry is lazily invalidated instead,
-        // and the (deferred) seed rung is all that remains.
+        // and a cold search is all that remains.
         let without = ReusePlanner::new(all_on(), engine);
         let plan = without.plan(&q, key.as_ref(), e1, &cache, &ctx);
-        assert!(matches!(plan.terminal(), PlanStep::ProbeSeeds), "{plan:?}");
+        assert!(matches!(plan.terminal(), PlanStep::ColdSearch), "{plan:?}");
         assert_eq!(cache.counters().invalidations, 1);
         assert_eq!(cache.counters().len, 0);
     }

@@ -4,7 +4,7 @@
 //!
 //! Real query traffic repeats itself — popular start areas and category
 //! sequences recur, which is exactly what the cross-query reuse layer
-//! (result cache, request coalescing, semantic prefix reuse) exploits.
+//! (result cache, request coalescing) exploits.
 //! Four stream shapes are supported ([`StreamPattern`]):
 //!
 //! * **Zipf** — `total` requests drawn from the pool with
@@ -15,14 +15,15 @@
 //!   flight *simultaneously*; exercises request coalescing.
 //! * **Prefix chains** — the pool is expanded with every proper prefix
 //!   ⟨c₁,…,c_j⟩ of each generated query and the stream walks chains
-//!   short-to-long; exercises semantic prefix reuse (warm starts).
+//!   short-to-long in wavefronts (every chain's first entry, then every
+//!   second entry, …): queries that share leading positions, of every
+//!   length.
 //! * **Hierarchy** — each generated query ⟨c₁,…,c_k⟩ expands into a
 //!   3-entry chain walking a category subtree: its suffix ⟨c₂,…,c_k⟩,
-//!   the ancestor variant ⟨parent(c₁),c₂,…,c_k⟩, then the query itself.
-//!   Walked in wavefronts (all chains' first entries, then all second
-//!   entries, …), so the ancestor variant is *suffix*-seeded from the
-//!   cached suffix and the full query is *ancestor*-seeded from the
-//!   cached parent variant — both new reuse sources fire from cycle 1.
+//!   the ancestor variant ⟨parent(c₁),c₂,…,c_k⟩, then the query itself,
+//!   walked in wavefronts the same way. Generated queries name leaf
+//!   categories, so the ancestor variants are the only queries naming an
+//!   internal category, which no PoI matches perfectly.
 //!
 //! Two orthogonal realism knobs turn the closed-loop batch into a live
 //! serving experiment:
@@ -90,7 +91,7 @@ pub enum StreamPattern {
     /// Chains ⟨c₁⟩, ⟨c₁,c₂⟩, …, ⟨c₁,…,c_k⟩ walked short-to-long.
     PrefixChains,
     /// Category-subtree chains ⟨c₂…c_k⟩, ⟨parent(c₁),c₂…c_k⟩,
-    /// ⟨c₁,c₂…c_k⟩ walked in wavefronts (ancestor + suffix reuse).
+    /// ⟨c₁,c₂…c_k⟩ walked in wavefronts (internal-category queries).
     Hierarchy,
 }
 
@@ -531,8 +532,7 @@ pub fn build_pool(dataset: &Dataset, spec: &ReplaySpec) -> Vec<SkySrQuery> {
                 .flat_map(|q| {
                     // Chain indices c*HIERARCHY_CHAIN + {0: suffix,
                     // 1: ancestor variant, 2: full}. A root first category
-                    // degenerates entry 1 to the full query (an exact-hit
-                    // step rather than an ancestor-seeded one).
+                    // degenerates entry 1 to the full query.
                     let suffix = SkySrQuery::with_positions(q.start, q.sequence[1..].to_vec());
                     let mut anc_seq = q.sequence.clone();
                     if let skysr_core::PositionSpec::Category(c) = &q.sequence[0] {
@@ -569,28 +569,21 @@ fn request_stream(spec: &ReplaySpec, pool_len: usize) -> Vec<usize> {
             }
             stream
         }
+        // Every chain's length-1 query, then every length-2 query, and so
+        // on (cycling until `total`).
         StreamPattern::PrefixChains => {
-            // Walk chains short-to-long in *length wavefronts*: every
-            // chain's length-1 query, then every length-2 query, and so
-            // on (cycling until `total`). Separating a chain's successive
-            // lengths by a whole wavefront ensures the prefix result is
-            // cached — not merely in flight — when the extension arrives,
-            // so warm starts happen from the first cycle on.
             chain_wavefronts(spec.total, pool_len, spec.seq_len, "prefix-chain")
         }
+        // Every chain's suffix, then every ancestor variant, then every
+        // full query.
         StreamPattern::Hierarchy => {
-            // Same wavefront walk over 3-entry chains: every chain's
-            // suffix, then every ancestor variant (suffix-seeded), then
-            // every full query (ancestor-seeded).
             chain_wavefronts(spec.total, pool_len, HIERARCHY_CHAIN, "hierarchy")
         }
     }
 }
 
 /// Walks fixed-stride chains in wavefronts: entry 0 of every chain, then
-/// entry 1 of every chain, … cycling until `total` requests. Each entry's
-/// predecessor is separated by a whole wavefront, so its result is cached
-/// — not merely in flight — when the successor arrives.
+/// entry 1 of every chain, … cycling until `total` requests.
 fn chain_wavefronts(total: usize, pool_len: usize, stride: usize, what: &str) -> Vec<usize> {
     assert!(
         pool_len >= stride && pool_len.is_multiple_of(stride),
@@ -1396,7 +1389,7 @@ pub(crate) mod tests {
                 Ok(QueryResponse {
                     routes: routes.into(),
                     epoch: EpochId(1),
-                    served: Served::Search { seeded: None },
+                    served: Served::Search,
                     latency: Duration::ZERO,
                     request_id: n as u64,
                     queue_wait: Duration::ZERO,

@@ -76,8 +76,6 @@ pub struct Gates {
     pub repairs: bool,
     /// At least one overlay compacted out of the retention ring.
     pub compactions: bool,
-    /// At least one ancestor-seeded and one suffix-seeded warm start.
-    pub seeds: bool,
     /// At least one request shed (at admission or expired in queue).
     pub shed: bool,
     /// At least one request shed expired in queue.
@@ -91,8 +89,8 @@ pub struct Gates {
 /// Engine work a [`TwinGate`] counts, summed over every shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Work {
-    /// Searches the engine ran (the `executed` count: cold, warm-started
-    /// and fallback searches, and repairs).
+    /// Searches the engine ran (the `executed` count: searches and
+    /// repairs).
     Searches,
     /// Vertices settled, summed over the spans of every request. Both
     /// the row and its twin must trace fully.
@@ -260,10 +258,6 @@ impl Scenario {
         }
         if g.compactions && r.epoch_gc.compacted == 0 {
             return failed("compactions", "the retention ring never compacted an overlay".into());
-        }
-        if g.seeds && (m.seeded_ancestor == 0 || m.seeded_suffix == 0) {
-            let (a, s) = (m.seeded_ancestor, m.seeded_suffix);
-            return failed("seeds", format!("{a} ancestor- and {s} suffix-seeded warm starts"));
         }
         if g.hits {
             let hits = m.rungs.iter().find(|rs| rs.rung == Rung::ExactHit).map(|rs| &rs.hist);
@@ -438,11 +432,8 @@ pub fn table() -> Vec<Scenario> {
 
     // Every stream shape under every reuse-strategy toggle.
     type Toggle = fn(&mut ServiceConfig);
-    let toggles: [(&str, Toggle); 6] = [
+    let toggles: [(&str, Toggle); 3] = [
         ("all-on", |_| {}),
-        ("no-prefix", |s| s.prefix_reuse = false),
-        ("no-ancestor", |s| s.ancestor_reuse = false),
-        ("no-suffix", |s| s.suffix_reuse = false),
         ("no-coalesce", |s| s.coalesce = false),
         ("repair", |s| s.repair = true),
     ];
@@ -453,9 +444,9 @@ pub fn table() -> Vec<Scenario> {
             rows.push(row(&format!("planner/{pattern}/{toggle}"), 3.0, &spec, none));
         }
     }
-    // One worker takes each wavefront in order, so every entry finds its
-    // predecessor cached, never merely in flight, and the settled count
-    // repeats from run to run.
+    // NNinit against no initial search, on the one stream whose queries
+    // name internal categories: NNinit must find those a finite threshold.
+    // One worker keeps the settled count the same from run to run.
     let hierarchy = ReplaySpec {
         pattern: Hierarchy,
         total: 400,
@@ -463,13 +454,9 @@ pub fn table() -> Vec<Scenario> {
         service: stack(1, false),
         ..base.clone()
     };
-    let no_hierarchy_reuse: fn(&mut Scenario) = |r| {
-        r.spec.service.ancestor_reuse = false;
-        r.spec.service.suffix_reuse = false;
-    };
     rows.push(Scenario {
-        twin: twin(no_hierarchy_reuse, Work::Settled, 1.5),
-        ..row("planner/hierarchy-seeds", 3.0, &traced(&hierarchy), Gates { seeds: true, ..none })
+        twin: twin(|r| r.spec.service.engine.use_init_search = false, Work::Settled, 10.0),
+        ..row("planner/hierarchy-nninit", 3.0, &traced(&hierarchy), none)
     });
 
     rows.push(row("telemetry/traced", 1.0, &traced(&waves), none));
@@ -551,7 +538,7 @@ mod tests {
         let rows = table();
         let names: std::collections::HashSet<&str> = rows.iter().map(|r| &*r.name).collect();
         assert_eq!(names.len(), rows.len(), "duplicate row names");
-        assert_eq!(rows.len(), 45, "CI's 43 replay runs, repair/waves and shards/four");
+        assert_eq!(rows.len(), 33, "the replay runs CI makes");
         for row in &rows {
             assert_eq!(row.spec.validate(), Ok(()), "row {}", row.name);
             assert!(row.shards >= 1, "row {}", row.name);
@@ -567,7 +554,7 @@ mod tests {
         let twins: Vec<&str> = rows.iter().filter(|r| r.twin.is_some()).map(|r| &*r.name).collect();
         assert_eq!(
             twins,
-            ["reuse/duplicate", "repair/waves", "planner/hierarchy-seeds", "shards/four"]
+            ["reuse/duplicate", "repair/waves", "planner/hierarchy-nninit", "shards/four"]
         );
         assert_eq!(find("planner/duplicate/no-coalesce").map(|r| r.spec.burst), Some(16));
         assert!(find("planner/duplicate/no-coalesce").is_some_and(|r| !r.spec.service.coalesce));
@@ -580,6 +567,11 @@ mod tests {
         assert_eq!((&*twin.name, twin.spec.total), ("repair/waves (twin)", 80));
         assert!(!twin.spec.service.repair && waves.spec.service.repair);
         assert_eq!((twin.gates, twin.twin.is_none()), (Gates::default(), true));
+        let nninit = find("planner/hierarchy-nninit").expect("a table row");
+        let twin = nninit.twin_row().expect("the NNinit row has a twin");
+        assert!(nninit.spec.service.engine.use_init_search);
+        assert!(!twin.spec.service.engine.use_init_search);
+        assert_eq!(nninit.spec.pattern, StreamPattern::Hierarchy);
         let monolith = find("shards/four").and_then(|r| r.twin_row()).expect("a twin");
         assert_eq!((monolith.shards, monolith.city.scale), (1, 0.2));
         let s = &monolith.spec;
@@ -606,7 +598,6 @@ mod tests {
             invalidations: true,
             repairs: true,
             compactions: true,
-            seeds: true,
             shed: true,
             shed_in_queue: true,
             hits: true,
@@ -629,18 +620,17 @@ mod tests {
             (r.epochs_published, r.epoch_gc.compacted) = (1, 1);
             set_hits(r, hits(HIT_SAMPLES, deadline * HIT_P99_DEADLINES));
             let m = &mut r.metrics;
-            (m.cache.invalidations, m.seeded_ancestor, m.seeded_suffix) = (1, 1, 1);
+            m.cache.invalidations = 1;
             (m.repairs, m.repair_fallbacks, m.rejected, m.shed_deadline) = (2, 1, 1, 1);
         }
         assert_eq!(gated(all).check(&fired, None), Ok(()));
         type Mutation = fn(&mut ReplayReport);
-        let cases: [(Mutation, &str); 10] = [
+        let cases: [(Mutation, &str); 9] = [
             (|r| r.epochs_published = 0, "epochs gate failed"),
             (|r| r.metrics.cache.invalidations = 0, "invalidations gate failed"),
             (|r| r.metrics.repairs = 0, "repairs gate failed: 0 repaired in place, 1 fell"),
             (|r| r.metrics.repair_fallbacks = 2, "repairs gate failed: 2 repaired in place, 2"),
             (|r| r.epoch_gc.compacted = 0, "compactions gate failed"),
-            (|r| r.metrics.seeded_suffix = 0, "seeds gate failed: 1 ancestor- and 0 suffix"),
             (|r| (r.metrics.rejected, r.metrics.shed_deadline) = (0, 0), "shed gate failed"),
             (|r| r.metrics.shed_deadline = 0, "shed-in-queue gate failed"),
             (

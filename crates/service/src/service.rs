@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch, ProgressSink, WarmSeeds};
+use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch, ProgressSink};
 use skysr_core::dominance::SkylineSet;
 use skysr_core::error::QueryError;
 use skysr_core::query::SkySrQuery;
@@ -32,7 +32,7 @@ use crate::cache::{QueryKey, ResultCache};
 use crate::context::ServiceContext;
 use crate::metrics::{Counter, LatencyBreakdown, MetricsRecorder, MetricsSnapshot, Served};
 use crate::net::DatasetFingerprint;
-use crate::plan::{CostClass, PlanStep, ReusePlan, ReusePlanner, ReuseStrategies, SeedSource};
+use crate::plan::{CostClass, PlanStep, ReusePlan, ReusePlanner, ReuseStrategies};
 use crate::pool::{Begin, InflightTable, SchedKey, ScheduledQueue};
 use crate::shard::{RegionId, RegionInfo};
 use crate::telemetry::{Rung, TelemetryConfig, TraceBuffer, TraceSpan};
@@ -49,24 +49,10 @@ pub struct ServiceConfig {
     /// Request coalescing: concurrent duplicate queries block on one
     /// computation and all receive the shared result.
     pub coalesce: bool,
-    /// Semantic prefix reuse: a cached skyline for ⟨c₁,…,c_{k−1}⟩
-    /// warm-starts the search for ⟨c₁,…,c_k⟩. Requires caching.
-    pub prefix_reuse: bool,
-    /// Ancestor-category reuse: a cached skyline for the query with some
-    /// position's category replaced by one of its ancestors warm-starts
-    /// the child query (seeds revalidated and rescored under the child's
-    /// own positions). Requires caching.
-    pub ancestor_reuse: bool,
-    /// Suffix reuse: a cached skyline for ⟨c₂,…,c_k⟩ warm-starts
-    /// ⟨c₁,c₂,…,c_k⟩ by prepending one shortest-path leg. Requires
-    /// caching.
-    pub suffix_reuse: bool,
     /// Incremental skyline repair: a cache hit at an *older* weight epoch
     /// is repaired against the exact epoch delta (and promoted in place)
-    /// instead of being lazily invalidated and recomputed. Also lets
-    /// one-epoch-stale prefix entries seed warm starts when the delta
-    /// provably does not touch them. Requires caching; answers remain
-    /// oracle-exact at the pinned epoch.
+    /// instead of being lazily invalidated and recomputed. Requires
+    /// caching; answers remain oracle-exact at the pinned epoch.
     pub repair: bool,
     /// Admission control: when on, a request carrying a deadline that the
     /// gate estimates cannot be met — queue wait plus its cost class's
@@ -104,9 +90,6 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             cache_capacity: 1024,
             coalesce: true,
-            prefix_reuse: true,
-            ancestor_reuse: true,
-            suffix_reuse: true,
             repair: false,
             admission: false,
             age_limit: Duration::from_millis(500),
@@ -169,11 +152,11 @@ pub struct RequestOptions {
     ///   deadline-less ones within a cost band, earliest first;
     /// * a request whose deadline lapses while it waits in the queue is
     ///   shed at dequeue ([`QueryError::Overloaded`]), never executed;
-    /// * a search (warm or cold) whose deadline expires mid-engine stops
-    ///   and returns the mutually non-dominated partial skyline found so
-    ///   far, served as [`Served::Approximate`] — degraded, never stale
-    ///   or bogus (every partial route is a genuine valid route,
-    ///   dominated-or-equal by the exact skyline);
+    /// * a search whose deadline expires mid-engine stops and returns
+    ///   the mutually non-dominated partial skyline found so far, served
+    ///   as [`Served::Approximate`] — degraded, never stale or bogus
+    ///   (every partial route is a genuine valid route, dominated-or-equal
+    ///   by the exact skyline);
     /// * with [`ServiceConfig::admission`] on, a deadline the gate
     ///   estimates as unmeetable is refused at submission.
     ///
@@ -524,7 +507,7 @@ fn cost_class_of(served: Served) -> CostClass {
     match served {
         Served::CacheHit | Served::Coalesced => CostClass::Hit,
         Served::Repaired { .. } => CostClass::Repair,
-        Served::Search { .. } | Served::Approximate => CostClass::Search,
+        Served::Search | Served::Approximate => CostClass::Search,
     }
 }
 
@@ -926,10 +909,10 @@ fn respond(
 ///    that one pinned epoch.
 /// 2. **Plan.** The planner probes the cache (unified, non-counting
 ///    [`ResultCache::probe`]) and emits the ordered rung ladder
-///    `ExactHit → Coalesce → Repair → WarmSeed → ColdSearch` with every
-///    rung's raw material resolved (hit routes, repair source + shared
-///    [`DeltaIndex`](skysr_graph::DeltaIndex), seed skyline +
-///    provenance). Lazy invalidation of a stale entry is part of planning.
+///    `ExactHit → Coalesce → Repair → ColdSearch` with every rung's raw
+///    material resolved (hit routes, repair source + shared
+///    [`DeltaIndex`](skysr_graph::DeltaIndex)). Lazy invalidation of a
+///    stale entry is part of planning.
 /// 3. **ExactHit** answers immediately; the plan is complete.
 /// 4. **Coalesce.** `InflightTable::begin` on the (key, epoch) pair
 ///    atomically either parks this request under an in-flight duplicate of
@@ -944,14 +927,13 @@ fn respond(
 /// 5. **Terminal rung.** The leader prepares the query once, taking its
 ///    category positions from the context's memo
 ///    ([`PinnedContext::prepare`]), and runs the planned terminal — repair
-///    against the shared epoch-pair index, a warm-seeded search from the
-///    planned source, or a cold search — and the executed [`Served`]
-///    outcome becomes the single source of truth for the response and the
-///    metrics. Search terminals run with the request's deadline armed as
-///    the engine's anytime cutoff: on expiry the partial skyline comes
-///    back `truncated` and is served [`Served::Approximate`] (degraded
-///    mode) — never cached, and shared with coalesced followers under the
-///    same Approximate label.
+///    against the shared epoch-pair index, or a search — and the executed
+///    [`Served`] outcome becomes the single source of truth for the
+///    response and the metrics. Search terminals run with the request's
+///    deadline armed as the engine's anytime cutoff: on expiry the
+///    partial skyline comes back `truncated` and is served
+///    [`Served::Approximate`] (degraded mode) — never cached, and shared
+///    with coalesced followers under the same Approximate label.
 /// 6. **Completion.** The leader inserts the epoch-stamped result into the
 ///    cache *before* ending the flight — any same-epoch duplicate arriving
 ///    in between hits the cache, so with caching enabled a (key, epoch) can
@@ -1112,23 +1094,11 @@ fn worker_loop(
             step = steps.next().expect("a coalesce rung is followed by a terminal");
             fkey = Some(fk);
         }
-        // A deferred seed rung is resolved only now — by the flight
-        // leader (or an uncoalesced worker) — so parked followers never
-        // paid its cache probes. Probe time is plan construction, not
-        // engine time.
-        if matches!(step, PlanStep::ProbeSeeds) {
-            let probe_t0 = Instant::now();
-            step = planner.seed_step(&query, key.as_ref(), epoch, cache, ctx);
-            leader.pending.plan += probe_t0.elapsed();
-        }
         leader.pending.attempts.push(match &step {
             PlanStep::Repair { .. } => "repair:attempt",
-            PlanStep::WarmSeed { source: SeedSource::Prefix, .. } => "seed:prefix",
-            PlanStep::WarmSeed { source: SeedSource::Ancestor, .. } => "seed:ancestor",
-            PlanStep::WarmSeed { source: SeedSource::Suffix, .. } => "seed:suffix",
             PlanStep::ColdSearch => "cold",
-            PlanStep::ExactHit(..) | PlanStep::Coalesce | PlanStep::ProbeSeeds => {
-                unreachable!("ExactHit/Coalesce/ProbeSeeds resolve before the terminal runs")
+            PlanStep::ExactHit(..) | PlanStep::Coalesce => {
+                unreachable!("ExactHit/Coalesce resolve before the terminal runs")
             }
         });
 
@@ -1145,7 +1115,7 @@ fn worker_loop(
         // degraded but honest. Repairs stay unarmed: they promise exact
         // score-equivalence, and their warm-re-search fallback disarms an
         // inherited deadline itself (see `bssr::repair`).
-        if matches!(step, PlanStep::WarmSeed { .. } | PlanStep::ColdSearch) {
+        if matches!(step, PlanStep::ColdSearch) {
             engine.set_deadline(deadline_at);
         }
         let engine_t0 = Instant::now();
@@ -1153,30 +1123,18 @@ fn worker_loop(
         // Category positions come from the context's memo: after a
         // category's first use, preparing costs one `Arc` clone per position.
         let outcome = pinned.prepare(&query).map(|pq| {
-            let (seeds, source) = match &step {
-                PlanStep::Repair { cached, index } => {
-                    exec.delta_index = Some((index.delta().from_epoch(), index.delta().to_epoch()));
-                    let r = engine.repair_prepared(&pq, cached, index, ctx.landmarks());
-                    exec.repair_tier = Some(r.repair.outcome.label());
-                    exec.profile = r.stats.profile();
-                    let served = Served::Repaired {
-                        fallback: !r.repair.repaired_in_place(),
-                        routes_untouched: r.repair.routes_untouched,
-                        routes_rescored: r.repair.routes_rescored,
-                    };
-                    return (r.routes, served);
-                }
-                PlanStep::WarmSeed { source: SeedSource::Suffix, seeds } => {
-                    (WarmSeeds::Suffix(seeds), Some(SeedSource::Suffix))
-                }
-                PlanStep::WarmSeed { source, seeds } => {
-                    (WarmSeeds::PrefixOrFull(seeds), Some(*source))
-                }
-                PlanStep::ColdSearch => (WarmSeeds::None, None),
-                PlanStep::ExactHit(..) | PlanStep::Coalesce | PlanStep::ProbeSeeds => {
-                    unreachable!("ExactHit/Coalesce/ProbeSeeds resolve before the terminal runs")
-                }
-            };
+            if let PlanStep::Repair { cached, index } = &step {
+                exec.delta_index = Some((index.delta().from_epoch(), index.delta().to_epoch()));
+                let r = engine.repair_prepared(&pq, cached, index, ctx.landmarks());
+                exec.repair_tier = Some(r.repair.outcome.label());
+                exec.profile = r.stats.profile();
+                let served = Served::Repaired {
+                    fallback: !r.repair.repaired_in_place(),
+                    routes_untouched: r.repair.routes_untouched,
+                    routes_rescored: r.repair.routes_rescored,
+                };
+                return (r.routes, served);
+            }
             // Anytime streaming: with a progress channel attached, the
             // engine reports each provisional Pareto point as the search
             // proves it. A receiver that hung up (deadline cutoff) just
@@ -1187,13 +1145,9 @@ fn worker_loop(
                 }
             });
             let sink = send.as_mut().map(|f| f as ProgressSink<'_>);
-            let result = engine.run_prepared_observed(&pq, seeds, sink);
+            let result = engine.run_prepared_observed(&pq, &[], sink);
             exec.profile = result.stats.profile();
-            // A seed probe only helps when it actually seeded routes (an
-            // unreachable position can leave it dry).
-            let seeded = source.filter(|_| result.stats.warm_seed_routes > 0);
-            let served =
-                if result.truncated { Served::Approximate } else { Served::Search { seeded } };
+            let served = if result.truncated { Served::Approximate } else { Served::Search };
             (result.routes, served)
         });
         exec.engine = Some(engine_t0.elapsed());

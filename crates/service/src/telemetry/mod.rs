@@ -27,11 +27,16 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use trace::{TraceBuffer, TraceSpan};
 
 use crate::metrics::Served;
-use crate::plan::SeedSource;
 
 /// The serving rung that answered a request — the telemetry-facing
 /// flattening of [`Served`] (every enum payload folded away) used to key
 /// per-rung histograms and trace spans.
+///
+/// The three `Warm*` rungs are never served: the warm starts they counted
+/// are retired, since NNinit gives every search a finite threshold. They
+/// stay in [`Rung::ALL`], at 0, because the benchmark's work record walks
+/// the eight rungs in this order, labels included; they leave with the
+/// benchmark's next change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rung {
     /// Answered from the result cache at the pinned epoch.
@@ -41,13 +46,14 @@ pub enum Rung {
     /// Answered by repairing a cached skyline across epochs (any tier,
     /// including the re-search fallback).
     Repaired,
-    /// A search warm-started by a cached prefix skyline.
+    /// Retired: a search warm-started by a cached prefix skyline.
     WarmPrefix,
-    /// A search warm-started by an ancestor-category variant's skyline.
+    /// Retired: a search warm-started by an ancestor-category variant's
+    /// skyline.
     WarmAncestor,
-    /// A search warm-started by a cached suffix skyline.
+    /// Retired: a search warm-started by a cached suffix skyline.
     WarmSuffix,
-    /// A cold search (including dry seed probes).
+    /// A search.
     Cold,
     /// A search whose deadline expired mid-engine: the response is the
     /// mutually non-dominated partial skyline proven so far, flagged
@@ -75,10 +81,7 @@ impl Rung {
             Served::CacheHit => Rung::ExactHit,
             Served::Coalesced => Rung::Coalesced,
             Served::Repaired { .. } => Rung::Repaired,
-            Served::Search { seeded: Some(SeedSource::Prefix) } => Rung::WarmPrefix,
-            Served::Search { seeded: Some(SeedSource::Ancestor) } => Rung::WarmAncestor,
-            Served::Search { seeded: Some(SeedSource::Suffix) } => Rung::WarmSuffix,
-            Served::Search { seeded: None } => Rung::Cold,
+            Served::Search => Rung::Cold,
             Served::Approximate => Rung::Approximate,
         }
     }
@@ -163,13 +166,7 @@ mod tests {
             Rung::of(Served::Repaired { fallback: true, routes_untouched: 0, routes_rescored: 1 }),
             Rung::Repaired
         );
-        assert_eq!(Rung::of(Served::Search { seeded: None }), Rung::Cold);
-        assert_eq!(Rung::of(Served::Search { seeded: Some(SeedSource::Prefix) }), Rung::WarmPrefix);
-        assert_eq!(
-            Rung::of(Served::Search { seeded: Some(SeedSource::Ancestor) }),
-            Rung::WarmAncestor
-        );
-        assert_eq!(Rung::of(Served::Search { seeded: Some(SeedSource::Suffix) }), Rung::WarmSuffix);
+        assert_eq!(Rung::of(Served::Search), Rung::Cold);
         assert_eq!(Rung::of(Served::Approximate), Rung::Approximate);
         // Labels are unique and the dense index matches ladder order.
         let labels: std::collections::BTreeSet<&str> =

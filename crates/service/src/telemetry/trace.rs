@@ -11,7 +11,7 @@ use skysr_graph::EpochId;
 use crate::telemetry::{Rung, TelemetryConfig};
 
 /// One rung-ladder probe and what came of it, e.g. `"exact:miss"`,
-/// `"coalesce:lead"`, `"seed:prefix"`. The full vocabulary is documented
+/// `"coalesce:lead"`, `"repair:attempt"`. The full vocabulary is documented
 /// in the README's Observability section.
 pub type Attempt = &'static str;
 
@@ -35,7 +35,7 @@ pub struct TraceSpan {
     pub attempts: Vec<Attempt>,
     /// Submission → dequeue (time spent waiting in the bounded queue).
     pub queue_wait: Duration,
-    /// Plan construction: cache probes, seed-step resolution.
+    /// Plan construction: cache probes.
     pub plan: Duration,
     /// Engine execution (search or repair); zero when no engine ran
     /// (cache hits, coalesced followers).

@@ -61,9 +61,8 @@ fn caching_disabled_still_matches_sequential() {
 
 #[test]
 fn all_reuse_disabled_runs_every_search_and_matches_sequential() {
-    // PR 1's "exact-match cache only" baseline minus the cache: with
-    // caching, coalescing and prefix reuse all off, every request must run
-    // its own search.
+    // With caching and coalescing both off, every request must run its
+    // own search.
     let spec = ReplaySpec {
         total: 120,
         distinct: 40,
@@ -71,7 +70,6 @@ fn all_reuse_disabled_runs_every_search_and_matches_sequential() {
             workers: 4,
             cache_capacity: 0,
             coalesce: false,
-            prefix_reuse: false,
             ..ServiceConfig::default()
         },
         seq_len: 2,
@@ -82,44 +80,16 @@ fn all_reuse_disabled_runs_every_search_and_matches_sequential() {
     assert_eq!(report.verify_mismatches, Some(0));
     assert_eq!(report.metrics.executed, 120, "every request runs a search");
     assert_eq!(report.metrics.coalesced, 0);
-    assert_eq!(report.metrics.seeded_prefix, 0);
     assert_eq!(report.metrics.cache_hits, 0);
     assert_eq!(report.epochs_published, 0, "a replay without updates publishes no epoch");
 }
 
 #[test]
-fn prefix_chain_replay_warm_starts_and_stays_exact() {
-    // One worker makes reuse deterministic: the stream walks length
-    // wavefronts, so by the time any ⟨c1..ck⟩ query runs, its (k−1)-prefix
-    // skyline is cached and must warm-start the search. Verification
-    // compares every answer against a sequential cold run — the
-    // correctness gate for semantic reuse.
-    let spec = ReplaySpec {
-        total: 90,
-        distinct: 10,
-        service: ServiceConfig { workers: 1, ..ServiceConfig::default() },
-        seq_len: 3,
-        pattern: StreamPattern::PrefixChains,
-        verify: true,
-        ..ReplaySpec::default()
-    };
-    let report = replay(city(), &spec);
-    assert_eq!(report.verify_mismatches, Some(0));
-    assert_eq!(report.distinct, 30, "pool expands to every chain prefix");
-    assert!(
-        report.metrics.seeded_prefix > 0,
-        "length-wavefront chains must warm-start ({} searches)",
-        report.metrics.executed
-    );
-    // Reuse never runs extra searches: one per distinct pool entry.
-    assert!(report.metrics.executed <= 30);
-}
-
-#[test]
 fn prefix_chain_replay_concurrent_matches_sequential() {
-    // Same workload across 8 workers: whatever interleaving happens
-    // (warm, cold, coalesced, cached), every answer must stay
-    // score-equivalent to sequential execution.
+    // Every chain prefix across 8 workers: whatever interleaving happens
+    // (searched, coalesced, cached), every answer must stay
+    // score-equivalent to sequential execution, and no pool entry is
+    // searched twice.
     let spec = ReplaySpec {
         total: 300,
         distinct: 12,
@@ -132,6 +102,8 @@ fn prefix_chain_replay_concurrent_matches_sequential() {
     let report = replay(city(), &spec);
     assert_eq!(report.verify_mismatches, Some(0));
     assert_eq!(report.metrics.completed, 300);
+    assert_eq!(report.distinct, 36, "the pool expands to every chain prefix");
+    assert!(report.metrics.executed <= 36, "{} searches", report.metrics.executed);
 }
 
 #[test]

@@ -9,9 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
-use skysr_service::net::wire::{
-    read_frame, Frame, FEATURE_MULTI_TENANT, FEATURE_STREAMING, MAX_FRAME, PROTOCOL_VERSION,
-};
+use skysr_service::net::wire::{read_frame, Frame, MAX_FRAME, PROTOCOL_VERSION};
 use skysr_service::replay::{build_pool, replay_remote, ReplaySpec};
 use skysr_service::{
     QueryRequest, QueryService, RegionId, RemoteService, Served, Server, ServerConfig, Service,
@@ -95,7 +93,7 @@ fn loopback_streaming_provisionals_are_dominated_by_final() {
         }
         // A search streams every final member on the way (cache hits and
         // coalesced answers legitimately stream nothing).
-        if matches!(response.served, Served::Search { .. }) {
+        if matches!(response.served, Served::Search) {
             for f in response.routes.iter() {
                 assert!(provisional.contains(f), "final member never streamed: {f:?}");
             }
@@ -239,8 +237,7 @@ fn a_request_costs_one_submit_and_one_final_on_the_wire() {
     let mut writer = TcpStream::connect(server.local_addr()).expect("connect");
     writer.set_read_timeout(Some(Duration::from_secs(60))).expect("set timeout");
     let mut reader = Counted { inner: writer.try_clone().expect("clone the socket"), bytes: 0 };
-    let features = FEATURE_STREAMING | FEATURE_MULTI_TENANT;
-    let hello = Frame::Hello { version: PROTOCOL_VERSION, features }.to_bytes();
+    let hello = Frame::Hello { version: PROTOCOL_VERSION }.to_bytes();
     writer.write_all(&hello).expect("write hello");
     assert!(matches!(read_frame(&mut reader, MAX_FRAME), Ok(Frame::Welcome { .. })));
 
@@ -317,10 +314,17 @@ fn hostile_clients_do_not_kill_the_daemon() {
     // A version-mismatched handshake — an older protocol's or an unknown
     // one — is answered with the server's Welcome (so the client can
     // report both versions) and then closed.
-    for version in [1, 2, 9999] {
+    for version in [1, 2, 3, 9999] {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
-        s.write_all(&Frame::Hello { version, features: 0 }.to_bytes()).expect("write hello");
+        // Versions 1 to 3 sent a u32 of feature flags after the version.
+        let mut hello = Frame::Hello { version }.to_bytes();
+        if version <= 3 {
+            hello.extend_from_slice(&3u32.to_le_bytes());
+            let len = hello.len() as u32 - 4;
+            hello[..4].copy_from_slice(&len.to_le_bytes());
+        }
+        s.write_all(&hello).expect("write hello");
         let frame = read_frame(&mut s, MAX_FRAME).expect("read welcome");
         assert!(matches!(frame, Frame::Welcome { version: PROTOCOL_VERSION, .. }), "v{version}");
         let mut rest = Vec::new();

@@ -1,16 +1,13 @@
 //! Planner-equivalence property: for random workloads, the planned
-//! pipeline (exact-hit → coalesce → repair → warm-seed → cold) returns
+//! pipeline (exact-hit → coalesce → repair → cold) returns
 //! score-equivalent skylines to a plan-disabled cold-search oracle under
-//! **every strategy subset** — all strategies on, each of prefix /
-//! ancestor / suffix / repair toggled off individually, and everything
-//! off. The oracle is the replay driver's `--verify` machinery itself: a
-//! sequential cold [`Bssr`](skysr_core::bssr::Bssr) run at each
-//! response's pinned epoch, with mid-stream weight-update waves so the
-//! repair rung genuinely crosses epochs.
-//!
-//! Also pins the per-strategy seed counters: a toggled-off source never
-//! fires, and on the hierarchy workload the all-on pipeline fires *both*
-//! new sources (ancestor + suffix) — the acceptance gates CI asserts on.
+//! **every strategy subset** — all strategies on, coalescing or repair
+//! toggled off, and everything off. The oracle is the replay driver's
+//! `--verify` machinery itself: a sequential cold
+//! [`Bssr`](skysr_core::bssr::Bssr) run at each response's pinned epoch,
+//! with mid-stream weight-update waves so the repair rung genuinely
+//! crosses epochs. On the hierarchy workload every ancestor variant names
+//! an internal category, which no PoI matches perfectly.
 
 use std::sync::Arc;
 
@@ -22,19 +19,16 @@ use skysr_service::{ServiceConfig, ServiceContext, TelemetryConfig};
 #[derive(Clone, Copy, Debug)]
 struct Subset {
     name: &'static str,
-    prefix: bool,
-    ancestor: bool,
-    suffix: bool,
+    caching: bool,
+    coalesce: bool,
     repair: bool,
 }
 
-const SUBSETS: [Subset; 6] = [
-    Subset { name: "all-on", prefix: true, ancestor: true, suffix: true, repair: true },
-    Subset { name: "no-prefix", prefix: false, ancestor: true, suffix: true, repair: true },
-    Subset { name: "no-ancestor", prefix: true, ancestor: false, suffix: true, repair: true },
-    Subset { name: "no-suffix", prefix: true, ancestor: true, suffix: false, repair: true },
-    Subset { name: "no-repair", prefix: true, ancestor: true, suffix: true, repair: false },
-    Subset { name: "all-off", prefix: false, ancestor: false, suffix: false, repair: false },
+const SUBSETS: [Subset; 4] = [
+    Subset { name: "all-on", caching: true, coalesce: true, repair: true },
+    Subset { name: "no-coalesce", caching: true, coalesce: false, repair: true },
+    Subset { name: "no-repair", caching: true, coalesce: true, repair: false },
+    Subset { name: "all-off", caching: false, coalesce: false, repair: false },
 ];
 
 fn dataset(seed: u64) -> Dataset {
@@ -43,7 +37,7 @@ fn dataset(seed: u64) -> Dataset {
 
 /// Replays `pattern` under `subset` with synchronous update waves and the
 /// epoch-aware oracle, over two cycles of the pool (cycle 1 exercises the
-/// seed rungs, cycle 2 the exact-hit and repair rungs).
+/// searches, cycle 2 the exact-hit and repair rungs).
 fn spec_for(subset: Subset, pattern: StreamPattern, distinct: usize, seed: u64) -> ReplaySpec {
     let chain = match pattern {
         StreamPattern::Hierarchy => 3,
@@ -58,9 +52,8 @@ fn spec_for(subset: Subset, pattern: StreamPattern, distinct: usize, seed: u64) 
         pattern,
         service: ServiceConfig {
             workers: 4,
-            prefix_reuse: subset.prefix,
-            ancestor_reuse: subset.ancestor,
-            suffix_reuse: subset.suffix,
+            cache_capacity: if subset.caching { 1024 } else { 0 },
+            coalesce: subset.coalesce,
             repair: subset.repair,
             ..ServiceConfig::default()
         },
@@ -76,75 +69,42 @@ fn spec_for(subset: Subset, pattern: StreamPattern, distinct: usize, seed: u64) 
     }
 }
 
-#[test]
-fn every_strategy_subset_is_oracle_exact_on_hierarchy_workloads() {
-    for seed in [11u64, 29] {
-        let d = dataset(seed);
-        // 12 chains, waves of pool_len/2 = 18: the second wave's full
-        // queries trail their same-epoch ancestor variants by a whole
-        // worker round, so the ancestor rung fires with margin instead of
-        // hanging on one dequeue-vs-complete race.
-        let probe = spec_for(SUBSETS[0], StreamPattern::Hierarchy, 12, seed);
-        let pool = build_pool(&d, &probe);
-        let ctx = Arc::new(ServiceContext::from_dataset(d));
-        for subset in SUBSETS {
-            let spec = spec_for(subset, StreamPattern::Hierarchy, 12, seed);
-            let report = replay_on(Arc::clone(&ctx), &pool, &spec);
-            assert_eq!(
-                report.verify_mismatches,
-                Some(0),
-                "subset {} (seed {seed}) diverged from the cold-search oracle",
-                subset.name
-            );
-            assert_eq!(report.stale_served(), 0, "subset {} served stale", subset.name);
-            let m = &report.metrics;
-            if !subset.ancestor {
-                assert_eq!(m.seeded_ancestor, 0, "{}: toggled-off source fired", subset.name);
-            }
-            if !subset.suffix {
-                assert_eq!(m.seeded_suffix, 0, "{}: toggled-off source fired", subset.name);
-            }
-            if !subset.prefix {
-                assert_eq!(m.seeded_prefix, 0, "{}: toggled-off source fired", subset.name);
-            }
-            if !subset.repair {
-                assert_eq!(m.repairs + m.repair_fallbacks, 0, "{}: repair fired", subset.name);
-            }
-            if subset.name == "all-on" {
-                assert!(
-                    m.seeded_ancestor > 0,
-                    "the hierarchy workload must ancestor-seed (seed {seed}): {m:?}"
-                );
-                assert!(
-                    m.seeded_suffix > 0,
-                    "the hierarchy workload must suffix-seed (seed {seed}): {m:?}"
-                );
-            }
+/// Replays `pattern` under every subset and checks each run against the
+/// oracle and its subset's switches.
+fn every_subset_is_exact(pattern: StreamPattern, distinct: usize, seed: u64) {
+    let d = dataset(seed);
+    let pool = build_pool(&d, &spec_for(SUBSETS[0], pattern, distinct, seed));
+    let ctx = Arc::new(ServiceContext::from_dataset(d));
+    for subset in SUBSETS {
+        let spec = spec_for(subset, pattern, distinct, seed);
+        let report = replay_on(Arc::clone(&ctx), &pool, &spec);
+        assert_eq!(
+            report.verify_mismatches,
+            Some(0),
+            "subset {} (seed {seed}) diverged from the cold-search oracle",
+            subset.name
+        );
+        assert_eq!(report.stale_served(), 0, "subset {} served stale", subset.name);
+        let m = &report.metrics;
+        if !subset.repair {
+            assert_eq!(m.repairs + m.repair_fallbacks, 0, "{}: repair fired", subset.name);
+        }
+        if !subset.caching {
+            assert_eq!(m.cache_hits, 0, "{}: the cache answered", subset.name);
         }
     }
 }
 
 #[test]
-fn every_strategy_subset_is_oracle_exact_on_prefix_workloads() {
-    let seed = 17u64;
-    let d = dataset(seed);
-    let probe = spec_for(SUBSETS[0], StreamPattern::PrefixChains, 8, seed);
-    let pool = build_pool(&d, &probe);
-    let ctx = Arc::new(ServiceContext::from_dataset(d));
-    for subset in SUBSETS {
-        let spec = spec_for(subset, StreamPattern::PrefixChains, 8, seed);
-        let report = replay_on(Arc::clone(&ctx), &pool, &spec);
-        assert_eq!(
-            report.verify_mismatches,
-            Some(0),
-            "subset {} diverged from the cold-search oracle",
-            subset.name
-        );
-        assert_eq!(report.stale_served(), 0);
-        if !subset.prefix {
-            assert_eq!(report.metrics.seeded_prefix, 0);
-        }
+fn every_strategy_subset_is_oracle_exact_on_hierarchy_workloads() {
+    for seed in [11u64, 29] {
+        every_subset_is_exact(StreamPattern::Hierarchy, 12, seed);
     }
+}
+
+#[test]
+fn every_strategy_subset_is_oracle_exact_on_prefix_workloads() {
+    every_subset_is_exact(StreamPattern::PrefixChains, 8, 17);
 }
 
 #[test]

@@ -3,11 +3,12 @@
 //! arbitrary small road networks, category forests and queries — including
 //! queries whose positions share category trees and PoIs tagged in two
 //! trees (where the Lemma 5.5 shortcuts and grouped expansion must disable
-//! themselves).
+//! themselves), and queries naming internal categories that no PoI matches
+//! perfectly (where NNinit's legs stop at σ\* instead of 1).
 
 use proptest::prelude::*;
 use skysr::category::{CategoryForest, CategoryId, ForestBuilder};
-use skysr::core::bssr::{Bssr, BssrConfig, Expansion, LowerBoundMode, QueuePolicy, WarmSeeds};
+use skysr::core::bssr::{Bssr, BssrConfig, Expansion, LowerBoundMode, QueuePolicy};
 use skysr::core::naive::naive_skysr;
 use skysr::core::variants::skyband::{naive_skyband, SkybandQuery};
 use skysr::core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery, SkylineRoute};
@@ -62,6 +63,25 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
         })
         .prop_map(|(n, directed, path_weights, extra_edges, poi_cats, start, query_cats)| {
             Instance { n, directed, path_weights, extra_edges, poi_cats, start, query_cats }
+        })
+}
+
+/// Leaf and internal categories of [`forest`].
+const LEAVES: [usize; 4] = [2, 3, 6, 7];
+const INTERNAL: [usize; 4] = [0, 1, 4, 5];
+
+/// Instances whose PoIs carry leaf categories only and whose query
+/// (k = 2–4) names an internal category at a random position, the last
+/// included: that position has no perfect match.
+fn arb_internal_instance() -> impl Strategy<Value = Instance> {
+    (arb_instance(), 2usize..5, 0usize..4, 0usize..4, prop::collection::vec(0..NUM_CATS, 4))
+        .prop_map(|(mut inst, k, at, internal, cats)| {
+            for c in inst.poi_cats.iter_mut().flatten() {
+                *c = LEAVES[*c % LEAVES.len()];
+            }
+            inst.query_cats = cats[..k].to_vec();
+            inst.query_cats[at % k] = INTERNAL[internal];
+            inst
         })
 }
 
@@ -166,43 +186,36 @@ proptest! {
     }
 
     #[test]
-    fn warm_started_bssr_matches_oracle(inst in arb_instance()) {
-        // Semantic cache reuse (skysr-service): a query warm-started from
-        // the skyline of its (k−1)-prefix must return the exact skyline.
+    fn internal_category_positions_match_oracle(inst in arb_internal_instance()) {
         let built = build(&inst);
-        if built.query.len() < 2 {
-            return; // no proper prefix to reuse
-        }
         let ctx = QueryContext::new(&built.graph, &built.forest, &built.pois);
         let pq = PreparedQuery::prepare(&ctx, &built.query).expect("valid query");
         let oracle = naive_skysr(&ctx, &pq, 5_000_000);
-        let prefix_query = SkySrQuery::with_positions(
-            built.query.start,
-            built.query.sequence[..built.query.len() - 1].to_vec(),
-        );
-        let mut engine = Bssr::new(&ctx);
-        let prefix = engine.run(&prefix_query).expect("valid prefix").routes;
-        let warm = engine.run_prepared_warm(&pq, &prefix);
-        assert_same_skyline(&warm.routes, &oracle, "warm-started");
+        for (label, cfg) in all_configs() {
+            let result = Bssr::with_config(&ctx, cfg).run_prepared(&pq);
+            assert_same_skyline(&result.routes, &oracle, label);
+        }
     }
 
     #[test]
-    fn suffix_seeded_bssr_matches_oracle(inst in arb_instance()) {
-        // Suffix reuse: the skyline of ⟨c₂, …, c_k⟩ from the same start,
-        // prepended one leg, seeds the default engine.
+    fn warm_started_bssr_matches_oracle(inst in arb_instance()) {
+        // Repair's fallback seeds a search with full-length routes. Any
+        // same-start skyline is seed material the engine must revalidate
+        // and rescore: here the skyline of the query with every position
+        // widened to its tree's root.
         let built = build(&inst);
-        if built.query.len() < 2 {
-            return; // no proper suffix to reuse
-        }
         let ctx = QueryContext::new(&built.graph, &built.forest, &built.pois);
         let pq = PreparedQuery::prepare(&ctx, &built.query).expect("valid query");
         let oracle = naive_skysr(&ctx, &pq, 5_000_000);
-        let suffix_query =
-            SkySrQuery::with_positions(built.query.start, built.query.sequence[1..].to_vec());
+        let roots = built.forest.roots();
+        let widened = SkySrQuery::new(
+            built.query.start,
+            inst.query_cats.iter().map(|&c| roots[built.forest.tree_of(CategoryId(c as u32)) as usize]),
+        );
         let mut engine = Bssr::new(&ctx);
-        let suffix = engine.run(&suffix_query).expect("valid suffix").routes;
-        let seeded = engine.run_prepared_seeded(&pq, WarmSeeds::Suffix(&suffix));
-        assert_same_skyline(&seeded.routes, &oracle, "suffix-seeded");
+        let seeds = engine.run(&widened).expect("valid widened query").routes;
+        let warm = engine.run_prepared_warm(&pq, &seeds);
+        assert_same_skyline(&warm.routes, &oracle, "warm-started");
     }
 
     #[test]
