@@ -19,11 +19,13 @@
 //! 2. **Rescore** — otherwise each cached route's length is recomputed as
 //!    its sum of point-to-point shortest-path legs at the new epoch
 //!    (early-terminating Dijkstras — far cheaper than a branch-and-bound
-//!    search). If every length came back unchanged *and* no weight
-//!    *decrease* is reachable within the skyline radius (checked by the
-//!    same scaled landmark bound, then a single radius-bounded Dijkstra
-//!    for the stragglers), the cached skyline is again exact and is
-//!    promoted as-is.
+//!    search). A route whose stored path crosses no touched arc skips its
+//!    legs (see [the memo](#the-memo)). If every length came back
+//!    unchanged *and* no weight *decrease* is reachable within the skyline
+//!    radius (checked by the same scaled landmark bound, then the stored
+//!    relevance ball or a single radius-bounded Dijkstra for the
+//!    stragglers), the cached skyline is again exact and is promoted
+//!    as-is.
 //! 3. **Re-search** — only when a length actually changed or a decreased
 //!    arc is within reach does a full search run, warm-seeded with the
 //!    rescored survivors (genuine new-epoch lengths, so they only tighten
@@ -58,12 +60,69 @@
 //! end-to-end guarantee — a repaired skyline is score-equivalent to a
 //! from-scratch search at the pinned epoch — is enforced by the replay
 //! driver's `--verify` oracle and the repair property tests.
+//!
+//! # The memo
+//!
+//! A repair returns, with its skyline, a [`RepairMemo`] stamped with the
+//! target epoch: the vertex path each route's length was measured on, and
+//! the vertex set of a relevance ball that ran to completion and found
+//! nothing. The service stores it beside the cache entry, and the next
+//! repair of that entry (from `N`, the memo's epoch, to `M`) reads it:
+//!
+//! * A route above the per-route floor whose stored path has no vertex,
+//!   its last excepted, that is a touched tail ([`DeltaIndex::is_touched_tail`])
+//!   is *deferred*: no leg search runs for it. Every other route is
+//!   searched, and its new path is read back from the leg searches' parent
+//!   pointers. (A path through a touched tail that does not use the
+//!   touched arc is simply searched.)
+//! * When suspicious decreased tails survive the landmark floors, and the
+//!   stored ball covers a radius of at least `T` and contains none of
+//!   them, no ball runs. A ball that runs and finds nothing is stored as
+//!   its sorted settled vertices plus its radius.
+//! * **Promote** when no searched length changed and no decrease is
+//!   relevant: deferred routes keep their cached length, and both proofs
+//!   carry to `M`. Promotions through tier 1 and routes under the floor
+//!   carry their proofs too.
+//! * **Fall back** when a searched length changed or a decrease is
+//!   relevant: the deferred routes' legs are searched first, so the seeds
+//!   (and hence the skyline) are exactly those of a repair without a memo.
+//!   The ball is dropped; a returned route keeps a path only if it equals a
+//!   survivor whose path holds at `M`.
+//!
+//! An entry without a memo (every cold search's) searches all its routes,
+//! as [`Bssr::repair`] does.
+//!
+//! **Path witness.** If the stored `N`-path of route `R` crosses no arc of
+//! `D`, it costs the same at `M`, so `len_M(R) ≤ len_N(R)`. When no
+//! decreased tail is within `T` of the start at `M`, no `M`-shortest leg
+//! uses a decreased arc, which gives `len_M(R) ≥ len_N(R)` — tier 2's
+//! argument above. So the length is unchanged, and the path is still a
+//! shortest realisation at `M`. Every vertex of a route's path lies within
+//! the route's length of the start at `N`. Under the per-route floor, and
+//! for every route of a tier-1 promotion, no touched tail is that close,
+//! so the path crosses no arc of `D` and carries by the same argument.
+//!
+//! **Stored ball.** Let `B ⊇ {v : d_N(s,v) ≤ T}` be the stored ball around
+//! the start `s`, and suppose some decreased tail `t` has `d_M(s,t) ≤ T`.
+//! Follow the `M`-shortest path from `s` to `t`, and let `t′` be the tail
+//! of the first decreased arc on it (or `t` itself if there is none). The
+//! prefix up to `t′` uses no decreased arc, and every other arc costs at
+//! `N` at most what it costs at `M`; hence `d_N(s,t′) ≤ d_M(s,t′) ≤ T`. So
+//! `t′ ∈ B`, and `t′` is suspicious, because no landmark bound clears it.
+//! So "no suspicious tail in `B`" implies "no relevant decrease". After a
+//! promotion the same prefix argument, applied to any `v` with
+//! `d_M(s,v) ≤ T`, gives `B ⊇ {v : d_M(s,v) ≤ T}`, so `B` carries forward.
+//! After a tier-1 promotion it runs along the first *touched* arc instead:
+//! no touched tail is within `T` of `s` at `N`. (The ball runs to the same
+//! margin-inflated radius the check uses, so the argument holds with `T`
+//! read as that radius.)
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use skysr_graph::dijkstra::{dijkstra_with, point_to_point, Settle};
 use skysr_graph::fxhash::FxHashSet;
-use skysr_graph::{Cost, DeltaIndex, DijkstraWorkspace, Landmarks, VertexId};
+use skysr_graph::{Cost, DeltaIndex, DijkstraWorkspace, EpochId, Landmarks, VertexId};
 
 use crate::bssr::Bssr;
 use crate::context::QueryContext;
@@ -79,9 +138,9 @@ pub enum RepairOutcome {
     /// The cheap lower-bound check proved no touched arc can affect the
     /// skyline: promoted verbatim, no graph search ran.
     Untouched,
-    /// Route lengths were re-derived at the new epoch and came back
-    /// unchanged, and no reachable weight decrease exists: promoted after
-    /// verification.
+    /// Every route length was re-derived at the new epoch, by its legs or
+    /// by its stored path, and came back unchanged, and no reachable
+    /// weight decrease exists: promoted after verification.
     Rescored,
     /// A full warm-seeded search had to run (the repair "fallback").
     Researched,
@@ -103,7 +162,8 @@ impl RepairOutcome {
 pub struct RepairStats {
     /// How the repair was resolved.
     pub outcome: RepairOutcome,
-    /// Cached routes proven untouched without any graph search.
+    /// Cached routes proven untouched without any graph search: by the
+    /// landmark floors, or by a stored path that crosses no touched arc.
     pub routes_untouched: usize,
     /// Cached routes whose legs were re-run at the new epoch.
     pub routes_rescored: usize,
@@ -127,6 +187,46 @@ pub struct RepairResult {
     pub stats: QueryStats,
     /// Classification breakdown.
     pub repair: RepairStats,
+    /// What this repair proved about `routes`, for the next repair of the
+    /// same entry.
+    pub memo: RepairMemo,
+}
+
+/// A route's vertex path, `start → p₁ → … → p_k`, as one slice.
+type Path = Arc<[VertexId]>;
+
+/// What one repair proved about the skyline it returned, stamped with the
+/// epoch the proofs hold at (see [the memo](self#the-memo)): the vertex path
+/// each route was measured on, and a relevance ball that found nothing.
+///
+/// A memo belongs to one skyline: its paths follow the skyline's route
+/// order. Repair ignores a memo stamped with another epoch than the
+/// delta's older one, or holding another number of paths than the skyline
+/// has routes.
+#[derive(Clone, Debug)]
+pub struct RepairMemo {
+    epoch: EpochId,
+    /// Per route, in the skyline's order: the path its length was measured
+    /// on, when known.
+    paths: Box<[Option<Path>]>,
+    /// A relevance ball that ran to completion and met no suspicious tail.
+    ball: Option<Ball>,
+}
+
+/// A completed relevance ball: every vertex within `radius` of the start
+/// (and a margin beyond it) at the memo's epoch.
+#[derive(Clone, Debug)]
+struct Ball {
+    radius: Cost,
+    /// The settled vertices, sorted.
+    vertices: Arc<[u32]>,
+}
+
+impl RepairMemo {
+    /// The epoch both proofs hold at.
+    pub fn epoch(&self) -> EpochId {
+        self.epoch
+    }
 }
 
 /// Conservative margin for repair's reachability comparisons: `a` must
@@ -185,17 +285,19 @@ fn index_clears(
 /// accordingly.
 struct TouchBounds<'a> {
     index: &'a DeltaIndex,
+    landmarks: Option<&'a Landmarks>,
+    start: VertexId,
     /// `lower_bound(start, tail)` per touch, in touch order; `None`
     /// without an oracle.
     origin: Option<Vec<f64>>,
 }
 
 impl<'a> TouchBounds<'a> {
-    fn new(index: &'a DeltaIndex, landmarks: Option<&Landmarks>, start: VertexId) -> Self {
+    fn new(index: &'a DeltaIndex, landmarks: Option<&'a Landmarks>, start: VertexId) -> Self {
         let origin = landmarks.map(|lm| {
             index.delta().touches().iter().map(|t| lm.lower_bound(start, t.tail).get()).collect()
         });
-        TouchBounds { index, origin }
+        TouchBounds { index, landmarks, start, origin }
     }
 
     /// The smallest bound to any touched tail at the delta's older epoch:
@@ -232,7 +334,8 @@ impl<'a> TouchBounds<'a> {
 
 /// Recomputes a route's length score at the engine's epoch as the sum of
 /// its point-to-point shortest-path legs (`start → p₁ → … → p_k`), each an
-/// early-terminating Dijkstra counted into `stats`. `None` if a leg is
+/// early-terminating Dijkstra counted into `stats`, and reads the path it
+/// measured back from each leg's parent pointers. `None` if a leg is
 /// unreachable (impossible for a route cached on the same topology;
 /// treated as "changed" upstream).
 fn rescore_route(
@@ -241,32 +344,50 @@ fn rescore_route(
     route: &SkylineRoute,
     ws: &mut DijkstraWorkspace,
     stats: &mut QueryStats,
-) -> Option<Cost> {
+) -> Option<(Cost, Path)> {
     let mut total = Cost::ZERO;
+    let mut path = vec![start];
     let mut at = start;
     for &p in &route.pois {
         let (d, leg) = point_to_point(ctx.graph, ws, at, p);
         stats.search.merge(&leg);
         total += d?;
+        path.extend_from_slice(&ws.path_to(p).expect("the leg settled its target")[1..]);
         at = p;
     }
-    Some(total)
+    Some((total, path.into()))
 }
 
-/// Whether any *decreased* arc of `delta` is reachable from `start`
+/// Whether `path` crosses no touched arc: none of its vertices but the
+/// last is a touched tail.
+fn avoids_touched_arcs(index: &DeltaIndex, path: &[VertexId]) -> bool {
+    let inner = &path[..path.len().saturating_sub(1)];
+    !inner.iter().any(|&v| index.is_touched_tail(v))
+}
+
+/// The answer of tier 2's relevance check.
+enum Relevance {
+    /// A decreased arc may lie within the skyline radius.
+    Relevant,
+    /// None does. Carries the ball that proved it, when one ran.
+    Clear(Option<Ball>),
+}
+
+/// Whether any *decreased* arc of the delta is reachable from the start
 /// within the skyline radius `max_len` at the engine's (new) epoch. Tails
 /// cleared by the scaled landmark bound are skipped; the stragglers are
-/// settled by one radius-bounded Dijkstra over the new-epoch graph.
+/// looked up in the `stored` ball (one of at least this radius at the
+/// delta's older epoch), and settled by one radius-bounded Dijkstra over
+/// the new-epoch graph only when one of them lies inside it.
 fn decreases_relevant(
     ctx: &QueryContext<'_>,
     bounds: &TouchBounds<'_>,
-    landmarks: Option<&Landmarks>,
-    start: VertexId,
     max_len: Cost,
+    stored: Option<&Ball>,
     ws: &mut DijkstraWorkspace,
     stats: &mut QueryStats,
-) -> bool {
-    let index = bounds.index;
+) -> Relevance {
+    let TouchBounds { index, landmarks, start, .. } = *bounds;
     // Fast path via the shared index: when the nearest *decreased* tail is
     // provably beyond the skyline radius (or nothing decreased at all —
     // the floor is then infinite), no per-tail probe or Dijkstra runs.
@@ -275,14 +396,19 @@ fn decreases_relevant(
         if floor.is_infinite()
             || safely_beyond(index.delta().to_min_ratio().clamp(0.0, 1.0) * floor, max_len.get())
         {
-            return false;
+            return Relevance::Clear(None);
         }
     }
     let suspicious = bounds.decreased_within(max_len);
     if suspicious.is_empty() {
-        return false;
+        return Relevance::Clear(None);
+    }
+    if stored.is_some_and(|b| !suspicious.iter().any(|t| b.vertices.binary_search(t).is_ok())) {
+        stats.balls_reused += 1;
+        return Relevance::Clear(None);
     }
     let mut relevant = false;
+    let mut settled = Vec::new();
     let s = dijkstra_with(ctx.graph, ws, &[(start, Cost::ZERO)], |v, d| {
         if safely_beyond(d.get(), max_len.get()) {
             return Settle::Stop;
@@ -291,17 +417,55 @@ fn decreases_relevant(
             relevant = true;
             return Settle::Stop;
         }
+        settled.push(v.0);
         Settle::Continue
     });
     stats.search.merge(&s);
-    relevant
+    if relevant {
+        return Relevance::Relevant;
+    }
+    settled.sort_unstable();
+    Relevance::Clear(Some(Ball { radius: max_len, vertices: settled.into() }))
+}
+
+/// One cached route on its way through tier 2.
+struct Survivor {
+    /// The route, with its length at the target epoch (the cached one
+    /// while deferred).
+    route: SkylineRoute,
+    /// A path `route.length` is realised on at the target epoch, if known.
+    path: Option<Path>,
+    /// Kept on its stored path alone: its legs were not searched.
+    deferred: bool,
 }
 
 /// Outcome of the in-place tiers (1–2): either a promoted skyline, or the
-/// rescored survivors a fallback search should be seeded with.
+/// survivors a fallback search should be seeded with.
 enum InPlace {
-    Promoted { routes: Vec<SkylineRoute>, repair: RepairStats },
-    Fallback { survivors: Vec<SkylineRoute>, routes_untouched: usize, routes_rescored: usize },
+    Promoted { routes: Vec<SkylineRoute>, repair: RepairStats, memo: RepairMemo },
+    Fallback(Fallback),
+}
+
+/// What tier 2 hands the re-search.
+struct Fallback {
+    survivors: Vec<Survivor>,
+    routes_untouched: usize,
+    routes_rescored: usize,
+    /// The target epoch, which stamps the result's memo.
+    epoch: EpochId,
+}
+
+/// `survivors`, sorted by length as a skyline is, and the memo of the
+/// paths they carry.
+fn promote(
+    mut survivors: Vec<Survivor>,
+    epoch: EpochId,
+    ball: Option<Ball>,
+) -> (Vec<SkylineRoute>, RepairMemo) {
+    survivors.sort_by_key(|s| s.route.length);
+    let (routes, paths): (Vec<_>, Vec<_>) =
+        survivors.into_iter().map(|s| (s.route, s.path)).unzip();
+    (routes, RepairMemo { epoch, paths: paths.into(), ball })
 }
 
 impl<'g> Bssr<'g> {
@@ -319,8 +483,9 @@ impl<'g> Bssr<'g> {
     /// query only when the repair has to fall back to a real search. The
     /// service instead prepares through its memo of compiled category
     /// positions before every repair — k `Arc` clones — and calls
-    /// [`Bssr::repair_prepared`]. Either way the per-request cost drops
-    /// from "compile + search" to a handful of lower-bound probes.
+    /// [`Bssr::repair_prepared`] with the entry's [`RepairMemo`]. This
+    /// entry point has no memo, so it searches the legs of every route
+    /// above the floor.
     ///
     /// The result is score-equivalent to a cold [`Bssr::run`] at the
     /// engine's epoch. Passing a skyline that was *not* computed for this
@@ -344,39 +509,39 @@ impl<'g> Bssr<'g> {
         }
         let t0 = Instant::now();
         let mut stats = QueryStats::default();
-        match self.repair_in_place(query.start, cached, index, landmarks, &mut stats) {
-            InPlace::Promoted { routes, repair } => {
+        match self.repair_in_place(query.start, cached, None, index, landmarks, &mut stats) {
+            InPlace::Promoted { routes, repair, memo } => {
                 stats.total_time = t0.elapsed();
                 self.absorb_profile(&stats);
-                Ok(RepairResult { routes, stats, repair })
+                Ok(RepairResult { routes, stats, repair, memo })
             }
-            InPlace::Fallback { survivors, routes_untouched, routes_rescored } => {
+            InPlace::Fallback(f) => {
                 let pq = PreparedQuery::prepare(&self.ctx, query)?;
-                Ok(self.fallback(&pq, survivors, routes_untouched, routes_rescored, stats, t0))
+                Ok(self.fallback(&pq, f, stats, t0))
             }
         }
     }
 
     /// [`Bssr::repair`] over a pre-compiled query (callers that already
-    /// paid for preparation).
+    /// paid for preparation), reading `memo` — what the repair that
+    /// produced `cached` proved, if any (see [the memo](self#the-memo)).
     pub fn repair_prepared(
         &mut self,
         pq: &PreparedQuery,
         cached: &[SkylineRoute],
+        memo: Option<&RepairMemo>,
         index: &DeltaIndex,
         landmarks: Option<&Landmarks>,
     ) -> RepairResult {
         let t0 = Instant::now();
         let mut stats = QueryStats::default();
-        match self.repair_in_place(pq.start, cached, index, landmarks, &mut stats) {
-            InPlace::Promoted { routes, repair } => {
+        match self.repair_in_place(pq.start, cached, memo, index, landmarks, &mut stats) {
+            InPlace::Promoted { routes, repair, memo } => {
                 stats.total_time = t0.elapsed();
                 self.absorb_profile(&stats);
-                RepairResult { routes, stats, repair }
+                RepairResult { routes, stats, repair, memo }
             }
-            InPlace::Fallback { survivors, routes_untouched, routes_rescored } => {
-                self.fallback(pq, survivors, routes_untouched, routes_rescored, stats, t0)
-            }
+            InPlace::Fallback(f) => self.fallback(pq, f, stats, t0),
         }
     }
 
@@ -386,11 +551,13 @@ impl<'g> Bssr<'g> {
         &mut self,
         start: VertexId,
         cached: &[SkylineRoute],
+        memo: Option<&RepairMemo>,
         index: &DeltaIndex,
         landmarks: Option<&Landmarks>,
         stats: &mut QueryStats,
     ) -> InPlace {
         let ctx = self.ctx;
+        let to = index.delta().to_epoch();
 
         // An empty skyline is weight-independent: no valid sequenced route
         // exists for topological/semantic reasons, and reweighting cannot
@@ -403,12 +570,24 @@ impl<'g> Bssr<'g> {
                     routes_untouched: 0,
                     routes_rescored: 0,
                 },
+                memo: RepairMemo { epoch: to, paths: Box::default(), ball: None },
             };
         }
         let max_len = cached.iter().map(|r| r.length).max().expect("non-empty");
+        let memo =
+            memo.filter(|m| m.epoch == index.delta().from_epoch() && m.paths.len() == cached.len());
+        let stored_path = |i: usize| memo.and_then(|m| m.paths[i].clone());
+        // A ball narrower than the skyline radius proves nothing about it.
+        let stored_ball = memo.and_then(|m| m.ball.as_ref()).filter(|b| b.radius >= max_len);
+        let carried_ball = || stored_ball.map(|b| Ball { radius: max_len, ..b.clone() });
+        let kept = |i: usize, r: &SkylineRoute| Survivor {
+            route: r.clone(),
+            path: stored_path(i),
+            deferred: false,
+        };
         let untouched = || {
-            let mut routes = cached.to_vec();
-            routes.sort_by_key(|r| r.length);
+            let survivors = cached.iter().enumerate().map(|(i, r)| kept(i, r)).collect();
+            let (routes, memo) = promote(survivors, to, carried_ball());
             InPlace::Promoted {
                 routes,
                 repair: RepairStats {
@@ -416,6 +595,7 @@ impl<'g> Bssr<'g> {
                     routes_untouched: cached.len(),
                     routes_rescored: 0,
                 },
+                memo,
             }
         };
 
@@ -432,20 +612,25 @@ impl<'g> Bssr<'g> {
 
         // Tier 2: rescore each route's legs at the new epoch. Routes
         // strictly below the touched-distance floor provably kept their
-        // length and skip the legs.
-        let mut survivors: Vec<SkylineRoute> = Vec::with_capacity(cached.len());
+        // length and skip the legs; so, unless a decrease proves relevant,
+        // do routes whose stored path avoids every touched arc.
+        let mut survivors: Vec<Survivor> = Vec::with_capacity(cached.len());
         let mut routes_untouched = 0usize;
         let mut routes_rescored = 0usize;
         let mut all_unchanged = true;
-        for r in cached {
+        for (i, r) in cached.iter().enumerate() {
             if safely_beyond(floor, r.length.get()) {
                 routes_untouched += 1;
-                survivors.push(r.clone());
+                survivors.push(kept(i, r));
+                continue;
+            }
+            if let Some(path) = stored_path(i).filter(|p| avoids_touched_arcs(index, p)) {
+                survivors.push(Survivor { route: r.clone(), path: Some(path), deferred: true });
                 continue;
             }
             routes_rescored += 1;
             match rescore_route(&ctx, start, r, &mut self.ws, stats) {
-                Some(len) => {
+                Some((len, path)) => {
                     // "Unchanged" must mean unchanged *at the dominance
                     // tolerance* (SCORE_EPS), not at the looser
                     // reachability margin: a genuine sub-MARGIN increase
@@ -457,56 +642,86 @@ impl<'g> Bssr<'g> {
                     {
                         all_unchanged = false;
                     }
-                    survivors.push(SkylineRoute {
-                        pois: r.pois.clone(),
-                        length: len,
-                        semantic: r.semantic,
+                    survivors.push(Survivor {
+                        route: SkylineRoute { length: len, ..r.clone() },
+                        path: Some(path),
+                        deferred: false,
                     });
                 }
                 None => all_unchanged = false,
             }
         }
-        if all_unchanged
-            && !decreases_relevant(&ctx, &bounds, landmarks, start, max_len, &mut self.ws, stats)
-        {
-            survivors.sort_by_key(|r| r.length);
-            return InPlace::Promoted {
-                routes: survivors,
-                repair: RepairStats {
-                    outcome: RepairOutcome::Rescored,
-                    routes_untouched,
-                    routes_rescored,
-                },
-            };
+        if all_unchanged {
+            let relevance =
+                decreases_relevant(&ctx, &bounds, max_len, stored_ball, &mut self.ws, stats);
+            if let Relevance::Clear(ball) = relevance {
+                let deferred = survivors.iter().filter(|s| s.deferred).count();
+                stats.routes_reused = deferred as u64;
+                let (routes, memo) = promote(survivors, to, ball.or_else(carried_ball));
+                return InPlace::Promoted {
+                    routes,
+                    repair: RepairStats {
+                        outcome: RepairOutcome::Rescored,
+                        routes_untouched: routes_untouched + deferred,
+                        routes_rescored,
+                    },
+                    memo,
+                };
+            }
         }
-        InPlace::Fallback { survivors, routes_untouched, routes_rescored }
+        InPlace::Fallback(Fallback { survivors, routes_untouched, routes_rescored, epoch: to })
     }
 
-    /// Tier 3: full warm-seeded re-search. The survivors carry genuine
-    /// new-epoch lengths, so seeding them only tightens the pruning
-    /// thresholds (the NNinit soundness argument).
+    /// Tier 3: full warm-seeded re-search. The deferred survivors' legs
+    /// are searched first, so every survivor carries a genuine new-epoch
+    /// length and seeding them only tightens the pruning thresholds (the
+    /// NNinit soundness argument) — exactly as without a memo.
     fn fallback(
         &mut self,
         pq: &PreparedQuery,
-        survivors: Vec<SkylineRoute>,
-        routes_untouched: usize,
-        routes_rescored: usize,
-        stats: QueryStats,
+        f: Fallback,
+        mut stats: QueryStats,
         t0: Instant,
     ) -> RepairResult {
+        let Fallback { survivors, routes_untouched, mut routes_rescored, epoch } = f;
+        let ctx = self.ctx;
+        let mut seeded: Vec<Survivor> = Vec::with_capacity(survivors.len());
+        for s in survivors {
+            if !s.deferred {
+                seeded.push(s);
+                continue;
+            }
+            routes_rescored += 1;
+            if let Some((len, path)) =
+                rescore_route(&ctx, pq.start, &s.route, &mut self.ws, &mut stats)
+            {
+                let route = SkylineRoute { length: len, ..s.route };
+                seeded.push(Survivor { route, path: Some(path), deferred: false });
+            }
+        }
+        let seeds: Vec<SkylineRoute> = seeded.iter().map(|s| s.route.clone()).collect();
         // Repairs promise score-equivalence to a cold run, so an armed
         // anytime deadline (see `Bssr::set_deadline`) must not truncate
         // the re-search — a partial labelled "repaired" would launder the
         // approximate flag away. Disarm for the duration.
         let deadline = self.deadline.take();
-        let mut result = self.run_prepared_warm(pq, &survivors);
+        let mut result = self.run_prepared_warm(pq, &seeds);
         self.deadline = deadline;
         // The warm search absorbed its own work into the scratch profile;
         // the in-place tiers' (rescoring legs, relevance ball) is only in
-        // `stats`, so count it here — each unit of work exactly once.
+        // `stats`, so count it here — each unit of work exactly once. A
+        // fallback reuses no stored proof, so only the search counts move.
         self.absorb_profile(&stats);
         result.stats.search.merge(&stats.search);
         result.stats.total_time = t0.elapsed();
+        // A returned route that equals a survivor is realised on the
+        // survivor's path; the ball proved nothing about the new radius.
+        let paths = (result.routes.iter())
+            .map(|r| {
+                let same = |s: &&Survivor| s.route.pois == r.pois && s.route.equivalent(r);
+                seeded.iter().find(same).and_then(|s| s.path.clone())
+            })
+            .collect();
         RepairResult {
             routes: result.routes,
             stats: result.stats,
@@ -515,6 +730,7 @@ impl<'g> Bssr<'g> {
                 routes_untouched,
                 routes_rescored,
             },
+            memo: RepairMemo { epoch, paths, ball: None },
         }
     }
 }
@@ -525,7 +741,7 @@ mod tests {
     use crate::bssr::BssrConfig;
     use crate::paper_example::PaperExample;
     use crate::route::equivalent_skylines;
-    use skysr_graph::{EpochId, WeightDelta, WeightEpoch};
+    use skysr_graph::{WeightDelta, WeightEpoch};
 
     /// Paper-example harness: cached skyline at epoch 0, repair across a
     /// published batch, oracle at the new epoch.
@@ -692,6 +908,201 @@ mod tests {
         }));
         let got = repaired.stats.search;
         assert_eq!((got.settled, got.relaxed), (expect.settled, expect.relaxed));
+    }
+
+    /// The memo tests' city. From 0, the query ⟨Asian, Gift⟩ has the
+    /// skyline {1 → 2 (an Italian and a gift shop, length 2), 4 → 5
+    /// (length 5)} along the line to the right; the branch to the left
+    /// ends in an Asian–Gift pair too far away to matter at first.
+    ///
+    /// ```text
+    ///   9 ─10─ 8 ─1─ 7 ─10─ 6 ─1─ 0 ─1─ 1 ─1─ 2 ─1─ 3 ─1─ 4 ─1─ 5
+    ///  Gift  Asian                    Italian Gift       Asian  Gift
+    /// ```
+    struct Branch {
+        forest: skysr_category::CategoryForest,
+        pois: crate::poi::PoiTable,
+        query: SkySrQuery,
+        epochs: WeightEpoch,
+        landmarks: Option<Landmarks>,
+        /// The last repaired skyline, its epoch and its memo (none for
+        /// the cold search that starts the chain).
+        cached: Vec<SkylineRoute>,
+        at: EpochId,
+        memo: Option<RepairMemo>,
+    }
+
+    impl Branch {
+        fn new(with_landmarks: bool) -> Branch {
+            use skysr_category::ForestBuilder;
+            use skysr_graph::GraphBuilder;
+            let mut fb = ForestBuilder::new();
+            let food = fb.add_root("Food");
+            let asian = fb.add_child(food, "Asian");
+            let italian = fb.add_child(food, "Italian");
+            let shop = fb.add_root("Shop");
+            let gift = fb.add_child(shop, "Gift");
+            let forest = fb.build();
+            let mut gb = GraphBuilder::new();
+            let v: Vec<VertexId> = (0..10).map(|_| gb.add_vertex()).collect();
+            for (a, b, w) in [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)] {
+                gb.add_edge(v[a], v[b], w);
+            }
+            for (a, b, w) in [(0, 6, 1.0), (6, 7, 10.0), (7, 8, 1.0), (8, 9, 10.0)] {
+                gb.add_edge(v[a], v[b], w);
+            }
+            let graph = gb.build();
+            let mut pois = crate::poi::PoiTable::new(graph.num_vertices());
+            for (at, c) in [(1, italian), (2, gift), (4, asian), (5, gift), (8, asian), (9, gift)] {
+                pois.add_poi(v[at], c);
+            }
+            pois.finalize(&forest);
+            let query = SkySrQuery::new(v[0], [asian, gift]);
+            let landmarks = with_landmarks.then(|| Landmarks::build(&graph, 3, v[0]));
+            let cached =
+                Bssr::new(&QueryContext::new(&graph, &forest, &pois)).run(&query).unwrap().routes;
+            let pois_of = |r: &SkylineRoute| r.pois.iter().map(|p| p.0).collect::<Vec<_>>();
+            assert_eq!(cached.iter().map(pois_of).collect::<Vec<_>>(), [[1, 2], [4, 5]]);
+            let epochs = WeightEpoch::new(graph);
+            Branch { forest, pois, query, epochs, landmarks, cached, at: EpochId::BASE, memo: None }
+        }
+
+        /// Publishes the edge reweightings `deltas` and repairs the last
+        /// skyline across them twice: with its memo, and with
+        /// [`Bssr::repair`], which has none. Both must match a fresh search
+        /// and reach the same outcome; the chain continues from the first.
+        fn step(&mut self, deltas: &[(u32, u32, f64)]) -> (RepairResult, RepairResult) {
+            let deltas: Vec<WeightDelta> = deltas
+                .iter()
+                .map(|&(a, b, w)| WeightDelta::new(VertexId(a), VertexId(b), w))
+                .collect();
+            let to = self.epochs.publish(&deltas);
+            let lm = self.landmarks.as_ref();
+            let index = DeltaIndex::build(self.epochs.delta_between(self.at, to).unwrap(), lm);
+            let pinned = self.epochs.pin();
+            let ctx = QueryContext::new(&pinned, &self.forest, &self.pois);
+            let pq = PreparedQuery::prepare(&ctx, &self.query).unwrap();
+            let with =
+                Bssr::new(&ctx).repair_prepared(&pq, &self.cached, self.memo.as_ref(), &index, lm);
+            let without = Bssr::new(&ctx).repair(&self.query, &self.cached, &index, lm).unwrap();
+            let fresh = Bssr::new(&ctx).run(&self.query).unwrap().routes;
+            for (name, r) in [("with the memo", &with), ("without", &without)] {
+                assert!(
+                    equivalent_skylines(&r.routes, &fresh),
+                    "repair {name} ({:?}) diverged: {:?} vs fresh {fresh:?}",
+                    r.repair.outcome,
+                    r.routes
+                );
+            }
+            assert_eq!(with.repair.outcome, without.repair.outcome);
+            assert_eq!(with.memo.epoch(), to);
+            (self.cached, self.memo, self.at) = (with.routes.clone(), Some(with.memo.clone()), to);
+            (with, without)
+        }
+    }
+
+    /// The untouched/rescored split of a repair.
+    fn split(r: &RepairResult) -> (usize, usize) {
+        (r.repair.routes_untouched, r.repair.routes_rescored)
+    }
+
+    /// Routes with a stored path.
+    fn paths_known(m: &RepairMemo) -> usize {
+        m.paths.iter().flatten().count()
+    }
+
+    /// Vertices in the stored relevance ball; `None` without one.
+    fn ball_size(m: &RepairMemo) -> Option<usize> {
+        m.ball.as_ref().map(|b| b.vertices.len())
+    }
+
+    #[test]
+    fn a_stored_path_that_avoids_the_delta_skips_its_legs() {
+        let mut b = Branch::new(true);
+        // The branch's first arc is within the skyline radius, so the
+        // floor clears neither route; the first repair has no memo and
+        // searches both.
+        let (first, _) = b.step(&[(6, 7, 11.0)]);
+        assert_eq!((first.repair.outcome, split(&first)), (RepairOutcome::Rescored, (0, 2)));
+        assert_eq!(paths_known(&first.memo), 2);
+        // The same arc again: both stored paths avoid it, so no leg runs.
+        let (with, without) = b.step(&[(6, 7, 12.0)]);
+        assert_eq!(with.repair.outcome, RepairOutcome::Rescored);
+        assert_eq!(with.stats.search.settled, 0, "no leg searched");
+        assert_eq!(with.stats.routes_reused, 2);
+        assert!(without.stats.search.settled > 0, "without a memo the legs run");
+        assert_eq!(with.routes, without.routes);
+        assert_eq!((split(&with), split(&without)), ((2, 0), (0, 2)));
+        // A far delta promotes through tier 1 and carries both paths…
+        let (far, _) = b.step(&[(8, 9, 11.0)]);
+        assert_eq!(far.repair.outcome, RepairOutcome::Untouched);
+        assert_eq!(paths_known(&far.memo), 2);
+        // …which still answer the next delta near the start.
+        let (again, _) = b.step(&[(6, 7, 13.0)]);
+        assert_eq!((again.stats.search.settled, again.stats.routes_reused), (0, 2));
+    }
+
+    #[test]
+    fn a_stored_ball_answers_for_decreases_outside_it_only() {
+        // Without landmarks every decreased tail is suspicious.
+        let mut b = Branch::new(false);
+        let (first, _) = b.step(&[(8, 9, 9.0)]);
+        assert_eq!(first.repair.outcome, RepairOutcome::Rescored);
+        // The ball ran to the radius 5: vertices 0–6.
+        assert_eq!(ball_size(&first.memo), Some(7));
+        // Another decrease beyond the ball: no ball and no leg runs.
+        let (with, without) = b.step(&[(8, 9, 8.0)]);
+        assert_eq!(with.repair.outcome, RepairOutcome::Rescored);
+        assert_eq!((with.stats.balls_reused, with.stats.search.settled), (1, 0));
+        assert!(without.stats.search.settled > 0);
+        assert_eq!(ball_size(&with.memo), Some(7), "the ball carries forward");
+        // A decrease whose tail (6) lies inside the ball: the ball runs,
+        // meets the tail within the radius and the repair falls back,
+        // exactly as without a memo.
+        let (with, without) = b.step(&[(6, 7, 9.0)]);
+        assert_eq!(with.stats.balls_reused, 0);
+        assert_eq!(with.repair.outcome, RepairOutcome::Researched);
+        assert_eq!(with.routes, without.routes);
+        assert_eq!(split(&with), split(&without));
+        assert_eq!(with.stats.search.settled, without.stats.search.settled);
+    }
+
+    #[test]
+    fn a_fallback_with_a_memo_returns_what_a_repair_without_one_does() {
+        let mut b = Branch::new(true);
+        b.step(&[(6, 7, 11.0)]);
+        // Lengthen an arc on the path of 4 → 5: its legs run and the
+        // length changes. The other route was deferred; it is searched
+        // before the fallback seeds, as without a memo.
+        let (with, without) = b.step(&[(3, 4, 2.0)]);
+        assert_eq!(with.repair.outcome, RepairOutcome::Researched);
+        assert_eq!(with.routes, without.routes);
+        assert_eq!(split(&with), split(&without));
+        assert_eq!(with.stats.search.settled, without.stats.search.settled);
+        assert_eq!(with.stats.routes_reused, 0);
+        // Both returned routes equal a searched survivor, and keep its
+        // path; no ball survives a fallback.
+        assert_eq!((paths_known(&with.memo), ball_size(&with.memo)), (2, None));
+    }
+
+    #[test]
+    fn a_fallback_drops_the_stored_ball() {
+        let mut b = Branch::new(false);
+        // A far decrease: the ball runs, finds nothing and is stored.
+        let (first, _) = b.step(&[(8, 9, 9.0)]);
+        assert_eq!(ball_size(&first.memo), Some(7));
+        // The branch's middle arc gets cheap: its tail 6 is within reach,
+        // so the repair falls back. The skyline stays, but 7 and 8 are now
+        // within its radius, outside the old ball.
+        let (with, _) = b.step(&[(6, 7, 1.0)]);
+        assert_eq!(with.repair.outcome, RepairOutcome::Researched);
+        assert_eq!(ball_size(&with.memo), None);
+        // Now 8 → 9 gets cheap and the branch pair (length 3.5) replaces
+        // 4 → 5. A stale ball would clear the decrease; this one must run.
+        let (with, _) = b.step(&[(8, 9, 0.5)]);
+        assert_eq!(with.repair.outcome, RepairOutcome::Researched);
+        let ends: Vec<u32> = with.routes.iter().map(|r| r.pois[1].0).collect();
+        assert_eq!(ends, [2, 9]);
     }
 
     #[test]

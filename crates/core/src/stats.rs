@@ -17,6 +17,12 @@ pub struct QueryStats {
     /// Routes expanded by a search shared with other routes of their class
     /// (grouped expansion); 0 when every search expanded one route.
     pub grouped_routes: u64,
+    /// Cached routes a repair kept without searching their legs, because
+    /// the path its previous repair measured crosses no touched arc.
+    pub routes_reused: u64,
+    /// Relevance balls a repair skipped, because the ball its previous
+    /// repair ran holds no suspicious decreased tail.
+    pub balls_reused: u64,
     /// Aggregate graph-search counters (settled / relaxed / weight sum).
     pub search: SearchStats,
     /// Weight sum of the *first* modified Dijkstra execution — Table 7's
@@ -69,6 +75,8 @@ impl QueryStats {
             mdijkstra_runs: self.mdijkstra_runs,
             mdijkstra_cache_hits: self.cache_hits,
             grouped_routes: self.grouped_routes,
+            routes_reused: self.routes_reused,
+            balls_reused: self.balls_reused,
         }
     }
 
@@ -114,6 +122,10 @@ pub struct EngineProfile {
     pub mdijkstra_cache_hits: u64,
     /// Routes expanded by a search shared with other routes of their class.
     pub grouped_routes: u64,
+    /// Cached routes a repair kept on the strength of their stored paths.
+    pub routes_reused: u64,
+    /// Relevance balls a repair answered from its stored ball.
+    pub balls_reused: u64,
 }
 
 impl EngineProfile {
@@ -136,6 +148,8 @@ impl EngineProfile {
         self.mdijkstra_cache_hits =
             self.mdijkstra_cache_hits.saturating_add(other.mdijkstra_cache_hits);
         self.grouped_routes = self.grouped_routes.saturating_add(other.grouped_routes);
+        self.routes_reused = self.routes_reused.saturating_add(other.routes_reused);
+        self.balls_reused = self.balls_reused.saturating_add(other.balls_reused);
     }
 }
 
@@ -162,6 +176,8 @@ mod tests {
             mdijkstra_runs: 4,
             cache_hits: 2,
             grouped_routes: 9,
+            routes_reused: 2,
+            balls_reused: 1,
             search: SearchStats { settled: 10, relaxed: 20, pushed: 30, weight_sum: 1.0 },
             warm_seed_routes: 3,
             routes_enqueued: 7,
@@ -181,5 +197,6 @@ mod tests {
         assert_eq!(total.mdijkstra_runs, 8);
         assert_eq!(total.mdijkstra_cache_hits, 4);
         assert_eq!(total.grouped_routes, 18);
+        assert_eq!((total.routes_reused, total.balls_reused), (4, 2));
     }
 }

@@ -346,9 +346,15 @@ impl DeltaSet {
 /// A landmark that cannot see some touched tail (infinite distance)
 /// contributes no constraint and its interval degenerates to
 /// `(-∞, +∞)` (floor 0 from that landmark).
+///
+/// The index also answers [`is_touched_tail`](Self::is_touched_tail): a
+/// path whose vertices, its last excepted, include no touched tail crosses
+/// no touched arc, so it costs the same at both epochs.
 #[derive(Clone, Debug)]
 pub struct DeltaIndex {
     delta: DeltaSet,
+    /// Every touched arc's tail, sorted and deduplicated.
+    tails: Box<[u32]>,
     /// Per-landmark `(lo, hi)` over all touched tails; empty when built
     /// without landmarks.
     touched: Box<[(f64, f64)]>,
@@ -402,12 +408,21 @@ impl DeltaIndex {
             }
         }
         let has_decreases = delta.touches().iter().any(WeightTouch::decreased);
-        DeltaIndex { delta, touched, decreased, has_decreases }
+        let mut tails: Vec<u32> = delta.touches().iter().map(|t| t.tail.0).collect();
+        tails.sort_unstable();
+        tails.dedup();
+        DeltaIndex { delta, tails: tails.into(), touched, decreased, has_decreases }
     }
 
     /// The underlying exact delta.
     pub fn delta(&self) -> &DeltaSet {
         &self.delta
+    }
+
+    /// Whether `v` is the tail of some touched arc.
+    #[inline]
+    pub fn is_touched_tail(&self, v: VertexId) -> bool {
+        self.tails.binary_search(&v.0).is_ok()
     }
 
     /// Lower bound on `min over touched tails t of d_origin(start, t)`, at
@@ -1280,6 +1295,9 @@ mod tests {
         // A start inside the ball has floor 0.
         assert_eq!(idx.touched_floor(&lm, VertexId(25)), 0.0);
         assert_eq!(idx.delta().len(), 4, "both directions of both edges");
+        // Both directions' tails are touched tails; nothing else is.
+        let tails: Vec<u32> = (0..30).filter(|&v| idx.is_touched_tail(VertexId(v))).collect();
+        assert_eq!(tails, [24, 25, 27, 28]);
     }
 
     #[test]

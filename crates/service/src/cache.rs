@@ -10,7 +10,9 @@
 //! share a single entry.
 //!
 //! Values are `Arc<[SkylineRoute]>` *stamped with the weight
-//! [`EpochId`] they were computed under*. Dynamic edge weights make a
+//! [`EpochId`] they were computed under*, plus, for a repaired entry, the
+//! [`RepairMemo`] its repair returned: what the next repair of the entry
+//! need not prove again. Dynamic edge weights make a
 //! skyline valid only for its epoch, so a lookup supplies the requester's
 //! pinned epoch and an entry answers only when the stamps match:
 //!
@@ -43,6 +45,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use skysr_core::bssr::repair::RepairMemo;
 use skysr_core::bssr::BssrConfig;
 use skysr_core::query::CanonicalPosition;
 use skysr_core::query::SkySrQuery;
@@ -74,20 +77,27 @@ impl QueryKey {
 }
 
 /// One cached skyline: the routes plus the weight epoch they are valid
-/// for.
+/// for, and the memo of the repair that produced them (stamped with the
+/// same epoch).
 #[derive(Clone, Debug)]
 struct CacheEntry {
     epoch: EpochId,
     routes: Arc<[SkylineRoute]>,
+    memo: Option<Arc<RepairMemo>>,
 }
 
 // Placeholder left in freed slab slots (see `Lru::remove`): must not keep
 // any skyline alive.
 impl Default for CacheEntry {
     fn default() -> CacheEntry {
-        CacheEntry { epoch: EpochId::BASE, routes: Vec::new().into() }
+        CacheEntry { epoch: EpochId::BASE, routes: Vec::new().into(), memo: None }
     }
 }
+
+/// What [`ResultCache::probe_entry`] found: the entry's epoch stamp, its
+/// routes and, when the entry is older than the requester's epoch, its
+/// repair memo.
+pub type Probed = (EpochId, Arc<[SkylineRoute]>, Option<Arc<RepairMemo>>);
 
 /// Plain LRU map: `HashMap` for lookup plus an index-linked list for
 /// recency order. All operations are O(1); no allocation after the node
@@ -273,15 +283,24 @@ impl ResultCache {
     /// A found entry is marked recently used: reuse as a seed or repair
     /// source is a use.
     pub fn probe(&self, key: &QueryKey, epoch: EpochId) -> Option<(EpochId, Arc<[SkylineRoute]>)> {
+        self.probe_entry(key, epoch).map(|(e, routes, _)| (e, routes))
+    }
+
+    /// [`probe`](ResultCache::probe), plus the repair memo stored with a
+    /// *stale* entry (one stamped older than `epoch`): the repair raw
+    /// material, read under the same lock as the routes it belongs to. An
+    /// entry at `epoch` is a hit and returns no memo.
+    pub fn probe_entry(&self, key: &QueryKey, epoch: EpochId) -> Option<Probed> {
         let mut lru = self.inner.lock().expect("cache poisoned");
         let i = lru.index_of(key)?;
-        let entry_epoch = lru.value(i).epoch;
-        if entry_epoch > epoch {
+        let entry = lru.value(i);
+        if entry.epoch > epoch {
             return None;
         }
-        let routes = Arc::clone(&lru.value(i).routes);
+        let memo = if entry.epoch < epoch { entry.memo.clone() } else { None };
+        let found = (entry.epoch, Arc::clone(&entry.routes), memo);
         lru.promote_index(i);
-        Some((entry_epoch, routes))
+        Some(found)
     }
 
     /// Lazy invalidation: removes `key`'s entry iff it is stamped strictly
@@ -309,12 +328,26 @@ impl ResultCache {
     /// must not clobber the post-update result — its flight was pinned to
     /// the older epoch and its answer is already stale for new traffic.
     pub fn insert(&self, key: QueryKey, epoch: EpochId, routes: Arc<[SkylineRoute]>) {
+        self.insert_repaired(key, epoch, routes, None);
+    }
+
+    /// [`insert`](ResultCache::insert), keeping `memo` — what the repair
+    /// that produced `routes` proved, stamped with `epoch` — for the next
+    /// repair of the entry.
+    pub fn insert_repaired(
+        &self,
+        key: QueryKey,
+        epoch: EpochId,
+        routes: Arc<[SkylineRoute]>,
+        memo: Option<Arc<RepairMemo>>,
+    ) {
+        debug_assert!(memo.as_ref().is_none_or(|m| m.epoch() == epoch), "a memo of another epoch");
         let mut lru = self.inner.lock().expect("cache poisoned");
         if lru.peek(&key).is_some_and(|e| e.epoch > epoch) {
             return;
         }
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        if lru.insert(key, CacheEntry { epoch, routes }) {
+        if lru.insert(key, CacheEntry { epoch, routes, memo }) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -1,8 +1,8 @@
 //! The reuse planner: serving policy as data.
 //!
 //! For each dequeued job the [`ReusePlanner`] probes the cache (through
-//! the unified [`probe`](crate::cache::ResultCache::probe)) and emits an
-//! ordered [`ReusePlan`] over the rung ladder
+//! the unified [`probe_entry`](crate::cache::ResultCache::probe_entry))
+//! and emits an ordered [`ReusePlan`] over the rung ladder
 //!
 //! ```text
 //! ExactHit → Coalesce → Repair → ColdSearch
@@ -10,7 +10,8 @@
 //!
 //! which the worker loop then executes *mechanically* — no reuse decision
 //! is made at execution time. Plans resolve their raw material eagerly
-//! (the hit's routes, the repair source plus its shared [`DeltaIndex`]),
+//! (the hit's routes, the repair source with its memo plus the shared
+//! [`DeltaIndex`]),
 //! so plan construction is unit-testable without spawning a worker pool,
 //! and the executed [`Served`](crate::metrics::Served) outcome is the
 //! single source of truth for both the response and the metrics.
@@ -26,6 +27,7 @@
 
 use std::sync::Arc;
 
+use skysr_core::bssr::repair::RepairMemo;
 use skysr_core::bssr::BssrConfig;
 use skysr_core::query::SkySrQuery;
 use skysr_core::route::SkylineRoute;
@@ -131,6 +133,8 @@ pub enum PlanStep {
     Repair {
         /// The stale cached skyline (left resident in the cache).
         cached: Arc<[SkylineRoute]>,
+        /// What the repair that produced `cached` proved, if one did.
+        memo: Option<Arc<RepairMemo>>,
         /// The per-epoch-pair index, shared across all stale keys of the
         /// pair.
         index: Arc<DeltaIndex>,
@@ -207,9 +211,9 @@ impl ReusePlanner {
 
     /// Plans the serving of `query` pinned to `epoch`.
     ///
-    /// Probes the cache through [`probe`](ResultCache::probe) and
-    /// resolves every rung's raw material eagerly, lazily invalidating a
-    /// stale entry when no repair path exists for it. `key` must be this
+    /// Probes the cache through [`probe_entry`](ResultCache::probe_entry)
+    /// and resolves every rung's raw material eagerly, lazily invalidating
+    /// a stale entry when no repair path exists for it. `key` must be this
     /// planner's [`key_of`](Self::key_of) for the same query.
     pub fn plan(
         &self,
@@ -227,11 +231,11 @@ impl ReusePlanner {
         let mut steps = Vec::with_capacity(2);
 
         // Rung 1: exact hit.
-        let mut stale: Option<(EpochId, Arc<[SkylineRoute]>)> = None;
+        let mut stale = None;
         if st.caching {
             let key = key.expect("caching implies a key");
-            match cache.probe(key, epoch) {
-                Some((e, routes)) if e == epoch => {
+            match cache.probe_entry(key, epoch) {
+                Some((e, routes, _)) if e == epoch => {
                     steps.push(PlanStep::ExactHit(e, routes));
                     return ReusePlan { steps };
                 }
@@ -249,10 +253,10 @@ impl ReusePlanner {
         // still derivable; otherwise it is lazily invalidated (repair
         // off) or left to be overwritten by the fresh insert (repair on,
         // delta compacted away).
-        if let Some((entry_epoch, routes)) = stale {
+        if let Some((entry_epoch, routes, memo)) = stale {
             if st.repair {
                 if let Some(index) = ctx.delta_index(entry_epoch, epoch) {
-                    steps.push(PlanStep::Repair { cached: routes, index });
+                    steps.push(PlanStep::Repair { cached: routes, memo, index });
                     return ReusePlan { steps };
                 }
             } else {
@@ -388,7 +392,7 @@ mod tests {
 
         let plan = with_repair.plan(&q, key.as_ref(), e1, &cache, &ctx);
         assert!(plan.coalesces());
-        let PlanStep::Repair { cached, index } = plan.terminal() else {
+        let PlanStep::Repair { cached, index, .. } = plan.terminal() else {
             panic!("stale entry with repair on must plan a repair: {plan:?}");
         };
         assert!(!cached.is_empty());

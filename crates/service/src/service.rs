@@ -1123,9 +1123,10 @@ fn worker_loop(
         // Category positions come from the context's memo: after a
         // category's first use, preparing costs one `Arc` clone per position.
         let outcome = pinned.prepare(&query).map(|pq| {
-            if let PlanStep::Repair { cached, index } = &step {
+            if let PlanStep::Repair { cached, memo, index } = &step {
                 exec.delta_index = Some((index.delta().from_epoch(), index.delta().to_epoch()));
-                let r = engine.repair_prepared(&pq, cached, index, ctx.landmarks());
+                let r =
+                    engine.repair_prepared(&pq, cached, memo.as_deref(), index, ctx.landmarks());
                 exec.repair_tier = Some(r.repair.outcome.label());
                 exec.profile = r.stats.profile();
                 let served = Served::Repaired {
@@ -1133,7 +1134,7 @@ fn worker_loop(
                     routes_untouched: r.repair.routes_untouched,
                     routes_rescored: r.repair.routes_rescored,
                 };
-                return (r.routes, served);
+                return (r.routes, served, Some(Arc::new(r.memo)));
             }
             // Anytime streaming: with a progress channel attached, the
             // engine reports each provisional Pareto point as the search
@@ -1148,20 +1149,21 @@ fn worker_loop(
             let result = engine.run_prepared_observed(&pq, &[], sink);
             exec.profile = result.stats.profile();
             let served = if result.truncated { Served::Approximate } else { Served::Search };
-            (result.routes, served)
+            (result.routes, served, None)
         });
         exec.engine = Some(engine_t0.elapsed());
         scratch = Some(engine.into_scratch());
         match outcome {
-            Ok((routes, served)) => {
+            Ok((routes, served, memo)) => {
                 let routes: Arc<[SkylineRoute]> = routes.into();
                 let truncated = served == Served::Approximate;
                 // A truncated partial is NEVER cached: it is exact only
                 // in the weak dominated-or-equal sense, and a later
                 // deadline-less request must not inherit it as "the"
-                // answer.
+                // answer. A repaired skyline keeps its repair's memo.
                 if planner.strategies().caching && !truncated {
-                    cache.insert(key.expect("caching implies a key"), epoch, Arc::clone(&routes));
+                    let key = key.expect("caching implies a key");
+                    cache.insert_repaired(key, epoch, Arc::clone(&routes), memo);
                 }
                 let waiters = match &fkey {
                     Some(fk) => inflight.complete(fk),
@@ -1350,6 +1352,53 @@ mod tests {
         assert_eq!(m.cache.invalidations, 0, "repair replaces lazy invalidation");
         assert_eq!(m.stale_served, 0);
         assert_eq!(m.executed, 2, "initial search + the repair attempt");
+    }
+
+    #[test]
+    fn a_repaired_entry_keeps_its_memo_for_the_next_repair() {
+        use skysr_category::ForestBuilder;
+        use skysr_core::PoiTable;
+        use skysr_graph::GraphBuilder;
+        // 0 —1— 1 —1— 2 —1— 3 with an Asian restaurant at 1 and a gift
+        // shop at 3; a side arc 0 —1— 4 —1— 5 that no route uses.
+        let mut fb = ForestBuilder::new();
+        let food = fb.add_root("Food");
+        let asian = fb.add_child(food, "Asian");
+        let shop = fb.add_root("Shop");
+        let gift = fb.add_child(shop, "Gift");
+        let forest = fb.build();
+        let mut gb = GraphBuilder::new();
+        let v: Vec<VertexId> = (0..6).map(|_| gb.add_vertex()).collect();
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)] {
+            gb.add_edge(v[a], v[b], 1.0);
+        }
+        let graph = gb.build();
+        let mut pois = PoiTable::new(graph.num_vertices());
+        pois.add_poi(v[1], asian);
+        pois.add_poi(v[3], gift);
+        pois.finalize(&forest);
+        let ctx = Arc::new(ServiceContext::new(graph, forest, pois));
+        let service = Service::new(
+            Arc::clone(&ctx),
+            ServiceConfig { workers: 1, repair: true, ..ServiceConfig::default() },
+        );
+        let query = SkySrQuery::new(v[0], [asian, gift]);
+        let cold = service.submit_query(query.clone()).wait().unwrap();
+        assert_eq!(cold.served, Served::Search);
+        // The side arc is within the skyline radius. The cold entry has no
+        // memo, so the first repair searches the route's legs…
+        ctx.publish_weights(&[WeightDelta::new(v[4], v[5], 2.0)]);
+        let first = service.submit_query(query.clone()).wait().unwrap();
+        let searched =
+            Served::Repaired { fallback: false, routes_untouched: 0, routes_rescored: 1 };
+        assert_eq!(first.served, searched);
+        // …and the entry it stores keeps the path they measured, which
+        // clears the next delta on the same arc without a search.
+        ctx.publish_weights(&[WeightDelta::new(v[4], v[5], 3.0)]);
+        let second = service.submit_query(query).wait().unwrap();
+        let reused = Served::Repaired { fallback: false, routes_untouched: 1, routes_rescored: 0 };
+        assert_eq!(second.served, reused);
+        assert_eq!(second.routes, first.routes);
     }
 
     #[test]

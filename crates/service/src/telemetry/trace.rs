@@ -101,6 +101,8 @@ impl TraceSpan {
         push_kv(&mut s, "seeds_survived", &p.seeds_survived.to_string());
         push_kv(&mut s, "mdijkstra_runs", &p.mdijkstra_runs.to_string());
         push_kv(&mut s, "grouped_routes", &p.grouped_routes.to_string());
+        push_kv(&mut s, "routes_reused", &p.routes_reused.to_string());
+        push_kv(&mut s, "balls_reused", &p.balls_reused.to_string());
         s.push_str(&format!("\"skyline\":{}", self.skyline));
         s.push('}');
         s
@@ -342,6 +344,8 @@ mod tests {
         let mut s = span(42, 1_234);
         s.delta_index = Some((EpochId(3), EpochId(5)));
         s.repair_tier = Some("rescored");
+        s.profile.routes_reused = 3;
+        s.profile.balls_reused = 1;
         let line = s.to_json_line();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert_eq!(line.matches('{').count(), 1);
@@ -351,6 +355,8 @@ mod tests {
             "\"attempts\":[\"exact:miss\",\"cold\"]",
             "\"delta_index\":[3,5]",
             "\"repair_tier\":\"rescored\"",
+            "\"routes_reused\":3",
+            "\"balls_reused\":1",
             "\"total_us\":1234.000",
             "\"skyline\":2",
         ] {

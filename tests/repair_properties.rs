@@ -4,6 +4,12 @@
 //! * **Repair exactness** — for random graphs, queries and weight-delta
 //!   batches, `Bssr::repair` of the old-epoch skyline is score-equivalent
 //!   to a from-scratch search at the new epoch, whatever tier resolved it.
+//! * **Chained repairs** — across 2–4 successive delta batches, each
+//!   repair reading the memo of the one before, every repaired skyline is
+//!   score-equivalent to a from-scratch search at its epoch and reaches the
+//!   same outcome as a repair without a memo; with landmarks and without
+//!   (then nothing clears at the floor, and every route and relevance check
+//!   goes through the memo).
 //! * **Untouched conservativeness** — whenever the cheap
 //!   `wholesale_untouched` lower-bound check accepts a delta, the cached
 //!   skyline *is* byte-for-byte the new epoch's exact skyline: the check
@@ -15,10 +21,10 @@
 
 use proptest::prelude::*;
 use skysr::category::{CategoryForest, CategoryId, ForestBuilder};
-use skysr::core::bssr::repair::wholesale_untouched;
+use skysr::core::bssr::repair::{wholesale_untouched, RepairMemo};
 use skysr::core::bssr::{Bssr, RepairOutcome};
 use skysr::core::route::equivalent_skylines;
-use skysr::core::{PoiTable, QueryContext, SkySrQuery};
+use skysr::core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery};
 use skysr::graph::{
     Cost, DeltaIndex, EpochId, GraphBuilder, Landmarks, RoadNetwork, VertexId, WeightDelta,
     WeightEpoch,
@@ -74,12 +80,67 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
         })
 }
 
+/// 1–3 delta batches to publish after an instance's own, each as the
+/// instance's `deltas` are (arc index, factor on the origin weight), of
+/// one or two arcs: the smaller a batch, the more stored proofs survive
+/// it.
+fn arb_waves() -> impl Strategy<Value = Vec<Vec<(usize, f64)>>> {
+    prop::collection::vec(prop::collection::vec((0usize..64, 0.2f64..4.0), 1..3), 1..4)
+}
+
 struct Built {
     graph: RoadNetwork,
     forest: CategoryForest,
     pois: PoiTable,
     query: SkySrQuery,
     deltas: Vec<WeightDelta>,
+}
+
+/// `batch` resolved against `graph`'s arcs, as [`build`] resolves an
+/// instance's own deltas.
+fn resolve(graph: &RoadNetwork, batch: &[(usize, f64)]) -> Vec<WeightDelta> {
+    batch
+        .iter()
+        .map(|&(slot, factor)| {
+            let (from, to, w) = graph.arc(slot % graph.num_arcs());
+            WeightDelta::new(from, to, w.get() * factor)
+        })
+        .collect()
+}
+
+/// Publishes `built.deltas` and then each of `waves` in turn, repairing the
+/// previous skyline across every batch with the previous repair's memo.
+/// Each repaired skyline must match a fresh search at its epoch and reach
+/// the outcome a repair without a memo reaches.
+fn chain(built: &Built, waves: &[Vec<(usize, f64)>], landmarks: Option<&Landmarks>) {
+    let epochs = WeightEpoch::new(built.graph.clone());
+    let base = epochs.pin();
+    let ctx0 = QueryContext::new(&base, &built.forest, &built.pois);
+    let mut cached = Bssr::new(&ctx0).run(&built.query).expect("valid query").routes;
+    let mut memo: Option<RepairMemo> = None;
+    let mut at = EpochId::BASE;
+    let batches =
+        std::iter::once(built.deltas.clone()).chain(waves.iter().map(|w| resolve(&built.graph, w)));
+    for (i, batch) in batches.enumerate() {
+        let to = epochs.publish(&batch);
+        let delta = epochs.delta_between(at, to).expect("every epoch is retained");
+        let index = DeltaIndex::build(delta, landmarks);
+        let pinned = epochs.pin();
+        let ctx = QueryContext::new(&pinned, &built.forest, &built.pois);
+        let pq = PreparedQuery::prepare(&ctx, &built.query).expect("valid query");
+        let with = Bssr::new(&ctx).repair_prepared(&pq, &cached, memo.as_ref(), &index, landmarks);
+        let without =
+            Bssr::new(&ctx).repair(&built.query, &cached, &index, landmarks).expect("valid query");
+        let fresh = Bssr::new(&ctx).run(&built.query).unwrap().routes;
+        assert!(
+            equivalent_skylines(&with.routes, &fresh),
+            "batch {i}, outcome {:?}: repaired {:?} vs fresh {fresh:?} (batch {batch:?})",
+            with.repair.outcome,
+            with.routes,
+        );
+        assert_eq!(with.repair.outcome, without.repair.outcome, "batch {i}");
+        (cached, memo, at) = (with.routes, Some(with.memo), to);
+    }
 }
 
 fn build(inst: &Instance) -> Built {
@@ -103,14 +164,7 @@ fn build(inst: &Instance) -> Built {
     let query =
         SkySrQuery::new(vs[inst.start], inst.query_cats.iter().map(|&c| CategoryId(c as u32)));
     // Resolve the delta batch against the real arc count.
-    let deltas = inst
-        .deltas
-        .iter()
-        .map(|&(slot, factor)| {
-            let (from, to, w) = graph.arc(slot % graph.num_arcs());
-            WeightDelta::new(from, to, w.get() * factor)
-        })
-        .collect();
+    let deltas = resolve(&graph, &inst.deltas);
     Built { graph, forest, pois, query, deltas }
 }
 
@@ -239,5 +293,23 @@ proptest! {
             prop_assert_eq!(adjacency(view), adjacency(&truth), "held epoch {}", e);
             prop_assert!(bounded.pin_at(*e).is_some(), "leased epoch {e} stayed pinnable");
         }
+    }
+}
+
+proptest! {
+    // More cases than above: most random batches change a length or bring
+    // a decrease within reach, and only the repairs they spare exercise
+    // the memo.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn chained_repairs_with_memos_match_fresh_searches(
+        inst in arb_instance(),
+        waves in arb_waves(),
+    ) {
+        let built = build(&inst);
+        let landmarks = Landmarks::build(&built.graph, 3, VertexId(0));
+        chain(&built, &waves, Some(&landmarks));
+        chain(&built, &waves, None);
     }
 }
