@@ -3,13 +3,15 @@
 //!
 //! Builds (or loads) a dataset, stands up a [`Service`] over it (or, with
 //! `--shards N`, N per-region services behind a
-//! [`Router`](skysr_service::Router)), binds the
-//! non-blocking TCP server and blocks until a client sends the `Shutdown`
-//! frame — at which point the daemon stops accepting, drains every
-//! in-flight query, answers the requester with a final metrics snapshot
-//! and exits. Its `Welcome` advertises the region registry, and `Submit`
-//! frames may carry a region id; region-less requests are routed by start
-//! vertex.
+//! [`Router`](skysr_service::Router)), binds the TCP server and blocks
+//! until a client sends the `Shutdown` frame — at which point the daemon
+//! stops accepting, drains every in-flight query, answers the requester
+//! with a final metrics snapshot and exits. The server serves up to 64
+//! connections at once, each on a reader thread and a writer thread; a
+//! full submission queue stops a connection's reads, and a client that
+//! stops reading stops being read once 4 MiB of answers wait for it. Its
+//! `Welcome` advertises the region registry, and `Submit` frames may
+//! carry a region id; region-less requests are routed by start vertex.
 
 use std::sync::Arc;
 

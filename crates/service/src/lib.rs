@@ -99,8 +99,18 @@
 //! assert_eq!(m.completed, 8);
 //! ```
 //!
+//! Every endpoint implements [`QueryService`], whose one submission
+//! method, [`QueryService::submit_to`], takes the request and the
+//! [`Reply`] its answer goes to; [`Ticket`] and [`StreamTicket`] are
+//! replies over a channel.
+//!
 //! The same engine serves over the network: [`net`] adds the `skysr-d`
-//! daemon's event loop ([`net::Server`]), the length-prefixed wire
+//! server ([`net::Server`]: blocking sockets, up to
+//! [`net::MAX_CONNECTIONS`] connections, each on a reader thread that
+//! submits through [`QueryService::submit_to`] and a writer thread the
+//! replies post their frames to; a full submission queue stops that
+//! connection's reads, and a client that stops reading stops being read
+//! past [`ServerConfig::write_buf_cap`]), the length-prefixed wire
 //! protocol ([`net::wire`]) and the [`RemoteService`] client — which
 //! implements the same [`QueryService`] trait as [`Service`], so every
 //! driver in this crate runs against either transport.
@@ -136,13 +146,13 @@ pub mod telemetry;
 pub use cache::{CacheCounters, QueryKey, ResultCache};
 pub use context::ServiceContext;
 pub use metrics::{LatencyBreakdown, MetricsSnapshot, Served};
-pub use net::{ProtocolError, RemoteService, ServeBackend, Server, ServerConfig};
+pub use net::{ProtocolError, RemoteService, Server, ServerConfig};
 pub use plan::{PlanStep, ReusePlan, ReusePlanner, ReuseStrategies};
 pub use replay::{ReplayReport, ReplaySpec, ShardReplay, ShardedReplayReport, StreamPattern};
 pub use scenario::{City, Gates, Scenario, TwinGate, Work};
 pub use service::{
-    AnytimeResponse, QueryRequest, QueryResponse, QueryService, RequestOptions, Service,
-    ServiceConfig, StreamTicket, Ticket,
+    Answer, AnytimeResponse, QueryRequest, QueryResponse, QueryService, Reply, RequestOptions,
+    Service, ServiceConfig, StreamTicket, Ticket,
 };
 pub use shard::{RegionId, RegionInfo, RegionService, Router, ShardRegistry};
 pub use telemetry::{

@@ -2,11 +2,12 @@
 //! [`QueryService`] trait as the in-process [`Service`](crate::Service).
 //!
 //! One TCP connection carries any number of interleaved requests: each
-//! submission gets a client-side correlation id, a background reader
-//! thread demultiplexes answer frames back into per-request channels, and
-//! the tickets handed out are the *same* [`Ticket`]/[`StreamTicket`]
-//! types the in-process service returns — so replay and the examples
-//! drive either transport through one code path.
+//! submission gets a client-side correlation id, and a background reader
+//! thread demultiplexes answer frames back into each request's [`Reply`].
+//! The tickets handed out are the *same* [`Ticket`](crate::Ticket) and
+//! [`StreamTicket`](crate::StreamTicket) types the in-process service
+//! returns — so replay and the examples drive either transport through
+//! one code path.
 //!
 //! Request/response pairs without ids (`MetricsReq` → `MetricsRep`,
 //! `PublishWeights` → `WeightsPublished`) are matched FIFO, which is
@@ -17,32 +18,24 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skysr_core::error::QueryError;
-use skysr_core::route::SkylineRoute;
 use skysr_graph::{EpochId, WeightDelta};
 
 use super::wire::{
     read_frame, DatasetFingerprint, Frame, ProtocolError, MAX_FRAME, PROTOCOL_VERSION,
 };
 use crate::metrics::MetricsSnapshot;
-use crate::service::{QueryRequest, QueryService, StreamTicket, Ticket};
+use crate::service::{QueryRequest, QueryService, Reply};
 use crate::shard::RegionInfo;
-
-/// Answer routing for one submitted query.
-struct PendingQuery {
-    reply: Sender<Result<crate::service::QueryResponse, QueryError>>,
-    progress: Option<Sender<SkylineRoute>>,
-}
 
 /// State shared between callers and the reader thread.
 #[derive(Default)]
 struct Demux {
-    queries: HashMap<u64, PendingQuery>,
+    queries: HashMap<u64, Reply>,
     /// FIFO waiters for `MetricsRep` frames (metrics *and* shutdown).
     metrics: VecDeque<Sender<MetricsSnapshot>>,
     /// FIFO waiters for `WeightsPublished` frames.
@@ -168,39 +161,16 @@ impl RemoteService {
             panic!("skysr-d connection lost: write failed");
         }
     }
-
-    fn submit_inner(
-        &self,
-        request: QueryRequest,
-        streaming: bool,
-    ) -> (Ticket, Option<Receiver<SkylineRoute>>) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (reply, ticket) = Ticket::channel();
-        let (progress_tx, progress_rx) = if streaming {
-            let (tx, rx) = std::sync::mpsc::channel();
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
-        // Register before writing: the answer may race back before the
-        // write call even returns.
-        {
-            let mut demux = self.shared.demux.lock().expect("client demux poisoned");
-            demux.queries.insert(id, PendingQuery { reply, progress: progress_tx });
-        }
-        self.send(&Frame::Submit { id, streaming, request });
-        (ticket, progress_rx)
-    }
 }
 
 impl QueryService for RemoteService {
-    fn submit(&self, request: QueryRequest) -> Ticket {
-        self.submit_inner(request, false).0
-    }
-
-    fn submit_streaming(&self, request: QueryRequest) -> StreamTicket {
-        let (ticket, progress) = self.submit_inner(request, true);
-        StreamTicket::new(progress.expect("streaming submit has a progress channel"), ticket)
+    fn submit_to(&self, request: QueryRequest, reply: Reply) {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let streaming = reply.streaming();
+        // Register before writing: the answer may race back before the
+        // write call even returns.
+        self.shared.demux.lock().expect("client demux poisoned").queries.insert(id, reply);
+        self.send(&Frame::Submit { id, streaming, request });
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -277,22 +247,18 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
         let mut demux = shared.demux.lock().expect("client demux poisoned");
         match frame {
             Frame::Progress { id, route } => {
-                if let Some(pending) = demux.queries.get(&id) {
-                    if let Some(progress) = &pending.progress {
-                        // The caller may have stopped listening (deadline
-                        // cutoff dropped the receiver) — not an error.
-                        let _ = progress.send(route);
-                    }
+                if let Some(reply) = demux.queries.get_mut(&id) {
+                    reply.progress(route);
                 }
             }
             Frame::Final { id, response } => {
-                if let Some(pending) = demux.queries.remove(&id) {
-                    let _ = pending.reply.send(Ok(response));
+                if let Some(reply) = demux.queries.remove(&id) {
+                    reply.answer(Ok(response));
                 }
             }
             Frame::QueryFailed { id, error } => {
-                if let Some(pending) = demux.queries.remove(&id) {
-                    let _ = pending.reply.send(Err(error));
+                if let Some(reply) = demux.queries.remove(&id) {
+                    reply.answer(Err(error));
                 }
             }
             Frame::MetricsRep(snapshot) => {

@@ -5,13 +5,17 @@
 //! * [`wire`] — the length-prefixed binary protocol: frame layout,
 //!   version handshake, incremental [`wire::FrameReader`], and typed
 //!   [`ProtocolError`]s instead of panics on adversarial bytes;
-//! * [`Server`] — the daemon's event loop: a single poll thread over
-//!   nonblocking sockets that accepts connections, decodes frames, feeds
-//!   the [`Service`](crate::Service) through its non-blocking
-//!   `try_submit` (parking submissions when the bounded queue pushes
-//!   back), and pumps each in-flight query's provisional
-//!   [`Progress`](wire::Frame::Progress) points and
-//!   [`Final`](wire::Frame::Final) answer back out;
+//! * [`Server`] — the daemon, on blocking sockets: an acceptor thread
+//!   serves up to [`MAX_CONNECTIONS`] connections at once, each with a
+//!   reader thread that decodes frames and submits through the backend's
+//!   ordinary [`QueryService::submit_to`](crate::QueryService::submit_to)
+//!   and a writer thread that writes every frame for that connection.
+//!   Each request's reply posts its provisional
+//!   [`Progress`](wire::Frame::Progress) points and its
+//!   [`Final`](wire::Frame::Final) answer straight to the writer from the
+//!   worker that produces them. A full submission queue stops that
+//!   connection's reads, and a client that stops reading stops being read
+//!   once [`ServerConfig::write_buf_cap`] bytes wait to be written;
 //! * [`RemoteService`] — the client: implements the same
 //!   [`QueryService`](crate::QueryService) trait as the in-process
 //!   [`Service`](crate::Service), so every driver in this crate (replay,
@@ -29,7 +33,7 @@ pub mod server;
 pub mod wire;
 
 pub use client::RemoteService;
-pub use server::{ServeBackend, Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_CONNECTIONS};
 pub use wire::{DatasetFingerprint, Frame, FrameReader, ProtocolError, PROTOCOL_VERSION};
 
 use crate::context::ServiceContext;

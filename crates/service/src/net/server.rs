@@ -1,104 +1,51 @@
-//! The `skysr-d` event loop: one poll thread, nonblocking sockets.
+//! The `skysr-d` server: blocking sockets, two threads per connection.
 //!
-//! The runtime has no async stack (std-only, by constraint), so the
-//! daemon is a classic readiness loop: a nonblocking
-//! [`TcpListener`] plus per-connection nonblocking [`TcpStream`]s, all
-//! driven by a single thread that accepts, reads, decodes, dispatches,
-//! pumps and flushes in rounds. The *engine* still runs on the
-//! [`Service`]'s own worker pool — the loop never blocks on a search:
-//! submissions go through the service's non-blocking `try_submit` (a full
-//! queue parks the
-//! frame and the loop keeps turning — backpressure reaches the client as
-//! an unread socket), and answers come back by polling each in-flight
-//! query's [`Ticket::try_wait`] and its streaming progress channel.
+//! The runtime has no async stack (std-only, by constraint), so the daemon
+//! serves each connection on blocking threads. An acceptor thread takes
+//! connections, up to [`MAX_CONNECTIONS`] at once, and gives each one a
+//! reader thread and a writer thread:
+//!
+//! * the reader decodes frames in order and submits each `Submit` through
+//!   the backend's ordinary [`QueryService::submit_to`], which blocks
+//!   while the submission queue is full — so a full queue stops that
+//!   connection's reads, and backpressure reaches the client as an unread
+//!   socket;
+//! * every frame for the connection goes through one outbox to the
+//!   writer, which writes them in the order they were posted. The reader
+//!   posts its own replies there (so unnumbered replies stay in request
+//!   order), and each request's [`Reply`] posts its `Progress` and `Final`
+//!   frames there from the worker that answers it — answers leave as
+//!   requests complete, not in submission order;
+//! * a client that stops reading stops being read: while more than
+//!   [`ServerConfig::write_buf_cap`] bytes wait to be written, the reader
+//!   waits for the writer before it reads another frame.
+//!
+//! The engine runs on the backend's own worker pool. Nothing polls and
+//! nothing sleeps on a timer: every thread blocks on a socket, the
+//! submission queue or a condition variable.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use skysr_core::error::QueryError;
-use skysr_core::route::SkylineRoute;
-
-use super::wire::{
-    DatasetFingerprint, Frame, FrameReader, ProtocolError, MAX_FRAME, PROTOCOL_VERSION,
+use std::collections::HashMap;
+use std::io::{BufReader, BufWriter, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
-use crate::service::{QueryRequest, QueryService, Service, Ticket};
-use crate::shard::{RegionInfo, Router};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
-/// What the event loop needs from the engine behind it, beyond
-/// [`QueryService`]: the non-blocking submission path its readiness model
-/// depends on. Implemented by the single-shard [`Service`] and the
-/// multi-tenant [`Router`], so one daemon binary serves either.
-pub trait ServeBackend: QueryService + 'static {
-    /// Non-blocking submit: `Err` hands the request back when the
-    /// submission queue is full right now (the loop parks it and keeps
-    /// turning); an admission-gate shed or a mis-addressed region is an
-    /// `Ok` ticket already resolved to the typed failure. `submitted` is
-    /// the instant the request *first* arrived, so a parked-and-retried
-    /// request keeps its original deadline clock.
-    fn try_submit(
-        &self,
-        request: QueryRequest,
-        progress: Option<Sender<SkylineRoute>>,
-        submitted: Instant,
-    ) -> Result<Ticket, QueryRequest>;
+use super::wire::{read_frame, Frame, ProtocolError, MAX_FRAME, PROTOCOL_VERSION};
+use crate::service::{Answer, QueryService, Reply};
 
-    /// Counts a request shed while parked (queue full past its deadline)
-    /// against the owning shard's metrics.
-    fn note_shed_parked(&self, request: &QueryRequest);
-}
-
-impl ServeBackend for Service {
-    fn try_submit(
-        &self,
-        request: QueryRequest,
-        progress: Option<Sender<SkylineRoute>>,
-        submitted: Instant,
-    ) -> Result<Ticket, QueryRequest> {
-        Service::try_submit(self, request, progress, submitted)
-    }
-
-    fn note_shed_parked(&self, _request: &QueryRequest) {
-        Service::note_shed_parked(self);
-    }
-}
-
-impl ServeBackend for Router {
-    fn try_submit(
-        &self,
-        request: QueryRequest,
-        progress: Option<Sender<SkylineRoute>>,
-        submitted: Instant,
-    ) -> Result<Ticket, QueryRequest> {
-        match self.dispatch_request(request) {
-            Ok((service, request)) => Service::try_submit(&service, request, progress, submitted),
-            Err(err) => Ok(self.resolved_error_ticket(err)),
-        }
-    }
-
-    fn note_shed_parked(&self, request: &QueryRequest) {
-        // The parked request was already routable (it parked on a shard's
-        // full queue), so resolve charges the owning shard; an unroutable
-        // one was never parked.
-        if let Ok(region) = self.resolve(request) {
-            if let Some(service) = self.shard(region) {
-                Service::note_shed_parked(service);
-            }
-        }
-    }
-}
+/// Connections served at once. The next one is answered with a
+/// [`Frame::Fault`] and closed, and no thread is spawned for it.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Tuning knobs for [`Server`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Largest accepted frame (see [`MAX_FRAME`]).
     pub max_frame: usize,
-    /// Per-connection write-buffer size above which the loop stops
-    /// *reading* from that connection — backpressure for a client that
+    /// Unwritten bytes per connection above which the server stops
+    /// *reading* that connection — backpressure for a client that
     /// pipelines submissions faster than it drains answers.
     pub write_buf_cap: usize,
 }
@@ -109,34 +56,36 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running daemon: the listener plus its poll thread.
+/// A running daemon: the listener's acceptor thread and every
+/// connection's threads.
 ///
 /// The server holds an `Arc` of its backend — the single-shard
-/// [`Service`] or the multi-tenant [`Router`] — and answers any number
-/// of concurrent connections against it. It stops either cooperatively
+/// [`Service`](crate::Service), the multi-tenant
+/// [`Router`](crate::Router) or any other [`QueryService`] — and answers
+/// any number of connections against it. It stops either cooperatively
 /// ([`Server::stop`], backend left running) or protocol-driven (a client
-/// sends [`Frame::Shutdown`]: the loop drains every in-flight query,
-/// shuts the backend down, answers with the final
-/// [`Frame::MetricsRep`] and exits).
+/// sends [`Frame::Shutdown`]: the server stops accepting, waits until
+/// every submitted request is answered, shuts the backend down, answers
+/// with the final [`Frame::MetricsRep`] and closes each connection once
+/// its writer has flushed).
 pub struct Server {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    hub: Arc<Hub>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// spawns the poll thread serving `backend` — an `Arc<Service>`
-    /// (single shard) or `Arc<Router>` (multi-tenant).
-    pub fn spawn<A: ToSocketAddrs, B: ServeBackend>(
+    /// spawns the acceptor serving `backend` — an `Arc<Service>` (single
+    /// shard), an `Arc<Router>` (multi-tenant) or any other
+    /// [`QueryService`].
+    pub fn spawn<A: ToSocketAddrs, B: QueryService + 'static>(
         addr: A,
         backend: Arc<B>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         // The registry (and the default shard's fingerprint inside it) is
         // captured once at spawn: the handshake advertises the epoch the
         // daemon *started* serving.
@@ -144,22 +93,26 @@ impl Server {
         let fingerprint = registry
             .first()
             .map(|info| info.fingerprint)
-            .expect("a serve backend advertises at least one region");
-        let mut loop_state = EventLoop {
-            listener,
-            service: backend as Arc<dyn ServeBackend>,
-            registry,
-            fingerprint,
-            config,
-            conns: Vec::new(),
-            draining: false,
-            stop: Arc::clone(&stop),
+            .expect("a served backend advertises at least one region");
+        let welcome = Frame::Welcome { version: PROTOCOL_VERSION, fingerprint, registry };
+        // A wildcard bind is reachable on loopback, where the acceptor's
+        // wake-up connects.
+        let wake = match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+            IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+            _ => addr,
         };
-        let handle = std::thread::Builder::new()
+        let hub = Arc::new(Hub { state: Mutex::default(), settled: Condvar::new(), wake });
+        let front = Front {
+            backend: backend as Arc<dyn QueryService>,
+            welcome: welcome.to_bytes(),
+            config,
+            hub: Arc::clone(&hub),
+        };
+        let acceptor = std::thread::Builder::new()
             .name("skysr-d".into())
-            .spawn(move || loop_state.run())
-            .expect("spawn server thread");
-        Ok(Server { addr, stop, handle: Some(handle) })
+            .spawn(move || accept_loop(listener, Arc::new(front)))?;
+        Ok(Server { addr, hub, acceptor: Some(acceptor) })
     }
 
     /// The bound address (resolves the ephemeral port of `:0` binds).
@@ -167,19 +120,19 @@ impl Server {
         self.addr
     }
 
-    /// Asks the poll thread to exit after its current round (the service
-    /// itself is left running) and waits for it.
+    /// Closes the listener and every connection (the backend is left
+    /// running) and waits for every server thread to exit.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.hub.stop();
         self.join();
     }
 
-    /// Waits for the poll thread to exit — either via [`Server::stop`] or
-    /// a client's [`Frame::Shutdown`].
+    /// Waits for every server thread to exit — either via
+    /// [`Server::stop`] or a client's [`Frame::Shutdown`].
     pub fn join(&mut self) {
-        if let Some(handle) = self.handle.take() {
+        if let Some(handle) = self.acceptor.take() {
             if handle.join().is_err() {
-                panic!("skysr-d poll thread panicked");
+                panic!("skysr-d acceptor thread panicked");
             }
         }
     }
@@ -187,321 +140,313 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
+        if let Some(handle) = self.acceptor.take() {
+            self.hub.stop();
             let _ = handle.join();
         }
     }
 }
 
-/// One query in flight on behalf of a connection.
-struct Inflight {
-    /// The *client's* correlation id, echoed on every answer frame.
-    id: u64,
-    ticket: Ticket,
-    progress: Option<Receiver<SkylineRoute>>,
-}
-
-/// Per-connection state.
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    /// Pending output; `out_pos` marks how much is already written.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Handshake seen.
-    greeted: bool,
-    inflight: Vec<Inflight>,
-    /// A submission the bounded queue rejected, retried every round
-    /// (while parked, no further frames are read from this connection).
-    /// Carries the instant the submission *first* arrived, so a parked
-    /// request's deadline clock keeps running — the per-connection
-    /// overload gate sheds it with a typed [`Frame::QueryFailed`] once
-    /// the deadline lapses instead of retrying forever.
-    parked: Option<(u64, bool, Instant, QueryRequest)>,
-    /// Close once the write buffer drains (set after a `Fault`).
-    close_after_flush: bool,
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, max_frame: usize) -> Conn {
-        Conn {
-            stream,
-            reader: FrameReader::new(max_frame),
-            out: Vec::new(),
-            out_pos: 0,
-            greeted: false,
-            inflight: Vec::new(),
-            parked: None,
-            close_after_flush: false,
-            dead: false,
-        }
-    }
-
-    fn queue_frame(&mut self, frame: &Frame) {
-        self.out.extend_from_slice(&frame.to_bytes());
-    }
-
-    fn buffered(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
-    /// Queues a `Fault`, abandons all in-flight work and schedules the
-    /// connection for close-after-flush.
-    fn fault(&mut self, message: String) {
-        self.queue_frame(&Frame::Fault { message });
-        self.inflight.clear();
-        self.parked = None;
-        self.close_after_flush = true;
-    }
-}
-
-struct EventLoop {
-    listener: TcpListener,
-    service: Arc<dyn ServeBackend>,
-    /// The registry advertised in every `Welcome`, captured at spawn.
-    registry: Vec<RegionInfo>,
-    /// The default shard's fingerprint, advertised in every `Welcome`.
-    fingerprint: DatasetFingerprint,
+/// What every connection's reader needs: the backend, the handshake
+/// answer, the limits and the hub.
+struct Front {
+    backend: Arc<dyn QueryService>,
+    /// The encoded `Welcome`, the same for every connection.
+    welcome: Vec<u8>,
     config: ServerConfig,
-    conns: Vec<Conn>,
-    /// A client asked for shutdown: stop accepting, drain in-flight work,
-    /// then stop the service. At most one drain at a time; later
-    /// `Shutdown` frames get a `Fault`.
-    draining: bool,
-    stop: Arc<AtomicBool>,
+    hub: Arc<Hub>,
 }
 
-impl EventLoop {
-    fn run(&mut self) {
-        let mut drain_conn: Option<usize> = None;
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut busy = false;
+/// The state the acceptor, the connections and the reply sinks share. It
+/// holds no backend, so a reply dropped on a worker thread never drops
+/// the last handle to the service that worker belongs to.
+struct Hub {
+    state: Mutex<HubState>,
+    /// Signalled when the last owed answer is released.
+    settled: Condvar,
+    /// Where a loopback connect wakes the acceptor out of `accept`.
+    wake: SocketAddr,
+}
 
-            // Accept — suspended once a shutdown drain started.
-            if !self.draining {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_ok() {
-                                self.conns.push(Conn::new(stream, self.config.max_frame));
-                                busy = true;
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
-            }
+#[derive(Default)]
+struct HubState {
+    /// [`Server::stop`] (or the drop) closes everything.
+    stopping: bool,
+    /// Set by the first `Shutdown`: the outbox its farewell goes to.
+    drain: Option<Arc<Outbox>>,
+    /// Answers that submitted requests still owe.
+    owed: usize,
+    /// Every open connection, counted against [`MAX_CONNECTIONS`]: its
+    /// socket (cut by `stop`) and its outbox (closed by the drain).
+    conns: HashMap<u64, Conn>,
+    next_conn: u64,
+}
 
-            // Read + dispatch, pump, flush each connection.
-            for i in 0..self.conns.len() {
-                let mut requested_drain = false;
-                {
-                    let draining = self.draining;
-                    let conn = &mut self.conns[i];
-                    busy |= read_into(conn, self.config.write_buf_cap);
-                    busy |= dispatch(
-                        conn,
-                        &self.service,
-                        self.fingerprint,
-                        &self.registry,
-                        draining,
-                        &mut requested_drain,
-                    );
-                    busy |= pump(conn);
-                    busy |= flush(conn);
-                }
-                if requested_drain && !self.draining {
-                    self.draining = true;
-                    drain_conn = Some(i);
-                }
-            }
+struct Conn {
+    socket: TcpStream,
+    out: Arc<Outbox>,
+}
 
-            // Retry parked submissions (queue may have drained). A parked
-            // request whose deadline lapsed while the queue stayed full is
-            // shed right here with the typed overload failure — honest
-            // per-connection admission, not an unbounded retry.
-            for conn in &mut self.conns {
-                if let Some((id, streaming, submitted, request)) = conn.parked.take() {
-                    if request.options.deadline.is_some_and(|d| submitted.elapsed() >= d) {
-                        self.service.note_shed_parked(&request);
-                        conn.queue_frame(&Frame::QueryFailed { id, error: QueryError::Overloaded });
-                        busy = true;
-                        continue;
-                    }
-                    match try_submit(&self.service, id, streaming, submitted, request) {
-                        Ok(inflight) => {
-                            conn.inflight.push(inflight);
-                            busy = true;
-                        }
-                        Err(parked) => conn.parked = Some(parked),
-                    }
-                }
-            }
+impl Hub {
+    fn lock(&self) -> MutexGuard<'_, HubState> {
+        self.state.lock().expect("server state poisoned")
+    }
 
-            // Drop finished/broken connections, tracking the drain conn
-            // across removals.
-            let mut j = 0usize;
-            self.conns.retain(|conn| {
-                let keep = !(conn.dead || conn.close_after_flush && conn.buffered() == 0);
-                if !keep {
-                    if drain_conn == Some(j) {
-                        drain_conn = None;
-                    } else if let Some(d) = drain_conn {
-                        if j < d {
-                            drain_conn = Some(d - 1);
-                        }
-                    }
-                }
-                j += 1;
-                keep
-            });
+    /// Counts one answer a `Submit` owes — before looking at the drain,
+    /// under the same lock, so a drain that begins afterwards waits for
+    /// it. `None` once a drain has begun.
+    fn owe(self: &Arc<Hub>) -> Option<Owed> {
+        let mut state = self.lock();
+        if state.drain.is_some() {
+            return None;
+        }
+        state.owed += 1;
+        Some(Owed(Arc::clone(self)))
+    }
 
-            // A requested shutdown completes once nothing is in flight
-            // anywhere: stop the service, answer with the final metrics,
-            // flush, exit.
-            if self.draining
-                && self.conns.iter().all(|c| c.inflight.is_empty() && c.parked.is_none())
-            {
-                let final_metrics = self.service.shutdown();
-                if let Some(d) = drain_conn {
-                    self.conns[d].queue_frame(&Frame::MetricsRep(Box::new(final_metrics)));
-                }
-                for _ in 0..10_000 {
-                    let mut pending = false;
-                    for conn in &mut self.conns {
-                        flush(conn);
-                        pending |= !conn.dead && conn.buffered() > 0;
-                    }
-                    if !pending {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                return;
-            }
+    /// Begins the drain, with `out` to receive the farewell. `false` if a
+    /// drain already began.
+    fn begin_drain(&self, out: &Arc<Outbox>) -> bool {
+        let mut state = self.lock();
+        if state.drain.is_some() {
+            return false;
+        }
+        state.drain = Some(Arc::clone(out));
+        drop(state);
+        self.wake_acceptor();
+        true
+    }
 
-            if !busy {
-                std::thread::sleep(Duration::from_micros(300));
-            }
+    fn stop(&self) {
+        let mut state = self.lock();
+        state.stopping = true;
+        for conn in state.conns.values() {
+            let _ = conn.socket.shutdown(Shutdown::Both);
+        }
+        drop(state);
+        self.wake_acceptor();
+    }
+
+    fn wake_acceptor(&self) {
+        // Refused once the acceptor has left `accept`, which is fine.
+        let _ = TcpStream::connect(self.wake);
+    }
+}
+
+/// One answer a submitted request owes the drain, released when the
+/// request's reply is dropped — after its final frame is posted, or
+/// unanswered.
+struct Owed(Arc<Hub>);
+
+impl Drop for Owed {
+    fn drop(&mut self) {
+        // A drop must not panic; the count stays valid under a poisoned
+        // lock, since every update to it is one step.
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.owed -= 1;
+        if state.owed == 0 {
+            self.0.settled.notify_all();
         }
     }
 }
 
-/// Reads available bytes into the connection's frame decoder. Skipped
-/// while a submission is parked or the write buffer is over the cap —
-/// that is how engine backpressure propagates to the socket.
-fn read_into(conn: &mut Conn, write_buf_cap: usize) -> bool {
-    if conn.dead || conn.close_after_flush || conn.parked.is_some() {
-        return false;
-    }
-    if conn.buffered() > write_buf_cap {
-        return false;
-    }
-    let mut busy = false;
-    let mut chunk = [0u8; 16 * 1024];
-    // Bounded rounds per tick so one firehose connection cannot starve
-    // the rest.
-    for _ in 0..4 {
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                conn.dead = true;
-                return busy;
-            }
-            Ok(n) => {
-                conn.reader.extend(&chunk[..n]);
-                busy = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return busy;
-            }
-        }
-    }
-    busy
+/// The encoded frames waiting for one connection's writer, in the order
+/// they were posted.
+#[derive(Default)]
+struct Outbox {
+    queue: Mutex<Queue>,
+    /// Signalled when a frame is posted or the outbox closes.
+    posted: Condvar,
+    /// Signalled when the writer has written bytes or given up.
+    drained: Condvar,
 }
 
-/// Decodes and handles every complete frame buffered on the connection.
-fn dispatch(
-    conn: &mut Conn,
-    service: &Arc<dyn ServeBackend>,
-    fingerprint: DatasetFingerprint,
-    registry: &[RegionInfo],
-    draining: bool,
-    requested_drain: &mut bool,
-) -> bool {
-    if conn.dead || conn.close_after_flush {
-        return false;
+#[derive(Default)]
+struct Queue {
+    frames: Vec<Vec<u8>>,
+    /// Posted bytes the writer has not written yet.
+    bytes: usize,
+    /// Nothing more is accepted; the writer ends once the queue is
+    /// written.
+    closed: bool,
+}
+
+impl Outbox {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("outbox poisoned")
     }
-    let mut busy = false;
-    loop {
-        if conn.parked.is_some() {
+
+    fn post(&self, frame: &Frame) {
+        self.post_bytes(frame.to_bytes());
+    }
+
+    fn post_bytes(&self, bytes: Vec<u8>) {
+        let mut queue = self.lock();
+        if !queue.closed {
+            queue.bytes += bytes.len();
+            queue.frames.push(bytes);
+            self.posted.notify_one();
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.posted.notify_one();
+        self.drained.notify_all();
+    }
+
+    /// Blocks while more than `cap` bytes wait to be written. `false`
+    /// once the outbox is closed.
+    fn wait_for_room(&self, cap: usize) -> bool {
+        let mut queue = self.lock();
+        while queue.bytes > cap && !queue.closed {
+            queue = self.drained.wait(queue).expect("outbox poisoned");
+        }
+        !queue.closed
+    }
+}
+
+/// Takes connections until a drain or [`Server::stop`] wakes it, then
+/// closes every connection and joins its threads.
+fn accept_loop(listener: TcpListener, front: Arc<Front>) {
+    let hub = &front.hub;
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut panicked = false;
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { continue };
+        let (done, running): (Vec<_>, Vec<_>) =
+            readers.into_iter().partition(JoinHandle::is_finished);
+        readers = running;
+        for reader in done {
+            panicked |= reader.join().is_err();
+        }
+        let mut state = hub.lock();
+        if state.stopping || state.drain.is_some() {
             break;
         }
-        let frame = match conn.reader.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break,
-            Err(e) => {
-                conn.fault(e.to_string());
-                return true;
-            }
+        if state.conns.len() >= MAX_CONNECTIONS {
+            drop(state);
+            let message =
+                format!("the server is serving its limit of {MAX_CONNECTIONS} connections");
+            let _ = (&stream).write_all(&Frame::Fault { message }.to_bytes());
+            let _ = stream.shutdown(Shutdown::Write);
+            continue;
+        }
+        let _ = stream.set_nodelay(true);
+        let (Ok(socket), Ok(write_half)) = (stream.try_clone(), stream.try_clone()) else {
+            continue;
         };
-        busy = true;
+        let out = Arc::new(Outbox::default());
+        let id = state.next_conn;
+        state.next_conn += 1;
+        state.conns.insert(id, Conn { socket, out: Arc::clone(&out) });
+        drop(state);
+        let front = Arc::clone(&front);
+        let reader = std::thread::Builder::new()
+            .name("skysr-d-read".into())
+            .spawn(move || serve(&front, id, stream, write_half, out))
+            .expect("spawn a connection reader");
+        readers.push(reader);
+    }
+    drop(listener);
+    // A drain that raced `stop` is dropped: `stop` leaves the backend up.
+    let draining = matches!(*hub.lock(), HubState { drain: Some(_), stopping: false, .. });
+    if draining {
+        drain(&front);
+    }
+    for reader in readers {
+        panicked |= reader.join().is_err();
+    }
+    assert!(!panicked, "a skysr-d connection thread panicked");
+}
+
+/// Waits until no answer is owed, shuts the backend down, posts the
+/// farewell and closes every connection once its writer has flushed.
+fn drain(front: &Front) {
+    let hub = &front.hub;
+    let mut state = hub.lock();
+    while state.owed > 0 {
+        state = hub.settled.wait(state).expect("server state poisoned");
+    }
+    let farewell_to = state.drain.clone();
+    drop(state);
+    let farewell = front.backend.shutdown();
+    if let Some(out) = farewell_to {
+        out.post(&Frame::MetricsRep(Box::new(farewell)));
+    }
+    for conn in hub.lock().conns.values() {
+        conn.out.close();
+    }
+}
+
+/// One connection's reader thread: spawns the writer on `write_half`,
+/// reads frames until the connection ends, then closes the outbox and
+/// waits for the writer to flush.
+fn serve(front: &Front, id: u64, stream: TcpStream, write_half: TcpStream, out: Arc<Outbox>) {
+    let writer = {
+        let out = Arc::clone(&out);
+        std::thread::Builder::new()
+            .name("skysr-d-write".into())
+            .spawn(move || write_loop(&out, write_half))
+            .expect("spawn a connection writer")
+    };
+    if let Err(message) = read_loop(front, &stream, &out) {
+        out.post(&Frame::Fault { message });
+    }
+    // The socket stays registered, for `stop` to cut, until the writer
+    // has flushed; the slot frees before the client can see the close.
+    out.close();
+    let writer = writer.join();
+    front.hub.lock().conns.remove(&id);
+    let _ = stream.shutdown(Shutdown::Both);
+    assert!(writer.is_ok(), "a skysr-d connection writer panicked");
+}
+
+/// Reads and handles frames in order until the connection should close.
+/// `Err` carries the message of the `Fault` to send first.
+fn read_loop(front: &Front, stream: &TcpStream, out: &Arc<Outbox>) -> Result<(), String> {
+    let ServerConfig { max_frame, write_buf_cap } = front.config;
+    let mut reader = BufReader::new(stream);
+    let mut greeted = false;
+    while out.wait_for_room(write_buf_cap) {
+        let frame = match read_frame(&mut reader, max_frame) {
+            Ok(frame) => frame,
+            // The client hung up, perhaps mid-frame: nobody to tell.
+            Err(ProtocolError::Disconnected(_)) => return Ok(()),
+            Err(e) => return Err(e.to_string()),
+        };
         match frame {
             Frame::Hello { version } => {
                 // Answer with our identity either way — a mismatched
                 // client needs the Welcome to diagnose — and hang up on a
                 // version we do not speak.
-                conn.queue_frame(&Frame::Welcome {
-                    version: PROTOCOL_VERSION,
-                    fingerprint,
-                    registry: registry.to_vec(),
-                });
-                if version == PROTOCOL_VERSION {
-                    conn.greeted = true;
-                } else {
-                    conn.close_after_flush = true;
+                out.post_bytes(front.welcome.clone());
+                if version != PROTOCOL_VERSION {
+                    return Ok(());
                 }
+                greeted = true;
             }
             Frame::Submit { id, streaming, request } => {
-                if !conn.greeted {
-                    conn.fault(ProtocolError::UnexpectedFrame("Submit before Hello").to_string());
-                    return true;
+                if !greeted {
+                    return Err(ProtocolError::UnexpectedFrame("Submit before Hello").to_string());
                 }
-                if draining {
-                    conn.fault("server is shutting down".to_string());
-                    return true;
-                }
-                match try_submit(service, id, streaming, Instant::now(), request) {
-                    Ok(inflight) => conn.inflight.push(inflight),
-                    Err(parked) => conn.parked = Some(parked),
-                }
+                let Some(owed) = front.hub.owe() else {
+                    return Err("server is shutting down".into());
+                };
+                front.backend.submit_to(request, reply_to(out, id, streaming, owed));
             }
-            Frame::MetricsReq => {
-                conn.queue_frame(&Frame::MetricsRep(Box::new(service.metrics())));
-            }
+            Frame::MetricsReq => out.post(&Frame::MetricsRep(Box::new(front.backend.metrics()))),
             Frame::PublishWeights(deltas) => {
-                let epoch = service.publish_weights(&deltas);
-                conn.queue_frame(&Frame::WeightsPublished { epoch });
+                let epoch = front.backend.publish_weights(&deltas);
+                out.post(&Frame::WeightsPublished { epoch });
             }
             Frame::Shutdown => {
-                if !conn.greeted {
-                    conn.fault(ProtocolError::UnexpectedFrame("Shutdown before Hello").to_string());
-                    return true;
+                if !greeted {
+                    return Err(ProtocolError::UnexpectedFrame("Shutdown before Hello").to_string());
                 }
-                if draining || *requested_drain {
-                    conn.fault("shutdown already in progress".to_string());
-                    return true;
+                if !front.hub.begin_drain(out) {
+                    return Err("shutdown already in progress".into());
                 }
-                *requested_drain = true;
             }
             Frame::Welcome { .. }
             | Frame::Progress { .. }
@@ -510,103 +455,60 @@ fn dispatch(
             | Frame::MetricsRep(_)
             | Frame::WeightsPublished { .. }
             | Frame::Fault { .. } => {
-                conn.fault(
-                    ProtocolError::UnexpectedFrame("server-to-client frame from client")
-                        .to_string(),
-                );
-                return true;
+                return Err(ProtocolError::UnexpectedFrame("server-to-client frame from client")
+                    .to_string());
             }
         }
     }
-    busy
+    Ok(())
 }
 
-fn try_submit(
-    service: &Arc<dyn ServeBackend>,
-    id: u64,
-    streaming: bool,
-    submitted: Instant,
-    request: QueryRequest,
-) -> Result<Inflight, (u64, bool, Instant, QueryRequest)> {
-    let (progress_tx, progress_rx) = if streaming {
-        let (tx, rx) = std::sync::mpsc::channel();
-        (Some(tx), Some(rx))
-    } else {
-        (None, None)
-    };
-    match service.try_submit(request, progress_tx, submitted) {
-        Ok(ticket) => Ok(Inflight { id, ticket, progress: progress_rx }),
-        Err(request) => Err((id, streaming, submitted, request)),
-    }
+/// The reply of the client's request `id`: each answer becomes a frame
+/// posted to the connection's outbox by the thread that produced it, and
+/// the owed answer is released when the reply is dropped.
+fn reply_to(out: &Arc<Outbox>, id: u64, streaming: bool, owed: Owed) -> Reply {
+    let out = Arc::clone(out);
+    Reply::new(streaming, move |answer| {
+        let _owed = &owed;
+        out.post(&match answer {
+            Answer::Progress(route) => Frame::Progress { id, route },
+            Answer::Final(Ok(response)) => Frame::Final { id, response },
+            Answer::Final(Err(error)) => Frame::QueryFailed { id, error },
+        });
+    })
 }
 
-/// Moves completed work onto the wire: provisional points from streaming
-/// searches as they are proven, final answers as tickets resolve.
-fn pump(conn: &mut Conn) -> bool {
-    if conn.dead || conn.close_after_flush {
-        return false;
-    }
-    let mut busy = false;
-    let mut frames: Vec<Frame> = Vec::new();
-    conn.inflight.retain_mut(|inflight| {
-        if let Some(progress) = &inflight.progress {
-            while let Ok(route) = progress.try_recv() {
-                frames.push(Frame::Progress { id: inflight.id, route });
+/// One connection's writer thread: writes every posted frame in order
+/// until the outbox is closed and written, or a write fails.
+fn write_loop(out: &Outbox, socket: TcpStream) {
+    let mut writer = BufWriter::new(&socket);
+    let mut batch = Vec::new();
+    loop {
+        {
+            let mut queue = out.lock();
+            while queue.frames.is_empty() && !queue.closed {
+                queue = out.posted.wait(queue).expect("outbox poisoned");
             }
+            if queue.frames.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut queue.frames, &mut batch);
         }
-        match inflight.ticket.try_wait() {
-            None => true,
-            Some(outcome) => {
-                // The worker sends every progress point before it replies,
-                // so at this point the channel already holds them all —
-                // drain once more to keep Progress-before-Final ordering.
-                if let Some(progress) = &inflight.progress {
-                    while let Ok(route) = progress.try_recv() {
-                        frames.push(Frame::Progress { id: inflight.id, route });
-                    }
-                }
-                frames.push(match outcome {
-                    Ok(response) => Frame::Final { id: inflight.id, response },
-                    Err(error) => Frame::QueryFailed { id: inflight.id, error },
-                });
-                false
-            }
-        }
-    });
-    for frame in &frames {
-        conn.queue_frame(frame);
-        busy = true;
-    }
-    busy
-}
-
-/// Writes as much buffered output as the socket accepts.
-fn flush(conn: &mut Conn) -> bool {
-    if conn.dead {
-        return false;
-    }
-    let mut busy = false;
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return busy;
-            }
-            Ok(n) => {
-                conn.out_pos += n;
-                busy = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return busy;
-            }
+        let bytes: usize = batch.iter().map(Vec::len).sum();
+        let written =
+            batch.iter().all(|frame| writer.write_all(frame).is_ok()) && writer.flush().is_ok();
+        batch.clear();
+        let mut queue = out.lock();
+        queue.bytes -= bytes;
+        out.drained.notify_all();
+        if !written {
+            // The client is gone: drop what is queued and refuse more.
+            queue.closed = true;
+            queue.frames.clear();
+            queue.bytes = 0;
+            break;
         }
     }
-    if conn.out_pos == conn.out.len() && conn.out_pos > 0 {
-        conn.out.clear();
-        conn.out_pos = 0;
-    }
-    busy
+    // Wakes a reader blocked on the socket; it closes the connection.
+    let _ = socket.shutdown(Shutdown::Read);
 }

@@ -873,8 +873,8 @@ impl FrameReader {
     }
 }
 
-/// Writes one frame to a blocking stream (handshake paths; the server's
-/// event loop uses buffered nonblocking writes instead).
+/// Writes one frame to a blocking stream (the client; the server's writer
+/// threads batch frames through a buffered writer instead).
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), ProtocolError> {
     let bytes = frame.to_bytes();
     w.write_all(&bytes).map_err(|e| ProtocolError::io("write", e))?;

@@ -6,19 +6,20 @@
 //! open-loop saturation a FIFO lets one cold search starve a burst of
 //! cache hits queued behind it, collapsing the cheap rungs' tail latency
 //! for no reason. [`ScheduledQueue`] instead dequeues by *cost band*
-//! first (the admission-time plan rung — see
-//! [`CostClass`](crate::plan::CostClass)) and by *effective deadline*
-//! within a band, with an aging bound so expensive work can never be
-//! starved forever by a stream of cheap work.
+//! first (the admission-time plan rung — see [`CostClass`]) and by
+//! *effective deadline* within a band, with an aging bound so expensive
+//! work can never be starved forever by a stream of cheap work.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Number of scheduling bands (cost classes) a [`ScheduledQueue`] keeps.
-/// Classes beyond the last band are clamped into it.
-pub const SCHED_BANDS: usize = 4;
+use crate::plan::CostClass;
+
+/// Number of scheduling bands a [`ScheduledQueue`] keeps: one per
+/// [`CostClass`]. Classes beyond the last band are clamped into it.
+pub const SCHED_BANDS: usize = CostClass::ALL.len();
 
 /// Deadline-less entries order by submission time this far in the future —
 /// behind every entry with a real deadline, FIFO among themselves.
@@ -179,21 +180,6 @@ impl<T> ScheduledQueue<T> {
         }
     }
 
-    /// Non-blocking [`ScheduledQueue::push`]: enqueues `item` if there is
-    /// room right now, otherwise hands it straight back. `Err(item)` means
-    /// "full or closed" — the caller decides whether to retry later (the
-    /// network server parks the request and keeps its event loop turning
-    /// instead of stalling every connection behind one slow producer).
-    pub fn try_push(&self, item: T, key: SchedKey) -> Result<(), T> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        if inner.closed || inner.len >= inner.capacity {
-            return Err(item);
-        }
-        inner.insert(item, key);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Dequeues the highest-priority item, blocking while the queue is
     /// empty. Returns `None` once the queue is closed and fully drained.
     pub fn pop(&self) -> Option<T> {
@@ -342,22 +328,6 @@ mod tests {
 
     fn classed(class: u8) -> SchedKey {
         SchedKey { class, deadline: None, submitted: Instant::now() }
-    }
-
-    #[test]
-    fn try_push_rejects_when_full_or_closed_without_blocking() {
-        let q: ScheduledQueue<u32> = ScheduledQueue::new(2, NO_AGING);
-        assert_eq!(q.try_push(1, fifo_now()), Ok(()));
-        assert_eq!(q.try_push(2, fifo_now()), Ok(()));
-        assert_eq!(q.try_push(3, fifo_now()), Err(3), "full queue hands the item back");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(3, fifo_now()), Ok(()), "room reopened after a pop");
-        q.close();
-        assert_eq!(q.try_push(4, fifo_now()), Err(4), "closed queue rejects");
-        // Pending items still drain after close.
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -313,6 +313,12 @@ pub struct ReplayReport {
     pub workers: Option<usize>,
     /// Open-loop target rate (0 = closed loop).
     pub qps: f64,
+    /// Open loop only: how far the generator fell behind its Poisson
+    /// schedule — the largest gap between reaching a request and that
+    /// request's due time. A blocked submission (a full queue) shows here:
+    /// a large lag means the run measured the submitter's backpressure,
+    /// not queueing. `None` for closed loops.
+    pub lag: Option<Duration>,
     /// Wall-clock time of the concurrent replay (in a sharded replay, of
     /// this shard's own stream).
     pub wall: Duration,
@@ -356,8 +362,7 @@ impl ReplayReport {
     }
 
     /// Requests shed under overload: admission rejections plus deadlines
-    /// expired in queue (or parked at the daemon). In neither `completed`
-    /// nor `failed`.
+    /// expired in queue. In neither `completed` nor `failed`.
     pub fn shed(&self) -> u64 {
         self.metrics.rejected + self.metrics.shed_deadline
     }
@@ -450,6 +455,9 @@ impl std::fmt::Display for ReplayReport {
             write!(f, " (open loop @ {:.0} q/s target", self.qps)?;
             if self.overload > 0.0 {
                 write!(f, " = {:.1}x measured capacity", self.overload)?;
+            }
+            if let Some(lag) = self.lag {
+                write!(f, ", at most {:.1} ms behind schedule", lag.as_secs_f64() * 1e3)?;
             }
             write!(f, ")")?;
         }
@@ -835,21 +843,20 @@ fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
         lane.drive(&service, &publish)
     };
     let t0 = Instant::now();
-    let driven: Vec<(Vec<Result<QueryResponse, QueryError>>, Duration)> =
-        std::thread::scope(|scope| {
-            // The first lane drives on this thread, so a one-lane replay
-            // starts submitting the moment its service exists — the same
-            // window a bare service's replay measures.
-            let handles: Vec<_> = lanes
-                .iter()
-                .zip(&regions)
-                .skip(1)
-                .map(|(lane, &region)| scope.spawn(move || drive_lane(lane, region)))
-                .collect();
-            let mut driven = vec![drive_lane(&lanes[0], regions[0])];
-            driven.extend(handles.into_iter().map(|h| h.join().expect("lane driver panicked")));
-            driven
-        });
+    let driven: Vec<Driven> = std::thread::scope(|scope| {
+        // The first lane drives on this thread, so a one-lane replay
+        // starts submitting the moment its service exists — the same
+        // window a bare service's replay measures.
+        let handles: Vec<_> = lanes
+            .iter()
+            .zip(&regions)
+            .skip(1)
+            .map(|(lane, &region)| scope.spawn(move || drive_lane(lane, region)))
+            .collect();
+        let mut driven = vec![drive_lane(&lanes[0], regions[0])];
+        driven.extend(handles.into_iter().map(|h| h.join().expect("lane driver panicked")));
+        driven
+    });
     let wall = t0.elapsed();
 
     let observed: Vec<(MetricsSnapshot, Vec<TraceSpan>, usize)> = regions
@@ -867,7 +874,7 @@ fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
         .iter()
         .zip(regions)
         .zip(driven.into_iter().zip(observed))
-        .map(|((lane, region), ((outcomes, lane_wall), (metrics, spans, workers)))| {
+        .map(|((lane, region), (driven, (metrics, spans, workers)))| {
             // With a bounded ring, measure the history after a final
             // sweep: the soak gate asserts the drained service holds at
             // most K epochs.
@@ -875,12 +882,16 @@ fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
                 lane.ctx.compact_epochs();
             }
             let epoch_gc = lane.ctx.epoch_gc_stats();
-            let report = lane.report(&outcomes, lane_wall, metrics, spans, Some(workers), epoch_gc);
+            let report = lane.report(&driven, metrics, spans, Some(workers), epoch_gc);
             ShardReplay { region, name: lane.name.clone(), report }
         })
         .collect();
     ShardedReplayReport { shards, wall, misrouted }
 }
+
+/// What driving a lane produced: the outcomes in stream order, the wall
+/// time, and (open loop) the schedule lag.
+type Driven = (Vec<Result<QueryResponse, QueryError>>, Duration, Option<Duration>);
 
 /// One replay lane: a named region's context, query pool, request stream
 /// and spec, plus the lane's own record of the weights it publishes.
@@ -962,12 +973,13 @@ impl<'a> Lane<'a> {
     /// stream drains. The lane's graph only *generates* deltas (base
     /// weights, which never change) — publication goes through `publish`,
     /// so a shard publishes through the router and a remote lane over the
-    /// wire, each mirrored into the lane's own history.
+    /// wire, each mirrored into the lane's own history. Returns the
+    /// outcomes, the wall time and, open loop, the schedule lag.
     fn drive(
         &self,
         service: &dyn QueryService,
         publish: &(dyn Fn(&[WeightDelta]) -> EpochId + Sync),
-    ) -> (Vec<Result<QueryResponse, QueryError>>, Duration) {
+    ) -> Driven {
         let (pool, stream, spec, graph) =
             (&self.pool[..], &self.stream[..], &self.spec, self.ctx.graph());
         let publish = &|deltas: &[WeightDelta]| self.publish(publish, deltas);
@@ -1000,8 +1012,12 @@ impl<'a> Lane<'a> {
             });
 
             let t0 = Instant::now();
+            let mut lag = None;
             let outcomes = if spec.qps > 0.0 {
-                open_loop_batch(service, pool, stream, spec.qps, spec.seed, spec.deadline)
+                let (outcomes, behind) =
+                    open_loop_batch(service, pool, stream, spec.qps, spec.seed, spec.deadline);
+                lag = Some(behind);
+                outcomes
             } else if spec.update_every > 0 {
                 // Closed-loop epoch waves: drain a chunk, publish a burst,
                 // repeat.
@@ -1025,7 +1041,7 @@ impl<'a> Lane<'a> {
             if let Some(handle) = updater {
                 handle.join().expect("updater thread panicked");
             }
-            (outcomes, wall)
+            (outcomes, wall, lag)
         })
     }
 
@@ -1034,8 +1050,7 @@ impl<'a> Lane<'a> {
     /// service kept every span.
     fn report(
         &self,
-        outcomes: &[Result<QueryResponse, QueryError>],
-        wall: Duration,
+        (outcomes, wall, lag): &Driven,
         metrics: MetricsSnapshot,
         spans: Vec<TraceSpan>,
         workers: Option<usize>,
@@ -1049,7 +1064,8 @@ impl<'a> Lane<'a> {
             pattern: spec.pattern,
             workers,
             qps: spec.qps,
-            wall,
+            lag: *lag,
+            wall: *wall,
             epochs_published: self.mirror.current_epoch().get(),
             epoch_gc,
             metrics,
@@ -1220,11 +1236,11 @@ pub fn replay_remote(
     }
     let lane =
         Lane::new(spec.service.region_name.clone(), shadow, Cow::Borrowed(pool), spec.clone());
-    let (outcomes, wall) = lane.drive(remote, &|deltas| remote.publish_weights(deltas));
+    let driven = lane.drive(remote, &|deltas| remote.publish_weights(deltas));
     let metrics = remote.metrics();
     // Server-side accounting, as carried in the metrics snapshot.
     let epoch_gc = metrics.epochs;
-    Ok(lane.report(&outcomes, wall, metrics, Vec::new(), None, epoch_gc))
+    Ok(lane.report(&driven, metrics, Vec::new(), None, epoch_gc))
 }
 
 /// Builds the stream entry's request with the spec's deadline attached.
@@ -1248,7 +1264,9 @@ fn run_requests(
 }
 
 /// Submits the stream at exponentially distributed inter-arrival times
-/// targeting `qps`, then waits for every answer (order preserved).
+/// targeting `qps`, then waits for every answer (order preserved). Also
+/// returns how far the generator fell behind its schedule: the largest
+/// gap between reaching a request and its due time.
 fn open_loop_batch(
     service: &dyn QueryService,
     pool: &[SkySrQuery],
@@ -1256,24 +1274,28 @@ fn open_loop_batch(
     qps: f64,
     seed: u64,
     deadline: Option<Duration>,
-) -> Vec<Result<QueryResponse, QueryError>> {
+) -> (Vec<Result<QueryResponse, QueryError>>, Duration) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6f70_656e); // "open"
     let started = Instant::now();
     let mut at = 0.0f64;
+    let mut lag = Duration::ZERO;
     let mut tickets: Vec<Ticket> = Vec::with_capacity(stream.len());
     for &i in stream {
         at += exp_sample(&mut rng) / qps;
-        let target = started + Duration::from_secs_f64(at);
-        if let Some(wait) = target.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
+        let due = started + Duration::from_secs_f64(at);
+        let reached = Instant::now();
+        match due.checked_duration_since(reached) {
+            Some(wait) => std::thread::sleep(wait),
+            None => lag = lag.max(reached - due),
         }
         // Submission may block on a full queue: open-loop overload turns
-        // into measured backpressure, not an unbounded client-side buffer.
+        // into backpressure, not an unbounded client-side buffer, and the
+        // requests after it fall behind their schedule.
         // (With admission on, unmeetable deadlines are shed right here
         // instead — the ticket resolves to `Overloaded` immediately.)
         tickets.push(service.submit(request_for(pool, i, deadline)));
     }
-    tickets.into_iter().map(Ticket::wait).collect()
+    (tickets.into_iter().map(Ticket::wait).collect(), lag)
 }
 
 /// Whether a degraded-mode partial skyline is *valid*: mutually
@@ -1581,6 +1603,38 @@ pub(crate) mod tests {
         assert!((sum / n as f64 - 1.0).abs() < 0.05, "mean {}", sum / n as f64);
         let mut rng = StdRng::seed_from_u64(4);
         assert!((0..10_000).all(|_| exp_sample(&mut rng) >= 0.0));
+    }
+
+    #[test]
+    fn an_open_loop_replay_reports_how_far_a_full_queue_held_it_back() {
+        use skysr_data::dataset::{DatasetSpec, Preset};
+        // One worker behind a one-slot queue, and no cache or coalescing,
+        // so every request searches and every blocked submit waits out a
+        // search: 200 arrivals due within ~2 ms cannot all be submitted
+        // on time.
+        let city = DatasetSpec::preset(Preset::CalSmall).scale(0.05).seed(3).generate();
+        let spec = ReplaySpec {
+            total: 200,
+            distinct: 200,
+            seq_len: 3,
+            qps: 100_000.0,
+            service: ServiceConfig {
+                workers: 1,
+                queue_capacity: 1,
+                cache_capacity: 0,
+                coalesce: false,
+                ..ServiceConfig::default()
+            },
+            ..ReplaySpec::default()
+        };
+        let pool = build_pool(&city, &spec);
+        let ctx = Arc::new(ServiceContext::from_dataset(city));
+        let open = replay_on(Arc::clone(&ctx), &pool, &spec);
+        let lag = open.lag.expect("an open loop reports its lag");
+        assert!(lag >= Duration::from_millis(1), "the generator kept to its schedule: {lag:?}");
+        assert!(open.to_string().lines().next().unwrap().contains("ms behind schedule"));
+        let closed = replay_on(ctx, &pool, &ReplaySpec { qps: 0.0, ..spec });
+        assert_eq!(closed.lag, None, "a closed loop has no schedule to fall behind");
     }
 
     #[test]

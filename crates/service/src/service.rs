@@ -5,14 +5,16 @@
 //!
 //! * [`Service`] — the concrete in-process engine (worker pool over a
 //!   shared [`ServiceContext`]);
-//! * [`QueryService`] — the transport-agnostic trait [`Service`] and the
-//!   network client ([`crate::net::RemoteService`]) both implement, so
-//!   replay and verify drive either through `&dyn QueryService`.
+//! * [`QueryService`] — the transport-agnostic trait [`Service`], the
+//!   shard router and the network client ([`crate::net::RemoteService`])
+//!   implement, so replay and verify drive any of them through
+//!   `&dyn QueryService`.
 //!
 //! Requests travel as a [`QueryRequest`] envelope (query + per-request
-//! options); answers come back through a [`Ticket`], or a
-//! [`StreamTicket`] for *anytime* responses that surface provisional
-//! Pareto points while the search runs.
+//! options); answers go to the [`Reply`] submitted with them — a
+//! [`Ticket`], a [`StreamTicket`] for *anytime* responses that surface
+//! provisional Pareto points while the search runs, or the daemon's sink
+//! that posts frames to a connection.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
@@ -33,7 +35,7 @@ use crate::context::ServiceContext;
 use crate::metrics::{Counter, LatencyBreakdown, MetricsRecorder, MetricsSnapshot, Served};
 use crate::net::DatasetFingerprint;
 use crate::plan::{CostClass, PlanStep, ReusePlan, ReusePlanner, ReuseStrategies};
-use crate::pool::{Begin, InflightTable, SchedKey, ScheduledQueue};
+use crate::pool::{Begin, InflightTable, SchedKey, ScheduledQueue, SCHED_BANDS};
 use crate::shard::{RegionId, RegionInfo};
 use crate::telemetry::{Rung, TelemetryConfig, TraceBuffer, TraceSpan};
 
@@ -231,44 +233,101 @@ impl From<SkySrQuery> for QueryRequest {
     }
 }
 
-/// Waitable handle for one submitted query.
+/// One message a [`Reply`] delivers: a provisional route of a streaming
+/// request, or the request's outcome, which is always the last.
+#[derive(Clone, Debug)]
+pub enum Answer {
+    /// A provisional Pareto point, dominated-or-equal by the final exact
+    /// skyline.
+    Progress(SkylineRoute),
+    /// The outcome; nothing follows it.
+    Final(Result<QueryResponse, QueryError>),
+}
+
+/// Where one submitted request's answer goes — the sink every
+/// [`QueryService::submit_to`] takes.
+///
+/// The thread that produces the answer calls the sink: for a streaming
+/// request first once per provisional route, then once with the outcome.
+/// One producer per request means `Progress` precedes `Final` by
+/// construction. A [`Ticket`] is a reply over a channel; the daemon's
+/// replies post frames straight to their connection's writer.
+pub struct Reply {
+    streaming: bool,
+    sink: Box<dyn FnMut(Answer) + Send>,
+}
+
+impl Reply {
+    /// A reply handing every [`Answer`] to `sink`. With `streaming` off,
+    /// the sink sees only the outcome.
+    pub fn new(streaming: bool, sink: impl FnMut(Answer) + Send + 'static) -> Reply {
+        Reply { streaming, sink: Box::new(sink) }
+    }
+
+    /// Whether the request asked for provisional routes.
+    pub fn streaming(&self) -> bool {
+        self.streaming
+    }
+
+    /// Delivers one provisional route; a no-op unless streaming.
+    pub fn progress(&mut self, route: SkylineRoute) {
+        if self.streaming {
+            (self.sink)(Answer::Progress(route));
+        }
+    }
+
+    /// Delivers the outcome, ending the reply.
+    pub fn answer(mut self, outcome: Result<QueryResponse, QueryError>) {
+        (self.sink)(Answer::Final(outcome));
+    }
+}
+
+/// Waitable handle for one submitted query: a [`Reply`] over a channel.
 pub struct Ticket {
-    rx: mpsc::Receiver<Result<QueryResponse, QueryError>>,
+    rx: mpsc::Receiver<Answer>,
 }
 
 impl Ticket {
-    /// Pairs a ticket with the sending half of its answer channel — how
-    /// transports other than the in-process pool (the network client)
-    /// mint tickets for their own demultiplexers.
-    pub(crate) fn channel() -> (mpsc::Sender<Result<QueryResponse, QueryError>>, Ticket) {
+    /// A reply and the ticket that receives what is sent to it.
+    pub(crate) fn reply(streaming: bool) -> (Reply, Ticket) {
         let (tx, rx) = mpsc::channel();
-        (tx, Ticket { rx })
+        let reply = Reply::new(streaming, move |answer| {
+            // A caller that stopped listening (a deadline cutoff dropped
+            // the ticket) is not an error.
+            let _ = tx.send(answer);
+        });
+        (reply, Ticket { rx })
     }
 
     /// Blocks until the worker finishes this query.
     pub fn wait(self) -> Result<QueryResponse, QueryError> {
-        self.rx.recv().expect("worker dropped a job without responding")
+        loop {
+            if let Answer::Final(outcome) = self.rx.recv().expect(DROPPED) {
+                return outcome;
+            }
+        }
     }
 
-    /// Non-blocking poll: `Some` once the answer is in. The network
-    /// server pumps tickets this way so one slow query never stalls its
-    /// event loop.
+    /// Non-blocking poll: `Some` once the answer is in.
     pub fn try_wait(&self) -> Option<Result<QueryResponse, QueryError>> {
-        match self.rx.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                panic!("worker dropped a job without responding")
+        loop {
+            match self.rx.try_recv() {
+                Ok(Answer::Final(outcome)) => return Some(outcome),
+                Ok(Answer::Progress(_)) => {}
+                Err(TryRecvError::Empty) => return None,
+                Err(TryRecvError::Disconnected) => panic!("{DROPPED}"),
             }
         }
     }
 }
 
+/// What a waiter reports when the reply it waits on was dropped unanswered.
+const DROPPED: &str = "worker dropped a job without responding";
+
 /// Handle for a streaming (anytime) submission: provisional Pareto points
-/// arrive on the progress channel as the search proves them, and the
-/// final exact answer arrives like any [`Ticket`]'s.
+/// arrive as the search proves them, then the final exact answer, all on
+/// one channel.
 pub struct StreamTicket {
-    progress: mpsc::Receiver<SkylineRoute>,
     ticket: Ticket,
 }
 
@@ -289,95 +348,89 @@ pub struct AnytimeResponse {
 }
 
 impl StreamTicket {
-    pub(crate) fn new(progress: mpsc::Receiver<SkylineRoute>, ticket: Ticket) -> StreamTicket {
-        StreamTicket { progress, ticket }
-    }
-
-    /// Next provisional point, if one is ready (non-blocking). `None`
-    /// means "none right now" — the stream ends when the final answer
-    /// arrives, not when this returns `None`.
-    pub fn try_progress(&self) -> Option<SkylineRoute> {
-        self.progress.try_recv().ok()
-    }
-
     /// Ignores the stream and blocks for the exact answer.
     pub fn wait(self) -> Result<QueryResponse, QueryError> {
         self.ticket.wait()
     }
 
     /// Blocks for the exact answer and returns it together with every
-    /// provisional point streamed on the way. Nothing is lost: both the
-    /// in-process worker and the daemon deliver all progress before the
-    /// final answer, so the channel is fully drainable afterwards.
+    /// provisional point streamed on the way.
     pub fn wait_with_progress(self) -> Result<(QueryResponse, Vec<SkylineRoute>), QueryError> {
-        let response = self.ticket.wait()?;
         let mut provisional = Vec::new();
-        while let Ok(route) = self.progress.try_recv() {
-            provisional.push(route);
+        loop {
+            match self.ticket.rx.recv().expect(DROPPED) {
+                Answer::Progress(route) => provisional.push(route),
+                Answer::Final(outcome) => return outcome.map(|r| (r, provisional)),
+            }
         }
-        Ok((response, provisional))
     }
 
     /// Blocks until the exact answer or `deadline`, whichever first. On
     /// cutoff the provisional points received so far are folded into a
-    /// valid partial skyline and returned with `approximate = true`.
+    /// valid partial skyline and returned with `approximate = true`. A
+    /// request the service shed under its own deadline
+    /// ([`QueryError::Overloaded`]) is cut off the same way: no exact
+    /// answer is coming, and the partial is what the deadline left.
     pub fn wait_deadline(self, deadline: Duration) -> Result<AnytimeResponse, QueryError> {
-        match self.ticket.rx.recv_timeout(deadline) {
-            Ok(Ok(response)) => Ok(AnytimeResponse {
-                routes: response.routes.to_vec(),
-                approximate: false,
-                response: Some(response),
-            }),
-            Ok(Err(e)) => Err(e),
-            Err(RecvTimeoutError::Timeout) => {
-                // Later provisional points can dominate earlier ones, so
-                // fold the stream through a SkylineSet to hand back a
-                // minimal, mutually non-dominated partial answer.
-                let mut partial = SkylineSet::new();
-                while let Ok(route) = self.progress.try_recv() {
+        let until = Instant::now() + deadline;
+        // Later provisional points can dominate earlier ones, so fold the
+        // stream through a SkylineSet to hand back a minimal, mutually
+        // non-dominated partial answer.
+        let mut partial = SkylineSet::new();
+        let cutoff = loop {
+            let left = until.saturating_duration_since(Instant::now());
+            match self.ticket.rx.recv_timeout(left) {
+                Ok(Answer::Progress(route)) => {
                     partial.update(route);
                 }
-                Ok(AnytimeResponse {
-                    routes: partial.into_routes(),
-                    approximate: true,
-                    response: None,
-                })
+                Ok(Answer::Final(Err(QueryError::Overloaded))) | Err(RecvTimeoutError::Timeout) => {
+                    break partial
+                }
+                Ok(Answer::Final(outcome)) => {
+                    return outcome.map(|response| AnytimeResponse {
+                        routes: response.routes.to_vec(),
+                        approximate: false,
+                        response: Some(response),
+                    })
+                }
+                Err(RecvTimeoutError::Disconnected) => panic!("{DROPPED}"),
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                panic!("worker dropped a job without responding")
-            }
-        }
+        };
+        Ok(AnytimeResponse { routes: cutoff.into_routes(), approximate: true, response: None })
     }
 }
 
 /// The transport-agnostic query-service interface.
 ///
-/// Implemented by the in-process [`Service`] and by the network client
-/// [`crate::net::RemoteService`]; the replay and verify drivers take
-/// `&dyn QueryService`, so the same workload runs in-process or across a
-/// socket without changing a line. The contract every implementation
-/// upholds:
+/// Implemented by the in-process [`Service`], the multi-tenant
+/// [`crate::shard::Router`] and its [`crate::shard::RegionService`]
+/// views, and the network client [`crate::net::RemoteService`]; the
+/// replay and verify drivers take `&dyn QueryService`, so the same
+/// workload runs in-process or across a socket without changing a line.
+/// Each implements one submission method, [`submit_to`](Self::submit_to);
+/// the ticket-returning forms are provided over it. The contract every
+/// implementation upholds:
 ///
-/// * `submit` returns immediately with a [`Ticket`] (it may block briefly
-///   for backpressure, never for the answer);
+/// * `submit_to` returns once the request is queued (it may block for
+///   backpressure, never for the answer), and answers the [`Reply`]
+///   exactly once, from whichever thread finishes the request;
 /// * answers are **oracle-exact at their pinned epoch** — `response.epoch`
 ///   names the weight epoch the routes are exact for;
-/// * `submit_streaming` additionally surfaces provisional Pareto points,
-///   each dominated-or-equal by the final exact skyline;
+/// * a streaming reply additionally receives provisional Pareto points,
+///   each dominated-or-equal by the final exact skyline, before the
+///   outcome;
 /// * `publish_weights` applies a delta batch atomically and returns the
 ///   new epoch; subsequently dequeued requests pin it;
 /// * `shutdown` is idempotent and drains in-flight work before returning
 ///   final metrics.
 pub trait QueryService: Send + Sync {
-    /// Enqueues one request (backpressure may block briefly).
-    fn submit(&self, request: QueryRequest) -> Ticket;
-
-    /// Enqueues one request with anytime streaming: provisional Pareto
-    /// points flow on the [`StreamTicket`]'s progress channel while the
-    /// search runs. Requests answered without a search (cache hits,
-    /// coalesced followers, repairs) stream nothing — the final frame is
-    /// the whole story.
-    fn submit_streaming(&self, request: QueryRequest) -> StreamTicket;
+    /// Enqueues one request whose answer goes to `reply` (backpressure may
+    /// block briefly). A request refused at submission — shed by the
+    /// admission gate, or addressed to a region this endpoint does not
+    /// serve — is answered before this returns. Requests answered without
+    /// a search (cache hits, coalesced followers, repairs) stream nothing:
+    /// the outcome is the whole story.
+    fn submit_to(&self, request: QueryRequest, reply: Reply);
 
     /// Metrics snapshot over the service's lifetime so far.
     fn metrics(&self) -> MetricsSnapshot;
@@ -395,6 +448,22 @@ pub trait QueryService: Send + Sync {
     /// shard; [`crate::net::RemoteService`] relays the registry the
     /// daemon's handshake carried.
     fn regions(&self) -> Vec<RegionInfo>;
+
+    /// Enqueues one request and returns the [`Ticket`] its answer arrives
+    /// on.
+    fn submit(&self, request: QueryRequest) -> Ticket {
+        let (reply, ticket) = Ticket::reply(false);
+        self.submit_to(request, reply);
+        ticket
+    }
+
+    /// Enqueues one request with anytime streaming: provisional Pareto
+    /// points flow on the [`StreamTicket`] while the search runs.
+    fn submit_streaming(&self, request: QueryRequest) -> StreamTicket {
+        let (reply, ticket) = Ticket::reply(true);
+        self.submit_to(request, reply);
+        StreamTicket { ticket }
+    }
 
     /// [`QueryService::submit`] with default options — the bare-query
     /// convenience wrapper.
@@ -419,8 +488,7 @@ struct Job {
     query: SkySrQuery,
     options: RequestOptions,
     submitted: Instant,
-    reply: mpsc::Sender<Result<QueryResponse, QueryError>>,
-    progress: Option<mpsc::Sender<SkylineRoute>>,
+    reply: Reply,
 }
 
 /// The trace-span material known *before* a request is answered: identity,
@@ -439,11 +507,11 @@ struct PendingSpan {
 }
 
 /// What an in-flight leader owes a parked duplicate request: its reply
-/// channel and its pending span (which carries the follower's own
+/// and its pending span (which carries the follower's own
 /// submission instant, so coalesced answers report their true latency and
 /// their own trace story).
 struct Waiter {
-    reply: mpsc::Sender<Result<QueryResponse, QueryError>>,
+    reply: Reply,
     pending: PendingSpan,
 }
 
@@ -473,7 +541,7 @@ type FlightKey = (QueryKey, EpochId);
 /// (load/store, no CAS loop): a lost sample moves an *estimate*, nothing
 /// more.
 pub(crate) struct CostModel {
-    nanos: [AtomicU64; 3],
+    nanos: [AtomicU64; SCHED_BANDS],
 }
 
 /// EWMA weight denominator: each new sample contributes 1/8.
@@ -481,7 +549,7 @@ const EWMA_WEIGHT: u64 = 8;
 
 impl CostModel {
     fn new() -> CostModel {
-        CostModel { nanos: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)] }
+        CostModel { nanos: Default::default() }
     }
 
     fn observe(&self, class: CostClass, service: Duration) {
@@ -654,22 +722,12 @@ impl Service {
         let mut needed = self.cost.estimate(class);
         let mut ahead = Duration::ZERO;
         for (band, len) in lens.iter().enumerate().take(class.band() as usize + 1) {
-            let per_item = self.cost.estimate(CostClass::ALL[band.min(CostClass::ALL.len() - 1)]);
+            let per_item = self.cost.estimate(CostClass::ALL[band]);
             ahead =
                 ahead.saturating_add(per_item.checked_mul(*len as u32).unwrap_or(Duration::MAX));
         }
         needed = needed.saturating_add(ahead / self.worker_count.max(1) as u32);
         needed <= budget
-    }
-
-    /// A ticket already resolved to [`QueryError::Overloaded`] — what a
-    /// shed submission hands back, so every caller (blocking submitter,
-    /// network event loop) observes shedding as a normal typed failure.
-    fn shed_ticket(&self) -> Ticket {
-        self.metrics.count(Counter::Rejected);
-        let (tx, ticket) = Ticket::channel();
-        let _ = tx.send(Err(QueryError::Overloaded));
-        ticket
     }
 
     /// `Some(region)` when the request explicitly addresses a region this
@@ -679,86 +737,6 @@ impl Service {
             Some(region) if region != self.config.region => Some(region),
             _ => None,
         }
-    }
-
-    /// A ticket already resolved to [`QueryError::UnknownRegion`] — the
-    /// typed failure a mis-addressed request gets at submission, counted
-    /// as a failed query (it was never queued, so it is not a shed).
-    fn unknown_region_ticket(&self, region: RegionId) -> Ticket {
-        self.metrics.count(Counter::Failed);
-        let (tx, ticket) = Ticket::channel();
-        let _ = tx.send(Err(QueryError::UnknownRegion(region.0)));
-        ticket
-    }
-
-    /// Enqueues one request, optionally with a progress channel for
-    /// anytime streaming. Blocks while the submission queue is full
-    /// (backpressure). With admission control on, a request whose deadline
-    /// the gate judges unmeetable is not queued: its ticket resolves to
-    /// [`QueryError::Overloaded`] immediately.
-    ///
-    /// # Panics
-    /// If called after [`Service::shutdown`] closed the queue.
-    fn enqueue(
-        &self,
-        request: QueryRequest,
-        progress: Option<mpsc::Sender<SkylineRoute>>,
-    ) -> Ticket {
-        if let Some(region) = self.region_mismatch(&request) {
-            return self.unknown_region_ticket(region);
-        }
-        let submitted = Instant::now();
-        let (key, class) = self.sched_key(&request, submitted);
-        if !self.admit(&key, class) {
-            return self.shed_ticket();
-        }
-        let (tx, ticket) = Ticket::channel();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let QueryRequest { query, options } = request;
-        let job = Job { id, query, options, submitted, reply: tx, progress };
-        if self.queue.push(job, key).is_err() {
-            panic!("submit after shutdown: the submission queue is closed");
-        }
-        ticket
-    }
-
-    /// Non-blocking submit for event-loop callers (the network server):
-    /// `Err` hands the request back when the queue is full right now, so
-    /// the caller can park it and keep its loop turning. `submitted` is
-    /// the instant the request *first* arrived — a parked-and-retried
-    /// request keeps its original deadline clock instead of resetting it.
-    /// An admission-gate shed is an `Ok` ticket already resolved to
-    /// [`QueryError::Overloaded`]: the caller's normal answer pump turns
-    /// it into the typed failure frame.
-    pub(crate) fn try_submit(
-        &self,
-        request: QueryRequest,
-        progress: Option<mpsc::Sender<SkylineRoute>>,
-        submitted: Instant,
-    ) -> Result<Ticket, QueryRequest> {
-        if let Some(region) = self.region_mismatch(&request) {
-            return Ok(self.unknown_region_ticket(region));
-        }
-        let (key, class) = self.sched_key(&request, submitted);
-        if !self.admit(&key, class) {
-            return Ok(self.shed_ticket());
-        }
-        let (tx, ticket) = Ticket::channel();
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let QueryRequest { query, options } = request;
-        let job = Job { id, query, options, submitted, reply: tx, progress };
-        match self.queue.try_push(job, key) {
-            Ok(()) => Ok(ticket),
-            Err(job) => Err(QueryRequest { query: job.query, options: job.options }),
-        }
-    }
-
-    /// Counts a request the network server shed while it sat *parked*
-    /// (queue full) past its deadline — the same "expired before
-    /// execution" bucket as a queue-expired shed, it just never made it
-    /// into the queue.
-    pub(crate) fn note_shed_parked(&self) {
-        self.metrics.count(Counter::ShedDeadline);
     }
 
     /// The shared context.
@@ -795,14 +773,34 @@ impl Service {
 }
 
 impl QueryService for Service {
-    fn submit(&self, request: QueryRequest) -> Ticket {
-        self.enqueue(request, None)
-    }
-
-    fn submit_streaming(&self, request: QueryRequest) -> StreamTicket {
-        let (tx, rx) = mpsc::channel();
-        let ticket = self.enqueue(request, Some(tx));
-        StreamTicket::new(rx, ticket)
+    /// Queues one request for the worker pool. Blocks while the submission
+    /// queue is full (backpressure); the request's deadline clock starts
+    /// before the wait, so a request that waited out its deadline is shed
+    /// at dequeue. A mis-addressed request is answered
+    /// [`QueryError::UnknownRegion`] (counted failed, never queued), and
+    /// with admission control on, a request whose deadline the gate judges
+    /// unmeetable is answered [`QueryError::Overloaded`] (counted
+    /// rejected).
+    ///
+    /// # Panics
+    /// If called after [`QueryService::shutdown`] closed the queue.
+    fn submit_to(&self, request: QueryRequest, reply: Reply) {
+        if let Some(region) = self.region_mismatch(&request) {
+            self.metrics.count(Counter::Failed);
+            return reply.answer(Err(QueryError::UnknownRegion(region.0)));
+        }
+        let submitted = Instant::now();
+        let (key, class) = self.sched_key(&request, submitted);
+        if !self.admit(&key, class) {
+            self.metrics.count(Counter::Rejected);
+            return reply.answer(Err(QueryError::Overloaded));
+        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let QueryRequest { query, options } = request;
+        let job = Job { id, query, options, submitted, reply };
+        if self.queue.push(job, key).is_err() {
+            panic!("submit after shutdown: the submission queue is closed");
+        }
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -848,7 +846,7 @@ impl Drop for Service {
 fn respond(
     metrics: &MetricsRecorder,
     traces: &TraceBuffer,
-    reply: &mpsc::Sender<Result<QueryResponse, QueryError>>,
+    reply: Reply,
     pending: PendingSpan,
     exec: ExecTrace,
     routes: Arc<[SkylineRoute]>,
@@ -885,7 +883,7 @@ fn respond(
             traces.offer(span);
         }
     }
-    let _ = reply.send(Ok(QueryResponse {
+    reply.answer(Ok(QueryResponse {
         routes,
         epoch,
         served,
@@ -969,7 +967,7 @@ fn worker_loop(
             pinned = ctx.pin();
         }
         let epoch = pinned.epoch();
-        let Job { id, query, options, submitted, reply, progress } = job;
+        let Job { id, query, options, submitted, reply } = job;
 
         // A deadline that lapsed while the request sat in the queue is
         // shed here, *before* any work runs: executing it would burn a
@@ -981,7 +979,7 @@ fn worker_loop(
         let deadline_at = options.deadline.map(|d| submitted + d);
         if deadline_at.is_some_and(|at| dequeued >= at) {
             metrics.count(Counter::ShedDeadline);
-            let _ = reply.send(Err(QueryError::Overloaded));
+            reply.answer(Err(QueryError::Overloaded));
             continue;
         }
 
@@ -1025,7 +1023,7 @@ fn worker_loop(
                 respond(
                     metrics,
                     traces,
-                    &reply.clone(),
+                    reply,
                     pending,
                     ExecTrace::default(),
                     routes,
@@ -1068,7 +1066,7 @@ fn worker_loop(
                         respond(
                             metrics,
                             traces,
-                            &leader.reply,
+                            leader.reply,
                             leader.pending,
                             ExecTrace::default(),
                             Arc::clone(&routes),
@@ -1079,7 +1077,7 @@ fn worker_loop(
                             respond(
                                 metrics,
                                 traces,
-                                &w.reply,
+                                w.reply,
                                 w.pending,
                                 ExecTrace::default(),
                                 Arc::clone(&routes),
@@ -1136,15 +1134,15 @@ fn worker_loop(
                 };
                 return (r.routes, served, Some(Arc::new(r.memo)));
             }
-            // Anytime streaming: with a progress channel attached, the
-            // engine reports each provisional Pareto point as the search
-            // proves it. A receiver that hung up (deadline cutoff) just
-            // makes the sends no-ops.
-            let mut send = progress.as_ref().map(|tx| {
-                move |r: &SkylineRoute| {
-                    let _ = tx.send(r.clone());
-                }
-            });
+            // Anytime streaming: a streaming reply receives each
+            // provisional Pareto point as the search proves it, from this
+            // thread, before the outcome.
+            let reply = &mut leader.reply;
+            let mut send = if reply.streaming() {
+                Some(|r: &SkylineRoute| reply.progress(r.clone()))
+            } else {
+                None
+            };
             let sink = send.as_mut().map(|f| f as ProgressSink<'_>);
             let result = engine.run_prepared_observed(&pq, &[], sink);
             exec.profile = result.stats.profile();
@@ -1173,7 +1171,7 @@ fn worker_loop(
                 respond(
                     metrics,
                     traces,
-                    &leader.reply,
+                    leader.reply,
                     leader.pending,
                     exec,
                     Arc::clone(&routes),
@@ -1189,7 +1187,7 @@ fn worker_loop(
                     respond(
                         metrics,
                         traces,
-                        &w.reply,
+                        w.reply,
                         w.pending,
                         ExecTrace::default(),
                         Arc::clone(&routes),
@@ -1204,10 +1202,10 @@ fn worker_loop(
                     None => Vec::new(),
                 };
                 metrics.count(Counter::Failed);
-                let _ = leader.reply.send(Err(e.clone()));
+                leader.reply.answer(Err(e.clone()));
                 for w in waiters {
                     metrics.count(Counter::Failed);
-                    let _ = w.reply.send(Err(e.clone()));
+                    w.reply.answer(Err(e.clone()));
                 }
             }
         }
@@ -1251,6 +1249,48 @@ mod tests {
         assert_eq!(m.executed, 1);
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.stale_served, 0);
+    }
+
+    #[test]
+    fn a_streaming_reply_carries_every_final_member_and_a_deadline_cuts_it_off() {
+        let (ex, service) = service(1, 16);
+        let cold = QueryRequest::new(ex.query()).restrict(ReuseStrategies::none());
+        let (response, provisional) =
+            service.submit_streaming(cold.clone()).wait_with_progress().unwrap();
+        assert_eq!(response.served, Served::Search);
+        assert_eq!(response.routes.len(), 2);
+        for route in response.routes.iter() {
+            assert!(provisional.contains(route), "final member never streamed: {route:?}");
+        }
+
+        // Hold the only worker inside a reply: the next request waits in
+        // the queue past its 1 ns budget, whatever the scheduling.
+        let (release, held) = mpsc::channel::<()>();
+        service.submit_to(
+            cold.clone(),
+            Reply::new(false, move |_| {
+                let _ = held.recv();
+            }),
+        );
+        let anytime =
+            service.submit_streaming(cold).wait_deadline(Duration::from_nanos(1)).unwrap();
+        release.send(()).unwrap();
+        assert!(anytime.approximate && anytime.response.is_none());
+        let exact = &response.routes;
+        for (i, p) in anytime.routes.iter().enumerate() {
+            let covered = exact.iter().any(|f| f.length <= p.length && f.semantic <= p.semantic);
+            assert!(covered, "partial member beyond the exact skyline: {p:?}");
+            assert!(
+                anytime.routes[i + 1..]
+                    .iter()
+                    .all(|q| !(q.length <= p.length && q.semantic <= p.semantic)),
+                "the partial skyline holds a dominated member"
+            );
+        }
+        // A request the service sheds under its deadline is cut off too.
+        let shed = QueryRequest::new(ex.query()).deadline(Duration::from_nanos(1));
+        let cut = service.submit_streaming(shed).wait_deadline(Duration::from_secs(60)).unwrap();
+        assert!(cut.approximate && cut.routes.is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! shard ([`Router::route_start`]).
 //!
 //! [`Router`] implements [`QueryService`], so every driver in this crate
-//! (replay, the daemon event loop) serves a multi-tenant registry
+//! (replay, the daemon) serves a multi-tenant registry
 //! exactly as it serves one [`Service`]. [`Router::region_service`]
 //! adapts one region back into a `QueryService` view — how the sharded
 //! replay driver runs per-region workloads through the front door without
@@ -39,7 +39,7 @@ use skysr_graph::{EpochId, VertexId, WeightDelta};
 use crate::context::ServiceContext;
 use crate::metrics::MetricsSnapshot;
 use crate::net::DatasetFingerprint;
-use crate::service::{QueryRequest, QueryService, Service, ServiceConfig, StreamTicket, Ticket};
+use crate::service::{QueryRequest, QueryService, Reply, Service, ServiceConfig};
 
 /// Identifies one region (one resident dataset / shard) of a multi-tenant
 /// deployment. Assigned densely from 0 in registration order by
@@ -256,45 +256,18 @@ impl Router {
         request.options.region = Some(region);
         Ok((shard, request))
     }
-
-    fn unknown_region_ticket(&self, err: QueryError) -> Ticket {
-        self.misrouted.fetch_add(1, Ordering::Relaxed);
-        let (tx, ticket) = Ticket::channel();
-        let _ = tx.send(Err(err));
-        ticket
-    }
-
-    /// [`Router::dispatch`] for the network server's non-blocking path:
-    /// resolves and stamps the request and hands back the owning shard's
-    /// service (cloned out so the borrow does not pin the router).
-    pub(crate) fn dispatch_request(
-        &self,
-        request: QueryRequest,
-    ) -> Result<(Arc<Service>, QueryRequest), QueryError> {
-        let (shard, request) = self.dispatch(request)?;
-        Ok((Arc::clone(&shard.service), request))
-    }
-
-    /// A pre-resolved failure ticket, counted as a misroute.
-    pub(crate) fn resolved_error_ticket(&self, err: QueryError) -> Ticket {
-        self.unknown_region_ticket(err)
-    }
 }
 
 impl QueryService for Router {
-    fn submit(&self, request: QueryRequest) -> Ticket {
+    /// Hands the request and its reply to the owning shard. A request
+    /// addressed to a region nobody serves is answered
+    /// [`QueryError::UnknownRegion`] here and counted as misrouted.
+    fn submit_to(&self, request: QueryRequest, reply: Reply) {
         match self.dispatch(request) {
-            Ok((shard, request)) => shard.service.submit(request),
-            Err(err) => self.unknown_region_ticket(err),
-        }
-    }
-
-    fn submit_streaming(&self, request: QueryRequest) -> StreamTicket {
-        match self.dispatch(request) {
-            Ok((shard, request)) => shard.service.submit_streaming(request),
+            Ok((shard, request)) => shard.service.submit_to(request, reply),
             Err(err) => {
-                let (_progress_tx, progress_rx) = std::sync::mpsc::channel();
-                StreamTicket::new(progress_rx, self.unknown_region_ticket(err))
+                self.misrouted.fetch_add(1, Ordering::Relaxed);
+                reply.answer(Err(err));
             }
         }
     }
@@ -373,12 +346,8 @@ impl RegionService<'_> {
 }
 
 impl QueryService for RegionService<'_> {
-    fn submit(&self, request: QueryRequest) -> Ticket {
-        self.router.submit(self.stamp(request))
-    }
-
-    fn submit_streaming(&self, request: QueryRequest) -> StreamTicket {
-        self.router.submit_streaming(self.stamp(request))
+    fn submit_to(&self, request: QueryRequest, reply: Reply) {
+        self.router.submit_to(self.stamp(request), reply);
     }
 
     fn metrics(&self) -> MetricsSnapshot {

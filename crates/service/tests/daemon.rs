@@ -1,7 +1,9 @@
 //! Loopback integration tests of the `skysr-d` daemon: remote replay
 //! parity with the oracle under mid-stream weight updates, anytime
-//! streaming semantics over the wire, deadline cutoffs, and framing
-//! robustness against clients that disconnect mid-frame or speak garbage.
+//! streaming semantics over the wire, deadline cutoffs, framing
+//! robustness against clients that disconnect mid-frame or speak garbage,
+//! the connection cap, `Server::stop` under live traffic, and a full
+//! submission queue behind one connection.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -10,6 +12,7 @@ use std::time::Duration;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_service::net::wire::{read_frame, Frame, MAX_FRAME, PROTOCOL_VERSION};
+use skysr_service::net::MAX_CONNECTIONS;
 use skysr_service::replay::{build_pool, replay_remote, ReplaySpec};
 use skysr_service::{
     QueryRequest, QueryService, RegionId, RemoteService, Served, Server, ServerConfig, Service,
@@ -340,4 +343,122 @@ fn hostile_clients_do_not_kill_the_daemon() {
     remote.submit_query(pool[0].clone()).wait().expect("daemon still answers queries");
     let _ = remote.shutdown();
     server.join();
+}
+
+/// Opens a raw connection and completes the handshake.
+fn greeted(addr: std::net::SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(60))).expect("set timeout");
+    s.write_all(&Frame::Hello { version: PROTOCOL_VERSION }.to_bytes()).expect("write hello");
+    assert!(matches!(read_frame(&mut s, MAX_FRAME), Ok(Frame::Welcome { .. })));
+    s
+}
+
+#[test]
+fn a_connection_past_the_cap_is_refused_until_one_closes() {
+    let (_service, mut server) = spawn_daemon(1);
+    let addr = server.local_addr();
+    let mut conns: Vec<TcpStream> = (0..MAX_CONNECTIONS).map(|_| greeted(addr)).collect();
+
+    // One more gets a Fault, then EOF.
+    let mut refused = TcpStream::connect(addr).expect("connect");
+    refused.set_read_timeout(Some(Duration::from_secs(60))).expect("set timeout");
+    let _ = refused.write_all(&Frame::Hello { version: PROTOCOL_VERSION }.to_bytes());
+    let frame = read_frame(&mut refused, MAX_FRAME).expect("a refusal");
+    assert!(matches!(frame, Frame::Fault { .. }), "the connection past the cap got {frame:?}");
+    assert!(matches!(refused.read(&mut [0u8; 1]), Ok(0)), "the refusal closes the connection");
+
+    // Every connection under the cap is served.
+    for s in &mut conns {
+        s.write_all(&Frame::MetricsReq.to_bytes()).expect("write metrics request");
+        assert!(matches!(read_frame(s, MAX_FRAME), Ok(Frame::MetricsRep(_))));
+    }
+
+    // Once the server has closed one, a new connection is served.
+    let mut closing = conns.pop().expect("a connection");
+    closing.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut rest = Vec::new();
+    closing.read_to_end(&mut rest).expect("the server closes its side");
+    let mut again = greeted(addr);
+    again.write_all(&Frame::MetricsReq.to_bytes()).expect("write metrics request");
+    assert!(matches!(read_frame(&mut again, MAX_FRAME), Ok(Frame::MetricsRep(_))));
+    server.stop();
+}
+
+#[test]
+fn stop_returns_with_a_client_connected_and_leaves_the_service_running() {
+    // perfbench's tear-down: a server stopped under live traffic must
+    // return, and the service it fronted goes on answering in process.
+    let (service, mut server) = spawn_daemon(1);
+    let remote = RemoteService::connect(server.local_addr()).expect("connect");
+    let pool =
+        build_pool(&city(), &ReplaySpec { distinct: 8, seq_len: 3, ..ReplaySpec::default() });
+    let tickets: Vec<_> = pool.iter().map(|q| remote.submit_query(q.clone())).collect();
+    server.stop();
+    drop(tickets);
+    drop(remote);
+    service.submit_query(pool[0].clone()).wait().expect("the service still answers");
+
+    // Dropping a server with live clients returns too.
+    let server = Server::spawn("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
+        .expect("bind a loopback listener");
+    let remotes: Vec<_> =
+        (0..2).map(|_| RemoteService::connect(server.local_addr()).expect("connect")).collect();
+    let in_flight = remotes[0].submit_query(pool[1].clone());
+    drop(server);
+    drop(in_flight);
+    drop(remotes);
+    service.submit_query(pool[1].clone()).wait().expect("the service still answers");
+    service.shutdown();
+}
+
+#[test]
+fn a_full_queue_holds_one_connection_and_answers_every_request_once() {
+    // One worker and a one-slot queue: a burst pipelined behind cold
+    // searches blocks the connection's reader on the queue. Requests with
+    // a 1 ns deadline lapse while they wait and are shed at dequeue; the
+    // rest are served. Every id is answered exactly once.
+    let ctx = Arc::new(ServiceContext::from_dataset(city()));
+    let config = ServiceConfig { workers: 1, queue_capacity: 1, ..ServiceConfig::default() };
+    let service = Arc::new(Service::new(ctx, config));
+    let mut server = Server::spawn("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
+        .expect("bind a loopback listener");
+    let pool =
+        build_pool(&city(), &ReplaySpec { distinct: 24, seq_len: 3, ..ReplaySpec::default() });
+    let mut s = greeted(server.local_addr());
+    let requests = pool.len() as u64;
+    for id in 0..requests {
+        let mut request = QueryRequest::new(pool[id as usize].clone());
+        if id % 2 == 1 {
+            request = request.deadline(Duration::from_nanos(1));
+        }
+        let submit = Frame::Submit { id, streaming: false, request };
+        s.write_all(&submit.to_bytes()).expect("write submit");
+    }
+    let mut answers = vec![0usize; requests as usize];
+    for _ in 0..requests {
+        match read_frame(&mut s, MAX_FRAME).expect("an answer") {
+            Frame::Final { id, .. } => {
+                assert_eq!(id % 2, 0, "request {id} outlived its 1 ns deadline");
+                answers[id as usize] += 1;
+            }
+            Frame::QueryFailed { id, error: skysr_core::error::QueryError::Overloaded } => {
+                assert_eq!(id % 2, 1, "request {id} without a deadline was shed");
+                answers[id as usize] += 1;
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert!(answers.iter().all(|&n| n == 1), "one answer per request: {answers:?}");
+
+    // The connection still serves, and the counters account for every
+    // Submit sent.
+    let request = QueryRequest::new(pool[0].clone());
+    s.write_all(&Frame::Submit { id: requests, streaming: false, request }.to_bytes())
+        .expect("write submit");
+    assert!(matches!(read_frame(&mut s, MAX_FRAME), Ok(Frame::Final { .. })));
+    server.stop();
+    let m = service.shutdown();
+    assert_eq!(m.completed + m.shed_deadline + m.rejected, requests + 1);
+    assert_eq!(m.shed_deadline, requests / 2);
 }
