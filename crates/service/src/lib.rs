@@ -20,9 +20,10 @@
 //!   [`pin`](ServiceContext::pin) /
 //!   [`pin_at`](ServiceContext::pin_at) for dynamic weights;
 //! * [`pool`] — a std-only worker pool fed by a bounded submission queue
-//!   (when the queue is full, [`QueryService::submit`] blocks —
-//!   backpressure), plus the singleflight [`pool::InflightTable`] behind
-//!   request coalescing (keyed per canonical query *and* weight epoch);
+//!   that holds only work needing an engine (when the queue is full,
+//!   [`QueryService::submit`] blocks — backpressure), plus the singleflight
+//!   [`pool::InflightTable`] behind request coalescing (keyed per canonical
+//!   query *and* weight epoch);
 //! * [`cache`] — a cross-query LRU result cache keyed by the *canonical*
 //!   query (start vertex + canonical form of every position + engine
 //!   configuration; complex requirements canonicalize too), with entries
@@ -59,18 +60,22 @@
 //!   `span.rung` matching the response's `Served` classification.
 //!
 //! Between a request and a BSSR search sits the **reuse planner**
-//! ([`plan`]): for each dequeued job it probes the cache once through the
-//! unified non-counting [`ResultCache::probe`] and emits an ordered
-//! [`plan::ReusePlan`] over the rung ladder `ExactHit → Coalesce →
-//! Repair → ColdSearch`, which the worker loop executes mechanically. The
-//! rungs: the result cache, and request coalescing (concurrent duplicates
-//! park behind one in-flight computation and share its `Arc`'d skyline —
+//! ([`plan`]): it probes the cache once through the unified non-counting
+//! [`ResultCache::probe_entry`] and names the one rung
+//! ([`plan::PlanStep`]) of the ladder `ExactHit → Repair → ColdSearch`
+//! that answers a request. A request is planned once where it arrives: a
+//! cache hit is answered on the submitting thread and never queues, a
+//! duplicate of a running search parks on its flight, and the rest queue
+//! for a worker, which leads the request's flight, plans again at its
+//! pinned epoch and executes the plan mechanically. Request coalescing
+//! lets concurrent duplicates share one computation's `Arc`'d skyline —
 //! the leader fills the cache *before* ending the flight, so a key is
-//! never searched twice concurrently). Both are epoch-exact: a cached
-//! skyline or an in-flight computation is reused only by requests pinned
-//! to the same weight epoch — except where *incremental repair*
-//! ([`ServiceConfig::repair`]) proves a cross-epoch reuse sound: a cached
-//! skyline at an older epoch is repaired against the exact weight delta
+//! never searched twice concurrently. The cache and the flights are
+//! epoch-exact: a cached skyline or an in-flight computation is reused
+//! only by requests pinned to the same weight epoch — except where
+//! *incremental repair* ([`ServiceConfig::repair`]) proves a cross-epoch
+//! reuse sound: a cached skyline at an older epoch is repaired against
+//! the exact weight delta
 //! ([`skysr_core::bssr::repair`]) and promoted to the new epoch in place.
 //! The weight-epoch history itself can be bounded
 //! ([`ServiceContext::set_epoch_retention`]): old overlays are compacted
@@ -117,8 +122,9 @@
 //!
 //! Under overload the service degrades deliberately instead of
 //! collapsing: requests may carry deadlines
-//! ([`QueryRequest::deadline`]), the submission queue schedules by
-//! planner cost band and deadline with an anti-starvation aging bound
+//! ([`QueryRequest::deadline`]), cache hits never queue, the submission
+//! queue serves repairs ahead of searches and earlier deadlines first
+//! within each, with an anti-starvation aging bound
 //! ([`pool::ScheduledQueue`]), an admission gate
 //! ([`ServiceConfig::admission`]) refuses provably-unmeetable deadlines
 //! up front, expired-in-queue work is shed un-executed, and a search
@@ -147,7 +153,7 @@ pub use cache::{CacheCounters, QueryKey, ResultCache};
 pub use context::ServiceContext;
 pub use metrics::{LatencyBreakdown, MetricsSnapshot, Served};
 pub use net::{ProtocolError, RemoteService, Server, ServerConfig};
-pub use plan::{PlanStep, ReusePlan, ReusePlanner, ReuseStrategies};
+pub use plan::{PlanStep, ReusePlanner, ReuseStrategies};
 pub use replay::{ReplayReport, ReplaySpec, ShardReplay, ShardedReplayReport, StreamPattern};
 pub use scenario::{City, Gates, Scenario, TwinGate, Work};
 pub use service::{

@@ -14,8 +14,9 @@
 //!   writer, which writes them in the order they were posted. The reader
 //!   posts its own replies there (so unnumbered replies stay in request
 //!   order), and each request's [`Reply`] posts its `Progress` and `Final`
-//!   frames there from the worker that answers it — answers leave as
-//!   requests complete, not in submission order;
+//!   frames there from the thread that answers it — a worker, or the
+//!   reader itself for a cache hit, which is answered at submission.
+//!   Answers leave as requests complete, not in submission order;
 //! * a client that stops reading stops being read: while more than
 //!   [`ServerConfig::write_buf_cap`] bytes wait to be written, the reader
 //!   waits for the writer before it reads another frame.

@@ -1,20 +1,24 @@
 //! The reuse planner: serving policy as data.
 //!
-//! For each dequeued job the [`ReusePlanner`] probes the cache (through
-//! the unified [`probe_entry`](crate::cache::ResultCache::probe_entry))
-//! and emits an ordered [`ReusePlan`] over the rung ladder
+//! [`ReusePlanner::plan`] probes the cache (through the unified
+//! [`probe_entry`](crate::cache::ResultCache::probe_entry)) and names the
+//! one rung of the ladder
 //!
 //! ```text
-//! ExactHit → Coalesce → Repair → ColdSearch
+//! ExactHit → Repair → ColdSearch
 //! ```
 //!
-//! which the worker loop then executes *mechanically* — no reuse decision
-//! is made at execution time. Plans resolve their raw material eagerly
-//! (the hit's routes, the repair source with its memo plus the shared
-//! [`DeltaIndex`]),
-//! so plan construction is unit-testable without spawning a worker pool,
-//! and the executed [`Served`](crate::metrics::Served) outcome is the
-//! single source of truth for both the response and the metrics.
+//! that answers a request, with its raw material resolved eagerly (the
+//! hit's routes, the repair source with its memo plus the shared
+//! [`DeltaIndex`]). The service plans each request once where it arrives:
+//! a hit is answered there, and the plan's rung is the cost band
+//! everything else queues in ([`CostClass`]). A worker plans again after
+//! it leads the request's flight, and executes that plan *mechanically*
+//! — no reuse decision is made at execution time. Coalescing is not a
+//! rung: it is the flight the service parks duplicates on, before any
+//! plan runs. Plans are unit-testable without spawning a worker pool, and
+//! the executed [`Served`](crate::metrics::Served) outcome is the single
+//! source of truth for both the response and the metrics.
 //!
 //! A search seeds its own threshold: NNinit
 //! ([`nninit`](skysr_core::bssr::nninit)) finds a finite one at every
@@ -37,45 +41,33 @@ use crate::cache::{QueryKey, ResultCache};
 use crate::context::ServiceContext;
 use crate::service::ServiceConfig;
 
-/// The admission-time cost estimate for a request: which band of the rung
-/// ladder its plan will land on, resolved *cheaply* (one cache probe)
-/// before the request is queued.
+/// The cost band a queued request waits in: the rung its plan named when
+/// it arrived.
 ///
-/// The scheduler ([`ScheduledQueue`](crate::pool::ScheduledQueue)) maps
-/// classes to bands so cheap rungs overtake expensive ones, and the
-/// admission gate uses the class to pick a per-class service-time estimate
-/// when deciding whether a deadline is still meetable. Classification is a
-/// *prediction* — the authoritative plan is re-resolved at dequeue, and a
-/// prediction gone stale (entry evicted, flight completed, epoch moved)
-/// costs only scheduling precision, never correctness.
+/// The scheduler ([`ScheduledQueue`](crate::pool::ScheduledQueue)) serves
+/// repairs ahead of searches, and the admission gate keeps one
+/// service-time estimate per class to decide whether a deadline is still
+/// meetable. Hits have no class: they are answered where they arrive and
+/// never queue. The class is a *prediction* — a worker plans again at
+/// dequeue, and a prediction gone stale (entry evicted, flight completed,
+/// epoch moved) costs only scheduling precision, never correctness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CostClass {
-    /// Expected to serve from cache or join an in-flight duplicate:
-    /// microseconds of work.
-    Hit,
-    /// Expected to repair a stale entry against the epoch delta: bounded,
+    /// Planned to repair a stale entry against the epoch delta: bounded,
     /// far below a search.
     Repair,
-    /// Expected to run a search: the expensive band.
+    /// Planned to run a search: the expensive band.
     Search,
 }
 
 impl CostClass {
-    /// The scheduling band this class maps to (0 = cheapest).
-    pub fn band(self) -> u8 {
-        match self {
-            CostClass::Hit => 0,
-            CostClass::Repair => 1,
-            CostClass::Search => 2,
-        }
-    }
+    /// Every class, in band order (cheapest first).
+    pub const ALL: [CostClass; 2] = [CostClass::Repair, CostClass::Search];
 
-    /// Every class, in band order — for iterating cost-model slots.
-    pub const ALL: [CostClass; 3] = [CostClass::Hit, CostClass::Repair, CostClass::Search];
-
-    /// Slot index into per-class arrays (same order as [`ALL`](Self::ALL)).
+    /// The class's scheduling band and its slot in per-class arrays (same
+    /// order as [`ALL`](Self::ALL)).
     pub fn index(self) -> usize {
-        self.band() as usize
+        self as usize
     }
 }
 
@@ -119,17 +111,15 @@ impl ReuseStrategies {
     }
 }
 
-/// One rung of a [`ReusePlan`], carrying its resolved raw material.
+/// The rung that answers one request, carrying its resolved raw material.
 #[derive(Clone, Debug)]
 pub enum PlanStep {
     /// A cache entry answers the request outright. Carries the entry's
     /// epoch stamp verbatim so the executor can independently re-check it
     /// against the request's pinned epoch — the stale-serve tripwire.
     ExactHit(EpochId, Arc<[SkylineRoute]>),
-    /// Join (or lead) the in-flight computation for this (key, epoch).
-    Coalesce,
     /// Repair this stale skyline against the epoch pair's shared
-    /// touched-ball index and promote it in place. Terminal.
+    /// touched-ball index and promote it in place.
     Repair {
         /// The stale cached skyline (left resident in the cache).
         cached: Arc<[SkylineRoute]>,
@@ -139,39 +129,13 @@ pub enum PlanStep {
         /// pair.
         index: Arc<DeltaIndex>,
     },
-    /// Run the search cold. Terminal.
+    /// Run the search cold.
     ColdSearch,
 }
 
-/// An ordered, fully resolved serving plan for one request: zero or one
-/// `Coalesce` rung followed by exactly one terminal rung — or a lone
-/// `ExactHit`.
-#[derive(Clone, Debug)]
-pub struct ReusePlan {
-    /// The rungs, in execution order.
-    pub steps: Vec<PlanStep>,
-}
-
-impl ReusePlan {
-    /// The plan's terminal rung.
-    pub fn terminal(&self) -> &PlanStep {
-        self.steps.last().expect("plans are never empty")
-    }
-
-    /// Whether the plan serves straight from the cache.
-    pub fn is_exact_hit(&self) -> bool {
-        matches!(self.steps.first(), Some(PlanStep::ExactHit(..)))
-    }
-
-    /// Whether the plan passes through the coalescing rung.
-    pub fn coalesces(&self) -> bool {
-        self.steps.iter().any(|s| matches!(s, PlanStep::Coalesce))
-    }
-}
-
-/// Builds [`ReusePlan`]s for dequeued jobs. Pure policy: owns no threads,
-/// no queues — construction is directly unit-testable.
-#[derive(Clone, Debug)]
+/// Plans requests. Pure policy: owns no threads, no queues — planning is
+/// directly unit-testable.
+#[derive(Clone, Copy, Debug)]
 pub struct ReusePlanner {
     strategies: ReuseStrategies,
     engine: BssrConfig,
@@ -209,10 +173,11 @@ impl ReusePlanner {
             .then(|| QueryKey::canonicalize(query, self.engine))
     }
 
-    /// Plans the serving of `query` pinned to `epoch`.
+    /// Plans the serving of `query` pinned to `epoch`: the one rung that
+    /// answers it.
     ///
     /// Probes the cache through [`probe_entry`](ResultCache::probe_entry)
-    /// and resolves every rung's raw material eagerly, lazily invalidating
+    /// and resolves the rung's raw material eagerly, lazily invalidating
     /// a stale entry when no repair path exists for it. `key` must be this
     /// planner's [`key_of`](Self::key_of) for the same query.
     pub fn plan(
@@ -222,80 +187,31 @@ impl ReusePlanner {
         epoch: EpochId,
         cache: &ResultCache,
         ctx: &ServiceContext,
-    ) -> ReusePlan {
+    ) -> PlanStep {
         debug_assert!(
             key.is_none_or(|k| *k == QueryKey::canonicalize(query, self.engine)),
             "the key of another query"
         );
-        let st = &self.strategies;
-        let mut steps = Vec::with_capacity(2);
-
-        // Rung 1: exact hit.
-        let mut stale = None;
-        if st.caching {
-            let key = key.expect("caching implies a key");
-            match cache.probe_entry(key, epoch) {
-                Some((e, routes, _)) if e == epoch => {
-                    steps.push(PlanStep::ExactHit(e, routes));
-                    return ReusePlan { steps };
-                }
-                found => stale = found,
+        if !self.strategies.caching {
+            return PlanStep::ColdSearch;
+        }
+        let key = key.expect("caching implies a key");
+        match cache.probe_entry(key, epoch) {
+            Some((e, routes, _)) if e == epoch => PlanStep::ExactHit(e, routes),
+            // A stale same-key entry is repair raw material when the epoch
+            // pair's exact delta is still derivable; otherwise it is
+            // lazily invalidated (repair off) or left to be overwritten by
+            // the fresh insert (repair on, delta compacted away).
+            Some((e, cached, memo)) if self.strategies.repair => match ctx.delta_index(e, epoch) {
+                Some(index) => PlanStep::Repair { cached, memo, index },
+                None => PlanStep::ColdSearch,
+            },
+            Some(_) => {
+                cache.discard_older(key, epoch);
+                PlanStep::ColdSearch
             }
+            None => PlanStep::ColdSearch,
         }
-
-        // Rung 2: coalescing (the executor joins or leads the flight).
-        if st.coalesce {
-            steps.push(PlanStep::Coalesce);
-        }
-
-        // Rung 3: repair. A stale same-key entry is carried into the plan
-        // as repair raw material when the epoch pair's exact delta is
-        // still derivable; otherwise it is lazily invalidated (repair
-        // off) or left to be overwritten by the fresh insert (repair on,
-        // delta compacted away).
-        if let Some((entry_epoch, routes, memo)) = stale {
-            if st.repair {
-                if let Some(index) = ctx.delta_index(entry_epoch, epoch) {
-                    steps.push(PlanStep::Repair { cached: routes, memo, index });
-                    return ReusePlan { steps };
-                }
-            } else {
-                cache.discard_older(key.expect("caching implies a key"), epoch);
-            }
-        }
-
-        // Rung 4: cold search.
-        steps.push(PlanStep::ColdSearch);
-        ReusePlan { steps }
-    }
-
-    /// Cheaply classifies `query`'s expected serving cost at admission
-    /// time — the scheduler's cost model.
-    ///
-    /// Unlike [`plan`](Self::plan) this does **no lazy invalidation**: it
-    /// reads the cache through [`probe`](ResultCache::probe) once and
-    /// inspects the delta index. The later authoritative `plan` call
-    /// repeats the probe; the only side effect of probing twice is an
-    /// extra LRU recency promotion of the same entry, which is benign.
-    pub fn classify(
-        &self,
-        key: Option<&QueryKey>,
-        epoch: EpochId,
-        cache: &ResultCache,
-        ctx: &ServiceContext,
-    ) -> CostClass {
-        let st = &self.strategies;
-        if st.caching {
-            let key = key.expect("caching implies a key");
-            match cache.probe(key, epoch) {
-                Some((e, _)) if e == epoch => return CostClass::Hit,
-                Some((e, _)) if st.repair && ctx.delta_index(e, epoch).is_some() => {
-                    return CostClass::Repair;
-                }
-                _ => {}
-            }
-        }
-        CostClass::Search
     }
 }
 
@@ -332,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn cold_cache_plans_coalesce_then_cold_search() {
+    fn cold_cache_plans_a_cold_search() {
         let (ex, ctx, cache) = harness();
         let planner = ReusePlanner::new(all_on(), BssrConfig::default());
         let q = ex.query();
@@ -342,10 +258,7 @@ mod tests {
         fill(&ctx, &cache, &planner, &prefix_q, EpochId::BASE);
         let key = planner.key_of(&q);
         let plan = planner.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
-        assert!(!plan.is_exact_hit());
-        assert!(plan.coalesces());
-        assert!(matches!(plan.terminal(), PlanStep::ColdSearch), "{plan:?}");
-        assert_eq!(plan.steps.len(), 2);
+        assert!(matches!(plan, PlanStep::ColdSearch), "{plan:?}");
     }
 
     #[test]
@@ -356,9 +269,11 @@ mod tests {
         fill(&ctx, &cache, &planner, &q, EpochId::BASE);
         let key = planner.key_of(&q);
         let plan = planner.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
-        assert!(plan.is_exact_hit());
-        assert!(!plan.coalesces(), "a hit never reaches the coalescing rung");
-        assert_eq!(plan.steps.len(), 1);
+        let PlanStep::ExactHit(stamp, routes) = plan else {
+            panic!("a resident entry at the epoch must plan a hit: {plan:?}");
+        };
+        assert_eq!(stamp, EpochId::BASE);
+        assert_eq!(routes.len(), 2);
     }
 
     #[test]
@@ -366,12 +281,17 @@ mod tests {
         let (ex, ctx, cache) = harness();
         let q = ex.query();
         let engine = BssrConfig::default();
-        let key = ReusePlanner::new(all_on(), engine).key_of(&q);
-        let no_coalesce =
-            ReusePlanner::new(ReuseStrategies { coalesce: false, ..all_on() }, engine);
-        let plan = no_coalesce.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
-        assert!(!plan.coalesces());
-        assert!(matches!(plan.terminal(), PlanStep::ColdSearch), "{plan:?}");
+        let planner = ReusePlanner::new(all_on(), engine);
+        let key = planner.key_of(&q);
+        fill(&ctx, &cache, &planner, &q, EpochId::BASE);
+        // A request masked to no caching searches past a resident answer.
+        let masked = planner.masked(ReuseStrategies { caching: false, ..all_on() });
+        let plan = masked.plan(&q, None, EpochId::BASE, &cache, &ctx);
+        assert!(matches!(plan, PlanStep::ColdSearch), "{plan:?}");
+        assert!(matches!(
+            planner.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx),
+            PlanStep::ExactHit(..)
+        ));
         // A mask clears switches and never sets them.
         let masked = ReusePlanner::new(all_on(), engine).masked(ReuseStrategies::none());
         assert_eq!(*masked.strategies(), ReuseStrategies::none());
@@ -391,8 +311,7 @@ mod tests {
         let e1 = ctx.publish_weights(&[WeightDelta::new(from, to, w.get() * 2.0)]);
 
         let plan = with_repair.plan(&q, key.as_ref(), e1, &cache, &ctx);
-        assert!(plan.coalesces());
-        let PlanStep::Repair { cached, index, .. } = plan.terminal() else {
+        let PlanStep::Repair { cached, index, .. } = plan else {
             panic!("stale entry with repair on must plan a repair: {plan:?}");
         };
         assert!(!cached.is_empty());
@@ -405,44 +324,9 @@ mod tests {
         // and a cold search is all that remains.
         let without = ReusePlanner::new(all_on(), engine);
         let plan = without.plan(&q, key.as_ref(), e1, &cache, &ctx);
-        assert!(matches!(plan.terminal(), PlanStep::ColdSearch), "{plan:?}");
+        assert!(matches!(plan, PlanStep::ColdSearch), "{plan:?}");
         assert_eq!(cache.counters().invalidations, 1);
         assert_eq!(cache.counters().len, 0);
-    }
-
-    #[test]
-    fn classification_tracks_the_rung_ladder_without_accounting() {
-        let (ex, ctx, cache) = harness();
-        let engine = BssrConfig::default();
-        let planner = ReusePlanner::new(ReuseStrategies { repair: true, ..all_on() }, engine);
-        let q = ex.query();
-        let key = planner.key_of(&q);
-
-        // Empty cache → Search.
-        assert_eq!(planner.classify(key.as_ref(), EpochId::BASE, &cache, &ctx), CostClass::Search);
-
-        // Resident fresh entry → Hit.
-        fill(&ctx, &cache, &planner, &q, EpochId::BASE);
-        assert_eq!(planner.classify(key.as_ref(), EpochId::BASE, &cache, &ctx), CostClass::Hit);
-
-        // Stale entry with a derivable delta → Repair (with repair on),
-        // Search otherwise — and the stale entry is left untouched either
-        // way: invalidation is plan()'s job, not classification's.
-        let (from, to, w) = ctx.graph().arc(0);
-        let e1 = ctx.publish_weights(&[WeightDelta::new(from, to, w.get() * 2.0)]);
-        assert_eq!(planner.classify(key.as_ref(), e1, &cache, &ctx), CostClass::Repair);
-        let no_repair = ReusePlanner::new(all_on(), engine);
-        assert_eq!(no_repair.classify(key.as_ref(), e1, &cache, &ctx), CostClass::Search);
-        assert_eq!(cache.counters().invalidations, 0);
-        assert_eq!(cache.counters().len, 1);
-
-        // Caching off → always Search, no key needed.
-        let off = ReusePlanner::new(ReuseStrategies::none(), engine);
-        assert_eq!(off.classify(None, EpochId::BASE, &cache, &ctx), CostClass::Search);
-
-        // Band order is the scheduling contract.
-        assert!(CostClass::Hit.band() < CostClass::Repair.band());
-        assert!(CostClass::Repair.band() < CostClass::Search.band());
     }
 
     #[test]
@@ -455,9 +339,9 @@ mod tests {
         let planner = ReusePlanner::new(ReuseStrategies::none(), engine);
         assert!(planner.key_of(&q).is_none(), "no keyed machinery, no key");
         let plan = planner.plan(&q, None, EpochId::BASE, &cache, &ctx);
-        assert!(matches!(plan.terminal(), PlanStep::ColdSearch));
-        assert_eq!(plan.steps.len(), 1);
-        // Coalesce-only (cache off): a key exists, no cache rungs.
+        assert!(matches!(plan, PlanStep::ColdSearch));
+        // Coalesce-only (cache off): a key exists for the flight, and the
+        // plan reads no cache.
         let co = ReusePlanner::new(
             ReuseStrategies { coalesce: true, ..ReuseStrategies::none() },
             engine,
@@ -465,7 +349,6 @@ mod tests {
         let key = co.key_of(&q);
         assert!(key.is_some());
         let plan = co.plan(&q, key.as_ref(), EpochId::BASE, &cache, &ctx);
-        assert!(plan.coalesces());
-        assert!(matches!(plan.terminal(), PlanStep::ColdSearch));
+        assert!(matches!(plan, PlanStep::ColdSearch));
     }
 }

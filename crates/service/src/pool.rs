@@ -2,13 +2,13 @@
 //! scheduling queue with blocking producers (backpressure) and a
 //! singleflight in-flight table for request coalescing.
 //!
-//! The queue replaced a plain FIFO when overload handling landed: under
-//! open-loop saturation a FIFO lets one cold search starve a burst of
-//! cache hits queued behind it, collapsing the cheap rungs' tail latency
-//! for no reason. [`ScheduledQueue`] instead dequeues by *cost band*
-//! first (the admission-time plan rung — see [`CostClass`]) and by
-//! *effective deadline* within a band, with an aging bound so expensive
-//! work can never be starved forever by a stream of cheap work.
+//! The queue holds only work that needs an engine: cache hits are
+//! answered where they arrive and never queue. Under open-loop saturation
+//! a FIFO would let a backlog of cold searches hold up the repairs queued
+//! behind it, so [`ScheduledQueue`] dequeues by *cost band* first (the
+//! rung the request's plan named when it arrived — see [`CostClass`]) and
+//! by *effective deadline* within a band, with an aging bound so a search
+//! can never be starved forever by a stream of repairs.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
@@ -135,7 +135,7 @@ impl<T> SchedInner<T> {
 /// Ordering is *not* FIFO: items pop cheapest cost band first, earliest
 /// effective deadline within a band, except that a band whose head has
 /// waited at least the queue's age limit is served unconditionally —
-/// cheap rungs overtake cold searches, but cold searches cannot starve.
+/// repairs overtake cold searches, but cold searches cannot starve.
 /// Expiry is the consumer's job: the queue never drops items, so the
 /// dequeuer can account honestly for a deadline that lapsed in queue.
 pub struct ScheduledQueue<T> {
@@ -233,6 +233,11 @@ impl<T> ScheduledQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Whether [`close`](Self::close) was called.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.inner.lock().expect("queue poisoned").closed
+    }
 }
 
 /// A singleflight-style in-flight table: the first caller to `begin` a key
@@ -245,9 +250,10 @@ impl<T> ScheduledQueue<T> {
 /// table lock — there is no window in which a follower can park under a
 /// key whose leader has already completed. The converse race (a leader
 /// completes, *then* a new request begins the same key) is handled by the
-/// caller checking the result cache before `begin`, and by inserting into
-/// the cache *before* completing (see `worker_loop` in `service.rs`); with
-/// caching disabled such a latecomer simply leads a fresh computation.
+/// leader reading the result cache only after `begin`, and by inserting
+/// into the cache *before* completing (see `Shared::worker_loop` in
+/// `service.rs`): the latecomer leads and finds the answer as a hit. With
+/// caching disabled it simply leads a fresh computation.
 pub struct InflightTable<K, W> {
     inner: Mutex<HashMap<K, Vec<W>>>,
 }
@@ -283,10 +289,16 @@ impl<K: Eq + Hash, W> InflightTable<K, W> {
         }
     }
 
-    /// Whether `key` currently has a flight in progress — the cheap probe
-    /// admission-time classification uses to predict a coalesced join.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.lock().expect("inflight table poisoned").contains_key(key)
+    /// Parks `waiter` under the flight in progress for `key`, or hands it
+    /// back when there is none — a join that never leads.
+    pub(crate) fn join(&self, key: &K, waiter: W) -> Result<(), W> {
+        match self.inner.lock().expect("inflight table poisoned").get_mut(key) {
+            Some(waiters) => {
+                waiters.push(waiter);
+                Ok(())
+            }
+            None => Err(waiter),
+        }
     }
 
     /// Ends the flight for `key`, returning every parked waiter (empty if
@@ -337,16 +349,15 @@ mod tests {
             panic!("first begin must lead");
         };
         assert_eq!(w, "leader");
-        assert!(t.contains(&7));
-        assert!(!t.contains(&8));
+        assert_eq!(t.join(&8, "stray"), Err("stray"), "no flight, no join");
         assert!(matches!(t.begin(7, "f1"), Begin::Joined));
-        assert!(matches!(t.begin(7, "f2"), Begin::Joined));
+        assert_eq!(t.join(&7, "f2"), Ok(()));
         // A different key gets its own leader.
         assert!(matches!(t.begin(8, "other"), Begin::Leader("other")));
         assert_eq!(t.len(), 2);
         let waiters = t.complete(&7);
         assert_eq!(waiters, vec!["f1", "f2"]);
-        assert!(!t.contains(&7));
+        assert_eq!(t.join(&7, "late"), Err("late"), "a completed flight takes no one");
         // The key is free again: the next begin leads.
         assert!(matches!(t.begin(7, "again"), Begin::Leader("again")));
         assert_eq!(t.complete(&7), Vec::<&str>::new());
@@ -383,14 +394,14 @@ mod tests {
     #[test]
     fn cheap_bands_overtake_expensive_ones() {
         let q = ScheduledQueue::new(8, NO_AGING);
-        q.push("cold-1", classed(3)).unwrap();
-        q.push("repair", classed(1)).unwrap();
+        q.push("cold-1", classed(1)).unwrap();
+        q.push("repair-1", classed(0)).unwrap();
         q.push("cold-2", classed(3)).unwrap();
-        q.push("hit", classed(0)).unwrap();
-        assert_eq!(q.pop(), Some("hit"), "cheapest band first");
-        assert_eq!(q.pop(), Some("repair"));
+        q.push("repair-2", classed(0)).unwrap();
+        assert_eq!(q.pop(), Some("repair-1"), "cheapest band first");
+        assert_eq!(q.pop(), Some("repair-2"));
         assert_eq!(q.pop(), Some("cold-1"), "FIFO within the cold band");
-        assert_eq!(q.pop(), Some("cold-2"));
+        assert_eq!(q.pop(), Some("cold-2"), "a class past the last band is clamped into it");
     }
 
     #[test]
@@ -416,15 +427,15 @@ mod tests {
     fn aging_band_head_preempts_cheaper_bands() {
         let age_limit = Duration::from_millis(20);
         let q = ScheduledQueue::new(16, age_limit);
-        q.push("cold", classed(3)).unwrap();
+        q.push("cold", classed(1)).unwrap();
         std::thread::sleep(age_limit + Duration::from_millis(5));
         // A stream of cheap work arrives after the cold entry aged out:
         // the cold entry must still be served next, not starved.
         for _ in 0..4 {
-            q.push("hit", classed(0)).unwrap();
+            q.push("repair", classed(0)).unwrap();
         }
         assert_eq!(q.pop(), Some("cold"), "aged head preempts cheaper bands");
-        assert_eq!(q.pop(), Some("hit"));
+        assert_eq!(q.pop(), Some("repair"));
     }
 
     #[test]

@@ -203,7 +203,10 @@ pub struct ReplaySpec {
     /// shared context) measures sustainable throughput first, then the
     /// real run arrives at `overload ×` that rate. `2.0` is the canonical
     /// "2× capacity" overload cell. Mutually exclusive with an explicit
-    /// [`qps`](ReplaySpec::qps) and with closed-loop update waves.
+    /// [`qps`](ReplaySpec::qps) and with closed-loop update waves. The
+    /// service's queue must hold the whole stream: an open loop blocks on
+    /// a full queue, and would then measure backpressure rather than the
+    /// scheduler.
     pub overload: f64,
 }
 
@@ -295,7 +298,16 @@ impl ReplaySpec {
                 "the deadline must be positive and at most 1000 s",
             ),
         ];
-        rules.into_iter().find(|&(broken, _)| broken).map_or(Ok(()), |(_, why)| Err(why.into()))
+        if let Some((_, why)) = rules.into_iter().find(|&(broken, _)| broken) {
+            return Err(why.into());
+        }
+        if self.overload > 0.0 && self.service.queue_capacity < self.total {
+            return Err(format!(
+                "an overload replay queues its whole stream: queue_capacity {} is below total {}",
+                self.service.queue_capacity, self.total
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1450,6 +1462,17 @@ pub(crate) mod tests {
     fn empty_update_waves_are_rejected() {
         let spec = ReplaySpec { update_every: 5, update_burst: 0, ..ReplaySpec::default() };
         assert_eq!(rejected(spec), "update_burst must be at least 1 when weights update");
+    }
+
+    #[test]
+    fn an_overload_replay_whose_stream_overflows_the_queue_is_rejected() {
+        let spec = ReplaySpec { total: 600, overload: 2.0, ..ReplaySpec::default() };
+        assert_eq!(
+            rejected(spec.clone()),
+            "an overload replay queues its whole stream: queue_capacity 256 is below total 600"
+        );
+        let held = ServiceConfig { queue_capacity: 600, ..spec.service.clone() };
+        assert_eq!(ReplaySpec { service: held, ..spec }.validate(), Ok(()));
     }
 
     #[test]

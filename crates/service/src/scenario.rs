@@ -28,10 +28,12 @@ use crate::telemetry::{Rung, TelemetryConfig};
 /// over a handful of samples bounds nothing.
 pub const HIT_SAMPLES: u64 = 100;
 
-/// The `hits` gate's bound on hit-rung p99, in deadlines. A hit whose
-/// deadline lapses in queue is shed at dequeue, so a served hit waits at
-/// most one deadline; the rest of the bound is slack for the answer
-/// itself on a loaded host.
+/// The `hits` gate's bound on hit-rung p99, in deadlines. A hit answered
+/// at submission waits for nothing. A queued request whose answer was
+/// cached by the time a worker took it is a hit too; it waited at most
+/// one deadline, since a request whose deadline lapses in queue is shed
+/// at dequeue. The rest of the bound is slack for the answer itself on a
+/// loaded host.
 pub const HIT_P99_DEADLINES: u32 = 5;
 
 /// A generated city: a dataset preset at a scale. The seed is the
@@ -82,7 +84,9 @@ pub struct Gates {
     pub shed_in_queue: bool,
     /// At least [`HIT_SAMPLES`] cache hits served, with a hit-rung p99
     /// within [`HIT_P99_DEADLINES`] of the spec's deadline: cheap answers
-    /// stay fast while the expensive ones shed.
+    /// stay fast while the expensive ones shed. Most hits are answered at
+    /// submission; the rest queued as misses and found their answer
+    /// cached at dequeue.
     pub hits: bool,
 }
 
@@ -341,9 +345,9 @@ pub fn table() -> Vec<Scenario> {
         churn(&prefix, 480, 1200.0, 100.0, 16),
     ];
     let repaired = |spec: &ReplaySpec| ReplaySpec { service: stack(8, true), ..spec.clone() };
-    // The queue holds the whole stream, so what bounds a hit's wait is
-    // the deadline-aware scheduler, not the submitter blocking on a full
-    // queue.
+    // The queue holds the whole stream (an overload spec must), so what
+    // bounds a queued request's wait is the deadline-aware scheduler, not
+    // the submitter blocking on a full queue. Hits never queue.
     let overload = ReplaySpec {
         total: 12_000,
         distinct: 10_000,
@@ -474,9 +478,10 @@ pub fn table() -> Vec<Scenario> {
     // per-process cache: each region's 32 queries fit its cache of 40 and
     // are searched once, while the union's 128 thrash it. Uniform
     // popularity keeps the whole pool the working set. A shallow queue
-    // keeps the stream's order: from a deep one the scheduler serves
-    // whatever was cached at submission first, and the twin's misses
-    // would hang on how far submission ran ahead.
+    // keeps the stream's order: a hit is answered when it is submitted,
+    // so with a deep one what is cached on arrival, and the twin's
+    // misses with it, would hang on how far submission ran ahead of the
+    // workers.
     let region = ReplaySpec {
         total: 320,
         distinct: 32,

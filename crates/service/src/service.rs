@@ -14,7 +14,10 @@
 //! options); answers go to the [`Reply`] submitted with them — a
 //! [`Ticket`], a [`StreamTicket`] for *anytime* responses that surface
 //! provisional Pareto points while the search runs, or the daemon's sink
-//! that posts frames to a connection.
+//! that posts frames to a connection. A request is planned where it
+//! arrives: a cache hit is answered on the submitting thread, a duplicate
+//! of a running search parks on it, and everything else queues for a
+//! worker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
@@ -34,7 +37,7 @@ use crate::cache::{QueryKey, ResultCache};
 use crate::context::ServiceContext;
 use crate::metrics::{Counter, LatencyBreakdown, MetricsRecorder, MetricsSnapshot, Served};
 use crate::net::DatasetFingerprint;
-use crate::plan::{CostClass, PlanStep, ReusePlan, ReusePlanner, ReuseStrategies};
+use crate::plan::{CostClass, PlanStep, ReusePlanner, ReuseStrategies};
 use crate::pool::{Begin, InflightTable, SchedKey, ScheduledQueue, SCHED_BANDS};
 use crate::shard::{RegionId, RegionInfo};
 use crate::telemetry::{Rung, TelemetryConfig, TraceBuffer, TraceSpan};
@@ -62,12 +65,9 @@ pub struct ServiceConfig {
     /// submission with [`QueryError::Overloaded`] instead of being queued
     /// to fail. Estimates come from a per-class EWMA of observed service
     /// times, so an untrained gate admits everything. Deadline-less
-    /// requests are always admitted.
+    /// requests are always admitted, and so are cache hits and duplicates
+    /// of a running search, which never queue.
     pub admission: bool,
-    /// Anti-starvation bound for the deadline scheduler: a queued request
-    /// that has waited this long is served ahead of cheaper cost bands,
-    /// so a stream of cache hits can never starve a cold search forever.
-    pub age_limit: Duration,
     /// Engine configuration every worker runs with.
     pub engine: BssrConfig,
     /// Trace-span retention policy (histograms are always on; see
@@ -94,7 +94,6 @@ impl Default for ServiceConfig {
             coalesce: true,
             repair: false,
             admission: false,
-            age_limit: Duration::from_millis(500),
             engine: BssrConfig::default(),
             telemetry: TelemetryConfig::default(),
             region: RegionId::default(),
@@ -121,7 +120,9 @@ pub struct QueryResponse {
     /// [`TraceSpan`] (the trace-completeness invariant matches on it).
     pub request_id: u64,
     /// The queueing share of `latency` (submission → dequeue), split out
-    /// so saturation is visible per response, not just in aggregate.
+    /// so saturation is visible per response, not just in aggregate. Zero
+    /// for a request answered or parked on a running flight at
+    /// submission, which never queued.
     pub queue_wait: Duration,
 }
 
@@ -411,31 +412,38 @@ impl StreamTicket {
 /// the ticket-returning forms are provided over it. The contract every
 /// implementation upholds:
 ///
-/// * `submit_to` returns once the request is queued (it may block for
-///   backpressure, never for the answer), and answers the [`Reply`]
-///   exactly once, from whichever thread finishes the request;
+/// * `submit_to` returns once the request is queued, parked on a running
+///   search or answered (it may block for backpressure, never for a
+///   search), and answers the [`Reply`] exactly once, from whichever
+///   thread finishes the request — the submitting thread itself for an
+///   answer given at submission, such as a cache hit;
 /// * answers are **oracle-exact at their pinned epoch** — `response.epoch`
 ///   names the weight epoch the routes are exact for;
 /// * a streaming reply additionally receives provisional Pareto points,
 ///   each dominated-or-equal by the final exact skyline, before the
 ///   outcome;
 /// * `publish_weights` applies a delta batch atomically and returns the
-///   new epoch; subsequently dequeued requests pin it;
+///   new epoch; requests submitted afterwards are answered at it or at a
+///   later one;
 /// * `shutdown` is idempotent and drains in-flight work before returning
 ///   final metrics.
 pub trait QueryService: Send + Sync {
-    /// Enqueues one request whose answer goes to `reply` (backpressure may
+    /// Submits one request whose answer goes to `reply` (backpressure may
     /// block briefly). A request refused at submission — shed by the
     /// admission gate, or addressed to a region this endpoint does not
-    /// serve — is answered before this returns. Requests answered without
-    /// a search (cache hits, coalesced followers, repairs) stream nothing:
+    /// serve — is answered before this returns, and a cache hit may be
+    /// too: the reply's sink then runs on the submitting thread (for
+    /// `skysr-d`, the connection's reader). Requests answered without a
+    /// search (cache hits, coalesced followers, repairs) stream nothing:
     /// the outcome is the whole story.
     fn submit_to(&self, request: QueryRequest, reply: Reply);
 
     /// Metrics snapshot over the service's lifetime so far.
     fn metrics(&self) -> MetricsSnapshot;
 
-    /// Publishes a weight-update batch as one new epoch.
+    /// Publishes a weight-update batch as one new epoch. Requests
+    /// submitted after it returns are answered at that epoch or a later
+    /// one.
     fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId;
 
     /// Drains in-flight work, stops serving and returns final metrics.
@@ -483,20 +491,30 @@ pub trait QueryService: Send + Sync {
     }
 }
 
+/// A request that needs an engine, as it waits in the queue.
 struct Job {
-    id: u64,
     query: SkySrQuery,
-    options: RequestOptions,
-    submitted: Instant,
-    reply: Reply,
+    /// When the request's deadline lapses, if it carries one.
+    deadline: Option<Instant>,
+    /// The canonical key, when caching or coalescing is on.
+    key: Option<QueryKey>,
+    /// The service's planner under the request's reuse mask.
+    planner: ReusePlanner,
+    /// The band the request waits in. Its service time trains this
+    /// class's admission estimate, whatever rung finally answers it.
+    class: CostClass,
+    /// Who to answer, and the span so far.
+    waiter: Waiter,
 }
 
 /// The trace-span material known *before* a request is answered: identity,
 /// timing marks, plan duration and the rung probes so far. Completed into
-/// a [`TraceSpan`] by [`respond`].
+/// a [`TraceSpan`] by [`Shared::respond`].
 struct PendingSpan {
     id: u64,
     submitted: Instant,
+    /// When a worker took the request; `submitted` for a request answered
+    /// or parked at submission, which never queued.
     dequeued: Instant,
     queue_depth: usize,
     plan: Duration,
@@ -506,8 +524,8 @@ struct PendingSpan {
     trace: bool,
 }
 
-/// What an in-flight leader owes a parked duplicate request: its reply
-/// and its pending span (which carries the follower's own
+/// A request's reply and its pending span — what a flight's leader owes
+/// each duplicate parked on it (the span carries the follower's own
 /// submission instant, so coalesced answers report their true latency and
 /// their own trace story).
 struct Waiter {
@@ -535,11 +553,11 @@ type FlightKey = (QueryKey, EpochId);
 
 /// Per-[`CostClass`] EWMA of observed dequeue-to-response times, in
 /// nanoseconds — the admission gate's service-time estimates. Workers feed
-/// it after every response; a slot that has never observed reads as zero,
-/// so an untrained gate estimates optimistically and admits (the gate must
-/// never shed before it has evidence). Updates are racy-by-design
-/// (load/store, no CAS loop): a lost sample moves an *estimate*, nothing
-/// more.
+/// it after every queued request they answer, under the class it was
+/// queued in; a slot that has never observed reads as zero, so an
+/// untrained gate estimates optimistically and admits (the gate must never
+/// shed before it has evidence). Updates are racy-by-design (load/store,
+/// no CAS loop): a lost sample moves an *estimate*, nothing more.
 pub(crate) struct CostModel {
     nanos: [AtomicU64; SCHED_BANDS],
 }
@@ -566,18 +584,13 @@ impl CostModel {
     }
 }
 
-/// The class a [`Served`] outcome retro-classifies as — which cost-model
-/// slot its observed service time trains. Mirrors the bands of
-/// [`CostClass::band`]: answered-from-memory outcomes train `Hit`,
-/// repairs train `Repair`, engine runs (exact or truncated) train
-/// `Search`.
-fn cost_class_of(served: Served) -> CostClass {
-    match served {
-        Served::CacheHit | Served::Coalesced => CostClass::Hit,
-        Served::Repaired { .. } => CostClass::Repair,
-        Served::Search | Served::Approximate => CostClass::Search,
-    }
-}
+/// The scheduler's anti-starvation bound: a queued request that has
+/// waited this long is served ahead of the cheaper band, so a stream of
+/// repairs can never starve a search.
+const AGE_LIMIT: Duration = Duration::from_millis(500);
+
+/// What a submission after [`QueryService::shutdown`] panics with.
+const SUBMIT_AFTER_SHUTDOWN: &str = "submit after shutdown: the submission queue is closed";
 
 /// A multi-threaded in-process SkySR query engine.
 ///
@@ -586,20 +599,11 @@ fn cost_class_of(served: Served) -> CostClass {
 /// the shared [`ServiceContext`]. Before each job the worker re-pins the
 /// context's current weight epoch, so published weight updates take effect
 /// on the next dequeued query while in-progress searches finish on their
-/// own consistent snapshot. Dropping the service closes the submission
-/// queue, drains in-flight work and joins every worker.
+/// own consistent snapshot. Cache hits never reach a worker: they are
+/// answered on the submitting thread. Dropping the service closes the
+/// submission queue, drains in-flight work and joins every worker.
 pub struct Service {
-    ctx: Arc<ServiceContext>,
-    queue: Arc<ScheduledQueue<Job>>,
-    cache: Arc<ResultCache>,
-    // The submission path shares the workers' planner and in-flight table
-    // to classify each request's expected cost *before* queueing it: the
-    // plan rung is the scheduler's cost model (and the admission gate's).
-    planner: ReusePlanner,
-    inflight: Arc<InflightTable<FlightKey, Waiter>>,
-    cost: Arc<CostModel>,
-    metrics: Arc<MetricsRecorder>,
-    traces: Arc<TraceBuffer>,
+    shared: Arc<Shared>,
     next_id: AtomicU64,
     // Drained by the (idempotent, `&self`) shutdown path; `worker_count`
     // remembers the resolved pool size afterwards.
@@ -607,6 +611,20 @@ pub struct Service {
     worker_count: usize,
     started: Instant,
     config: ServiceConfig,
+}
+
+/// What the submitting threads and the workers share.
+struct Shared {
+    ctx: Arc<ServiceContext>,
+    /// The service's strategies and engine configuration; a request's
+    /// reuse mask restricts them.
+    planner: ReusePlanner,
+    queue: ScheduledQueue<Job>,
+    cache: ResultCache,
+    inflight: InflightTable<FlightKey, Waiter>,
+    cost: CostModel,
+    metrics: MetricsRecorder,
+    traces: Arc<TraceBuffer>,
 }
 
 impl Service {
@@ -617,48 +635,32 @@ impl Service {
         } else {
             config.workers
         };
-        let queue = Arc::new(ScheduledQueue::new(config.queue_capacity.max(1), config.age_limit));
         // Capacity 0 disables caching: keep a 1-entry cache object for
         // uniform counters but never consult it. Every cache-reading
         // strategy is implied off without one (see
         // `ReuseStrategies::resolve`).
-        let planner = ReusePlanner::new(ReuseStrategies::resolve(&config), config.engine);
-        let cache = Arc::new(ResultCache::new(config.cache_capacity.max(1)));
-        let inflight: Arc<InflightTable<FlightKey, Waiter>> = Arc::new(InflightTable::new());
-        let metrics = Arc::new(MetricsRecorder::default());
-        let traces = Arc::new(TraceBuffer::new(&config.telemetry, workers));
-        let cost = Arc::new(CostModel::new());
-
+        let shared = Arc::new(Shared {
+            ctx,
+            planner: ReusePlanner::new(ReuseStrategies::resolve(&config), config.engine),
+            queue: ScheduledQueue::new(config.queue_capacity.max(1), AGE_LIMIT),
+            cache: ResultCache::new(config.cache_capacity.max(1)),
+            inflight: InflightTable::new(),
+            cost: CostModel::new(),
+            metrics: MetricsRecorder::default(),
+            traces: Arc::new(TraceBuffer::new(&config.telemetry, workers)),
+        });
         let handles = (0..workers)
             .map(|i| {
-                let ctx = Arc::clone(&ctx);
-                let queue = Arc::clone(&queue);
-                let cache = Arc::clone(&cache);
-                let inflight = Arc::clone(&inflight);
-                let metrics = Arc::clone(&metrics);
-                let traces = Arc::clone(&traces);
-                let cost = Arc::clone(&cost);
-                let planner = planner.clone();
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("skysr-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(
-                            &ctx, &queue, &cache, &inflight, &metrics, &traces, &cost, &planner,
-                        )
-                    })
+                    .spawn(move || shared.worker_loop())
                     .expect("spawning a worker thread")
             })
             .collect();
 
         Service {
-            ctx,
-            queue,
-            cache,
-            planner,
-            inflight,
-            cost,
-            metrics,
-            traces,
+            shared,
             next_id: AtomicU64::new(1),
             workers: Mutex::new(handles),
             worker_count: workers,
@@ -670,36 +672,6 @@ impl Service {
     /// Service with the default configuration.
     pub fn with_defaults(ctx: Arc<ServiceContext>) -> Service {
         Service::new(ctx, ServiceConfig::default())
-    }
-
-    /// Resolves a request's scheduling key at admission time: its cost
-    /// class (resolved cheaply from the planner's rung ladder — see
-    /// [`ReusePlanner::classify`] — or `Hit` when the request will join an
-    /// already-in-flight duplicate) plus its absolute deadline.
-    fn sched_key(&self, request: &QueryRequest, submitted: Instant) -> (SchedKey, CostClass) {
-        let masked;
-        let planner = match request.options.reuse {
-            Some(mask) => {
-                masked = self.planner.masked(mask);
-                &masked
-            }
-            None => &self.planner,
-        };
-        let epoch = self.ctx.current_epoch();
-        let key = planner.key_of(&request.query);
-        let class = match &key {
-            // A duplicate of an in-flight search parks instantly at
-            // dequeue: schedule it with the hits however expensive the
-            // search it joins is.
-            Some(k)
-                if planner.strategies().coalesce && self.inflight.contains(&(k.clone(), epoch)) =>
-            {
-                CostClass::Hit
-            }
-            _ => planner.classify(key.as_ref(), epoch, &self.cache, &self.ctx),
-        };
-        let deadline = request.options.deadline.map(|d| submitted + d);
-        (SchedKey { class: class.band(), deadline, submitted }, class)
     }
 
     /// The admission gate: `false` means the request's deadline provably
@@ -718,11 +690,12 @@ impl Service {
             return true;
         };
         let budget = deadline.saturating_duration_since(Instant::now());
-        let lens = self.queue.band_lens();
-        let mut needed = self.cost.estimate(class);
+        let cost = &self.shared.cost;
+        let lens = self.shared.queue.band_lens();
+        let mut needed = cost.estimate(class);
         let mut ahead = Duration::ZERO;
-        for (band, len) in lens.iter().enumerate().take(class.band() as usize + 1) {
-            let per_item = self.cost.estimate(CostClass::ALL[band]);
+        for (band, len) in lens.iter().enumerate().take(class.index() + 1) {
+            let per_item = cost.estimate(CostClass::ALL[band]);
             ahead =
                 ahead.saturating_add(per_item.checked_mul(*len as u32).unwrap_or(Duration::MAX));
         }
@@ -741,7 +714,7 @@ impl Service {
 
     /// The shared context.
     pub fn context(&self) -> &Arc<ServiceContext> {
-        &self.ctx
+        &self.shared.ctx
     }
 
     /// The configuration the service was built with (with `workers`
@@ -754,11 +727,11 @@ impl Service {
     /// drain spans after every worker has responded (how `replay
     /// --trace-out` collects a complete set).
     pub fn traces(&self) -> &Arc<TraceBuffer> {
-        &self.traces
+        &self.shared.traces
     }
 
     fn shutdown_in_place(&self) {
-        self.queue.close();
+        self.shared.queue.close();
         let handles: Vec<JoinHandle<()>> =
             self.workers.lock().expect("worker registry poisoned").drain(..).collect();
         for handle in handles {
@@ -773,46 +746,95 @@ impl Service {
 }
 
 impl QueryService for Service {
-    /// Queues one request for the worker pool. Blocks while the submission
-    /// queue is full (backpressure); the request's deadline clock starts
-    /// before the wait, so a request that waited out its deadline is shed
-    /// at dequeue. A mis-addressed request is answered
-    /// [`QueryError::UnknownRegion`] (counted failed, never queued), and
-    /// with admission control on, a request whose deadline the gate judges
-    /// unmeetable is answered [`QueryError::Overloaded`] (counted
-    /// rejected).
+    /// Plans the request once, at the epoch current on arrival, and acts on
+    /// the plan where it arrives:
+    ///
+    /// * a **cache hit** is answered [`Served::CacheHit`] at that epoch
+    ///   before this returns — no admission check, no queue wait, and the
+    ///   reply's sink runs on this thread;
+    /// * a **duplicate** of a search running at that epoch parks on its
+    ///   flight, and the flight's leader answers it;
+    /// * **everything else** queues for the worker pool in the band its
+    ///   plan names (repair or search). Queueing blocks while the
+    ///   submission queue is full (backpressure); the request's deadline
+    ///   clock starts before the wait, so a request that waited out its
+    ///   deadline is shed at dequeue. With admission control on, a request
+    ///   whose deadline the gate judges unmeetable is answered
+    ///   [`QueryError::Overloaded`] instead (counted rejected).
+    ///
+    /// A mis-addressed request is answered [`QueryError::UnknownRegion`]
+    /// (counted failed, never planned).
     ///
     /// # Panics
-    /// If called after [`QueryService::shutdown`] closed the queue.
+    /// If called after [`QueryService::shutdown`] closed the queue, a
+    /// would-be hit included.
     fn submit_to(&self, request: QueryRequest, reply: Reply) {
+        let s = &*self.shared;
         if let Some(region) = self.region_mismatch(&request) {
-            self.metrics.count(Counter::Failed);
+            s.metrics.count(Counter::Failed);
             return reply.answer(Err(QueryError::UnknownRegion(region.0)));
         }
+        assert!(!s.queue.is_closed(), "{SUBMIT_AFTER_SHUTDOWN}");
         let submitted = Instant::now();
-        let (key, class) = self.sched_key(&request, submitted);
-        if !self.admit(&key, class) {
-            self.metrics.count(Counter::Rejected);
-            return reply.answer(Err(QueryError::Overloaded));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let QueryRequest { query, options } = request;
-        let job = Job { id, query, options, submitted, reply };
-        if self.queue.push(job, key).is_err() {
-            panic!("submit after shutdown: the submission queue is closed");
+        let planner = options.reuse.map_or(s.planner, |mask| s.planner.masked(mask));
+        let key = planner.key_of(&query);
+        let epoch = s.ctx.current_epoch();
+        let plan_t0 = Instant::now();
+        let step = planner.plan(&query, key.as_ref(), epoch, &s.cache, &s.ctx);
+        let mut waiter = Waiter {
+            reply,
+            pending: PendingSpan {
+                id: self.next_id.fetch_add(1, Ordering::Relaxed),
+                submitted,
+                dequeued: submitted,
+                queue_depth: 0,
+                plan: plan_t0.elapsed(),
+                attempts: Vec::with_capacity(4),
+                trace: options.trace,
+            },
+        };
+        let class = match step {
+            PlanStep::ExactHit(stamp, routes) if stamp == epoch => {
+                waiter.pending.attempts.push("exact:hit");
+                return s.respond(waiter, ExecTrace::default(), routes, epoch, Served::CacheHit);
+            }
+            PlanStep::Repair { .. } => CostClass::Repair,
+            // A hit stamped with another epoch is left to the worker's
+            // stale-serve tripwire.
+            PlanStep::ExactHit(..) | PlanStep::ColdSearch => CostClass::Search,
+        };
+        let st = planner.strategies();
+        if st.caching {
+            waiter.pending.attempts.push("exact:miss");
+        }
+        if let Some(key) = key.as_ref().filter(|_| st.coalesce) {
+            waiter.pending.attempts.push("coalesce:join");
+            match s.inflight.join(&(key.clone(), epoch), waiter) {
+                Ok(()) => return,
+                Err(back) => waiter = back,
+            }
+            waiter.pending.attempts.pop();
+        }
+        let deadline = options.deadline.map(|d| submitted + d);
+        let sched = SchedKey { class: class.index() as u8, deadline, submitted };
+        if !self.admit(&sched, class) {
+            s.metrics.count(Counter::Rejected);
+            return waiter.reply.answer(Err(QueryError::Overloaded));
+        }
+        let job = Job { query, deadline, key, planner, class, waiter };
+        if s.queue.push(job, sched).is_err() {
+            panic!("{SUBMIT_AFTER_SHUTDOWN}");
         }
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(
-            self.started.elapsed(),
-            self.cache.counters(),
-            self.ctx.epoch_gc_stats(),
-        )
+        let s = &self.shared;
+        s.metrics.snapshot(self.started.elapsed(), s.cache.counters(), s.ctx.epoch_gc_stats())
     }
 
     fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId {
-        self.ctx.publish_weights(deltas)
+        self.shared.ctx.publish_weights(deltas)
     }
 
     /// Closes the queue, drains in-flight work and joins the workers.
@@ -826,7 +848,7 @@ impl QueryService for Service {
         vec![RegionInfo {
             id: self.config.region,
             name: self.config.region_name.clone(),
-            fingerprint: DatasetFingerprint::of(&self.ctx),
+            fingerprint: DatasetFingerprint::of(&self.shared.ctx),
         }]
     }
 }
@@ -837,375 +859,273 @@ impl Drop for Service {
     }
 }
 
-/// Answers one waiter with the shared routes, recording its metrics and
-/// completing its trace span. The one choke point every successful
-/// response passes through — which is what makes the trace-completeness
-/// invariant (exactly one span per response, rung = `Served`) structural
-/// rather than aspirational.
-#[allow(clippy::too_many_arguments)]
-fn respond(
-    metrics: &MetricsRecorder,
-    traces: &TraceBuffer,
-    reply: Reply,
-    pending: PendingSpan,
-    exec: ExecTrace,
-    routes: Arc<[SkylineRoute]>,
-    epoch: EpochId,
-    served: Served,
-) {
-    let latency = pending.submitted.elapsed();
-    let queue_wait = pending.dequeued.saturating_duration_since(pending.submitted);
-    let service = latency.saturating_sub(queue_wait);
-    metrics.record(
-        LatencyBreakdown { queue_wait, service, engine: exec.engine },
-        routes.len(),
-        served,
-    );
-    if traces.enabled() || pending.trace {
-        let span = TraceSpan {
-            request_id: pending.id,
-            epoch,
-            rung: Rung::of(served),
-            attempts: pending.attempts,
-            queue_wait,
-            plan: pending.plan,
-            engine: exec.engine.unwrap_or(Duration::ZERO),
-            total: latency,
-            queue_depth: pending.queue_depth,
-            delta_index: exec.delta_index,
-            repair_tier: exec.repair_tier,
-            profile: exec.profile,
-            skyline: routes.len(),
-        };
-        if pending.trace {
-            traces.force(span);
-        } else {
-            traces.offer(span);
-        }
-    }
-    reply.answer(Ok(QueryResponse {
-        routes,
-        epoch,
-        served,
-        latency,
-        request_id: pending.id,
-        queue_wait,
-    }));
-}
-
-/// The per-worker serving loop: **plan, then execute** — all reuse
-/// policy lives in [`ReusePlanner::plan`]; this loop only walks the
-/// resulting rungs. For every job, in order:
-///
-/// 0. **Shed.** A request whose deadline lapsed in the queue is answered
-///    [`QueryError::Overloaded`] and dropped before any work runs
-///    (counted `shed_deadline`, no trace span — there is no response to
-///    describe).
-/// 1. **Pin.** The worker refreshes its [`PinnedContext`] snapshot if the
-///    context's weight epoch advanced since the previous job. The whole
-///    request — planning, coalescing, search, cache fill — runs against
-///    that one pinned epoch.
-/// 2. **Plan.** The planner probes the cache (unified, non-counting
-///    [`ResultCache::probe`]) and emits the ordered rung ladder
-///    `ExactHit → Coalesce → Repair → ColdSearch` with every rung's raw
-///    material resolved (hit routes, repair source + shared
-///    [`DeltaIndex`](skysr_graph::DeltaIndex)). Lazy invalidation of a
-///    stale entry is part of planning.
-/// 3. **ExactHit** answers immediately; the plan is complete.
-/// 4. **Coalesce.** `InflightTable::begin` on the (key, epoch) pair
-///    atomically either parks this request under an in-flight duplicate of
-///    the same epoch (the worker moves on — the leader will answer it) or
-///    elects this worker the flight's leader. Requests pinned to different
-///    epochs never share a flight. A fresh leader re-probes the cache:
-///    its planning probe may have raced a previous leader of the same
-///    flight, which filled the cache and completed between the miss and
-///    the `begin` — this re-probe is flight *mechanism*, not reuse
-///    policy, so it stays here. (`probe` never invalidates, so a stale
-///    repair source is safe.)
-/// 5. **Terminal rung.** The leader prepares the query once, taking its
-///    category positions from the context's memo
-///    ([`PinnedContext::prepare`]), and runs the planned terminal — repair
-///    against the shared epoch-pair index, or a search — and the executed
-///    [`Served`] outcome becomes the single source of truth for the
-///    response and the metrics. Search terminals run with the request's
-///    deadline armed as the engine's anytime cutoff: on expiry the
-///    partial skyline comes back `truncated` and is served
-///    [`Served::Approximate`] (degraded mode) — never cached, and shared
-///    with coalesced followers under the same Approximate label.
-/// 6. **Completion.** The leader inserts the epoch-stamped result into the
-///    cache *before* ending the flight — any same-epoch duplicate arriving
-///    in between hits the cache, so with caching enabled a (key, epoch) can
-///    never be searched twice concurrently nor re-searched after a
-///    coalesced flight completes. The insert refuses to overwrite a
-///    newer-epoch entry, so a flight that straddled an update cannot
-///    poison the cache for post-update traffic. Then it answers itself and
-///    every parked waiter with the same `Arc`'d skyline. Failures
-///    propagate to all waiters (they asked the same invalid query) and are
-///    never cached.
-///
-/// [`PinnedContext`]: crate::context::PinnedContext
-/// [`PinnedContext::prepare`]: crate::context::PinnedContext::prepare
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    ctx: &ServiceContext,
-    queue: &ScheduledQueue<Job>,
-    cache: &ResultCache,
-    inflight: &InflightTable<FlightKey, Waiter>,
-    metrics: &MetricsRecorder,
-    traces: &TraceBuffer,
-    cost: &CostModel,
-    base_planner: &ReusePlanner,
-) {
-    let mut pinned = ctx.pin();
-    // One engine scratch per worker for its whole lifetime: re-pinning an
-    // epoch rebuilds the engine view but recycles the (large, already
-    // paged-in) workspaces.
-    let mut scratch = Some(BssrScratch::new(pinned.graph().num_vertices()));
-    while let Some((job, queue_depth)) = queue.pop_with_depth() {
-        let dequeued = Instant::now();
-        if pinned.epoch() != ctx.current_epoch() {
-            pinned = ctx.pin();
-        }
-        let epoch = pinned.epoch();
-        let Job { id, query, options, submitted, reply } = job;
-
-        // A deadline that lapsed while the request sat in the queue is
-        // shed here, *before* any work runs: executing it would burn a
-        // worker on an answer nobody is waiting for, starving requests
-        // that can still make theirs. Shed requests are answered with the
-        // typed overload error and counted in neither `completed` nor
-        // `failed` — and they get no trace span, because they produce no
-        // response for a span to describe.
-        let deadline_at = options.deadline.map(|d| submitted + d);
-        if deadline_at.is_some_and(|at| dequeued >= at) {
-            metrics.count(Counter::ShedDeadline);
-            reply.answer(Err(QueryError::Overloaded));
-            continue;
-        }
-
-        // A per-request reuse mask restricts (never widens) the service
-        // strategies; planners are two Copy structs, so the rebuild is
-        // free compared to a search.
-        let masked;
-        let planner = match options.reuse {
-            Some(mask) => {
-                masked = base_planner.masked(mask);
-                &masked
+impl Shared {
+    /// Answers one request with the shared routes, recording its metrics
+    /// and completing its trace span. The one choke point every successful
+    /// response passes through — on the submitting thread for a hit, on a
+    /// worker otherwise — which is what makes the trace-completeness
+    /// invariant (exactly one span per response, rung = `Served`)
+    /// structural rather than aspirational.
+    fn respond(
+        &self,
+        to: Waiter,
+        exec: ExecTrace,
+        routes: Arc<[SkylineRoute]>,
+        epoch: EpochId,
+        served: Served,
+    ) {
+        let Waiter { reply, pending } = to;
+        let latency = pending.submitted.elapsed();
+        let queue_wait = pending.dequeued.saturating_duration_since(pending.submitted);
+        let service = latency.saturating_sub(queue_wait);
+        self.metrics.record(
+            LatencyBreakdown { queue_wait, service, engine: exec.engine },
+            routes.len(),
+            served,
+        );
+        if self.traces.enabled() || pending.trace {
+            let span = TraceSpan {
+                request_id: pending.id,
+                epoch,
+                rung: Rung::of(served),
+                attempts: pending.attempts,
+                queue_wait,
+                plan: pending.plan,
+                engine: exec.engine.unwrap_or(Duration::ZERO),
+                total: latency,
+                queue_depth: pending.queue_depth,
+                delta_index: exec.delta_index,
+                repair_tier: exec.repair_tier,
+                profile: exec.profile,
+                skyline: routes.len(),
+            };
+            if pending.trace {
+                self.traces.force(span);
+            } else {
+                self.traces.offer(span);
             }
-            None => base_planner,
-        };
+        }
+        reply.answer(Ok(QueryResponse {
+            routes,
+            epoch,
+            served,
+            latency,
+            request_id: pending.id,
+            queue_wait,
+        }));
+    }
 
-        let key = planner.key_of(&query);
-        let plan_t0 = Instant::now();
-        let ReusePlan { steps } = planner.plan(&query, key.as_ref(), epoch, cache, ctx);
-        let mut pending = PendingSpan {
-            id,
-            submitted,
-            dequeued,
-            queue_depth,
-            plan: plan_t0.elapsed(),
-            attempts: Vec::with_capacity(4),
-            trace: options.trace,
-        };
-        let mut steps = steps.into_iter();
-        let mut step = steps.next().expect("plans are never empty");
+    /// The per-worker serving loop: **lead, then plan, then execute** —
+    /// all reuse policy lives in [`ReusePlanner::plan`]; this loop only
+    /// runs the rung it names. Hits do not reach it: `submit_to` answers
+    /// them, and parks a duplicate of a running flight on that flight. For
+    /// every queued job, in order:
+    ///
+    /// 0. **Pin.** The worker refreshes its [`PinnedContext`] snapshot if
+    ///    the context's weight epoch advanced since the previous job. The
+    ///    whole request — coalescing, planning, search, cache fill — runs
+    ///    against that one pinned epoch.
+    /// 1. **Shed.** A request whose deadline lapsed in the queue is
+    ///    answered [`QueryError::Overloaded`] and dropped before any work
+    ///    runs (counted `shed_deadline`, no trace span — there is no
+    ///    response to describe).
+    /// 2. **Coalesce.** With coalescing on, `InflightTable::begin` on the
+    ///    (key, epoch) pair atomically either parks this request under an
+    ///    in-flight duplicate of the same epoch (the worker moves on — the
+    ///    leader will answer it) or elects this worker the flight's
+    ///    leader. Requests pinned to different epochs never share a
+    ///    flight.
+    /// 3. **Plan.** The leader plans at the pinned epoch: one probe of the
+    ///    cache ([`ResultCache::probe_entry`]) names the rung, its raw
+    ///    material resolved, and lazy invalidation of a stale entry is
+    ///    part of planning. Because the flight is begun before the cache
+    ///    is read, a flight of the same (key, epoch) that completed while
+    ///    this job was queued shows up here as a hit.
+    /// 4. **Execute.** A hit needs no engine. Its stamp is re-checked
+    ///    against the pinned epoch — the stale-serve tripwire: a mismatch
+    ///    is unreachable unless the planner's epoch filter is broken, and
+    ///    then the stale skyline is refused, counted `stale_served`, and
+    ///    searched afresh. Otherwise the leader prepares the query once,
+    ///    taking its category positions from the context's memo
+    ///    ([`PinnedContext::prepare`]), and runs the planned rung — repair
+    ///    against the shared epoch-pair index, or a search. A search runs
+    ///    with the request's deadline armed as the engine's anytime
+    ///    cutoff: on expiry the partial skyline comes back `truncated` and
+    ///    is served [`Served::Approximate`] (degraded mode).
+    /// 5. **Completion.** The leader inserts an engine result into the
+    ///    cache, epoch-stamped, *before* ending the flight — any same-epoch
+    ///    duplicate arriving in between hits the cache, so with caching
+    ///    enabled a (key, epoch) can never be searched twice concurrently
+    ///    nor re-searched after a coalesced flight completes. The insert
+    ///    refuses to overwrite a newer-epoch entry, so a flight that
+    ///    straddled an update cannot poison the cache for post-update
+    ///    traffic, and a truncated partial is never cached. Then one
+    ///    sequence answers the leader with the executed [`Served`] outcome
+    ///    — the single source of truth for the response and the metrics —
+    ///    and every parked waiter with the same `Arc`'d skyline. Failures
+    ///    propagate to all waiters (they asked the same invalid query) and
+    ///    are never cached.
+    ///
+    /// [`PinnedContext`]: crate::context::PinnedContext
+    /// [`PinnedContext::prepare`]: crate::context::PinnedContext::prepare
+    fn worker_loop(&self) {
+        let mut pinned = self.ctx.pin();
+        // One engine scratch per worker for its whole lifetime: re-pinning
+        // an epoch rebuilds the engine view but recycles the (large,
+        // already paged-in) workspaces.
+        let mut scratch = Some(BssrScratch::new(pinned.graph().num_vertices()));
+        while let Some((job, queue_depth)) = self.queue.pop_with_depth() {
+            let dequeued = Instant::now();
+            if pinned.epoch() != self.ctx.current_epoch() {
+                pinned = self.ctx.pin();
+            }
+            let epoch = pinned.epoch();
+            let Job { query, deadline, key, planner, class, waiter: mut leader } = job;
 
-        // Rung: exact hit. The executor independently re-checks the
-        // entry's epoch stamp against the pinned epoch: a mismatch is
-        // unreachable unless the planner's epoch filter is broken, and
-        // then the stale skyline is refused, the near-miss counted for
-        // the staleness gate, and the request falls through to a fresh
-        // search at the pinned epoch.
-        if let PlanStep::ExactHit(stamp, routes) = step {
-            if stamp == epoch {
-                pending.attempts.push("exact:hit");
-                cost.observe(CostClass::Hit, dequeued.elapsed());
-                respond(
-                    metrics,
-                    traces,
-                    reply,
-                    pending,
-                    ExecTrace::default(),
-                    routes,
-                    epoch,
-                    Served::CacheHit,
-                );
+            // A deadline that lapsed while the request sat in the queue is
+            // shed here, *before* any work runs: executing it would burn a
+            // worker on an answer nobody is waiting for, starving requests
+            // that can still make theirs. Shed requests are answered with
+            // the typed overload error and counted in neither `completed`
+            // nor `failed` — and they get no trace span, because they
+            // produce no response for a span to describe.
+            if deadline.is_some_and(|at| dequeued >= at) {
+                self.metrics.count(Counter::ShedDeadline);
+                leader.reply.answer(Err(QueryError::Overloaded));
                 continue;
             }
-            metrics.count(Counter::StaleServed);
-            pending.attempts.push("exact:stale-refused");
-            step = PlanStep::ColdSearch;
-        } else if planner.strategies().caching {
-            pending.attempts.push("exact:miss");
-        }
+            leader.pending.dequeued = dequeued;
+            leader.pending.queue_depth = queue_depth;
 
-        // Rung: coalescing.
-        let mut leader = Waiter { reply, pending };
-        let mut fkey: Option<FlightKey> = None;
-        if matches!(step, PlanStep::Coalesce) {
-            let fk = (key.clone().expect("coalescing implies a key"), epoch);
-            leader.pending.attempts.push("coalesce:join");
-            match inflight.begin(fk.clone(), leader) {
-                Begin::Joined => continue,
-                Begin::Leader(w) => leader = w,
+            // Rung: coalescing, before the cache is read.
+            let mut flight: Option<FlightKey> = None;
+            if let Some(key) = key.as_ref().filter(|_| planner.strategies().coalesce) {
+                let fk = (key.clone(), epoch);
+                leader.pending.attempts.push("coalesce:join");
+                match self.inflight.begin(fk.clone(), leader) {
+                    Begin::Joined => continue,
+                    Begin::Leader(w) => leader = w,
+                }
+                let probes = &mut leader.pending.attempts;
+                probes.pop();
+                probes.push("coalesce:lead");
+                flight = Some(fk);
             }
-            let probes = &mut leader.pending.attempts;
-            probes.pop();
-            probes.push("coalesce:lead");
-            // Close the miss-then-begin window: between this request's
-            // planning probe and winning the flight, a previous leader for
-            // the same (key, epoch) may have filled the cache and
-            // completed. Re-probe so a flight completed moments ago is
-            // never re-searched.
-            if planner.strategies().caching {
-                if let Some((e, routes)) = cache.probe(&fk.0, epoch) {
-                    if e == epoch {
-                        let waiters = inflight.complete(&fk);
-                        leader.pending.attempts.push("exact:hit-after-flight");
-                        cost.observe(CostClass::Hit, dequeued.elapsed());
-                        respond(
-                            metrics,
-                            traces,
-                            leader.reply,
-                            leader.pending,
-                            ExecTrace::default(),
-                            Arc::clone(&routes),
-                            epoch,
-                            Served::CacheHit,
-                        );
-                        for w in waiters {
-                            respond(
-                                metrics,
-                                traces,
-                                w.reply,
-                                w.pending,
-                                ExecTrace::default(),
-                                Arc::clone(&routes),
-                                epoch,
-                                Served::Coalesced,
-                            );
-                        }
-                        continue;
+
+            let plan_t0 = Instant::now();
+            let mut step = planner.plan(&query, key.as_ref(), epoch, &self.cache, &self.ctx);
+            leader.pending.plan = plan_t0.elapsed();
+            // The stale-serve tripwire (step 4 above).
+            if matches!(step, PlanStep::ExactHit(stamp, _) if stamp != epoch) {
+                self.metrics.count(Counter::StaleServed);
+                leader.pending.attempts.push("exact:stale-refused");
+                step = PlanStep::ColdSearch;
+            }
+            let outcome = match step {
+                PlanStep::ExactHit(_, routes) => {
+                    leader.pending.attempts.push("exact:hit");
+                    Ok((routes, Served::CacheHit, ExecTrace::default()))
+                }
+                terminal => {
+                    let search = matches!(terminal, PlanStep::ColdSearch);
+                    leader.pending.attempts.push(if search { "cold" } else { "repair:attempt" });
+                    let qctx = pinned.query_context();
+                    let mut engine = Bssr::with_scratch(
+                        &qctx,
+                        planner.engine(),
+                        scratch.take().expect("scratch is recycled"),
+                    );
+                    // Degraded mode: arm the engine's anytime cutoff only
+                    // for searches. A search that runs out of deadline
+                    // returns its partial skyline flagged `truncated` and
+                    // is served Approximate — degraded but honest. Repairs
+                    // stay unarmed: they promise exact score-equivalence,
+                    // and their warm-re-search fallback disarms an
+                    // inherited deadline itself (see `bssr::repair`).
+                    if search {
+                        engine.set_deadline(deadline);
                     }
+                    let engine_t0 = Instant::now();
+                    let mut exec = ExecTrace::default();
+                    // Category positions come from the context's memo:
+                    // after a category's first use, preparing costs one
+                    // `Arc` clone per position.
+                    let outcome = pinned.prepare(&query).map(|pq| {
+                        if let PlanStep::Repair { cached, memo, index } = &terminal {
+                            let delta = index.delta();
+                            exec.delta_index = Some((delta.from_epoch(), delta.to_epoch()));
+                            let r = engine.repair_prepared(
+                                &pq,
+                                cached,
+                                memo.as_deref(),
+                                index,
+                                self.ctx.landmarks(),
+                            );
+                            exec.repair_tier = Some(r.repair.outcome.label());
+                            exec.profile = r.stats.profile();
+                            let served = Served::Repaired {
+                                fallback: !r.repair.repaired_in_place(),
+                                routes_untouched: r.repair.routes_untouched,
+                                routes_rescored: r.repair.routes_rescored,
+                            };
+                            return (r.routes, served, Some(Arc::new(r.memo)));
+                        }
+                        // Anytime streaming: a streaming reply receives
+                        // each provisional Pareto point as the search
+                        // proves it, from this thread, before the outcome.
+                        let reply = &mut leader.reply;
+                        let mut send = if reply.streaming() {
+                            Some(|r: &SkylineRoute| reply.progress(r.clone()))
+                        } else {
+                            None
+                        };
+                        let sink = send.as_mut().map(|f| f as ProgressSink<'_>);
+                        let result = engine.run_prepared_observed(&pq, &[], sink);
+                        exec.profile = result.stats.profile();
+                        let served =
+                            if result.truncated { Served::Approximate } else { Served::Search };
+                        (result.routes, served, None)
+                    });
+                    exec.engine = Some(engine_t0.elapsed());
+                    scratch = Some(engine.into_scratch());
+                    outcome.map(|(routes, served, memo)| {
+                        let routes: Arc<[SkylineRoute]> = routes.into();
+                        // A truncated partial is NEVER cached: it is exact
+                        // only in the weak dominated-or-equal sense, and a
+                        // later deadline-less request must not inherit it
+                        // as "the" answer. A repaired skyline keeps its
+                        // repair's memo.
+                        if planner.strategies().caching && served != Served::Approximate {
+                            let key = key.expect("caching implies a key");
+                            self.cache.insert_repaired(key, epoch, Arc::clone(&routes), memo);
+                        }
+                        (routes, served, exec)
+                    })
                 }
-            }
-            step = steps.next().expect("a coalesce rung is followed by a terminal");
-            fkey = Some(fk);
-        }
-        leader.pending.attempts.push(match &step {
-            PlanStep::Repair { .. } => "repair:attempt",
-            PlanStep::ColdSearch => "cold",
-            PlanStep::ExactHit(..) | PlanStep::Coalesce => {
-                unreachable!("ExactHit/Coalesce resolve before the terminal runs")
-            }
-        });
-
-        // Rung: the planned terminal.
-        let qctx = pinned.query_context();
-        let mut engine = Bssr::with_scratch(
-            &qctx,
-            planner.engine(),
-            scratch.take().expect("scratch is recycled"),
-        );
-        // Degraded mode: arm the engine's anytime cutoff only for the
-        // search terminals. A search that runs out of deadline returns its
-        // partial skyline flagged `truncated` and is served Approximate —
-        // degraded but honest. Repairs stay unarmed: they promise exact
-        // score-equivalence, and their warm-re-search fallback disarms an
-        // inherited deadline itself (see `bssr::repair`).
-        if matches!(step, PlanStep::ColdSearch) {
-            engine.set_deadline(deadline_at);
-        }
-        let engine_t0 = Instant::now();
-        let mut exec = ExecTrace::default();
-        // Category positions come from the context's memo: after a
-        // category's first use, preparing costs one `Arc` clone per position.
-        let outcome = pinned.prepare(&query).map(|pq| {
-            if let PlanStep::Repair { cached, memo, index } = &step {
-                exec.delta_index = Some((index.delta().from_epoch(), index.delta().to_epoch()));
-                let r =
-                    engine.repair_prepared(&pq, cached, memo.as_deref(), index, ctx.landmarks());
-                exec.repair_tier = Some(r.repair.outcome.label());
-                exec.profile = r.stats.profile();
-                let served = Served::Repaired {
-                    fallback: !r.repair.repaired_in_place(),
-                    routes_untouched: r.repair.routes_untouched,
-                    routes_rescored: r.repair.routes_rescored,
-                };
-                return (r.routes, served, Some(Arc::new(r.memo)));
-            }
-            // Anytime streaming: a streaming reply receives each
-            // provisional Pareto point as the search proves it, from this
-            // thread, before the outcome.
-            let reply = &mut leader.reply;
-            let mut send = if reply.streaming() {
-                Some(|r: &SkylineRoute| reply.progress(r.clone()))
-            } else {
-                None
             };
-            let sink = send.as_mut().map(|f| f as ProgressSink<'_>);
-            let result = engine.run_prepared_observed(&pq, &[], sink);
-            exec.profile = result.stats.profile();
-            let served = if result.truncated { Served::Approximate } else { Served::Search };
-            (result.routes, served, None)
-        });
-        exec.engine = Some(engine_t0.elapsed());
-        scratch = Some(engine.into_scratch());
-        match outcome {
-            Ok((routes, served, memo)) => {
-                let routes: Arc<[SkylineRoute]> = routes.into();
-                let truncated = served == Served::Approximate;
-                // A truncated partial is NEVER cached: it is exact only
-                // in the weak dominated-or-equal sense, and a later
-                // deadline-less request must not inherit it as "the"
-                // answer. A repaired skyline keeps its repair's memo.
-                if planner.strategies().caching && !truncated {
-                    let key = key.expect("caching implies a key");
-                    cache.insert_repaired(key, epoch, Arc::clone(&routes), memo);
-                }
-                let waiters = match &fkey {
-                    Some(fk) => inflight.complete(fk),
-                    None => Vec::new(),
-                };
-                cost.observe(cost_class_of(served), dequeued.elapsed());
-                respond(
-                    metrics,
-                    traces,
-                    leader.reply,
-                    leader.pending,
-                    exec,
-                    Arc::clone(&routes),
-                    epoch,
-                    served,
-                );
-                for w in waiters {
+
+            let waiters = flight.map_or_else(Vec::new, |fk| self.inflight.complete(&fk));
+            match outcome {
+                Ok((routes, served, exec)) => {
+                    self.cost.observe(class, dequeued.elapsed());
                     // Followers of a truncated flight share the partial
                     // answer, so they share its Approximate label too —
-                    // coalescing must never launder the degraded flag
-                    // into an "exact" Coalesced response.
-                    let w_served = if truncated { Served::Approximate } else { Served::Coalesced };
-                    respond(
-                        metrics,
-                        traces,
-                        w.reply,
-                        w.pending,
-                        ExecTrace::default(),
-                        Arc::clone(&routes),
-                        epoch,
-                        w_served,
-                    );
+                    // coalescing must never launder the degraded flag into
+                    // an "exact" Coalesced response.
+                    let follower =
+                        if served == Served::Approximate { served } else { Served::Coalesced };
+                    self.respond(leader, exec, Arc::clone(&routes), epoch, served);
+                    for w in waiters {
+                        self.respond(w, ExecTrace::default(), Arc::clone(&routes), epoch, follower);
+                    }
                 }
-            }
-            Err(e) => {
-                let waiters = match &fkey {
-                    Some(fk) => inflight.complete(fk),
-                    None => Vec::new(),
-                };
-                metrics.count(Counter::Failed);
-                leader.reply.answer(Err(e.clone()));
-                for w in waiters {
-                    metrics.count(Counter::Failed);
-                    w.reply.answer(Err(e.clone()));
+                Err(e) => {
+                    self.metrics.count(Counter::Failed);
+                    leader.reply.answer(Err(e.clone()));
+                    for w in waiters {
+                        self.metrics.count(Counter::Failed);
+                        w.reply.answer(Err(e.clone()));
+                    }
                 }
             }
         }
@@ -1249,6 +1169,43 @@ mod tests {
         assert_eq!(m.executed, 1);
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.stale_served, 0);
+    }
+
+    #[test]
+    fn a_hit_is_answered_at_submission_while_the_only_worker_is_held() {
+        let (ex, service) = service(1, 16);
+        service.submit_query(ex.query()).wait().unwrap();
+        // Hold the only worker inside a reply: its sink signals that it
+        // was entered, then blocks until released.
+        let (entered_tx, entered) = mpsc::channel::<()>();
+        let (release, held) = mpsc::channel::<()>();
+        let cold = QueryRequest::new(ex.query()).restrict(ReuseStrategies::none());
+        service.submit_to(
+            cold,
+            Reply::new(false, move |_| {
+                entered_tx.send(()).unwrap();
+                let _ = held.recv();
+            }),
+        );
+        entered.recv().unwrap();
+        let hit = service.submit(QueryRequest::new(ex.query()).traced()).try_wait();
+        release.send(()).unwrap();
+        let hit = hit.expect("a hit is answered before submit returns").unwrap();
+        assert_eq!(hit.served, Served::CacheHit);
+        assert_eq!(hit.queue_wait, Duration::ZERO);
+        let spans = service.traces().drain();
+        let span = spans.iter().find(|s| s.request_id == hit.request_id).expect("a forced span");
+        assert_eq!(span.attempts, ["exact:hit"]);
+        assert_eq!(span.queue_depth, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "submit after shutdown")]
+    fn a_hit_submitted_after_shutdown_panics() {
+        let (ex, service) = service(1, 16);
+        service.submit_query(ex.query()).wait().unwrap();
+        service.shutdown();
+        let _ = service.submit_query(ex.query());
     }
 
     #[test]

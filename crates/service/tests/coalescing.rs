@@ -8,7 +8,9 @@
 //!   the leader inserts into the cache *before* ending the flight, so no
 //!   second search can ever start;
 //! * every answer shares the leader's allocation (`Arc::ptr_eq`) —
-//!   byte-identical results by construction.
+//!   byte-identical results by construction;
+//! * a duplicate of a running search parks on its flight where it is
+//!   submitted: it never queues, and the leader answers it.
 //!
 //! To additionally pin down *observed* coalescing (followers parked while
 //! the leader is mid-search), the slow-service tests throttle the
@@ -17,12 +19,14 @@
 //! while the leader is still searching.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use skysr_category::{CategoryForest, CategoryId, Similarity, WuPalmer};
 use skysr_core::paper_example::PaperExample;
-use skysr_service::{QueryService, Service, ServiceConfig, ServiceContext};
+use skysr_service::{
+    Answer, QueryRequest, QueryService, Reply, Served, Service, ServiceConfig, ServiceContext,
+};
 
 /// Wu–Palmer with a per-call delay and an invocation counter: makes every
 /// query preparation slow (it happens inside the engine run, i.e. inside
@@ -136,4 +140,38 @@ fn coalescing_disabled_searches_duplicates_redundantly() {
         "without coalescing, slow in-flight duplicates each search ({} searches)",
         m.executed
     );
+}
+
+#[test]
+fn a_duplicate_parks_on_the_running_flight_at_submission() {
+    // One worker, held inside the flight: the streaming leader's sink
+    // blocks on its first provisional route until released.
+    let (ex, _sim, service) = slow_service(1, Duration::ZERO);
+    let (entered_tx, entered) = mpsc::channel::<()>();
+    let (release, held) = mpsc::channel::<()>();
+    let (leader_tx, leader) = mpsc::channel();
+    let mut first = true;
+    service.submit_to(
+        QueryRequest::new(ex.query()),
+        Reply::new(true, move |answer| match answer {
+            Answer::Progress(_) if first => {
+                first = false;
+                entered_tx.send(()).unwrap();
+                let _ = held.recv();
+            }
+            Answer::Progress(_) => {}
+            Answer::Final(outcome) => leader_tx.send(outcome).unwrap(),
+        }),
+    );
+    entered.recv().unwrap();
+    let duplicate = service.submit(QueryRequest::new(ex.query()));
+    release.send(()).unwrap();
+    let leader = leader.recv().unwrap().expect("valid query");
+    let follower = duplicate.wait().expect("valid query");
+    assert_eq!(leader.served, Served::Search);
+    assert_eq!(follower.served, Served::Coalesced, "the duplicate joined the flight");
+    assert_eq!(follower.queue_wait, Duration::ZERO, "a parked duplicate never queues");
+    assert!(Arc::ptr_eq(&leader.routes, &follower.routes));
+    let m = service.shutdown();
+    assert_eq!((m.executed, m.coalesced), (1, 1));
 }

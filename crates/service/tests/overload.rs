@@ -14,10 +14,10 @@
 //! * **Expired-in-queue work is never executed.** A request whose
 //!   deadline has already lapsed is dropped at dequeue: the engine never
 //!   runs, `executed` never moves, `shed_deadline` accounts for every one.
-//! * **Aging bounds starvation.** A continuous flood of cheap band-0
-//!   traffic cannot starve a queued cold search: the scheduler's aging
-//!   bound promotes the expensive band's head after `age_limit`, so the
-//!   cold answer lands orders of magnitude sooner than the flood ends.
+//! * **Hits never delay searches.** A continuous flood of cache hits
+//!   cannot hold up a queued cold search: hits are answered at
+//!   submission and never enter the queue, so the cold answer lands
+//!   orders of magnitude sooner than the flood ends.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -96,7 +96,9 @@ fn two_x_overload_serves_only_exact_shed_or_valid_approximate() {
     let (ctx, pool) = ctx(&sized);
     let overloaded = ReplaySpec {
         overload: 2.0,
-        service: ServiceConfig { admission: true, ..sized.service.clone() },
+        // The queue holds the whole stream, so arrivals never wait on a
+        // full queue and the backlog is the scheduler's to order and shed.
+        service: ServiceConfig { admission: true, queue_capacity: total, ..sized.service.clone() },
         deadline: Some(deadline),
         ..sized
     };
@@ -169,19 +171,16 @@ fn expired_in_queue_requests_are_never_executed() {
 }
 
 #[test]
-fn aging_bound_prevents_cold_starvation_under_cheap_flood() {
+fn a_hit_flood_never_delays_a_queued_search() {
     let d = city(13);
     let spec = ReplaySpec { distinct: 8, seq_len: 2, ..ReplaySpec::default() };
     let pool = build_pool(&d, &spec);
     let ctx = Arc::new(ServiceContext::from_dataset(d));
-    let age_limit = Duration::from_millis(50);
-    let service = Arc::new(Service::new(
-        ctx,
-        ServiceConfig { workers: 1, age_limit, ..ServiceConfig::default() },
-    ));
+    let service =
+        Arc::new(Service::new(ctx, ServiceConfig { workers: 1, ..ServiceConfig::default() }));
 
-    // Prime the cache so `pool[0]` duplicates classify and serve as hits
-    // (band 0); `pool[1]` stays uncached — a band-2 cold search.
+    // Prime the cache so `pool[0]` duplicates are hits, answered at
+    // submission; `pool[1]` stays uncached — a queued cold search.
     service.submit_query(pool[0].clone()).wait().expect("prime the hit query");
 
     let flood = Duration::from_millis(1200);
@@ -194,7 +193,7 @@ fn aging_bound_prevents_cold_starvation_under_cheap_flood() {
             std::thread::spawn(move || {
                 let t0 = Instant::now();
                 let mut tickets = Vec::new();
-                // Four submitters against one worker keep band 0 non-empty
+                // Four submitters against one worker keep hits arriving
                 // for the whole flood window.
                 while t0.elapsed() < flood && !stop.load(Ordering::Relaxed) {
                     tickets.push(service.submit_query(hit.clone()));
@@ -223,14 +222,14 @@ fn aging_bound_prevents_cold_starvation_under_cheap_flood() {
     }
 
     assert!(!response.routes.is_empty());
-    // Without the aging bound the cold search drains only after the flood
-    // stops (≥ 1.15 s from its submission). With it, the band-2 head is
-    // promoted after `age_limit`, plus queue-drain and search slack.
+    // Were hits queued ahead of searches, the cold search would drain
+    // only after the flood stops (≥ 1.15 s from its submission). Hits
+    // never queue, so it waits for the search alone.
     assert!(
         waited < Duration::from_millis(600),
-        "cold search starved for {waited:?} under a cheap-traffic flood (age_limit {age_limit:?})"
+        "cold search starved for {waited:?} under a cache-hit flood"
     );
     let m = service.shutdown();
-    assert!(m.cache_hits > 0, "the flood must actually exercise the hit band");
+    assert!(m.cache_hits > 0, "the flood must actually serve hits");
     assert!(m.executed >= 2, "prime + cold search");
 }
