@@ -27,14 +27,22 @@
 //! distance from that route's last PoI and its path similarity, so the
 //! vertex records stay one distance each. Why a group may share a search,
 //! and when one forms, is argued in [`crate::bssr`].
+//!
+//! In repair's restricted re-search (see [`Crossing`]) each label also
+//! carries a *crossed* bit, in the high bit of its origin: set once its
+//! path crosses a watched decreased arc. An uncrossed label whose length
+//! plus its vertex's distance to the nearest watched tail clearly reaches
+//! the threshold is not pushed. Every other search passes no crossing: its
+//! relaxations are unchanged, and it pays one branch per settled vertex.
 
 use std::collections::BinaryHeap;
 
-use skysr_graph::{Cost, SearchStats, StampedRecords, VertexId};
+use skysr_graph::{Cost, DijkstraWorkspace, RoadNetwork, SearchStats, StampedRecords, VertexId};
 
 use crate::bssr::bounds::MinDistBounds;
 use crate::bssr::cache::{CachedMatch, SearchCache};
 use crate::bssr::queue::RouteQueue;
+use crate::bssr::repair::safely_beyond;
 use crate::context::QueryContext;
 use crate::dominance::SkylineSet;
 use crate::prepared::PreparedQuery;
@@ -45,7 +53,8 @@ use crate::stats::QueryStats;
 /// route `origin` of the group, with `psim` the best similarity of a PoI on
 /// that path (Lemma 5.5(i)). `key` is `dist` plus the origin route's length
 /// above the group's shortest, and orders the heap as `(key, vertex)`
-/// ascending; a group of one has `key == dist`.
+/// ascending; a group of one has `key == dist`. The high bit of `origin`
+/// is the label's crossed bit ([`CROSSED`]).
 #[derive(Clone, Copy, Debug)]
 struct Reach {
     key: Cost,
@@ -70,6 +79,49 @@ impl Ord for Reach {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap: the smallest (key, vertex) pops first.
         (other.key, other.vertex).cmp(&(self.key, self.vertex))
+    }
+}
+
+/// The crossed bit of [`Reach::origin`]; a group never has 2³¹ routes.
+const CROSSED: u32 = 1 << 31;
+
+/// What repair's restricted re-search watches (see
+/// [`repair`](crate::bssr::repair)): the suspicious decreased arcs, and the
+/// distance `h(v)` from each vertex to the nearest of their tails.
+#[derive(Clone, Copy)]
+pub(crate) struct Crossing<'a> {
+    /// The suspicious decreased arcs as `(tail, head)`, sorted.
+    arcs: &'a [(u32, u32)],
+    /// The search from the suspicious tails; `h(v)` is the distance it
+    /// settled `v` at.
+    near: &'a DijkstraWorkspace,
+    /// `h` of a vertex that search did not settle.
+    radius: f64,
+}
+
+impl<'a> Crossing<'a> {
+    pub(crate) fn new(arcs: &'a [(u32, u32)], near: &'a DijkstraWorkspace, radius: Cost) -> Self {
+        debug_assert!(arcs.is_sorted());
+        Crossing { arcs, near, radius: radius.get() }
+    }
+
+    /// The suspicious arcs out of `u`.
+    fn arcs_from(&self, u: VertexId) -> &'a [(u32, u32)] {
+        let from = self.arcs.partition_point(|&(t, _)| t < u.0);
+        let to = from + self.arcs[from..].partition_point(|&(t, _)| t == u.0);
+        &self.arcs[from..to]
+    }
+
+    /// Whether an uncrossed label or route of length `len` at `v` clearly
+    /// reaches `threshold` before it can cross a suspicious arc.
+    #[inline]
+    fn hopeless(&self, len: Cost, v: VertexId, threshold: Cost) -> bool {
+        let h = if self.near.settled(v) {
+            self.near.distance(v).map_or(self.radius, Cost::get)
+        } else {
+            self.radius
+        };
+        safely_beyond(len.get() + h, threshold.get())
     }
 }
 
@@ -114,6 +166,8 @@ pub(crate) struct StepEnv<'a, 'g> {
     /// Optimisation 4: memoise each search per (source, position). Only
     /// ever set for groups of one.
     pub memoise: bool,
+    /// Repair's restricted re-search: what it watches. `None` elsewhere.
+    pub crossing: Option<Crossing<'a>>,
 }
 
 impl StepEnv<'_, '_> {
@@ -121,6 +175,17 @@ impl StepEnv<'_, '_> {
     #[inline]
     pub(crate) fn min_semantic(&self, r: &PartialRoute) -> f64 {
         1.0 - r.sim_acc() * self.sigma_suffix[r.len()]
+    }
+
+    /// Whether `r` is pruned against `threshold`: it reaches it, or it is
+    /// an uncrossed route of a restricted re-search that clearly reaches it
+    /// before it can cross.
+    #[inline]
+    pub(crate) fn prunes(&self, r: &PartialRoute, threshold: Cost) -> bool {
+        let at = || r.last_poi().unwrap_or(self.pq.start);
+        r.length() >= threshold
+            || (!r.crossed()
+                && self.crossing.is_some_and(|c| c.hopeless(r.length(), at(), threshold)))
     }
 }
 
@@ -145,7 +210,8 @@ pub(crate) fn mdijkstra_step(
     let source_of = |rd: &PartialRoute| rd.last_poi().unwrap_or(env.pq.start);
     // One class, one threshold: every member has the same minimum semantic.
     let mut threshold = skyline.threshold(env.min_semantic(&group[0]));
-    let live = group.iter().filter(|rd| rd.length() < threshold).count();
+    let alive = |rd: &PartialRoute, threshold| !env.prunes(rd, threshold);
+    let live = group.iter().filter(|rd| alive(rd, threshold)).count();
     stats.threshold_prunes += (group.len() - live) as u64;
     if live == 0 {
         return;
@@ -160,8 +226,9 @@ pub(crate) fn mdijkstra_step(
             // Matches are distance-sorted; everything < radius is complete.
             let matches: Vec<CachedMatch> =
                 entry.matches.iter().take_while(|m| m.dist < radius).copied().collect();
+            let rd = &group[0];
             for m in matches {
-                process_candidate(env, &group[0], m.vertex, m.dist, m.sim, queue, skyline, stats);
+                process_candidate(env, rd, m.vertex, m.dist, m.sim, false, queue, skyline, stats);
             }
             return;
         }
@@ -177,7 +244,7 @@ pub(crate) fn mdijkstra_step(
     let mut local = SearchStats::default();
     scratch.reset();
     for (origin, rd) in group.iter().enumerate() {
-        if rd.length() >= threshold {
+        if !alive(rd, threshold) {
             continue;
         }
         let (key, vertex) = (rd.length() - base, source_of(rd));
@@ -185,7 +252,8 @@ pub(crate) fn mdijkstra_step(
         // Of two routes ending at one PoI, the shorter dominates.
         if key.get() < *rec {
             *rec = key.get();
-            let reach = Reach { key, vertex, origin: origin as u32, dist: Cost::ZERO, psim: 0.0 };
+            let origin = origin as u32 | if rd.crossed() { CROSSED } else { 0 };
+            let reach = Reach { key, vertex, origin, dist: Cost::ZERO, psim: 0.0 };
             scratch.heap.push(reach);
             local.pushed += 1;
         }
@@ -211,13 +279,14 @@ pub(crate) fn mdijkstra_step(
             break; // Lemma 5.3: no surviving extension beyond this radius.
         }
 
+        let crossed = origin & CROSSED != 0;
         let usim = position.sim_of(env.ctx, u);
         if usim > 0.0 && (!lemma55 || usim > psim) {
             if env.memoise {
                 collected.push(CachedMatch { vertex: u, dist: d, sim: usim });
             }
-            let rd = &group[origin as usize];
-            process_candidate(env, rd, u, d, usim, queue, skyline, stats);
+            let rd = &group[(origin & !CROSSED) as usize];
+            process_candidate(env, rd, u, d, usim, crossed, queue, skyline, stats);
         }
 
         // Lemma 5.5(ii): perfect matches absorb the traversal.
@@ -225,18 +294,21 @@ pub(crate) fn mdijkstra_step(
             continue;
         }
         let child_psim = if lemma55 { psim.max(usim) } else { 0.0 };
-        for (v, w) in graph.neighbors(u) {
-            local.relaxed += 1;
-            local.weight_sum += w.get();
-            let Some(rec) = scratch.records.reach(v.index()) else {
-                continue;
-            };
-            let nkey = key + w;
-            if nkey.get() < *rec {
-                *rec = nkey.get();
-                let reach = Reach { key: nkey, vertex: v, origin, dist: d + w, psim: child_psim };
-                scratch.heap.push(reach);
-                local.pushed += 1;
+        let from = Reach { key, vertex: u, origin, dist: d, psim: child_psim };
+        match env.crossing.filter(|_| !crossed) {
+            None => relax_arcs(graph, scratch, &mut local, from, |_, _| Some(origin)),
+            // An uncrossed label of a restricted re-search: a hop along a
+            // suspicious arc crosses, and a child that can no longer cross
+            // under the threshold is dropped.
+            Some(c) => {
+                let arcs = c.arcs_from(u);
+                relax_arcs(graph, scratch, &mut local, from, |v, nkey| {
+                    if arcs.iter().any(|&(_, head)| head == v.0) {
+                        Some(origin | CROSSED)
+                    } else {
+                        (!c.hopeless(base + nkey, v, threshold)).then_some(origin)
+                    }
+                })
             }
         }
     }
@@ -254,8 +326,45 @@ pub(crate) fn mdijkstra_step(
     }
 }
 
+/// Relaxes every arc out of `from.vertex`, whose label `from` carries the
+/// children's path similarity. A child that improves its vertex's record
+/// is pushed with the origin `child(v, key)` gives it, or dropped on
+/// `None`.
+#[inline(always)]
+fn relax_arcs(
+    graph: &RoadNetwork,
+    scratch: &mut Scratch,
+    local: &mut SearchStats,
+    from: Reach,
+    child: impl Fn(VertexId, Cost) -> Option<u32>,
+) {
+    for (v, w) in graph.neighbors(from.vertex) {
+        local.relaxed += 1;
+        local.weight_sum += w.get();
+        let Some(rec) = scratch.records.reach(v.index()) else {
+            continue;
+        };
+        let key = from.key + w;
+        if key.get() < *rec {
+            let Some(origin) = child(v, key) else {
+                continue;
+            };
+            *rec = key.get();
+            scratch.heap.push(Reach {
+                key,
+                vertex: v,
+                origin,
+                dist: from.dist + w,
+                psim: from.psim,
+            });
+            local.pushed += 1;
+        }
+    }
+}
+
 /// Handles one discovered next-PoI candidate: distinctness, thresholds,
 /// lower bounds, then either completes into `S` or enqueues into `Q_b`.
+/// `crossed` is the bit of the label that reached `v`.
 #[allow(clippy::too_many_arguments)]
 fn process_candidate(
     env: &StepEnv<'_, '_>,
@@ -263,6 +372,7 @@ fn process_candidate(
     v: VertexId,
     d: Cost,
     sim: f64,
+    crossed: bool,
     queue: &mut RouteQueue,
     skyline: &mut SkylineSet,
     stats: &mut QueryStats,
@@ -271,8 +381,8 @@ fn process_candidate(
     if !position.allow_revisit && rd.contains(v) {
         return; // Definition 3.4(iii): PoIs must be distinct.
     }
-    let rt = rd.extend(v, d, sim);
-    if rt.length() >= skyline.threshold(env.min_semantic(&rt)) {
+    let rt = rd.extend(v, d, sim).crossing(crossed);
+    if env.prunes(&rt, skyline.threshold(env.min_semantic(&rt))) {
         stats.threshold_prunes += 1;
         return;
     }
@@ -319,6 +429,7 @@ mod tests {
                 lemma55: &lemma55,
                 sigma_suffix: &sigma_suffix,
                 memoise,
+                crossing: None,
             };
             let mut scratch = Scratch::new(ctx.graph.num_vertices());
             let mut queue = RouteQueue::new(QueuePolicy::Proposed);
@@ -470,6 +581,7 @@ mod tests {
             lemma55: &lemma55,
             sigma_suffix: &sigma_suffix,
             memoise: false,
+            crossing: None,
         };
         let mut scratch = Scratch::new(ctx.graph.num_vertices());
         let mut queue = RouteQueue::new(QueuePolicy::Proposed);

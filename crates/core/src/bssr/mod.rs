@@ -75,14 +75,14 @@ pub mod warm;
 
 use std::time::Instant;
 
-use skysr_graph::DijkstraWorkspace;
+use skysr_graph::{Cost, DijkstraWorkspace};
 
 pub use bounds::LowerBoundMode;
 pub use queue::QueuePolicy;
 pub use repair::{RepairOutcome, RepairResult, RepairStats};
 
 use crate::bssr::cache::SearchCache;
-use crate::bssr::mdijkstra::{mdijkstra_step, Scratch, StepEnv};
+use crate::bssr::mdijkstra::{mdijkstra_step, Crossing, Scratch, StepEnv};
 use crate::bssr::queue::RouteQueue;
 use crate::context::QueryContext;
 use crate::dominance::SkylineSet;
@@ -370,7 +370,24 @@ impl<'g> Bssr<'g> {
         &mut self,
         pq: &PreparedQuery,
         seeds: &[SkylineRoute],
+        sink: Option<ProgressSink<'_>>,
+    ) -> BssrResult {
+        self.search(pq, seeds, sink, None)
+    }
+
+    /// The engine behind every run. With `watched`, the run is repair's
+    /// restricted re-search (see [`repair`]): `watched` holds the
+    /// suspicious decreased arcs, sorted, and the radius of the search
+    /// from their tails, whose distances the workspace holds. That run
+    /// leaves out NNinit, Optimisation 3's bounds and Optimisation 4's memo:
+    /// each only seeds or prunes, and the memo cannot tell a crossed label
+    /// from an uncrossed one.
+    fn search(
+        &mut self,
+        pq: &PreparedQuery,
+        seeds: &[SkylineRoute],
         mut sink: Option<ProgressSink<'_>>,
+        watched: Option<(&[(u32, u32)], Cost)>,
     ) -> BssrResult {
         let t0 = Instant::now();
         let mut stats = QueryStats::default();
@@ -386,7 +403,7 @@ impl<'g> Bssr<'g> {
         let mut skyline = SkylineSet::new();
         let mut emitter = Emitter::default();
 
-        if self.cfg.use_init_search {
+        if self.cfg.use_init_search && watched.is_none() {
             nninit::nninit(&ctx, pq, &mut self.ws, &mut skyline, &mut stats);
         }
         if let Some(sink) = sink.as_deref_mut() {
@@ -401,7 +418,7 @@ impl<'g> Bssr<'g> {
             emitter.flush(&skyline, sink);
         }
 
-        let bounds = if self.cfg.lower_bound == LowerBoundMode::Off {
+        let bounds = if self.cfg.lower_bound == LowerBoundMode::Off || watched.is_some() {
             bounds::MinDistBounds::disabled(k)
         } else {
             bounds::MinDistBounds::compute(
@@ -434,7 +451,8 @@ impl<'g> Bssr<'g> {
             bounds: &bounds,
             lemma55: &lemma55,
             sigma_suffix: &sigma_suffix,
-            memoise: self.cfg.expansion == Expansion::Memoised,
+            memoise: self.cfg.expansion == Expansion::Memoised && watched.is_none(),
+            crossing: watched.map(|(arcs, radius)| Crossing::new(arcs, &self.ws, radius)),
         };
         // Sound only when no PoI can match two positions (module docs).
         let grouping = self.cfg.expansion == Expansion::Grouped && lemma55.iter().all(|&f| f);
@@ -483,7 +501,7 @@ impl<'g> Bssr<'g> {
                 }
                 // Re-check against the (possibly improved) threshold before
                 // spending a search on a stale route.
-                if rd.length() >= skyline.threshold(env.min_semantic(&rd)) {
+                if env.prunes(&rd, skyline.threshold(env.min_semantic(&rd))) {
                     stats.threshold_prunes += 1;
                 } else {
                     group.push(rd);

@@ -27,9 +27,11 @@
 //!    stragglers), the cached skyline is again exact and is promoted
 //!    as-is.
 //! 3. **Re-search** — only when a length actually changed or a decreased
-//!    arc is within reach does a full search run, warm-seeded with the
-//!    rescored survivors (genuine new-epoch lengths, so they only tighten
-//!    the pruning thresholds — the NNinit argument).
+//!    arc is within reach does a search run, warm-seeded with the rescored
+//!    survivors (genuine new-epoch lengths, so they only tighten the
+//!    pruning thresholds — the NNinit argument). When no survivor got
+//!    longer, on an undirected graph, it searches only routes that cross a
+//!    decreased arc near the start ([tier 3](#tier-3)).
 //!
 //! # Why the classification is sound
 //!
@@ -60,6 +62,67 @@
 //! end-to-end guarantee — a repaired skyline is score-equivalent to a
 //! from-scratch search at the pinned epoch — is enforced by the replay
 //! driver's `--verify` oracle and the repair property tests.
+//!
+//! # Tier 3
+//!
+//! A fallback has two forms. Both return [`RepairOutcome::Researched`];
+//! [`QueryStats::restricted_researches`] tells them apart.
+//!
+//! * **Full** — [`Bssr::run_prepared_warm`] from the survivors, with the
+//!   engine's configuration. It runs when a survivor got longer (beyond
+//!   the dominance tolerance) or lost a leg, and on a directed graph: the
+//!   argument below covers neither.
+//! * **Restricted** — every other fallback. A decreased arc is
+//!   *suspicious* when the scaled landmark bound does not place its tail
+//!   beyond the skyline radius `T`. Every label and partial route carries
+//!   a *crossed* bit, which a hop along a suspicious arc sets and every
+//!   extension keeps. An uncrossed label or route of length `L` at `v` is
+//!   dropped once `L + h(v)` clearly reaches its threshold, where `h(v)` is
+//!   the distance from `v` to the nearest suspicious tail. One multi-source
+//!   Dijkstra from the tails computes `h` in the repair's workspace: it
+//!   settles but does not expand a vertex whose distance plus the scaled
+//!   landmark bound from the start clearly reaches `T`, it stops at `T`,
+//!   and a vertex it did not settle reads `h = T`. The search leaves out
+//!   NNinit, Optimisation 3's bounds and Optimisation 4's memo (each only
+//!   seeds or prunes, and the memo cannot tell crossed labels from
+//!   uncrossed ones), and keeps the queue policy and grouping.
+//!
+//! **Why the restricted search is exact.** Let `S_N` be the cached skyline
+//! at epoch `N`, repaired to epoch `M`, with no survivor longer at `M`.
+//!
+//! * *Uncrossed routes are already answered.* Take a route `X` whose
+//!   realised `M`-path crosses no decreased arc. At `N` some `S ∈ S_N`
+//!   dominated-or-equalled `X`, and `len_M(X) ≥ len_N(X) ≥ len_N(S) ≥
+//!   len_M(S)`: the path costs no more at `N`, and no survivor got longer.
+//!   So a seed dominates-or-equals `X` at `M`. A route that crosses a
+//!   decreased arc whose tail is not suspicious is longer than `T`; the
+//!   seed with the least semantic score, which no valid route beats
+//!   (semantic scores do not depend on weights, and `S_N` was exact),
+//!   dominates it. Only routes that cross a suspicious arc can enter the
+//!   skyline.
+//! * *One record per vertex still suffices; no second "crossed" layer is
+//!   needed.* Every prune BSSR makes replaces a route by one that
+//!   dominates-or-equals it: the threshold, Lemma 5.5's skip and cut,
+//!   grouping, and first-settle-wins at a vertex. If the replacement is
+//!   crossed, the search finds it. If it is uncrossed, a seed
+//!   dominates-or-equals it, and so also the route it replaced.
+//! * *The `h` bound is sound.* A crossed completion of an uncrossed label
+//!   at `v` passes a suspicious tail after `v`, so its length is at least
+//!   `L + d(v, t)` for the nearest tail `t`. If the search from the tails
+//!   settled `v` along the shortest path from `t`, that is `L + h(v)`.
+//!   Otherwise that path runs through a vertex `x` the search did not
+//!   expand, so `d(s, v) + d(v, t) ≥ d(s, x) + d(x, t)` clearly exceeds `T`;
+//!   or it lies beyond where the search stopped, so `d(v, t)` does. As
+//!   `L ≥ d(s, v)`, every crossed completion then clearly exceeds `T`, and
+//!   no finite threshold does: the seeds hold the whole old skyline, no
+//!   longer than `T`, and every route the search adds is shorter than a
+//!   seed's threshold.
+//! * *Undirected graphs only.* The search from the tails runs forwards,
+//!   which gives `d(t, v)`; that is `d(v, t)` only on an undirected graph.
+//!
+//! As elsewhere, [`safely_beyond`]'s margin makes float noise a cost in
+//! time, never in exactness. A returned route that equals a survivor keeps
+//! its path in the memo, in both forms.
 //!
 //! # The memo
 //!
@@ -121,8 +184,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use skysr_graph::dijkstra::{dijkstra_with, point_to_point, Settle};
-use skysr_graph::fxhash::FxHashSet;
-use skysr_graph::{Cost, DeltaIndex, DijkstraWorkspace, EpochId, Landmarks, VertexId};
+use skysr_graph::{Cost, DeltaIndex, DijkstraWorkspace, EpochId, Landmarks, SearchStats, VertexId};
 
 use crate::bssr::Bssr;
 use crate::context::QueryContext;
@@ -142,7 +204,8 @@ pub enum RepairOutcome {
     /// by its stored path, and came back unchanged, and no reachable
     /// weight decrease exists: promoted after verification.
     Rescored,
-    /// A full warm-seeded search had to run (the repair "fallback").
+    /// A warm-seeded search had to run (the repair "fallback"), restricted
+    /// or full (see [tier 3](self#tier-3)).
     Researched,
 }
 
@@ -313,23 +376,28 @@ impl<'a> TouchBounds<'a> {
         ratio * origin.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Tails of the *decreased* arcs not provably beyond `max_len` from
-    /// the start at the delta's newer epoch.
-    fn decreased_within(&self, max_len: Cost) -> FxHashSet<u32> {
+    /// The *suspicious* arcs: the decreased arcs whose tails are not
+    /// provably beyond `max_len` from the start at the delta's newer
+    /// epoch, as `(tail, head)` pairs, sorted.
+    fn decreased_within(&self, max_len: Cost) -> Vec<(u32, u32)> {
         let delta = self.index.delta();
         let ratio = delta.to_min_ratio().clamp(0.0, 1.0);
-        delta
-            .touches()
-            .iter()
-            .enumerate()
+        let mut arcs: Vec<(u32, u32)> = (delta.touches().iter().enumerate())
             .filter(|&(i, t)| {
                 let cleared = (self.origin.as_ref())
                     .is_some_and(|lb| safely_beyond(ratio * lb[i], max_len.get()));
                 t.decreased() && !cleared
             })
-            .map(|(_, t)| t.tail.0)
-            .collect()
+            .map(|(_, t)| (t.tail.0, t.head.0))
+            .collect();
+        arcs.sort_unstable();
+        arcs
     }
+}
+
+/// Whether `v` is the tail of one of the sorted `arcs`.
+fn is_tail(arcs: &[(u32, u32)], v: u32) -> bool {
+    arcs.binary_search_by_key(&v, |&(tail, _)| tail).is_ok()
 }
 
 /// Recomputes a route's length score at the engine's epoch as the sum of
@@ -403,7 +471,8 @@ fn decreases_relevant(
     if suspicious.is_empty() {
         return Relevance::Clear(None);
     }
-    if stored.is_some_and(|b| !suspicious.iter().any(|t| b.vertices.binary_search(t).is_ok())) {
+    let in_ball = |b: &Ball| suspicious.iter().any(|(t, _)| b.vertices.binary_search(t).is_ok());
+    if stored.is_some_and(|b| !in_ball(b)) {
         stats.balls_reused += 1;
         return Relevance::Clear(None);
     }
@@ -413,7 +482,7 @@ fn decreases_relevant(
         if safely_beyond(d.get(), max_len.get()) {
             return Settle::Stop;
         }
-        if suspicious.contains(&v.0) {
+        if is_tail(&suspicious, v.0) {
             relevant = true;
             return Settle::Stop;
         }
@@ -441,18 +510,61 @@ struct Survivor {
 
 /// Outcome of the in-place tiers (1–2): either a promoted skyline, or the
 /// survivors a fallback search should be seeded with.
-enum InPlace {
+enum InPlace<'l> {
     Promoted { routes: Vec<SkylineRoute>, repair: RepairStats, memo: RepairMemo },
-    Fallback(Fallback),
+    Fallback(Fallback<'l>),
 }
 
 /// What tier 2 hands the re-search.
-struct Fallback {
+struct Fallback<'l> {
     survivors: Vec<Survivor>,
     routes_untouched: usize,
     routes_rescored: usize,
     /// The target epoch, which stamps the result's memo.
     epoch: EpochId,
+    /// What the restricted re-search watches; `None` when the full one
+    /// must run.
+    watch: Option<Watch<'l>>,
+}
+
+/// What a restricted re-search needs (see [tier 3](self#tier-3)).
+struct Watch<'l> {
+    /// The suspicious arcs, `(tail, head)`, sorted.
+    arcs: Vec<(u32, u32)>,
+    /// The oracle tier 1 uses.
+    landmarks: Option<&'l Landmarks>,
+    /// The newer epoch's weight-ratio floor, which scales its bound.
+    ratio: f64,
+    /// The skyline radius `T`.
+    radius: Cost,
+}
+
+/// `h`: one multi-source Dijkstra from the suspicious tails, in `ws`. On
+/// an undirected graph it settles a vertex at its distance to the nearest
+/// tail, except where no route under the radius passes: a vertex whose
+/// distance plus the scaled landmark bound from `start` clearly reaches
+/// the radius is not expanded, and the search stops at the radius. Why a
+/// vertex it leaves unsettled, or settles late, may read `h` as the
+/// radius is argued in [tier 3](self#tier-3).
+fn tails_search(
+    ctx: &QueryContext<'_>,
+    ws: &mut DijkstraWorkspace,
+    start: VertexId,
+    watch: &Watch<'_>,
+) -> SearchStats {
+    let radius = watch.radius.get();
+    let tails: Vec<(VertexId, Cost)> =
+        watch.arcs.iter().map(|&(t, _)| (VertexId(t), Cost::ZERO)).collect();
+    dijkstra_with(ctx.graph, ws, &tails, |v, d| {
+        let lb = |lm: &Landmarks| watch.ratio * lm.lower_bound(start, v).get();
+        if safely_beyond(d.get(), radius) {
+            Settle::Stop
+        } else if watch.landmarks.is_some_and(|lm| safely_beyond(d.get() + lb(lm), radius)) {
+            Settle::SkipNeighbors
+        } else {
+            Settle::Continue
+        }
+    })
 }
 
 /// `survivors`, sorted by length as a skyline is, and the memo of the
@@ -547,15 +659,15 @@ impl<'g> Bssr<'g> {
 
     /// Tiers 1–2: everything that can be decided without compiling the
     /// query.
-    fn repair_in_place(
+    fn repair_in_place<'l>(
         &mut self,
         start: VertexId,
         cached: &[SkylineRoute],
         memo: Option<&RepairMemo>,
         index: &DeltaIndex,
-        landmarks: Option<&Landmarks>,
+        landmarks: Option<&'l Landmarks>,
         stats: &mut QueryStats,
-    ) -> InPlace {
+    ) -> InPlace<'l> {
         let ctx = self.ctx;
         let to = index.delta().to_epoch();
 
@@ -618,6 +730,8 @@ impl<'g> Bssr<'g> {
         let mut routes_untouched = 0usize;
         let mut routes_rescored = 0usize;
         let mut all_unchanged = true;
+        // A route got longer or lost a leg: tier 3 cannot be restricted.
+        let mut any_longer = false;
         for (i, r) in cached.iter().enumerate() {
             if safely_beyond(floor, r.length.get()) {
                 routes_untouched += 1;
@@ -637,18 +751,16 @@ impl<'g> Bssr<'g> {
                     // could otherwise break a dominance tie and surface a
                     // route this tier would silently drop. Anything beyond
                     // score-equivalence falls through to the re-search.
-                    if !(approx_le(len.get(), r.length.get())
-                        && approx_le(r.length.get(), len.get()))
-                    {
-                        all_unchanged = false;
-                    }
+                    let longer = !approx_le(len.get(), r.length.get());
+                    any_longer |= longer;
+                    all_unchanged &= !longer && approx_le(r.length.get(), len.get());
                     survivors.push(Survivor {
                         route: SkylineRoute { length: len, ..r.clone() },
                         path: Some(path),
                         deferred: false,
                     });
                 }
-                None => all_unchanged = false,
+                None => (all_unchanged, any_longer) = (false, true),
             }
         }
         if all_unchanged {
@@ -669,21 +781,34 @@ impl<'g> Bssr<'g> {
                 };
             }
         }
-        InPlace::Fallback(Fallback { survivors, routes_untouched, routes_rescored, epoch: to })
+        let watch = (!any_longer && !ctx.graph.is_directed()).then(|| Watch {
+            arcs: bounds.decreased_within(max_len),
+            landmarks,
+            ratio: index.delta().to_min_ratio().clamp(0.0, 1.0),
+            radius: max_len,
+        });
+        InPlace::Fallback(Fallback {
+            survivors,
+            routes_untouched,
+            routes_rescored,
+            epoch: to,
+            watch,
+        })
     }
 
-    /// Tier 3: full warm-seeded re-search. The deferred survivors' legs
-    /// are searched first, so every survivor carries a genuine new-epoch
-    /// length and seeding them only tightens the pruning thresholds (the
-    /// NNinit soundness argument) — exactly as without a memo.
+    /// Tier 3: warm-seeded re-search, restricted when `f` carries a watch.
+    /// The deferred survivors' legs are searched first, so every survivor
+    /// carries a genuine new-epoch length and seeding them only tightens
+    /// the pruning thresholds (the NNinit soundness argument) — exactly as
+    /// without a memo.
     fn fallback(
         &mut self,
         pq: &PreparedQuery,
-        f: Fallback,
+        f: Fallback<'_>,
         mut stats: QueryStats,
         t0: Instant,
     ) -> RepairResult {
-        let Fallback { survivors, routes_untouched, mut routes_rescored, epoch } = f;
+        let Fallback { survivors, routes_untouched, mut routes_rescored, epoch, watch } = f;
         let ctx = self.ctx;
         let mut seeded: Vec<Survivor> = Vec::with_capacity(survivors.len());
         for s in survivors {
@@ -692,6 +817,9 @@ impl<'g> Bssr<'g> {
                 continue;
             }
             routes_rescored += 1;
+            // Its stored path avoids the delta, so its legs come back no
+            // longer than its cached length, as a restricted re-search
+            // needs.
             if let Some((len, path)) =
                 rescore_route(&ctx, pq.start, &s.route, &mut self.ws, &mut stats)
             {
@@ -705,14 +833,23 @@ impl<'g> Bssr<'g> {
         // the re-search — a partial labelled "repaired" would launder the
         // approximate flag away. Disarm for the duration.
         let deadline = self.deadline.take();
-        let mut result = self.run_prepared_warm(pq, &seeds);
+        let mut result = match &watch {
+            Some(w) => {
+                stats.search.merge(&tails_search(&ctx, &mut self.ws, pq.start, w));
+                stats.restricted_researches = 1;
+                self.search(pq, &seeds, None, Some((&w.arcs, w.radius)))
+            }
+            None => self.run_prepared_warm(pq, &seeds),
+        };
         self.deadline = deadline;
         // The warm search absorbed its own work into the scratch profile;
-        // the in-place tiers' (rescoring legs, relevance ball) is only in
-        // `stats`, so count it here — each unit of work exactly once. A
-        // fallback reuses no stored proof, so only the search counts move.
+        // the rest (rescoring legs, relevance ball, the search for `h`) is
+        // only in `stats`, so count it here — each unit of work exactly
+        // once. A fallback reuses no stored proof, so only the search
+        // counts and the restricted flag move.
         self.absorb_profile(&stats);
         result.stats.search.merge(&stats.search);
+        result.stats.restricted_researches = stats.restricted_researches;
         result.stats.total_time = t0.elapsed();
         // A returned route that equals a survivor is realised on the
         // survivor's path; the ball proved nothing about the new radius.
@@ -741,7 +878,7 @@ mod tests {
     use crate::bssr::BssrConfig;
     use crate::paper_example::PaperExample;
     use crate::route::equivalent_skylines;
-    use skysr_graph::{WeightDelta, WeightEpoch};
+    use skysr_graph::{RoadNetwork, WeightDelta, WeightEpoch};
 
     /// Paper-example harness: cached skyline at epoch 0, repair across a
     /// published batch, oracle at the new epoch.
@@ -934,8 +1071,17 @@ mod tests {
 
     impl Branch {
         fn new(with_landmarks: bool) -> Branch {
+            Branch::build(skysr_graph::GraphBuilder::new(), with_landmarks)
+        }
+
+        /// The same city as a directed graph, each edge an arc both ways;
+        /// without landmarks, which need an undirected graph.
+        fn directed() -> Branch {
+            Branch::build(skysr_graph::GraphBuilder::directed(), false)
+        }
+
+        fn build(mut gb: skysr_graph::GraphBuilder, with_landmarks: bool) -> Branch {
             use skysr_category::ForestBuilder;
-            use skysr_graph::GraphBuilder;
             let mut fb = ForestBuilder::new();
             let food = fb.add_root("Food");
             let asian = fb.add_child(food, "Asian");
@@ -943,13 +1089,14 @@ mod tests {
             let shop = fb.add_root("Shop");
             let gift = fb.add_child(shop, "Gift");
             let forest = fb.build();
-            let mut gb = GraphBuilder::new();
             let v: Vec<VertexId> = (0..10).map(|_| gb.add_vertex()).collect();
-            for (a, b, w) in [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)] {
+            let line = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)];
+            let branch = [(0, 6, 1.0), (6, 7, 10.0), (7, 8, 1.0), (8, 9, 10.0)];
+            for (a, b, w) in line.into_iter().chain(branch) {
                 gb.add_edge(v[a], v[b], w);
-            }
-            for (a, b, w) in [(0, 6, 1.0), (6, 7, 10.0), (7, 8, 1.0), (8, 9, 10.0)] {
-                gb.add_edge(v[a], v[b], w);
+                if gb.is_directed() {
+                    gb.add_edge(v[b], v[a], w);
+                }
             }
             let graph = gb.build();
             let mut pois = crate::poi::PoiTable::new(graph.num_vertices());
@@ -967,19 +1114,27 @@ mod tests {
             Branch { forest, pois, query, epochs, landmarks, cached, at: EpochId::BASE, memo: None }
         }
 
+        /// Publishes the edge reweightings `deltas` (each edge's arcs both
+        /// ways) and returns the delta index from the last skyline's epoch
+        /// and the new epoch's view.
+        fn publish(&self, deltas: &[(u32, u32, f64)]) -> (DeltaIndex, RoadNetwork) {
+            let both_ways = |&(a, b, w): &(u32, u32, f64)| [(a, b, w), (b, a, w)];
+            let deltas: Vec<WeightDelta> = (deltas.iter().flat_map(both_ways))
+                .map(|(a, b, w)| WeightDelta::new(VertexId(a), VertexId(b), w))
+                .collect();
+            let to = self.epochs.publish(&deltas);
+            let delta = self.epochs.delta_between(self.at, to).unwrap();
+            (DeltaIndex::build(delta, self.landmarks.as_ref()), self.epochs.pin())
+        }
+
         /// Publishes the edge reweightings `deltas` and repairs the last
         /// skyline across them twice: with its memo, and with
         /// [`Bssr::repair`], which has none. Both must match a fresh search
         /// and reach the same outcome; the chain continues from the first.
         fn step(&mut self, deltas: &[(u32, u32, f64)]) -> (RepairResult, RepairResult) {
-            let deltas: Vec<WeightDelta> = deltas
-                .iter()
-                .map(|&(a, b, w)| WeightDelta::new(VertexId(a), VertexId(b), w))
-                .collect();
-            let to = self.epochs.publish(&deltas);
+            let (index, pinned) = self.publish(deltas);
+            let to = index.delta().to_epoch();
             let lm = self.landmarks.as_ref();
-            let index = DeltaIndex::build(self.epochs.delta_between(self.at, to).unwrap(), lm);
-            let pinned = self.epochs.pin();
             let ctx = QueryContext::new(&pinned, &self.forest, &self.pois);
             let pq = PreparedQuery::prepare(&ctx, &self.query).unwrap();
             let with =
@@ -1099,10 +1254,73 @@ mod tests {
         assert_eq!(ball_size(&with.memo), None);
         // Now 8 → 9 gets cheap and the branch pair (length 3.5) replaces
         // 4 → 5. A stale ball would clear the decrease; this one must run.
+        // No route got longer, so the restricted re-search finds the pair.
         let (with, _) = b.step(&[(8, 9, 0.5)]);
         assert_eq!(with.repair.outcome, RepairOutcome::Researched);
-        let ends: Vec<u32> = with.routes.iter().map(|r| r.pois[1].0).collect();
-        assert_eq!(ends, [2, 9]);
+        assert_eq!(with.stats.restricted_researches, 1);
+        assert_eq!(ends(&with.routes), [2, 9]);
+    }
+
+    /// The last PoI of each route.
+    fn ends(routes: &[SkylineRoute]) -> Vec<u32> {
+        routes.iter().map(|r| r.pois[r.pois.len() - 1].0).collect()
+    }
+
+    #[test]
+    fn a_decrease_within_the_radius_re_searches_only_the_routes_that_cross_it() {
+        // The branch's first arc gets cheaper: its tail 6 is 1 from the
+        // start, so the repair falls back, but no length changed.
+        let mut b = Branch::new(false);
+        let seeds = b.cached.clone();
+        let (with, without) = b.step(&[(6, 7, 9.0)]);
+        for r in [&with, &without] {
+            assert_eq!(r.repair.outcome, RepairOutcome::Researched);
+            assert_eq!(r.stats.restricted_researches, 1);
+        }
+        // It returns what the full re-search seeded alike returns…
+        let pinned = b.epochs.pin();
+        let ctx = QueryContext::new(&pinned, &b.forest, &b.pois);
+        let pq = PreparedQuery::prepare(&ctx, &b.query).unwrap();
+        let warm = Bssr::new(&ctx).run_prepared_warm(&pq, &seeds);
+        assert_eq!(with.routes, warm.routes);
+        // …which a directed build of the same city runs: the same legs and
+        // ball, then the full re-search, which settles more.
+        let mut directed = Branch::directed();
+        let (full, _) = directed.step(&[(6, 7, 9.0)]);
+        assert_eq!(full.repair.outcome, RepairOutcome::Researched);
+        assert_eq!(full.stats.restricted_researches, 0);
+        assert_eq!(full.routes, with.routes);
+        let settled = |r: &RepairResult| r.stats.search.settled;
+        assert!(settled(&with) < settled(&full), "{} vs {}", settled(&with), settled(&full));
+    }
+
+    #[test]
+    fn a_fallback_under_an_expired_deadline_still_searches_to_the_end() {
+        use std::time::{Duration, Instant};
+        // Each delta brings the branch pair 8 → 9 to 4.75, under 4 → 5,
+        // while 8 stays farther from the start than 4: NNinit's chain is
+        // 4 → 5, so only the search finds the new member. The first delta
+        // also lengthens 1 → 2, so the full re-search runs; the second
+        // changes no length, so the restricted one does.
+        let branch_pair = [(6, 7, 2.5), (8, 9, 0.25)];
+        let lengthened = [(1, 2, 1.5), branch_pair[0], branch_pair[1]];
+        for (deltas, restricted) in [(&lengthened[..], 0), (&branch_pair[..], 1)] {
+            let b = Branch::new(true);
+            let (index, pinned) = b.publish(deltas);
+            let ctx = QueryContext::new(&pinned, &b.forest, &b.pois);
+            let pq = PreparedQuery::prepare(&ctx, &b.query).unwrap();
+            let mut engine = Bssr::new(&ctx);
+            let expired = Some(Instant::now() - Duration::from_millis(1));
+            engine.set_deadline(expired);
+            let lm = b.landmarks.as_ref();
+            let r = engine.repair_prepared(&pq, &b.cached, None, &index, lm);
+            assert_eq!(r.repair.outcome, RepairOutcome::Researched);
+            assert_eq!(r.stats.restricted_researches, restricted);
+            let fresh = Bssr::new(&ctx).run(&b.query).unwrap().routes;
+            assert!(equivalent_skylines(&r.routes, &fresh), "{:?} vs {fresh:?}", r.routes);
+            assert_eq!(ends(&r.routes), [2, 9]);
+            assert_eq!(engine.deadline, expired, "the deadline is armed again");
+        }
     }
 
     #[test]

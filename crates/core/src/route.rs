@@ -25,10 +25,16 @@ struct RouteNode {
 /// aggregation accumulator (`Π h_i` for the product form of Eq. 7), so the
 /// semantic score of the partial route — the *minimum* any completion can
 /// reach — is `1 − sim_acc`.
+///
+/// A route also carries a *crossed* bit, which only repair's restricted
+/// re-search sets: the route's path crosses a decreased arc near the query
+/// (see [`repair`](crate::bssr::repair)). It lives in the padding next to
+/// `len`, so a route stays 32 bytes.
 #[derive(Clone, Debug)]
 pub struct PartialRoute {
     last: Option<Arc<RouteNode>>,
     len: u8,
+    crossed: bool,
     length: Cost,
     sim_acc: f64,
 }
@@ -36,7 +42,7 @@ pub struct PartialRoute {
 impl PartialRoute {
     /// The empty route at the start vertex.
     pub fn empty() -> PartialRoute {
-        PartialRoute { last: None, len: 0, length: Cost::ZERO, sim_acc: 1.0 }
+        PartialRoute { last: None, len: 0, crossed: false, length: Cost::ZERO, sim_acc: 1.0 }
     }
 
     /// Number of PoIs in the route (the paper's |R|).
@@ -76,16 +82,31 @@ impl PartialRoute {
         self.last.as_ref().map(|n| n.poi)
     }
 
+    /// Whether the route's path crosses a decreased arc that repair's
+    /// restricted re-search watches; always `false` in any other search.
+    #[inline]
+    pub(crate) fn crossed(&self) -> bool {
+        self.crossed
+    }
+
     /// `R ⊕ p` (Definition 3.2): appends `poi` reached `hop_cost` after the
-    /// current end, matched with similarity `sim`.
+    /// current end, matched with similarity `sim`. The extension is crossed
+    /// when this route is.
     pub fn extend(&self, poi: VertexId, hop_cost: Cost, sim: f64) -> PartialRoute {
         debug_assert!((0.0..=1.0).contains(&sim));
         PartialRoute {
             last: Some(Arc::new(RouteNode { poi, prev: self.last.clone() })),
             len: self.len + 1,
+            crossed: self.crossed,
             length: self.length + hop_cost,
             sim_acc: self.sim_acc * sim,
         }
+    }
+
+    /// This route, crossed if it was or if `crossed` holds.
+    pub(crate) fn crossing(mut self, crossed: bool) -> PartialRoute {
+        self.crossed |= crossed;
+        self
     }
 
     /// Whether `v` already appears in the route (Definition 3.4(iii): all
@@ -312,6 +333,16 @@ mod tests {
         let f = vec![sky(5.0 + 0.8 * eps, 0.0), sky(5.0, 0.0)];
         assert!(equivalent_skylines(&e, &f));
         assert!(equivalent_skylines(&f, &e));
+    }
+
+    #[test]
+    fn the_crossed_bit_is_inherited_and_costs_no_space() {
+        let r = PartialRoute::empty().extend(VertexId(1), Cost::new(1.0), 1.0);
+        assert!(!r.crossed());
+        let crossed = r.extend(VertexId(2), Cost::new(1.0), 1.0).crossing(true);
+        assert!(crossed.crossed() && !r.crossed());
+        assert!(crossed.extend(VertexId(3), Cost::ZERO, 1.0).crossing(false).crossed());
+        assert_eq!(std::mem::size_of::<PartialRoute>(), 32);
     }
 
     #[test]

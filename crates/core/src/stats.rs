@@ -23,6 +23,9 @@ pub struct QueryStats {
     /// Relevance balls a repair skipped, because the ball its previous
     /// repair ran holds no suspicious decreased tail.
     pub balls_reused: u64,
+    /// Repair re-searches restricted to routes that cross a decreased arc,
+    /// because no cached route got longer (0 or 1 per repair).
+    pub restricted_researches: u64,
     /// Aggregate graph-search counters (settled / relaxed / weight sum).
     pub search: SearchStats,
     /// Weight sum of the *first* modified Dijkstra execution — Table 7's
@@ -77,6 +80,7 @@ impl QueryStats {
             grouped_routes: self.grouped_routes,
             routes_reused: self.routes_reused,
             balls_reused: self.balls_reused,
+            restricted_researches: self.restricted_researches,
         }
     }
 
@@ -126,6 +130,8 @@ pub struct EngineProfile {
     pub routes_reused: u64,
     /// Relevance balls a repair answered from its stored ball.
     pub balls_reused: u64,
+    /// Repair re-searches restricted to routes that cross a decreased arc.
+    pub restricted_researches: u64,
 }
 
 impl EngineProfile {
@@ -150,6 +156,8 @@ impl EngineProfile {
         self.grouped_routes = self.grouped_routes.saturating_add(other.grouped_routes);
         self.routes_reused = self.routes_reused.saturating_add(other.routes_reused);
         self.balls_reused = self.balls_reused.saturating_add(other.balls_reused);
+        self.restricted_researches =
+            self.restricted_researches.saturating_add(other.restricted_researches);
     }
 }
 
@@ -178,6 +186,7 @@ mod tests {
             grouped_routes: 9,
             routes_reused: 2,
             balls_reused: 1,
+            restricted_researches: 1,
             search: SearchStats { settled: 10, relaxed: 20, pushed: 30, weight_sum: 1.0 },
             warm_seed_routes: 3,
             routes_enqueued: 7,
@@ -198,5 +207,6 @@ mod tests {
         assert_eq!(total.mdijkstra_cache_hits, 4);
         assert_eq!(total.grouped_routes, 18);
         assert_eq!((total.routes_reused, total.balls_reused), (4, 2));
+        assert_eq!(total.restricted_researches, 2);
     }
 }

@@ -60,7 +60,8 @@ pub enum Served {
     /// epoch instead of recomputing it (a subset of executed work).
     Repaired {
         /// The repair could not be resolved in place and fell back to a
-        /// full warm-seeded re-search.
+        /// warm-seeded re-search (restricted to routes that cross a
+        /// decreased arc when no cached route got longer, else full).
         fallback: bool,
         /// Cached routes proven untouched without any graph search.
         routes_untouched: usize,
@@ -90,7 +91,7 @@ pub enum Counter {
     /// refuses cross-epoch answers by construction, so this staying zero
     /// is the serving layer's staleness guarantee — CI gates on it.
     StaleServed,
-    /// Repairs that fell back to a full warm-seeded re-search.
+    /// Repairs that fell back to a warm-seeded re-search.
     RepairFallbacks,
     /// Cached routes proven untouched by repair's lower-bound tier (no
     /// graph search at all), summed over all repairs.

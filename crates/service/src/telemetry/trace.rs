@@ -103,6 +103,7 @@ impl TraceSpan {
         push_kv(&mut s, "grouped_routes", &p.grouped_routes.to_string());
         push_kv(&mut s, "routes_reused", &p.routes_reused.to_string());
         push_kv(&mut s, "balls_reused", &p.balls_reused.to_string());
+        push_kv(&mut s, "restricted_researches", &p.restricted_researches.to_string());
         s.push_str(&format!("\"skyline\":{}", self.skyline));
         s.push('}');
         s
@@ -346,6 +347,7 @@ mod tests {
         s.repair_tier = Some("rescored");
         s.profile.routes_reused = 3;
         s.profile.balls_reused = 1;
+        s.profile.restricted_researches = 1;
         let line = s.to_json_line();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert_eq!(line.matches('{').count(), 1);
@@ -357,6 +359,7 @@ mod tests {
             "\"repair_tier\":\"rescored\"",
             "\"routes_reused\":3",
             "\"balls_reused\":1",
+            "\"restricted_researches\":1",
             "\"total_us\":1234.000",
             "\"skyline\":2",
         ] {
