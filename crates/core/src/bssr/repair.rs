@@ -22,16 +22,15 @@
 //!    search). A route whose stored path crosses no touched arc skips its
 //!    legs (see [the memo](#the-memo)). If every length came back
 //!    unchanged *and* no weight *decrease* is reachable within the skyline
-//!    radius (checked by the same scaled landmark bound, then the stored
-//!    relevance ball or a single radius-bounded Dijkstra for the
-//!    stragglers), the cached skyline is again exact and is promoted
-//!    as-is.
+//!    radius ([the relevance check](#the-relevance-check)), the cached
+//!    skyline is again exact and is promoted as-is.
 //! 3. **Re-search** — only when a length actually changed or a decreased
-//!    arc is within reach does a search run, warm-seeded with the rescored
-//!    survivors (genuine new-epoch lengths, so they only tighten the
-//!    pruning thresholds — the NNinit argument). When no survivor got
-//!    longer, on an undirected graph, it searches only routes that cross a
-//!    decreased arc near the start ([tier 3](#tier-3)).
+//!    arc is within reach does a search run, warm-seeded with the
+//!    survivors (valid routes, at lengths some walk achieves at the new
+//!    epoch, so they only tighten the pruning thresholds — the NNinit
+//!    argument). When no survivor got longer, on an undirected graph, it
+//!    searches only routes that cross a decreased arc near the start
+//!    ([tier 3](#tier-3)).
 //!
 //! # Why the classification is sound
 //!
@@ -63,43 +62,75 @@
 //! from-scratch search at the pinned epoch — is enforced by the replay
 //! driver's `--verify` oracle and the repair property tests.
 //!
+//! # The relevance check
+//!
+//! A decreased arc is *suspicious* when the scaled landmark bound does not
+//! place its tail clearly beyond `T` from the start `s` at `M`; the check
+//! asks whether a suspicious tail lies within `T` of `s`.
+//!
+//! * **Undirected graphs** — one multi-source Dijkstra from the suspicious
+//!   tails, in the repair's workspace, decides it: a decrease is relevant
+//!   exactly when the search settles `s` at a distance not clearly beyond
+//!   `T`. The search settles but does not expand a vertex whose distance
+//!   plus the scaled landmark bound from `s` clearly reaches `T`, and it
+//!   stops at the first vertex clearly beyond `T`. Neither cut-off hides
+//!   an `s` within `T`: every vertex `x` on a shortest path from the
+//!   nearest tail `t` to `s` has `d(t, x) + d(x, s) = d(t, s)`, and the
+//!   landmark bound from `s` to `x` is at most `d(x, s)`, so `x` is
+//!   expanded, and settled before the stop. The search also settles the
+//!   vertex it stops at, so a settled `s` may lie beyond `T`: the check
+//!   reads the distance, not the settled flag alone. With no suspicious
+//!   arc the search has no source and settles nothing. Tier 3's restricted
+//!   re-search reads `h` from the same search.
+//! * **Directed graphs** — a search from the tails measures distances
+//!   from them, not to them, so one forward Dijkstra from `s` runs out to
+//!   `T` and stops at the first suspicious tail it settles.
+//!
 //! # Tier 3
 //!
 //! A fallback has two forms. Both return [`RepairOutcome::Researched`];
-//! [`QueryStats::restricted_researches`] tells them apart.
+//! [`QueryStats::restricted_researches`] tells them apart. Each seeds the
+//! survivors: the rescored ones at their legs' lengths, the deferred ones
+//! ([the memo](#the-memo)) at their cached lengths, without a leg search.
 //!
 //! * **Full** — [`Bssr::run_prepared_warm`] from the survivors, with the
 //!   engine's configuration. It runs when a survivor got longer (beyond
 //!   the dominance tolerance) or lost a leg, and on a directed graph: the
 //!   argument below covers neither.
-//! * **Restricted** — every other fallback. A decreased arc is
-//!   *suspicious* when the scaled landmark bound does not place its tail
-//!   beyond the skyline radius `T`. Every label and partial route carries
-//!   a *crossed* bit, which a hop along a suspicious arc sets and every
-//!   extension keeps. An uncrossed label or route of length `L` at `v` is
-//!   dropped once `L + h(v)` clearly reaches its threshold, where `h(v)` is
-//!   the distance from `v` to the nearest suspicious tail. One multi-source
-//!   Dijkstra from the tails computes `h` in the repair's workspace: it
-//!   settles but does not expand a vertex whose distance plus the scaled
-//!   landmark bound from the start clearly reaches `T`, it stops at `T`,
-//!   and a vertex it did not settle reads `h = T`. The search leaves out
-//!   NNinit, Optimisation 3's bounds and Optimisation 4's memo (each only
-//!   seeds or prunes, and the memo cannot tell crossed labels from
-//!   uncrossed ones), and keeps the queue policy and grouping.
+//! * **Restricted** — every other fallback. Every label and partial route
+//!   carries a *crossed* bit, which a hop along a suspicious arc sets and
+//!   every extension keeps. An uncrossed label or route of length `L` at
+//!   `v` is dropped once `L + h(v)` clearly reaches its threshold, where
+//!   `h(v)` is the distance from `v` to the nearest suspicious tail: the
+//!   distance at which tier 2's search from the tails settled `v`, or `T`
+//!   for a vertex it did not settle. The search leaves out NNinit,
+//!   Optimisation 3's bounds and Optimisation 4's memo (each only seeds or
+//!   prunes, and the memo cannot tell crossed labels from uncrossed ones),
+//!   and keeps the queue policy and grouping.
+//!
+//! **Why a deferred seed is sound.** Its stored path crosses no arc of `D`,
+//! so it realises the cached length at `M`, but the shortest realisation
+//! `S*` of the seed's PoIs may be shorter. A seed need only be a valid
+//! route whose stated length some walk achieves (see
+//! [`warm`](super::warm)): every route it prunes, `S*` dominates-or-equals
+//! too. And a shorter `S*` costs less at `M` than at `N`, so its path
+//! crosses a decreased arc within `T` of the start, a suspicious one. So
+//! either form of the search keeps `S*`'s labels, and `S*`, or a route that
+//! dominates-or-equals it, ends in the skyline set and evicts the seed.
 //!
 //! **Why the restricted search is exact.** Let `S_N` be the cached skyline
 //! at epoch `N`, repaired to epoch `M`, with no survivor longer at `M`.
 //!
 //! * *Uncrossed routes are already answered.* Take a route `X` whose
 //!   realised `M`-path crosses no decreased arc. At `N` some `S ∈ S_N`
-//!   dominated-or-equalled `X`, and `len_M(X) ≥ len_N(X) ≥ len_N(S) ≥
-//!   len_M(S)`: the path costs no more at `N`, and no survivor got longer.
-//!   So a seed dominates-or-equals `X` at `M`. A route that crosses a
-//!   decreased arc whose tail is not suspicious is longer than `T`; the
-//!   seed with the least semantic score, which no valid route beats
-//!   (semantic scores do not depend on weights, and `S_N` was exact),
-//!   dominates it. Only routes that cross a suspicious arc can enter the
-//!   skyline.
+//!   dominated-or-equalled `X`, and `len_M(X) ≥ len_N(X) ≥ len_N(S)`,
+//!   which is at least the length `S` seeds at: its cached length, or its
+//!   rescored one, which is no longer. So a seed dominates-or-equals `X` at
+//!   `M`. A route that crosses a decreased arc whose tail is not suspicious
+//!   is longer than `T`; the seed with the least semantic score, which no
+//!   valid route beats (semantic scores do not depend on weights, and
+//!   `S_N` was exact), dominates it. Only routes that cross a suspicious
+//!   arc can enter the skyline.
 //! * *One record per vertex still suffices; no second "crossed" layer is
 //!   needed.* Every prune BSSR makes replaces a route by one that
 //!   dominates-or-equals it: the threshold, Lemma 5.5's skip and cut,
@@ -121,36 +152,32 @@
 //!   which gives `d(t, v)`; that is `d(v, t)` only on an undirected graph.
 //!
 //! As elsewhere, [`safely_beyond`]'s margin makes float noise a cost in
-//! time, never in exactness. A returned route that equals a survivor keeps
-//! its path in the memo, in both forms.
+//! time, never in exactness. A returned route that equals a survivor, in
+//! its PoIs and its length, keeps the survivor's path in the memo, in both
+//! forms; a deferred survivor that a shorter realisation evicted keeps
+//! none.
 //!
 //! # The memo
 //!
 //! A repair returns, with its skyline, a [`RepairMemo`] stamped with the
-//! target epoch: the vertex path each route's length was measured on, and
-//! the vertex set of a relevance ball that ran to completion and found
-//! nothing. The service stores it beside the cache entry, and the next
-//! repair of that entry (from `N`, the memo's epoch, to `M`) reads it:
+//! target epoch: the vertex path each route's length is realised on. The
+//! service stores it beside the cache entry, and the next repair of that
+//! entry (from `N`, the memo's epoch, to `M`) reads it:
 //!
 //! * A route above the per-route floor whose stored path has no vertex,
 //!   its last excepted, that is a touched tail ([`DeltaIndex::is_touched_tail`])
-//!   is *deferred*: no leg search runs for it. Every other route is
-//!   searched, and its new path is read back from the leg searches' parent
-//!   pointers. (A path through a touched tail that does not use the
-//!   touched arc is simply searched.)
-//! * When suspicious decreased tails survive the landmark floors, and the
-//!   stored ball covers a radius of at least `T` and contains none of
-//!   them, no ball runs. A ball that runs and finds nothing is stored as
-//!   its sorted settled vertices plus its radius.
+//!   is *deferred*: no leg search runs for it, and it counts as untouched.
+//!   Every other route is searched, and its new path is read back from the
+//!   leg searches' parent pointers. (A path through a touched tail that
+//!   does not use the touched arc is simply searched.)
 //! * **Promote** when no searched length changed and no decrease is
-//!   relevant: deferred routes keep their cached length, and both proofs
-//!   carry to `M`. Promotions through tier 1 and routes under the floor
-//!   carry their proofs too.
+//!   relevant: deferred routes keep their cached length and path.
+//!   Promotions through tier 1 and routes under the floor carry their
+//!   paths too.
 //! * **Fall back** when a searched length changed or a decrease is
-//!   relevant: the deferred routes' legs are searched first, so the seeds
-//!   (and hence the skyline) are exactly those of a repair without a memo.
-//!   The ball is dropped; a returned route keeps a path only if it equals a
-//!   survivor whose path holds at `M`.
+//!   relevant: the deferred routes seed the re-search at their cached
+//!   lengths ([tier 3](#tier-3)), so the skyline is score-equivalent to that
+//!   of a repair without a memo, and the outcome is the same.
 //!
 //! An entry without a memo (every cold search's) searches all its routes,
 //! as [`Bssr::repair`] does.
@@ -164,21 +191,6 @@
 //! the route's length of the start at `N`. Under the per-route floor, and
 //! for every route of a tier-1 promotion, no touched tail is that close,
 //! so the path crosses no arc of `D` and carries by the same argument.
-//!
-//! **Stored ball.** Let `B ⊇ {v : d_N(s,v) ≤ T}` be the stored ball around
-//! the start `s`, and suppose some decreased tail `t` has `d_M(s,t) ≤ T`.
-//! Follow the `M`-shortest path from `s` to `t`, and let `t′` be the tail
-//! of the first decreased arc on it (or `t` itself if there is none). The
-//! prefix up to `t′` uses no decreased arc, and every other arc costs at
-//! `N` at most what it costs at `M`; hence `d_N(s,t′) ≤ d_M(s,t′) ≤ T`. So
-//! `t′ ∈ B`, and `t′` is suspicious, because no landmark bound clears it.
-//! So "no suspicious tail in `B`" implies "no relevant decrease". After a
-//! promotion the same prefix argument, applied to any `v` with
-//! `d_M(s,v) ≤ T`, gives `B ⊇ {v : d_M(s,v) ≤ T}`, so `B` carries forward.
-//! After a tier-1 promotion it runs along the first *touched* arc instead:
-//! no touched tail is within `T` of `s` at `N`. (The ball runs to the same
-//! margin-inflated radius the check uses, so the argument holds with `T`
-//! read as that radius.)
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -225,8 +237,9 @@ impl RepairOutcome {
 pub struct RepairStats {
     /// How the repair was resolved.
     pub outcome: RepairOutcome,
-    /// Cached routes proven untouched without any graph search: by the
-    /// landmark floors, or by a stored path that crosses no touched arc.
+    /// Cached routes kept without a leg search: cleared by the landmark
+    /// floors, or deferred on a stored path that crosses no touched arc
+    /// (in a fallback too, where such a route seeds the re-search).
     pub routes_untouched: usize,
     /// Cached routes whose legs were re-run at the new epoch.
     pub routes_rescored: usize,
@@ -246,7 +259,7 @@ pub struct RepairResult {
     /// The skyline routes, sorted by ascending length. Score-equivalent to
     /// a from-scratch search at the engine's epoch.
     pub routes: Vec<SkylineRoute>,
-    /// Search instrumentation (legs, relevance ball, fallback search).
+    /// Search instrumentation (legs, relevance check, re-search).
     pub stats: QueryStats,
     /// Classification breakdown.
     pub repair: RepairStats,
@@ -259,8 +272,8 @@ pub struct RepairResult {
 type Path = Arc<[VertexId]>;
 
 /// What one repair proved about the skyline it returned, stamped with the
-/// epoch the proofs hold at (see [the memo](self#the-memo)): the vertex path
-/// each route was measured on, and a relevance ball that found nothing.
+/// epoch the proof holds at (see [the memo](self#the-memo)): the vertex
+/// path each route's length is realised on.
 ///
 /// A memo belongs to one skyline: its paths follow the skyline's route
 /// order. Repair ignores a memo stamped with another epoch than the
@@ -269,24 +282,13 @@ type Path = Arc<[VertexId]>;
 #[derive(Clone, Debug)]
 pub struct RepairMemo {
     epoch: EpochId,
-    /// Per route, in the skyline's order: the path its length was measured
+    /// Per route, in the skyline's order: the path its length is realised
     /// on, when known.
     paths: Box<[Option<Path>]>,
-    /// A relevance ball that ran to completion and met no suspicious tail.
-    ball: Option<Ball>,
-}
-
-/// A completed relevance ball: every vertex within `radius` of the start
-/// (and a margin beyond it) at the memo's epoch.
-#[derive(Clone, Debug)]
-struct Ball {
-    radius: Cost,
-    /// The settled vertices, sorted.
-    vertices: Arc<[u32]>,
 }
 
 impl RepairMemo {
-    /// The epoch both proofs hold at.
+    /// The epoch the paths hold at.
     pub fn epoch(&self) -> EpochId {
         self.epoch
     }
@@ -382,6 +384,12 @@ impl<'a> TouchBounds<'a> {
     fn decreased_within(&self, max_len: Cost) -> Vec<(u32, u32)> {
         let delta = self.index.delta();
         let ratio = delta.to_min_ratio().clamp(0.0, 1.0);
+        // One probe of the shared index may clear every decreased tail at
+        // once; its floor is infinite when nothing decreased.
+        let floor = self.landmarks.map(|lm| self.index.decreased_floor(lm, self.start));
+        if floor.is_some_and(|f| f.is_infinite() || safely_beyond(ratio * f, max_len.get())) {
+            return Vec::new();
+        }
         let mut arcs: Vec<(u32, u32)> = (delta.touches().iter().enumerate())
             .filter(|&(i, t)| {
                 let cleared = (self.origin.as_ref())
@@ -433,101 +441,64 @@ fn avoids_touched_arcs(index: &DeltaIndex, path: &[VertexId]) -> bool {
     !inner.iter().any(|&v| index.is_touched_tail(v))
 }
 
-/// The answer of tier 2's relevance check.
-enum Relevance {
-    /// A decreased arc may lie within the skyline radius.
-    Relevant,
-    /// None does. Carries the ball that proved it, when one ran.
-    Clear(Option<Ball>),
-}
-
-/// Whether any *decreased* arc of the delta is reachable from the start
-/// within the skyline radius `max_len` at the engine's (new) epoch. Tails
-/// cleared by the scaled landmark bound are skipped; the stragglers are
-/// looked up in the `stored` ball (one of at least this radius at the
-/// delta's older epoch), and settled by one radius-bounded Dijkstra over
-/// the new-epoch graph only when one of them lies inside it.
-fn decreases_relevant(
+/// Whether a forward search from `start` settles a tail of the sorted
+/// `arcs` within `radius`: the relevance check on a directed graph (see
+/// [the relevance check](self#the-relevance-check)).
+fn forward_relevant(
     ctx: &QueryContext<'_>,
-    bounds: &TouchBounds<'_>,
-    max_len: Cost,
-    stored: Option<&Ball>,
     ws: &mut DijkstraWorkspace,
+    start: VertexId,
+    arcs: &[(u32, u32)],
+    radius: Cost,
     stats: &mut QueryStats,
-) -> Relevance {
-    let TouchBounds { index, landmarks, start, .. } = *bounds;
-    // Fast path via the shared index: when the nearest *decreased* tail is
-    // provably beyond the skyline radius (or nothing decreased at all —
-    // the floor is then infinite), no per-tail probe or Dijkstra runs.
-    if let Some(lm) = landmarks {
-        let floor = index.decreased_floor(lm, start);
-        if floor.is_infinite()
-            || safely_beyond(index.delta().to_min_ratio().clamp(0.0, 1.0) * floor, max_len.get())
-        {
-            return Relevance::Clear(None);
-        }
-    }
-    let suspicious = bounds.decreased_within(max_len);
-    if suspicious.is_empty() {
-        return Relevance::Clear(None);
-    }
-    let in_ball = |b: &Ball| suspicious.iter().any(|(t, _)| b.vertices.binary_search(t).is_ok());
-    if stored.is_some_and(|b| !in_ball(b)) {
-        stats.balls_reused += 1;
-        return Relevance::Clear(None);
+) -> bool {
+    if arcs.is_empty() {
+        return false;
     }
     let mut relevant = false;
-    let mut settled = Vec::new();
-    let s = dijkstra_with(ctx.graph, ws, &[(start, Cost::ZERO)], |v, d| {
-        if safely_beyond(d.get(), max_len.get()) {
+    stats.search.merge(&dijkstra_with(ctx.graph, ws, &[(start, Cost::ZERO)], |v, d| {
+        if safely_beyond(d.get(), radius.get()) {
             return Settle::Stop;
         }
-        if is_tail(&suspicious, v.0) {
+        if is_tail(arcs, v.0) {
             relevant = true;
             return Settle::Stop;
         }
-        settled.push(v.0);
         Settle::Continue
-    });
-    stats.search.merge(&s);
-    if relevant {
-        return Relevance::Relevant;
-    }
-    settled.sort_unstable();
-    Relevance::Clear(Some(Ball { radius: max_len, vertices: settled.into() }))
+    }));
+    relevant
 }
 
 /// One cached route on its way through tier 2.
 struct Survivor {
-    /// The route, with its length at the target epoch (the cached one
-    /// while deferred).
+    /// The route, at a length its path achieves at the target epoch: the
+    /// cached one when its legs were not searched.
     route: SkylineRoute,
     /// A path `route.length` is realised on at the target epoch, if known.
     path: Option<Path>,
-    /// Kept on its stored path alone: its legs were not searched.
-    deferred: bool,
 }
 
 /// Outcome of the in-place tiers (1–2): either a promoted skyline, or the
 /// survivors a fallback search should be seeded with.
-enum InPlace<'l> {
+enum InPlace {
     Promoted { routes: Vec<SkylineRoute>, repair: RepairStats, memo: RepairMemo },
-    Fallback(Fallback<'l>),
+    Fallback(Fallback),
 }
 
 /// What tier 2 hands the re-search.
-struct Fallback<'l> {
+struct Fallback {
     survivors: Vec<Survivor>,
     routes_untouched: usize,
     routes_rescored: usize,
     /// The target epoch, which stamps the result's memo.
     epoch: EpochId,
-    /// What the restricted re-search watches; `None` when the full one
-    /// must run.
-    watch: Option<Watch<'l>>,
+    /// For a restricted re-search, the suspicious arcs, sorted, and the
+    /// skyline radius; the search from their tails is in the workspace.
+    /// `None` when the full one must run.
+    watched: Option<(Vec<(u32, u32)>, Cost)>,
 }
 
-/// What a restricted re-search needs (see [tier 3](self#tier-3)).
+/// The suspicious arcs and what the search from their tails is bounded by.
 struct Watch<'l> {
     /// The suspicious arcs, `(tail, head)`, sorted.
     arcs: Vec<(u32, u32)>,
@@ -539,13 +510,16 @@ struct Watch<'l> {
     radius: Cost,
 }
 
-/// `h`: one multi-source Dijkstra from the suspicious tails, in `ws`. On
-/// an undirected graph it settles a vertex at its distance to the nearest
-/// tail, except where no route under the radius passes: a vertex whose
-/// distance plus the scaled landmark bound from `start` clearly reaches
-/// the radius is not expanded, and the search stops at the radius. Why a
-/// vertex it leaves unsettled, or settles late, may read `h` as the
-/// radius is argued in [tier 3](self#tier-3).
+/// The search from the suspicious tails, in `ws`: tier 2's relevance check
+/// on an undirected graph, and `h` for the restricted re-search. It
+/// settles a vertex at its distance to the nearest tail, except where no
+/// route under the radius passes: a vertex whose distance plus the scaled
+/// landmark bound from `start` clearly reaches the radius is not expanded,
+/// and the search stops at the first vertex clearly beyond the radius,
+/// which it settles. Why that answers the check is argued in [the
+/// relevance check](self#the-relevance-check), and why `h` may read the
+/// radius where the search stopped short in [tier 3](self#tier-3). No
+/// suspicious arc means no source: the search settles nothing.
 fn tails_search(
     ctx: &QueryContext<'_>,
     ws: &mut DijkstraWorkspace,
@@ -569,15 +543,11 @@ fn tails_search(
 
 /// `survivors`, sorted by length as a skyline is, and the memo of the
 /// paths they carry.
-fn promote(
-    mut survivors: Vec<Survivor>,
-    epoch: EpochId,
-    ball: Option<Ball>,
-) -> (Vec<SkylineRoute>, RepairMemo) {
+fn promote(mut survivors: Vec<Survivor>, epoch: EpochId) -> (Vec<SkylineRoute>, RepairMemo) {
     survivors.sort_by_key(|s| s.route.length);
     let (routes, paths): (Vec<_>, Vec<_>) =
         survivors.into_iter().map(|s| (s.route, s.path)).unzip();
-    (routes, RepairMemo { epoch, paths: paths.into(), ball })
+    (routes, RepairMemo { epoch, paths: paths.into() })
 }
 
 impl<'g> Bssr<'g> {
@@ -659,15 +629,15 @@ impl<'g> Bssr<'g> {
 
     /// Tiers 1–2: everything that can be decided without compiling the
     /// query.
-    fn repair_in_place<'l>(
+    fn repair_in_place(
         &mut self,
         start: VertexId,
         cached: &[SkylineRoute],
         memo: Option<&RepairMemo>,
         index: &DeltaIndex,
-        landmarks: Option<&'l Landmarks>,
+        landmarks: Option<&Landmarks>,
         stats: &mut QueryStats,
-    ) -> InPlace<'l> {
+    ) -> InPlace {
         let ctx = self.ctx;
         let to = index.delta().to_epoch();
 
@@ -682,24 +652,17 @@ impl<'g> Bssr<'g> {
                     routes_untouched: 0,
                     routes_rescored: 0,
                 },
-                memo: RepairMemo { epoch: to, paths: Box::default(), ball: None },
+                memo: RepairMemo { epoch: to, paths: Box::default() },
             };
         }
         let max_len = cached.iter().map(|r| r.length).max().expect("non-empty");
         let memo =
             memo.filter(|m| m.epoch == index.delta().from_epoch() && m.paths.len() == cached.len());
         let stored_path = |i: usize| memo.and_then(|m| m.paths[i].clone());
-        // A ball narrower than the skyline radius proves nothing about it.
-        let stored_ball = memo.and_then(|m| m.ball.as_ref()).filter(|b| b.radius >= max_len);
-        let carried_ball = || stored_ball.map(|b| Ball { radius: max_len, ..b.clone() });
-        let kept = |i: usize, r: &SkylineRoute| Survivor {
-            route: r.clone(),
-            path: stored_path(i),
-            deferred: false,
-        };
+        let kept = |i: usize, r: &SkylineRoute| Survivor { route: r.clone(), path: stored_path(i) };
         let untouched = || {
             let survivors = cached.iter().enumerate().map(|(i, r)| kept(i, r)).collect();
-            let (routes, memo) = promote(survivors, to, carried_ball());
+            let (routes, memo) = promote(survivors, to);
             InPlace::Promoted {
                 routes,
                 repair: RepairStats {
@@ -724,8 +687,9 @@ impl<'g> Bssr<'g> {
 
         // Tier 2: rescore each route's legs at the new epoch. Routes
         // strictly below the touched-distance floor provably kept their
-        // length and skip the legs; so, unless a decrease proves relevant,
-        // do routes whose stored path avoids every touched arc.
+        // length and skip the legs; so do routes whose stored path avoids
+        // every touched arc, which keep their cached length until a
+        // re-search finds a shorter one.
         let mut survivors: Vec<Survivor> = Vec::with_capacity(cached.len());
         let mut routes_untouched = 0usize;
         let mut routes_rescored = 0usize;
@@ -733,13 +697,13 @@ impl<'g> Bssr<'g> {
         // A route got longer or lost a leg: tier 3 cannot be restricted.
         let mut any_longer = false;
         for (i, r) in cached.iter().enumerate() {
-            if safely_beyond(floor, r.length.get()) {
+            let below_floor = safely_beyond(floor, r.length.get());
+            let deferred =
+                !below_floor && stored_path(i).is_some_and(|p| avoids_touched_arcs(index, &p));
+            if below_floor || deferred {
                 routes_untouched += 1;
+                stats.routes_reused += u64::from(deferred);
                 survivors.push(kept(i, r));
-                continue;
-            }
-            if let Some(path) = stored_path(i).filter(|p| avoids_touched_arcs(index, p)) {
-                survivors.push(Survivor { route: r.clone(), path: Some(path), deferred: true });
                 continue;
             }
             routes_rescored += 1;
@@ -754,109 +718,95 @@ impl<'g> Bssr<'g> {
                     let longer = !approx_le(len.get(), r.length.get());
                     any_longer |= longer;
                     all_unchanged &= !longer && approx_le(r.length.get(), len.get());
-                    survivors.push(Survivor {
-                        route: SkylineRoute { length: len, ..r.clone() },
-                        path: Some(path),
-                        deferred: false,
-                    });
+                    let route = SkylineRoute { length: len, ..r.clone() };
+                    survivors.push(Survivor { route, path: Some(path) });
                 }
                 None => (all_unchanged, any_longer) = (false, true),
             }
         }
-        if all_unchanged {
-            let relevance =
-                decreases_relevant(&ctx, &bounds, max_len, stored_ball, &mut self.ws, stats);
-            if let Relevance::Clear(ball) = relevance {
-                let deferred = survivors.iter().filter(|s| s.deferred).count();
-                stats.routes_reused = deferred as u64;
-                let (routes, memo) = promote(survivors, to, ball.or_else(carried_ball));
-                return InPlace::Promoted {
-                    routes,
-                    repair: RepairStats {
-                        outcome: RepairOutcome::Rescored,
-                        routes_untouched: routes_untouched + deferred,
-                        routes_rescored,
-                    },
-                    memo,
-                };
-            }
-        }
-        let watch = (!any_longer && !ctx.graph.is_directed()).then(|| Watch {
+
+        // The relevance check. Where tier 3 can be restricted, the search
+        // from the suspicious tails answers it and stays in the workspace
+        // as the re-search's `h`; it settles the vertex it stops at, so the
+        // start counts only within the radius.
+        let watch = Watch {
             arcs: bounds.decreased_within(max_len),
             landmarks,
             ratio: index.delta().to_min_ratio().clamp(0.0, 1.0),
             radius: max_len,
-        });
+        };
+        let restricted = !any_longer && !ctx.graph.is_directed();
+        let relevant = if restricted {
+            stats.search.merge(&tails_search(&ctx, &mut self.ws, start, &watch));
+            let within = |d: Cost| !safely_beyond(d.get(), max_len.get());
+            self.ws.settled(start) && self.ws.distance(start).is_some_and(within)
+        } else {
+            all_unchanged
+                && forward_relevant(&ctx, &mut self.ws, start, &watch.arcs, max_len, stats)
+        };
+        if all_unchanged && !relevant {
+            let (routes, memo) = promote(survivors, to);
+            return InPlace::Promoted {
+                routes,
+                repair: RepairStats {
+                    outcome: RepairOutcome::Rescored,
+                    routes_untouched,
+                    routes_rescored,
+                },
+                memo,
+            };
+        }
         InPlace::Fallback(Fallback {
             survivors,
             routes_untouched,
             routes_rescored,
             epoch: to,
-            watch,
+            watched: restricted.then_some((watch.arcs, max_len)),
         })
     }
 
-    /// Tier 3: warm-seeded re-search, restricted when `f` carries a watch.
-    /// The deferred survivors' legs are searched first, so every survivor
-    /// carries a genuine new-epoch length and seeding them only tightens
-    /// the pruning thresholds (the NNinit soundness argument) — exactly as
-    /// without a memo.
+    /// Tier 3: warm-seeded re-search from the survivors, restricted when
+    /// `f` carries watched arcs. A deferred survivor seeds at its cached
+    /// length, which its stored path realises at the new epoch; why a
+    /// seed that a shorter realisation would beat keeps the search exact
+    /// is argued in [tier 3](self#tier-3).
     fn fallback(
         &mut self,
         pq: &PreparedQuery,
-        f: Fallback<'_>,
+        f: Fallback,
         mut stats: QueryStats,
         t0: Instant,
     ) -> RepairResult {
-        let Fallback { survivors, routes_untouched, mut routes_rescored, epoch, watch } = f;
-        let ctx = self.ctx;
-        let mut seeded: Vec<Survivor> = Vec::with_capacity(survivors.len());
-        for s in survivors {
-            if !s.deferred {
-                seeded.push(s);
-                continue;
-            }
-            routes_rescored += 1;
-            // Its stored path avoids the delta, so its legs come back no
-            // longer than its cached length, as a restricted re-search
-            // needs.
-            if let Some((len, path)) =
-                rescore_route(&ctx, pq.start, &s.route, &mut self.ws, &mut stats)
-            {
-                let route = SkylineRoute { length: len, ..s.route };
-                seeded.push(Survivor { route, path: Some(path), deferred: false });
-            }
-        }
-        let seeds: Vec<SkylineRoute> = seeded.iter().map(|s| s.route.clone()).collect();
+        let Fallback { survivors, routes_untouched, routes_rescored, epoch, watched } = f;
+        let seeds: Vec<SkylineRoute> = survivors.iter().map(|s| s.route.clone()).collect();
         // Repairs promise score-equivalence to a cold run, so an armed
         // anytime deadline (see `Bssr::set_deadline`) must not truncate
         // the re-search — a partial labelled "repaired" would launder the
         // approximate flag away. Disarm for the duration.
         let deadline = self.deadline.take();
-        let mut result = match &watch {
-            Some(w) => {
-                stats.search.merge(&tails_search(&ctx, &mut self.ws, pq.start, w));
+        let mut result = match &watched {
+            Some((arcs, radius)) => {
                 stats.restricted_researches = 1;
-                self.search(pq, &seeds, None, Some((&w.arcs, w.radius)))
+                self.search(pq, &seeds, None, Some((arcs, *radius)))
             }
             None => self.run_prepared_warm(pq, &seeds),
         };
         self.deadline = deadline;
         // The warm search absorbed its own work into the scratch profile;
-        // the rest (rescoring legs, relevance ball, the search for `h`) is
-        // only in `stats`, so count it here — each unit of work exactly
-        // once. A fallback reuses no stored proof, so only the search
-        // counts and the restricted flag move.
+        // the rest (legs, the relevance check or the search for `h`, the
+        // routes kept on stored paths) is only in `stats`, so count it here
+        // — each unit of work exactly once.
         self.absorb_profile(&stats);
         result.stats.search.merge(&stats.search);
+        result.stats.routes_reused = stats.routes_reused;
         result.stats.restricted_researches = stats.restricted_researches;
         result.stats.total_time = t0.elapsed();
-        // A returned route that equals a survivor is realised on the
-        // survivor's path; the ball proved nothing about the new radius.
+        // A returned route that equals a survivor, in its PoIs and its
+        // length, is realised on the survivor's path.
         let paths = (result.routes.iter())
             .map(|r| {
                 let same = |s: &&Survivor| s.route.pois == r.pois && s.route.equivalent(r);
-                seeded.iter().find(same).and_then(|s| s.path.clone())
+                survivors.iter().find(same).and_then(|s| s.path.clone())
             })
             .collect();
         RepairResult {
@@ -867,7 +817,7 @@ impl<'g> Bssr<'g> {
                 routes_untouched,
                 routes_rescored,
             },
-            memo: RepairMemo { epoch, paths, ball: None },
+            memo: RepairMemo { epoch, paths },
         }
     }
 }
@@ -982,14 +932,15 @@ mod tests {
     }
 
     #[test]
-    fn a_rescored_repair_counts_its_legs_and_its_relevance_ball() {
+    fn a_rescored_repair_counts_its_legs_and_its_relevance_check() {
         use crate::poi::PoiTable;
         use skysr_category::ForestBuilder;
-        use skysr_graph::{GraphBuilder, SearchStats};
+        use skysr_graph::GraphBuilder;
 
         // A line 0 —1— 1 —1— … —1— 9 with an Asian restaurant at 1 and a
-        // gift shop at 2; the decreased edge 7 — 8 lies beyond the
-        // skyline radius, so the repair rescores and runs its ball.
+        // gift shop at 2: from 0 the skyline is the one route 1 → 2, so the
+        // radius is 2. Without landmarks, the search from the ends of a
+        // lowered edge decides whether the decrease is relevant.
         let mut fb = ForestBuilder::new();
         let food = fb.add_root("Food");
         let asian = fb.add_child(food, "Asian");
@@ -1009,42 +960,44 @@ mod tests {
         let query = SkySrQuery::new(v[0], [asian, gift]);
         let cached = Bssr::new(&QueryContext::new(&graph, &forest, &pois)).run(&query).unwrap();
         let cached = cached.routes;
-
-        let epochs = WeightEpoch::new(graph);
-        let to = epochs.publish(&[WeightDelta::new(v[7], v[8], 0.5)]);
-        let index = DeltaIndex::build(epochs.delta_between(EpochId::BASE, to).unwrap(), None);
-        let pinned = epochs.pin();
-        let ctx = QueryContext::new(&pinned, &forest, &pois);
-        let repaired = Bssr::new(&ctx).repair(&query, &cached, &index, None).unwrap();
-        assert_eq!(repaired.repair.outcome, RepairOutcome::Rescored);
-
-        // The same searches, run independently: every leg of every cached
-        // route, then the ball out to the skyline radius.
-        let mut ws = DijkstraWorkspace::new(pinned.num_vertices());
-        let mut expect = SearchStats::default();
-        for r in &cached {
-            let mut at = query.start;
-            for &p in &r.pois {
-                expect.merge(&dijkstra_with(&pinned, &mut ws, &[(at, Cost::ZERO)], |u, _| {
-                    if u == p {
-                        Settle::Stop
-                    } else {
-                        Settle::Continue
-                    }
-                }));
-                at = p;
-            }
-        }
         let max_len = cached.iter().map(|r| r.length).max().unwrap();
-        expect.merge(&dijkstra_with(&pinned, &mut ws, &[(query.start, Cost::ZERO)], |_, d| {
-            if safely_beyond(d.get(), max_len.get()) {
-                Settle::Stop
-            } else {
-                Settle::Continue
+
+        // From the edge 7 — 8 the search stops before it reaches the start.
+        // From 3 — 4 the start lies 3 away: it is the first vertex beyond
+        // the radius that the search settles, where it stops. Neither
+        // decrease is relevant.
+        for (a, b, start_settled) in [(7, 8, false), (3, 4, true)] {
+            let epochs = WeightEpoch::new(graph.clone());
+            let to = epochs.publish(&[WeightDelta::new(v[a], v[b], 0.5)]);
+            let index = DeltaIndex::build(epochs.delta_between(EpochId::BASE, to).unwrap(), None);
+            let pinned = epochs.pin();
+            let ctx = QueryContext::new(&pinned, &forest, &pois);
+            let repaired = Bssr::new(&ctx).repair(&query, &cached, &index, None).unwrap();
+            assert_eq!(repaired.repair.outcome, RepairOutcome::Rescored, "edge {a} — {b}");
+
+            // The same searches, run independently: every leg of the
+            // cached route, then the search from the edge's ends.
+            let mut ws = DijkstraWorkspace::new(pinned.num_vertices());
+            let mut expect = SearchStats::default();
+            for r in &cached {
+                let mut at = query.start;
+                for &p in &r.pois {
+                    expect.merge(&point_to_point(&pinned, &mut ws, at, p).1);
+                    at = p;
+                }
             }
-        }));
-        let got = repaired.stats.search;
-        assert_eq!((got.settled, got.relaxed), (expect.settled, expect.relaxed));
+            let tails = [(v[a], Cost::ZERO), (v[b], Cost::ZERO)];
+            expect.merge(&dijkstra_with(&pinned, &mut ws, &tails, |_, d| {
+                if safely_beyond(d.get(), max_len.get()) {
+                    Settle::Stop
+                } else {
+                    Settle::Continue
+                }
+            }));
+            assert_eq!(ws.settled(query.start), start_settled, "edge {a} — {b}");
+            let got = repaired.stats.search;
+            assert_eq!((got.settled, got.relaxed), (expect.settled, expect.relaxed));
+        }
     }
 
     /// The memo tests' city. From 0, the query ⟨Asian, Gift⟩ has the
@@ -1056,6 +1009,9 @@ mod tests {
     ///   9 ─10─ 8 ─1─ 7 ─10─ 6 ─1─ 0 ─1─ 1 ─1─ 2 ─1─ 3 ─1─ 4 ─1─ 5
     ///  Gift  Asian                    Italian Gift       Asian  Gift
     /// ```
+    ///
+    /// [`Branch::with_side_path`] adds a side path 0 —1— 10 —10— 11 —1— 4,
+    /// which no route uses at first.
     struct Branch {
         forest: skysr_category::CategoryForest,
         pois: crate::poi::PoiTable,
@@ -1071,16 +1027,21 @@ mod tests {
 
     impl Branch {
         fn new(with_landmarks: bool) -> Branch {
-            Branch::build(skysr_graph::GraphBuilder::new(), with_landmarks)
+            Branch::build(skysr_graph::GraphBuilder::new(), with_landmarks, false)
         }
 
         /// The same city as a directed graph, each edge an arc both ways;
         /// without landmarks, which need an undirected graph.
         fn directed() -> Branch {
-            Branch::build(skysr_graph::GraphBuilder::directed(), false)
+            Branch::build(skysr_graph::GraphBuilder::directed(), false, false)
         }
 
-        fn build(mut gb: skysr_graph::GraphBuilder, with_landmarks: bool) -> Branch {
+        /// The city with its side path; without landmarks.
+        fn with_side_path() -> Branch {
+            Branch::build(skysr_graph::GraphBuilder::new(), false, true)
+        }
+
+        fn build(mut gb: skysr_graph::GraphBuilder, with_landmarks: bool, side: bool) -> Branch {
             use skysr_category::ForestBuilder;
             let mut fb = ForestBuilder::new();
             let food = fb.add_root("Food");
@@ -1089,10 +1050,13 @@ mod tests {
             let shop = fb.add_root("Shop");
             let gift = fb.add_child(shop, "Gift");
             let forest = fb.build();
-            let v: Vec<VertexId> = (0..10).map(|_| gb.add_vertex()).collect();
+            let v: Vec<VertexId> =
+                (0..if side { 12 } else { 10 }).map(|_| gb.add_vertex()).collect();
             let line = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)];
             let branch = [(0, 6, 1.0), (6, 7, 10.0), (7, 8, 1.0), (8, 9, 10.0)];
-            for (a, b, w) in line.into_iter().chain(branch) {
+            let side_path = [(0, 10, 1.0), (10, 11, 10.0), (11, 4, 1.0)];
+            let side_path = side_path.into_iter().filter(|_| side);
+            for (a, b, w) in line.into_iter().chain(branch).chain(side_path) {
                 gb.add_edge(v[a], v[b], w);
                 if gb.is_directed() {
                     gb.add_edge(v[b], v[a], w);
@@ -1166,11 +1130,6 @@ mod tests {
         m.paths.iter().flatten().count()
     }
 
-    /// Vertices in the stored relevance ball; `None` without one.
-    fn ball_size(m: &RepairMemo) -> Option<usize> {
-        m.ball.as_ref().map(|b| b.vertices.len())
-    }
-
     #[test]
     fn a_stored_path_that_avoids_the_delta_skips_its_legs() {
         let mut b = Branch::new(true);
@@ -1198,66 +1157,72 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_ball_answers_for_decreases_outside_it_only() {
-        // Without landmarks every decreased tail is suspicious.
-        let mut b = Branch::new(false);
-        let (first, _) = b.step(&[(8, 9, 9.0)]);
-        assert_eq!(first.repair.outcome, RepairOutcome::Rescored);
-        // The ball ran to the radius 5: vertices 0–6.
-        assert_eq!(ball_size(&first.memo), Some(7));
-        // Another decrease beyond the ball: no ball and no leg runs.
-        let (with, without) = b.step(&[(8, 9, 8.0)]);
-        assert_eq!(with.repair.outcome, RepairOutcome::Rescored);
-        assert_eq!((with.stats.balls_reused, with.stats.search.settled), (1, 0));
-        assert!(without.stats.search.settled > 0);
-        assert_eq!(ball_size(&with.memo), Some(7), "the ball carries forward");
-        // A decrease whose tail (6) lies inside the ball: the ball runs,
-        // meets the tail within the radius and the repair falls back,
-        // exactly as without a memo.
-        let (with, without) = b.step(&[(6, 7, 9.0)]);
-        assert_eq!(with.stats.balls_reused, 0);
-        assert_eq!(with.repair.outcome, RepairOutcome::Researched);
-        assert_eq!(with.routes, without.routes);
-        assert_eq!(split(&with), split(&without));
-        assert_eq!(with.stats.search.settled, without.stats.search.settled);
-    }
-
-    #[test]
     fn a_fallback_with_a_memo_returns_what_a_repair_without_one_does() {
-        let mut b = Branch::new(true);
+        // Without landmarks no route clears at the floor.
+        let mut b = Branch::new(false);
         b.step(&[(6, 7, 11.0)]);
-        // Lengthen an arc on the path of 4 → 5: its legs run and the
-        // length changes. The other route was deferred; it is searched
-        // before the fallback seeds, as without a memo.
+        let stored = b.memo.as_ref().unwrap().paths[0].clone();
+        // Lengthen an arc on the path of 4 → 5: its legs run, its length
+        // changes and the full re-search runs. The path of 1 → 2 avoids
+        // the arc, so that route is deferred: it seeds the re-search at its
+        // cached length, and no leg runs for it.
         let (with, without) = b.step(&[(3, 4, 2.0)]);
         assert_eq!(with.repair.outcome, RepairOutcome::Researched);
+        assert_eq!(with.stats.restricted_researches, 0);
         assert_eq!(with.routes, without.routes);
-        assert_eq!(split(&with), split(&without));
-        assert_eq!(with.stats.search.settled, without.stats.search.settled);
-        assert_eq!(with.stats.routes_reused, 0);
-        // Both returned routes equal a searched survivor, and keep its
-        // path; no ball survives a fallback.
-        assert_eq!((paths_known(&with.memo), ball_size(&with.memo)), (2, None));
+        assert_eq!((split(&with), split(&without)), ((1, 1), (0, 2)));
+        assert_eq!((with.stats.routes_reused, without.stats.routes_reused), (1, 0));
+        let settled = |r: &RepairResult| r.stats.search.settled;
+        assert!(settled(&with) < settled(&without), "{} vs {}", settled(&with), settled(&without));
+        // Both returned routes equal a survivor and keep its path: 1 → 2
+        // the stored one.
+        assert_eq!(paths_known(&with.memo), 2);
+        assert_eq!(with.memo.paths[0], stored);
     }
 
     #[test]
-    fn a_fallback_drops_the_stored_ball() {
-        let mut b = Branch::new(false);
-        // A far decrease: the ball runs, finds nothing and is stored.
-        let (first, _) = b.step(&[(8, 9, 9.0)]);
-        assert_eq!(ball_size(&first.memo), Some(7));
-        // The branch's middle arc gets cheap: its tail 6 is within reach,
-        // so the repair falls back. The skyline stays, but 7 and 8 are now
-        // within its radius, outside the old ball.
-        let (with, _) = b.step(&[(6, 7, 1.0)]);
-        assert_eq!(with.repair.outcome, RepairOutcome::Researched);
-        assert_eq!(ball_size(&with.memo), None);
-        // Now 8 → 9 gets cheap and the branch pair (length 3.5) replaces
-        // 4 → 5. A stale ball would clear the decrease; this one must run.
-        // No route got longer, so the restricted re-search finds the pair.
-        let (with, _) = b.step(&[(8, 9, 0.5)]);
+    fn a_deferred_route_that_got_shorter_is_found_and_keeps_no_path() {
+        let mut b = Branch::with_side_path();
+        // Raise the side path's middle edge: no route uses it, so both
+        // lengths come back unchanged and both paths are stored.
+        let (first, _) = b.step(&[(10, 11, 11.0)]);
+        assert_eq!(first.repair.outcome, RepairOutcome::Rescored);
+        assert_eq!(paths_known(&first.memo), 2);
+        let stored = first.memo.paths[0].clone();
+        // Lower it to 1: the side path reaches 4 in 3, so 4 → 5 shortens to
+        // 4. Both stored paths avoid the edge, so both routes are deferred
+        // and seed the restricted re-search at their cached lengths; the
+        // search finds the shorter 4 → 5, which evicts its seed.
+        let (with, _) = b.step(&[(10, 11, 1.0)]);
         assert_eq!(with.repair.outcome, RepairOutcome::Researched);
         assert_eq!(with.stats.restricted_researches, 1);
+        assert_eq!((split(&with), with.stats.routes_reused), ((2, 0), 2));
+        let lengths: Vec<f64> = with.routes.iter().map(|r| r.length.get()).collect();
+        assert_eq!((ends(&with.routes), lengths), (vec![2, 5], vec![2.0, 4.0]));
+        // 1 → 2 keeps its stored path; no path the repair knows realises
+        // the new 4 → 5.
+        assert_eq!(with.memo.paths[..], [stored, None]);
+    }
+
+    #[test]
+    fn a_decrease_after_a_fallback_is_checked_again() {
+        let mut b = Branch::new(false);
+        // A far decrease: the search from its ends stays beyond the radius.
+        let (first, _) = b.step(&[(8, 9, 9.0)]);
+        assert_eq!(first.repair.outcome, RepairOutcome::Rescored);
+        // The branch's middle arc gets cheap: its tail 6 is within reach,
+        // so the repair falls back. The skyline stays, but 7 and 8 are now
+        // within its radius.
+        let (with, _) = b.step(&[(6, 7, 1.0)]);
+        assert_eq!(with.repair.outcome, RepairOutcome::Researched);
+        assert_eq!(paths_known(&with.memo), 2);
+        // Now 8 → 9 gets cheap and the branch pair (length 3.5) replaces
+        // 4 → 5. Both stored paths avoid the arc and are deferred, but the
+        // decrease is relevant; no route got longer, so the restricted
+        // re-search finds the pair.
+        let (with, _) = b.step(&[(8, 9, 0.5)]);
+        assert_eq!(with.repair.outcome, RepairOutcome::Researched);
+        assert_eq!((with.stats.restricted_researches, with.stats.routes_reused), (1, 2));
         assert_eq!(ends(&with.routes), [2, 9]);
     }
 
@@ -1283,8 +1248,9 @@ mod tests {
         let pq = PreparedQuery::prepare(&ctx, &b.query).unwrap();
         let warm = Bssr::new(&ctx).run_prepared_warm(&pq, &seeds);
         assert_eq!(with.routes, warm.routes);
-        // …which a directed build of the same city runs: the same legs and
-        // ball, then the full re-search, which settles more.
+        // …which a directed build of the same city runs: the same legs, a
+        // forward search from the start to the nearer tail for the
+        // relevance check, then the full re-search, which settles more.
         let mut directed = Branch::directed();
         let (full, _) = directed.step(&[(6, 7, 9.0)]);
         assert_eq!(full.repair.outcome, RepairOutcome::Researched);

@@ -2,10 +2,10 @@
 //!
 //! Repair's fallback (see [`repair`](super::repair)) re-searches a query
 //! whose cached skyline an epoch delta may have touched, seeding the search
-//! with the cached routes it rescored at the new epoch. Seeding those
-//! routes into the skyline set *before* the branch-and-bound search starts
-//! tightens the pruning thresholds of Definition 5.4 — the mechanism
-//! NNinit (§5.3.1) uses.
+//! with the cached routes at lengths some walk achieves at the new epoch.
+//! Seeding those routes into the skyline set *before* the branch-and-bound
+//! search starts tightens the pruning thresholds of Definition 5.4 — the
+//! mechanism NNinit (§5.3.1) uses.
 //!
 //! Correctness is inherited from the NNinit argument (Lemma 5.1/5.3): the
 //! threshold only ever prunes routes that some inserted *valid* route
@@ -29,12 +29,18 @@ use crate::stats::QueryStats;
 /// position, duplicated PoIs) are skipped, so a stale or foreign skyline
 /// degrades to a cold start.
 ///
-/// **Precondition:** every seed route's `length` must be a genuine
-/// accumulated shortest-path length from `pq.start` through its PoIs *at
-/// this context's weight epoch*. An understated length would over-tighten
-/// the pruning threshold and break exactness; this cannot be validated
-/// cheaply here, and repair guarantees it by rescoring every leg at the
-/// new epoch.
+/// **Precondition:** every seed route's `length` must be achieved by some
+/// walk from `pq.start` through its PoIs in order *at this context's
+/// weight epoch*. An understated length would over-tighten the pruning
+/// threshold and break exactness. The length need not be the shortest
+/// such length: every route an overstated seed prunes, the shortest
+/// realisation of its PoIs dominates-or-equals too, and the search finds
+/// that realisation, or a route that dominates-or-equals it, which evicts
+/// the seed; so no overstated seed is returned. Neither condition can be
+/// validated cheaply here. Repair seeds each route at the length its legs
+/// measured at the new epoch, or at its cached length when its stored
+/// path avoids every reweighted arc; its tier-3 docs argue the same for
+/// its restricted re-search, which keeps only some routes.
 pub fn seed_full_routes(
     ctx: &QueryContext<'_>,
     pq: &PreparedQuery,

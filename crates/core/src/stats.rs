@@ -18,11 +18,9 @@ pub struct QueryStats {
     /// (grouped expansion); 0 when every search expanded one route.
     pub grouped_routes: u64,
     /// Cached routes a repair kept without searching their legs, because
-    /// the path its previous repair measured crosses no touched arc.
+    /// the path its previous repair measured crosses no touched arc: in a
+    /// promotion at their cached length, in a fallback as seeds at it.
     pub routes_reused: u64,
-    /// Relevance balls a repair skipped, because the ball its previous
-    /// repair ran holds no suspicious decreased tail.
-    pub balls_reused: u64,
     /// Repair re-searches restricted to routes that cross a decreased arc,
     /// because no cached route got longer (0 or 1 per repair).
     pub restricted_researches: u64,
@@ -79,7 +77,6 @@ impl QueryStats {
             mdijkstra_cache_hits: self.cache_hits,
             grouped_routes: self.grouped_routes,
             routes_reused: self.routes_reused,
-            balls_reused: self.balls_reused,
             restricted_researches: self.restricted_researches,
         }
     }
@@ -128,8 +125,6 @@ pub struct EngineProfile {
     pub grouped_routes: u64,
     /// Cached routes a repair kept on the strength of their stored paths.
     pub routes_reused: u64,
-    /// Relevance balls a repair answered from its stored ball.
-    pub balls_reused: u64,
     /// Repair re-searches restricted to routes that cross a decreased arc.
     pub restricted_researches: u64,
 }
@@ -155,7 +150,6 @@ impl EngineProfile {
             self.mdijkstra_cache_hits.saturating_add(other.mdijkstra_cache_hits);
         self.grouped_routes = self.grouped_routes.saturating_add(other.grouped_routes);
         self.routes_reused = self.routes_reused.saturating_add(other.routes_reused);
-        self.balls_reused = self.balls_reused.saturating_add(other.balls_reused);
         self.restricted_researches =
             self.restricted_researches.saturating_add(other.restricted_researches);
     }
@@ -185,7 +179,6 @@ mod tests {
             cache_hits: 2,
             grouped_routes: 9,
             routes_reused: 2,
-            balls_reused: 1,
             restricted_researches: 1,
             search: SearchStats { settled: 10, relaxed: 20, pushed: 30, weight_sum: 1.0 },
             warm_seed_routes: 3,
@@ -206,7 +199,7 @@ mod tests {
         assert_eq!(total.mdijkstra_runs, 8);
         assert_eq!(total.mdijkstra_cache_hits, 4);
         assert_eq!(total.grouped_routes, 18);
-        assert_eq!((total.routes_reused, total.balls_reused), (4, 2));
+        assert_eq!(total.routes_reused, 4);
         assert_eq!(total.restricted_researches, 2);
     }
 }

@@ -63,7 +63,9 @@ pub enum Served {
         /// warm-seeded re-search (restricted to routes that cross a
         /// decreased arc when no cached route got longer, else full).
         fallback: bool,
-        /// Cached routes proven untouched without any graph search.
+        /// Cached routes kept without a leg search: cleared by the landmark
+        /// floors, or kept on a stored path that crosses no touched arc (in
+        /// a fallback too, where such a route seeds the re-search).
         routes_untouched: usize,
         /// Cached routes whose legs were re-run at the new epoch.
         routes_rescored: usize,
@@ -93,8 +95,9 @@ pub enum Counter {
     StaleServed,
     /// Repairs that fell back to a warm-seeded re-search.
     RepairFallbacks,
-    /// Cached routes proven untouched by repair's lower-bound tier (no
-    /// graph search at all), summed over all repairs.
+    /// Cached routes repair kept without a leg search (by the landmark
+    /// floors, or on a stored path that crosses no touched arc), summed
+    /// over all repairs.
     RoutesUntouched,
     /// Cached routes whose shortest-path legs were re-run at the new
     /// epoch, summed over all repairs.
@@ -132,7 +135,7 @@ impl Counter {
                 ("skysr_repair_fallbacks_total", "Repairs that fell back to a re-search")
             }
             Counter::RoutesUntouched => {
-                ("skysr_routes_untouched_total", "Cached routes repair proved untouched")
+                ("skysr_routes_untouched_total", "Cached routes repair kept without a leg search")
             }
             Counter::RoutesRescored => {
                 ("skysr_routes_rescored_total", "Cached routes whose legs repair re-ran")
@@ -250,7 +253,7 @@ pub struct MetricsSnapshot {
     /// Repairs that fell back to a re-search
     /// ([`Counter::RepairFallbacks`]).
     pub repair_fallbacks: u64,
-    /// Cached routes repair proved untouched
+    /// Cached routes repair kept without a leg search
     /// ([`Counter::RoutesUntouched`]).
     pub routes_untouched: u64,
     /// Cached routes whose legs repair re-ran

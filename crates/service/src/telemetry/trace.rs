@@ -102,7 +102,6 @@ impl TraceSpan {
         push_kv(&mut s, "mdijkstra_runs", &p.mdijkstra_runs.to_string());
         push_kv(&mut s, "grouped_routes", &p.grouped_routes.to_string());
         push_kv(&mut s, "routes_reused", &p.routes_reused.to_string());
-        push_kv(&mut s, "balls_reused", &p.balls_reused.to_string());
         push_kv(&mut s, "restricted_researches", &p.restricted_researches.to_string());
         s.push_str(&format!("\"skyline\":{}", self.skyline));
         s.push('}');
@@ -346,7 +345,6 @@ mod tests {
         s.delta_index = Some((EpochId(3), EpochId(5)));
         s.repair_tier = Some("rescored");
         s.profile.routes_reused = 3;
-        s.profile.balls_reused = 1;
         s.profile.restricted_researches = 1;
         let line = s.to_json_line();
         assert!(line.starts_with('{') && line.ends_with('}'));
@@ -358,7 +356,6 @@ mod tests {
             "\"delta_index\":[3,5]",
             "\"repair_tier\":\"rescored\"",
             "\"routes_reused\":3",
-            "\"balls_reused\":1",
             "\"restricted_researches\":1",
             "\"total_us\":1234.000",
             "\"skyline\":2",

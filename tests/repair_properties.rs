@@ -8,8 +8,8 @@
 //!   repair reading the memo of the one before, every repaired skyline is
 //!   score-equivalent to a from-scratch search at its epoch and reaches the
 //!   same outcome as a repair without a memo; with landmarks and without
-//!   (then nothing clears at the floor, and every route and relevance check
-//!   goes through the memo).
+//!   (then nothing clears at the floor, and every route goes through the
+//!   memo).
 //! * **Decrease-only chains** — the same, over batches that only make arcs
 //!   cheaper: no cached route gets longer, so every re-search is the
 //!   restricted one, which searches only routes that cross a decreased arc.
@@ -399,15 +399,14 @@ fn decrease_only_chains_restrict_every_re_search_and_stay_exact() {
 const RESTRICTED_FLOOR: usize = 500;
 
 /// Work a memo-less repair across one decreased edge within the skyline
-/// radius does before its re-search: the legs of every route not shorter
-/// than `floor` (the landmark bound to the nearer tail), and the relevance
-/// ball from the start out to the radius, which stops at the first tail.
-/// Returns it with the routes rescored (the re-search's seeds).
+/// radius does before its re-search and the search for `h`, which is also
+/// its relevance check: the legs of every route not shorter than `floor`
+/// (the landmark bound to the nearer tail). Returns it with the routes
+/// rescored (the re-search's seeds).
 fn in_place_work(
     graph: &RoadNetwork,
     start: VertexId,
     cached: &[skysr::core::SkylineRoute],
-    tails: [VertexId; 2],
     floor: f64,
 ) -> (SearchStats, Vec<skysr::core::SkylineRoute>) {
     let mut ws = DijkstraWorkspace::new(graph.num_vertices());
@@ -423,14 +422,6 @@ fn in_place_work(
         seeds.push(skysr::core::SkylineRoute { length, ..r.clone() });
     }
     seeds.extend(cached.iter().filter(|r| safely_beyond(floor, r.length.get())).cloned());
-    let radius = cached.iter().map(|r| r.length).max().expect("a skyline").get();
-    work.merge(&dijkstra_with(graph, &mut ws, &[(start, Cost::ZERO)], |v, d| {
-        if safely_beyond(d.get(), radius) || tails.contains(&v) {
-            Settle::Stop
-        } else {
-            Settle::Continue
-        }
-    }));
     (work, seeds)
 }
 
@@ -486,8 +477,7 @@ const RESTRICTED_WORK_FACTOR: f64 = 1.5;
 /// restricted re-search (the search for `h` and the search itself) returns
 /// what the full warm re-search seeded alike returns, and settles at most
 /// 1 / [`RESTRICTED_WORK_FACTOR`] of its vertices. The repair's own count
-/// includes its legs and its relevance ball, which [`in_place_work`]
-/// recounts.
+/// includes its legs, which [`in_place_work`] recounts.
 #[test]
 fn a_restricted_re_search_settles_a_fraction_of_the_full_one() {
     let city = DatasetSpec::preset(Preset::CalSmall).scale(0.25).seed(41).generate();
@@ -510,13 +500,14 @@ fn a_restricted_re_search_settles_a_fraction_of_the_full_one() {
         assert_eq!(repaired.stats.restricted_researches, 1, "{query:?}");
         let bound = |t| landmarks.lower_bound(query.start, t).get();
         let floor = index.delta().from_min_ratio() * bound(u).min(bound(v));
-        let (in_place, seeds) = in_place_work(&pinned, query.start, &cached, [u, v], floor);
-        // No leg shortened, so the repair ran its relevance ball.
+        let (in_place, seeds) = in_place_work(&pinned, query.start, &cached, floor);
+        // No leg shortened: the restricted re-search's seeds are the cache.
         assert!(equivalent_skylines(&seeds, &cached), "{query:?}");
         let pq = PreparedQuery::prepare(&ctx, query).expect("valid query");
         let warm = Bssr::new(&ctx).run_prepared_warm(&pq, &seeds);
         assert!(equivalent_skylines(&repaired.routes, &warm.routes), "{query:?}");
-        restricted += repaired.stats.search.settled - in_place.settled;
+        restricted += (repaired.stats.search.settled.checked_sub(in_place.settled))
+            .expect("the repair settled at least its legs");
         full += warm.stats.search.settled;
     }
     assert!(
