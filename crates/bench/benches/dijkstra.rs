@@ -85,33 +85,5 @@ fn bench_dijkstra(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_landmarks(c: &mut Criterion) {
-    use skysr_graph::Landmarks;
-    let mut group = c.benchmark_group("alt");
-    for n in [1_000usize, 10_000] {
-        let g = network(n);
-        let lm = Landmarks::build(&g, 8, VertexId(0));
-        let mut ws = DijkstraWorkspace::new(g.num_vertices());
-        let pairs: Vec<(VertexId, VertexId)> = (0..8)
-            .map(|i| (VertexId(i * 31 % n as u32), VertexId((n as u32 - 1) - i * 17)))
-            .collect();
-        group.bench_with_input(BenchmarkId::new("dijkstra_p2p", n), &n, |b, _| {
-            b.iter(|| {
-                for &(s, t) in &pairs {
-                    black_box(shortest_distance(&g, &mut ws, s, t));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("astar_landmarks_p2p", n), &n, |b, _| {
-            b.iter(|| {
-                for &(s, t) in &pairs {
-                    black_box(lm.astar(&g, s, t).0);
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_dijkstra, bench_landmarks);
+criterion_group!(benches, bench_dijkstra);
 criterion_main!(benches);

@@ -4,18 +4,19 @@
 //! longer trustworthy — but when the batch touched a handful of arcs
 //! nowhere near the query, recomputing the whole BSSR search throws away
 //! everything the cache knew. Repair classifies the cached result against
-//! the exact [`DeltaSet`](skysr_graph::DeltaSet) between its epoch and the
-//! current one (packaged with its per-epoch-pair [`DeltaIndex`]), and does
+//! the exact [`DeltaSet`] between its epoch and the current one, and does
 //! the *cheapest sound thing*:
 //!
-//! 1. **Untouched** ([`wholesale_untouched`]) — a lower-bound check: if
-//!    every touched arc's tail is provably farther from the query start
-//!    than the longest cached route, the cached skyline *is* the new
-//!    epoch's skyline, verbatim. The bound is the landmark (ALT) oracle
-//!    over the manager's origin weights, scaled by the epoch's
+//! 1. **Untouched** — a lower-bound check: if the delta is empty, or every
+//!    touched arc's tail is provably farther from the query start than the
+//!    longest cached route, the cached skyline *is* the new epoch's
+//!    skyline, verbatim. The bound is the landmark (ALT) oracle over the
+//!    manager's origin weights, probed once per touched tail and scaled by
+//!    the epoch's
 //!    [`min_ratio`](skysr_graph::epoch::WeightOverlay::min_ratio) floor so
 //!    it stays admissible under arbitrary reweighting. No graph search
-//!    runs at all.
+//!    runs at all. Tier 2 reads its per-route floor and its suspicious
+//!    arcs from the same per-tail bounds.
 //! 2. **Rescore** — otherwise each cached route's length is recomputed as
 //!    its sum of point-to-point shortest-path legs at the new epoch
 //!    (early-terminating Dijkstras — far cheaper than a branch-and-bound
@@ -165,7 +166,7 @@
 //! entry (from `N`, the memo's epoch, to `M`) reads it:
 //!
 //! * A route above the per-route floor whose stored path has no vertex,
-//!   its last excepted, that is a touched tail ([`DeltaIndex::is_touched_tail`])
+//!   its last excepted, that is a touched tail ([`DeltaSet::is_touched_tail`])
 //!   is *deferred*: no leg search runs for it, and it counts as untouched.
 //!   Every other route is searched, and its new path is read back from the
 //!   leg searches' parent pointers. (A path through a touched tail that
@@ -196,7 +197,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use skysr_graph::dijkstra::{dijkstra_with, point_to_point, Settle};
-use skysr_graph::{Cost, DeltaIndex, DijkstraWorkspace, EpochId, Landmarks, SearchStats, VertexId};
+use skysr_graph::{
+    Cost, DeltaSet, DijkstraWorkspace, EpochId, Landmarks, RoadNetwork, SearchStats, VertexId,
+};
 
 use crate::bssr::Bssr;
 use crate::context::QueryContext;
@@ -306,75 +309,37 @@ pub fn safely_beyond(a: f64, b: f64) -> bool {
     a > b * (1.0 + MARGIN) + MARGIN
 }
 
-/// The cheap wholesale-untouched check (repair tier 1): `true` iff every
-/// arc touched by `delta` has its tail provably farther from `start` *at
-/// the delta's older epoch* than `max_len`, the longest route of the
-/// cached skyline. When it holds, the cached skyline is exactly the
-/// newer epoch's skyline (see the module docs for the argument).
-///
-/// `landmarks` must be built over the weight manager's origin (epoch-0)
-/// view; without an oracle the check degrades to "only an empty delta is
-/// untouched".
-pub fn wholesale_untouched(
-    index: &DeltaIndex,
-    landmarks: Option<&Landmarks>,
-    start: VertexId,
-    max_len: Cost,
-) -> bool {
-    index_clears(index, landmarks, start, max_len)
-        || safely_beyond(TouchBounds::new(index, landmarks, start).floor(), max_len.get())
-}
-
-/// Tier 1's fast path: the delta is empty, or one O(landmarks) probe of
-/// the precomputed touched-ball index clears the whole delta at once. The
-/// common "updates landed far away" case costs the same whether the batch
-/// touched 2 arcs or 2000, and is shared across every stale key of this
-/// epoch pair.
-fn index_clears(
-    index: &DeltaIndex,
-    landmarks: Option<&Landmarks>,
-    start: VertexId,
-    max_len: Cost,
-) -> bool {
-    let ratio = index.delta().from_min_ratio().clamp(0.0, 1.0);
-    index.delta().is_empty()
-        || landmarks
-            .is_some_and(|lm| safely_beyond(ratio * index.touched_floor(lm, start), max_len.get()))
-}
-
 /// The landmark lower bound from one start to every touched tail of a
-/// delta, at the origin weight scale, computed once per repair. Each
-/// check scales them by its epoch's weight-ratio floor: admissible,
-/// because every arc weight at that epoch is at least the floor times its
-/// origin weight, so every path (and hence the shortest distance) scales
-/// accordingly.
+/// delta, at the origin weight scale, computed once per repair: repair's
+/// one landmark bound on the delta. Each check scales them by its epoch's
+/// weight-ratio floor: admissible, because every arc weight at that epoch
+/// is at least the floor times its origin weight, so every path (and
+/// hence the shortest distance) scales accordingly.
 struct TouchBounds<'a> {
-    index: &'a DeltaIndex,
-    landmarks: Option<&'a Landmarks>,
-    start: VertexId,
+    delta: &'a DeltaSet,
     /// `lower_bound(start, tail)` per touch, in touch order; `None`
     /// without an oracle.
     origin: Option<Vec<f64>>,
 }
 
 impl<'a> TouchBounds<'a> {
-    fn new(index: &'a DeltaIndex, landmarks: Option<&'a Landmarks>, start: VertexId) -> Self {
+    fn new(delta: &'a DeltaSet, landmarks: Option<&Landmarks>, start: VertexId) -> Self {
         let origin = landmarks.map(|lm| {
-            index.delta().touches().iter().map(|t| lm.lower_bound(start, t.tail).get()).collect()
+            delta.touches().iter().map(|t| lm.lower_bound(start, t.tail).get()).collect()
         });
-        TouchBounds { index, landmarks, start, origin }
+        TouchBounds { delta, origin }
     }
 
     /// The smallest bound to any touched tail at the delta's older epoch:
-    /// tier 2's per-route skip floor (a route shorter than it provably
-    /// keeps its length across the delta). Tier 1 holds exactly when it is
-    /// safely beyond the skyline radius, since [`safely_beyond`] is
-    /// monotone in its first argument. 0 without an oracle.
+    /// tier 1 holds when it is safely beyond the skyline radius, and tier 2
+    /// skips the legs of a route it is safely beyond (the route provably
+    /// keeps its length across the delta). 0 without an oracle; NaN, which
+    /// clears nothing, for an empty delta at a zero ratio floor (0 × ∞).
     fn floor(&self) -> f64 {
         let Some(origin) = &self.origin else {
             return 0.0;
         };
-        let ratio = self.index.delta().from_min_ratio().clamp(0.0, 1.0);
+        let ratio = self.delta.from_min_ratio().clamp(0.0, 1.0);
         ratio * origin.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
@@ -382,14 +347,8 @@ impl<'a> TouchBounds<'a> {
     /// provably beyond `max_len` from the start at the delta's newer
     /// epoch, as `(tail, head)` pairs, sorted.
     fn decreased_within(&self, max_len: Cost) -> Vec<(u32, u32)> {
-        let delta = self.index.delta();
+        let delta = self.delta;
         let ratio = delta.to_min_ratio().clamp(0.0, 1.0);
-        // One probe of the shared index may clear every decreased tail at
-        // once; its floor is infinite when nothing decreased.
-        let floor = self.landmarks.map(|lm| self.index.decreased_floor(lm, self.start));
-        if floor.is_some_and(|f| f.is_infinite() || safely_beyond(ratio * f, max_len.get())) {
-            return Vec::new();
-        }
         let mut arcs: Vec<(u32, u32)> = (delta.touches().iter().enumerate())
             .filter(|&(i, t)| {
                 let cleared = (self.origin.as_ref())
@@ -436,9 +395,9 @@ fn rescore_route(
 
 /// Whether `path` crosses no touched arc: none of its vertices but the
 /// last is a touched tail.
-fn avoids_touched_arcs(index: &DeltaIndex, path: &[VertexId]) -> bool {
+fn avoids_touched_arcs(delta: &DeltaSet, path: &[VertexId]) -> bool {
     let inner = &path[..path.len().saturating_sub(1)];
-    !inner.iter().any(|&v| index.is_touched_tail(v))
+    !inner.iter().any(|&v| delta.is_touched_tail(v))
 }
 
 /// Whether a forward search from `start` settles a tail of the sorted
@@ -550,15 +509,41 @@ fn promote(mut survivors: Vec<Survivor>, epoch: EpochId) -> (Vec<SkylineRoute>, 
     (routes, RepairMemo { epoch, paths: paths.into() })
 }
 
+/// Checks, in debug builds, that each path in `result`'s memo realises its
+/// route on `graph`: it starts at `start`, passes the route's PoIs in order
+/// and ends at the last, and costs the route's length. A path's cost is the
+/// sum, over its consecutive vertices, of the cheapest arc between them.
+fn check_memo(graph: &RoadNetwork, start: VertexId, result: &RepairResult) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    for (route, path) in result.routes.iter().zip(&result.memo.paths) {
+        let Some(path) = path else { continue };
+        let mut pois = route.pois.iter().peekable();
+        for v in path.iter() {
+            pois.next_if_eq(&v);
+        }
+        let ends = path.first() == Some(&start) && path.last() == route.pois.last();
+        assert!(ends && pois.next().is_none(), "memo path {path:?} misses {route:?}");
+        let arc = |w: &[VertexId]| {
+            let weights = graph.neighbors(w[0]).filter(|&(v, _)| v == w[1]).map(|(_, c)| c.get());
+            weights.fold(f64::INFINITY, f64::min)
+        };
+        let (cost, length) = (path.windows(2).map(arc).sum::<f64>(), route.length.get());
+        assert!(
+            approx_le(cost, length) && approx_le(length, cost),
+            "memo path {path:?} costs {cost}, its route {route:?} {length}"
+        );
+    }
+}
+
 impl<'g> Bssr<'g> {
-    /// Repairs `cached` — a skyline computed for `query` at the index's
-    /// `delta().from_epoch()` — into the exact skyline at this engine's
-    /// (newer) epoch, choosing the cheapest sound tier (see the module
-    /// docs). `index` is the per-epoch-pair touched-ball index
-    /// ([`DeltaIndex`]), built once from the exact delta and shared across
-    /// every stale key of that epoch pair; `landmarks`, if provided, must
-    /// be the oracle the index was built with (over the weight manager's
-    /// origin view).
+    /// Repairs `cached` — a skyline computed for `query` at
+    /// `delta.from_epoch()` — into the exact skyline at this engine's
+    /// (newer) epoch, `delta.to_epoch()`, choosing the cheapest sound tier
+    /// (see the module docs). `landmarks`, if provided, must be built over
+    /// the weight manager's origin view; without them no route clears at a
+    /// landmark floor, and only an empty delta is untouched.
     ///
     /// The in-place tiers consult only the start vertex, the cached
     /// scores, the delta and the graph: this entry point compiles the
@@ -577,7 +562,7 @@ impl<'g> Bssr<'g> {
         &mut self,
         query: &SkySrQuery,
         cached: &[SkylineRoute],
-        index: &DeltaIndex,
+        delta: &DeltaSet,
         landmarks: Option<&Landmarks>,
     ) -> Result<RepairResult, QueryError> {
         // The cheap validations a prepare would do; the rest (category
@@ -591,17 +576,20 @@ impl<'g> Bssr<'g> {
         }
         let t0 = Instant::now();
         let mut stats = QueryStats::default();
-        match self.repair_in_place(query.start, cached, None, index, landmarks, &mut stats) {
-            InPlace::Promoted { routes, repair, memo } => {
-                stats.total_time = t0.elapsed();
-                self.absorb_profile(&stats);
-                Ok(RepairResult { routes, stats, repair, memo })
-            }
-            InPlace::Fallback(f) => {
-                let pq = PreparedQuery::prepare(&self.ctx, query)?;
-                Ok(self.fallback(&pq, f, stats, t0))
-            }
-        }
+        let result =
+            match self.repair_in_place(query.start, cached, None, delta, landmarks, &mut stats) {
+                InPlace::Promoted { routes, repair, memo } => {
+                    stats.total_time = t0.elapsed();
+                    self.absorb_profile(&stats);
+                    RepairResult { routes, stats, repair, memo }
+                }
+                InPlace::Fallback(f) => {
+                    let pq = PreparedQuery::prepare(&self.ctx, query)?;
+                    self.fallback(&pq, f, stats, t0)
+                }
+            };
+        check_memo(self.ctx.graph, query.start, &result);
+        Ok(result)
     }
 
     /// [`Bssr::repair`] over a pre-compiled query (callers that already
@@ -612,19 +600,22 @@ impl<'g> Bssr<'g> {
         pq: &PreparedQuery,
         cached: &[SkylineRoute],
         memo: Option<&RepairMemo>,
-        index: &DeltaIndex,
+        delta: &DeltaSet,
         landmarks: Option<&Landmarks>,
     ) -> RepairResult {
         let t0 = Instant::now();
         let mut stats = QueryStats::default();
-        match self.repair_in_place(pq.start, cached, memo, index, landmarks, &mut stats) {
-            InPlace::Promoted { routes, repair, memo } => {
-                stats.total_time = t0.elapsed();
-                self.absorb_profile(&stats);
-                RepairResult { routes, stats, repair, memo }
-            }
-            InPlace::Fallback(f) => self.fallback(pq, f, stats, t0),
-        }
+        let result =
+            match self.repair_in_place(pq.start, cached, memo, delta, landmarks, &mut stats) {
+                InPlace::Promoted { routes, repair, memo } => {
+                    stats.total_time = t0.elapsed();
+                    self.absorb_profile(&stats);
+                    RepairResult { routes, stats, repair, memo }
+                }
+                InPlace::Fallback(f) => self.fallback(pq, f, stats, t0),
+            };
+        check_memo(self.ctx.graph, pq.start, &result);
+        result
     }
 
     /// Tiers 1–2: everything that can be decided without compiling the
@@ -634,12 +625,12 @@ impl<'g> Bssr<'g> {
         start: VertexId,
         cached: &[SkylineRoute],
         memo: Option<&RepairMemo>,
-        index: &DeltaIndex,
+        delta: &DeltaSet,
         landmarks: Option<&Landmarks>,
         stats: &mut QueryStats,
     ) -> InPlace {
         let ctx = self.ctx;
-        let to = index.delta().to_epoch();
+        let to = delta.to_epoch();
 
         // An empty skyline is weight-independent: no valid sequenced route
         // exists for topological/semantic reasons, and reweighting cannot
@@ -656,8 +647,7 @@ impl<'g> Bssr<'g> {
             };
         }
         let max_len = cached.iter().map(|r| r.length).max().expect("non-empty");
-        let memo =
-            memo.filter(|m| m.epoch == index.delta().from_epoch() && m.paths.len() == cached.len());
+        let memo = memo.filter(|m| m.epoch == delta.from_epoch() && m.paths.len() == cached.len());
         let stored_path = |i: usize| memo.and_then(|m| m.paths[i].clone());
         let kept = |i: usize, r: &SkylineRoute| Survivor { route: r.clone(), path: stored_path(i) };
         let untouched = || {
@@ -674,14 +664,13 @@ impl<'g> Bssr<'g> {
             }
         };
 
-        // Tier 1: every touched arc is provably beyond the skyline radius
-        // (`wholesale_untouched`, with its landmark pass kept for tier 2).
-        if index_clears(index, landmarks, start, max_len) {
-            return untouched();
-        }
-        let bounds = TouchBounds::new(index, landmarks, start);
+        // Tier 1: the delta is empty, or every touched tail is provably
+        // beyond the skyline radius. Emptiness is tested on its own: at a
+        // zero ratio floor the floor over no touches is NaN, and clears
+        // nothing.
+        let bounds = TouchBounds::new(delta, landmarks, start);
         let floor = bounds.floor();
-        if safely_beyond(floor, max_len.get()) {
+        if delta.is_empty() || safely_beyond(floor, max_len.get()) {
             return untouched();
         }
 
@@ -699,7 +688,7 @@ impl<'g> Bssr<'g> {
         for (i, r) in cached.iter().enumerate() {
             let below_floor = safely_beyond(floor, r.length.get());
             let deferred =
-                !below_floor && stored_path(i).is_some_and(|p| avoids_touched_arcs(index, &p));
+                !below_floor && stored_path(i).is_some_and(|p| avoids_touched_arcs(delta, &p));
             if below_floor || deferred {
                 routes_untouched += 1;
                 stats.routes_reused += u64::from(deferred);
@@ -732,7 +721,7 @@ impl<'g> Bssr<'g> {
         let watch = Watch {
             arcs: bounds.decreased_within(max_len),
             landmarks,
-            ratio: index.delta().to_min_ratio().clamp(0.0, 1.0),
+            ratio: delta.to_min_ratio().clamp(0.0, 1.0),
             radius: max_len,
         };
         let restricted = !any_longer && !ctx.graph.is_directed();
@@ -856,11 +845,10 @@ mod tests {
 
             let to = self.epochs.publish(deltas);
             let delta = self.epochs.delta_between(EpochId::BASE, to).unwrap();
-            let index = DeltaIndex::build(delta, Some(&self.landmarks));
             let pinned = self.epochs.pin();
             let qctx = crate::context::QueryContext::new(&pinned, &self.ex.forest, &self.ex.pois);
             let repaired =
-                Bssr::new(&qctx).repair(&q, &cached, &index, Some(&self.landmarks)).unwrap();
+                Bssr::new(&qctx).repair(&q, &cached, &delta, Some(&self.landmarks)).unwrap();
             let oracle = Bssr::with_config(&qctx, BssrConfig::default()).run(&q).unwrap().routes;
             assert!(
                 equivalent_skylines(&repaired.routes, &oracle),
@@ -923,43 +911,143 @@ mod tests {
             WeightDelta::new(from, to, w.get() * 2.0)
         }]);
         let delta = h.epochs.delta_between(EpochId::BASE, to).unwrap();
-        let index = DeltaIndex::build(delta, Some(&h.landmarks));
         let pinned = h.epochs.pin();
         let qctx = crate::context::QueryContext::new(&pinned, &h.ex.forest, &h.ex.pois);
-        let r = Bssr::new(&qctx).repair(&h.ex.query(), &[], &index, Some(&h.landmarks)).unwrap();
+        let r = Bssr::new(&qctx).repair(&h.ex.query(), &[], &delta, Some(&h.landmarks)).unwrap();
         assert!(r.routes.is_empty());
         assert_eq!(r.repair.outcome, RepairOutcome::Untouched);
     }
 
+    /// A line 0 —1— 1 —1— … —1— n − 1 with an Asian restaurant at 1 and a
+    /// gift shop at 2: from 0 the query ⟨Asian, Gift⟩ has the one route
+    /// 1 → 2, so the skyline radius is 2.
+    struct Line {
+        graph: RoadNetwork,
+        forest: skysr_category::CategoryForest,
+        pois: crate::poi::PoiTable,
+        query: SkySrQuery,
+        /// The skyline at the graph's weights.
+        cached: Vec<SkylineRoute>,
+    }
+
+    impl Line {
+        fn new(n: u32) -> Line {
+            let mut fb = skysr_category::ForestBuilder::new();
+            let food = fb.add_root("Food");
+            let asian = fb.add_child(food, "Asian");
+            let shop = fb.add_root("Shop");
+            let gift = fb.add_child(shop, "Gift");
+            let forest = fb.build();
+            let mut gb = skysr_graph::GraphBuilder::new();
+            let v: Vec<VertexId> = (0..n).map(|_| gb.add_vertex()).collect();
+            for w in v.windows(2) {
+                gb.add_edge(w[0], w[1], 1.0);
+            }
+            let graph = gb.build();
+            let mut pois = crate::poi::PoiTable::new(graph.num_vertices());
+            pois.add_poi(v[1], asian);
+            pois.add_poi(v[2], gift);
+            pois.finalize(&forest);
+            let query = SkySrQuery::new(v[0], [asian, gift]);
+            let cached =
+                Bssr::new(&QueryContext::new(&graph, &forest, &pois)).run(&query).unwrap().routes;
+            Line { graph, forest, pois, query, cached }
+        }
+
+        /// The delta from the line's weights to an epoch that sets each
+        /// edge `a — b` of `edges` to weight `w`.
+        fn delta(&self, edges: &[(u32, u32, f64)]) -> DeltaSet {
+            let epochs = WeightEpoch::new(self.graph.clone());
+            let deltas: Vec<WeightDelta> = (edges.iter())
+                .map(|&(a, b, w)| WeightDelta::new(VertexId(a), VertexId(b), w))
+                .collect();
+            let to = epochs.publish(&deltas);
+            epochs.delta_between(EpochId::BASE, to).unwrap()
+        }
+    }
+
+    /// On a 30-vertex line, the edge 24 — 25 raised to 3 and 27 — 28
+    /// lowered to 0.5, which halves the newer epoch's ratio floor.
+    fn far_touches() -> (Line, Landmarks, DeltaSet) {
+        let line = Line::new(30);
+        let lm = Landmarks::build(&line.graph, 4, VertexId(0));
+        let delta = line.delta(&[(24, 25, 3.0), (27, 28, 0.5)]);
+        (line, lm, delta)
+    }
+
+    #[test]
+    fn the_touched_floor_is_admissible_and_tight_on_a_line() {
+        let (line, lm, delta) = far_touches();
+        let mut ws = DijkstraWorkspace::new(line.graph.num_vertices());
+        let mut to_tail = |t: VertexId| point_to_point(&line.graph, &mut ws, VertexId(0), t).0;
+        let nearest = (delta.touches().iter())
+            .map(|t| to_tail(t.tail).unwrap().get())
+            .fold(f64::INFINITY, f64::min);
+        let floor = TouchBounds::new(&delta, Some(&lm), VertexId(0)).floor();
+        // Admissible: never above the distance to the nearest touched tail…
+        assert!(floor <= nearest + 1e-9, "floor {floor} > distance {nearest}");
+        // …and, on a line with a landmark at an end, exact.
+        assert!(floor > 20.0, "the nearest touched tail is 24 hops from vertex 0: {floor}");
+        // A start among the touched tails has floor 0.
+        assert_eq!(TouchBounds::new(&delta, Some(&lm), VertexId(25)).floor(), 0.0);
+    }
+
+    #[test]
+    fn a_decreased_arc_is_suspicious_once_the_radius_reaches_its_tail() {
+        // At the newer epoch's ratio floor, 0.5, the bounds from vertex 0
+        // to the decreased tails 27 and 28 are 13.5 and 14; the raised
+        // edge is never suspicious.
+        let (_, lm, delta) = far_touches();
+        let bounds = TouchBounds::new(&delta, Some(&lm), VertexId(0));
+        let within = |radius: f64| bounds.decreased_within(Cost::new(radius));
+        assert_eq!(within(13.0), []);
+        assert_eq!(within(13.75), [(27, 28)]);
+        assert_eq!(within(15.0), [(27, 28), (28, 27)]);
+    }
+
+    #[test]
+    fn without_landmarks_every_decreased_arc_is_suspicious() {
+        let (_, _, delta) = far_touches();
+        let bounds = TouchBounds::new(&delta, None, VertexId(0));
+        assert_eq!(bounds.floor(), 0.0);
+        assert_eq!(bounds.decreased_within(Cost::new(1.0)), [(27, 28), (28, 27)]);
+    }
+
+    #[test]
+    fn without_a_decrease_no_arc_is_suspicious() {
+        let (line, lm, _) = far_touches();
+        let raised = line.delta(&[(24, 25, 3.0)]);
+        for landmarks in [Some(&lm), None] {
+            let bounds = TouchBounds::new(&raised, landmarks, VertexId(0));
+            assert_eq!(bounds.decreased_within(Cost::INFINITY), []);
+        }
+    }
+
+    #[test]
+    fn an_empty_delta_at_a_zero_ratio_floor_is_untouched() {
+        // A free edge drops the ratio floor to 0; the next epoch changes
+        // nothing. The floor over no touches is then 0 × ∞, NaN, so only
+        // the explicit emptiness check clears the delta. The skyline is
+        // 1 → 2 at every epoch here.
+        let line = Line::new(30);
+        let lm = Landmarks::build(&line.graph, 4, VertexId(0));
+        let epochs = WeightEpoch::new(line.graph.clone());
+        let from = epochs.publish(&[WeightDelta::new(VertexId(27), VertexId(28), 0.0)]);
+        let to = epochs.publish(&[]);
+        let delta = epochs.delta_between(from, to).unwrap();
+        assert!(delta.is_empty() && delta.from_min_ratio() == 0.0);
+        assert!(TouchBounds::new(&delta, Some(&lm), line.query.start).floor().is_nan());
+        let pinned = epochs.pin();
+        let ctx = QueryContext::new(&pinned, &line.forest, &line.pois);
+        let r = Bssr::new(&ctx).repair(&line.query, &line.cached, &delta, Some(&lm)).unwrap();
+        assert_eq!((r.repair.outcome, r.stats.search.settled), (RepairOutcome::Untouched, 0));
+    }
+
     #[test]
     fn a_rescored_repair_counts_its_legs_and_its_relevance_check() {
-        use crate::poi::PoiTable;
-        use skysr_category::ForestBuilder;
-        use skysr_graph::GraphBuilder;
-
-        // A line 0 —1— 1 —1— … —1— 9 with an Asian restaurant at 1 and a
-        // gift shop at 2: from 0 the skyline is the one route 1 → 2, so the
-        // radius is 2. Without landmarks, the search from the ends of a
-        // lowered edge decides whether the decrease is relevant.
-        let mut fb = ForestBuilder::new();
-        let food = fb.add_root("Food");
-        let asian = fb.add_child(food, "Asian");
-        let shop = fb.add_root("Shop");
-        let gift = fb.add_child(shop, "Gift");
-        let forest = fb.build();
-        let mut gb = GraphBuilder::new();
-        let v: Vec<VertexId> = (0..10).map(|_| gb.add_vertex()).collect();
-        for w in v.windows(2) {
-            gb.add_edge(w[0], w[1], 1.0);
-        }
-        let graph = gb.build();
-        let mut pois = PoiTable::new(graph.num_vertices());
-        pois.add_poi(v[1], asian);
-        pois.add_poi(v[2], gift);
-        pois.finalize(&forest);
-        let query = SkySrQuery::new(v[0], [asian, gift]);
-        let cached = Bssr::new(&QueryContext::new(&graph, &forest, &pois)).run(&query).unwrap();
-        let cached = cached.routes;
+        // On a 10-vertex line, without landmarks, the search from the ends
+        // of a lowered edge decides whether the decrease is relevant.
+        let Line { graph, forest, pois, query, cached } = Line::new(10);
         let max_len = cached.iter().map(|r| r.length).max().unwrap();
 
         // From the edge 7 — 8 the search stops before it reaches the start.
@@ -968,11 +1056,11 @@ mod tests {
         // decrease is relevant.
         for (a, b, start_settled) in [(7, 8, false), (3, 4, true)] {
             let epochs = WeightEpoch::new(graph.clone());
-            let to = epochs.publish(&[WeightDelta::new(v[a], v[b], 0.5)]);
-            let index = DeltaIndex::build(epochs.delta_between(EpochId::BASE, to).unwrap(), None);
+            let to = epochs.publish(&[WeightDelta::new(VertexId(a), VertexId(b), 0.5)]);
+            let delta = epochs.delta_between(EpochId::BASE, to).unwrap();
             let pinned = epochs.pin();
             let ctx = QueryContext::new(&pinned, &forest, &pois);
-            let repaired = Bssr::new(&ctx).repair(&query, &cached, &index, None).unwrap();
+            let repaired = Bssr::new(&ctx).repair(&query, &cached, &delta, None).unwrap();
             assert_eq!(repaired.repair.outcome, RepairOutcome::Rescored, "edge {a} — {b}");
 
             // The same searches, run independently: every leg of the
@@ -986,7 +1074,7 @@ mod tests {
                     at = p;
                 }
             }
-            let tails = [(v[a], Cost::ZERO), (v[b], Cost::ZERO)];
+            let tails = [(VertexId(a), Cost::ZERO), (VertexId(b), Cost::ZERO)];
             expect.merge(&dijkstra_with(&pinned, &mut ws, &tails, |_, d| {
                 if safely_beyond(d.get(), max_len.get()) {
                     Settle::Stop
@@ -1079,16 +1167,15 @@ mod tests {
         }
 
         /// Publishes the edge reweightings `deltas` (each edge's arcs both
-        /// ways) and returns the delta index from the last skyline's epoch
-        /// and the new epoch's view.
-        fn publish(&self, deltas: &[(u32, u32, f64)]) -> (DeltaIndex, RoadNetwork) {
+        /// ways) and returns the delta from the last skyline's epoch and
+        /// the new epoch's view.
+        fn publish(&self, deltas: &[(u32, u32, f64)]) -> (DeltaSet, RoadNetwork) {
             let both_ways = |&(a, b, w): &(u32, u32, f64)| [(a, b, w), (b, a, w)];
             let deltas: Vec<WeightDelta> = (deltas.iter().flat_map(both_ways))
                 .map(|(a, b, w)| WeightDelta::new(VertexId(a), VertexId(b), w))
                 .collect();
             let to = self.epochs.publish(&deltas);
-            let delta = self.epochs.delta_between(self.at, to).unwrap();
-            (DeltaIndex::build(delta, self.landmarks.as_ref()), self.epochs.pin())
+            (self.epochs.delta_between(self.at, to).unwrap(), self.epochs.pin())
         }
 
         /// Publishes the edge reweightings `deltas` and repairs the last
@@ -1096,14 +1183,14 @@ mod tests {
         /// [`Bssr::repair`], which has none. Both must match a fresh search
         /// and reach the same outcome; the chain continues from the first.
         fn step(&mut self, deltas: &[(u32, u32, f64)]) -> (RepairResult, RepairResult) {
-            let (index, pinned) = self.publish(deltas);
-            let to = index.delta().to_epoch();
+            let (delta, pinned) = self.publish(deltas);
+            let to = delta.to_epoch();
             let lm = self.landmarks.as_ref();
             let ctx = QueryContext::new(&pinned, &self.forest, &self.pois);
             let pq = PreparedQuery::prepare(&ctx, &self.query).unwrap();
             let with =
-                Bssr::new(&ctx).repair_prepared(&pq, &self.cached, self.memo.as_ref(), &index, lm);
-            let without = Bssr::new(&ctx).repair(&self.query, &self.cached, &index, lm).unwrap();
+                Bssr::new(&ctx).repair_prepared(&pq, &self.cached, self.memo.as_ref(), &delta, lm);
+            let without = Bssr::new(&ctx).repair(&self.query, &self.cached, &delta, lm).unwrap();
             let fresh = Bssr::new(&ctx).run(&self.query).unwrap().routes;
             for (name, r) in [("with the memo", &with), ("without", &without)] {
                 assert!(
@@ -1272,14 +1359,14 @@ mod tests {
         let lengthened = [(1, 2, 1.5), branch_pair[0], branch_pair[1]];
         for (deltas, restricted) in [(&lengthened[..], 0), (&branch_pair[..], 1)] {
             let b = Branch::new(true);
-            let (index, pinned) = b.publish(deltas);
+            let (delta, pinned) = b.publish(deltas);
             let ctx = QueryContext::new(&pinned, &b.forest, &b.pois);
             let pq = PreparedQuery::prepare(&ctx, &b.query).unwrap();
             let mut engine = Bssr::new(&ctx);
             let expired = Some(Instant::now() - Duration::from_millis(1));
             engine.set_deadline(expired);
             let lm = b.landmarks.as_ref();
-            let r = engine.repair_prepared(&pq, &b.cached, None, &index, lm);
+            let r = engine.repair_prepared(&pq, &b.cached, None, &delta, lm);
             assert_eq!(r.repair.outcome, RepairOutcome::Researched);
             assert_eq!(r.stats.restricted_researches, restricted);
             let fresh = Bssr::new(&ctx).run(&b.query).unwrap().routes;
@@ -1305,10 +1392,10 @@ mod tests {
         let cached = Bssr::new(&qctx0).run(&q).unwrap().routes;
         let (from, to, w) = h.ex.graph.arc(9);
         let e = h.epochs.publish(&[WeightDelta::new(from, to, w.get() * 1.7)]);
-        let index = DeltaIndex::build(h.epochs.delta_between(EpochId::BASE, e).unwrap(), None);
+        let delta = h.epochs.delta_between(EpochId::BASE, e).unwrap();
         let pinned = h.epochs.pin();
         let qctx = crate::context::QueryContext::new(&pinned, &h.ex.forest, &h.ex.pois);
-        let repaired = Bssr::new(&qctx).repair(&q, &cached, &index, None).unwrap();
+        let repaired = Bssr::new(&qctx).repair(&q, &cached, &delta, None).unwrap();
         let oracle = Bssr::new(&qctx).run(&q).unwrap().routes;
         assert!(equivalent_skylines(&repaired.routes, &oracle));
     }

@@ -35,9 +35,10 @@
 //!   compacted counts for service metrics.
 //! * **Deltas are introspectable.** [`WeightEpoch::delta_between`] diffs
 //!   the cumulative overlays of two retained epochs into a [`DeltaSet`]
-//!   (touched arc slots with both weights, endpoint vertices, and
-//!   weight-ratio floors) — the raw material incremental skyline *repair*
-//!   classifies cached results against instead of recomputing them.
+//!   (touched arc slots with both weights, endpoint vertices, the set of
+//!   touched tails, and weight-ratio floors) — the raw material
+//!   incremental skyline *repair* classifies cached results against
+//!   instead of recomputing them.
 //!
 //! Overlay entries are keyed by *arc slot* (see [`RoadNetwork::arc`]) and
 //! sorted. Every overlay published over one base storage (one *lineage*,
@@ -52,7 +53,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::csr::RoadNetwork;
-use crate::landmarks::Landmarks;
 use crate::VertexId;
 
 /// Identifier of a published weight epoch. Epoch ids are monotonically
@@ -269,6 +269,8 @@ pub struct DeltaSet {
     from_min_ratio: f64,
     to_min_ratio: f64,
     touches: Vec<WeightTouch>,
+    /// Every touched arc's tail, sorted and deduplicated.
+    tails: Box<[u32]>,
 }
 
 impl DeltaSet {
@@ -308,158 +310,12 @@ impl DeltaSet {
         self.touches.is_empty()
     }
 
-    /// Every vertex incident to a touched arc (tails and heads), sorted
-    /// and deduplicated.
-    pub fn touched_nodes(&self) -> Vec<VertexId> {
-        let mut nodes: Vec<VertexId> = self.touches.iter().flat_map(|t| [t.tail, t.head]).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-}
-
-/// A *touched-ball index* over one [`DeltaSet`]: per-landmark distance
-/// intervals covering every touched (and every *decreased*) arc tail,
-/// built once per epoch pair and shared across all the stale cache keys
-/// repaired against that pair.
-///
-/// Repair's tier-1 classification asks, per cached skyline, "is every
-/// touched tail provably farther from this query's start than the
-/// skyline's longest route?" Answering it tail-by-tail costs
-/// O(touches × landmarks) landmark probes *per key*. This index
-/// precomputes, for each landmark `ℓ`, the interval
-/// `[min_t d(ℓ, t), max_t d(ℓ, t)]` over the touched tails `t`; then for
-/// any start `s`,
-///
-/// ```text
-/// min_t max_ℓ |d(ℓ, s) − d(ℓ, t)|  ≥  max_ℓ dist(d(ℓ, s), [lo_ℓ, hi_ℓ])
-/// ```
-///
-/// (each tail's triangle bound is at least its interval distance), so one
-/// O(landmarks) evaluation lower-bounds the distance from `s` to the
-/// *nearest* touched tail — the whole ball of touched arcs at once. When
-/// the ball floor clears the skyline radius, tier 1 passes without
-/// touching the per-tail data; otherwise the caller falls back to the
-/// exact per-tail probes (same verdict as before, the index only ever
-/// short-circuits the common far-away case).
-///
-/// A landmark that cannot see some touched tail (infinite distance)
-/// contributes no constraint and its interval degenerates to
-/// `(-∞, +∞)` (floor 0 from that landmark).
-///
-/// The index also answers [`is_touched_tail`](Self::is_touched_tail): a
-/// path whose vertices, its last excepted, include no touched tail crosses
-/// no touched arc, so it costs the same at both epochs.
-#[derive(Clone, Debug)]
-pub struct DeltaIndex {
-    delta: DeltaSet,
-    /// Every touched arc's tail, sorted and deduplicated.
-    tails: Box<[u32]>,
-    /// Per-landmark `(lo, hi)` over all touched tails; empty when built
-    /// without landmarks.
-    touched: Box<[(f64, f64)]>,
-    /// Per-landmark `(lo, hi)` over the tails of *decreased* arcs only
-    /// (the dangerous direction for cached skylines).
-    decreased: Box<[(f64, f64)]>,
-    /// Whether any touched arc decreased — fixed at build time so the
-    /// per-key fast path never re-scans the touch list.
-    has_decreases: bool,
-}
-
-/// Folds `d` into the running interval `iv`; an infinite distance poisons
-/// the interval (no constraint from this landmark).
-fn fold_interval(iv: &mut (f64, f64), d: f64) {
-    if d.is_finite() {
-        iv.0 = iv.0.min(d);
-        iv.1 = iv.1.max(d);
-    } else {
-        *iv = (f64::NEG_INFINITY, f64::INFINITY);
-    }
-}
-
-/// Distance from point `x` to interval `(lo, hi)` (0 inside).
-fn interval_dist(x: f64, (lo, hi): (f64, f64)) -> f64 {
-    if x < lo {
-        lo - x
-    } else if x > hi {
-        x - hi
-    } else {
-        0.0
-    }
-}
-
-impl DeltaIndex {
-    /// Builds the index over `delta`. Without `landmarks` the index
-    /// carries no intervals and both floors are 0 (callers fall through to
-    /// their exact paths, exactly as before).
-    pub fn build(delta: DeltaSet, landmarks: Option<&Landmarks>) -> DeltaIndex {
-        let n = landmarks.map_or(0, Landmarks::num_landmarks);
-        let mut touched = vec![(f64::INFINITY, f64::NEG_INFINITY); n].into_boxed_slice();
-        let mut decreased = vec![(f64::INFINITY, f64::NEG_INFINITY); n].into_boxed_slice();
-        if let Some(lm) = landmarks {
-            for t in delta.touches() {
-                for l in 0..n {
-                    let d = lm.distance(l, t.tail);
-                    fold_interval(&mut touched[l], d);
-                    if t.decreased() {
-                        fold_interval(&mut decreased[l], d);
-                    }
-                }
-            }
-        }
-        let has_decreases = delta.touches().iter().any(WeightTouch::decreased);
-        let mut tails: Vec<u32> = delta.touches().iter().map(|t| t.tail.0).collect();
-        tails.sort_unstable();
-        tails.dedup();
-        DeltaIndex { delta, tails: tails.into(), touched, decreased, has_decreases }
-    }
-
-    /// The underlying exact delta.
-    pub fn delta(&self) -> &DeltaSet {
-        &self.delta
-    }
-
-    /// Whether `v` is the tail of some touched arc.
+    /// Whether `v` is the tail of some touched arc. A path whose vertices,
+    /// its last excepted, include no touched tail crosses no touched arc,
+    /// so it costs the same at both epochs.
     #[inline]
     pub fn is_touched_tail(&self, v: VertexId) -> bool {
         self.tails.binary_search(&v.0).is_ok()
-    }
-
-    /// Lower bound on `min over touched tails t of d_origin(start, t)`, at
-    /// the *origin* (epoch-0) weight scale. 0 when the delta is empty, the
-    /// index was built without landmarks, or `landmarks` disagrees with
-    /// the build-time oracle. `landmarks` must be the same oracle the
-    /// index was built with.
-    pub fn touched_floor(&self, landmarks: &Landmarks, start: VertexId) -> f64 {
-        Self::ball_floor(&self.touched, landmarks, start)
-    }
-
-    /// Like [`Self::touched_floor`], but over the tails of *decreased*
-    /// arcs only. `f64::INFINITY` when nothing decreased.
-    pub fn decreased_floor(&self, landmarks: &Landmarks, start: VertexId) -> f64 {
-        if !self.has_decreases {
-            return f64::INFINITY;
-        }
-        Self::ball_floor(&self.decreased, landmarks, start)
-    }
-
-    fn ball_floor(intervals: &[(f64, f64)], landmarks: &Landmarks, start: VertexId) -> f64 {
-        if intervals.len() != landmarks.num_landmarks() {
-            return 0.0;
-        }
-        let mut best = 0.0f64;
-        for (l, &iv) in intervals.iter().enumerate() {
-            if iv.0 > iv.1 {
-                // Interval never fed (empty tail set): no constraint.
-                continue;
-            }
-            let ds = landmarks.distance(l, start);
-            if !ds.is_finite() {
-                continue;
-            }
-            best = best.max(interval_dist(ds, iv));
-        }
-        best
     }
 }
 
@@ -890,12 +746,16 @@ impl WeightEpoch {
                 (None, None) => unreachable!(),
             }
         }
+        let mut tails: Vec<u32> = touches.iter().map(|t| t.tail.0).collect();
+        tails.sort_unstable();
+        tails.dedup();
         Some(DeltaSet {
             from,
             to,
             from_min_ratio: fo.min_ratio,
             to_min_ratio: to_ov.min_ratio,
             touches,
+            tails: tails.into(),
         })
     }
 
@@ -1100,8 +960,9 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert!(d.touches().iter().all(|t| t.from_weight == 2.0 && t.to_weight == 4.0));
         assert!(!d.touches()[0].decreased());
-        let nodes = d.touched_nodes();
-        assert_eq!(nodes, vec![VertexId(1), VertexId(2)]);
+        // Both directions' tails are touched tails; nothing else is.
+        let tails: Vec<u32> = (0..3).filter(|&v| d.is_touched_tail(VertexId(v))).collect();
+        assert_eq!(tails, [1, 2]);
         // base -> e2: both edges differ (4 arcs).
         let d = epochs.delta_between(EpochId::BASE, e2).unwrap();
         assert_eq!(d.len(), 4);
@@ -1255,8 +1116,7 @@ mod tests {
         assert_eq!(marked(&e1), [1, 2], "the old lineage keeps its own marks");
     }
 
-    /// A 30-vertex line: 0 —1— 1 —1— 2 … so distances are exact hop
-    /// counts and "far away" is unambiguous.
+    /// A line of `n` vertices: 0 —1— 1 —1— 2 …
     fn line(n: u32) -> RoadNetwork {
         let mut b = GraphBuilder::new();
         let v: Vec<_> = (0..n).map(|_| b.add_vertex()).collect();
@@ -1264,62 +1124,6 @@ mod tests {
             b.add_edge(w[0], w[1], 1.0);
         }
         b.build()
-    }
-
-    #[test]
-    fn delta_index_floor_is_admissible_and_tight_on_a_line() {
-        let g = line(30);
-        let lm = Landmarks::build(&g, 4, VertexId(0));
-        let epochs = WeightEpoch::new(g);
-        // Touch two far arcs (24-25 up, 27-28 down) — the touched ball
-        // starts 24 hops out; the decreased ball 27 hops out.
-        let e = epochs.publish(&[
-            WeightDelta::new(VertexId(24), VertexId(25), 3.0),
-            WeightDelta::new(VertexId(27), VertexId(28), 0.5),
-        ]);
-        let delta = epochs.delta_between(EpochId::BASE, e).unwrap();
-        let exact_min: f64 = delta
-            .touches()
-            .iter()
-            .map(|t| lm.lower_bound(VertexId(0), t.tail).get())
-            .fold(f64::INFINITY, f64::min);
-        let idx = DeltaIndex::build(delta, Some(&lm));
-        let floor = idx.touched_floor(&lm, VertexId(0));
-        // Admissible: never above the per-tail minimum bound…
-        assert!(floor <= exact_min + 1e-9, "ball floor {floor} > per-tail min {exact_min}");
-        // …and on a line with a landmark at an endpoint, exact.
-        assert!(floor > 20.0, "the touched ball starts 24 hops from vertex 0: {floor}");
-        let dec = idx.decreased_floor(&lm, VertexId(0));
-        assert!(dec >= floor, "the decreased ball is a subset of the touched ball");
-        assert!(dec > 23.0, "the decrease is 27 hops out: {dec}");
-        // A start inside the ball has floor 0.
-        assert_eq!(idx.touched_floor(&lm, VertexId(25)), 0.0);
-        assert_eq!(idx.delta().len(), 4, "both directions of both edges");
-        // Both directions' tails are touched tails; nothing else is.
-        let tails: Vec<u32> = (0..30).filter(|&v| idx.is_touched_tail(VertexId(v))).collect();
-        assert_eq!(tails, [24, 25, 27, 28]);
-    }
-
-    #[test]
-    fn delta_index_without_landmarks_or_decreases_degenerates_safely() {
-        let g = line(10);
-        let lm = Landmarks::build(&g, 2, VertexId(0));
-        let epochs = WeightEpoch::new(g);
-        let e = epochs.publish(&[WeightDelta::new(VertexId(7), VertexId(8), 9.0)]); // increase only
-        let delta = epochs.delta_between(EpochId::BASE, e).unwrap();
-        let blind = DeltaIndex::build(delta.clone(), None);
-        assert_eq!(blind.touched_floor(&lm, VertexId(0)), 0.0, "landmark mismatch floors at 0");
-        let idx = DeltaIndex::build(delta, Some(&lm));
-        assert_eq!(
-            idx.decreased_floor(&lm, VertexId(0)),
-            f64::INFINITY,
-            "no decreased arc at all: the decreased ball is empty"
-        );
-        // Empty delta: floor 0 everywhere (nothing to clear).
-        let e2 = epochs.publish(&[]);
-        let empty = DeltaIndex::build(epochs.delta_between(e, e2).unwrap(), Some(&lm));
-        assert_eq!(empty.touched_floor(&lm, VertexId(0)), 0.0);
-        assert!(empty.delta().is_empty());
     }
 
     #[test]

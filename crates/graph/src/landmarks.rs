@@ -5,22 +5,18 @@
 //!
 //! A small set of landmarks is chosen by farthest-point sampling; each
 //! stores its distance to every vertex. The triangle inequality then gives
-//! an admissible, consistent lower bound
-//! `h(u, t) = max_ℓ |d(ℓ, u) − d(ℓ, t)|`, usable both as a goal-directed
-//! A\* potential for point-to-point queries (the destination variant's
-//! final legs) and as a cheap feasibility filter ("can this PoI possibly
-//! be within the threshold radius?").
+//! an admissible lower bound `h(u, t) = max_ℓ |d(ℓ, u) − d(ℓ, t)|`, a
+//! cheap feasibility filter ("can this vertex possibly be within the
+//! radius?"). Incremental skyline repair (`skysr_core::bssr::repair`) is
+//! its one user: it bounds the distance from a query's start to each
+//! touched arc's tail, and to each vertex its search from the decreased
+//! tails settles.
 //!
 //! Restricted to undirected graphs (one distance array per landmark
 //! suffices); `build` asserts this.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::csr::RoadNetwork;
 use crate::dijkstra::{dijkstra, DijkstraWorkspace};
-use crate::stats::SearchStats;
-use crate::versioned::StampedRecords;
 use crate::weight::Cost;
 use crate::VertexId;
 
@@ -81,22 +77,6 @@ impl Landmarks {
         &self.landmarks
     }
 
-    /// Number of landmarks actually built (may be below the requested
-    /// count on graphs smaller than it).
-    pub fn num_landmarks(&self) -> usize {
-        self.landmarks.len()
-    }
-
-    /// Distance from landmark `l` (an index into [`Self::landmarks`]) to
-    /// `v` — `f64::INFINITY` when unreachable. The raw material for
-    /// precomputed bound structures (e.g. the per-epoch-pair
-    /// `DeltaIndex`), which fold many per-vertex probes into one interval
-    /// per landmark.
-    #[inline]
-    pub fn distance(&self, l: usize, v: VertexId) -> f64 {
-        self.dist[l][v.index()]
-    }
-
     /// Triangle-inequality lower bound on `d(u, v)`.
     pub fn lower_bound(&self, u: VertexId, v: VertexId) -> Cost {
         let mut best = 0.0f64;
@@ -110,47 +90,6 @@ impl Landmarks {
             }
         }
         Cost::new(best)
-    }
-
-    /// Goal-directed point-to-point shortest path (A\* with the landmark
-    /// potential). Returns the exact distance, or `None` if unreachable.
-    pub fn astar(
-        &self,
-        graph: &RoadNetwork,
-        source: VertexId,
-        target: VertexId,
-    ) -> (Option<Cost>, SearchStats) {
-        // One record per vertex: its g-score, settled once closed.
-        let mut g_score = StampedRecords::new(graph.num_vertices(), f64::INFINITY);
-        let mut heap: BinaryHeap<Reverse<(Cost, VertexId)>> = BinaryHeap::new();
-        let mut stats = SearchStats::default();
-        *g_score.reach(source.index()).expect("a fresh search settles nothing") = 0.0;
-        heap.push(Reverse((self.lower_bound(source, target), source)));
-        stats.pushed += 1;
-        while let Some(Reverse((_, u))) = heap.pop() {
-            let Some(gu) = g_score.settle(u.index()) else {
-                continue;
-            };
-            stats.settled += 1;
-            if u == target {
-                return (Some(Cost::new(gu)), stats);
-            }
-            for (v, w) in graph.neighbors(u) {
-                stats.relaxed += 1;
-                stats.weight_sum += w.get();
-                let Some(slot) = g_score.reach(v.index()) else {
-                    continue;
-                };
-                let ng = gu + w.get();
-                if ng < *slot {
-                    *slot = ng;
-                    let f = Cost::new(ng) + self.lower_bound(v, target);
-                    heap.push(Reverse((f, v)));
-                    stats.pushed += 1;
-                }
-            }
-        }
-        (None, stats)
     }
 
     /// Approximate heap footprint in bytes.
@@ -210,44 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn astar_matches_dijkstra() {
-        let g = grid(7);
-        let lm = Landmarks::build(&g, 5, VertexId(0));
-        let mut ws = DijkstraWorkspace::new(g.num_vertices());
-        for (s, t) in [(0u32, 48u32), (3, 44), (21, 27), (10, 10)] {
-            let exact = shortest_distance(&g, &mut ws, VertexId(s), VertexId(t))
-                .or(Some(Cost::ZERO).filter(|_| s == t));
-            let (got, _) = lm.astar(&g, VertexId(s), VertexId(t));
-            assert_eq!(got, exact, "{s} -> {t}");
-        }
-    }
-
-    #[test]
-    fn astar_settles_fewer_vertices_than_dijkstra() {
-        let g = grid(12);
-        let lm = Landmarks::build(&g, 6, VertexId(0));
-        // Corner-to-adjacent query: goal direction should pay off.
-        let (d, astar_stats) = lm.astar(&g, VertexId(0), VertexId(13));
-        assert!(d.is_some());
-        let mut ws = DijkstraWorkspace::new(g.num_vertices());
-        let mut settled = 0u64;
-        crate::dijkstra::dijkstra_with(&g, &mut ws, &[(VertexId(0), Cost::ZERO)], |v, _| {
-            settled += 1;
-            if v == VertexId(13) {
-                crate::dijkstra::Settle::Stop
-            } else {
-                crate::dijkstra::Settle::Continue
-            }
-        });
-        assert!(
-            astar_stats.settled <= settled,
-            "A* settled {} vs Dijkstra {}",
-            astar_stats.settled,
-            settled
-        );
-    }
-
-    #[test]
     fn unreachable_target_returns_none() {
         let mut b = GraphBuilder::new();
         let v0 = b.add_vertex();
@@ -256,8 +157,7 @@ mod tests {
         b.add_edge(v0, v1, 1.0);
         let g = b.build();
         let lm = Landmarks::build(&g, 2, v0);
-        let (d, _) = lm.astar(&g, v0, VertexId(2));
-        assert_eq!(d, None);
+        // No landmark reaches both ends, so none bounds the distance.
         assert_eq!(lm.lower_bound(v0, VertexId(2)), Cost::ZERO);
     }
 

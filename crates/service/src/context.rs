@@ -1,5 +1,6 @@
 //! The owned, shareable counterpart of `skysr_core::QueryContext`, with
-//! epoch-managed dynamic edge weights.
+//! epoch-managed dynamic edge weights, the per-epoch-pair deltas repair
+//! reads, and the landmark oracle it bounds them with.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -10,8 +11,7 @@ use skysr_core::prepared::PositionMemo;
 use skysr_core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery};
 use skysr_data::dataset::Dataset;
 use skysr_graph::{
-    DeltaIndex, DeltaSet, EpochGcStats, EpochId, Landmarks, RoadNetwork, VertexId, WeightDelta,
-    WeightEpoch,
+    DeltaSet, EpochGcStats, EpochId, Landmarks, RoadNetwork, VertexId, WeightDelta, WeightEpoch,
 };
 
 /// Landmarks built for the repair lower bounds: enough for useful
@@ -19,15 +19,15 @@ use skysr_graph::{
 /// full Dijkstra each) stays negligible next to serving.
 const REPAIR_LANDMARKS: usize = 8;
 
-/// Recent [`DeltaIndex`]es kept resident. Traffic repairs against a
-/// handful of live epoch pairs at a time (workers re-pin per job, so the
-/// "to" side is almost always the current epoch); a small ring makes the
-/// index effectively built once per pair and shared across every stale
-/// key of that pair.
+/// Recent per-epoch-pair [`DeltaSet`]s kept resident. Traffic repairs
+/// against a handful of live epoch pairs at a time (workers re-pin per
+/// job, so the "to" side is almost always the current epoch); a small ring
+/// makes the delta effectively diffed once per pair and shared across
+/// every stale key of that pair.
 const DELTA_INDEX_RING: usize = 16;
 
-/// One memoized per-epoch-pair index: ((from, to), the shared index).
-type IndexedPair = ((EpochId, EpochId), Arc<DeltaIndex>);
+/// One memoized per-epoch-pair delta: ((from, to), the shared delta).
+type IndexedPair = ((EpochId, EpochId), Arc<DeltaSet>);
 
 /// Owned bundle of graph + category forest + PoI table + similarity
 /// measure.
@@ -59,7 +59,7 @@ pub struct ServiceContext {
     /// support landmarks (directed) — repair then skips its cheap
     /// lower-bound tiers but stays correct.
     landmarks: OnceLock<Option<Landmarks>>,
-    /// Per-epoch-pair touched-ball indexes, most recent last.
+    /// Per-epoch-pair deltas, most recent last.
     delta_indexes: Mutex<VecDeque<IndexedPair>>,
 }
 
@@ -179,45 +179,34 @@ impl ServiceContext {
         self.graph.gc_stats()
     }
 
-    /// The exact arc-weight diff between two retained epochs, or `None`
-    /// when either epoch was compacted away (repair then falls back to a
-    /// fresh search). See [`WeightEpoch::delta_between`].
-    pub fn delta_between(&self, from: EpochId, to: EpochId) -> Option<DeltaSet> {
-        self.graph.delta_between(from, to)
-    }
-
-    /// The shared per-epoch-pair touched-ball index for `(from, to)`, or
-    /// `None` when the pair's delta is no longer derivable (an epoch was
-    /// compacted away, or the pair straddles a base-CSR rebase).
+    /// The exact arc-weight diff between `from` and `to`, shared by every
+    /// stale cache key of the pair, or `None` when it is no longer
+    /// derivable (an epoch was compacted away, or the pair straddles a
+    /// base-CSR rebase; repair then falls back to a fresh search). See
+    /// [`WeightEpoch::delta_between`].
     ///
-    /// Built **once** per pair — from [`Self::delta_between`] plus the
-    /// landmark oracle — and memoized in a small ring, so repairing N
-    /// stale cache keys against one weight update costs one index build
-    /// plus N O(landmarks) ball probes instead of N per-key, per-tail
-    /// landmark scans. This is the "shared per-epoch delta
-    /// classification" the repair tiers consume.
-    pub fn delta_index(&self, from: EpochId, to: EpochId) -> Option<Arc<DeltaIndex>> {
+    /// Diffed **once** per pair and memoized in a small ring, so repairing
+    /// N stale cache keys against one weight update costs one diff.
+    pub fn delta_index(&self, from: EpochId, to: EpochId) -> Option<Arc<DeltaSet>> {
         if from > to {
             return None;
         }
         {
             let ring = self.delta_indexes.lock().expect("delta-index ring poisoned");
-            if let Some((_, index)) = ring.iter().rev().find(|(pair, _)| *pair == (from, to)) {
-                return Some(Arc::clone(index));
+            if let Some((_, delta)) = ring.iter().rev().find(|(pair, _)| *pair == (from, to)) {
+                return Some(Arc::clone(delta));
             }
         }
-        // Build outside the lock: delta diffing and the landmark interval
-        // scan must not serialize the serving workers.
-        let delta = self.graph.delta_between(from, to)?;
-        let index = Arc::new(DeltaIndex::build(delta, self.landmarks()));
+        // Diff outside the lock: it must not serialize the serving workers.
+        let delta = Arc::new(self.graph.delta_between(from, to)?);
         let mut ring = self.delta_indexes.lock().expect("delta-index ring poisoned");
         if !ring.iter().any(|(pair, _)| *pair == (from, to)) {
             if ring.len() == DELTA_INDEX_RING {
                 ring.pop_front();
             }
-            ring.push_back(((from, to), Arc::clone(&index)));
+            ring.push_back(((from, to), Arc::clone(&delta)));
         }
-        Some(index)
+        Some(delta)
     }
 
     /// The landmark lower-bound oracle repair's cheap tiers use, built

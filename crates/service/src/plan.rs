@@ -9,8 +9,8 @@
 //! ```
 //!
 //! that answers a request, with its raw material resolved eagerly (the
-//! hit's routes, the repair source with its memo plus the shared
-//! [`DeltaIndex`]). The service plans each request once where it arrives:
+//! hit's routes, the repair source with its memo plus the epoch pair's
+//! shared [`DeltaSet`]). The service plans each request once where it arrives:
 //! a hit is answered there, and the plan's rung is the cost band
 //! everything else queues in ([`CostClass`]). A worker plans again after
 //! it leads the request's flight, and executes that plan *mechanically*
@@ -35,7 +35,7 @@ use skysr_core::bssr::repair::RepairMemo;
 use skysr_core::bssr::BssrConfig;
 use skysr_core::query::SkySrQuery;
 use skysr_core::route::SkylineRoute;
-use skysr_graph::{DeltaIndex, EpochId};
+use skysr_graph::{DeltaSet, EpochId};
 
 use crate::cache::{QueryKey, ResultCache};
 use crate::context::ServiceContext;
@@ -118,16 +118,15 @@ pub enum PlanStep {
     /// epoch stamp verbatim so the executor can independently re-check it
     /// against the request's pinned epoch — the stale-serve tripwire.
     ExactHit(EpochId, Arc<[SkylineRoute]>),
-    /// Repair this stale skyline against the epoch pair's shared
-    /// touched-ball index and promote it in place.
+    /// Repair this stale skyline against the epoch pair's delta.
     Repair {
         /// The stale cached skyline (left resident in the cache).
         cached: Arc<[SkylineRoute]>,
         /// What the repair that produced `cached` proved, if one did.
         memo: Option<Arc<RepairMemo>>,
-        /// The per-epoch-pair index, shared across all stale keys of the
-        /// pair.
-        index: Arc<DeltaIndex>,
+        /// The exact delta from the entry's epoch to the request's, shared
+        /// across all stale keys of the pair.
+        delta: Arc<DeltaSet>,
     },
     /// Run the search cold.
     ColdSearch,
@@ -203,7 +202,7 @@ impl ReusePlanner {
             // lazily invalidated (repair off) or left to be overwritten by
             // the fresh insert (repair on, delta compacted away).
             Some((e, cached, memo)) if self.strategies.repair => match ctx.delta_index(e, epoch) {
-                Some(index) => PlanStep::Repair { cached, memo, index },
+                Some(delta) => PlanStep::Repair { cached, memo, delta },
                 None => PlanStep::ColdSearch,
             },
             Some(_) => {
@@ -311,12 +310,11 @@ mod tests {
         let e1 = ctx.publish_weights(&[WeightDelta::new(from, to, w.get() * 2.0)]);
 
         let plan = with_repair.plan(&q, key.as_ref(), e1, &cache, &ctx);
-        let PlanStep::Repair { cached, index, .. } = plan else {
+        let PlanStep::Repair { cached, delta, .. } = plan else {
             panic!("stale entry with repair on must plan a repair: {plan:?}");
         };
         assert!(!cached.is_empty());
-        assert_eq!(index.delta().from_epoch(), EpochId::BASE);
-        assert_eq!(index.delta().to_epoch(), e1);
+        assert_eq!((delta.from_epoch(), delta.to_epoch()), (EpochId::BASE, e1));
         assert_eq!(cache.counters().invalidations, 0, "the repair source stays resident");
         assert_eq!(cache.counters().len, 1);
 

@@ -535,7 +535,7 @@ struct Waiter {
 
 /// What the executed terminal rung contributes to a span: engine time,
 /// the engine-work profile, and — for repairs — the tier reached plus the
-/// delta-index epoch pair. Followers and cache hits use the default
+/// epoch pair of its delta. Followers and cache hits use the default
 /// (no engine ran).
 #[derive(Clone, Copy, Debug, Default)]
 struct ExecTrace {
@@ -667,11 +667,6 @@ impl Service {
             started: Instant::now(),
             config,
         }
-    }
-
-    /// Service with the default configuration.
-    pub fn with_defaults(ctx: Arc<ServiceContext>) -> Service {
-        Service::new(ctx, ServiceConfig::default())
     }
 
     /// The admission gate: `false` means the request's deadline provably
@@ -1051,14 +1046,13 @@ impl Shared {
                     // after a category's first use, preparing costs one
                     // `Arc` clone per position.
                     let outcome = pinned.prepare(&query).map(|pq| {
-                        if let PlanStep::Repair { cached, memo, index } = &terminal {
-                            let delta = index.delta();
+                        if let PlanStep::Repair { cached, memo, delta } = &terminal {
                             exec.delta_index = Some((delta.from_epoch(), delta.to_epoch()));
                             let r = engine.repair_prepared(
                                 &pq,
                                 cached,
                                 memo.as_deref(),
-                                index,
+                                delta,
                                 self.ctx.landmarks(),
                             );
                             exec.repair_tier = Some(r.repair.outcome.label());

@@ -44,7 +44,7 @@ pub struct TraceSpan {
     pub total: Duration,
     /// Submission-queue depth observed when this request was dequeued.
     pub queue_depth: usize,
-    /// The delta index's `(from, to)` epoch pair, for repair rungs.
+    /// The `(from, to)` epoch pair of the repair's delta, for repair rungs.
     pub delta_index: Option<(EpochId, EpochId)>,
     /// The repair tier reached (`"untouched"` / `"rescored"` /
     /// `"researched"`), for repair rungs.

@@ -15,10 +15,10 @@
 //!   restricted one, which searches only routes that cross a decreased arc.
 //! * **Restricted work** — on a generated city, a restricted re-search
 //!   settles a fraction of what the full warm re-search settles.
-//! * **Untouched conservativeness** — whenever the cheap
-//!   `wholesale_untouched` lower-bound check accepts a delta, the cached
-//!   skyline *is* byte-for-byte the new epoch's exact skyline: the check
-//!   never drops (or keeps) a route a full search would decide otherwise.
+//! * **Untouched conservativeness** — whenever repair's cheap lower-bound
+//!   check promotes a skyline `Untouched`, the cached skyline *is* the new
+//!   epoch's exact skyline: the check never drops (or keeps) a route a full
+//!   search would decide otherwise.
 //! * **GC/compaction transparency** — compacting the epoch history never
 //!   changes any arc weight (nor `total_weight`) observable through any
 //!   still-pinnable epoch, by arc slot or by neighbour scan, with pins held
@@ -27,8 +27,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use skysr::category::{CategoryForest, CategoryId, ForestBuilder};
-use skysr::core::bssr::repair::safely_beyond;
-use skysr::core::bssr::repair::{wholesale_untouched, RepairMemo};
+use skysr::core::bssr::repair::{safely_beyond, RepairMemo};
 use skysr::core::bssr::{Bssr, RepairOutcome};
 use skysr::core::route::equivalent_skylines;
 use skysr::core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery};
@@ -36,8 +35,8 @@ use skysr::data::dataset::{DatasetSpec, Preset};
 use skysr::data::workload::WorkloadSpec;
 use skysr::graph::dijkstra::point_to_point;
 use skysr::graph::{
-    dijkstra_with, Cost, DeltaIndex, DijkstraWorkspace, EpochId, GraphBuilder, Landmarks,
-    RoadNetwork, SearchStats, Settle, VertexId, WeightDelta, WeightEpoch,
+    dijkstra_with, Cost, DijkstraWorkspace, EpochId, GraphBuilder, Landmarks, RoadNetwork,
+    SearchStats, Settle, VertexId, WeightDelta, WeightEpoch,
 };
 
 /// A random but always-valid test instance plus a weight-delta batch.
@@ -179,13 +178,12 @@ fn chain(
             if decreases { resolve_decreases(&base, batch) } else { resolve(&built.graph, batch) };
         let to = epochs.publish(&batch);
         let delta = epochs.delta_between(at, to).expect("every epoch is retained");
-        let index = DeltaIndex::build(delta, landmarks);
         let pinned = epochs.pin();
         let ctx = QueryContext::new(&pinned, &built.forest, &built.pois);
         let pq = PreparedQuery::prepare(&ctx, &built.query).expect("valid query");
-        let with = Bssr::new(&ctx).repair_prepared(&pq, &cached, memo.as_ref(), &index, landmarks);
+        let with = Bssr::new(&ctx).repair_prepared(&pq, &cached, memo.as_ref(), &delta, landmarks);
         let without =
-            Bssr::new(&ctx).repair(&built.query, &cached, &index, landmarks).expect("valid query");
+            Bssr::new(&ctx).repair(&built.query, &cached, &delta, landmarks).expect("valid query");
         let fresh = Bssr::new(&ctx).run(&built.query).unwrap().routes;
         assert!(
             equivalent_skylines(&with.routes, &fresh),
@@ -251,11 +249,10 @@ proptest! {
         // Publish the random batch, repair across it.
         let to = epochs.publish(&built.deltas);
         let delta = epochs.delta_between(EpochId::BASE, to).expect("both epochs retained");
-        let index = DeltaIndex::build(delta, Some(&landmarks));
         let pinned = epochs.pin();
         let ctx = QueryContext::new(&pinned, &built.forest, &built.pois);
         let repaired = Bssr::new(&ctx)
-            .repair(&built.query, &cached, &index, Some(&landmarks))
+            .repair(&built.query, &cached, &delta, Some(&landmarks))
             .expect("valid query");
         let fresh = Bssr::new(&ctx).run(&built.query).unwrap().routes;
         prop_assert!(
@@ -270,26 +267,24 @@ proptest! {
 
     #[test]
     fn untouched_classification_is_conservative(inst in arb_instance()) {
-        // Whenever the cheap check accepts, the cached skyline must be
-        // *identical* (same scores, not just equivalent) to a from-scratch
-        // search at the new epoch — the check may never approve a delta
-        // that could drop, add or rescore a route.
+        // Whenever repair promotes a skyline untouched, the cached skyline
+        // must be equivalent to a from-scratch search at the new epoch, and
+        // returned verbatim — the check may never approve a delta that
+        // could drop, add or rescore a route.
         let built = build(&inst);
         let epochs = WeightEpoch::new(built.graph.clone());
         let landmarks = Landmarks::build(&built.graph, 3, VertexId(0));
         let base = epochs.pin();
         let ctx0 = QueryContext::new(&base, &built.forest, &built.pois);
         let cached = Bssr::new(&ctx0).run(&built.query).expect("valid query").routes;
-        let max_len = cached.iter().map(|r| r.length).max().unwrap_or(Cost::ZERO);
 
         let to = epochs.publish(&built.deltas);
-        let index =
-            DeltaIndex::build(epochs.delta_between(EpochId::BASE, to).unwrap(), Some(&landmarks));
-        if !cached.is_empty()
-            && wholesale_untouched(&index, Some(&landmarks), built.query.start, max_len)
-        {
-            let pinned = epochs.pin();
-            let ctx = QueryContext::new(&pinned, &built.forest, &built.pois);
+        let delta = epochs.delta_between(EpochId::BASE, to).unwrap();
+        let pinned = epochs.pin();
+        let ctx = QueryContext::new(&pinned, &built.forest, &built.pois);
+        let repaired =
+            Bssr::new(&ctx).repair(&built.query, &cached, &delta, Some(&landmarks)).unwrap();
+        if repaired.repair.outcome == RepairOutcome::Untouched {
             let fresh = Bssr::new(&ctx).run(&built.query).unwrap().routes;
             prop_assert!(
                 equivalent_skylines(&cached, &fresh),
@@ -297,11 +292,7 @@ proptest! {
                  {fresh:?} (deltas {:?})",
                 built.deltas
             );
-            // And the repair tier must agree with its own classification.
-            let repaired = Bssr::new(&ctx)
-                .repair(&built.query, &cached, &index, Some(&landmarks))
-                .unwrap();
-            prop_assert_eq!(repaired.repair.outcome, RepairOutcome::Untouched);
+            prop_assert_eq!(repaired.routes, cached);
         }
     }
 
@@ -491,15 +482,14 @@ fn a_restricted_re_search_settles_a_fraction_of_the_full_one() {
         let epochs = WeightEpoch::new(city.graph.clone());
         let to = epochs.publish(&[WeightDelta::new(u, v, w / 2.0)]);
         let delta = epochs.delta_between(EpochId::BASE, to).unwrap();
-        let index = DeltaIndex::build(delta, Some(&landmarks));
         let pinned = epochs.pin();
         let ctx = QueryContext::new(&pinned, &city.forest, &city.pois);
-        let repaired = (Bssr::new(&ctx).repair(query, &cached, &index, Some(&landmarks)))
+        let repaired = (Bssr::new(&ctx).repair(query, &cached, &delta, Some(&landmarks)))
             .expect("valid query");
         assert_eq!(repaired.repair.outcome, RepairOutcome::Researched, "{query:?}");
         assert_eq!(repaired.stats.restricted_researches, 1, "{query:?}");
         let bound = |t| landmarks.lower_bound(query.start, t).get();
-        let floor = index.delta().from_min_ratio() * bound(u).min(bound(v));
+        let floor = delta.from_min_ratio() * bound(u).min(bound(v));
         let (in_place, seeds) = in_place_work(&pinned, query.start, &cached, floor);
         // No leg shortened: the restricted re-search's seeds are the cache.
         assert!(equivalent_skylines(&seeds, &cached), "{query:?}");
