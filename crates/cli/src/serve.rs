@@ -14,10 +14,11 @@
 //! carry a region id; region-less requests are routed by start vertex.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use skysr_service::{
-    City, MetricsSnapshot, QueryService, ReplaySpec, Server, ServerConfig, Service, ServiceContext,
-    ShardRegistry,
+    City, MetricsSnapshot, QueryService, ReplaySpec, Server, ServerConfig, Service, ServiceConfig,
+    ServiceContext, ShardRegistry,
 };
 
 use crate::args::Args;
@@ -46,6 +47,23 @@ pub fn lifetime(m: &MetricsSnapshot) -> String {
     )
 }
 
+/// With repair on, builds each region's landmark table before the daemon
+/// listens, and reports the time on stderr. Left to the first repaired
+/// request, the build would run on its worker while every other repair
+/// waits for it.
+fn build_landmarks<'a>(
+    config: &ServiceConfig,
+    contexts: impl IntoIterator<Item = &'a ServiceContext>,
+) {
+    if config.repair {
+        let started = Instant::now();
+        for ctx in contexts {
+            ctx.landmarks();
+        }
+        eprintln!("skysr-d: repair landmarks built in {:.2} s", started.elapsed().as_secs_f64());
+    }
+}
+
 /// Runs the daemon: bind, announce, serve until drained.
 pub fn run_serve(args: &mut Args) -> Result<(), String> {
     // The daemon defaults to the stack and city a replay defaults to.
@@ -59,10 +77,14 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
     if shards > 1 {
         let mut registry = ShardRegistry::new();
         let mut stats = Vec::with_capacity(shards);
+        let mut contexts = Vec::with_capacity(shards);
         for (name, dataset) in regions {
             let (v, p, e) = dataset.stats();
             stats.push(format!("{name}: |V|={v} |P|={p} |E|={e}"));
-            let ctx = Arc::new(ServiceContext::from_dataset(dataset));
+            contexts.push((name, Arc::new(ServiceContext::from_dataset(dataset))));
+        }
+        build_landmarks(&config, contexts.iter().map(|(_, ctx)| &**ctx));
+        for (name, ctx) in contexts {
             registry.add(name, ctx, config.clone());
         }
         let router = Arc::new(registry.into_router());
@@ -88,6 +110,7 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
     let (v, p, e) = dataset.stats();
     let name = dataset.name.clone();
     let ctx = Arc::new(ServiceContext::from_dataset(dataset));
+    build_landmarks(&config, [&*ctx]);
     let service = Arc::new(Service::new(ctx, config));
     let mut server = Server::spawn(addr.as_str(), Arc::clone(&service), ServerConfig::default())
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;

@@ -16,7 +16,8 @@ use skysr_graph::{
 
 /// Landmarks built for the repair lower bounds: enough for useful
 /// triangle-inequality bounds, few enough that the one-time build (one
-/// full Dijkstra each) stays negligible next to serving.
+/// full Dijkstra each, run on every core) stays small next to serving:
+/// 0.3–0.5 s on Tokyo's 576,377 vertices on two cores.
 const REPAIR_LANDMARKS: usize = 8;
 
 /// Recent per-epoch-pair [`DeltaSet`]s kept resident. Traffic repairs
@@ -211,9 +212,11 @@ impl ServiceContext {
 
     /// The landmark lower-bound oracle repair's cheap tiers use, built
     /// over the epoch-0 weights on first use (`None` for graphs without
-    /// landmark support, i.e. directed ones). Callers that enable repair
-    /// should invoke this once during warmup so the build cost does not
-    /// land on the first repaired request.
+    /// landmark support, i.e. directed ones). The first call builds it on
+    /// every core while later callers wait, so callers that enable repair
+    /// call this before serving, as `replay`, `skysr-d` and perfbench do:
+    /// left to the first repaired request, the build would block every
+    /// repair behind it.
     pub fn landmarks(&self) -> Option<&Landmarks> {
         self.landmarks
             .get_or_init(|| {
