@@ -11,7 +11,6 @@
 //!   ancestors, LCA, leaves;
 //! * [`similarity`] — [`Similarity`] implementations: [`WuPalmer`] (Eq. 6)
 //!   and [`PathLength`];
-//! * [`aggregate`] — semantic-score aggregation (Eq. 7);
 //! * [`foursquare`] — the built-in 10-tree Foursquare-style taxonomy used
 //!   by the Tokyo/NYC presets;
 //! * [`synth`] — generated forests (the Cal dataset's height-3/branching-3
@@ -19,14 +18,12 @@
 //! * [`requirement`] — complex category requirements (§6): conjunction,
 //!   disjunction, negation.
 
-pub mod aggregate;
 pub mod foursquare;
 pub mod requirement;
 pub mod similarity;
 pub mod synth;
 pub mod tree;
 
-pub use aggregate::{ProductAggregate, SemanticAggregate};
 pub use requirement::Requirement;
 pub use similarity::{PathLength, Similarity, WuPalmer};
 pub use tree::{CategoryForest, CategoryId, ForestBuilder};

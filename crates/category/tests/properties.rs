@@ -3,10 +3,7 @@
 
 use proptest::prelude::*;
 use skysr_category::similarity::SimilarityTable;
-use skysr_category::{
-    CategoryForest, CategoryId, ForestBuilder, PathLength, ProductAggregate, SemanticAggregate,
-    Similarity, WuPalmer,
-};
+use skysr_category::{CategoryForest, CategoryId, ForestBuilder, PathLength, Similarity, WuPalmer};
 
 /// A random forest described by, per category, the index of its parent
 /// among previously created categories (or none for a new root).
@@ -123,20 +120,5 @@ proptest! {
         if let Some(sigma) = table.best_non_perfect() {
             prop_assert!(sigma < 1.0 && sigma > 0.0);
         }
-    }
-
-    #[test]
-    fn product_aggregate_monotone(sims in prop::collection::vec(0.01f64..=1.0, 0..8)) {
-        let agg = ProductAggregate;
-        let mut acc = agg.identity();
-        let mut prev = agg.score(acc);
-        for &h in &sims {
-            acc = agg.extend(acc, h);
-            let s = agg.score(acc);
-            prop_assert!(s >= prev - 1e-12);
-            prop_assert!((0.0..=1.0).contains(&s));
-            prev = s;
-        }
-        prop_assert!((agg.score_of(&sims) - prev).abs() < 1e-12);
     }
 }

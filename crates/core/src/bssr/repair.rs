@@ -197,6 +197,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use skysr_graph::dijkstra::{dijkstra_with, point_to_point, Settle};
+use skysr_graph::path::path_cost;
 use skysr_graph::{
     Cost, DeltaSet, DijkstraWorkspace, EpochId, Landmarks, RoadNetwork, SearchStats, VertexId,
 };
@@ -511,8 +512,8 @@ fn promote(mut survivors: Vec<Survivor>, epoch: EpochId) -> (Vec<SkylineRoute>, 
 
 /// Checks, in debug builds, that each path in `result`'s memo realises its
 /// route on `graph`: it starts at `start`, passes the route's PoIs in order
-/// and ends at the last, and costs the route's length. A path's cost is the
-/// sum, over its consecutive vertices, of the cheapest arc between them.
+/// and ends at the last, and costs the route's length ([`path_cost`]; a
+/// missing hop costs infinity).
 fn check_memo(graph: &RoadNetwork, start: VertexId, result: &RepairResult) {
     if !cfg!(debug_assertions) {
         return;
@@ -525,11 +526,8 @@ fn check_memo(graph: &RoadNetwork, start: VertexId, result: &RepairResult) {
         }
         let ends = path.first() == Some(&start) && path.last() == route.pois.last();
         assert!(ends && pois.next().is_none(), "memo path {path:?} misses {route:?}");
-        let arc = |w: &[VertexId]| {
-            let weights = graph.neighbors(w[0]).filter(|&(v, _)| v == w[1]).map(|(_, c)| c.get());
-            weights.fold(f64::INFINITY, f64::min)
-        };
-        let (cost, length) = (path.windows(2).map(arc).sum::<f64>(), route.length.get());
+        let cost = path_cost(graph, path).map_or(f64::INFINITY, Cost::get);
+        let length = route.length.get();
         assert!(
             approx_le(cost, length) && approx_le(length, cost),
             "memo path {path:?} costs {cost}, its route {route:?} {length}"

@@ -22,11 +22,11 @@
 //! dominating replacement, which no longer justifies discarding a route
 //! for `k > 1`, so it stays off here.
 
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use skysr_graph::{dijkstra_with, Cost, DijkstraWorkspace, Settle, VertexId};
 
+use crate::bssr::queue::{QueuePolicy, RouteQueue};
 use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::prepared::PreparedQuery;
@@ -91,29 +91,6 @@ impl SkybandPool {
     }
 }
 
-struct Entry(PartialRoute);
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .len()
-            .cmp(&other.0.len())
-            .then_with(|| Cost::new(other.0.semantic()).cmp(&Cost::new(self.0.semantic())))
-            .then_with(|| other.0.length().cmp(&self.0.length()))
-    }
-}
-
 /// A k-skyband sequenced-route query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SkybandQuery {
@@ -151,7 +128,7 @@ impl SkybandQuery {
         }
         let mut pool = SkybandPool::default();
         let mut ws = DijkstraWorkspace::new(ctx.graph.num_vertices());
-        let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
+        let mut queue = RouteQueue::new(QueuePolicy::Proposed);
         self.expand(
             ctx,
             &pq,
@@ -162,7 +139,7 @@ impl SkybandQuery {
             &mut pool,
             &mut stats,
         );
-        while let Some(Entry(route)) = queue.pop() {
+        while let Some(route) = queue.pop() {
             if route.length() >= pool.threshold_k(route.semantic(), self.k) {
                 stats.threshold_prunes += 1;
                 continue;
@@ -182,7 +159,7 @@ impl SkybandQuery {
         route: &PartialRoute,
         seq_len: usize,
         ws: &mut DijkstraWorkspace,
-        queue: &mut BinaryHeap<Entry>,
+        queue: &mut RouteQueue,
         pool: &mut SkybandPool,
         stats: &mut QueryStats,
     ) {
@@ -213,7 +190,7 @@ impl SkybandQuery {
             if rt.len() == seq_len {
                 pool.insert(rt.into_skyline_route(), self.k);
             } else {
-                queue.push(Entry(rt));
+                queue.push(rt);
                 stats.routes_enqueued += 1;
                 stats.queue_peak = stats.queue_peak.max(queue.len());
             }

@@ -98,14 +98,9 @@ impl RoadNetwork {
     }
 
     /// The weight overlay this view carries, if any.
+    #[cfg(test)]
     pub(crate) fn overlay(&self) -> Option<&Arc<WeightOverlay>> {
         self.overlay.as_ref()
-    }
-
-    /// Whether `other` is a view over the same CSR storage (same topology
-    /// and base weights, possibly different overlays).
-    pub fn same_storage(&self, other: &RoadNetwork) -> bool {
-        Arc::ptr_eq(&self.storage, &other.storage)
     }
 
     /// The weight epoch this view is pinned to. A freshly built network is
@@ -146,7 +141,7 @@ impl RoadNetwork {
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Cost)> + '_ {
         let lo = self.storage.offsets[v.index()] as usize;
         let hi = self.storage.offsets[v.index() + 1] as usize;
-        // The overlay is probed only at a vertex its lineage marked (one
+        // The overlay is probed only at a vertex its manager marked (one
         // range probe per call); elsewhere no out-arc is reweighted and the
         // base weights are read as they are. The per-arc work below is a
         // cursor comparison against the probed (usually empty) sub-slice.
@@ -200,18 +195,21 @@ impl RoadNetwork {
         }
     }
 
-    /// A *new storage* with this view's effective weights plus `extra`
-    /// folded into the base weight array — the base-CSR snapshot merge
-    /// behind [`WeightEpoch::compact`](crate::epoch::WeightEpoch::compact).
-    /// O(|arcs| + |V|) copy; topology and coordinates are duplicated so the
-    /// old storage (and every pinned view over it) stays untouched.
-    pub(crate) fn with_weights_folded(&self, extra: Option<&WeightOverlay>) -> RoadNetwork {
+    /// A lease-free copy of this view: the same effective weights at
+    /// [`EpochId::BASE`] with no overlay, so holding it keeps no
+    /// [`WeightEpoch`](crate::epoch::WeightEpoch) epoch from compaction.
+    /// Shares the storage when the view reweights no arc; otherwise the
+    /// overlay is folded into a new storage, an O(|arcs| + |V|) copy that
+    /// leaves the old storage (and every view over it) untouched.
+    pub fn detached(&self) -> RoadNetwork {
         let s = &self.storage;
+        let overlay = match &self.overlay {
+            Some(o) if !o.is_empty() => o,
+            _ => return RoadNetwork { storage: Arc::clone(s), overlay: None },
+        };
         let mut weights = s.weights.clone();
-        for o in self.overlay.as_deref().into_iter().chain(extra) {
-            for (slot, w) in o.entries() {
-                weights[slot as usize] = w;
-            }
+        for (slot, w) in overlay.entries() {
+            weights[slot as usize] = w;
         }
         RoadNetwork {
             storage: Arc::new(CsrStorage {
@@ -223,18 +221,6 @@ impl RoadNetwork {
                 num_input_edges: s.num_input_edges,
             }),
             overlay: None,
-        }
-    }
-
-    /// A lease-free copy of this view: the same effective weights at
-    /// [`EpochId::BASE`], on storage no
-    /// [`WeightEpoch`](crate::epoch::WeightEpoch) tracks, so holding it
-    /// keeps no epoch from compaction. Shares the storage when the view
-    /// reweights no arc; otherwise an O(|arcs| + |V|) copy.
-    pub fn detached(&self) -> RoadNetwork {
-        match &self.overlay {
-            Some(o) if !o.is_empty() => self.with_weights_folded(None),
-            _ => RoadNetwork { storage: Arc::clone(&self.storage), overlay: None },
         }
     }
 
@@ -372,7 +358,7 @@ mod tests {
     fn clones_share_storage() {
         let g = line(4);
         let h = g.clone();
-        assert!(g.same_storage(&h));
+        assert!(Arc::ptr_eq(&g.storage, &h.storage));
     }
 
     #[test]

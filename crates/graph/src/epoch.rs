@@ -5,8 +5,8 @@
 //! Rebuilding (or even copying) a city-scale CSR per update is far too
 //! expensive, and mutating weights in place would let a search observe a
 //! half-applied update. Instead, a [`WeightEpoch`] manager applies batched
-//! [`WeightDelta`]s as sparse, immutable [`WeightOverlay`]s over the shared
-//! CSR storage — the same diff-over-base idea the incremental-versioning
+//! [`WeightDelta`]s as sparse, immutable [`WeightOverlay`]s over one shared
+//! base storage — the same diff-over-base idea the incremental-versioning
 //! literature uses for snapshot storage — and each published batch gets a
 //! monotonically increasing [`EpochId`]:
 //!
@@ -22,31 +22,27 @@
 //!   O(cumulative changed arcs + batch), which stays far below O(|E|) as
 //!   long as traffic touches a fraction of the network.
 //! * **History is garbage-collected.** With a retention ring configured
-//!   ([`WeightEpoch::with_retention`] / [`WeightEpoch::set_retention`]),
-//!   at most K recent epochs stay pinnable; older overlays whose lease
-//!   count has dropped to zero are *compacted* — logically snapshot-merged
-//!   into their successor (cumulative overlays already contain every older
-//!   entry, so dropping the layer loses nothing) — and
-//!   [`WeightEpoch::compact`] additionally folds the newest cumulative
-//!   overlay into a fresh base weight array (a true base-CSR merge), so
-//!   subsequent publishes start from an empty overlay again. A *held* pin
-//!   blocks compaction of exactly its epoch; releasing the view unblocks
-//!   it on the next sweep. [`WeightEpoch::gc_stats`] reports retained /
-//!   compacted counts for service metrics.
+//!   ([`WeightEpoch::set_retention`]), at most K recent epochs stay
+//!   pinnable; older overlays whose lease count has dropped to zero are
+//!   *compacted* — dropped from the ring by the sweep every publish runs
+//!   (cumulative overlays already contain every older entry, so dropping
+//!   the layer loses nothing). A *held* pin blocks compaction of exactly
+//!   its epoch; releasing the view unblocks it on the next sweep.
+//!   [`WeightEpoch::gc_stats`] reports retained / compacted counts for
+//!   service metrics.
 //! * **Deltas are introspectable.** [`WeightEpoch::delta_between`] diffs
-//!   the cumulative overlays of two retained epochs into a [`DeltaSet`]
-//!   (touched arc slots with both weights, endpoint vertices, the set of
-//!   touched tails, and weight-ratio floors) — the raw material
+//!   the cumulative overlays of any two retained epochs into a
+//!   [`DeltaSet`] (touched arc slots with both weights, endpoint vertices,
+//!   the set of touched tails, and weight-ratio floors) — the raw material
 //!   incremental skyline *repair* classifies cached results against
 //!   instead of recomputing them.
 //!
 //! Overlay entries are keyed by *arc slot* (see [`RoadNetwork::arc`]) and
-//! sorted. Every overlay published over one base storage (one *lineage*,
-//! which a rebase restarts) shares one bit per vertex, set for the tail of
-//! every arc any overlay of the lineage reweights. Neighbour iteration
-//! reads an unmarked vertex's base weights with no overlay lookup at all;
-//! at a marked vertex it probes the overlay once for the vertex's slot
-//! range and walks that sorted sub-slice with a cursor.
+//! sorted. Every overlay of one manager shares one bit per vertex, set for
+//! the tail of every arc any of its overlays reweights. Neighbour
+//! iteration reads an unmarked vertex's base weights with no overlay
+//! lookup at all; at a marked vertex it probes the overlay once for the
+//! vertex's slot range and walks that sorted sub-slice with a cursor.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,7 +105,7 @@ impl WeightDelta {
 }
 
 /// A sparse, immutable arc-reweighting layer: the cumulative set of arcs
-/// whose weight differs from the epoch's base weight array, as of one
+/// whose weight differs from the manager's base weight array, as of one
 /// epoch.
 #[derive(Debug)]
 pub struct WeightOverlay {
@@ -118,30 +114,18 @@ pub struct WeightOverlay {
     arcs: Box<[u32]>,
     /// `weights[i]` is the weight of arc `arcs[i]`.
     weights: Box<[f64]>,
-    /// The lineage's marks: the tail of every arc in `arcs` is marked.
+    /// The manager's marks: the tail of every arc in `arcs` is marked.
     marks: TailMarks,
     /// A lower bound on `min_a w_epoch(a) / w_origin(a)` over *all* arcs
     /// `a`, where `w_origin` is the weight under the manager's original
-    /// (epoch-0) view. Maintained as a running minimum across publishes, so
-    /// it survives base-CSR rebasing. Lower-bound oracles computed on the
-    /// origin weights (e.g. landmarks) stay admissible at this epoch when
-    /// scaled by this factor: `d_epoch(u, v) >= min_ratio * d_origin(u, v)`.
+    /// (epoch-0) view, maintained as a running minimum across publishes.
+    /// Lower-bound oracles computed on the origin weights (e.g. landmarks)
+    /// stay admissible at this epoch when scaled by this factor:
+    /// `d_epoch(u, v) >= min_ratio * d_origin(u, v)`.
     min_ratio: f64,
 }
 
 impl WeightOverlay {
-    /// An overlay reweighting nothing, at the head of a fresh lineage of
-    /// marks over `num_vertices` vertices.
-    fn fresh(epoch: EpochId, min_ratio: f64, num_vertices: usize) -> WeightOverlay {
-        WeightOverlay {
-            epoch,
-            arcs: Box::new([]),
-            weights: Box::new([]),
-            marks: TailMarks::new(num_vertices),
-            min_ratio,
-        }
-    }
-
     /// The epoch this overlay was published as.
     #[inline]
     pub fn epoch(&self) -> EpochId {
@@ -199,10 +183,10 @@ impl WeightOverlay {
     }
 }
 
-/// One bit per vertex, shared by every overlay of one lineage: set for the
-/// tail of every arc some overlay of the lineage reweights.
+/// One bit per vertex, shared by every overlay of one manager: set for the
+/// tail of every arc some overlay of the manager reweights.
 ///
-/// Bits are set and never cleared. Overlays are cumulative, so a lineage's
+/// Bits are set and never cleared. Overlays are cumulative, so a manager's
 /// arc sets only grow, and a view at an older epoch may see a vertex marked
 /// that its own overlay does not reweight; its range probe then finds
 /// nothing. Bits are atomics because views of older epochs read them while
@@ -331,47 +315,24 @@ pub struct EpochGcStats {
     /// epochs)` — every held pin keeps exactly its own epoch alive.
     pub retained_max: usize,
     /// Configured ring size K (`0` = unlimited, the default: every epoch
-    /// stays pinnable forever, as PR 3 behaved).
+    /// stays pinnable forever).
     pub retention: usize,
-    /// Overlays compacted away (snapshot-merged into their successor and
-    /// dropped from the ring).
+    /// Overlays compacted away (dropped from the ring; every newer overlay
+    /// already holds their entries).
     pub compacted: u64,
-    /// Base-CSR rebases: times the newest cumulative overlay was folded
-    /// into a fresh base weight array by [`WeightEpoch::compact`].
-    pub rebases: u64,
     /// Entries in the newest cumulative overlay (arcs currently deviating
-    /// from the newest base weight array).
+    /// from the base weight array).
     pub overlay_len: usize,
 }
 
-/// One retained epoch: the base view its overlay patches (the origin
-/// storage, or a rebased snapshot) plus the cumulative overlay itself.
-struct EpochEntry {
-    base: RoadNetwork,
-    overlay: Arc<WeightOverlay>,
-    /// The overlay this entry carried *before* a base-CSR rebase replaced
-    /// it. Views pinned before the rebase hold clones of this `Arc`, so it
-    /// must keep participating in the lease count — otherwise a sweep
-    /// could compact an epoch whose pre-rebase views are still alive.
-    prior: Option<Arc<WeightOverlay>>,
-}
-
-impl EpochEntry {
-    /// Whether any reader still holds a view of this epoch (a clone of
-    /// either overlay generation).
-    fn leased(&self) -> bool {
-        Arc::strong_count(&self.overlay) > 1
-            || self.prior.as_ref().is_some_and(|p| Arc::strong_count(p) > 1)
-    }
-}
-
 struct EpochStore {
-    /// Epoch id → entry, for every still-pinnable epoch.
-    entries: BTreeMap<u64, EpochEntry>,
+    /// Epoch id → cumulative overlay over the manager's base, for every
+    /// still-pinnable epoch. An overlay is leased while its `Arc` has
+    /// clones: every view of its epoch holds one.
+    overlays: BTreeMap<u64, Arc<WeightOverlay>>,
     /// Ring size K; `0` = unlimited.
     retention: usize,
     compacted: u64,
-    rebases: u64,
     retained_max: usize,
 }
 
@@ -382,19 +343,28 @@ impl EpochStore {
     /// outstanding clones — the lease). Returns the number compacted.
     fn collect(&mut self) -> usize {
         if self.retention == 0 {
-            self.retained_max = self.retained_max.max(self.entries.len());
+            self.retained_max = self.retained_max.max(self.overlays.len());
             return 0;
         }
-        let newest = *self.entries.keys().next_back().expect("epoch 0 always exists");
+        let newest = *self.overlays.keys().next_back().expect("epoch 0 always exists");
         let horizon = newest.saturating_sub(self.retention as u64 - 1);
-        let dead: Vec<u64> =
-            self.entries.range(..horizon).filter(|(_, e)| !e.leased()).map(|(&k, _)| k).collect();
+        let dead: Vec<u64> = self
+            .overlays
+            .range(..horizon)
+            .filter(|(_, o)| Arc::strong_count(o) == 1)
+            .map(|(&k, _)| k)
+            .collect();
         for k in &dead {
-            self.entries.remove(k);
+            self.overlays.remove(k);
         }
         self.compacted += dead.len() as u64;
-        self.retained_max = self.retained_max.max(self.entries.len());
+        self.retained_max = self.retained_max.max(self.overlays.len());
         dead.len()
+    }
+
+    /// The current epoch's overlay.
+    fn newest(&self) -> &Arc<WeightOverlay> {
+        self.overlays.values().next_back().expect("epoch 0 always exists")
     }
 }
 
@@ -409,12 +379,12 @@ impl EpochStore {
 ///
 /// By default every published epoch stays pinnable forever (the memory
 /// cost grows with epochs × changed arcs). Configuring a retention ring
-/// ([`with_retention`](WeightEpoch::with_retention)) bounds the history:
+/// ([`set_retention`](WeightEpoch::set_retention)) bounds the history:
 /// see the module docs for the lease/GC semantics.
 pub struct WeightEpoch {
-    /// The original epoch-0 view. Immutable for the manager's lifetime —
-    /// it anchors arc-slot resolution, the `min_ratio` bookkeeping and any
-    /// lower-bound oracle (landmarks) built over it, even after rebases.
+    /// The epoch-0 weights, with no overlay. Every overlay patches this
+    /// one storage, and it anchors arc-slot resolution, the `min_ratio`
+    /// bookkeeping and any lower-bound oracle (landmarks) built over it.
     base: RoadNetwork,
     /// The most recently published epoch id, readable without the lock —
     /// serving workers poll this once per request to decide whether to
@@ -435,39 +405,25 @@ impl std::fmt::Debug for WeightEpoch {
 
 impl WeightEpoch {
     /// Takes `base` (as currently weighted) as epoch 0, with unlimited
-    /// history retention.
+    /// history retention. A pinned view is taken as a lease-free copy
+    /// ([`RoadNetwork::detached`]): the manager that published it stays
+    /// free to compact its epoch.
     pub fn new(base: RoadNetwork) -> WeightEpoch {
-        WeightEpoch::with_retention(base, 0)
-    }
-
-    /// Takes `base` as epoch 0 and keeps at most `retention` epochs
-    /// pinnable (`0` = unlimited). See the module docs for the GC
-    /// semantics.
-    pub fn with_retention(base: RoadNetwork, retention: usize) -> WeightEpoch {
-        let mut zero = WeightOverlay::fresh(EpochId::BASE, 1.0, base.num_vertices());
-        if let Some(o) = base.overlay() {
-            // A re-managed pinned view keeps its weights but restarts the
-            // epoch counter: flatten its overlay into this manager's epoch 0,
-            // marking the inherited arcs in the new lineage. Ratios are
-            // measured against *this* manager's origin (the view as handed
-            // over), so the inherited overlay starts at 1.
-            for &slot in o.arcs.iter() {
-                zero.marks.mark(base.arc(slot as usize).0);
-            }
-            zero.arcs = o.arcs.clone();
-            zero.weights = o.weights.clone();
-        }
-        let zero = Arc::new(zero);
-        let mut entries = BTreeMap::new();
-        entries.insert(0u64, EpochEntry { base: base.clone(), overlay: zero, prior: None });
+        let base = base.detached();
+        let zero = Arc::new(WeightOverlay {
+            epoch: EpochId::BASE,
+            arcs: Box::new([]),
+            weights: Box::new([]),
+            marks: TailMarks::new(base.num_vertices()),
+            min_ratio: 1.0,
+        });
         WeightEpoch {
             base,
             current: AtomicU64::new(0),
             store: Mutex::new(EpochStore {
-                entries,
-                retention,
+                overlays: BTreeMap::from([(0, zero)]),
+                retention: 0,
                 compacted: 0,
-                rebases: 0,
                 retained_max: 1,
             }),
         }
@@ -492,8 +448,7 @@ impl WeightEpoch {
     /// its epoch cannot be compacted away.
     pub fn pin(&self) -> RoadNetwork {
         let store = self.store.lock().expect("epoch manager poisoned");
-        let (_, entry) = store.entries.iter().next_back().expect("epoch 0 always exists");
-        Self::view(entry)
+        self.view(store.newest())
     }
 
     /// A read view pinned to `epoch`, if it was published by this manager
@@ -503,21 +458,21 @@ impl WeightEpoch {
     /// [`pin`]: WeightEpoch::pin
     pub fn pin_at(&self, epoch: EpochId) -> Option<RoadNetwork> {
         let store = self.store.lock().expect("epoch manager poisoned");
-        store.entries.get(&epoch.0).map(Self::view)
+        store.overlays.get(&epoch.0).map(|o| self.view(o))
     }
 
-    fn view(entry: &EpochEntry) -> RoadNetwork {
+    fn view(&self, overlay: &Arc<WeightOverlay>) -> RoadNetwork {
         // Even an empty epoch-0 overlay is cloned into the view: the clone
         // *is* the lease, and a pin that held no overlay would not block
         // compaction of its epoch. Neighbour scans through the view probe
-        // the overlay only at vertices its lineage marked; at every other
+        // the overlay only at vertices the manager marked; at every other
         // vertex they read base weights, as a view without an overlay does.
-        entry.base.with_overlay(Arc::clone(&entry.overlay))
+        self.base.with_overlay(Arc::clone(overlay))
     }
 
-    /// The original (epoch-0) view. Stable across rebases: lower-bound
-    /// oracles (landmarks) built over it stay valid for every epoch when
-    /// scaled by that epoch's [`WeightOverlay::min_ratio`].
+    /// The epoch-0 view, with no overlay: lower-bound oracles (landmarks)
+    /// built over it stay valid for every epoch when scaled by that
+    /// epoch's [`WeightOverlay::min_ratio`].
     pub fn base(&self) -> &RoadNetwork {
         &self.base
     }
@@ -528,7 +483,7 @@ impl WeightEpoch {
     /// published epochs are never mutated. Afterwards a collection sweep
     /// compacts unleased epochs beyond the retention ring.
     ///
-    /// Marks the tail of every reweighted arc in the lineage's shared
+    /// Marks the tail of every reweighted arc in the manager's shared
     /// vertex bits (see the module docs), so neighbour scans at later
     /// epochs probe the overlay only where some arc changed.
     ///
@@ -588,14 +543,13 @@ impl WeightEpoch {
             .fold(1.0f64, f64::min);
 
         let mut store = self.store.lock().expect("epoch manager poisoned");
-        let (&prev_id, prev) = store.entries.iter().next_back().expect("epoch 0 always exists");
+        let (&prev_id, prev_overlay) =
+            store.overlays.iter().next_back().expect("epoch 0 always exists");
         let epoch = EpochId(self.current.load(Ordering::Relaxed) + 1);
         debug_assert!(epoch.0 > prev_id);
-        // The previous overlay names the lineage (a rebase may have started
-        // a new one since the slots were resolved). The patch's tails are
-        // each delta's endpoints: `from` for `from → to`, and `to` for the
-        // reverse arcs of an undirected edge.
-        let marks = prev.overlay.marks.clone();
+        // The patch's tails are each delta's endpoints: `from` for
+        // `from → to`, and `to` for the reverse arcs of an undirected edge.
+        let marks = prev_overlay.marks.clone();
         for d in deltas {
             marks.mark(d.from);
             if !self.base.is_directed() {
@@ -604,7 +558,6 @@ impl WeightEpoch {
         }
         // Sorted two-pointer merge of the previous cumulative overlay with
         // the patch (patch wins on collision).
-        let prev_overlay = &prev.overlay;
         let mut arcs = Vec::with_capacity(prev_overlay.arcs.len() + patch.len());
         let mut weights = Vec::with_capacity(prev_overlay.arcs.len() + patch.len());
         let (mut i, mut j) = (0usize, 0usize);
@@ -640,8 +593,7 @@ impl WeightEpoch {
             marks,
             min_ratio: prev_overlay.min_ratio.min(patch_ratio),
         });
-        let base = prev.base.clone();
-        store.entries.insert(epoch.0, EpochEntry { base, overlay, prior: None });
+        store.overlays.insert(epoch.0, overlay);
         store.collect();
         // Advertise the epoch only after its overlay is resident (still
         // inside the lock), so a reader that observes the new id can
@@ -650,49 +602,22 @@ impl WeightEpoch {
         epoch
     }
 
-    /// Runs a full compaction: a collection sweep (drop unleased overlays
-    /// beyond the retention ring), then a *base-CSR rebase* — the newest
-    /// cumulative overlay is folded into a fresh base weight array and
-    /// replaced by an empty overlay, so subsequent publishes merge against
-    /// an empty layer again and mark vertices in a fresh lineage with no
-    /// marks. Returns the number of overlays dropped.
-    ///
-    /// Already-pinned views are untouched (they own their storage and
-    /// overlay `Arc`s); only *new* pins observe the rebased storage.
-    /// Cross-rebase [`delta_between`](WeightEpoch::delta_between) pairs
-    /// are unavailable (the two overlays patch different bases) and return
-    /// `None` — callers fall back to recomputation.
+    /// Runs a collection sweep now, as every publish does: drops unleased
+    /// overlays beyond the retention ring, so an epoch whose last view was
+    /// released is collected without waiting for the next publish.
+    /// Returns the number of overlays dropped.
     pub fn compact(&self) -> usize {
-        let mut store = self.store.lock().expect("epoch manager poisoned");
-        let dropped = store.collect();
-        let (&newest, entry) = store.entries.iter().next_back().expect("epoch 0 always exists");
-        if !entry.overlay.is_empty() {
-            let folded = entry.base.with_weights_folded(Some(&entry.overlay));
-            // Entries folded into the base still deviate from the origin;
-            // the ratio floor must survive the fold.
-            let overlay = Arc::new(WeightOverlay::fresh(
-                entry.overlay.epoch,
-                entry.overlay.min_ratio,
-                folded.num_vertices(),
-            ));
-            // The displaced overlay stays as a lease anchor: views pinned
-            // before the rebase hold clones of it.
-            let prior = Some(Arc::clone(&entry.overlay));
-            store.entries.insert(newest, EpochEntry { base: folded, overlay, prior });
-            store.rebases += 1;
-        }
-        dropped
+        self.store.lock().expect("epoch manager poisoned").collect()
     }
 
     /// The exact set of arcs whose weight differs between `from` and `to`,
-    /// or `None` when either epoch is no longer retained or the pair
-    /// straddles a base-CSR rebase (the overlays patch different storages
-    /// and cannot be diffed directly).
+    /// or `None` when `from` is newer than `to` or either epoch is no
+    /// longer retained.
     ///
     /// O(|overlay(from)| + |overlay(to)|): a sorted two-pointer diff of
-    /// the two cumulative overlays — absolute weights make intermediate
-    /// epochs irrelevant, and an arc changed and changed *back* correctly
-    /// does not appear.
+    /// the two cumulative overlays over the one base — absolute weights
+    /// make intermediate epochs irrelevant, and an arc changed and changed
+    /// *back* correctly does not appear.
     pub fn delta_between(&self, from: EpochId, to: EpochId) -> Option<DeltaSet> {
         if from > to {
             return None;
@@ -702,18 +627,13 @@ impl WeightEpoch {
         // serialize the serving workers against pins and publishes. The
         // transient overlay clones also lease both epochs, so the diff
         // cannot race a compaction.
-        let (base, fo, to_ov) = {
+        let (fo, to_ov) = {
             let store = self.store.lock().expect("epoch manager poisoned");
-            let fe = store.entries.get(&from.0)?;
-            let te = store.entries.get(&to.0)?;
-            if !fe.base.same_storage(&te.base) {
-                return None;
-            }
-            (fe.base.clone(), Arc::clone(&fe.overlay), Arc::clone(&te.overlay))
+            (Arc::clone(store.overlays.get(&from.0)?), Arc::clone(store.overlays.get(&to.0)?))
         };
         let mut touches = Vec::new();
         let (mut i, mut j) = (0usize, 0usize);
-        let base = &base;
+        let base = &self.base;
         let mut push = |slot: u32, from_weight: f64, to_weight: f64| {
             if from_weight != to_weight {
                 let (tail, head, _) = base.arc(slot as usize);
@@ -762,20 +682,13 @@ impl WeightEpoch {
     /// History/GC accounting snapshot.
     pub fn gc_stats(&self) -> EpochGcStats {
         let store = self.store.lock().expect("epoch manager poisoned");
-        let (_, newest) = store.entries.iter().next_back().expect("epoch 0 always exists");
         EpochGcStats {
-            retained: store.entries.len(),
+            retained: store.overlays.len(),
             retained_max: store.retained_max,
             retention: store.retention,
             compacted: store.compacted,
-            rebases: store.rebases,
-            overlay_len: newest.overlay.len(),
+            overlay_len: store.newest().len(),
         }
-    }
-
-    /// Number of reweighted arcs in the current cumulative overlay.
-    pub fn overlay_len(&self) -> usize {
-        self.gc_stats().overlay_len
     }
 }
 
@@ -797,6 +710,13 @@ mod tests {
 
     fn weight_between(g: &RoadNetwork, a: u32, b: u32) -> f64 {
         g.neighbors(VertexId(a)).find(|&(t, _)| t == VertexId(b)).map(|(_, w)| w.get()).unwrap()
+    }
+
+    /// A manager over [`triangle`] keeping at most `retention` epochs.
+    fn ring(retention: usize) -> WeightEpoch {
+        let epochs = WeightEpoch::new(triangle());
+        epochs.set_retention(retention);
+        epochs
     }
 
     #[test]
@@ -886,6 +806,17 @@ mod tests {
     }
 
     #[test]
+    fn a_manager_over_a_pinned_view_leases_none_of_its_epochs() {
+        let first = ring(1);
+        first.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 6.0)]);
+        let second = WeightEpoch::new(first.pin());
+        first.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 8.0)]);
+        assert!(first.pin_at(EpochId(1)).is_none(), "the handed-over epoch must be collectable");
+        let p = second.pin();
+        assert_eq!((weight_between(&p, 0, 1), weight_between(&p, 1, 2)), (6.0, 2.0));
+    }
+
+    #[test]
     #[should_panic(expected = "nonexistent edge")]
     fn unknown_edge_rejected() {
         let epochs = WeightEpoch::new(triangle());
@@ -901,14 +832,15 @@ mod tests {
     #[test]
     fn overlay_len_tracks_cumulative_changes() {
         let epochs = WeightEpoch::new(triangle());
-        assert_eq!(epochs.overlay_len(), 0);
+        let overlay_len = || epochs.gc_stats().overlay_len;
+        assert_eq!(overlay_len(), 0);
         epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 2.0)]);
-        assert_eq!(epochs.overlay_len(), 2, "both arc directions");
+        assert_eq!(overlay_len(), 2, "both arc directions");
         // Re-updating the same edge does not grow the overlay.
         epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 3.0)]);
-        assert_eq!(epochs.overlay_len(), 2);
+        assert_eq!(overlay_len(), 2);
         epochs.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 3.0)]);
-        assert_eq!(epochs.overlay_len(), 4);
+        assert_eq!(overlay_len(), 4);
     }
 
     #[test]
@@ -1001,7 +933,7 @@ mod tests {
 
     #[test]
     fn retention_ring_bounds_history_and_counts_compactions() {
-        let epochs = WeightEpoch::with_retention(triangle(), 3);
+        let epochs = ring(3);
         for i in 0..10u32 {
             epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 1.0 + f64::from(i))]);
         }
@@ -1020,7 +952,7 @@ mod tests {
 
     #[test]
     fn a_held_pin_blocks_compaction_and_release_unblocks_it() {
-        let epochs = WeightEpoch::with_retention(triangle(), 2);
+        let epochs = ring(2);
         epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 2.0)]);
         let held = epochs.pin_at(EpochId(1)).expect("fresh epoch pins");
         for i in 0..6u32 {
@@ -1041,7 +973,7 @@ mod tests {
 
     #[test]
     fn a_detached_view_holds_no_lease() {
-        let epochs = WeightEpoch::with_retention(triangle(), 1);
+        let epochs = ring(1);
         epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 2.0)]);
         let copy = epochs.pin().detached();
         assert_eq!((copy.epoch(), weight_between(&copy, 0, 1)), (EpochId::BASE, 2.0));
@@ -1051,31 +983,24 @@ mod tests {
     }
 
     #[test]
-    fn compact_rebases_the_newest_overlay_into_the_base_csr() {
-        let epochs = WeightEpoch::with_retention(triangle(), 2);
+    fn compact_keeps_weights_and_every_retained_pair_diffable() {
+        let epochs = ring(2);
         epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 9.0)]);
+        let held = epochs.pin_at(EpochId(1)).expect("fresh epoch pins");
         let e2 = epochs.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 4.0)]);
         let before = epochs.pin();
-        assert_eq!(epochs.gc_stats().overlay_len, 4);
         epochs.compact();
-        let gc = epochs.gc_stats();
-        assert_eq!(gc.rebases, 1);
-        assert_eq!(gc.overlay_len, 0, "the cumulative overlay folded into the base");
-        // Weights are unchanged through the rebase, for old and new pins.
         let after = epochs.pin();
         assert_eq!(after.epoch(), e2);
         for (a, b) in [(0, 1), (1, 2), (0, 2)] {
             assert_eq!(weight_between(&before, a, b), weight_between(&after, a, b));
         }
-        // Publishing after the rebase starts from an empty overlay.
         let e3 = epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(2), 6.0)]);
-        assert_eq!(epochs.gc_stats().overlay_len, 2);
-        let p = epochs.pin();
-        assert_eq!(weight_between(&p, 0, 1), 9.0, "folded weights persist");
-        assert_eq!(weight_between(&p, 0, 2), 6.0);
-        // Cross-rebase delta pairs are unavailable; same-side pairs work.
-        assert!(epochs.delta_between(EpochId(1), e3).is_none());
-        assert!(epochs.delta_between(e2, e3).is_some());
+        assert_eq!(epochs.gc_stats().overlay_len, 6, "the overlay stays cumulative");
+        // The held epoch diffs against the newest: both later edges moved.
+        let d = epochs.delta_between(EpochId(1), e3).expect("retained epochs diff");
+        assert_eq!(d.len(), 4);
+        assert_eq!(weight_between(&held, 1, 2), 2.0);
     }
 
     #[test]
@@ -1083,7 +1008,7 @@ mod tests {
         // Regression: the epoch-0 view of a pristine base must still hold
         // its (empty) overlay Arc — a lease-less pin would not block
         // compaction of its epoch.
-        let epochs = WeightEpoch::with_retention(triangle(), 2);
+        let epochs = ring(2);
         let held = epochs.pin(); // epoch 0, empty overlay
         for i in 0..5u32 {
             epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 2.0 + f64::from(i))]);
@@ -1096,7 +1021,7 @@ mod tests {
     }
 
     #[test]
-    fn marks_cover_reweighted_tails_and_a_rebase_starts_a_fresh_lineage() {
+    fn marks_cover_reweighted_tails() {
         let marked = |g: &RoadNetwork| -> Vec<u32> {
             let o = g.overlay().expect("pinned views carry an overlay");
             g.vertices().filter(|&v| o.may_reweight(v)).map(|v| v.0).collect()
@@ -1105,15 +1030,11 @@ mod tests {
         let e0 = epochs.pin();
         assert!(marked(&e0).is_empty());
         epochs.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 4.0)]);
-        let e1 = epochs.pin();
-        assert_eq!(marked(&e1), [1, 2], "both tails of the undirected edge");
-        assert_eq!(marked(&e0), [1, 2], "older overlays of the lineage share the marks");
+        assert_eq!(marked(&epochs.pin()), [1, 2], "both tails of the undirected edge");
+        assert_eq!(marked(&e0), [1, 2], "older overlays share the marks");
         assert_eq!(weight_between(&e0, 1, 2), 1.0, "so their probe finds no entry");
-        epochs.compact();
-        assert!(marked(&epochs.pin()).is_empty(), "a rebase starts a lineage with no marks");
         epochs.publish(&[WeightDelta::new(VertexId(4), VertexId(5), 2.0)]);
-        assert_eq!(marked(&epochs.pin()), [4, 5]);
-        assert_eq!(marked(&e1), [1, 2], "the old lineage keeps its own marks");
+        assert_eq!(marked(&epochs.pin()), [1, 2, 4, 5]);
     }
 
     /// A line of `n` vertices: 0 —1— 1 —1— 2 …

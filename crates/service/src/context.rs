@@ -167,24 +167,22 @@ impl ServiceContext {
         self.graph.set_retention(retention);
     }
 
-    /// Forces a history compaction sweep plus a base-CSR rebase of the
-    /// newest cumulative overlay (see
+    /// Runs a history compaction sweep now, as every publish does (see
     /// [`WeightEpoch::compact`]). Returns the number of overlays dropped.
     pub fn compact_epochs(&self) -> usize {
         self.graph.compact()
     }
 
-    /// Epoch history / GC accounting (retained overlays, compactions,
-    /// rebases) for metrics and the soak gates.
+    /// Epoch history / GC accounting (retained overlays, compactions) for
+    /// metrics and the soak gates.
     pub fn epoch_gc_stats(&self) -> EpochGcStats {
         self.graph.gc_stats()
     }
 
     /// The exact arc-weight diff between `from` and `to`, shared by every
     /// stale cache key of the pair, or `None` when it is no longer
-    /// derivable (an epoch was compacted away, or the pair straddles a
-    /// base-CSR rebase; repair then falls back to a fresh search). See
-    /// [`WeightEpoch::delta_between`].
+    /// derivable (an epoch was compacted away; repair then falls back to a
+    /// fresh search). See [`WeightEpoch::delta_between`].
     ///
     /// Diffed **once** per pair and memoized in a small ring, so repairing
     /// N stale cache keys against one weight update costs one diff.

@@ -272,7 +272,7 @@ pub struct MetricsSnapshot {
     /// Result-cache counters at snapshot time.
     pub cache: CacheCounters,
     /// Weight-epoch history / GC accounting at snapshot time (retained
-    /// overlays, compactions, rebases).
+    /// overlays, compactions).
     pub epochs: EpochGcStats,
     /// Observation window.
     pub wall: Duration,
@@ -409,7 +409,6 @@ impl MetricsSnapshot {
         self.epochs.retained_max += other.epochs.retained_max;
         self.epochs.retention = self.epochs.retention.max(other.epochs.retention);
         self.epochs.compacted += other.epochs.compacted;
-        self.epochs.rebases += other.epochs.rebases;
         self.epochs.overlay_len += other.epochs.overlay_len;
 
         *self = std::mem::take(self).derived();
@@ -508,9 +507,9 @@ impl std::fmt::Display for MetricsSnapshot {
                 if e.retention == 0 { "unlimited".to_owned() } else { e.retention.to_string() };
             writeln!(
                 f,
-                "epochs      {} retained (max {}, cap {}), {} overlays compacted, {} rebases, \
+                "epochs      {} retained (max {}, cap {}), {} overlays compacted, \
                  {} overlay arcs",
-                e.retained, e.retained_max, cap, e.compacted, e.rebases, e.overlay_len
+                e.retained, e.retained_max, cap, e.compacted, e.overlay_len
             )?;
         }
         write!(
@@ -593,7 +592,6 @@ pub(crate) mod tests {
             retained_max: n % 5,
             retention: n % 3,
             compacted: k,
-            rebases: k / 7,
             overlay_len: 2 * n,
         };
         (cache, epochs)
@@ -616,7 +614,6 @@ pub(crate) mod tests {
             retained_max: ea.retained_max + eb.retained_max,
             retention: ea.retention.max(eb.retention),
             compacted: ea.compacted + eb.compacted,
-            rebases: ea.rebases + eb.rebases,
             overlay_len: ea.overlay_len + eb.overlay_len,
         };
         (cache, epochs)

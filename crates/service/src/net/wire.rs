@@ -47,8 +47,9 @@ use skysr_graph::EpochGcStats;
 /// change; the handshake rejects mismatches outright. Version 3 carries
 /// only the recorded metrics in [`Frame::MetricsRep`]; version 4 drops
 /// the handshake's feature flags, the warm-start bits of a `Submit`'s
-/// reuse mask and the seed source of a served search.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// reuse mask and the seed source of a served search; version 5 drops one
+/// of the epoch-history counters a `MetricsRep` carries.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Largest frame either side accepts (length prefix included), generous
 /// for city-scale metrics snapshots yet small enough that an adversarial
@@ -587,7 +588,6 @@ fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
     put_u64(out, m.epochs.retained_max as u64);
     put_u64(out, m.epochs.retention as u64);
     put_u64(out, m.epochs.compacted);
-    put_u64(out, m.epochs.rebases);
     put_u64(out, m.epochs.overlay_len as u64);
     put_duration(out, m.wall);
 }
@@ -619,7 +619,6 @@ fn take_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, ProtocolError> {
         retained_max: r.u64()? as usize,
         retention: r.u64()? as usize,
         compacted: r.u64()?,
-        rebases: r.u64()?,
         overlay_len: r.u64()? as usize,
     };
     m.wall = r.duration()?;
@@ -1215,7 +1214,6 @@ mod tests {
                     retained_max: 3,
                     retention: 4,
                     compacted: k,
-                    rebases: 1,
                     overlay_len: 6,
                 },
             );

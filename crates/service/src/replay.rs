@@ -497,8 +497,8 @@ impl std::fmt::Display for ReplayReport {
             writeln!(
                 f,
                 "history     {} epochs retained after drain (max {}, cap {}), {} overlays \
-                 compacted, {} rebases",
-                e.retained, e.retained_max, e.retention, e.compacted, e.rebases
+                 compacted",
+                e.retained, e.retained_max, e.retention, e.compacted
             )?;
         }
         write!(f, "{}", self.metrics)?;
@@ -930,11 +930,11 @@ impl<'a> Lane<'a> {
         spec.validate().unwrap_or_else(|e| panic!("invalid replay spec: {e}"));
         assert!(!pool.is_empty(), "replay needs a non-empty pool");
         let stream = request_stream(&spec, pool.len());
-        // The mirror starts from a lease-free copy of the current view (a
-        // lane may start past epoch 0 on a reused context): a pinned view
-        // would lease its epoch and hold the service's ring above its cap.
+        // The mirror starts from the current view (a lane may start past
+        // epoch 0 on a reused context); it leases none of the service's
+        // epochs.
         let start = ctx.pin();
-        let (mirror, epoch_before) = (WeightEpoch::new(start.graph().detached()), start.epoch());
+        let (mirror, epoch_before) = (WeightEpoch::new(start.graph().clone()), start.epoch());
         Lane { name, ctx, pool, stream, spec, epoch_before, mirror }
     }
 

@@ -317,7 +317,7 @@ fn hostile_clients_do_not_kill_the_daemon() {
     // A version-mismatched handshake — an older protocol's or an unknown
     // one — is answered with the server's Welcome (so the client can
     // report both versions) and then closed.
-    for version in [1, 2, 3, 9999] {
+    for version in [1, 2, 3, 4, 9999] {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
         // Versions 1 to 3 sent a u32 of feature flags after the version.

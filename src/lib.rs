@@ -49,8 +49,7 @@ pub use skysr_service as service;
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
     pub use skysr_category::{
-        CategoryForest, CategoryId, ForestBuilder, PathLength, ProductAggregate, SemanticAggregate,
-        Similarity, WuPalmer,
+        CategoryForest, CategoryId, ForestBuilder, PathLength, Similarity, WuPalmer,
     };
     pub use skysr_core::{
         baseline::{DijBaseline, PneBaseline},

@@ -22,7 +22,8 @@
 //! * **GC/compaction transparency** — compacting the epoch history never
 //!   changes any arc weight (nor `total_weight`) observable through any
 //!   still-pinnable epoch, by arc slot or by neighbour scan, with pins held
-//!   across sweeps and rebases.
+//!   across sweeps; and any two still-pinnable epochs diff to exactly the
+//!   arcs whose weights differ between them.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -299,10 +300,11 @@ proptest! {
     #[test]
     fn compaction_preserves_weights_at_every_pinnable_epoch(inst in arb_instance()) {
         // Publish several batches, hold pins on a couple of epochs, run
-        // sweeps + rebases, and require every still-pinnable epoch to
-        // report exactly the weights an uncompacted manager reports.
+        // sweeps, and require every still-pinnable epoch to report exactly
+        // the weights an uncompacted manager reports.
         let built = build(&inst);
-        let bounded = WeightEpoch::with_retention(built.graph.clone(), 2);
+        let bounded = WeightEpoch::new(built.graph.clone());
+        bounded.set_retention(2);
         let reference = WeightEpoch::new(built.graph.clone());
 
         // Several single-delta batches out of the instance's pool (cycled
@@ -312,29 +314,43 @@ proptest! {
         for (i, d) in batches.iter().enumerate() {
             let e = bounded.publish(std::slice::from_ref(*d));
             prop_assert_eq!(e, reference.publish(std::slice::from_ref(*d)));
-            // Neighbour scans read overlays through the lineage's marks,
-            // which every rebase below restarts.
+            // Neighbour scans read the overlay only at marked vertices.
             let truth = adjacency(&reference.pin());
             prop_assert_eq!(adjacency(&bounded.pin()), truth.clone(), "epoch {}", e);
             if i % 2 == 0 {
                 // Hold a lease on every other epoch across future sweeps.
                 held.push((e, bounded.pin_at(e).expect("fresh epoch pins")));
             }
-            bounded.compact(); // sweep + rebase mid-stream
-            prop_assert_eq!(adjacency(&bounded.pin()), truth, "epoch {} after the rebase", e);
+            bounded.compact(); // sweep mid-stream
+            prop_assert_eq!(adjacency(&bounded.pin()), truth, "epoch {} after the sweep", e);
         }
 
         // Every epoch still pinnable from the bounded manager must agree
         // arc-for-arc (and in total) with the reference manager.
-        for e in 0..=bounded.current_epoch().get() {
-            let Some(view) = bounded.pin_at(EpochId(e)) else { continue };
-            let truth = reference.pin_at(EpochId(e)).expect("reference retains everything");
+        let pinnable: Vec<(u64, RoadNetwork)> = (0..=bounded.current_epoch().get())
+            .filter_map(|e| Some((e, bounded.pin_at(EpochId(e))?)))
+            .collect();
+        for (e, view) in &pinnable {
+            let truth = reference.pin_at(EpochId(*e)).expect("reference retains everything");
             for slot in 0..truth.num_arcs() {
                 prop_assert_eq!(view.arc(slot), truth.arc(slot), "epoch {}", e);
             }
-            prop_assert_eq!(adjacency(&view), adjacency(&truth), "epoch {}", e);
+            prop_assert_eq!(adjacency(view), adjacency(&truth), "epoch {}", e);
             let (a, b) = (view.total_weight(), truth.total_weight());
             prop_assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "epoch {e}: {a} vs {b}");
+        }
+        // Any two of them diff: the touched slots are exactly the slots
+        // whose weights differ between the two views.
+        for (i, (a, va)) in pinnable.iter().enumerate() {
+            for (b, vb) in &pinnable[i..] {
+                let delta = bounded.delta_between(EpochId(*a), EpochId(*b));
+                prop_assert!(delta.is_some(), "retained pair {}..{} is not diffable", a, b);
+                let touched: Vec<usize> =
+                    delta.unwrap().touches().iter().map(|t| t.slot as usize).collect();
+                let differ: Vec<usize> =
+                    (0..va.num_arcs()).filter(|&s| va.arc(s).2 != vb.arc(s).2).collect();
+                prop_assert_eq!(touched, differ, "retained pair {}..{}", a, b);
+            }
         }
         // Held leases specifically survived every sweep, unchanged.
         for (e, view) in &held {
