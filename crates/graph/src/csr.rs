@@ -195,9 +195,10 @@ impl RoadNetwork {
         }
     }
 
-    /// A lease-free copy of this view: the same effective weights at
-    /// [`EpochId::BASE`] with no overlay, so holding it keeps no
-    /// [`WeightEpoch`](crate::epoch::WeightEpoch) epoch from compaction.
+    /// A copy of this view with the same effective weights at
+    /// [`EpochId::BASE`] and no overlay: a base for a new
+    /// [`WeightEpoch`](crate::epoch::WeightEpoch) manager that shares
+    /// nothing with the one that published this view.
     /// Shares the storage when the view reweights no arc; otherwise the
     /// overlay is folded into a new storage, an O(|arcs| + |V|) copy that
     /// leaves the old storage (and every view over it) untouched.

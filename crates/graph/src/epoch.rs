@@ -1,41 +1,41 @@
 //! Dynamic edge weights: epoch-versioned copy-on-write weight overlays,
-//! with bounded history (leased pins + GC) and delta introspection.
+//! with a history log of each publish's arcs and delta introspection.
 //!
 //! Live traffic changes edge weights underneath long-running services.
 //! Rebuilding (or even copying) a city-scale CSR per update is far too
 //! expensive, and mutating weights in place would let a search observe a
 //! half-applied update. Instead, a [`WeightEpoch`] manager applies batched
 //! [`WeightDelta`]s as sparse, immutable [`WeightOverlay`]s over one shared
-//! base storage — the same diff-over-base idea the incremental-versioning
-//! literature uses for snapshot storage — and each published batch gets a
-//! monotonically increasing [`EpochId`]:
+//! base storage, and each published batch gets a monotonically increasing
+//! [`EpochId`]:
 //!
-//! * **Readers pin leases.** [`WeightEpoch::pin`] returns a
-//!   [`RoadNetwork`] view (two `Arc` clones) frozen at the current epoch;
-//!   a search that holds it sees one consistent set of weights no matter
-//!   how many updates publish concurrently. The view's clone of the
-//!   overlay `Arc` doubles as a *counted lease* registered with the
-//!   manager: as long as any view of an epoch is alive, that epoch's
-//!   overlay is pinned and the garbage collector must not touch it.
+//! * **Readers pin views.** [`WeightEpoch::pin`] returns a [`RoadNetwork`]
+//!   view (two `Arc` clones) frozen at the current epoch; a search that
+//!   holds it sees one consistent set of weights no matter how many
+//!   updates publish concurrently. A view owns its overlay, so it stays
+//!   valid after its epoch leaves the history.
 //! * **Writers copy-on-write.** [`WeightEpoch::publish`] merges the new
-//!   deltas with the previous cumulative overlay into a fresh overlay —
+//!   deltas with the newest cumulative overlay into a fresh overlay —
 //!   O(cumulative changed arcs + batch), which stays far below O(|E|) as
 //!   long as traffic touches a fraction of the network.
-//! * **History is garbage-collected.** With a retention ring configured
-//!   ([`WeightEpoch::set_retention`]), at most K recent epochs stay
-//!   pinnable; older overlays whose lease count has dropped to zero are
-//!   *compacted* — dropped from the ring by the sweep every publish runs
-//!   (cumulative overlays already contain every older entry, so dropping
-//!   the layer loses nothing). A *held* pin blocks compaction of exactly
-//!   its epoch; releasing the view unblocks it on the next sweep.
-//!   [`WeightEpoch::gc_stats`] reports retained / compacted counts for
-//!   service metrics.
-//! * **Deltas are introspectable.** [`WeightEpoch::delta_between`] diffs
-//!   the cumulative overlays of any two retained epochs into a
-//!   [`DeltaSet`] (touched arc slots with both weights, endpoint vertices,
-//!   the set of touched tails, and weight-ratio floors) — the raw material
-//!   incremental skyline *repair* classifies cached results against
-//!   instead of recomputing them.
+//! * **History is a log of batches.** The manager keeps one overlay, the
+//!   newest, plus a log holding each published batch: its arcs with their
+//!   weights before and after it, and the ratio floor of the epoch before
+//!   it. An epoch costs the arcs its publish changed, however many earlier
+//!   epochs changed, as the incremental-versioning literature stores a
+//!   version as only the components it changed.
+//!   [`WeightEpoch::pin_at`] rebuilds an older epoch's overlay from the
+//!   newest by undoing the later batches. With a retention ring
+//!   ([`WeightEpoch::set_retention`]) the log keeps the batches of the
+//!   newest K epochs only, and the older epochs can no longer be pinned.
+//!   [`WeightEpoch::gc_stats`] reports the pinnable epochs, the dropped
+//!   ones and the history's bytes for service metrics.
+//! * **Deltas are introspectable.** [`WeightEpoch::delta_between`] reads
+//!   the batches between two pinnable epochs into a [`DeltaSet`] (touched
+//!   arc slots with both weights, endpoint vertices, the set of touched
+//!   tails, and weight-ratio floors) — the raw material incremental
+//!   skyline *repair* classifies cached results against instead of
+//!   recomputing them.
 //!
 //! Overlay entries are keyed by *arc slot* (see [`RoadNetwork::arc`]) and
 //! sorted. Every overlay of one manager shares one bit per vertex, set for
@@ -44,9 +44,9 @@
 //! lookup at all; at a marked vertex it probes the overlay once for the
 //! vertex's slot range and walks that sorted sub-slice with a cursor.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::csr::RoadNetwork;
 use crate::VertexId;
@@ -104,9 +104,39 @@ impl WeightDelta {
     }
 }
 
-/// A sparse, immutable arc-reweighting layer: the cumulative set of arcs
-/// whose weight differs from the manager's base weight array, as of one
-/// epoch.
+/// Why [`WeightEpoch::try_publish`] refused a batch: the first of its
+/// deltas that the network cannot apply. A refused batch publishes
+/// nothing.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum DeltaError {
+    /// An endpoint is not a vertex of the network.
+    UnknownVertex(VertexId),
+    /// No stored arc joins the endpoints.
+    NoEdge(VertexId, VertexId),
+    /// The weight is negative or NaN.
+    BadWeight(f64),
+}
+
+impl std::fmt::Display for DeltaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeltaError::UnknownVertex(v) => {
+                write!(f, "weight delta names vertex {v:?}, which is not in the network")
+            }
+            DeltaError::NoEdge(from, to) => {
+                write!(f, "weight delta names a nonexistent edge {from:?} -> {to:?}")
+            }
+            DeltaError::BadWeight(w) => write!(f, "edge weight must be non-negative, got {w}"),
+        }
+    }
+}
+
+impl std::error::Error for DeltaError {}
+
+/// A sparse, immutable arc-reweighting layer over the manager's base
+/// weight array, as of one epoch: every arc reweighted by some publish up
+/// to the epoch that was newest when the layer was built, with its weight
+/// at this epoch.
 #[derive(Debug)]
 pub struct WeightOverlay {
     epoch: EpochId,
@@ -186,11 +216,11 @@ impl WeightOverlay {
 /// One bit per vertex, shared by every overlay of one manager: set for the
 /// tail of every arc some overlay of the manager reweights.
 ///
-/// Bits are set and never cleared. Overlays are cumulative, so a manager's
-/// arc sets only grow, and a view at an older epoch may see a vertex marked
-/// that its own overlay does not reweight; its range probe then finds
-/// nothing. Bits are atomics because views of older epochs read them while
-/// `publish` sets new ones.
+/// Bits are set and never cleared. The newest overlay is cumulative, so a
+/// manager's arc set only grows, and a view at an older epoch may see a
+/// vertex marked that its own epoch does not reweight; its range probe
+/// then finds nothing, or base weights. Bits are atomics because views of
+/// older epochs read them while `publish` sets new ones.
 #[derive(Clone, Debug)]
 struct TailMarks(Arc<[AtomicU64]>);
 
@@ -201,9 +231,9 @@ impl TailMarks {
 
     // `Relaxed` suffices on both sides: the bits publish nothing else, and
     // an epoch's own marks are set while the store mutex is held, before
-    // the epoch is inserted. Every view of it comes from a pin under the
-    // same mutex, so the mutex orders those marks before any read through
-    // the view.
+    // the epoch becomes the newest. Every view of it comes from a pin
+    // under the same mutex, so the mutex orders those marks before any
+    // read through the view.
     fn mark(&self, v: VertexId) {
         self.0[v.index() / 64].fetch_or(1 << (v.index() % 64), Ordering::Relaxed);
     }
@@ -243,9 +273,9 @@ impl WeightTouch {
 /// The exact set of arcs whose weight differs between two epochs of one
 /// [`WeightEpoch`] manager, as computed by [`WeightEpoch::delta_between`].
 ///
-/// Because cumulative overlays store *absolute* weights, the set is a true
-/// diff: an arc that was reweighted and later restored to its old value
-/// does **not** appear.
+/// Deltas carry *absolute* weights, so the set is a true diff: an arc that
+/// was reweighted and later restored to its old value does **not**
+/// appear.
 #[derive(Clone, Debug)]
 pub struct DeltaSet {
     from: EpochId,
@@ -303,68 +333,89 @@ impl DeltaSet {
     }
 }
 
-/// Snapshot of a [`WeightEpoch`] manager's history/GC accounting, surfaced
-/// through service metrics so a soak run can prove the overlay history
-/// stays bounded.
+/// Snapshot of a [`WeightEpoch`] manager's history accounting, surfaced
+/// through service metrics so a soak run can show the history stays
+/// bounded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EpochGcStats {
-    /// Epochs currently pinnable (overlays resident in the ring).
+    /// Epochs currently pinnable: the newest and every epoch the log can
+    /// undo to.
     pub retained: usize,
-    /// High-water mark of `retained`, measured after each collection
-    /// sweep. Bounded by `retention + (number of concurrently leased older
-    /// epochs)` — every held pin keeps exactly its own epoch alive.
-    pub retained_max: usize,
+    /// Heap bytes of the history: the log's batches plus the newest
+    /// overlay.
+    pub history_bytes: usize,
     /// Configured ring size K (`0` = unlimited, the default: every epoch
     /// stays pinnable forever).
     pub retention: usize,
-    /// Overlays compacted away (dropped from the ring; every newer overlay
-    /// already holds their entries).
+    /// Epochs dropped from the ring (their batches left the log).
     pub compacted: u64,
-    /// Entries in the newest cumulative overlay (arcs currently deviating
-    /// from the base weight array).
+    /// Entries in the newest cumulative overlay (arcs some publish has
+    /// reweighted).
     pub overlay_len: usize,
 }
 
+/// One publish in the history log: the arcs its batch resolved to, with
+/// their weights before and after it, and the ratio floor of the epoch
+/// before it. Undoing it turns its epoch's overlay into the previous
+/// epoch's.
+struct Batch {
+    /// Reweighted arc slots, sorted ascending, unique.
+    slots: Box<[u32]>,
+    /// `before[i]` is the weight of `slots[i]` at the previous epoch.
+    before: Box<[f64]>,
+    /// `after[i]` is the weight of `slots[i]` at this batch's epoch.
+    after: Box<[f64]>,
+    /// The previous epoch's [`WeightOverlay::min_ratio`].
+    floor_before: f64,
+}
+
+impl Batch {
+    /// Approximate heap footprint in bytes: 20 per arc plus the record.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Batch>()
+            + self.slots.len() * std::mem::size_of::<u32>()
+            + (self.before.len() + self.after.len()) * std::mem::size_of::<f64>()
+    }
+}
+
 struct EpochStore {
-    /// Epoch id → cumulative overlay over the manager's base, for every
-    /// still-pinnable epoch. An overlay is leased while its `Arc` has
-    /// clones: every view of its epoch holds one.
-    overlays: BTreeMap<u64, Arc<WeightOverlay>>,
+    /// The newest epoch's cumulative overlay; [`WeightEpoch::pin`] hands
+    /// out clones.
+    newest: Arc<WeightOverlay>,
+    /// The batches of the pinnable epochs after the oldest, oldest first:
+    /// `log[i]` turned epoch `oldest() + i` into the next.
+    log: VecDeque<Arc<Batch>>,
     /// Ring size K; `0` = unlimited.
     retention: usize,
     compacted: u64,
-    retained_max: usize,
 }
 
 impl EpochStore {
-    /// Drops unleased overlays older than the retention horizon. The
-    /// newest K epochs always stay; an older epoch survives only while
-    /// some reader still holds a view of it (its overlay `Arc` has
-    /// outstanding clones — the lease). Returns the number compacted.
-    fn collect(&mut self) -> usize {
-        if self.retention == 0 {
-            self.retained_max = self.retained_max.max(self.overlays.len());
-            return 0;
-        }
-        let newest = *self.overlays.keys().next_back().expect("epoch 0 always exists");
-        let horizon = newest.saturating_sub(self.retention as u64 - 1);
-        let dead: Vec<u64> = self
-            .overlays
-            .range(..horizon)
-            .filter(|(_, o)| Arc::strong_count(o) == 1)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in &dead {
-            self.overlays.remove(k);
-        }
-        self.compacted += dead.len() as u64;
-        self.retained_max = self.retained_max.max(self.overlays.len());
-        dead.len()
+    /// The oldest pinnable epoch.
+    fn oldest(&self) -> u64 {
+        self.newest.epoch.0 - self.log.len() as u64
     }
 
-    /// The current epoch's overlay.
-    fn newest(&self) -> &Arc<WeightOverlay> {
-        self.overlays.values().next_back().expect("epoch 0 always exists")
+    /// Drops the batches that only epochs beyond the retention ring need.
+    fn trim(&mut self) {
+        while self.retention > 0 && self.log.len() >= self.retention {
+            self.log.pop_front();
+            self.compacted += 1;
+        }
+    }
+
+    /// The batches from pinnable epoch `from` to pinnable epoch `to`, with
+    /// the ratio floors of both, or `None` unless `from <= to` are both
+    /// pinnable. Cheap (`Arc` clones), so it runs under the store lock and
+    /// the work on the batches outside it.
+    fn span(&self, from: EpochId, to: EpochId) -> Option<(Vec<Arc<Batch>>, f64, f64)> {
+        let oldest = self.oldest();
+        if from.0 < oldest || from > to || to > self.newest.epoch {
+            return None;
+        }
+        let (a, b) = ((from.0 - oldest) as usize, (to.0 - oldest) as usize);
+        let floor = |i: usize| self.log.get(i).map_or(self.newest.min_ratio, |x| x.floor_before);
+        Some((self.log.range(a..b).cloned().collect(), floor(a), floor(b)))
     }
 }
 
@@ -372,15 +423,15 @@ impl EpochStore {
 ///
 /// The network passed to [`WeightEpoch::new`] (with whatever weights its
 /// view carries) becomes epoch 0. Each [`publish`](WeightEpoch::publish)
-/// folds a batch of deltas into a new cumulative overlay and makes it the
-/// current epoch; readers that [`pin`](WeightEpoch::pin)ned an earlier
-/// epoch keep their snapshot untouched. Epoch ids are meaningful only
-/// within one manager.
+/// folds a batch of deltas into a new cumulative overlay, makes it the
+/// current epoch and logs the batch; readers that
+/// [`pin`](WeightEpoch::pin)ned an earlier epoch keep their snapshot
+/// untouched. Epoch ids are meaningful only within one manager.
 ///
-/// By default every published epoch stays pinnable forever (the memory
-/// cost grows with epochs × changed arcs). Configuring a retention ring
+/// By default every published epoch stays pinnable forever, at the cost
+/// of its batch in the log. Configuring a retention ring
 /// ([`set_retention`](WeightEpoch::set_retention)) bounds the history:
-/// see the module docs for the lease/GC semantics.
+/// see the module docs.
 pub struct WeightEpoch {
     /// The epoch-0 weights, with no overlay. Every overlay patches this
     /// one storage, and it anchors arc-slot resolution, the `min_ratio`
@@ -405,9 +456,9 @@ impl std::fmt::Debug for WeightEpoch {
 
 impl WeightEpoch {
     /// Takes `base` (as currently weighted) as epoch 0, with unlimited
-    /// history retention. A pinned view is taken as a lease-free copy
-    /// ([`RoadNetwork::detached`]): the manager that published it stays
-    /// free to compact its epoch.
+    /// history retention. A pinned view is taken as a copy with its
+    /// overlay folded in ([`RoadNetwork::detached`]), so the new manager
+    /// shares nothing with the one that published it.
     pub fn new(base: RoadNetwork) -> WeightEpoch {
         let base = base.detached();
         let zero = Arc::new(WeightOverlay {
@@ -421,20 +472,24 @@ impl WeightEpoch {
             base,
             current: AtomicU64::new(0),
             store: Mutex::new(EpochStore {
-                overlays: BTreeMap::from([(0, zero)]),
+                newest: zero,
+                log: VecDeque::new(),
                 retention: 0,
                 compacted: 0,
-                retained_max: 1,
             }),
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, EpochStore> {
+        self.store.lock().expect("epoch manager poisoned")
+    }
+
     /// Reconfigures the retention ring (`0` = unlimited) and immediately
-    /// runs a collection sweep under the new bound.
+    /// drops the batches of the epochs beyond it.
     pub fn set_retention(&self, retention: usize) {
-        let mut store = self.store.lock().expect("epoch manager poisoned");
+        let mut store = self.lock();
         store.retention = retention;
-        store.collect();
+        store.trim();
     }
 
     /// The most recently published epoch. Lock-free: safe to poll per
@@ -444,30 +499,46 @@ impl WeightEpoch {
     }
 
     /// A read view pinned to the current epoch. O(1): two `Arc` clones.
-    /// The view is a counted lease — while it (or any clone) is alive,
-    /// its epoch cannot be compacted away.
     pub fn pin(&self) -> RoadNetwork {
-        let store = self.store.lock().expect("epoch manager poisoned");
-        self.view(store.newest())
+        // Even an empty epoch-0 overlay goes into the view: it tags the
+        // view with its epoch. Neighbour scans through the view probe the
+        // overlay only at vertices the manager marked; at every other
+        // vertex they read base weights, as a view without an overlay does.
+        self.base.with_overlay(Arc::clone(&self.lock().newest))
     }
 
     /// A read view pinned to `epoch`, if it was published by this manager
-    /// and is still retained (not compacted away). Like [`pin`], the view
-    /// is a lease blocking compaction of its epoch.
+    /// and is still pinnable. The newest epoch's view is [`pin`]'s; an
+    /// older epoch's overlay is rebuilt from the newest by undoing the
+    /// later batches, outside the store lock: O(newest overlay + undone
+    /// arcs).
     ///
     /// [`pin`]: WeightEpoch::pin
     pub fn pin_at(&self, epoch: EpochId) -> Option<RoadNetwork> {
-        let store = self.store.lock().expect("epoch manager poisoned");
-        store.overlays.get(&epoch.0).map(|o| self.view(o))
-    }
-
-    fn view(&self, overlay: &Arc<WeightOverlay>) -> RoadNetwork {
-        // Even an empty epoch-0 overlay is cloned into the view: the clone
-        // *is* the lease, and a pin that held no overlay would not block
-        // compaction of its epoch. Neighbour scans through the view probe
-        // the overlay only at vertices the manager marked; at every other
-        // vertex they read base weights, as a view without an overlay does.
-        self.base.with_overlay(Arc::clone(overlay))
+        let (newest, (undo, min_ratio, _)) = {
+            let store = self.lock();
+            (Arc::clone(&store.newest), store.span(epoch, store.newest.epoch)?)
+        };
+        if undo.is_empty() {
+            return Some(self.base.with_overlay(newest));
+        }
+        // Newest batch first, so each arc ends at its weight before the
+        // earliest batch after `epoch` that touched it. The newest overlay
+        // holds every arc any batch touched.
+        let mut weights = newest.weights.clone();
+        for batch in undo.iter().rev() {
+            for (slot, &w) in batch.slots.iter().zip(&batch.before) {
+                let i = newest.arcs.binary_search(slot).expect("a logged arc is in the overlay");
+                weights[i] = w;
+            }
+        }
+        Some(self.base.with_overlay(Arc::new(WeightOverlay {
+            epoch,
+            arcs: newest.arcs.clone(),
+            weights,
+            marks: newest.marks.clone(),
+            min_ratio,
+        })))
     }
 
     /// The epoch-0 view, with no overlay: lower-bound oracles (landmarks)
@@ -477,46 +548,29 @@ impl WeightEpoch {
         &self.base
     }
 
-    /// Applies one batch of weight deltas as the next epoch and returns its
-    /// id. Copy-on-write: the previous overlay is merged with the resolved
-    /// deltas into a fresh overlay (last write wins within the batch);
-    /// published epochs are never mutated. Afterwards a collection sweep
-    /// compacts unleased epochs beyond the retention ring.
-    ///
-    /// Marks the tail of every reweighted arc in the manager's shared
-    /// vertex bits (see the module docs), so neighbour scans at later
-    /// epochs probe the overlay only where some arc changed.
-    ///
-    /// An empty batch still publishes a (content-identical) new epoch —
-    /// callers control epoch granularity.
-    ///
-    /// # Panics
-    /// If a delta names an edge that does not exist in the network, or
-    /// carries a negative/NaN weight.
-    pub fn publish(&self, deltas: &[WeightDelta]) -> EpochId {
-        // Resolve edges to arc slots outside the lock; both directions of
-        // an undirected edge change together so a pinned view stays
-        // symmetric.
+    /// Resolves `deltas` to the arc slots they reweight, sorted and
+    /// unique, the last delta for an arc winning: the one step of a
+    /// publish that can fail. Both directions of an undirected edge change
+    /// together, so a pinned view stays symmetric.
+    fn resolve(&self, deltas: &[WeightDelta]) -> Result<Vec<(u32, f64)>, DeltaError> {
         let mut patch: Vec<(u32, f64)> = Vec::with_capacity(deltas.len() * 2);
         for d in deltas {
-            assert!(
-                !d.weight.is_nan() && d.weight >= 0.0,
-                "edge weight must be non-negative, got {}",
-                d.weight
-            );
+            if d.weight.is_nan() || d.weight < 0.0 {
+                return Err(DeltaError::BadWeight(d.weight));
+            }
+            let n = self.base.num_vertices();
+            if let Some(v) = [d.from, d.to].into_iter().find(|v| v.index() >= n) {
+                return Err(DeltaError::UnknownVertex(v));
+            }
             let mut slots = self.base.arcs_between(d.from, d.to);
             if !self.base.is_directed() && d.from != d.to {
                 slots.extend(self.base.arcs_between(d.to, d.from));
             }
-            assert!(
-                !slots.is_empty(),
-                "weight delta names a nonexistent edge {:?} -> {:?}",
-                d.from,
-                d.to
-            );
+            if slots.is_empty() {
+                return Err(DeltaError::NoEdge(d.from, d.to));
+            }
             patch.extend(slots.into_iter().map(|s| (s, d.weight)));
         }
-        // Within one batch the last delta for an edge wins.
         patch.sort_by_key(|&(s, _)| s);
         patch.dedup_by(|later, earlier| {
             // `dedup_by` keeps the *first* of a run; runs are in input order
@@ -528,6 +582,36 @@ impl WeightEpoch {
                 false
             }
         });
+        Ok(patch)
+    }
+
+    /// Applies one batch of weight deltas as the next epoch and returns its
+    /// id: [`try_publish`](WeightEpoch::try_publish) for a batch known to
+    /// be valid.
+    ///
+    /// # Panics
+    /// If a delta names a vertex or edge that does not exist in the
+    /// network, or carries a negative/NaN weight.
+    pub fn publish(&self, deltas: &[WeightDelta]) -> EpochId {
+        self.try_publish(deltas).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Applies one batch of weight deltas as the next epoch and returns its
+    /// id, or refuses the whole batch, publishing nothing, when a delta
+    /// names a vertex or edge the network lacks or a negative/NaN weight.
+    /// Copy-on-write: the newest overlay is merged with the resolved
+    /// deltas into a fresh overlay (last write wins within the batch);
+    /// published overlays are never mutated. The batch joins the log, and
+    /// the log drops what the retention ring no longer needs.
+    ///
+    /// Marks the tail of every reweighted arc in the manager's shared
+    /// vertex bits (see the module docs), so neighbour scans at later
+    /// epochs probe the overlay only where some arc changed.
+    ///
+    /// An empty batch still publishes a (content-identical) new epoch —
+    /// callers control epoch granularity.
+    pub fn try_publish(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
+        let patch = self.resolve(deltas)?;
         // Ratio floor of this batch versus the origin weights. Zero-weight
         // origin arcs impose no constraint (w >= r * 0 holds for any r).
         let patch_ratio = patch
@@ -542,27 +626,29 @@ impl WeightEpoch {
             })
             .fold(1.0f64, f64::min);
 
-        let mut store = self.store.lock().expect("epoch manager poisoned");
-        let (&prev_id, prev_overlay) =
-            store.overlays.iter().next_back().expect("epoch 0 always exists");
+        let mut store = self.lock();
+        let prev = Arc::clone(&store.newest);
         let epoch = EpochId(self.current.load(Ordering::Relaxed) + 1);
-        debug_assert!(epoch.0 > prev_id);
+        debug_assert_eq!(epoch.0, prev.epoch.0 + 1);
         // The patch's tails are each delta's endpoints: `from` for
         // `from → to`, and `to` for the reverse arcs of an undirected edge.
-        let marks = prev_overlay.marks.clone();
         for d in deltas {
-            marks.mark(d.from);
+            prev.marks.mark(d.from);
             if !self.base.is_directed() {
-                marks.mark(d.to);
+                prev.marks.mark(d.to);
             }
         }
-        // Sorted two-pointer merge of the previous cumulative overlay with
+        let before: Box<[f64]> = patch
+            .iter()
+            .map(|&(s, _)| prev.weight_of(s).unwrap_or_else(|| self.base.arc_weight(s)))
+            .collect();
+        // Sorted two-pointer merge of the newest cumulative overlay with
         // the patch (patch wins on collision).
-        let mut arcs = Vec::with_capacity(prev_overlay.arcs.len() + patch.len());
-        let mut weights = Vec::with_capacity(prev_overlay.arcs.len() + patch.len());
+        let mut arcs = Vec::with_capacity(prev.arcs.len() + patch.len());
+        let mut weights = Vec::with_capacity(prev.arcs.len() + patch.len());
         let (mut i, mut j) = (0usize, 0usize);
-        while i < prev_overlay.arcs.len() || j < patch.len() {
-            let take_patch = match (prev_overlay.arcs.get(i), patch.get(j)) {
+        while i < prev.arcs.len() || j < patch.len() {
+            let take_patch = match (prev.arcs.get(i), patch.get(j)) {
                 (Some(&a), Some(&(b, _))) => {
                     if a == b {
                         i += 1; // superseded by the patch
@@ -581,113 +667,81 @@ impl WeightEpoch {
                 weights.push(w);
                 j += 1;
             } else {
-                arcs.push(prev_overlay.arcs[i]);
-                weights.push(prev_overlay.weights[i]);
+                arcs.push(prev.arcs[i]);
+                weights.push(prev.weights[i]);
                 i += 1;
             }
         }
-        let overlay = Arc::new(WeightOverlay {
+        store.newest = Arc::new(WeightOverlay {
             epoch,
             arcs: arcs.into_boxed_slice(),
             weights: weights.into_boxed_slice(),
-            marks,
-            min_ratio: prev_overlay.min_ratio.min(patch_ratio),
+            marks: prev.marks.clone(),
+            min_ratio: prev.min_ratio.min(patch_ratio),
         });
-        store.overlays.insert(epoch.0, overlay);
-        store.collect();
-        // Advertise the epoch only after its overlay is resident (still
-        // inside the lock), so a reader that observes the new id can
-        // always pin it.
+        let (slots, after) = patch.into_iter().unzip::<_, _, Vec<_>, Vec<_>>();
+        store.log.push_back(Arc::new(Batch {
+            slots: slots.into(),
+            before,
+            after: after.into(),
+            floor_before: prev.min_ratio,
+        }));
+        store.trim();
+        // Advertise the epoch only once it is the newest (still inside the
+        // lock), so a reader that observes the new id can always pin it.
         self.current.store(epoch.0, Ordering::Release);
-        epoch
-    }
-
-    /// Runs a collection sweep now, as every publish does: drops unleased
-    /// overlays beyond the retention ring, so an epoch whose last view was
-    /// released is collected without waiting for the next publish.
-    /// Returns the number of overlays dropped.
-    pub fn compact(&self) -> usize {
-        self.store.lock().expect("epoch manager poisoned").collect()
+        Ok(epoch)
     }
 
     /// The exact set of arcs whose weight differs between `from` and `to`,
-    /// or `None` when `from` is newer than `to` or either epoch is no
-    /// longer retained.
+    /// or `None` when `from` is newer than `to` or either epoch is not
+    /// pinnable.
     ///
-    /// O(|overlay(from)| + |overlay(to)|): a sorted two-pointer diff of
-    /// the two cumulative overlays over the one base — absolute weights
-    /// make intermediate epochs irrelevant, and an arc changed and changed
-    /// *back* correctly does not appear.
+    /// Reads the batches in `(from, to]`, outside the store lock: each
+    /// arc they touch weighs its first batch's weight before at `from`
+    /// and its last batch's weight after at `to`. O(m log m) for the m
+    /// arcs those batches logged; an arc changed and changed *back*
+    /// correctly does not appear.
     pub fn delta_between(&self, from: EpochId, to: EpochId) -> Option<DeltaSet> {
-        if from > to {
-            return None;
-        }
-        // Take only cheap clones under the manager lock — repair calls
-        // this per stale cache hit, and the O(overlay) diff below must not
-        // serialize the serving workers against pins and publishes. The
-        // transient overlay clones also lease both epochs, so the diff
-        // cannot race a compaction.
-        let (fo, to_ov) = {
-            let store = self.store.lock().expect("epoch manager poisoned");
-            (Arc::clone(store.overlays.get(&from.0)?), Arc::clone(store.overlays.get(&to.0)?))
-        };
+        // Repair calls this per stale cache hit, so only the `Arc` clones
+        // happen under the lock: the merge must not serialize the serving
+        // workers against pins and publishes.
+        let (batches, from_min_ratio, to_min_ratio) = self.lock().span(from, to)?;
+        let mut changes: Vec<(u32, f64, f64)> = batches
+            .iter()
+            .flat_map(|b| {
+                b.slots
+                    .iter()
+                    .zip(b.before.iter().zip(b.after.iter()))
+                    .map(|(&s, (&x, &y))| (s, x, y))
+            })
+            .collect();
+        // Stable: within one slot the changes stay in publish order.
+        changes.sort_by_key(|&(s, ..)| s);
         let mut touches = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        let base = &self.base;
-        let mut push = |slot: u32, from_weight: f64, to_weight: f64| {
+        for run in changes.chunk_by(|x, y| x.0 == y.0) {
+            let (slot, from_weight, to_weight) = (run[0].0, run[0].1, run[run.len() - 1].2);
             if from_weight != to_weight {
-                let (tail, head, _) = base.arc(slot as usize);
+                let (tail, head, _) = self.base.arc(slot as usize);
                 touches.push(WeightTouch { slot, tail, head, from_weight, to_weight });
-            }
-        };
-        while i < fo.arcs.len() || j < to_ov.arcs.len() {
-            match (fo.arcs.get(i).copied(), to_ov.arcs.get(j).copied()) {
-                (Some(a), Some(b)) if a == b => {
-                    push(a, fo.weights[i], to_ov.weights[j]);
-                    i += 1;
-                    j += 1;
-                }
-                (Some(a), Some(b)) if a < b => {
-                    push(a, fo.weights[i], base.arc_weight(a));
-                    i += 1;
-                }
-                (Some(_), Some(b)) => {
-                    push(b, base.arc_weight(b), to_ov.weights[j]);
-                    j += 1;
-                }
-                (Some(a), None) => {
-                    push(a, fo.weights[i], base.arc_weight(a));
-                    i += 1;
-                }
-                (None, Some(b)) => {
-                    push(b, base.arc_weight(b), to_ov.weights[j]);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
             }
         }
         let mut tails: Vec<u32> = touches.iter().map(|t| t.tail.0).collect();
         tails.sort_unstable();
         tails.dedup();
-        Some(DeltaSet {
-            from,
-            to,
-            from_min_ratio: fo.min_ratio,
-            to_min_ratio: to_ov.min_ratio,
-            touches,
-            tails: tails.into(),
-        })
+        Some(DeltaSet { from, to, from_min_ratio, to_min_ratio, touches, tails: tails.into() })
     }
 
-    /// History/GC accounting snapshot.
+    /// History accounting snapshot.
     pub fn gc_stats(&self) -> EpochGcStats {
-        let store = self.store.lock().expect("epoch manager poisoned");
+        let store = self.lock();
         EpochGcStats {
-            retained: store.overlays.len(),
-            retained_max: store.retained_max,
+            retained: store.log.len() + 1,
+            history_bytes: store.newest.heap_bytes()
+                + store.log.iter().map(|b| b.heap_bytes()).sum::<usize>(),
             retention: store.retention,
             compacted: store.compacted,
-            overlay_len: store.newest().len(),
+            overlay_len: store.newest.len(),
         }
     }
 }
@@ -941,7 +995,6 @@ mod tests {
         assert_eq!(gc.retained, 3, "ring keeps exactly K epochs: {gc:?}");
         assert_eq!(gc.retention, 3);
         assert_eq!(gc.compacted, 8, "epochs 0..=7 were compacted");
-        assert!(gc.retained_max <= 3, "nothing was pinned, so the ring never grew: {gc:?}");
         // Old epochs are gone; recent ones still pin.
         assert!(epochs.pin_at(EpochId(0)).is_none());
         assert!(epochs.pin_at(EpochId(7)).is_none());
@@ -951,73 +1004,37 @@ mod tests {
     }
 
     #[test]
-    fn a_held_pin_blocks_compaction_and_release_unblocks_it() {
-        let epochs = ring(2);
-        epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 2.0)]);
-        let held = epochs.pin_at(EpochId(1)).expect("fresh epoch pins");
-        for i in 0..6u32 {
-            epochs.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 3.0 + f64::from(i))]);
-        }
-        // Epoch 1 is leased: it must survive every sweep while `held` lives.
-        assert!(epochs.pin_at(EpochId(1)).is_some(), "a held lease blocks compaction");
-        assert_eq!(weight_between(&held, 0, 1), 2.0, "the held view is untouched");
-        let gc = epochs.gc_stats();
-        assert_eq!(gc.retained, 3, "ring of 2 plus the one leased epoch");
-        assert!(gc.retained_max <= 2 + 1);
-        drop(held);
-        // The lease is gone; the next sweep compacts epoch 1.
-        epochs.compact();
-        assert!(epochs.pin_at(EpochId(1)).is_none(), "released epochs are collectable");
-        assert_eq!(epochs.gc_stats().retained, 2);
-    }
-
-    #[test]
     fn a_detached_view_holds_no_lease() {
         let epochs = ring(1);
         epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 2.0)]);
         let copy = epochs.pin().detached();
         assert_eq!((copy.epoch(), weight_between(&copy, 0, 1)), (EpochId::BASE, 2.0));
         epochs.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 3.0)]);
-        assert!(epochs.pin_at(EpochId(1)).is_none(), "the copy must not lease epoch 1");
+        assert!(epochs.pin_at(EpochId(1)).is_none(), "the copy keeps no epoch pinnable");
         assert_eq!(weight_between(&copy, 1, 2), 2.0, "the copy keeps the weights it copied");
     }
 
     #[test]
     fn compact_keeps_weights_and_every_retained_pair_diffable() {
         let epochs = ring(2);
-        epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 9.0)]);
-        let held = epochs.pin_at(EpochId(1)).expect("fresh epoch pins");
+        let e1 = epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 9.0)]);
+        let held = epochs.pin();
         let e2 = epochs.publish(&[WeightDelta::new(VertexId(1), VertexId(2), 4.0)]);
         let before = epochs.pin();
-        epochs.compact();
-        let after = epochs.pin();
-        assert_eq!(after.epoch(), e2);
-        for (a, b) in [(0, 1), (1, 2), (0, 2)] {
-            assert_eq!(weight_between(&before, a, b), weight_between(&after, a, b));
-        }
+        // Epoch 3 pushes epoch 1's batch out of the ring.
         let e3 = epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(2), 6.0)]);
-        assert_eq!(epochs.gc_stats().overlay_len, 6, "the overlay stays cumulative");
-        // The held epoch diffs against the newest: both later edges moved.
-        let d = epochs.delta_between(EpochId(1), e3).expect("retained epochs diff");
-        assert_eq!(d.len(), 4);
-        assert_eq!(weight_between(&held, 1, 2), 2.0);
-    }
-
-    #[test]
-    fn even_epoch_zero_pins_are_leases() {
-        // Regression: the epoch-0 view of a pristine base must still hold
-        // its (empty) overlay Arc — a lease-less pin would not block
-        // compaction of its epoch.
-        let epochs = ring(2);
-        let held = epochs.pin(); // epoch 0, empty overlay
-        for i in 0..5u32 {
-            epochs.publish(&[WeightDelta::new(VertexId(0), VertexId(1), 2.0 + f64::from(i))]);
+        assert!(epochs.pin_at(e1).is_none() && epochs.delta_between(e1, e3).is_none());
+        let again = epochs.pin_at(e2).expect("epoch 2 is in the ring");
+        for (a, b) in [(0, 1), (1, 2), (0, 2)] {
+            assert_eq!(weight_between(&before, a, b), weight_between(&again, a, b));
         }
-        assert!(epochs.pin_at(EpochId::BASE).is_some(), "a held epoch-0 lease blocks compaction");
-        assert_eq!(weight_between(&held, 0, 1), 1.0);
-        drop(held);
-        epochs.compact();
-        assert!(epochs.pin_at(EpochId::BASE).is_none(), "released epoch 0 is collectable");
+        assert_eq!(epochs.gc_stats().overlay_len, 6, "the overlay stays cumulative");
+        // The retained pair diffs to the one edge epoch 3 moved.
+        let d = epochs.delta_between(e2, e3).expect("retained epochs diff");
+        assert_eq!(d.len(), 2);
+        assert!(d.touches().iter().all(|t| (t.from_weight, t.to_weight) == (5.0, 6.0)));
+        // A view outlives its epoch's place in the ring.
+        assert_eq!((weight_between(&held, 0, 1), weight_between(&held, 1, 2)), (9.0, 2.0));
     }
 
     #[test]
@@ -1061,5 +1078,126 @@ mod tests {
         epochs.set_retention(4);
         assert_eq!(epochs.gc_stats().retained, 4);
         assert!(epochs.pin_at(EpochId(0)).is_none());
+    }
+
+    #[test]
+    fn a_bad_batch_is_refused_and_publishes_nothing() {
+        let epochs = WeightEpoch::new(triangle());
+        let ok = WeightDelta::new(VertexId(0), VertexId(1), 2.0);
+        let bad =
+            |from, to, weight| [ok, WeightDelta { from: VertexId(from), to: VertexId(to), weight }];
+        assert_eq!(
+            epochs.try_publish(&bad(0, 8, 1.0)),
+            Err(DeltaError::UnknownVertex(VertexId(8)))
+        );
+        assert_eq!(
+            epochs.try_publish(&bad(9, 0, 1.0)),
+            Err(DeltaError::UnknownVertex(VertexId(9)))
+        );
+        assert_eq!(
+            epochs.try_publish(&bad(1, 1, 1.0)),
+            Err(DeltaError::NoEdge(VertexId(1), VertexId(1)))
+        );
+        assert!(matches!(epochs.try_publish(&bad(0, 2, f64::NAN)), Err(DeltaError::BadWeight(_))));
+        assert_eq!(epochs.current_epoch(), EpochId::BASE);
+        assert_eq!(weight_between(&epochs.pin(), 0, 1), 1.0, "the valid delta stayed unpublished");
+        assert_eq!(epochs.try_publish(&[ok]), Ok(EpochId(1)));
+    }
+
+    /// A `side` × `side` grid whose edge weights vary from 1 to 4.
+    fn grid(side: u32) -> RoadNetwork {
+        let mut b = GraphBuilder::new();
+        let v: Vec<_> = (0..side * side).map(|_| b.add_vertex()).collect();
+        for i in 0..side * side {
+            let w = 1.0 + f64::from(i % 4);
+            if i % side + 1 < side {
+                b.add_edge(v[i as usize], v[i as usize + 1], w);
+            }
+            if i + side < side * side {
+                b.add_edge(v[i as usize], v[(i + side) as usize], w);
+            }
+        }
+        b.build()
+    }
+
+    /// Every arc's weight under `g`, by slot.
+    fn arc_weights(g: &RoadNetwork) -> Vec<f64> {
+        (0..g.num_arcs()).map(|s| g.arc(s).2.get()).collect()
+    }
+
+    #[test]
+    fn history_bytes_stay_linear_in_published_arcs() {
+        const WAVES: u64 = 2_000;
+        const EDGES: usize = 8;
+        let g = grid(24);
+        let edges: Vec<(VertexId, VertexId, f64)> = (0..g.num_arcs())
+            .map(|s| g.arc(s))
+            .filter(|(a, b, _)| a < b)
+            .map(|(a, b, w)| (a, b, w.get()))
+            .collect();
+        // Each wave reweights EDGES distinct edges to 1/2–2x their base
+        // weight, from a fixed pseudo-random sequence.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let waves: Vec<Vec<WeightDelta>> = (0..WAVES)
+            .map(|_| {
+                let start = next() as usize % edges.len();
+                (0..EDGES)
+                    .map(|k| {
+                        let (a, b, w) = edges[(start + 97 * k) % edges.len()];
+                        WeightDelta::new(a, b, w * (0.5 + 1.5 * (next() % 1000) as f64 / 1000.0))
+                    })
+                    .collect()
+            })
+            .collect();
+        for retention in [0, 16] {
+            let epochs = WeightEpoch::new(g.clone());
+            epochs.set_retention(retention);
+            // The flat replay: every arc's weight, deltas applied in place.
+            let mut flat = arc_weights(&g);
+            let checked = match retention {
+                0 => [0, WAVES / 2, WAVES],
+                k => [WAVES + 1 - k as u64, WAVES - k as u64 / 2, WAVES],
+            };
+            let mut expected = Vec::new();
+            let mut published = 0;
+            for (e, wave) in (1..).zip(&waves) {
+                if e == 1 && checked[0] == 0 {
+                    expected.push((0, flat.clone()));
+                }
+                epochs.publish(wave);
+                for d in wave {
+                    for s in
+                        g.arcs_between(d.from, d.to).into_iter().chain(g.arcs_between(d.to, d.from))
+                    {
+                        flat[s as usize] = d.weight;
+                    }
+                }
+                published += 2 * EDGES;
+                if checked.contains(&e) {
+                    expected.push((e, flat.clone()));
+                }
+                let gc = epochs.gc_stats();
+                let newest = 12 * gc.overlay_len;
+                if retention == 0 {
+                    // 20 bytes per arc plus the batch's record, spread
+                    // over its 16 arcs.
+                    assert!(gc.history_bytes <= 32 * published + newest, "wave {e}: {gc:?}");
+                } else {
+                    let ring = retention * (std::mem::size_of::<Batch>() + 20 * 2 * EDGES);
+                    assert!(gc.history_bytes <= ring + 12 * g.num_arcs(), "wave {e}: {gc:?}");
+                    assert_eq!(gc.retained, retention.min(e as usize + 1));
+                }
+            }
+            for (e, flat) in expected {
+                let view = epochs.pin_at(EpochId(e)).expect("a checked epoch is pinnable");
+                assert_eq!(arc_weights(&view), flat, "epoch {e}, retention {retention}");
+            }
+        }
     }
 }

@@ -38,7 +38,9 @@ pub mod weight;
 pub use builder::GraphBuilder;
 pub use csr::RoadNetwork;
 pub use dijkstra::{dijkstra_with, DijkstraWorkspace, Settle};
-pub use epoch::{DeltaSet, EpochGcStats, EpochId, WeightDelta, WeightEpoch, WeightTouch};
+pub use epoch::{
+    DeltaError, DeltaSet, EpochGcStats, EpochId, WeightDelta, WeightEpoch, WeightTouch,
+};
 pub use geometry::GeoPoint;
 pub use landmarks::Landmarks;
 pub use resumable::ResumableDijkstra;

@@ -11,7 +11,8 @@ use skysr_core::prepared::PositionMemo;
 use skysr_core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery};
 use skysr_data::dataset::Dataset;
 use skysr_graph::{
-    DeltaSet, EpochGcStats, EpochId, Landmarks, RoadNetwork, VertexId, WeightDelta, WeightEpoch,
+    DeltaError, DeltaSet, EpochGcStats, EpochId, Landmarks, RoadNetwork, VertexId, WeightDelta,
+    WeightEpoch,
 };
 
 /// Landmarks built for the repair lower bounds: enough for useful
@@ -128,8 +129,10 @@ impl ServiceContext {
     }
 
     /// A snapshot pinned to `epoch`, if that epoch was published on this
-    /// context. Historical pins power verification: a replayed answer is
-    /// audited against a fresh search *at the epoch it was served under*.
+    /// context and is still in its retention ring. Historical pins power
+    /// verification: a replayed answer is audited against a fresh search
+    /// *at the epoch it was served under*. An epoch older than the newest
+    /// is rebuilt from the history (see [`WeightEpoch::pin_at`]).
     pub fn pin_at(&self, epoch: EpochId) -> Option<PinnedContext<'_>> {
         self.graph.pin_at(epoch).map(|g| self.pinned_view(g))
     }
@@ -149,9 +152,17 @@ impl ServiceContext {
     /// [`Self::pin`] calls observe the new weights.
     ///
     /// # Panics
-    /// If a delta names a nonexistent edge or a negative/NaN weight.
+    /// If a delta names a nonexistent vertex or edge, or a negative/NaN
+    /// weight.
     pub fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId {
         self.graph.publish(deltas)
+    }
+
+    /// [`Self::publish_weights`] for a batch from outside the process: a
+    /// batch naming a nonexistent vertex or edge, or a negative/NaN
+    /// weight, is refused whole and publishes nothing.
+    pub fn try_publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
+        self.graph.try_publish(deltas)
     }
 
     /// The most recently published weight epoch.
@@ -160,29 +171,25 @@ impl ServiceContext {
     }
 
     /// Bounds the weight-epoch history to the newest `retention` epochs
-    /// (`0` = unlimited, the default). Older overlays are compacted once
-    /// no reader leases them; epochs that fell out of the ring can no
-    /// longer be pinned with [`Self::pin_at`].
+    /// (`0` = unlimited, the default). The history logs each publish's
+    /// arcs, and the batches only older epochs need are dropped as new
+    /// ones arrive, so epochs that fell out of the ring can no longer be
+    /// pinned with [`Self::pin_at`] or diffed by [`Self::delta_index`].
+    /// Views already pinned keep their weights.
     pub fn set_epoch_retention(&self, retention: usize) {
         self.graph.set_retention(retention);
     }
 
-    /// Runs a history compaction sweep now, as every publish does (see
-    /// [`WeightEpoch::compact`]). Returns the number of overlays dropped.
-    pub fn compact_epochs(&self) -> usize {
-        self.graph.compact()
-    }
-
-    /// Epoch history / GC accounting (retained overlays, compactions) for
-    /// metrics and the soak gates.
+    /// Epoch history accounting (pinnable epochs, dropped epochs, history
+    /// bytes) for metrics and the soak gates.
     pub fn epoch_gc_stats(&self) -> EpochGcStats {
         self.graph.gc_stats()
     }
 
     /// The exact arc-weight diff between `from` and `to`, shared by every
     /// stale cache key of the pair, or `None` when it is no longer
-    /// derivable (an epoch was compacted away; repair then falls back to a
-    /// fresh search). See [`WeightEpoch::delta_between`].
+    /// derivable (an epoch fell out of the retention ring; repair then
+    /// falls back to a fresh search). See [`WeightEpoch::delta_between`].
     ///
     /// Diffed **once** per pair and memoized in a small ring, so repairing
     /// N stale cache keys against one weight update costs one diff.

@@ -77,10 +77,12 @@
 //! reuse sound: a cached skyline at an older epoch is repaired against
 //! the exact weight delta
 //! ([`skysr_core::bssr::repair`]) and promoted to the new epoch in place.
-//! The weight-epoch history itself can be bounded
-//! ([`ServiceContext::set_epoch_retention`]): old overlays are compacted
-//! once no reader leases them, so long-running services under churn hold
-//! at most K epochs.
+//! The weight-epoch history is the newest overlay plus a log of each
+//! publish's arcs, so it grows with the arcs published, not with the
+//! square of the epoch count. It can be bounded too
+//! ([`ServiceContext::set_epoch_retention`]): the log then keeps the
+//! newest K epochs' batches, so long-running services under churn hold at
+//! most K pinnable epochs.
 //!
 //! ## Quickstart
 //!

@@ -271,8 +271,8 @@ pub struct MetricsSnapshot {
     pub max_skyline_size: usize,
     /// Result-cache counters at snapshot time.
     pub cache: CacheCounters,
-    /// Weight-epoch history / GC accounting at snapshot time (retained
-    /// overlays, compactions).
+    /// Weight-epoch history accounting at snapshot time (pinnable epochs,
+    /// dropped epochs, history bytes).
     pub epochs: EpochGcStats,
     /// Observation window.
     pub wall: Duration,
@@ -382,7 +382,7 @@ impl MetricsSnapshot {
     /// The records add exactly (histogram bucket boundaries are fixed, so
     /// merging loses nothing) and the derived fields are recomputed from
     /// the sum. `wall` is the *longest* of the two windows — shards serve
-    /// concurrently, not back-to-back. Cache counters sum; the epoch/GC
+    /// concurrently, not back-to-back. Cache counters sum; the epoch-history
     /// gauges sum except `retention`, reported as the largest configured
     /// ring (each shard owns its own ring — there is no shared retention
     /// to report).
@@ -406,7 +406,7 @@ impl MetricsSnapshot {
         self.cache.len += other.cache.len;
 
         self.epochs.retained += other.epochs.retained;
-        self.epochs.retained_max += other.epochs.retained_max;
+        self.epochs.history_bytes += other.epochs.history_bytes;
         self.epochs.retention = self.epochs.retention.max(other.epochs.retention);
         self.epochs.compacted += other.epochs.compacted;
         self.epochs.overlay_len += other.epochs.overlay_len;
@@ -507,9 +507,9 @@ impl std::fmt::Display for MetricsSnapshot {
                 if e.retention == 0 { "unlimited".to_owned() } else { e.retention.to_string() };
             writeln!(
                 f,
-                "epochs      {} retained (max {}, cap {}), {} overlays compacted, \
-                 {} overlay arcs",
-                e.retained, e.retained_max, cap, e.compacted, e.overlay_len
+                "epochs      {} retained (cap {}), {} compacted, {} overlay arcs, {} history \
+                 bytes",
+                e.retained, cap, e.compacted, e.overlay_len, e.history_bytes
             )?;
         }
         write!(
@@ -589,7 +589,7 @@ pub(crate) mod tests {
         let n = k as usize;
         let epochs = EpochGcStats {
             retained: n % 4,
-            retained_max: n % 5,
+            history_bytes: 20 * n,
             retention: n % 3,
             compacted: k,
             overlay_len: 2 * n,
@@ -611,7 +611,7 @@ pub(crate) mod tests {
         };
         let epochs = EpochGcStats {
             retained: ea.retained + eb.retained,
-            retained_max: ea.retained_max + eb.retained_max,
+            history_bytes: ea.history_bytes + eb.history_bytes,
             retention: ea.retention.max(eb.retention),
             compacted: ea.compacted + eb.compacted,
             overlay_len: ea.overlay_len + eb.overlay_len,

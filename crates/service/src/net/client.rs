@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skysr_graph::{EpochId, WeightDelta};
+use skysr_graph::{DeltaError, EpochId, WeightDelta};
 
 use super::wire::{
     read_frame, DatasetFingerprint, Frame, ProtocolError, MAX_FRAME, PROTOCOL_VERSION,
@@ -183,12 +183,15 @@ impl QueryService for RemoteService {
         }
     }
 
-    fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId {
+    /// Never `Err`: the daemon answers a batch it refuses with a `Fault`
+    /// and closes the connection, so this panics like any call on a lost
+    /// connection, with the daemon's reason.
+    fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
         let (tx, rx) = std::sync::mpsc::channel();
         self.shared.demux.lock().expect("client demux poisoned").epochs.push_back(tx);
         self.send(&Frame::PublishWeights(deltas.to_vec()));
         match rx.recv() {
-            Ok(epoch) => epoch,
+            Ok(epoch) => Ok(epoch),
             Err(_) => panic!("skysr-d connection lost: {}", self.shared.fault_message()),
         }
     }

@@ -9,7 +9,9 @@
 //!   the backend's ordinary [`QueryService::submit_to`], which blocks
 //!   while the submission queue is full — so a full queue stops that
 //!   connection's reads, and backpressure reaches the client as an unread
-//!   socket;
+//!   socket. A frame the reader cannot serve (malformed bytes, a frame
+//!   out of order, a weight batch the backend refuses) is answered with a
+//!   [`Frame::Fault`], and the connection closes;
 //! * every frame for the connection goes through one outbox to the
 //!   writer, which writes them in the order they were posted. The reader
 //!   posts its own replies there (so unnumbered replies stay in request
@@ -437,10 +439,10 @@ fn read_loop(front: &Front, stream: &TcpStream, out: &Arc<Outbox>) -> Result<(),
                 front.backend.submit_to(request, reply_to(out, id, streaming, owed));
             }
             Frame::MetricsReq => out.post(&Frame::MetricsRep(Box::new(front.backend.metrics()))),
-            Frame::PublishWeights(deltas) => {
-                let epoch = front.backend.publish_weights(&deltas);
-                out.post(&Frame::WeightsPublished { epoch });
-            }
+            Frame::PublishWeights(deltas) => match front.backend.publish_weights(&deltas) {
+                Ok(epoch) => out.post(&Frame::WeightsPublished { epoch }),
+                Err(e) => return Err(format!("weight batch refused: {e}")),
+            },
             Frame::Shutdown => {
                 if !greeted {
                     return Err(ProtocolError::UnexpectedFrame("Shutdown before Hello").to_string());

@@ -48,8 +48,10 @@ use skysr_graph::EpochGcStats;
 /// only the recorded metrics in [`Frame::MetricsRep`]; version 4 drops
 /// the handshake's feature flags, the warm-start bits of a `Submit`'s
 /// reuse mask and the seed source of a served search; version 5 drops one
-/// of the epoch-history counters a `MetricsRep` carries.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// of the epoch-history counters a `MetricsRep` carries; version 6 carries
+/// the history's bytes where version 5 carried its high-water mark of
+/// retained epochs.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Largest frame either side accepts (length prefix included), generous
 /// for city-scale metrics snapshots yet small enough that an adversarial
@@ -585,7 +587,7 @@ fn put_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
         put_u64(out, v);
     }
     put_u64(out, m.epochs.retained as u64);
-    put_u64(out, m.epochs.retained_max as u64);
+    put_u64(out, m.epochs.history_bytes as u64);
     put_u64(out, m.epochs.retention as u64);
     put_u64(out, m.epochs.compacted);
     put_u64(out, m.epochs.overlay_len as u64);
@@ -616,7 +618,7 @@ fn take_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, ProtocolError> {
     };
     m.epochs = EpochGcStats {
         retained: r.u64()? as usize,
-        retained_max: r.u64()? as usize,
+        history_bytes: r.u64()? as usize,
         retention: r.u64()? as usize,
         compacted: r.u64()?,
         overlay_len: r.u64()? as usize,
@@ -1211,7 +1213,7 @@ mod tests {
                 CacheCounters { insertions: k, evictions: k / 2, invalidations: k / 3, len: k / 4 },
                 EpochGcStats {
                     retained: 2,
-                    retained_max: 3,
+                    history_bytes: 3 * k as usize,
                     retention: 4,
                     compacted: k,
                     overlay_len: 6,

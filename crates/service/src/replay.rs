@@ -72,7 +72,7 @@ use skysr_core::route::{equivalent_skylines, SkylineRoute};
 use skysr_data::dataset::Dataset;
 use skysr_data::workload::WorkloadSpec;
 use skysr_data::zipf::Zipf;
-use skysr_graph::{EpochGcStats, EpochId, RoadNetwork, WeightDelta, WeightEpoch};
+use skysr_graph::{EpochId, RoadNetwork, WeightDelta, WeightEpoch};
 
 use crate::context::ServiceContext;
 use crate::metrics::{MetricsSnapshot, Served};
@@ -183,9 +183,9 @@ pub struct ReplaySpec {
     /// stays bounded over arbitrarily long runs.
     pub update_magnitude: f64,
     /// Weight-epoch history retention: keep at most this many epochs
-    /// pinnable, compacting older unleased overlays (`0` = unlimited).
-    /// Verification is unaffected: the oracle pins from the lane's own
-    /// unbounded history.
+    /// pinnable, dropping older epochs' batches from the service's history
+    /// log as new ones publish (`0` = unlimited). Verification is
+    /// unaffected: the oracle pins from the lane's own unbounded history.
     pub retention: usize,
     /// Also re-answer every request sequentially at its pinned epoch and
     /// compare skylines (score-equivalent multisets).
@@ -336,11 +336,9 @@ pub struct ReplayReport {
     pub wall: Duration,
     /// Weight epochs published while the stream was in flight.
     pub epochs_published: u64,
-    /// Epoch history / GC accounting measured *after* the service drained
-    /// and (when retention is bounded) a final compaction sweep ran — the
-    /// numbers the soak gate checks against the configured cap.
-    pub epoch_gc: EpochGcStats,
-    /// Service metrics over the replay window.
+    /// Service metrics over the replay window, taken once the stream
+    /// completed; `metrics.epochs` is the history the retention gate
+    /// checks against the configured cap.
     pub metrics: MetricsSnapshot,
     /// `Some(mismatches)` when verification ran: the number of requests
     /// whose concurrent skyline was not score-equivalent to a fresh
@@ -388,9 +386,8 @@ impl ReplayReport {
     /// The replay's gates, each checked wherever it applies: trace
     /// completeness and well-formed spans (under full tracing), oracle
     /// exactness (when verified), zero stale serves, and under a bounded
-    /// retention ring of K epochs, at most K retained after drain and a
-    /// high-water mark of at most K plus one lease per worker. `Err` names
-    /// the first gate that failed.
+    /// retention ring of K epochs, at most K pinnable after the stream.
+    /// `Err` names the first gate that failed.
     pub fn check(&self) -> Result<(), String> {
         if let Some(v) = self.trace_violations.filter(|&v| v > 0) {
             return Err(format!(
@@ -414,21 +411,12 @@ impl ReplayReport {
                 self.stale_served()
             ));
         }
-        let e = &self.epoch_gc;
+        let e = &self.metrics.epochs;
         if e.retention > 0 && e.retained > e.retention {
             return Err(format!(
                 "retention gate failed: {} epochs retained after drain, above the cap of {}",
                 e.retained, e.retention
             ));
-        }
-        if let Some(workers) = self.workers.filter(|_| e.retention > 0) {
-            if e.retained_max > e.retention + workers {
-                return Err(format!(
-                    "high-water gate failed: {} epochs retained at once, above the cap of {} \
-                     plus {workers} worker leases",
-                    e.retained_max, e.retention
-                ));
-            }
         }
         Ok(())
     }
@@ -492,13 +480,12 @@ impl std::fmt::Display for ReplayReport {
                 self.epochs_published
             )?;
         }
-        if self.epoch_gc.retention > 0 {
-            let e = &self.epoch_gc;
+        if self.metrics.epochs.retention > 0 {
+            let e = &self.metrics.epochs;
             writeln!(
                 f,
-                "history     {} epochs retained after drain (max {}, cap {}), {} overlays \
-                 compacted",
-                e.retained, e.retained_max, e.retention, e.compacted
+                "history     {} epochs retained after drain (cap {}), {} compacted, {} bytes",
+                e.retained, e.retention, e.compacted, e.history_bytes
             )?;
         }
         write!(f, "{}", self.metrics)?;
@@ -823,9 +810,9 @@ pub fn replay_sharded(datasets: Vec<(String, Dataset)>, spec: &ReplaySpec) -> Sh
 /// landmark oracle, overload calibration — so none of that lands in the
 /// service's measured window. All lanes then drive concurrently, each
 /// through its own region-scoped view so the router's dispatch path is
-/// on the hot path. Each lane's metrics and spans are captured while its
-/// service is up; the fleet is shut down and dropped (releasing every
-/// worker lease) before each lane's epoch history is measured.
+/// on the hot path. Each lane's metrics (its epoch history included) and
+/// spans are captured once every stream completed, while its service is
+/// up.
 fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
     let mut registry = ShardRegistry::new();
     let mut regions = Vec::with_capacity(lanes.len());
@@ -887,14 +874,7 @@ fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
         .zip(regions)
         .zip(driven.into_iter().zip(observed))
         .map(|((lane, region), (driven, (metrics, spans, workers)))| {
-            // With a bounded ring, measure the history after a final
-            // sweep: the soak gate asserts the drained service holds at
-            // most K epochs.
-            if lane.spec.retention > 0 {
-                lane.ctx.compact_epochs();
-            }
-            let epoch_gc = lane.ctx.epoch_gc_stats();
-            let report = lane.report(&driven, metrics, spans, Some(workers), epoch_gc);
+            let report = lane.report(&driven, metrics, spans, Some(workers));
             ShardReplay { region, name: lane.name.clone(), report }
         })
         .collect();
@@ -931,8 +911,7 @@ impl<'a> Lane<'a> {
         assert!(!pool.is_empty(), "replay needs a non-empty pool");
         let stream = request_stream(&spec, pool.len());
         // The mirror starts from the current view (a lane may start past
-        // epoch 0 on a reused context); it leases none of the service's
-        // epochs.
+        // epoch 0 on a reused context).
         let start = ctx.pin();
         let (mirror, epoch_before) = (WeightEpoch::new(start.graph().clone()), start.epoch());
         Lane { name, ctx, pool, stream, spec, epoch_before, mirror }
@@ -1066,7 +1045,6 @@ impl<'a> Lane<'a> {
         metrics: MetricsSnapshot,
         spans: Vec<TraceSpan>,
         workers: Option<usize>,
-        epoch_gc: EpochGcStats,
     ) -> ReplayReport {
         let spec = &self.spec;
         let trace_violations = spec.audits_spans().then(|| audit_spans(&spans, outcomes, &metrics));
@@ -1079,7 +1057,6 @@ impl<'a> Lane<'a> {
             lag: *lag,
             wall: *wall,
             epochs_published: self.mirror.current_epoch().get(),
-            epoch_gc,
             metrics,
             verify_mismatches: spec.verify.then(|| self.oracle_mismatches(outcomes)),
             spans,
@@ -1248,11 +1225,11 @@ pub fn replay_remote(
     }
     let lane =
         Lane::new(spec.service.region_name.clone(), shadow, Cow::Borrowed(pool), spec.clone());
-    let driven = lane.drive(remote, &|deltas| remote.publish_weights(deltas));
+    let driven = lane.drive(remote, &|deltas| {
+        remote.publish_weights(deltas).expect("generated deltas name existing edges")
+    });
     let metrics = remote.metrics();
-    // Server-side accounting, as carried in the metrics snapshot.
-    let epoch_gc = metrics.epochs;
-    Ok(lane.report(&driven, metrics, Vec::new(), None, epoch_gc))
+    Ok(lane.report(&driven, metrics, Vec::new(), None))
 }
 
 /// Builds the stream entry's request with the spec's deadline attached.
@@ -1327,6 +1304,7 @@ fn valid_approximate(routes: &[SkylineRoute], oracle: &[SkylineRoute]) -> bool {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use skysr_graph::EpochGcStats;
 
     /// A clean two-shard fleet of a tiny verified, fully traced replay:
     /// the starting point the gate tests mutate.
@@ -1358,19 +1336,17 @@ pub(crate) mod tests {
         let id = clean.spans[0].request_id;
         let span = format!("span gate failed: the span of request {id} ");
         type Mutation = fn(&mut ReplayReport);
-        let cases: [(Mutation, String); 8] = [
+        let cases: [(Mutation, String); 7] = [
             (|r| r.trace_violations = Some(2), "trace-completeness invariant violated: 2".into()),
             (|r| r.verify_mismatches = Some(1), "verification failed: concurrent and".into()),
             (|r| r.metrics.stale_served = 3, "staleness gate failed: 3 answer(s) served".into()),
-            // A bounded ring of K: at most K epochs after drain, at most K
-            // plus one lease per worker at any time.
+            // A bounded ring of K: at most K epochs after drain.
             (
-                |r| r.epoch_gc = EpochGcStats { retention: 2, retained: 3, ..r.epoch_gc },
+                |r| {
+                    r.metrics.epochs =
+                        EpochGcStats { retention: 2, retained: 3, ..r.metrics.epochs }
+                },
                 "retention gate failed: 3 epochs retained after drain".into(),
-            ),
-            (
-                |r| r.epoch_gc = EpochGcStats { retention: 2, retained_max: 5, ..r.epoch_gc },
-                "high-water gate failed: 5 epochs retained at once".into(),
             ),
             // Every span of a fully traced run is well formed.
             (|r| r.spans[0].attempts.clear(), format!("{span}records no rung-ladder attempt")),
@@ -1389,10 +1365,6 @@ pub(crate) mod tests {
             let err = report.check().expect_err("a gate must fail");
             assert!(err.starts_with(&want), "{err}");
         }
-        let mut bounded = clean.clone();
-        bounded.epoch_gc =
-            EpochGcStats { retention: 2, retained: 2, retained_max: 4, ..clean.epoch_gc };
-        assert_eq!(bounded.check(), Ok(()), "two workers may each lease one epoch beyond K");
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct Gates {
     /// At least one skyline repaired in place, and fewer fallbacks to a
     /// re-search than in-place repairs.
     pub repairs: bool,
-    /// At least one overlay compacted out of the retention ring.
+    /// At least one epoch dropped out of the retention ring.
     pub compactions: bool,
     /// At least one request shed (at admission or expired in queue).
     pub shed: bool,
@@ -260,8 +260,8 @@ impl Scenario {
             let (n, fallbacks) = (m.repairs, m.repair_fallbacks);
             return failed("repairs", format!("{n} repaired in place, {fallbacks} fell back"));
         }
-        if g.compactions && r.epoch_gc.compacted == 0 {
-            return failed("compactions", "the retention ring never compacted an overlay".into());
+        if g.compactions && r.metrics.epochs.compacted == 0 {
+            return failed("compactions", "the retention ring never dropped an epoch".into());
         }
         if g.hits {
             let hits = m.rungs.iter().find(|rs| rs.rung == Rung::ExactHit).map(|rs| &rs.hist);
@@ -622,7 +622,7 @@ mod tests {
         let mut fired = clean.clone();
         for s in &mut fired.shards {
             let r = &mut s.report;
-            (r.epochs_published, r.epoch_gc.compacted) = (1, 1);
+            (r.epochs_published, r.metrics.epochs.compacted) = (1, 1);
             set_hits(r, hits(HIT_SAMPLES, deadline * HIT_P99_DEADLINES));
             let m = &mut r.metrics;
             m.cache.invalidations = 1;
@@ -635,7 +635,7 @@ mod tests {
             (|r| r.metrics.cache.invalidations = 0, "invalidations gate failed"),
             (|r| r.metrics.repairs = 0, "repairs gate failed: 0 repaired in place, 1 fell"),
             (|r| r.metrics.repair_fallbacks = 2, "repairs gate failed: 2 repaired in place, 2"),
-            (|r| r.epoch_gc.compacted = 0, "compactions gate failed"),
+            (|r| r.metrics.epochs.compacted = 0, "compactions gate failed"),
             (|r| (r.metrics.rejected, r.metrics.shed_deadline) = (0, 0), "shed gate failed"),
             (|r| r.metrics.shed_deadline = 0, "shed-in-queue gate failed"),
             (

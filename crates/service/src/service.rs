@@ -31,7 +31,7 @@ use skysr_core::error::QueryError;
 use skysr_core::query::SkySrQuery;
 use skysr_core::route::SkylineRoute;
 use skysr_core::stats::EngineProfile;
-use skysr_graph::{EpochId, WeightDelta};
+use skysr_graph::{DeltaError, EpochId, WeightDelta};
 
 use crate::cache::{QueryKey, ResultCache};
 use crate::context::ServiceContext;
@@ -423,8 +423,8 @@ impl StreamTicket {
 ///   each dominated-or-equal by the final exact skyline, before the
 ///   outcome;
 /// * `publish_weights` applies a delta batch atomically and returns the
-///   new epoch; requests submitted afterwards are answered at it or at a
-///   later one;
+///   new epoch, or refuses the whole batch; requests submitted after a
+///   publish are answered at its epoch or at a later one;
 /// * `shutdown` is idempotent and drains in-flight work before returning
 ///   final metrics.
 pub trait QueryService: Send + Sync {
@@ -443,8 +443,9 @@ pub trait QueryService: Send + Sync {
 
     /// Publishes a weight-update batch as one new epoch. Requests
     /// submitted after it returns are answered at that epoch or a later
-    /// one.
-    fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId;
+    /// one. A batch naming a vertex or edge the network lacks, or a
+    /// negative/NaN weight, is refused whole and publishes nothing.
+    fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError>;
 
     /// Drains in-flight work, stops serving and returns final metrics.
     /// Idempotent; submissions after shutdown panic.
@@ -828,8 +829,8 @@ impl QueryService for Service {
         s.metrics.snapshot(self.started.elapsed(), s.cache.counters(), s.ctx.epoch_gc_stats())
     }
 
-    fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId {
-        self.shared.ctx.publish_weights(deltas)
+    fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
+        self.shared.ctx.try_publish_weights(deltas)
     }
 
     /// Closes the queue, drains in-flight work and joins the workers.

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use skysr_core::error::QueryError;
-use skysr_graph::{EpochId, VertexId, WeightDelta};
+use skysr_graph::{DeltaError, EpochId, VertexId, WeightDelta};
 
 use crate::context::ServiceContext;
 use crate::metrics::MetricsSnapshot;
@@ -286,8 +286,8 @@ impl QueryService for Router {
     /// Region-less publishes go to the default shard (region 0) — the
     /// single-shard legacy contract. Multi-tenant publishers address a
     /// region with [`Router::publish_weights_to`].
-    fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId {
-        self.shards[0].ctx.publish_weights(deltas)
+    fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
+        self.shards[0].ctx.try_publish_weights(deltas)
     }
 
     /// Drains and stops every shard (in registration order) and returns
@@ -354,8 +354,8 @@ impl QueryService for RegionService<'_> {
         self.shard().service.metrics()
     }
 
-    fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId {
-        self.shard().ctx.publish_weights(deltas)
+    fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
+        self.shard().ctx.try_publish_weights(deltas)
     }
 
     fn shutdown(&self) -> MetricsSnapshot {

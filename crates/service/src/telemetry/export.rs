@@ -55,9 +55,7 @@ pub fn prometheus(entries: &[(&[(&str, &str)], &MetricsSnapshot)]) -> String {
         ("skysr_cache_invalidations_total", "Entries dropped by epoch invalidation", |m| {
             m.cache.invalidations
         }),
-        ("skysr_epochs_retained", "Weight-epoch overlays currently retained", |m| {
-            m.epochs.retained as u64
-        }),
+        ("skysr_epochs_retained", "Weight epochs currently pinnable", |m| m.epochs.retained as u64),
     ];
     for (name, help, get) in derived {
         series(name, help, &get);

@@ -2,8 +2,9 @@
 //! parity with the oracle under mid-stream weight updates, anytime
 //! streaming semantics over the wire, deadline cutoffs, framing
 //! robustness against clients that disconnect mid-frame or speak garbage,
-//! the connection cap, `Server::stop` under live traffic, and a full
-//! submission queue behind one connection.
+//! weight batches naming what the network lacks, the connection cap,
+//! `Server::stop` under live traffic, and a full submission queue behind
+//! one connection.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,6 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
+use skysr_graph::{EpochId, VertexId, WeightDelta};
 use skysr_service::net::wire::{read_frame, Frame, MAX_FRAME, PROTOCOL_VERSION};
 use skysr_service::net::MAX_CONNECTIONS;
 use skysr_service::replay::{build_pool, replay_remote, ReplaySpec};
@@ -317,7 +319,7 @@ fn hostile_clients_do_not_kill_the_daemon() {
     // A version-mismatched handshake — an older protocol's or an unknown
     // one — is answered with the server's Welcome (so the client can
     // report both versions) and then closed.
-    for version in [1, 2, 3, 4, 9999] {
+    for version in [1, 2, 3, 4, 5, 9999] {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
         // Versions 1 to 3 sent a u32 of feature flags after the version.
@@ -343,6 +345,41 @@ fn hostile_clients_do_not_kill_the_daemon() {
     remote.submit_query(pool[0].clone()).wait().expect("daemon still answers queries");
     let _ = remote.shutdown();
     server.join();
+}
+
+#[test]
+fn a_bad_weight_batch_is_refused_with_a_fault_and_the_daemon_serves_on() {
+    let (_service, mut server) = spawn_daemon(1);
+    let addr = server.local_addr();
+    let graph = city().graph;
+    let n = graph.num_vertices() as u32;
+    let origin = VertexId(0);
+    let stranger = graph
+        .vertices()
+        .find(|&v| v != origin && graph.neighbors(origin).all(|(t, _)| t != v))
+        .expect("some vertex is not a neighbour of vertex 0");
+    // A vertex past the network, then two vertices no edge joins, each on
+    // its own connection: the batch is answered with a Fault, and the
+    // connection closes.
+    for delta in
+        [WeightDelta::new(origin, VertexId(n + 5), 1.0), WeightDelta::new(origin, stranger, 1.0)]
+    {
+        let mut s = greeted(addr);
+        s.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
+        s.write_all(&Frame::PublishWeights(vec![delta]).to_bytes()).expect("write the batch");
+        let frame = read_frame(&mut s, MAX_FRAME).expect("an answer within the timeout");
+        assert!(matches!(frame, Frame::Fault { .. }), "{delta:?} was answered with {frame:?}");
+        assert!(matches!(s.read(&mut [0u8; 1]), Ok(0)), "the Fault closes the connection");
+    }
+    // Nothing was published, and the daemon still publishes and reports.
+    let mut s = greeted(addr);
+    s.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
+    s.write_all(&Frame::PublishWeights(Vec::new()).to_bytes()).expect("write an empty batch");
+    let frame = read_frame(&mut s, MAX_FRAME).expect("an answer within the timeout");
+    assert!(matches!(frame, Frame::WeightsPublished { epoch: EpochId(1) }), "{frame:?}");
+    s.write_all(&Frame::MetricsReq.to_bytes()).expect("write metrics request");
+    assert!(matches!(read_frame(&mut s, MAX_FRAME), Ok(Frame::MetricsRep(_))));
+    server.stop();
 }
 
 /// Opens a raw connection and completes the handshake.

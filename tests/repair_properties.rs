@@ -1,5 +1,5 @@
-//! Property-based guarantees for incremental skyline repair and epoch
-//! history GC, on arbitrary random instances:
+//! Property-based guarantees for incremental skyline repair and the epoch
+//! history, on arbitrary random instances:
 //!
 //! * **Repair exactness** — for random graphs, queries and weight-delta
 //!   batches, `Bssr::repair` of the old-epoch skyline is score-equivalent
@@ -19,10 +19,10 @@
 //!   check promotes a skyline `Untouched`, the cached skyline *is* the new
 //!   epoch's exact skyline: the check never drops (or keeps) a route a full
 //!   search would decide otherwise.
-//! * **GC/compaction transparency** — compacting the epoch history never
-//!   changes any arc weight (nor `total_weight`) observable through any
-//!   still-pinnable epoch, by arc slot or by neighbour scan, with pins held
-//!   across sweeps; and any two still-pinnable epochs diff to exactly the
+//! * **Ring transparency** — rebuilding epochs from the history log under
+//!   a retention ring never changes any arc weight (nor `total_weight`)
+//!   observable through any still-pinnable epoch, by arc slot or by
+//!   neighbour scan; and any two still-pinnable epochs diff to exactly the
 //!   arcs whose weights differ between them.
 
 use proptest::prelude::*;
@@ -299,9 +299,9 @@ proptest! {
 
     #[test]
     fn compaction_preserves_weights_at_every_pinnable_epoch(inst in arb_instance()) {
-        // Publish several batches, hold pins on a couple of epochs, run
-        // sweeps, and require every still-pinnable epoch to report exactly
-        // the weights an uncompacted manager reports.
+        // Publish several batches into a ring of 2 and require every
+        // still-pinnable epoch to report exactly the weights a manager
+        // that keeps every epoch reports.
         let built = build(&inst);
         let bounded = WeightEpoch::new(built.graph.clone());
         bounded.set_retention(2);
@@ -310,19 +310,12 @@ proptest! {
         // Several single-delta batches out of the instance's pool (cycled
         // so even 1-delta instances produce a few epochs).
         let batches: Vec<&WeightDelta> = built.deltas.iter().cycle().take(5).collect();
-        let mut held: Vec<(EpochId, RoadNetwork)> = Vec::new();
-        for (i, d) in batches.iter().enumerate() {
+        for d in &batches {
             let e = bounded.publish(std::slice::from_ref(*d));
             prop_assert_eq!(e, reference.publish(std::slice::from_ref(*d)));
             // Neighbour scans read the overlay only at marked vertices.
             let truth = adjacency(&reference.pin());
-            prop_assert_eq!(adjacency(&bounded.pin()), truth.clone(), "epoch {}", e);
-            if i % 2 == 0 {
-                // Hold a lease on every other epoch across future sweeps.
-                held.push((e, bounded.pin_at(e).expect("fresh epoch pins")));
-            }
-            bounded.compact(); // sweep mid-stream
-            prop_assert_eq!(adjacency(&bounded.pin()), truth, "epoch {} after the sweep", e);
+            prop_assert_eq!(adjacency(&bounded.pin()), truth, "epoch {}", e);
         }
 
         // Every epoch still pinnable from the bounded manager must agree
@@ -351,15 +344,6 @@ proptest! {
                     (0..va.num_arcs()).filter(|&s| va.arc(s).2 != vb.arc(s).2).collect();
                 prop_assert_eq!(touched, differ, "retained pair {}..{}", a, b);
             }
-        }
-        // Held leases specifically survived every sweep, unchanged.
-        for (e, view) in &held {
-            let truth = reference.pin_at(*e).unwrap();
-            for slot in 0..truth.num_arcs() {
-                prop_assert_eq!(view.arc(slot), truth.arc(slot));
-            }
-            prop_assert_eq!(adjacency(view), adjacency(&truth), "held epoch {}", e);
-            prop_assert!(bounded.pin_at(*e).is_some(), "leased epoch {e} stayed pinnable");
         }
     }
 }
