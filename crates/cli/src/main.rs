@@ -6,11 +6,11 @@
 //! and run SkySR queries (optionally with a destination) against it.
 //!
 //! ```text
-//! skysr-cli generate --preset cal-small --scale 0.2 --seed 7 --out city.txt
-//! skysr-cli info city.txt
-//! skysr-cli categories city.txt --top 15
-//! skysr-cli query city.txt --start 12 --categories "t0/n4,t1/n7" [--destination 99]
-//! skysr-cli replay [city.txt] --queries 1000 --workers 4 [--pattern duplicate] [--verify true]
+//! skysr-cli generate --preset cal-small --scale 0.2 --seed 7 --out city.skysr
+//! skysr-cli info city.skysr
+//! skysr-cli categories city.skysr --top 15
+//! skysr-cli query city.skysr --start 12 --categories "t0/n4,t1/n7" [--destination 99]
+//! skysr-cli replay [city.skysr] --queries 1000 --workers 4 [--pattern duplicate] [--verify true]
 //! skysr-cli replay --scenario repair/zipf [--repair false]
 //! skysr-cli demo
 //! ```
@@ -81,7 +81,7 @@ fn main() -> ExitCode {
 fn usage() -> &'static str {
     "usage:\n  \
      skysr-cli generate --preset <tokyo|nyc|cal|tokyo-small|nyc-small|cal-small> \
-     [--scale F] [--seed N] --out FILE\n  \
+     [--scale F] [--seed N] --out FILE.skysr\n  \
      skysr-cli info FILE\n  \
      skysr-cli categories FILE [--top N]\n  \
      skysr-cli query FILE --start VERTEX --categories \"A,B,C\"\n  \

@@ -147,7 +147,7 @@ impl DatasetSpec {
         }
     }
 
-    /// Scales |V| and |P| by `factor` (≥ 4 vertices enforced).
+    /// Scales |V| and |P| by `factor` (at least 16 vertices and 4 PoIs).
     pub fn scale(mut self, factor: f64) -> DatasetSpec {
         assert!(factor > 0.0);
         self.vertices = ((self.vertices as f64 * factor) as usize).max(16);

@@ -17,7 +17,8 @@
 //!   laptop-sized defaults up to the paper's full sizes;
 //! * [`workload`] — query generation per §7.1: random start vertices,
 //!   popular leaf categories drawn from distinct category trees;
-//! * [`codec`] — a plain-text on-disk format for generated datasets.
+//! * [`codec`] — a checksummed binary snapshot of a generated dataset,
+//!   loaded in one read.
 
 pub mod codec;
 pub mod dataset;

@@ -106,7 +106,8 @@ fn optimisations_reduce_search_effort_at_scale() {
 #[test]
 fn codec_roundtrip_preserves_query_semantics() {
     let d = tiny(Preset::NycSmall, 0.02, 29);
-    let path = std::env::temp_dir().join("skysr_e2e_roundtrip.txt");
+    let name = format!("skysr_e2e_roundtrip_{}.skysr", std::process::id());
+    let path = std::env::temp_dir().join(name);
     skysr::data::codec::save_dataset(&d, &path).unwrap();
     let d2 = skysr::data::codec::load_dataset(&path).unwrap();
     std::fs::remove_file(&path).ok();
