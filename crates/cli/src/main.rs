@@ -33,6 +33,7 @@
 //! `ReplaySpec::validate`. `docs/OPERATIONS.md` (§ Replay driver)
 //! describes every flag.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,11 +66,46 @@ use skysr_service::{
 /// socket (CI starts the daemon in the background and races it).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Why a command failed.
+enum Failure {
+    /// A bad argument, input or gate: reported with the usage.
+    Command(String),
+    /// Writing to stdout failed.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Command(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Failure {
+        Failure::Command(e.to_owned())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Output(e)
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(argv) {
+    // Every printer writes through this one lock, so a closed stdout is an
+    // error the command returns, not a panic in `println!`.
+    let mut out = io::stdout().lock();
+    match run(argv, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader has all it wanted (`| head`, `| grep -q`).
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Command(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", usage());
@@ -104,7 +140,7 @@ fn usage() -> &'static str {
      skysr-cli demo"
 }
 
-fn run(argv: Vec<String>) -> Result<(), String> {
+fn run(argv: Vec<String>, out: &mut impl Write) -> Result<(), Failure> {
     let mut args = Args::parse(argv)?;
     match args.command.as_str() {
         "generate" => {
@@ -116,28 +152,29 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             if let Some(s) = args.optional("seed") {
                 spec = spec.seed(s.parse().map_err(|_| "bad --seed".to_string())?);
             }
-            let out = args.require("out")?;
+            let path = args.require("out")?;
             args.finish()?;
             eprintln!("generating {} ...", spec.name);
             let dataset = spec.generate();
-            codec::save_dataset(&dataset, &out).map_err(|e| e.to_string())?;
+            codec::save_dataset(&dataset, &path).map_err(|e| e.to_string())?;
             let (v, p, e) = dataset.stats();
-            println!("wrote {out}: |V|={v} |P|={p} |E|={e}");
+            writeln!(out, "wrote {path}: |V|={v} |P|={p} |E|={e}")?;
             Ok(())
         }
         "info" => {
             let dataset = load(&args.positional()?)?;
             args.finish()?;
             let (v, p, e) = dataset.stats();
-            println!("dataset    {}", dataset.name);
-            println!("vertices   {v}");
-            println!("pois       {p}");
-            println!("edges      {e}");
-            println!(
+            writeln!(out, "dataset    {}", dataset.name)?;
+            writeln!(out, "vertices   {v}")?;
+            writeln!(out, "pois       {p}")?;
+            writeln!(out, "edges      {e}")?;
+            writeln!(
+                out,
                 "categories {} in {} trees",
                 dataset.forest.num_categories(),
                 dataset.forest.num_trees()
-            );
+            )?;
             Ok(())
         }
         "categories" => {
@@ -152,7 +189,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
                 dataset.pois.category_histogram().into_iter().filter(|&(_, n)| n > 0).collect();
             hist.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
             for (c, n) in hist.into_iter().take(top) {
-                println!("{n:>7}  {}", dataset.forest.name(c));
+                writeln!(out, "{n:>7}  {}", dataset.forest.name(c))?;
             }
             Ok(())
         }
@@ -189,7 +226,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
                         }
                         None => Bssr::new(&ctx).run(&query).map_err(|e| e.to_string())?.routes,
                     };
-                    print_routes(&dataset, &routes);
+                    print_routes(out, &dataset, &routes)?;
                 }
                 "unordered" => {
                     if dest.is_some() {
@@ -197,7 +234,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
                     }
                     let q = UnorderedQuery::new(VertexId(start), cats);
                     let result = q.run(&ctx).map_err(|e| e.to_string())?;
-                    print_routes(&dataset, &result.routes);
+                    print_routes(out, &dataset, &result.routes)?;
                 }
                 "rated" => {
                     if dest.is_some() {
@@ -206,26 +243,28 @@ fn run(argv: Vec<String>) -> Result<(), String> {
                     let ratings = dataset.ratings(0);
                     let q = RatedQuery::new(SkySrQuery::new(VertexId(start), cats));
                     let result = q.run(&ctx, &ratings).map_err(|e| e.to_string())?;
-                    println!(
+                    writeln!(
+                        out,
                         "{} skyline route(s) (length x semantics x rating):",
                         result.routes.len()
-                    );
+                    )?;
                     for r in &result.routes {
-                        println!(
+                        writeln!(
+                            out,
                             "  {:>10.1} m  semantic {:.3}  rating-deficit {:.3}  {:?}",
                             r.length.get(),
                             r.semantic,
                             r.rating,
                             r.pois
-                        );
+                        )?;
                     }
                 }
-                other => return Err(format!("unknown --mode {other:?}")),
+                other => return Err(format!("unknown --mode {other:?}").into()),
             }
             Ok(())
         }
-        "replay" => replay(args),
-        "serve" => serve::run_serve(&mut args),
+        "replay" => replay(args, out),
+        "serve" => Ok(serve::run_serve(&mut args)?),
         "shutdown" => {
             let addr = args.require("connect")?;
             args.finish()?;
@@ -234,7 +273,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             // The daemon stops accepting, drains every in-flight query and
             // answers with its lifetime metrics before closing.
             let metrics = remote.shutdown();
-            println!("skysr-d at {addr} drained and stopped: {}", serve::lifetime(&metrics));
+            writeln!(out, "skysr-d at {addr} drained and stopped: {}", serve::lifetime(&metrics))?;
             Ok(())
         }
         "demo" => {
@@ -245,17 +284,17 @@ fn run(argv: Vec<String>) -> Result<(), String> {
             let w =
                 skysr_data::workload::WorkloadSpec::new(3).queries(1).seed(2).generate(&dataset);
             let q = &w.queries[0];
-            println!("query from vertex {} through:", q.start);
+            writeln!(out, "query from vertex {} through:", q.start)?;
             for spec in &q.sequence {
                 if let skysr_core::PositionSpec::Category(c) = spec {
-                    println!("  - {}", dataset.forest.name(*c));
+                    writeln!(out, "  - {}", dataset.forest.name(*c))?;
                 }
             }
             let routes = Bssr::new(&ctx).run(q).map_err(|e| e.to_string())?.routes;
-            print_routes(&dataset, &routes);
+            print_routes(out, &dataset, &routes)?;
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(format!("unknown command {other:?}").into()),
     }
 }
 
@@ -263,7 +302,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
 /// in-process row (`--scenario all`), or an ad-hoc run, the caller's
 /// flags overriding the row's values. Prints each report and fails
 /// naming every failing row and its gate.
-fn replay(mut args: Args) -> Result<(), String> {
+fn replay(mut args: Args, out: &mut impl Write) -> Result<(), Failure> {
     let connect = args.optional("connect");
     let trace_out = args.optional("trace-out");
     let metrics_out = args.optional("metrics-out");
@@ -293,7 +332,7 @@ fn replay(mut args: Args) -> Result<(), String> {
         .collect::<Result<Vec<_>, _>>()?;
     let mut failures = Vec::new();
     for (row, city) in &rows {
-        let fleet = replay_row(row, city, connect.as_deref())?;
+        let fleet = replay_row(row, city, connect.as_deref(), out)?;
         if let Some(path) = &trace_out {
             write_file(
                 path,
@@ -316,20 +355,21 @@ fn replay(mut args: Args) -> Result<(), String> {
             (Some(gate), Some(twin)) => {
                 let city =
                     CityArgs { file: city.file.clone(), city: twin.city, seed: twin.spec.seed };
-                let twin = replay_row(&twin, &city, None)?;
+                let twin = replay_row(&twin, &city, None, out)?;
                 let (ours, theirs) = (gate.work.of(&fleet), gate.work.of(&twin));
-                println!(
+                writeln!(
+                    out,
                     "twin        {} {ours} against the twin's {theirs} (at most 1/{} of it)",
                     gate.work.gate(),
                     gate.factor
-                );
+                )?;
                 Some(twin)
             }
             _ => None,
         };
         failures.extend(row.check(&fleet, twin.as_ref()).err());
     }
-    failures.is_empty().then_some(()).ok_or_else(|| failures.join("\n"))
+    failures.is_empty().then_some(()).ok_or_else(|| failures.join("\n").into())
 }
 
 /// Replays one row in-process, or against the daemon at `connect`, and
@@ -338,7 +378,8 @@ fn replay_row(
     row: &Scenario,
     city: &CityArgs,
     connect: Option<&str>,
-) -> Result<ShardedReplayReport, String> {
+    out: &mut impl Write,
+) -> Result<ShardedReplayReport, Failure> {
     let spec = &row.spec;
     let mut regions = region_datasets(city, row.shards)?;
     for (_, dataset) in &regions {
@@ -370,8 +411,8 @@ fn replay_row(
         None => replay_sharded(regions, spec),
     };
     match fleet.shards.as_slice() {
-        [one] => println!("{}", one.report),
-        _ => println!("{fleet}"),
+        [one] => writeln!(out, "{}", one.report)?,
+        _ => writeln!(out, "{fleet}")?,
     }
     Ok(fleet)
 }
@@ -473,12 +514,15 @@ fn write_prometheus(
     write_file(path, prometheus(&entries))
 }
 
-fn print_routes(dataset: &Dataset, routes: &[SkylineRoute]) {
+fn print_routes(
+    out: &mut impl Write,
+    dataset: &Dataset,
+    routes: &[SkylineRoute],
+) -> io::Result<()> {
     if routes.is_empty() {
-        println!("no sequenced route exists for this query");
-        return;
+        return writeln!(out, "no sequenced route exists for this query");
     }
-    println!("{} skyline route(s):", routes.len());
+    writeln!(out, "{} skyline route(s):", routes.len())?;
     for r in routes {
         let labels: Vec<String> = r
             .pois
@@ -493,13 +537,15 @@ fn print_routes(dataset: &Dataset, routes: &[SkylineRoute]) {
                 format!("{name}@{p}")
             })
             .collect();
-        println!(
+        writeln!(
+            out,
             "  {:>10.1} m  semantic {:.3}   {}",
             r.length.get(),
             r.semantic,
             labels.join(" -> ")
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

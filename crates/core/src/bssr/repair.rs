@@ -10,11 +10,8 @@
 //! 1. **Untouched** — a lower-bound check: if the delta is empty, or every
 //!    touched arc's tail is provably farther from the query start than the
 //!    longest cached route, the cached skyline *is* the new epoch's
-//!    skyline, verbatim. The bound is the landmark (ALT) oracle over the
-//!    manager's origin weights, probed once per touched tail and scaled by
-//!    the epoch's
-//!    [`min_ratio`](skysr_graph::epoch::WeightOverlay::min_ratio) floor so
-//!    it stays admissible under arbitrary reweighting. No graph search
+//!    skyline, verbatim. The proof is [the one bound](#the-one-bound) at
+//!    the delta's older epoch, taken once per touched tail. No graph search
 //!    runs at all. Tier 2 reads its per-route floor and its suspicious
 //!    arcs from the same per-tail bounds.
 //! 2. **Rescore** — otherwise each cached route's length is recomputed as
@@ -63,9 +60,73 @@
 //! from-scratch search at the pinned epoch — is enforced by the replay
 //! driver's `--verify` oracle and the repair property tests.
 //!
+//! # The one bound
+//!
+//! Every landmark check repair makes reads one lower bound on `d_E(s, x)`,
+//! the distance at epoch `E` from the start `s` to a vertex `x`. From the
+//! landmark (ALT) bound `LB(s, x)` over the manager's origin weights, it is
+//!
+//! ```text
+//! B_E(x) = max(r_E · LB(s, x), LB(s, x) − D_E)
+//! ```
+//!
+//! where `r_E` is the epoch's
+//! [`min_ratio`](skysr_graph::epoch::WeightOverlay::min_ratio) floor and
+//! `D_E` the start's [decrease budget](#the-decrease-budget); the second
+//! term is left out when the budget is unknown or not valid at the skyline
+//! radius. `r_E · LB` is admissible everywhere: every arc weighs at least
+//! `r_E` times its origin weight at `E`. `LB − D_E` is admissible for every
+//! `x` within `T′ = T(1 + MARGIN) + MARGIN` of `s`, the radius the checks
+//! compare against (`safely_beyond(a, T)` is `a > T′`). That suffices:
+//! each check concludes from `B_E(x) + c > T″`, with `c ≥ 0` and `T″ ≤ T′`,
+//! that `d_E(s, x) + c > T″`, which holds where `B_E(x)` is admissible and
+//! also where `d_E(s, x)` alone is beyond `T′`.
+//!
+//! The older epoch's bound decides tier 1 and the per-route floor; the
+//! newer epoch's decides which decreased arcs are suspicious and prunes the
+//! search from their tails. Directed graphs have no landmarks, so no bound.
+//!
+//! # The decrease budget
+//!
+//! The ratio floor is a running minimum: one weight published at half its
+//! origin halves every bound for the rest of the history, wherever the
+//! drop was. A *decrease budget* counts only the drops near one start `s`:
+//! a radius `R` and the sum `D_E` of the drops below origin weight,
+//! `max(0, w₀ − w_E)`, over the undirected edges with an endpoint `x` whose
+//! `LB(s, x)` is at most `R`. Each [`RepairMemo`] carries its start's
+//! budget at its epoch.
+//!
+//! * **Validity.** When `R ≥ T′ + D_E`, `d_E(s, x) ≥ LB(s, x) − D_E` for
+//!   every `x` with `d_E(s, x) ≤ T′`. Take a simple shortest path `P` from
+//!   `s` to `x` at `E`. Were some vertex of `P` to have `LB(s, ·) > R`, let
+//!   `y` be the first: every edge before it has an endpoint within `R` and
+//!   is counted, so the prefix to `y` costs at least `d₀(s, y) − D_E ≥
+//!   LB(s, y) − D_E > R − D_E ≥ T′`, more than all of `P`. So every edge
+//!   of `P` is counted, and `len_E(P) ≥ len₀(P) − D_E ≥ LB(s, x) − D_E`.
+//! * **Update.** A budget at the delta's older epoch `N` moves to `M`
+//!   through the touched edges only, each counted once through its arc
+//!   with `tail < head`: `D += max(0, w₀ − w_M) − max(0, w₀ − w_N)` when
+//!   the edge has an endpoint within `R`, with `w₀` the arc's origin
+//!   weight ([`RoadNetwork::base_arc_weight`]). An untouched edge keeps its
+//!   drop. The endpoints' bounds are the per-touch bounds tier 1 takes
+//!   anyway: an edge's two arcs are both touches, so its head is the
+//!   reverse arc's tail, and the update probes no landmark. `R` stays;
+//!   a later skyline radius changes only whether the budget is valid.
+//! * **Sources.** A repair takes the budget at `N` (a) from the memo it
+//!   reads, if that carries one; else (b) as `D = 0` at `R = 1.25 · T′`
+//!   (`BUDGET_RADIUS`) when `N`'s floor is 1: no weight was ever
+//!   published below its origin, so no edge has a drop. Every entry first
+//!   searched before any drop starts this way. (c) Otherwise it has none
+//!   and reads the floor alone, as does every later repair of the entry:
+//!   seeding a budget at such an epoch takes a pass over every decreased
+//!   edge of the history, two landmark probes each.
+//! * **Where it rides.** The budget at `M` rides in every memo the repair
+//!   returns, promoted or re-searched alike: it is a fact about `s`, not
+//!   about the routes.
+//!
 //! # The relevance check
 //!
-//! A decreased arc is *suspicious* when the scaled landmark bound does not
+//! A decreased arc is *suspicious* when the newer epoch's bound does not
 //! place its tail clearly beyond `T` from the start `s` at `M`; the check
 //! asks whether a suspicious tail lies within `T` of `s`.
 //!
@@ -73,12 +134,12 @@
 //!   tails, in the repair's workspace, decides it: a decrease is relevant
 //!   exactly when the search settles `s` at a distance not clearly beyond
 //!   `T`. The search settles but does not expand a vertex whose distance
-//!   plus the scaled landmark bound from `s` clearly reaches `T`, and it
-//!   stops at the first vertex clearly beyond `T`. Neither cut-off hides
-//!   an `s` within `T`: every vertex `x` on a shortest path from the
-//!   nearest tail `t` to `s` has `d(t, x) + d(x, s) = d(t, s)`, and the
-//!   landmark bound from `s` to `x` is at most `d(x, s)`, so `x` is
-//!   expanded, and settled before the stop. The search also settles the
+//!   plus the bound from `s` clearly reaches `T`, and it stops at the first
+//!   vertex clearly beyond `T`. Neither cut-off hides an `s` within `T`:
+//!   every vertex `x` on a shortest path from the nearest tail `t` to `s`
+//!   has `d(t, x) + d(x, s) = d(t, s)`, and, as `x` lies within `T` of `s`,
+//!   the bound from `s` to `x` is at most `d(x, s)`, so `x` is expanded,
+//!   and settled before the stop. The search also settles the
 //!   vertex it stops at, so a settled `s` may lie beyond `T`: the check
 //!   reads the distance, not the settled flag alone. With no suspicious
 //!   arc the search has no source and settles nothing. Tier 3's restricted
@@ -161,7 +222,8 @@
 //! # The memo
 //!
 //! A repair returns, with its skyline, a [`RepairMemo`] stamped with the
-//! target epoch: the vertex path each route's length is realised on. The
+//! target epoch: the vertex path each route's length is realised on, and
+//! the start's [decrease budget](#the-decrease-budget). The
 //! service stores it beside the cache entry, and the next repair of that
 //! entry (from `N`, the memo's epoch, to `M`) reads it:
 //!
@@ -277,7 +339,8 @@ type Path = Arc<[VertexId]>;
 
 /// What one repair proved about the skyline it returned, stamped with the
 /// epoch the proof holds at (see [the memo](self#the-memo)): the vertex
-/// path each route's length is realised on.
+/// path each route's length is realised on, and the start's [decrease
+/// budget](self#the-decrease-budget).
 ///
 /// A memo belongs to one skyline: its paths follow the skyline's route
 /// order. Repair ignores a memo stamped with another epoch than the
@@ -289,6 +352,9 @@ pub struct RepairMemo {
     /// Per route, in the skyline's order: the path its length is realised
     /// on, when known.
     paths: Box<[Option<Path>]>,
+    /// The start's decrease budget at `epoch`, when known (none for an
+    /// empty skyline, which never needs one).
+    budget: Option<Budget>,
 }
 
 impl RepairMemo {
@@ -304,18 +370,84 @@ impl RepairMemo {
 /// next tier, so the margin trades only time, never exactness.
 const MARGIN: f64 = 1e-7;
 
+/// `b` padded by the float-noise margin: `T′` for a skyline radius `T`.
+#[inline]
+fn padded(b: f64) -> f64 {
+    b * (1.0 + MARGIN) + MARGIN
+}
+
 /// Whether `a` exceeds `b` by clearly more than the float-noise margin.
 #[inline]
 pub fn safely_beyond(a: f64, b: f64) -> bool {
-    a > b * (1.0 + MARGIN) + MARGIN
+    a > padded(b)
+}
+
+/// A new decrease budget's radius `R`, as a multiple of `T′` (see [the
+/// decrease budget](self#the-decrease-budget)). A wider radius stays valid
+/// across more drops but counts more of them into `D`. In one
+/// instrumented perfbench `churn` run per radius (seed 81, 57,737
+/// repairs), the searches from the decreased tails settled:
+///
+/// | `R` | 1.1 `T′` | 1.25 `T′` | 1.5 `T′` | 2 `T′` | no budget |
+/// |---|--:|--:|--:|--:|--:|
+/// | settled | 3.41 M | 2.53 M | 2.81 M | 3.62 M | 7.28 M |
+const BUDGET_RADIUS: f64 = 1.25;
+
+/// A start's decrease budget at one epoch (see [the decrease
+/// budget](self#the-decrease-budget)).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Budget {
+    /// `R`: an undirected edge counts when an endpoint's landmark bound
+    /// from the start is at most `R`.
+    radius: f64,
+    /// `D`: the counted edges' drops below their origin weights.
+    drops: f64,
+}
+
+impl Budget {
+    /// The budget at an epoch where no weight is below its origin, for a
+    /// skyline of radius `max_len`.
+    fn fresh(max_len: Cost) -> Budget {
+        Budget { radius: BUDGET_RADIUS * padded(max_len.get()), drops: 0.0 }
+    }
+
+    /// `D`, when the budget is valid at the skyline radius `max_len`:
+    /// `R ≥ T′ + D`.
+    fn valid_at(self, max_len: Cost) -> Option<f64> {
+        (self.radius >= padded(max_len.get()) + self.drops).then_some(self.drops)
+    }
+}
+
+/// Repair's one lower bound on the distance from the start at one epoch,
+/// from the landmark bound over the origin weights (see [the one
+/// bound](self#the-one-bound)): tier 1, the per-route floor, the
+/// suspicious-arc filter and the search from the tails all read it.
+#[derive(Clone, Copy)]
+struct Bound {
+    /// The epoch's weight-ratio floor.
+    ratio: f64,
+    /// The start's budget `D` at the epoch, when valid at the radius.
+    drops: Option<f64>,
+}
+
+impl Bound {
+    fn new(ratio: f64, budget: Option<Budget>, max_len: Cost) -> Bound {
+        Bound { ratio: ratio.clamp(0.0, 1.0), drops: budget.and_then(|b| b.valid_at(max_len)) }
+    }
+
+    /// The bound for a vertex whose landmark bound from the start is `lb`.
+    #[inline]
+    fn of(self, lb: f64) -> f64 {
+        let scaled = self.ratio * lb;
+        self.drops.map_or(scaled, |d| scaled.max(lb - d))
+    }
 }
 
 /// The landmark lower bound from one start to every touched tail of a
 /// delta, at the origin weight scale, computed once per repair: repair's
-/// one landmark bound on the delta. Each check scales them by its epoch's
-/// weight-ratio floor: admissible, because every arc weight at that epoch
-/// is at least the floor times its origin weight, so every path (and
-/// hence the shortest distance) scales accordingly.
+/// one landmark probe on the delta. Each check reads it through its
+/// epoch's [`Bound`], and the budget's update reads each touched edge's
+/// endpoints from it.
 struct TouchBounds<'a> {
     delta: &'a DeltaSet,
     /// `lower_bound(start, tail)` per touch, in touch order; `None`
@@ -331,35 +463,55 @@ impl<'a> TouchBounds<'a> {
         TouchBounds { delta, origin }
     }
 
-    /// The smallest bound to any touched tail at the delta's older epoch:
-    /// tier 1 holds when it is safely beyond the skyline radius, and tier 2
-    /// skips the legs of a route it is safely beyond (the route provably
-    /// keeps its length across the delta). 0 without an oracle; NaN, which
-    /// clears nothing, for an empty delta at a zero ratio floor (0 × ∞).
-    fn floor(&self) -> f64 {
+    /// The smallest bound to any touched tail at the delta's older epoch,
+    /// whose bound is `older`: tier 1 holds when it is safely beyond the
+    /// skyline radius, and tier 2 skips the legs of a route it is safely
+    /// beyond (the route provably keeps its length across the delta). 0
+    /// without an oracle; NaN, which clears nothing, for an empty delta at
+    /// a zero ratio floor without a budget (0 × ∞).
+    fn floor(&self, older: Bound) -> f64 {
         let Some(origin) = &self.origin else {
             return 0.0;
         };
-        let ratio = self.delta.from_min_ratio().clamp(0.0, 1.0);
-        ratio * origin.iter().copied().fold(f64::INFINITY, f64::min)
+        older.of(origin.iter().copied().fold(f64::INFINITY, f64::min))
     }
 
     /// The *suspicious* arcs: the decreased arcs whose tails are not
     /// provably beyond `max_len` from the start at the delta's newer
-    /// epoch, as `(tail, head)` pairs, sorted.
-    fn decreased_within(&self, max_len: Cost) -> Vec<(u32, u32)> {
-        let delta = self.delta;
-        let ratio = delta.to_min_ratio().clamp(0.0, 1.0);
-        let mut arcs: Vec<(u32, u32)> = (delta.touches().iter().enumerate())
+    /// epoch, whose bound is `newer`, as `(tail, head)` pairs, sorted.
+    fn decreased_within(&self, max_len: Cost, newer: Bound) -> Vec<(u32, u32)> {
+        let mut arcs: Vec<(u32, u32)> = (self.delta.touches().iter().enumerate())
             .filter(|&(i, t)| {
                 let cleared = (self.origin.as_ref())
-                    .is_some_and(|lb| safely_beyond(ratio * lb[i], max_len.get()));
+                    .is_some_and(|lb| safely_beyond(newer.of(lb[i]), max_len.get()));
                 t.decreased() && !cleared
             })
             .map(|(_, t)| (t.tail.0, t.head.0))
             .collect();
         arcs.sort_unstable();
         arcs
+    }
+
+    /// `budget`, held at the delta's older epoch, moved to its newer one
+    /// (see [the decrease budget](self#the-decrease-budget)); `None`
+    /// without an oracle.
+    fn carry(&self, budget: Budget, graph: &RoadNetwork) -> Option<Budget> {
+        let origin = self.origin.as_ref()?;
+        let touches = self.delta.touches();
+        let near = |lb: f64| lb <= budget.radius;
+        // Touches are sorted by slot, hence by tail; a head's bound is its
+        // reverse arc's, which an undirected edge always touches too.
+        let head_near = |head: VertexId| {
+            touches.binary_search_by_key(&head, |t| t.tail).is_ok_and(|j| near(origin[j]))
+        };
+        let mut drops = budget.drops;
+        for (t, &lb) in touches.iter().zip(origin) {
+            if t.tail < t.head && (near(lb) || head_near(t.head)) {
+                let w0 = graph.base_arc_weight(t.slot as usize).get();
+                drops += (w0 - t.to_weight).max(0.0) - (w0 - t.from_weight).max(0.0);
+            }
+        }
+        Some(Budget { drops, ..budget })
     }
 }
 
@@ -452,6 +604,8 @@ struct Fallback {
     routes_rescored: usize,
     /// The target epoch, which stamps the result's memo.
     epoch: EpochId,
+    /// The start's decrease budget at the target epoch, for the memo.
+    budget: Option<Budget>,
     /// For a restricted re-search, the suspicious arcs, sorted, and the
     /// skyline radius; the search from their tails is in the workspace.
     /// `None` when the full one must run.
@@ -464,8 +618,8 @@ struct Watch<'l> {
     arcs: Vec<(u32, u32)>,
     /// The oracle tier 1 uses.
     landmarks: Option<&'l Landmarks>,
-    /// The newer epoch's weight-ratio floor, which scales its bound.
-    ratio: f64,
+    /// The newer epoch's bound, which picked the arcs.
+    bound: Bound,
     /// The skyline radius `T`.
     radius: Cost,
 }
@@ -473,8 +627,8 @@ struct Watch<'l> {
 /// The search from the suspicious tails, in `ws`: tier 2's relevance check
 /// on an undirected graph, and `h` for the restricted re-search. It
 /// settles a vertex at its distance to the nearest tail, except where no
-/// route under the radius passes: a vertex whose distance plus the scaled
-/// landmark bound from `start` clearly reaches the radius is not expanded,
+/// route under the radius passes: a vertex whose distance plus the newer
+/// epoch's bound from `start` clearly reaches the radius is not expanded,
 /// and the search stops at the first vertex clearly beyond the radius,
 /// which it settles. Why that answers the check is argued in [the
 /// relevance check](self#the-relevance-check), and why `h` may read the
@@ -490,7 +644,7 @@ fn tails_search(
     let tails: Vec<(VertexId, Cost)> =
         watch.arcs.iter().map(|&(t, _)| (VertexId(t), Cost::ZERO)).collect();
     dijkstra_with(ctx.graph, ws, &tails, |v, d| {
-        let lb = |lm: &Landmarks| watch.ratio * lm.lower_bound(start, v).get();
+        let lb = |lm: &Landmarks| watch.bound.of(lm.lower_bound(start, v).get());
         if safely_beyond(d.get(), radius) {
             Settle::Stop
         } else if watch.landmarks.is_some_and(|lm| safely_beyond(d.get() + lb(lm), radius)) {
@@ -502,12 +656,16 @@ fn tails_search(
 }
 
 /// `survivors`, sorted by length as a skyline is, and the memo of the
-/// paths they carry.
-fn promote(mut survivors: Vec<Survivor>, epoch: EpochId) -> (Vec<SkylineRoute>, RepairMemo) {
+/// paths they carry and the start's `budget` at `epoch`.
+fn promote(
+    mut survivors: Vec<Survivor>,
+    epoch: EpochId,
+    budget: Option<Budget>,
+) -> (Vec<SkylineRoute>, RepairMemo) {
     survivors.sort_by_key(|s| s.route.length);
     let (routes, paths): (Vec<_>, Vec<_>) =
         survivors.into_iter().map(|s| (s.route, s.path)).unzip();
-    (routes, RepairMemo { epoch, paths: paths.into() })
+    (routes, RepairMemo { epoch, paths: paths.into(), budget })
 }
 
 /// Checks, in debug builds, that each path in `result`'s memo realises its
@@ -641,17 +799,33 @@ impl<'g> Bssr<'g> {
                     routes_untouched: 0,
                     routes_rescored: 0,
                 },
-                memo: RepairMemo { epoch: to, paths: Box::default() },
+                memo: RepairMemo { epoch: to, paths: Box::default(), budget: None },
             };
         }
         let max_len = cached.iter().map(|r| r.length).max().expect("non-empty");
         let memo = memo.filter(|m| m.epoch == delta.from_epoch() && m.paths.len() == cached.len());
         let stored_path = |i: usize| memo.and_then(|m| m.paths[i].clone());
         let kept = |i: usize, r: &SkylineRoute| Survivor { route: r.clone(), path: stored_path(i) };
-        let untouched = || {
+
+        // The start's decrease budget at the older epoch, from the memo or
+        // fresh where no weight is below its origin, and carried to the
+        // newer one; each epoch's bound reads its own.
+        let bounds = TouchBounds::new(delta, landmarks, start);
+        let held = (memo.and_then(|m| m.budget))
+            .or_else(|| (delta.from_min_ratio() == 1.0).then(|| Budget::fresh(max_len)));
+        let budget = held.and_then(|b| bounds.carry(b, ctx.graph));
+        let older = Bound::new(delta.from_min_ratio(), held, max_len);
+        let newer = Bound::new(delta.to_min_ratio(), budget, max_len);
+
+        // Tier 1: the delta is empty, or every touched tail is provably
+        // beyond the skyline radius. Emptiness is tested on its own: at a
+        // zero ratio floor without a budget the floor over no touches is
+        // NaN, and clears nothing.
+        let floor = bounds.floor(older);
+        if delta.is_empty() || safely_beyond(floor, max_len.get()) {
             let survivors = cached.iter().enumerate().map(|(i, r)| kept(i, r)).collect();
-            let (routes, memo) = promote(survivors, to);
-            InPlace::Promoted {
+            let (routes, memo) = promote(survivors, to, budget);
+            return InPlace::Promoted {
                 routes,
                 repair: RepairStats {
                     outcome: RepairOutcome::Untouched,
@@ -659,17 +833,7 @@ impl<'g> Bssr<'g> {
                     routes_rescored: 0,
                 },
                 memo,
-            }
-        };
-
-        // Tier 1: the delta is empty, or every touched tail is provably
-        // beyond the skyline radius. Emptiness is tested on its own: at a
-        // zero ratio floor the floor over no touches is NaN, and clears
-        // nothing.
-        let bounds = TouchBounds::new(delta, landmarks, start);
-        let floor = bounds.floor();
-        if delta.is_empty() || safely_beyond(floor, max_len.get()) {
-            return untouched();
+            };
         }
 
         // Tier 2: rescore each route's legs at the new epoch. Routes
@@ -717,9 +881,9 @@ impl<'g> Bssr<'g> {
         // as the re-search's `h`; it settles the vertex it stops at, so the
         // start counts only within the radius.
         let watch = Watch {
-            arcs: bounds.decreased_within(max_len),
+            arcs: bounds.decreased_within(max_len, newer),
             landmarks,
-            ratio: delta.to_min_ratio().clamp(0.0, 1.0),
+            bound: newer,
             radius: max_len,
         };
         let restricted = !any_longer && !ctx.graph.is_directed();
@@ -732,7 +896,7 @@ impl<'g> Bssr<'g> {
                 && forward_relevant(&ctx, &mut self.ws, start, &watch.arcs, max_len, stats)
         };
         if all_unchanged && !relevant {
-            let (routes, memo) = promote(survivors, to);
+            let (routes, memo) = promote(survivors, to, budget);
             return InPlace::Promoted {
                 routes,
                 repair: RepairStats {
@@ -748,6 +912,7 @@ impl<'g> Bssr<'g> {
             routes_untouched,
             routes_rescored,
             epoch: to,
+            budget,
             watched: restricted.then_some((watch.arcs, max_len)),
         })
     }
@@ -764,7 +929,7 @@ impl<'g> Bssr<'g> {
         mut stats: QueryStats,
         t0: Instant,
     ) -> RepairResult {
-        let Fallback { survivors, routes_untouched, routes_rescored, epoch, watched } = f;
+        let Fallback { survivors, routes_untouched, routes_rescored, epoch, budget, watched } = f;
         let seeds: Vec<SkylineRoute> = survivors.iter().map(|s| s.route.clone()).collect();
         // Repairs promise score-equivalence to a cold run, so an armed
         // anytime deadline (see `Bssr::set_deadline`) must not truncate
@@ -804,7 +969,7 @@ impl<'g> Bssr<'g> {
                 routes_untouched,
                 routes_rescored,
             },
-            memo: RepairMemo { epoch, paths },
+            memo: RepairMemo { epoch, paths, budget },
         }
     }
 }
@@ -815,6 +980,7 @@ mod tests {
     use crate::bssr::BssrConfig;
     use crate::paper_example::PaperExample;
     use crate::route::equivalent_skylines;
+    use proptest::prelude::*;
     use skysr_graph::{RoadNetwork, WeightDelta, WeightEpoch};
 
     /// Paper-example harness: cached skyline at epoch 0, repair across a
@@ -973,6 +1139,11 @@ mod tests {
         (line, lm, delta)
     }
 
+    /// The bound at the ratio floor `ratio`, without a budget.
+    fn scaled(ratio: f64) -> Bound {
+        Bound::new(ratio, None, Cost::ZERO)
+    }
+
     #[test]
     fn the_touched_floor_is_admissible_and_tight_on_a_line() {
         let (line, lm, delta) = far_touches();
@@ -981,13 +1152,13 @@ mod tests {
         let nearest = (delta.touches().iter())
             .map(|t| to_tail(t.tail).unwrap().get())
             .fold(f64::INFINITY, f64::min);
-        let floor = TouchBounds::new(&delta, Some(&lm), VertexId(0)).floor();
+        let floor = TouchBounds::new(&delta, Some(&lm), VertexId(0)).floor(scaled(1.0));
         // Admissible: never above the distance to the nearest touched tail…
         assert!(floor <= nearest + 1e-9, "floor {floor} > distance {nearest}");
         // …and, on a line with a landmark at an end, exact.
         assert!(floor > 20.0, "the nearest touched tail is 24 hops from vertex 0: {floor}");
         // A start among the touched tails has floor 0.
-        assert_eq!(TouchBounds::new(&delta, Some(&lm), VertexId(25)).floor(), 0.0);
+        assert_eq!(TouchBounds::new(&delta, Some(&lm), VertexId(25)).floor(scaled(1.0)), 0.0);
     }
 
     #[test]
@@ -997,7 +1168,8 @@ mod tests {
         // edge is never suspicious.
         let (_, lm, delta) = far_touches();
         let bounds = TouchBounds::new(&delta, Some(&lm), VertexId(0));
-        let within = |radius: f64| bounds.decreased_within(Cost::new(radius));
+        let newer = scaled(delta.to_min_ratio());
+        let within = |radius: f64| bounds.decreased_within(Cost::new(radius), newer);
         assert_eq!(within(13.0), []);
         assert_eq!(within(13.75), [(27, 28)]);
         assert_eq!(within(15.0), [(27, 28), (28, 27)]);
@@ -1007,8 +1179,8 @@ mod tests {
     fn without_landmarks_every_decreased_arc_is_suspicious() {
         let (_, _, delta) = far_touches();
         let bounds = TouchBounds::new(&delta, None, VertexId(0));
-        assert_eq!(bounds.floor(), 0.0);
-        assert_eq!(bounds.decreased_within(Cost::new(1.0)), [(27, 28), (28, 27)]);
+        assert_eq!(bounds.floor(scaled(1.0)), 0.0);
+        assert_eq!(bounds.decreased_within(Cost::new(1.0), scaled(0.5)), [(27, 28), (28, 27)]);
     }
 
     #[test]
@@ -1017,7 +1189,7 @@ mod tests {
         let raised = line.delta(&[(24, 25, 3.0)]);
         for landmarks in [Some(&lm), None] {
             let bounds = TouchBounds::new(&raised, landmarks, VertexId(0));
-            assert_eq!(bounds.decreased_within(Cost::INFINITY), []);
+            assert_eq!(bounds.decreased_within(Cost::INFINITY, scaled(1.0)), []);
         }
     }
 
@@ -1034,11 +1206,161 @@ mod tests {
         let to = epochs.publish(&[]);
         let delta = epochs.delta_between(from, to).unwrap();
         assert!(delta.is_empty() && delta.from_min_ratio() == 0.0);
-        assert!(TouchBounds::new(&delta, Some(&lm), line.query.start).floor().is_nan());
+        let older = scaled(delta.from_min_ratio());
+        let floor = TouchBounds::new(&delta, Some(&lm), line.query.start).floor(older);
+        assert!(floor.is_nan());
         let pinned = epochs.pin();
         let ctx = QueryContext::new(&pinned, &line.forest, &line.pois);
         let r = Bssr::new(&ctx).repair(&line.query, &line.cached, &delta, Some(&lm)).unwrap();
         assert_eq!((r.repair.outcome, r.stats.search.settled), (RepairOutcome::Untouched, 0));
+    }
+
+    #[test]
+    fn decrease_budget_clears_what_the_halved_floor_cannot() {
+        // On a 30-vertex line with a landmark at the start, 0, the skyline
+        // radius is 2, so a fresh budget's radius is 2.5. The edge 27 — 28
+        // drops to 0.5 first, beyond that radius: the ratio floor halves
+        // and the budget stays 0. Then 3 — 4 drops to 0.9. Its ends' bounds
+        // from 0, 3 and 4, lie between the budget's radius and the skyline
+        // radius over the floor, 4: the halved floor (1.5 at the tail 3)
+        // cannot clear them, the budget (3 − 0) can.
+        let line = Line::new(30);
+        let lm = Landmarks::build(&line.graph, 4, VertexId(0));
+        let epochs = WeightEpoch::new(line.graph.clone());
+        let repair = |from: EpochId, to: EpochId, cached: &[SkylineRoute], memo| {
+            let delta = epochs.delta_between(from, to).unwrap();
+            let pinned = epochs.pin();
+            let ctx = QueryContext::new(&pinned, &line.forest, &line.pois);
+            let pq = PreparedQuery::prepare(&ctx, &line.query).unwrap();
+            let with = Bssr::new(&ctx).repair_prepared(&pq, cached, memo, &delta, Some(&lm));
+            let without = Bssr::new(&ctx).repair(&line.query, cached, &delta, Some(&lm)).unwrap();
+            let fresh = Bssr::new(&ctx).run(&line.query).unwrap().routes;
+            for r in [&with, &without] {
+                assert!(equivalent_skylines(&r.routes, &fresh), "{:?} vs {fresh:?}", r.routes);
+            }
+            (delta.from_min_ratio(), with, without.repair.outcome)
+        };
+        let far = epochs.publish(&[WeightDelta::new(VertexId(27), VertexId(28), 0.5)]);
+        let (ratio, first, _) = repair(EpochId::BASE, far, &line.cached, None);
+        assert_eq!((ratio, first.repair.outcome), (1.0, RepairOutcome::Untouched));
+        let fresh = Budget { radius: BUDGET_RADIUS * padded(2.0), drops: 0.0 };
+        assert_eq!(first.memo.budget, Some(fresh));
+
+        let near = epochs.publish(&[WeightDelta::new(VertexId(3), VertexId(4), 0.9)]);
+        let (ratio, with, without) = repair(far, near, &first.routes, Some(&first.memo));
+        assert_eq!(ratio, 0.5);
+        assert_eq!(
+            (with.repair.outcome, without),
+            (RepairOutcome::Untouched, RepairOutcome::Rescored)
+        );
+        assert_eq!(with.stats.search.settled, 0);
+        assert_eq!(with.memo.budget, first.memo.budget, "3 — 4 lies beyond the radius");
+    }
+
+    /// Every undirected edge's drop below its origin weight at `view`'s
+    /// epoch, summed over the edges with an endpoint whose landmark bound
+    /// from `start` is at most `radius`: a budget counted from scratch.
+    fn recount(view: &RoadNetwork, lm: &Landmarks, start: VertexId, radius: f64) -> f64 {
+        let near = |v: VertexId| lm.lower_bound(start, v).get() <= radius;
+        (0..view.num_arcs())
+            .map(|slot| (slot, view.arc(slot)))
+            .filter(|&(_, (u, v, _))| u < v && (near(u) || near(v)))
+            .map(|(slot, (.., w))| (view.base_arc_weight(slot).get() - w.get()).max(0.0))
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // A chain of mixed increase and decrease waves on a small random
+        // city, each repaired with the memo of the repair before. After
+        // every repair the memo's budget is its recount, and where it is
+        // valid, at the repair's radius or the next one's, `LB − D` bounds
+        // the distance from the start to every vertex within `T′`.
+        #[test]
+        fn decrease_budget_matches_its_recount_and_stays_admissible(
+            n in 4usize..10,
+            weights in prop::collection::vec(0.5f64..8.0, 9),
+            extra in prop::collection::vec((0usize..10, 0usize..10, 0.5f64..8.0), 0..8),
+            poi_cats in prop::collection::vec(prop::option::of(0usize..3), 10),
+            start in 0usize..10,
+            query_cats in prop::collection::vec(0usize..3, 1..3),
+            waves in prop::collection::vec(
+                prop::collection::vec((0usize..64, 0.2f64..4.0), 1..4),
+                2..7,
+            ),
+        ) {
+            let mut fb = skysr_category::ForestBuilder::new();
+            let (food, shop) = (fb.add_root("Food"), fb.add_root("Shop"));
+            let cats = [
+                fb.add_child(food, "Asian"),
+                fb.add_child(food, "Italian"),
+                fb.add_child(shop, "Gift"),
+            ];
+            let forest = fb.build();
+            let mut gb = skysr_graph::GraphBuilder::new();
+            let v: Vec<VertexId> = (0..n).map(|_| gb.add_vertex()).collect();
+            for i in 1..n {
+                gb.add_edge(v[i - 1], v[i], weights[i - 1]);
+            }
+            for &(a, b, w) in &extra {
+                gb.add_edge(v[a % n], v[b % n], w);
+            }
+            let graph = gb.build();
+            let mut pois = crate::poi::PoiTable::new(n);
+            for (i, c) in poi_cats[..n].iter().enumerate() {
+                if let Some(c) = c {
+                    pois.add_poi(v[i], cats[*c]);
+                }
+            }
+            pois.finalize(&forest);
+            let s = v[start % n];
+            let query = SkySrQuery::new(s, query_cats.iter().map(|&c| cats[c]));
+            let lm = Landmarks::build(&graph, 3, VertexId(0));
+            let epochs = WeightEpoch::new(graph.clone());
+            let cold = Bssr::new(&QueryContext::new(&graph, &forest, &pois)).run(&query);
+            let (mut cached, mut memo, mut at) = (cold.unwrap().routes, None, EpochId::BASE);
+            let radius = |routes: &[SkylineRoute]| routes.iter().map(|r| r.length).max();
+            for wave in &waves {
+                let deltas: Vec<WeightDelta> = (wave.iter())
+                    .map(|&(slot, factor)| {
+                        let (a, b, w) = graph.arc(slot % graph.num_arcs());
+                        WeightDelta::new(a, b, w.get() * factor)
+                    })
+                    .collect();
+                let to = epochs.publish(&deltas);
+                let delta = epochs.delta_between(at, to).unwrap();
+                let pinned = epochs.pin();
+                let ctx = QueryContext::new(&pinned, &forest, &pois);
+                let pq = PreparedQuery::prepare(&ctx, &query).unwrap();
+                let mut engine = Bssr::new(&ctx);
+                let r = engine.repair_prepared(&pq, &cached, memo.as_ref(), &delta, Some(&lm));
+                prop_assert!(r.memo.budget.is_some() || cached.is_empty(), "no budget");
+                if let Some(budget) = r.memo.budget {
+                    let mut ws = DijkstraWorkspace::new(n);
+                    dijkstra_with(&pinned, &mut ws, &[(s, Cost::ZERO)], |_, _| Settle::Continue);
+                    for t in [radius(&cached), radius(&r.routes)].into_iter().flatten() {
+                        let Some(drops) = budget.valid_at(t) else { continue };
+                        let within = |x: &VertexId| {
+                            ws.distance(*x).filter(|d| d.get() <= padded(t.get()))
+                        };
+                        for (x, d) in pinned.vertices().filter_map(|x| Some((x, within(&x)?))) {
+                            let lb = lm.lower_bound(s, x).get();
+                            prop_assert!(
+                                lb - drops <= d.get() + 1e-9,
+                                "{x:?}: LB {lb} − D {drops} > d {d:?}, within T {t:?}"
+                            );
+                        }
+                    }
+                    let count = recount(&pinned, &lm, s, budget.radius);
+                    let off = (budget.drops - count).abs();
+                    prop_assert!(off <= 1e-9 * count.max(1.0), "D {budget:?}, recount {count}");
+                }
+                let fresh = Bssr::new(&ctx).run(&query).unwrap().routes;
+                prop_assert!(equivalent_skylines(&r.routes, &fresh), "{r:?} vs {fresh:?}");
+                (cached, memo, at) = (r.routes, Some(r.memo), to);
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! u) − d(ℓ, t)|`, a cheap feasibility filter ("can this vertex possibly
 //! be within the radius?"). Incremental skyline repair
 //! (`skysr_core::bssr::repair`) is its one user: it bounds the distance
-//! from a query's start to each touched arc's tail, and to each vertex its
-//! search from the decreased tails settles.
+//! from a query's start to each touched arc's tail, which also decides
+//! whether a touched edge counts in the start's decrease budget, and to
+//! each vertex its search from the decreased tails settles.
 //!
 //! **Selection.** Every landmark is picked before any search runs, by
 //! farthest-point sampling over vertex positions from the seed vertex, as
