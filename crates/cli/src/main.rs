@@ -47,7 +47,7 @@ use skysr_cli::serve;
 use skysr_core::bssr::{Bssr, BssrConfig};
 use skysr_core::variants::destination::DestinationQuery;
 use skysr_core::variants::rated::RatedQuery;
-use skysr_core::variants::unordered::UnorderedQuery;
+use skysr_core::variants::unordered::{UnorderedQuery, MAX_CATEGORIES};
 use skysr_core::{SkySrQuery, SkylineRoute};
 use skysr_data::codec;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
@@ -231,6 +231,13 @@ fn run(argv: Vec<String>, out: &mut impl Write) -> Result<(), Failure> {
                 "unordered" => {
                     if dest.is_some() {
                         return Err("--destination is not supported with --mode unordered".into());
+                    }
+                    if cats.len() > MAX_CATEGORIES {
+                        return Err(format!(
+                            "--mode unordered takes at most {MAX_CATEGORIES} categories, got {}",
+                            cats.len()
+                        )
+                        .into());
                     }
                     let q = UnorderedQuery::new(VertexId(start), cats);
                     let result = q.run(&ctx).map_err(|e| e.to_string())?;

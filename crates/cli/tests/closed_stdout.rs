@@ -28,8 +28,10 @@ fn info_and_query_exit_cleanly_into_a_closed_pipe() {
     hist.retain(|&(_, n)| n > 0);
     let categories =
         format!("{},{}", dataset.forest.name(hist[0].0), dataset.forest.name(hist[1].0));
-    let commands: [&[&str]; 2] =
-        [&["info", city], &["query", city, "--start", "0", "--categories", &categories]];
+    let query = ["query", city, "--start", "0", "--categories", &categories];
+    let unordered = [&query[..], &["--mode", "unordered"]].concat();
+    let rated = [&query[..], &["--mode", "rated"]].concat();
+    let commands: [&[&str]; 4] = [&["info", city], &query, &unordered, &rated];
     for args in commands {
         let (reader, writer) = std::io::pipe().expect("a pipe");
         drop(reader);

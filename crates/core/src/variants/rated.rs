@@ -10,25 +10,18 @@
 //! so all three scores share the "smaller is better" orientation and the
 //! skyline generalises to 3-way dominance.
 //!
-//! The search is BSSR's branch-and-bound with a 3-D skyline set: a partial
-//! route's scores are lower bounds for any completion (length grows,
-//! semantic product shrinks, rating deficit only accumulates), so the
-//! threshold prune of Lemma 5.3 carries over with
-//! `l̄(s, r) = min { l(R') | s(R') ≤ s, r(R') ≤ r }`. The Lemma 5.5
-//! path-similarity shortcuts do *not* carry over (a lower-similarity PoI
-//! on the path may have a better rating) and stay off; exactness is
-//! property-tested against an exhaustive oracle.
+//! The variants' search (see [`super`]) finds this skyline, summing the
+//! deficits along each route; exactness is property-tested against an
+//! exhaustive oracle.
 
-use std::collections::BinaryHeap;
-use std::time::Instant;
+use skysr_graph::{Cost, VertexId};
 
-use skysr_graph::{dijkstra_with, Cost, DijkstraWorkspace, Settle, VertexId};
-
+use super::{search, Fill};
 use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::prepared::PreparedQuery;
 use crate::query::SkySrQuery;
-use crate::route::{approx_le, PartialRoute};
+use crate::route::approx_le;
 use crate::stats::QueryStats;
 
 /// Per-vertex PoI ratings in `[0, 1]` (1 = best). Non-PoI entries are
@@ -75,50 +68,13 @@ impl RatedRoute {
     /// 3-way dominance: at least as good everywhere, strictly better
     /// somewhere (epsilon-aware like the 2-D case).
     pub fn dominates(&self, other: &RatedRoute) -> bool {
-        let le = approx_le(self.length.get(), other.length.get())
+        self.no_worse(other) && !other.no_worse(self)
+    }
+
+    fn no_worse(&self, other: &RatedRoute) -> bool {
+        approx_le(self.length.get(), other.length.get())
             && approx_le(self.semantic, other.semantic)
-            && approx_le(self.rating, other.rating);
-        let ge = approx_le(other.length.get(), self.length.get())
-            && approx_le(other.semantic, self.semantic)
-            && approx_le(other.rating, self.rating);
-        le && !ge
-    }
-}
-
-/// Minimal 3-D skyline set.
-#[derive(Clone, Debug, Default)]
-struct RatedSkyline {
-    routes: Vec<RatedRoute>,
-}
-
-impl RatedSkyline {
-    fn dominated_or_equal(&self, l: Cost, s: f64, r: f64) -> bool {
-        self.routes.iter().any(|x| {
-            approx_le(x.length.get(), l.get()) && approx_le(x.semantic, s) && approx_le(x.rating, r)
-        })
-    }
-
-    fn update(&mut self, route: RatedRoute) -> bool {
-        if self.dominated_or_equal(route.length, route.semantic, route.rating) {
-            return false;
-        }
-        self.routes.retain(|x| {
-            !(approx_le(route.length.get(), x.length.get())
-                && approx_le(route.semantic, x.semantic)
-                && approx_le(route.rating, x.rating))
-        });
-        self.routes.push(route);
-        true
-    }
-
-    /// `l̄(s, r)`: Lemma 5.3 threshold generalised to three criteria.
-    fn threshold(&self, s: f64, r: f64) -> Cost {
-        self.routes
-            .iter()
-            .filter(|x| x.semantic <= s && x.rating <= r)
-            .map(|x| x.length)
-            .min()
-            .unwrap_or(Cost::INFINITY)
+            && approx_le(self.rating, other.rating)
     }
 }
 
@@ -132,40 +88,11 @@ pub struct RatedQuery {
 /// Result of a rated query.
 #[derive(Clone, Debug)]
 pub struct RatedResult {
-    /// The 3-D skyline, sorted by ascending length.
+    /// The 3-D skyline, sorted by length, then semantic score, then rating
+    /// score.
     pub routes: Vec<RatedRoute>,
     /// Instrumentation.
     pub stats: QueryStats,
-}
-
-/// A queue entry: partial route + accumulated rating deficit.
-struct Entry {
-    route: PartialRoute,
-    deficit: f64,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // §5.3.2's arrangement, extended: size desc, semantic asc,
-        // deficit asc, length asc.
-        self.route
-            .len()
-            .cmp(&other.route.len())
-            .then_with(|| Cost::new(other.route.semantic()).cmp(&Cost::new(self.route.semantic())))
-            .then_with(|| Cost::new(other.deficit).cmp(&Cost::new(self.deficit)))
-            .then_with(|| other.route.length().cmp(&self.route.length()))
-    }
 }
 
 impl RatedQuery {
@@ -180,160 +107,25 @@ impl RatedQuery {
         ctx: &QueryContext<'_>,
         ratings: &RatingTable,
     ) -> Result<RatedResult, QueryError> {
-        let t0 = Instant::now();
-        let pq = PreparedQuery::prepare(ctx, &self.query)?;
-        let k = pq.len();
-        let mut stats = QueryStats::default();
-        if pq.unmatchable_position().is_some() {
-            return Ok(RatedResult { routes: Vec::new(), stats });
-        }
-        let mut skyline = RatedSkyline::default();
-        let mut ws = DijkstraWorkspace::new(ctx.graph.num_vertices());
-
-        // Initial bound: the greedy perfect chain (NNinit's first thread),
-        // which yields one (length, 0, r) member.
-        self.greedy_init(ctx, &pq, &mut ws, ratings, &mut skyline, &mut stats);
-
-        let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
-        self.expand(
-            ctx,
-            &pq,
-            ratings,
-            &PartialRoute::empty(),
-            0.0,
-            &mut ws,
-            &mut queue,
-            &mut skyline,
-            &mut stats,
-        );
-        while let Some(Entry { route, deficit }) = queue.pop() {
-            let rating_min = deficit / k as f64;
-            if route.length() >= skyline.threshold(route.semantic(), rating_min) {
-                stats.threshold_prunes += 1;
-                continue;
-            }
-            self.expand(
-                ctx,
-                &pq,
-                ratings,
-                &route,
-                deficit,
-                &mut ws,
-                &mut queue,
-                &mut skyline,
-                &mut stats,
-            );
-        }
-
-        let mut routes = skyline.routes;
-        routes.sort_by_key(|r| r.length);
-        stats.total_time = t0.elapsed();
+        let deficit = |p| 1.0 - ratings.get(p);
+        let (members, stats) = search(ctx, &self.query, Fill::InOrder, deficit, 1)?;
+        let k = self.query.len() as f64;
+        let routes = members
+            .into_iter()
+            .map(|m| RatedRoute {
+                pois: m.route.pois,
+                length: m.route.length,
+                semantic: m.route.semantic,
+                rating: m.extra / k,
+            })
+            .collect();
         Ok(RatedResult { routes, stats })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn greedy_init(
-        &self,
-        ctx: &QueryContext<'_>,
-        pq: &PreparedQuery,
-        ws: &mut DijkstraWorkspace,
-        ratings: &RatingTable,
-        skyline: &mut RatedSkyline,
-        stats: &mut QueryStats,
-    ) {
-        let k = pq.len();
-        let mut route = PartialRoute::empty();
-        let mut deficit = 0.0;
-        let mut source = pq.start;
-        for i in 0..k {
-            let position = &pq.positions[i];
-            let mut hit = None;
-            let s = dijkstra_with(ctx.graph, ws, &[(source, Cost::ZERO)], |u, d| {
-                if !route.contains(u) && position.is_perfect(ctx, u) {
-                    hit = Some((u, d));
-                    Settle::Stop
-                } else {
-                    Settle::Continue
-                }
-            });
-            stats.search.merge(&s);
-            match hit {
-                Some((u, d)) => {
-                    route = route.extend(u, d, 1.0);
-                    deficit += 1.0 - ratings.get(u);
-                    source = u;
-                }
-                None => return,
-            }
-        }
-        skyline.update(RatedRoute {
-            pois: route.pois(),
-            length: route.length(),
-            semantic: 0.0,
-            rating: deficit / k as f64,
-        });
-        stats.init_routes = 1;
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        ctx: &QueryContext<'_>,
-        pq: &PreparedQuery,
-        ratings: &RatingTable,
-        route: &PartialRoute,
-        deficit: f64,
-        ws: &mut DijkstraWorkspace,
-        queue: &mut BinaryHeap<Entry>,
-        skyline: &mut RatedSkyline,
-        stats: &mut QueryStats,
-    ) {
-        let k = pq.len();
-        let pos = route.len();
-        let position = &pq.positions[pos];
-        let source = route.last_poi().unwrap_or(pq.start);
-        let base = route.length();
-        let rating_min = deficit / k as f64;
-        stats.mdijkstra_runs += 1;
-        let threshold = skyline.threshold(route.semantic(), rating_min);
-        let mut found: Vec<(VertexId, Cost, f64)> = Vec::new();
-        let s = dijkstra_with(ctx.graph, ws, &[(source, Cost::ZERO)], |u, d| {
-            if base + d >= threshold {
-                return Settle::Stop;
-            }
-            let sim = position.sim_of(ctx, u);
-            if sim > 0.0 && !route.contains(u) {
-                found.push((u, d, sim));
-            }
-            Settle::Continue
-        });
-        stats.search.merge(&s);
-        for (u, d, sim) in found {
-            let rt = route.extend(u, d, sim);
-            let new_deficit = deficit + (1.0 - ratings.get(u));
-            let new_rating_min = new_deficit / k as f64;
-            if rt.length() >= skyline.threshold(rt.semantic(), new_rating_min) {
-                stats.threshold_prunes += 1;
-                continue;
-            }
-            if rt.len() == k {
-                skyline.update(RatedRoute {
-                    pois: rt.pois(),
-                    length: rt.length(),
-                    semantic: rt.semantic(),
-                    rating: new_rating_min,
-                });
-            } else {
-                queue.push(Entry { route: rt, deficit: new_deficit });
-                stats.routes_enqueued += 1;
-                stats.queue_peak = stats.queue_peak.max(queue.len());
-            }
-        }
     }
 }
 
-/// Exhaustive 3-D oracle for testing (same enumeration as
-/// [`crate::naive::naive_skysr`], rating-aware).
+/// Exhaustive 3-D oracle for testing: every sequenced route (the
+/// enumeration of [`crate::naive::naive_skysr`]) that no other dominates,
+/// one per score triple, sorted like [`RatedResult::routes`].
 pub fn naive_rated(
     ctx: &QueryContext<'_>,
     ratings: &RatingTable,
@@ -341,21 +133,29 @@ pub fn naive_rated(
     limit: u64,
 ) -> Result<Vec<RatedRoute>, QueryError> {
     let pq = PreparedQuery::prepare(ctx, query)?;
-    let base = crate::naive::naive_all_routes(ctx, &pq, limit);
     let k = pq.len() as f64;
-    let mut skyline = RatedSkyline::default();
-    for r in base {
-        let deficit: f64 = r.pois.iter().map(|&p| 1.0 - ratings.get(p)).sum();
-        skyline.update(RatedRoute {
-            pois: r.pois,
-            length: r.length,
-            semantic: r.semantic,
-            rating: deficit / k,
-        });
+    let all: Vec<RatedRoute> = crate::naive::naive_all_routes(ctx, &pq, limit)
+        .into_iter()
+        .map(|r| {
+            let deficit: f64 = r.pois.iter().map(|&p| 1.0 - ratings.get(p)).sum();
+            RatedRoute { pois: r.pois, length: r.length, semantic: r.semantic, rating: deficit / k }
+        })
+        .collect();
+    let mut out: Vec<RatedRoute> = Vec::new();
+    for r in &all {
+        if !all.iter().any(|o| o.dominates(r))
+            && !out.iter().any(|o| o.no_worse(r) && r.no_worse(o))
+        {
+            out.push(r.clone());
+        }
     }
-    let mut routes = skyline.routes;
-    routes.sort_by_key(|r| r.length);
-    Ok(routes)
+    out.sort_by(|a, b| {
+        a.length
+            .cmp(&b.length)
+            .then(a.semantic.total_cmp(&b.semantic))
+            .then(a.rating.total_cmp(&b.rating))
+    });
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -5,91 +5,16 @@
 //! alternatives (useful when, as §7.4 notes, the plain skyline can be
 //! small).
 //!
-//! The bulk search carries over from BSSR with one change to the pruning
-//! theory: a (partial) route may be discarded only when **at least k**
-//! already-found sequenced routes dominate-or-tie its score pair —
-//! equivalently, when its length reaches the *k-th smallest* qualifying
-//! member length, `l̄_k(s) = k-min { l(R') | s(R') ≤ s }`. Completed
-//! routes are never evicted during the search (a later route cannot reduce
-//! an earlier route's dominator count); the final skyband is filtered from
-//! the collected pool, which is provably a superset of the true k-skyband:
-//! any pruned route had ≥ k pool dominators, and dominance is transitive,
-//! so pruned routes can never hide a needed dominator. Score-equivalent
-//! duplicates collapse to the first found (as in Definition 4.1's minimal
-//! set).
-//!
-//! Lemma 5.5's path-similarity shortcut exhibits only a *single*
-//! dominating replacement, which no longer justifies discarding a route
-//! for `k > 1`, so it stays off here.
+//! The variants' search (see [`super`]) finds the skyband with a band of
+//! width `k`; exactness is property-tested against an exhaustive oracle.
 
-use std::time::Instant;
-
-use skysr_graph::{dijkstra_with, Cost, DijkstraWorkspace, Settle, VertexId};
-
-use crate::bssr::queue::{QueuePolicy, RouteQueue};
+use super::{search, Fill};
 use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::prepared::PreparedQuery;
 use crate::query::SkySrQuery;
-use crate::route::{approx_le, PartialRoute, SkylineRoute};
+use crate::route::SkylineRoute;
 use crate::stats::QueryStats;
-
-/// Pool of completed routes with k-threshold queries.
-#[derive(Debug, Default)]
-struct SkybandPool {
-    routes: Vec<SkylineRoute>,
-}
-
-impl SkybandPool {
-    /// Number of members dominating-or-tying the score pair.
-    fn covering_count(&self, length: Cost, semantic: f64) -> usize {
-        self.routes
-            .iter()
-            .filter(|r| approx_le(r.length.get(), length.get()) && approx_le(r.semantic, semantic))
-            .count()
-    }
-
-    /// `l̄_k(s)`: the k-th smallest member length among members with
-    /// semantic ≤ `semantic`; `+∞` if fewer than `k` qualify.
-    fn threshold_k(&self, semantic: f64, k: usize) -> Cost {
-        let mut lens: Vec<Cost> =
-            self.routes.iter().filter(|r| r.semantic <= semantic).map(|r| r.length).collect();
-        if lens.len() < k {
-            return Cost::INFINITY;
-        }
-        lens.sort_unstable();
-        lens[k - 1]
-    }
-
-    /// Inserts unless ≥ k members already cover the score pair. Note that
-    /// *ties count as cover*: score-equivalent routes are distinct
-    /// dominator-count contributors in the skyband definition, so up to k
-    /// equivalents are retained (more can never change any decision); the
-    /// final output keeps one representative per score (Definition 4.1's
-    /// minimal-set convention).
-    fn insert(&mut self, route: SkylineRoute, k: usize) -> bool {
-        if self.covering_count(route.length, route.semantic) >= k {
-            return false;
-        }
-        self.routes.push(route);
-        true
-    }
-
-    /// Final exact filter: members dominated by fewer than `k` pool
-    /// members, one representative per score pair.
-    fn into_skyband(self, k: usize) -> Vec<SkylineRoute> {
-        let mut out: Vec<SkylineRoute> = Vec::new();
-        for r in &self.routes {
-            if self.routes.iter().filter(|o| o.dominates(r)).count() < k
-                && !out.iter().any(|o| o.equivalent(r))
-            {
-                out.push(r.clone());
-            }
-        }
-        out.sort_by(|a, b| a.length.cmp(&b.length).then(a.semantic.total_cmp(&b.semantic)));
-        out
-    }
-}
 
 /// A k-skyband sequenced-route query.
 #[derive(Clone, Debug, PartialEq)]
@@ -119,82 +44,8 @@ impl SkybandQuery {
     /// Runs the bulk k-skyband search.
     pub fn run(&self, ctx: &QueryContext<'_>) -> Result<SkybandResult, QueryError> {
         assert!(self.k >= 1, "k must be at least 1");
-        let t0 = Instant::now();
-        let pq = PreparedQuery::prepare(ctx, &self.query)?;
-        let seq_len = pq.len();
-        let mut stats = QueryStats::default();
-        if pq.unmatchable_position().is_some() {
-            return Ok(SkybandResult { routes: Vec::new(), stats });
-        }
-        let mut pool = SkybandPool::default();
-        let mut ws = DijkstraWorkspace::new(ctx.graph.num_vertices());
-        let mut queue = RouteQueue::new(QueuePolicy::Proposed);
-        self.expand(
-            ctx,
-            &pq,
-            &PartialRoute::empty(),
-            seq_len,
-            &mut ws,
-            &mut queue,
-            &mut pool,
-            &mut stats,
-        );
-        while let Some(route) = queue.pop() {
-            if route.length() >= pool.threshold_k(route.semantic(), self.k) {
-                stats.threshold_prunes += 1;
-                continue;
-            }
-            self.expand(ctx, &pq, &route, seq_len, &mut ws, &mut queue, &mut pool, &mut stats);
-        }
-        let routes = pool.into_skyband(self.k);
-        stats.total_time = t0.elapsed();
-        Ok(SkybandResult { routes, stats })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        ctx: &QueryContext<'_>,
-        pq: &PreparedQuery,
-        route: &PartialRoute,
-        seq_len: usize,
-        ws: &mut DijkstraWorkspace,
-        queue: &mut RouteQueue,
-        pool: &mut SkybandPool,
-        stats: &mut QueryStats,
-    ) {
-        let pos = route.len();
-        let position = &pq.positions[pos];
-        let source = route.last_poi().unwrap_or(pq.start);
-        let base = route.length();
-        stats.mdijkstra_runs += 1;
-        let threshold = pool.threshold_k(route.semantic(), self.k);
-        let mut found: Vec<(VertexId, Cost, f64)> = Vec::new();
-        let s = dijkstra_with(ctx.graph, ws, &[(source, Cost::ZERO)], |u, d| {
-            if base + d >= threshold {
-                return Settle::Stop;
-            }
-            let sim = position.sim_of(ctx, u);
-            if sim > 0.0 && !route.contains(u) {
-                found.push((u, d, sim));
-            }
-            Settle::Continue
-        });
-        stats.search.merge(&s);
-        for (u, d, sim) in found {
-            let rt = route.extend(u, d, sim);
-            if rt.length() >= pool.threshold_k(rt.semantic(), self.k) {
-                stats.threshold_prunes += 1;
-                continue;
-            }
-            if rt.len() == seq_len {
-                pool.insert(rt.into_skyline_route(), self.k);
-            } else {
-                queue.push(rt);
-                stats.routes_enqueued += 1;
-                stats.queue_peak = stats.queue_peak.max(queue.len());
-            }
-        }
+        let (members, stats) = search(ctx, &self.query, Fill::InOrder, |_| 0.0, self.k)?;
+        Ok(SkybandResult { routes: members.into_iter().map(|m| m.route).collect(), stats })
     }
 }
 

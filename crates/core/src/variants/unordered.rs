@@ -1,37 +1,33 @@
 //! Skyline trip planning without category order (§6).
 //!
 //! The user supplies a *set* of categories; a qualifying route visits one
-//! matching PoI per category in any order. The search mirrors BSSR —
-//! partial routes in a priority queue, Dijkstra expansion towards the PoIs
-//! matching any still-unsatisfied category, threshold pruning against the
-//! evolving skyline — but carries a satisfied-category bitmask instead of a
-//! position index, and (as §6 notes) "deletes the categories that are
-//! already included in the routes to find next PoI vertices". The
-//! Lemma 5.5 path-similarity shortcuts are order-dependent and stay off;
-//! the result is the exact unordered skyline (property-tested against a
-//! permutation oracle).
-
-use std::collections::BinaryHeap;
-use std::time::Instant;
+//! matching PoI per category in any order. The variants' search (see
+//! [`super`]) finds the exact unordered skyline, property-tested against a
+//! permutation oracle.
 
 use skysr_category::CategoryId;
-use skysr_graph::{dijkstra_with, Cost, DijkstraWorkspace, Settle, VertexId};
+use skysr_graph::VertexId;
 
+use super::{search, Fill};
 use crate::context::QueryContext;
-use crate::dominance::{skyline_of, SkylineSet};
+use crate::dominance::skyline_of;
 use crate::error::QueryError;
 use crate::naive::naive_skysr;
 use crate::prepared::PreparedQuery;
 use crate::query::SkySrQuery;
-use crate::route::{PartialRoute, SkylineRoute};
+use crate::route::SkylineRoute;
 use crate::stats::QueryStats;
+
+/// The most categories an unordered query may name: a route's filled
+/// categories are a 16-bit mask.
+pub const MAX_CATEGORIES: usize = 16;
 
 /// An unordered skyline trip-planning query.
 #[derive(Clone, Debug, PartialEq)]
 pub struct UnorderedQuery {
     /// Start vertex.
     pub start: VertexId,
-    /// Categories to cover (order irrelevant; ≤ 16 categories).
+    /// Categories to cover (order irrelevant; at most [`MAX_CATEGORIES`]).
     pub categories: Vec<CategoryId>,
 }
 
@@ -44,34 +40,6 @@ pub struct UnorderedResult {
     pub stats: QueryStats,
 }
 
-struct MaskedRoute {
-    route: PartialRoute,
-    mask: u16,
-}
-
-impl PartialEq for MaskedRoute {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for MaskedRoute {}
-impl PartialOrd for MaskedRoute {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MaskedRoute {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Same arrangement as the ordered queue: larger routes first, then
-        // semantically better, then shorter.
-        self.route
-            .len()
-            .cmp(&other.route.len())
-            .then_with(|| Cost::new(other.route.semantic()).cmp(&Cost::new(self.route.semantic())))
-            .then_with(|| other.route.length().cmp(&self.route.length()))
-    }
-}
-
 impl UnorderedQuery {
     /// Convenience constructor.
     pub fn new(
@@ -82,162 +50,20 @@ impl UnorderedQuery {
     }
 
     /// Runs the unordered skyline search.
+    ///
+    /// # Panics
+    ///
+    /// If the query names more than [`MAX_CATEGORIES`] categories.
     pub fn run(&self, ctx: &QueryContext<'_>) -> Result<UnorderedResult, QueryError> {
-        assert!(self.categories.len() <= 16, "mask-based search supports up to 16 categories");
-        let t0 = Instant::now();
-        // Reuse the ordered compiler for per-category tables; the "order"
-        // of positions is irrelevant here.
-        let pq =
-            PreparedQuery::prepare(ctx, &SkySrQuery::new(self.start, self.categories.clone()))?;
-        let k = pq.len();
-        let full: u16 = if k == 16 { u16::MAX } else { (1u16 << k) - 1 };
-        let mut stats = QueryStats::default();
-        if pq.unmatchable_position().is_some() {
-            return Ok(UnorderedResult { routes: Vec::new(), stats });
-        }
-
-        let mut skyline = SkylineSet::new();
-        let mut ws = DijkstraWorkspace::new(ctx.graph.num_vertices());
-
-        // Greedy initial route (NNinit's spirit, order chosen greedily):
-        // repeatedly walk to the nearest perfect match of any unsatisfied
-        // category.
-        self.greedy_init(ctx, &pq, full, &mut ws, &mut skyline, &mut stats);
-
-        // Main branch-and-bound loop.
-        let mut queue: BinaryHeap<MaskedRoute> = BinaryHeap::new();
-        self.expand(
-            ctx,
-            &pq,
-            &PartialRoute::empty(),
-            0,
-            full,
-            &mut ws,
-            &mut queue,
-            &mut skyline,
-            &mut stats,
+        assert!(
+            self.categories.len() <= MAX_CATEGORIES,
+            "an unordered query names at most {MAX_CATEGORIES} categories"
         );
-        while let Some(MaskedRoute { route, mask }) = queue.pop() {
-            if route.length() >= skyline.threshold(route.semantic()) {
-                stats.threshold_prunes += 1;
-                continue;
-            }
-            self.expand(
-                ctx,
-                &pq,
-                &route,
-                mask,
-                full,
-                &mut ws,
-                &mut queue,
-                &mut skyline,
-                &mut stats,
-            );
-        }
-        stats.total_time = t0.elapsed();
-        Ok(UnorderedResult { routes: skyline.into_routes(), stats })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn greedy_init(
-        &self,
-        ctx: &QueryContext<'_>,
-        pq: &PreparedQuery,
-        full: u16,
-        ws: &mut DijkstraWorkspace,
-        skyline: &mut SkylineSet,
-        stats: &mut QueryStats,
-    ) {
-        let t0 = Instant::now();
-        let mut route = PartialRoute::empty();
-        let mut mask: u16 = 0;
-        let mut source = self.start;
-        while mask != full {
-            let mut hit: Option<(VertexId, Cost, usize)> = None;
-            let s = dijkstra_with(ctx.graph, ws, &[(source, Cost::ZERO)], |u, d| {
-                if route.contains(u) {
-                    return Settle::Continue;
-                }
-                for (i, pos) in pq.positions.iter().enumerate() {
-                    if mask & (1 << i) == 0 && pos.is_perfect(ctx, u) {
-                        hit = Some((u, d, i));
-                        return Settle::Stop;
-                    }
-                }
-                Settle::Continue
-            });
-            stats.search.merge(&s);
-            match hit {
-                Some((u, d, i)) => {
-                    route = route.extend(u, d, 1.0);
-                    mask |= 1 << i;
-                    source = u;
-                }
-                None => break,
-            }
-        }
-        if mask == full {
-            skyline.update(route.into_skyline_route());
-            stats.init_routes = 1;
-        }
-        stats.init_time = t0.elapsed();
-    }
-
-    /// Expands `route` (with satisfied-set `mask`) by searching outward
-    /// from its end for PoIs matching any unsatisfied category.
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        ctx: &QueryContext<'_>,
-        pq: &PreparedQuery,
-        route: &PartialRoute,
-        mask: u16,
-        full: u16,
-        ws: &mut DijkstraWorkspace,
-        queue: &mut BinaryHeap<MaskedRoute>,
-        skyline: &mut SkylineSet,
-        stats: &mut QueryStats,
-    ) {
-        let source = route.last_poi().unwrap_or(self.start);
-        let base = route.length();
-        stats.mdijkstra_runs += 1;
-        // Candidate collection: we cannot mutate the skyline inside the
-        // settle callback (the threshold is snapshotted), so candidates are
-        // gathered first and processed after.
-        let mut found: Vec<(VertexId, Cost, usize, f64)> = Vec::new();
-        let threshold = skyline.threshold(route.semantic());
-        let s = dijkstra_with(ctx.graph, ws, &[(source, Cost::ZERO)], |u, d| {
-            if base + d >= threshold {
-                return Settle::Stop;
-            }
-            if !route.contains(u) {
-                for (i, pos) in pq.positions.iter().enumerate() {
-                    if mask & (1 << i) == 0 {
-                        let sim = pos.sim_of(ctx, u);
-                        if sim > 0.0 {
-                            found.push((u, d, i, sim));
-                        }
-                    }
-                }
-            }
-            Settle::Continue
-        });
-        stats.search.merge(&s);
-        for (u, d, i, sim) in found {
-            let rt = route.extend(u, d, sim);
-            if rt.length() >= skyline.threshold(rt.semantic()) {
-                stats.threshold_prunes += 1;
-                continue;
-            }
-            let new_mask = mask | (1 << i);
-            if new_mask == full {
-                skyline.update(rt.into_skyline_route());
-            } else {
-                stats.routes_enqueued += 1;
-                queue.push(MaskedRoute { route: rt, mask: new_mask });
-                stats.queue_peak = stats.queue_peak.max(queue.len());
-            }
-        }
+        // The ordered compiler builds the per-category tables; the order of
+        // the positions is irrelevant here.
+        let query = SkySrQuery::new(self.start, self.categories.clone());
+        let (members, stats) = search(ctx, &query, Fill::Any, |_| 0.0, 1)?;
+        Ok(UnorderedResult { routes: members.into_iter().map(|m| m.route).collect(), stats })
     }
 }
 

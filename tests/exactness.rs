@@ -4,13 +4,17 @@
 //! queries whose positions share category trees and PoIs tagged in two
 //! trees (where the Lemma 5.5 shortcuts and grouped expansion must disable
 //! themselves), and queries naming internal categories that no PoI matches
-//! perfectly (where NNinit's legs stop at σ\* instead of 1).
+//! perfectly (where NNinit's legs stop at σ\* instead of 1). The §6
+//! variants that run their own search (skyband, unordered, rated) are held
+//! to their exhaustive oracles on the same instances.
 
 use proptest::prelude::*;
 use skysr::category::{CategoryForest, CategoryId, ForestBuilder};
 use skysr::core::bssr::{Bssr, BssrConfig, Expansion, LowerBoundMode, QueuePolicy};
 use skysr::core::naive::naive_skysr;
+use skysr::core::variants::rated::{naive_rated, RatedQuery, RatedRoute, RatingTable};
 use skysr::core::variants::skyband::{naive_skyband, SkybandQuery};
+use skysr::core::variants::unordered::{naive_unordered, UnorderedQuery};
 use skysr::core::{PoiTable, PreparedQuery, QueryContext, SkySrQuery, SkylineRoute};
 use skysr::graph::{GraphBuilder, VertexId};
 
@@ -127,12 +131,28 @@ fn build(inst: &Instance) -> Built {
 /// summation orders), which flips sort order around exact ties on one side
 /// only. Tolerant greedy matching of sorted lists is order-insensitive.
 fn assert_same_skyline(got: &[SkylineRoute], want: &[SkylineRoute], label: &str) {
+    assert_same_scores(got, want, |r| (r.length.get(), r.semantic, 0.0), label);
+}
+
+/// [`assert_same_skyline`] on all three scores of a rated route.
+fn assert_same_rated(got: &[RatedRoute], want: &[RatedRoute], label: &str) {
+    assert_same_scores(got, want, |r| (r.length.get(), r.semantic, r.rating), label);
+}
+
+fn assert_same_scores<R: std::fmt::Debug>(
+    got: &[R],
+    want: &[R],
+    scores: impl Fn(&R) -> (f64, f64, f64),
+    label: &str,
+) {
     assert_eq!(got.len(), want.len(), "{label}: {got:?} vs {want:?}");
-    let close = |g: &SkylineRoute, w: &SkylineRoute| {
-        (g.length.get() - w.length.get()).abs() <= 1e-6 * (1.0 + w.length.get().abs())
-            && (g.semantic - w.semantic).abs() <= 1e-9
+    let close = |g: &R, w: &R| {
+        let ((gl, gs, gr), (wl, ws, wr)) = (scores(g), scores(w));
+        (gl - wl).abs() <= 1e-6 * (1.0 + wl.abs())
+            && (gs - ws).abs() <= 1e-9
+            && (gr - wr).abs() <= 1e-9
     };
-    let mut unmatched: Vec<&SkylineRoute> = got.iter().collect();
+    let mut unmatched: Vec<&R> = got.iter().collect();
     for w in want {
         let i = unmatched
             .iter()
@@ -249,5 +269,36 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// The variants run one search per case, not ten configurations, so they
+// take the default 256 cases.
+proptest! {
+    #[test]
+    fn unordered_matches_permutation_oracle_on_random_instances(inst in arb_instance()) {
+        let built = build(&inst);
+        let ctx = QueryContext::new(&built.graph, &built.forest, &built.pois);
+        let categories = inst.query_cats.iter().map(|&c| CategoryId(c as u32));
+        let q = UnorderedQuery::new(built.query.start, categories);
+        let got = q.run(&ctx).expect("valid query");
+        let want = naive_unordered(&ctx, &q, 5_000_000).expect("valid query");
+        assert_same_skyline(&got.routes, &want, "unordered");
+    }
+
+    #[test]
+    fn rated_matches_oracle_on_random_instances(
+        inst in arb_instance(),
+        rating in prop::collection::vec(0.0f64..=1.0, 10),
+    ) {
+        let built = build(&inst);
+        let ctx = QueryContext::new(&built.graph, &built.forest, &built.pois);
+        let mut ratings = RatingTable::new(inst.n, 0.5);
+        for (v, &r) in rating[..inst.n].iter().enumerate() {
+            ratings.set(VertexId(v as u32), r);
+        }
+        let got = RatedQuery::new(built.query.clone()).run(&ctx, &ratings).expect("valid query");
+        let want = naive_rated(&ctx, &ratings, &built.query, 5_000_000).expect("valid query");
+        assert_same_rated(&got.routes, &want, "rated");
     }
 }
