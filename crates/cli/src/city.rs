@@ -117,3 +117,24 @@ pub fn parse_preset(s: &str) -> Result<Preset, String> {
         _ => return Err(format!("unknown preset {s:?}")),
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::SERVICE_FLAGS;
+
+    #[test]
+    fn the_operations_guide_lists_every_service_flag() {
+        let guide = include_str!("../../../docs/OPERATIONS.md");
+        let section = guide.split("### Service / daemon").nth(1).expect("a service flag table");
+        let section = section.split("\n#").next().unwrap_or(section);
+        // A flag's row names it first: "| `--workers N` | ...".
+        let mut documented: Vec<&str> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `--")?.split([' ', '`']).next())
+            .collect();
+        let mut flags = SERVICE_FLAGS.to_vec();
+        documented.sort_unstable();
+        flags.sort_unstable();
+        assert_eq!(documented, flags, "docs/OPERATIONS.md's service flag table");
+    }
+}

@@ -68,21 +68,25 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Why a command failed.
 enum Failure {
-    /// A bad argument, input or gate: reported with the usage.
-    Command(String),
+    /// A bad argument or input: reported with the usage.
+    Usage(String),
+    /// A command that ran and failed — a gate, a verification, a socket or
+    /// a file write: reported alone, so the failure is what the log ends
+    /// with.
+    Run(String),
     /// Writing to stdout failed.
     Output(io::Error),
 }
 
 impl From<String> for Failure {
     fn from(e: String) -> Failure {
-        Failure::Command(e)
+        Failure::Usage(e)
     }
 }
 
 impl From<&str> for Failure {
     fn from(e: &str) -> Failure {
-        Failure::Command(e.to_owned())
+        Failure::Usage(e.to_owned())
     }
 }
 
@@ -105,10 +109,14 @@ fn main() -> ExitCode {
             eprintln!("error: cannot write to stdout: {e}");
             ExitCode::FAILURE
         }
-        Err(Failure::Command(e)) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", usage());
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -156,7 +164,7 @@ fn run(argv: Vec<String>, out: &mut impl Write) -> Result<(), Failure> {
             args.finish()?;
             eprintln!("generating {} ...", spec.name);
             let dataset = spec.generate();
-            codec::save_dataset(&dataset, &path).map_err(|e| e.to_string())?;
+            codec::save_dataset(&dataset, &path).map_err(|e| Failure::Run(e.to_string()))?;
             let (v, p, e) = dataset.stats();
             writeln!(out, "wrote {path}: |V|={v} |P|={p} |E|={e}")?;
             Ok(())
@@ -276,7 +284,7 @@ fn run(argv: Vec<String>, out: &mut impl Write) -> Result<(), Failure> {
             let addr = args.require("connect")?;
             args.finish()?;
             let remote = RemoteService::connect_retry(addr.as_str(), CONNECT_TIMEOUT)
-                .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+                .map_err(|e| Failure::Run(format!("cannot connect to {addr}: {e}")))?;
             // The daemon stops accepting, drains every in-flight query and
             // answers with its lifetime metrics before closing.
             let metrics = remote.shutdown();
@@ -348,7 +356,7 @@ fn replay(mut args: Args, out: &mut impl Write) -> Result<(), Failure> {
         }
         if let Some(path) = &metrics_out {
             // Every series carries the shard label; a single-tenant run
-            // is shard 0 (the default shard).
+            // is shard 0.
             let labels = |s: &ShardReplay| {
                 [("pattern", row.spec.pattern.to_string()), ("shard", s.region.to_string())]
             };
@@ -376,7 +384,7 @@ fn replay(mut args: Args, out: &mut impl Write) -> Result<(), Failure> {
         };
         failures.extend(row.check(&fleet, twin.as_ref()).err());
     }
-    failures.is_empty().then_some(()).ok_or_else(|| failures.join("\n").into())
+    failures.is_empty().then_some(()).ok_or_else(|| Failure::Run(failures.join("\n")))
 }
 
 /// Replays one row in-process, or against the daemon at `connect`, and
@@ -409,8 +417,9 @@ fn replay_row(
             let pool = build_pool(&dataset, spec);
             let shadow = Arc::new(ServiceContext::from_dataset(dataset));
             let remote = RemoteService::connect_retry(addr, CONNECT_TIMEOUT)
-                .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            let report = replay_remote(&remote, shadow, &pool, spec).map_err(|e| e.to_string())?;
+                .map_err(|e| Failure::Run(format!("cannot connect to {addr}: {e}")))?;
+            let report = replay_remote(&remote, shadow, &pool, spec)
+                .map_err(|e| Failure::Run(e.to_string()))?;
             let wall = report.wall;
             let lane = ShardReplay { region: RegionId::default(), name: addr.to_owned(), report };
             ShardedReplayReport { shards: vec![lane], wall, misrouted: 0 }
@@ -502,8 +511,9 @@ fn override_row(
 }
 
 /// Writes an export file and says so.
-fn write_file(path: &str, contents: String) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+fn write_file(path: &str, contents: String) -> Result<(), Failure> {
+    std::fs::write(path, contents)
+        .map_err(|e| Failure::Run(format!("cannot write {path}: {e}")))?;
     eprintln!("wrote {path}");
     Ok(())
 }
@@ -513,7 +523,7 @@ fn write_file(path: &str, contents: String) -> Result<(), String> {
 fn write_prometheus(
     path: &str,
     runs: &[([(&str, String); 2], &MetricsSnapshot)],
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let labels: Vec<[(&str, &str); 2]> =
         runs.iter().map(|(l, _)| l.each_ref().map(|(k, v)| (*k, v.as_str()))).collect();
     let entries: Vec<(&[(&str, &str)], &MetricsSnapshot)> =

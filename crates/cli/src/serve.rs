@@ -1,24 +1,23 @@
 //! The `skysr-d` serve loop, shared by the standalone daemon binary and
 //! `skysr-cli serve`.
 //!
-//! Builds (or loads) a dataset, stands up a [`Service`] over it (or, with
-//! `--shards N`, N per-region services behind a
-//! [`Router`](skysr_service::Router)), binds the TCP server and blocks
-//! until a client sends the `Shutdown` frame — at which point the daemon
-//! stops accepting, drains every in-flight query, answers the requester
-//! with a final metrics snapshot and exits. The server serves up to 64
-//! connections at once, each on a reader thread and a writer thread; a
-//! full submission queue stops a connection's reads, and a client that
-//! stops reading stops being read once 4 MiB of answers wait for it. Its
-//! `Welcome` advertises the region registry, and `Submit` frames may
-//! carry a region id; region-less requests are routed by start vertex.
+//! Builds (or loads) the datasets of `--shards N` regions (one by
+//! default), stands up a [`Router`] over them, binds the TCP server and
+//! blocks until a client sends the `Shutdown` frame — at which point the
+//! daemon stops accepting, drains every in-flight query, answers the
+//! requester with a final metrics snapshot and exits. The server serves up
+//! to 64 connections at once, each on a reader thread and a writer
+//! thread; a full submission queue stops a connection's reads, and a
+//! client that stops reading stops being read once 4 MiB of answers wait
+//! for it. Its `Welcome` advertises the region registry, and `Submit`
+//! frames may carry a region id; a region-less request goes to region 0
+//! (the rule is [`skysr_service::shard`]'s).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use skysr_service::{
-    City, MetricsSnapshot, QueryService, ReplaySpec, Server, ServerConfig, Service, ServiceConfig,
-    ServiceContext, ShardRegistry,
+    City, MetricsSnapshot, QueryService, ReplaySpec, Router, Server, ServerConfig, ServiceContext,
 };
 
 use crate::args::Args;
@@ -33,8 +32,9 @@ pub fn usage() -> &'static str {
      \t[--admission true|false] [--shards N]\n\n\
      Serves SkySR queries over the skysr-d wire protocol until a client\n\
      sends Shutdown (e.g. `skysr-cli shutdown --connect HOST:PORT`).\n\
-     --shards N serves N regions (datasets seeded --seed, --seed+1, ...)\n\
-     behind one multi-tenant router on a single socket.\n\
+     --shards N (default 1) serves N regions (datasets seeded --seed,\n\
+     --seed+1, ...) behind one router on a single socket; a request that\n\
+     names no region is served by region 0.\n\
      `skysr-cli serve` accepts the same flags."
 }
 
@@ -47,23 +47,6 @@ pub fn lifetime(m: &MetricsSnapshot) -> String {
     )
 }
 
-/// With repair on, builds each region's landmark table before the daemon
-/// listens, and reports the time on stderr. Left to the first repaired
-/// request, the build would run on its worker while every other repair
-/// waits for it.
-fn build_landmarks<'a>(
-    config: &ServiceConfig,
-    contexts: impl IntoIterator<Item = &'a ServiceContext>,
-) {
-    if config.repair {
-        let started = Instant::now();
-        for ctx in contexts {
-            ctx.landmarks();
-        }
-        eprintln!("skysr-d: repair landmarks built in {:.2} s", started.elapsed().as_secs_f64());
-    }
-}
-
 /// Runs the daemon: bind, announce, serve until drained.
 pub fn run_serve(args: &mut Args) -> Result<(), String> {
     // The daemon defaults to the stack and city a replay defaults to.
@@ -73,50 +56,38 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
     let config = service_flags(args, defaults.service)?;
     let shards: usize = parse_flag(args, "shards", 1)?;
     args.finish()?;
-    let mut regions = region_datasets(&city, shards)?;
-    if shards > 1 {
-        let mut registry = ShardRegistry::new();
-        let mut stats = Vec::with_capacity(shards);
-        let mut contexts = Vec::with_capacity(shards);
-        for (name, dataset) in regions {
-            let (v, p, e) = dataset.stats();
-            stats.push(format!("{name}: |V|={v} |P|={p} |E|={e}"));
-            contexts.push((name, Arc::new(ServiceContext::from_dataset(dataset))));
-        }
-        build_landmarks(&config, contexts.iter().map(|(_, ctx)| &**ctx));
-        for (name, ctx) in contexts {
-            registry.add(name, ctx, config.clone());
-        }
-        let router = Arc::new(registry.into_router());
-        let mut server = Server::spawn(addr.as_str(), Arc::clone(&router), ServerConfig::default())
-            .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        // The listening line goes to stdout so scripts (CI) can wait on it.
-        println!(
-            "skysr-d listening on {} ({shards} shards; {})",
-            server.local_addr(),
-            stats.join("; ")
-        );
-        server.join();
-        eprintln!(
-            "skysr-d drained and stopped: {} across {shards} shards ({} misrouted)",
-            lifetime(&router.metrics()),
-            router.misrouted()
-        );
-        return Ok(());
+    let mut stats = Vec::with_capacity(shards);
+    let mut regions = Vec::with_capacity(shards);
+    for (name, dataset) in region_datasets(&city, shards)? {
+        let (v, p, e) = dataset.stats();
+        stats.push(format!("{name}: |V|={v} |P|={p} |E|={e}"));
+        regions.push((name, Arc::new(ServiceContext::from_dataset(dataset))));
     }
-    // One region is served by a bare service, whose handshake advertises
-    // the configured region name rather than a registry-assigned one.
-    let (_, dataset) = regions.pop().expect("one shard, one dataset");
-    let (v, p, e) = dataset.stats();
-    let name = dataset.name.clone();
-    let ctx = Arc::new(ServiceContext::from_dataset(dataset));
-    build_landmarks(&config, [&*ctx]);
-    let service = Arc::new(Service::new(ctx, config));
-    let mut server = Server::spawn(addr.as_str(), Arc::clone(&service), ServerConfig::default())
+    if config.repair {
+        // Each region's landmark table is built before the daemon listens:
+        // left to the first repaired request, the build would run on its
+        // worker while every other repair waits for it.
+        let started = Instant::now();
+        for (_, ctx) in &regions {
+            ctx.landmarks();
+        }
+        eprintln!("skysr-d: repair landmarks built in {:.2} s", started.elapsed().as_secs_f64());
+    }
+    let router = Arc::new(Router::new(regions, &config));
+    let mut server = Server::spawn(addr.as_str(), Arc::clone(&router), ServerConfig::default())
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let plural = if shards == 1 { "" } else { "s" };
     // The listening line goes to stdout so scripts (CI) can wait on it.
-    println!("skysr-d listening on {} ({name}: |V|={v} |P|={p} |E|={e})", server.local_addr());
+    println!(
+        "skysr-d listening on {} ({shards} shard{plural}; {})",
+        server.local_addr(),
+        stats.join("; ")
+    );
     server.join();
-    eprintln!("skysr-d drained and stopped: {}", lifetime(&service.metrics()));
+    eprintln!(
+        "skysr-d drained and stopped: {} across {shards} shard{plural} ({} misrouted)",
+        lifetime(&router.metrics()),
+        router.misrouted()
+    );
     Ok(())
 }

@@ -16,7 +16,7 @@ pub struct InputEdge {
     pub from: VertexId,
     /// Head vertex.
     pub to: VertexId,
-    /// Non-negative weight.
+    /// Finite, non-negative weight.
     pub weight: f64,
 }
 
@@ -74,11 +74,13 @@ impl GraphBuilder {
     /// Adds an edge. For undirected builders, the reverse arc is implied.
     ///
     /// # Panics
-    /// If either endpoint is unknown or the weight is negative/NaN.
+    /// If either endpoint is unknown or the weight is negative, infinite
+    /// or NaN.
     pub fn add_edge(&mut self, from: VertexId, to: VertexId, weight: f64) -> usize {
         assert!(from.index() < self.coords.len(), "unknown tail vertex {from:?}");
         assert!(to.index() < self.coords.len(), "unknown head vertex {to:?}");
-        assert!(weight >= 0.0, "edge weight must be non-negative, got {weight}");
+        let valid = weight.is_finite() && weight >= 0.0;
+        assert!(valid, "edge weight must be finite and non-negative, got {weight}");
         self.edges.push(InputEdge { from, to, weight });
         self.edges.len() - 1
     }
@@ -199,6 +201,15 @@ mod tests {
         let v0 = b.add_vertex();
         let v1 = b.add_vertex();
         b.add_edge(v0, v1, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative, got inf")]
+    fn infinite_weight_rejected() {
+        let mut b = GraphBuilder::new();
+        let v0 = b.add_vertex();
+        let v1 = b.add_vertex();
+        b.add_edge(v0, v1, f64::INFINITY);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub struct WeightDelta {
     pub from: VertexId,
     /// Head vertex.
     pub to: VertexId,
-    /// New absolute weight (non-negative, non-NaN).
+    /// New absolute weight (finite and non-negative).
     pub weight: f64,
 }
 
@@ -97,9 +97,10 @@ impl WeightDelta {
     /// Creates a delta, validating the weight.
     ///
     /// # Panics
-    /// If `weight` is negative or NaN.
+    /// If `weight` is negative, infinite or NaN.
     pub fn new(from: VertexId, to: VertexId, weight: f64) -> WeightDelta {
-        assert!(weight >= 0.0, "edge weight must be non-negative, got {weight}");
+        let valid = weight.is_finite() && weight >= 0.0;
+        assert!(valid, "edge weight must be finite and non-negative, got {weight}");
         WeightDelta { from, to, weight }
     }
 }
@@ -113,7 +114,8 @@ pub enum DeltaError {
     UnknownVertex(VertexId),
     /// No stored arc joins the endpoints.
     NoEdge(VertexId, VertexId),
-    /// The weight is negative or NaN.
+    /// The weight is not finite and non-negative: negative, infinite or
+    /// NaN.
     BadWeight(f64),
 }
 
@@ -126,7 +128,9 @@ impl std::fmt::Display for DeltaError {
             DeltaError::NoEdge(from, to) => {
                 write!(f, "weight delta names a nonexistent edge {from:?} -> {to:?}")
             }
-            DeltaError::BadWeight(w) => write!(f, "edge weight must be non-negative, got {w}"),
+            DeltaError::BadWeight(w) => {
+                write!(f, "edge weight must be finite and non-negative, got {w}")
+            }
         }
     }
 }
@@ -555,7 +559,7 @@ impl WeightEpoch {
     fn resolve(&self, deltas: &[WeightDelta]) -> Result<Vec<(u32, f64)>, DeltaError> {
         let mut patch: Vec<(u32, f64)> = Vec::with_capacity(deltas.len() * 2);
         for d in deltas {
-            if d.weight.is_nan() || d.weight < 0.0 {
+            if !(d.weight.is_finite() && d.weight >= 0.0) {
                 return Err(DeltaError::BadWeight(d.weight));
             }
             let n = self.base.num_vertices();
@@ -591,14 +595,15 @@ impl WeightEpoch {
     ///
     /// # Panics
     /// If a delta names a vertex or edge that does not exist in the
-    /// network, or carries a negative/NaN weight.
+    /// network, or carries a weight that is not finite and non-negative.
     pub fn publish(&self, deltas: &[WeightDelta]) -> EpochId {
         self.try_publish(deltas).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Applies one batch of weight deltas as the next epoch and returns its
     /// id, or refuses the whole batch, publishing nothing, when a delta
-    /// names a vertex or edge the network lacks or a negative/NaN weight.
+    /// names a vertex or edge the network lacks or a weight that is not
+    /// finite and non-negative.
     /// Copy-on-write: the newest overlay is merged with the resolved
     /// deltas into a fresh overlay (last write wins within the batch);
     /// published overlays are never mutated. The batch joins the log, and
@@ -1098,7 +1103,10 @@ mod tests {
             epochs.try_publish(&bad(1, 1, 1.0)),
             Err(DeltaError::NoEdge(VertexId(1), VertexId(1)))
         );
-        assert!(matches!(epochs.try_publish(&bad(0, 2, f64::NAN)), Err(DeltaError::BadWeight(_))));
+        for weight in [f64::NAN, f64::INFINITY, -1.0] {
+            let refused = epochs.try_publish(&bad(0, 2, weight));
+            assert!(matches!(refused, Err(DeltaError::BadWeight(_))), "{weight}: {refused:?}");
+        }
         assert_eq!(epochs.current_epoch(), EpochId::BASE);
         assert_eq!(weight_between(&epochs.pin(), 0, 1), 1.0, "the valid delta stayed unpublished");
         assert_eq!(epochs.try_publish(&[ok]), Ok(EpochId(1)));

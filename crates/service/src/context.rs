@@ -152,15 +152,15 @@ impl ServiceContext {
     /// [`Self::pin`] calls observe the new weights.
     ///
     /// # Panics
-    /// If a delta names a nonexistent vertex or edge, or a negative/NaN
-    /// weight.
+    /// If a delta names a nonexistent vertex or edge, or a weight that is
+    /// not finite and non-negative.
     pub fn publish_weights(&self, deltas: &[WeightDelta]) -> EpochId {
         self.graph.publish(deltas)
     }
 
     /// [`Self::publish_weights`] for a batch from outside the process: a
-    /// batch naming a nonexistent vertex or edge, or a negative/NaN
-    /// weight, is refused whole and publishes nothing.
+    /// batch naming a nonexistent vertex or edge, or a weight that is not
+    /// finite and non-negative, is refused whole and publishes nothing.
     pub fn try_publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
         self.graph.try_publish(deltas)
     }

@@ -43,11 +43,10 @@
 //! * [`scenario`] — the scenario table: every replay CI runs as a named
 //!   row with typed gates, including twin gates that bound a mechanism's
 //!   engine work against the same row with the mechanism switched off;
-//! * [`shard`] — multi-tenant scale-out: a [`ShardRegistry`] builds one
-//!   complete share-nothing serving stack per region and seals into a
-//!   [`Router`] implementing [`QueryService`] — explicit
-//!   [`QueryRequest::region`] addressing with deterministic start-vertex
-//!   fallback for legacy callers, per-shard metrics under the merged
+//! * [`shard`] — multi-tenant scale-out: a [`Router`] builds one complete
+//!   share-nothing serving stack per region and implements
+//!   [`QueryService`] — [`QueryRequest::region`] addressing (region-less
+//!   requests go to region 0), per-shard metrics under the merged
 //!   aggregate, and shard-local weight updates/invalidation/overload by
 //!   construction;
 //! * [`telemetry`] — per-request [`TraceSpan`]s (queue → plan → engine
@@ -162,7 +161,7 @@ pub use service::{
     Answer, AnytimeResponse, QueryRequest, QueryResponse, QueryService, Reply, RequestOptions,
     Service, ServiceConfig, StreamTicket, Ticket,
 };
-pub use shard::{RegionId, RegionInfo, RegionService, Router, ShardRegistry};
+pub use shard::{RegionId, RegionInfo, RegionService, Router};
 pub use telemetry::{
     Histogram, HistogramSnapshot, Rung, RungSummary, TelemetryConfig, TraceBuffer, TraceSpan,
 };

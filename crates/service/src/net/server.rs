@@ -89,7 +89,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // The registry (and the default shard's fingerprint inside it) is
+        // The registry (and region 0's fingerprint inside it) is
         // captured once at spawn: the handshake advertises the epoch the
         // daemon *started* serving.
         let registry = backend.regions();

@@ -8,15 +8,16 @@
 //!
 //! A connection opens with a version handshake: the client sends
 //! [`Frame::Hello`] (its protocol version), the server answers
-//! [`Frame::Welcome`] (its version, the [`DatasetFingerprint`] of its
-//! default shard, and the *dataset registry* — one `(region id, name,
-//! fingerprint)` entry per resident shard). A `Submit`'s options may
-//! address a region (option flag bit 3); region-less requests are routed
-//! by start vertex. One protocol version is spoken: a mismatched `Hello`
-//! is answered with the server's `Welcome` and the connection closes, so
-//! the client reports a typed [`ProtocolError::VersionMismatch`], never a
-//! garbled stream. A `Hello` of another version decodes to its version
-//! alone, whatever that version's layout carries after it.
+//! [`Frame::Welcome`] (its version, the [`DatasetFingerprint`] of region
+//! 0, and the *dataset registry* — one `(region id, name, fingerprint)`
+//! entry per resident shard). A `Submit`'s options may address a region
+//! (option flag bit 3); a region-less request goes to region 0 (the rule
+//! is [`crate::shard`]'s). One protocol version is spoken: a mismatched
+//! `Hello` is answered with the server's `Welcome` and the connection
+//! closes, so the client reports a typed
+//! [`ProtocolError::VersionMismatch`], never a garbled stream. A `Hello`
+//! of another version decodes to its version alone, whatever that
+//! version's layout carries after it.
 //!
 //! Decoding is defensive end to end: adversarial bytes produce
 //! [`ProtocolError`]s (`Oversized`, `Malformed`), never panics — every
@@ -154,12 +155,11 @@ pub enum Frame {
     Welcome {
         /// Server protocol version.
         version: u16,
-        /// What the daemon is serving: the default shard's fingerprint —
-        /// the whole story for a single-shard daemon.
+        /// What a region-less request is served on: region 0's
+        /// fingerprint — the whole story for a one-region daemon.
         fingerprint: DatasetFingerprint,
-        /// The dataset registry, one entry per resident region
-        /// (registration order; entry 0 is the default shard, whose
-        /// fingerprint repeats `fingerprint`).
+        /// The dataset registry, one entry per resident region in region
+        /// order (entry 0's fingerprint repeats `fingerprint`).
         registry: Vec<RegionInfo>,
     },
     /// C→S: one query submission.
@@ -807,8 +807,8 @@ impl Frame {
                     let from = VertexId(r.u32()?);
                     let to = VertexId(r.u32()?);
                     let weight = r.f64()?;
-                    // `WeightDelta::new` asserts non-negative (NaN fails
-                    // that comparison and would panic) — validate first.
+                    // `WeightDelta::new` asserts a finite, non-negative
+                    // weight — validate first.
                     if !weight.is_finite() || weight < 0.0 {
                         return Err(ProtocolError::Malformed("invalid delta weight"));
                     }

@@ -38,7 +38,7 @@
 //! * **Weight updates** ([`ReplaySpec::update_rate`] > 0): a background
 //!   updater publishes bursts of [`update_burst`](ReplaySpec::update_burst)
 //!   random edge reweightings (log-uniform factors within
-//!   [`update_magnitude`](ReplaySpec::update_magnitude) of the base
+//!   [`UPDATE_MAGNITUDE`] of the base
 //!   weight) as new weight epochs, at exponentially distributed instants,
 //!   while the stream is in flight. Queries pin the epoch current at
 //!   dequeue time; cached skylines from older epochs are lazily
@@ -78,7 +78,7 @@ use crate::context::ServiceContext;
 use crate::metrics::{MetricsSnapshot, Served};
 use crate::net::{DatasetFingerprint, ProtocolError, RemoteService};
 use crate::service::{QueryRequest, QueryResponse, QueryService, Service, ServiceConfig, Ticket};
-use crate::shard::{RegionId, ShardRegistry};
+use crate::shard::{RegionId, Router};
 use crate::telemetry::{Rung, TelemetryConfig, TraceSpan};
 
 /// Shape of the replayed request stream.
@@ -175,13 +175,9 @@ pub struct ReplaySpec {
     /// feedback loop (a slow service clumps requests inside one epoch and
     /// dodges its own invalidation penalty).
     pub update_every: usize,
-    /// Edge reweightings per update burst.
+    /// Edge reweightings per update burst, each within
+    /// [`UPDATE_MAGNITUDE`] of its base weight.
     pub update_burst: usize,
-    /// Maximum multiplicative weight change per update: each reweighted
-    /// edge gets `base_weight × magnitude^u` with `u` uniform in [−1, 1].
-    /// Must be ≥ 1; factors are relative to the *base* weights, so traffic
-    /// stays bounded over arbitrarily long runs.
-    pub update_magnitude: f64,
     /// Weight-epoch history retention: keep at most this many epochs
     /// pinnable, dropping older epochs' batches from the service's history
     /// log as new ones publish (`0` = unlimited). Verification is
@@ -226,7 +222,6 @@ impl Default for ReplaySpec {
             qps: 0.0,
             update_rate: 0.0,
             update_burst: 32,
-            update_magnitude: 2.0,
             update_every: 0,
             retention: 0,
             verify: false,
@@ -235,6 +230,12 @@ impl Default for ReplaySpec {
         }
     }
 }
+
+/// The largest factor by which a replay's weight updates move an edge off
+/// its base weight, either way: each reweighted edge gets `base_weight ×
+/// UPDATE_MAGNITUDE^u` with `u` uniform in [−1, 1]
+/// ([`random_traffic_deltas`]).
+pub const UPDATE_MAGNITUDE: f64 = 2.0;
 
 /// The longest interval a replay schedules, as [`ReplaySpec::validate`]'s
 /// messages state it: a deadline, or the mean gap between open-loop
@@ -281,7 +282,6 @@ impl ReplaySpec {
                 updates && self.update_burst == 0,
                 "update_burst must be at least 1 when weights update",
             ),
-            (!sized(self.update_magnitude, 1.0), "update_magnitude must be a finite number >= 1"),
             (
                 self.update_every > 0 && (self.qps > 0.0 || self.update_rate > 0.0),
                 "update_every replays synchronous closed-loop update waves and conflicts with the \
@@ -641,6 +641,12 @@ pub fn random_traffic_deltas(
         .collect()
 }
 
+/// The name of a one-region replay's region, as [`City::regions`]
+/// names the first.
+///
+/// [`City::regions`]: crate::scenario::City::regions
+const REGION_0: &str = "region-0";
+
 /// Replays `spec` against `dataset` and reports service metrics.
 ///
 /// The dataset is consumed: its graph, forest and PoI table become the
@@ -652,15 +658,14 @@ pub fn random_traffic_deltas(
 /// cannot populate a workload of `spec.seq_len` (see
 /// [`WorkloadSpec::generate`]).
 pub fn replay(dataset: Dataset, spec: &ReplaySpec) -> ReplayReport {
-    let region = (spec.service.region_name.clone(), dataset);
+    let region = (REGION_0.to_owned(), dataset);
     replay_sharded(vec![region], spec).shards.pop().expect("one region reports once").report
 }
 
 /// Replays `spec`'s stream over an already-built pool and shared context:
-/// the one-region case of [`replay_sharded`], the region named by the
-/// spec's [`ServiceConfig::region_name`].
+/// the one-region case of [`replay_sharded`].
 pub fn replay_on(ctx: Arc<ServiceContext>, pool: &[SkySrQuery], spec: &ReplaySpec) -> ReplayReport {
-    let lane = Lane::new(spec.service.region_name.clone(), ctx, Cow::Borrowed(pool), spec.clone());
+    let lane = Lane::new(REGION_0.to_owned(), ctx, Cow::Borrowed(pool), spec.clone());
     run_lanes(vec![lane]).shards.pop().expect("one lane reports once").report
 }
 
@@ -682,7 +687,7 @@ pub struct ShardReplay {
 /// the router-level accounting no single shard can see.
 #[derive(Clone, Debug)]
 pub struct ShardedReplayReport {
-    /// Per-shard reports, registration-ordered (region 0 first).
+    /// Per-shard reports in region order (region 0 first).
     pub shards: Vec<ShardReplay>,
     /// Wall clock of the whole run (every shard driven concurrently).
     pub wall: Duration,
@@ -758,22 +763,18 @@ impl std::fmt::Display for ShardedReplayReport {
 }
 
 /// Replays `spec` concurrently against several regions behind one
-/// [`Router`](crate::Router) — the multi-tenant twin of [`replay`].
+/// [`Router`] — the multi-tenant twin of [`replay`].
 ///
 /// Each `(name, dataset)` pair becomes one shard with its own
-/// [`ServiceContext`], worker pool, cache and telemetry, registered
-/// through a [`ShardRegistry`]. Every shard gets its own query pool,
-/// request stream, (if enabled) weight-update process and overload
-/// calibration, derived from `spec` with a shard-salted seed (shard 0
-/// keeps the caller's seed, so a one-shard sharded replay is
-/// bit-identical to [`replay`]). Each lane
-/// drives its stream through
-/// [`Router::region_service`](crate::shard::Router::region_service) —
-/// requests are region-stamped and dispatched exactly like network
-/// traffic — while its updater publishes through
-/// [`Router::publish_weights_to`](crate::shard::Router::publish_weights_to),
-/// so weight
-/// churn stays shard-local by construction.
+/// [`ServiceContext`], worker pool, cache and telemetry, region `i` being
+/// the `i`-th pair. Every shard gets its own query pool, request stream,
+/// (if enabled) weight-update process and overload calibration, derived
+/// from `spec` with a shard-salted seed (shard 0 keeps the caller's seed,
+/// so a one-shard sharded replay is bit-identical to [`replay`]). Each
+/// lane drives its stream through [`Router::region_service`] — requests
+/// are region-stamped and dispatched exactly like network traffic — while
+/// its updater publishes through [`Router::publish_weights_to`], so
+/// weight churn stays shard-local by construction.
 ///
 /// Verification, stale-serve and trace audits run *per shard* against that
 /// shard's private context: a mismatch on shard A cannot be masked by
@@ -814,8 +815,6 @@ pub fn replay_sharded(datasets: Vec<(String, Dataset)>, spec: &ReplaySpec) -> Sh
 /// spans are captured once every stream completed, while its service is
 /// up.
 fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
-    let mut registry = ShardRegistry::new();
-    let mut regions = Vec::with_capacity(lanes.len());
     for lane in &mut lanes {
         if lane.spec.retention > 0 {
             lane.ctx.set_epoch_retention(lane.spec.retention);
@@ -828,10 +827,12 @@ fn run_lanes(mut lanes: Vec<Lane<'_>>) -> ShardedReplayReport {
         if lane.spec.overload > 0.0 {
             lane.spec.qps = lane.measure_capacity() * lane.spec.overload;
         }
-        let config = lane.spec.service.clone();
-        regions.push(registry.add(lane.name.clone(), Arc::clone(&lane.ctx), config));
     }
-    let router = registry.into_router();
+    // Lane `i` is region `i`. The lanes' specs differ only in their seeds
+    // and rates, so one stack serves them all.
+    let regions = lanes.iter().map(|lane| (lane.name.clone(), Arc::clone(&lane.ctx)));
+    let router = Router::new(regions, &lanes[0].spec.service);
+    let regions: Vec<RegionId> = (0..lanes.len()).map(|i| RegionId(i as u16)).collect();
 
     let drive_lane = |lane: &Lane<'_>, region: RegionId| {
         let router = &router;
@@ -980,8 +981,7 @@ impl<'a> Lane<'a> {
             // instants until the stream drains.
             let updater = (spec.update_rate > 0.0).then(|| {
                 let stop = &stop;
-                let (rate, burst, magnitude) =
-                    (spec.update_rate, spec.update_burst, spec.update_magnitude);
+                let (rate, burst) = (spec.update_rate, spec.update_burst);
                 let seed = spec.seed ^ 0x7570_6474; // "updt"
                 scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(seed);
@@ -996,7 +996,8 @@ impl<'a> Lane<'a> {
                             }
                             std::thread::sleep(left.min(Duration::from_millis(2)));
                         }
-                        let deltas = random_traffic_deltas(graph, burst, magnitude, &mut rng);
+                        let deltas =
+                            random_traffic_deltas(graph, burst, UPDATE_MAGNITUDE, &mut rng);
                         publish(&deltas);
                     }
                 })
@@ -1019,7 +1020,7 @@ impl<'a> Lane<'a> {
                     publish(&random_traffic_deltas(
                         graph,
                         spec.update_burst,
-                        spec.update_magnitude,
+                        UPDATE_MAGNITUDE,
                         &mut rng,
                     ));
                 }
@@ -1223,8 +1224,7 @@ pub fn replay_remote(
              the daemon's dataset spec (and epoch)"
         )));
     }
-    let lane =
-        Lane::new(spec.service.region_name.clone(), shadow, Cow::Borrowed(pool), spec.clone());
+    let lane = Lane::new(REGION_0.to_owned(), shadow, Cow::Borrowed(pool), spec.clone());
     let driven = lane.drive(remote, &|deltas| {
         remote.publish_weights(deltas).expect("generated deltas name existing edges")
     });

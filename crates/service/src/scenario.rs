@@ -519,8 +519,10 @@ pub fn table() -> Vec<Scenario> {
         verify: true,
         ..ReplaySpec::default()
     };
+    // Region-less requests go to region 0 of the two-region daemon, the
+    // city the replay's shadow is built from, so every answer verifies.
     let daemon_shards =
-        ReplaySpec { total: 200, distinct: 16, seq_len: 2, ..ReplaySpec::default() };
+        ReplaySpec { total: 200, distinct: 16, seq_len: 2, verify: true, ..ReplaySpec::default() };
     for (name, scale, spec, gates) in [
         ("daemon/waves", 3.0, daemon_waves, epochs),
         ("daemon/openloop", 3.0, daemon_openloop, epochs),
@@ -537,6 +539,41 @@ mod tests {
     use crate::replay::replay_sharded;
     use crate::replay::tests::clean_fleet;
     use crate::telemetry::Histogram;
+
+    #[test]
+    fn the_operations_guide_lists_every_twin_gate() {
+        let guide = include_str!("../../../docs/OPERATIONS.md");
+        let section = guide.split("**Work: the twin gates**").nth(1).expect("a twin-gate table");
+        // A row: "| `name` | mechanism | work with / without it | ≤ 1/F |".
+        let mut documented: Vec<(String, String, f64)> = section
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| {
+                let cells: Vec<&str> = l.trim_matches('|').split('|').map(str::trim).collect();
+                let name = cells[0].strip_prefix('`')?.strip_suffix('`')?;
+                let factor = cells.get(3)?.strip_prefix("≤ 1/")?.parse().ok()?;
+                Some((name.to_owned(), cells[2].to_owned(), factor))
+            })
+            .collect();
+        let mut gated: Vec<(String, TwinGate)> =
+            table().into_iter().filter_map(|r| Some((r.name, r.twin?))).collect();
+        documented.sort_by(|a, b| a.0.cmp(&b.0));
+        gated.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(
+            documented.iter().map(|r| &*r.0).collect::<Vec<_>>(),
+            gated.iter().map(|r| &*r.0).collect::<Vec<_>>(),
+            "docs/OPERATIONS.md's twin-gate rows"
+        );
+        for ((name, work, factor), (_, gate)) in documented.iter().zip(&gated) {
+            assert_eq!(*factor, gate.factor, "row {name}: the CI limit");
+            assert!(
+                work.ends_with(gate.work.gate()),
+                "row {name}: {work} counts no {:?}",
+                gate.work
+            );
+        }
+    }
 
     #[test]
     fn row_names_are_unique_and_every_row_is_valid() {

@@ -73,16 +73,6 @@ pub struct ServiceConfig {
     /// Trace-span retention policy (histograms are always on; see
     /// [`crate::telemetry`]).
     pub telemetry: TelemetryConfig,
-    /// The region this service serves. A request carrying a different
-    /// explicit [`RequestOptions::region`] is answered with
-    /// [`QueryError::UnknownRegion`] at submission; region-less requests
-    /// are always accepted (the single-shard legacy path). A
-    /// [`crate::shard::ShardRegistry`] stamps this when it builds the
-    /// shard, so shard-local metrics and routing agree by construction.
-    pub region: RegionId,
-    /// Human-readable region/dataset name advertised by
-    /// [`QueryService::regions`] and the handshake registry.
-    pub region_name: String,
 }
 
 impl Default for ServiceConfig {
@@ -96,8 +86,6 @@ impl Default for ServiceConfig {
             admission: false,
             engine: BssrConfig::default(),
             telemetry: TelemetryConfig::default(),
-            region: RegionId::default(),
-            region_name: String::from("default"),
         }
     }
 }
@@ -176,12 +164,10 @@ pub struct RequestOptions {
     /// search with [`ReuseStrategies::none`]) but never widen beyond what
     /// the service allows.
     pub reuse: Option<ReuseStrategies>,
-    /// The region (dataset/shard) this request addresses. `None` keeps
-    /// the legacy single-shard path: a [`Service`] accepts it outright and
-    /// a [`crate::shard::Router`] maps the start vertex against each
-    /// shard's vertex-id space. `Some` pins the request: the owning shard
-    /// serves it, any other endpoint answers
-    /// [`QueryError::UnknownRegion`].
+    /// The region (dataset/shard) this request addresses; `None` means
+    /// region 0. An address no shard holds is answered
+    /// [`QueryError::UnknownRegion`]. The rule is written once, in the
+    /// [`shard` module docs](crate::shard#regions).
     pub region: Option<RegionId>,
 }
 
@@ -444,7 +430,8 @@ pub trait QueryService: Send + Sync {
     /// Publishes a weight-update batch as one new epoch. Requests
     /// submitted after it returns are answered at that epoch or a later
     /// one. A batch naming a vertex or edge the network lacks, or a
-    /// negative/NaN weight, is refused whole and publishes nothing.
+    /// weight that is not finite and non-negative, is refused whole and
+    /// publishes nothing.
     fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError>;
 
     /// Drains in-flight work, stops serving and returns final metrics.
@@ -452,9 +439,9 @@ pub trait QueryService: Send + Sync {
     fn shutdown(&self) -> MetricsSnapshot;
 
     /// The regions this endpoint serves, one [`RegionInfo`] per resident
-    /// dataset. A single-shard [`Service`] advertises exactly its own
-    /// region; a [`crate::shard::Router`] advertises every registered
-    /// shard; [`crate::net::RemoteService`] relays the registry the
+    /// dataset. A bare [`Service`] advertises region 0, named
+    /// `region-0`; a [`crate::shard::Router`] advertises each of its
+    /// regions; [`crate::net::RemoteService`] relays the registry the
     /// daemon's handshake carried.
     fn regions(&self) -> Vec<RegionInfo>;
 
@@ -699,15 +686,6 @@ impl Service {
         needed <= budget
     }
 
-    /// `Some(region)` when the request explicitly addresses a region this
-    /// service does not serve. Region-less requests always pass.
-    fn region_mismatch(&self, request: &QueryRequest) -> Option<RegionId> {
-        match request.options.region {
-            Some(region) if region != self.config.region => Some(region),
-            _ => None,
-        }
-    }
-
     /// The shared context.
     pub fn context(&self) -> &Arc<ServiceContext> {
         &self.shared.ctx
@@ -758,15 +736,16 @@ impl QueryService for Service {
     ///   whose deadline the gate judges unmeetable is answered
     ///   [`QueryError::Overloaded`] instead (counted rejected).
     ///
-    /// A mis-addressed request is answered [`QueryError::UnknownRegion`]
-    /// (counted failed, never planned).
+    /// A request addressed to a region other than 0 is answered
+    /// [`QueryError::UnknownRegion`] (counted failed, never planned): a
+    /// bare service is region 0 alone ([`crate::shard#regions`]).
     ///
     /// # Panics
     /// If called after [`QueryService::shutdown`] closed the queue, a
     /// would-be hit included.
     fn submit_to(&self, request: QueryRequest, reply: Reply) {
         let s = &*self.shared;
-        if let Some(region) = self.region_mismatch(&request) {
+        if let Some(region) = request.options.region.filter(|&r| r != RegionId(0)) {
             s.metrics.count(Counter::Failed);
             return reply.answer(Err(QueryError::UnknownRegion(region.0)));
         }
@@ -842,8 +821,8 @@ impl QueryService for Service {
 
     fn regions(&self) -> Vec<RegionInfo> {
         vec![RegionInfo {
-            id: self.config.region,
-            name: self.config.region_name.clone(),
+            id: RegionId(0),
+            name: "region-0".to_owned(),
             fingerprint: DatasetFingerprint::of(&self.shared.ctx),
         }]
     }

@@ -3,38 +3,50 @@
 //! One [`Service`] serves one dataset. "Millions of users" means many
 //! regions, each with its own road network, PoI table, live-traffic epoch
 //! stream and load profile — and the deliberate design decision here is
-//! that those regions **share nothing**. A [`ShardRegistry`] builds one
+//! that those regions **share nothing**. [`Router::new`] builds one
 //! complete serving stack per region (worker pool, result cache, epoch
 //! manager, cost model, telemetry — the whole of [`Service`]), and the
-//! [`Router`] in front of it does exactly one thing: pick the owning
-//! shard and hand the request over. Weight updates, cache invalidation,
+//! router in front of them does exactly one thing: pick the owning shard
+//! and hand the request over. Weight updates, cache invalidation,
 //! admission control and overload shedding are shard-local *by
 //! construction* — there is no cross-shard state to protect, so a
 //! weight-delta storm on region A cannot touch region B's epoch ring,
 //! cache residency or latency profile (the isolation property
 //! `crates/service/tests/shards.rs` pins down).
 //!
-//! Addressing: a [`QueryRequest`] carrying
-//! [`region`](crate::RequestOptions::region) is dispatched to that shard
-//! (or answered [`QueryError::UnknownRegion`] when no such shard is
-//! registered). A region-less request falls back to *vertex-space
-//! routing*: the start vertex is mapped against each shard's vertex-id
-//! space and the choice is a pure function of the start id and the
-//! registry shape, so the same start vertex always resolves to the same
-//! shard ([`Router::route_start`]).
+//! # Regions
+//!
+//! The router alone owns region identity. A region's id is its position:
+//! the first region given to [`Router::new`] is region 0, the next region
+//! 1, and so on.
+//!
+//! * A request addressed to a region
+//!   ([`RequestOptions::region`](crate::RequestOptions::region)) goes to
+//!   that region's shard. An address no shard holds is answered
+//!   [`QueryError::UnknownRegion`] at the front door and counted
+//!   [`misrouted`](Router::misrouted); no shard's counters move.
+//! * **A region-less request goes to region 0.** So do region-less weight
+//!   publishes ([`QueryService::publish_weights`]), and the daemon's
+//!   `Welcome` carries region 0's fingerprint: a client that names no
+//!   region reads and writes one city, the one it verifies against.
+//! * The router consumes a request's address before its shard sees it.
+//!   A bare [`Service`] is region 0 alone: it serves region-less requests
+//!   and those addressed to region 0, and answers any other address
+//!   (one a client sent over the wire) with `UnknownRegion`, counted as
+//!   failed.
 //!
 //! [`Router`] implements [`QueryService`], so every driver in this crate
-//! (replay, the daemon) serves a multi-tenant registry
-//! exactly as it serves one [`Service`]. [`Router::region_service`]
-//! adapts one region back into a `QueryService` view — how the sharded
-//! replay driver runs per-region workloads through the front door without
-//! teaching the stream generators about addressing.
+//! (replay, the daemon) serves a multi-tenant router exactly as it
+//! serves one [`Service`]. [`Router::region_service`] adapts one region
+//! back into a `QueryService` view — how the sharded replay driver runs
+//! per-region workloads through the front door without teaching the
+//! stream generators about addressing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use skysr_core::error::QueryError;
-use skysr_graph::{DeltaError, EpochId, VertexId, WeightDelta};
+use skysr_graph::{DeltaError, EpochId, WeightDelta};
 
 use crate::context::ServiceContext;
 use crate::metrics::MetricsSnapshot;
@@ -42,8 +54,8 @@ use crate::net::DatasetFingerprint;
 use crate::service::{QueryRequest, QueryService, Reply, Service, ServiceConfig};
 
 /// Identifies one region (one resident dataset / shard) of a multi-tenant
-/// deployment. Assigned densely from 0 in registration order by
-/// [`ShardRegistry::add`]; carried by requests
+/// deployment: its position in the [`Router`] (see the
+/// [module docs](self#regions)). Carried by requests
 /// ([`crate::RequestOptions::region`]) and on the wire (`Submit` frames,
 /// the `Welcome` registry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,76 +76,16 @@ pub struct RegionInfo {
     /// The routable address.
     pub id: RegionId,
     /// Human-readable region/dataset name (`--shards` synthesizes
-    /// `region0`, `region1`, …).
+    /// `region-0`, `region-1`, …).
     pub name: String,
-    /// Fingerprint of the shard's dataset at registration time.
+    /// Fingerprint of the shard's dataset when the registry was read.
     pub fingerprint: DatasetFingerprint,
 }
 
-/// One registered shard: a complete, isolated serving stack for one
-/// region.
+/// One region: its name and its complete, isolated serving stack.
 struct Shard {
-    id: RegionId,
     name: String,
-    ctx: Arc<ServiceContext>,
-    service: Arc<Service>,
-}
-
-/// Builder for a multi-tenant deployment: registers one complete
-/// [`Service`] per region, then seals into a [`Router`].
-///
-/// `add` stamps each shard's [`ServiceConfig::region`] /
-/// [`ServiceConfig::region_name`] with the assigned identity, so a shard
-/// rejects mis-addressed requests itself even if handed one directly —
-/// the router's dispatch and the shard's own guard cannot disagree.
-#[derive(Default)]
-pub struct ShardRegistry {
-    shards: Vec<Shard>,
-}
-
-impl ShardRegistry {
-    /// An empty registry.
-    pub fn new() -> ShardRegistry {
-        ShardRegistry { shards: Vec::new() }
-    }
-
-    /// Registers one region: builds its full serving stack (spawning the
-    /// worker pool) over `ctx` with `config`, and returns the assigned
-    /// address. Ids are dense and registration-ordered: the first shard
-    /// is region 0 — the *default shard* region-less publishes and
-    /// unroutable starts fall back to.
-    pub fn add(
-        &mut self,
-        name: impl Into<String>,
-        ctx: Arc<ServiceContext>,
-        config: ServiceConfig,
-    ) -> RegionId {
-        let id = RegionId(u16::try_from(self.shards.len()).expect("more than 65536 shards"));
-        let name = name.into();
-        let config = ServiceConfig { region: id, region_name: name.clone(), ..config };
-        let service = Arc::new(Service::new(Arc::clone(&ctx), config));
-        self.shards.push(Shard { id, name, ctx, service });
-        id
-    }
-
-    /// Number of registered shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// True before the first [`add`](ShardRegistry::add).
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Seals the registry into a [`Router`].
-    ///
-    /// # Panics
-    /// If no shard was registered — an empty deployment serves nothing
-    /// and has no default shard to fall back to.
-    pub fn into_router(self) -> Router {
-        Router::new(self)
-    }
+    service: Service,
 }
 
 /// The thin multi-tenant front door: implements [`QueryService`] by
@@ -154,40 +106,40 @@ pub struct Router {
 }
 
 impl Router {
-    /// Seals `registry` into a router.
+    /// Builds one [`Service`] with `config` (spawning its worker pool)
+    /// over each `(name, context)` region, in order: the first is region
+    /// 0.
     ///
     /// # Panics
-    /// If the registry is empty.
-    pub fn new(registry: ShardRegistry) -> Router {
-        assert!(!registry.is_empty(), "a Router needs at least one shard");
-        Router { shards: registry.shards, misrouted: AtomicU64::new(0) }
+    /// If `regions` is empty — an empty deployment serves nothing and has
+    /// no region 0 — or holds more regions than a [`RegionId`] numbers.
+    pub fn new(
+        regions: impl IntoIterator<Item = (String, Arc<ServiceContext>)>,
+        config: &ServiceConfig,
+    ) -> Router {
+        let shards: Vec<Shard> = regions
+            .into_iter()
+            .map(|(name, ctx)| Shard { name, service: Service::new(ctx, config.clone()) })
+            .collect();
+        assert!(!shards.is_empty(), "a Router needs at least one region");
+        assert!(shards.len() <= 1 << 16, "more than 65536 regions");
+        Router { shards, misrouted: AtomicU64::new(0) }
     }
 
-    /// Number of shards behind this router.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Routers are never empty ([`Router::new`] asserts), but clippy
-    /// expects `is_empty` next to `len`.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The shard owning `region`, if registered.
-    pub fn shard(&self, region: RegionId) -> Option<&Arc<Service>> {
+    /// The shard owning `region`, if there is one.
+    pub fn shard(&self, region: RegionId) -> Option<&Service> {
         self.entry(region).map(|s| &s.service)
     }
 
-    /// The shared context of `region`'s shard, if registered.
+    /// The shared context of `region`'s shard, if there is one.
     pub fn context(&self, region: RegionId) -> Option<&Arc<ServiceContext>> {
-        self.entry(region).map(|s| &s.ctx)
+        self.shard(region).map(Service::context)
     }
 
     /// `region`'s own metrics snapshot — the per-shard view the merged
     /// [`QueryService::metrics`] is built from.
     pub fn shard_metrics(&self, region: RegionId) -> Option<MetricsSnapshot> {
-        self.entry(region).map(|s| s.service.metrics())
+        self.shard(region).map(Service::metrics)
     }
 
     /// Requests answered [`QueryError::UnknownRegion`] at the front door.
@@ -197,77 +149,45 @@ impl Router {
 
     /// Publishes a weight-update batch to one region's epoch stream —
     /// shard-local by construction: no other shard's epoch ring, cache
-    /// validity or repair path observes it. `None` if `region` is not
-    /// registered.
+    /// validity or repair path observes it. `None` if no shard owns
+    /// `region`.
     pub fn publish_weights_to(&self, region: RegionId, deltas: &[WeightDelta]) -> Option<EpochId> {
-        self.entry(region).map(|s| s.ctx.publish_weights(deltas))
+        self.context(region).map(|ctx| ctx.publish_weights(deltas))
     }
 
     /// A [`QueryService`] view of one region: every submission is stamped
     /// with `region` before entering the router, and metrics/publishes are
-    /// shard-local. `None` if `region` is not registered.
+    /// shard-local. `None` if no shard owns `region`.
     pub fn region_service(&self, region: RegionId) -> Option<RegionService<'_>> {
         self.entry(region)?;
         Some(RegionService { router: self, region })
     }
 
-    /// Legacy vertex-space routing for region-less requests: the owning
-    /// region is a pure function of the start vertex and the registry
-    /// shape. Shards whose vertex-id space contains the start are
-    /// *eligible*; the start id picks one of them deterministically. No
-    /// eligible shard ⇒ the default shard (region 0), whose own
-    /// validation then answers `UnknownStart` — the same error a
-    /// single-shard deployment gives.
-    pub fn route_start(&self, start: VertexId) -> RegionId {
-        let eligible: Vec<&Shard> = self
-            .shards
-            .iter()
-            .filter(|s| (start.0 as usize) < s.ctx.graph().num_vertices())
-            .collect();
-        match eligible.len() {
-            0 => self.shards[0].id,
-            n => eligible[start.0 as usize % n].id,
-        }
-    }
-
-    /// The region a request resolves to: its explicit address, or
-    /// [`route_start`](Router::route_start) for region-less requests.
-    /// `Err` when the explicit address is not registered.
-    pub fn resolve(&self, request: &QueryRequest) -> Result<RegionId, QueryError> {
-        match request.options.region {
-            Some(region) => match self.entry(region) {
-                Some(shard) => Ok(shard.id),
-                None => Err(QueryError::UnknownRegion(region.0)),
-            },
-            None => Ok(self.route_start(request.query.start)),
-        }
-    }
-
     fn entry(&self, region: RegionId) -> Option<&Shard> {
-        // Ids are dense and registration-ordered, so the address is the
-        // index; the equality check keeps this honest.
-        self.shards.get(region.0 as usize).filter(|s| s.id == region)
+        self.shards.get(usize::from(region.0))
     }
 
-    fn dispatch(&self, request: QueryRequest) -> Result<(&Shard, QueryRequest), QueryError> {
-        let region = self.resolve(&request)?;
-        let shard = self.entry(region).expect("resolve returned a registered region");
-        let mut request = request;
-        request.options.region = Some(region);
-        Ok((shard, request))
+    fn info(&self, region: RegionId) -> Option<RegionInfo> {
+        self.entry(region).map(|s| RegionInfo {
+            id: region,
+            name: s.name.clone(),
+            fingerprint: DatasetFingerprint::of(s.service.context()),
+        })
     }
 }
 
 impl QueryService for Router {
-    /// Hands the request and its reply to the owning shard. A request
-    /// addressed to a region nobody serves is answered
+    /// Takes the request's address off it and hands the request and its
+    /// reply to that region's shard, region 0 when it names none. A
+    /// request addressed to a region nobody serves is answered
     /// [`QueryError::UnknownRegion`] here and counted as misrouted.
-    fn submit_to(&self, request: QueryRequest, reply: Reply) {
-        match self.dispatch(request) {
-            Ok((shard, request)) => shard.service.submit_to(request, reply),
-            Err(err) => {
+    fn submit_to(&self, mut request: QueryRequest, reply: Reply) {
+        let region = request.options.region.take().unwrap_or_default();
+        match self.entry(region) {
+            Some(shard) => shard.service.submit_to(request, reply),
+            None => {
                 self.misrouted.fetch_add(1, Ordering::Relaxed);
-                reply.answer(Err(err));
+                reply.answer(Err(QueryError::UnknownRegion(region.0)));
             }
         }
     }
@@ -283,37 +203,25 @@ impl QueryService for Router {
         merged
     }
 
-    /// Region-less publishes go to the default shard (region 0) — the
-    /// single-shard legacy contract. Multi-tenant publishers address a
-    /// region with [`Router::publish_weights_to`].
+    /// Region-less publishes go to region 0, like region-less requests.
+    /// Publishers to other regions address them with
+    /// [`Router::publish_weights_to`].
     fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
-        self.shards[0].ctx.try_publish_weights(deltas)
+        self.shards[0].service.publish_weights(deltas)
     }
 
-    /// Drains and stops every shard (in registration order) and returns
-    /// the merged final metrics. Idempotent, like each shard's own
-    /// shutdown.
+    /// Drains and stops every shard (region 0 first) and returns the
+    /// merged final metrics. Idempotent, like each shard's own shutdown.
     fn shutdown(&self) -> MetricsSnapshot {
-        let mut merged: Option<MetricsSnapshot> = None;
-        for shard in &self.shards {
-            let snapshot = shard.service.shutdown();
-            match &mut merged {
-                Some(m) => m.merge(&snapshot),
-                None => merged = Some(snapshot),
-            }
+        let mut merged = self.shards[0].service.shutdown();
+        for shard in &self.shards[1..] {
+            merged.merge(&shard.service.shutdown());
         }
-        merged.expect("a Router has at least one shard")
+        merged
     }
 
     fn regions(&self) -> Vec<RegionInfo> {
-        self.shards
-            .iter()
-            .map(|s| RegionInfo {
-                id: s.id,
-                name: s.name.clone(),
-                fingerprint: DatasetFingerprint::of(&s.ctx),
-            })
-            .collect()
+        (0..self.shards.len()).filter_map(|i| self.info(RegionId(i as u16))).collect()
     }
 }
 
@@ -330,44 +238,29 @@ pub struct RegionService<'a> {
 }
 
 impl RegionService<'_> {
-    /// The fixed region every submission is stamped with.
-    pub fn region(&self) -> RegionId {
-        self.region
-    }
-
-    fn stamp(&self, mut request: QueryRequest) -> QueryRequest {
-        request.options.region = Some(self.region);
-        request
-    }
-
-    fn shard(&self) -> &Shard {
-        self.router.entry(self.region).expect("RegionService regions are registered")
+    fn shard(&self) -> &Service {
+        self.router.shard(self.region).expect("a RegionService's region has a shard")
     }
 }
 
 impl QueryService for RegionService<'_> {
     fn submit_to(&self, request: QueryRequest, reply: Reply) {
-        self.router.submit_to(self.stamp(request), reply);
+        self.router.submit_to(request.region(self.region), reply);
     }
 
     fn metrics(&self) -> MetricsSnapshot {
-        self.shard().service.metrics()
+        self.shard().metrics()
     }
 
     fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
-        self.shard().ctx.try_publish_weights(deltas)
+        self.shard().publish_weights(deltas)
     }
 
     fn shutdown(&self) -> MetricsSnapshot {
-        self.shard().service.shutdown()
+        self.shard().shutdown()
     }
 
     fn regions(&self) -> Vec<RegionInfo> {
-        let shard = self.shard();
-        vec![RegionInfo {
-            id: shard.id,
-            name: shard.name.clone(),
-            fingerprint: DatasetFingerprint::of(&shard.ctx),
-        }]
+        self.router.info(self.region).into_iter().collect()
     }
 }

@@ -128,16 +128,15 @@ pub struct TelemetryConfig {
     pub tracing: bool,
     /// Keep every `N`-th span per shard (1 = keep all).
     pub sample_every: u64,
-    /// Total sampled-span capacity across all shards.
+    /// Total sampled-span capacity across all shards. Under sampling the
+    /// buffer also keeps the [`SLOWEST_SPANS`](trace::SLOWEST_SPANS)
+    /// slowest spans.
     pub capacity: usize,
-    /// Always-retained slowest spans across all shards (the tail uniform
-    /// sampling would miss).
-    pub slowest: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
-        TelemetryConfig { tracing: true, sample_every: 64, capacity: 2_048, slowest: 32 }
+        TelemetryConfig { tracing: true, sample_every: 64, capacity: 2_048 }
     }
 }
 
@@ -145,7 +144,7 @@ impl TelemetryConfig {
     /// Retain every span, up to `capacity` — the mode `--trace-out` uses so
     /// the completeness invariant can be checked over *all* responses.
     pub fn trace_all(capacity: usize) -> TelemetryConfig {
-        TelemetryConfig { tracing: true, sample_every: 1, capacity: capacity.max(1), slowest: 32 }
+        TelemetryConfig { tracing: true, sample_every: 1, capacity: capacity.max(1) }
     }
 
     /// No span retention (histograms still record).

@@ -133,9 +133,13 @@ struct Shard {
     /// Spans offered to this shard so far (drives 1/N sampling).
     offered: u64,
     /// The shard's slowest spans by `total`, ascending; bounded by its
-    /// share of [`TelemetryConfig::slowest`].
+    /// share of [`SLOWEST_SPANS`].
     slow: Vec<TraceSpan>,
 }
+
+/// Spans a sampling [`TraceBuffer`] keeps for being the slowest, across
+/// all its shards: the tail uniform sampling would miss.
+pub const SLOWEST_SPANS: usize = 32;
 
 /// Bounded, sampled retention of [`TraceSpan`]s.
 ///
@@ -164,7 +168,7 @@ impl TraceBuffer {
         let shards = workers.clamp(1, 64);
         TraceBuffer {
             ring_per_shard: config.capacity.div_ceil(shards).max(1),
-            slow_per_shard: config.slowest.div_ceil(shards).max(1),
+            slow_per_shard: SLOWEST_SPANS.div_ceil(shards),
             sample_every: config.sample_every.max(1),
             enabled: config.tracing,
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
@@ -300,7 +304,7 @@ mod tests {
 
     #[test]
     fn sampling_keeps_one_in_n_plus_the_slowest() {
-        let cfg = TelemetryConfig { tracing: true, sample_every: 100, capacity: 1_000, slowest: 4 };
+        let cfg = TelemetryConfig { tracing: true, sample_every: 100, capacity: 1_000 };
         let buf = TraceBuffer::new(&cfg, 1);
         // 1 000 fast spans and one catastrophic outlier that the 1/100
         // sampler would miss at the wrong phase.
@@ -319,13 +323,14 @@ mod tests {
 
     #[test]
     fn capacity_bounds_retention() {
-        let cfg = TelemetryConfig { tracing: true, sample_every: 1, capacity: 64, slowest: 8 };
+        let cfg = TelemetryConfig { tracing: true, sample_every: 1, capacity: 64 };
         let buf = TraceBuffer::new(&cfg, 4);
         for i in 0..10_000 {
             buf.offer(span(i, 10 + (i % 17)));
         }
         let spans = buf.drain();
-        assert!(spans.len() <= 64 + 8 + 8, "bounded retention, got {}", spans.len());
+        // Full retention keeps no slow list: the ring alone bounds it.
+        assert!(spans.len() <= 64, "bounded retention, got {}", spans.len());
         assert!(buf.dropped() > 0);
         assert_eq!(buf.offered(), 10_000);
     }

@@ -3,22 +3,26 @@
 //! streaming semantics over the wire, deadline cutoffs, framing
 //! robustness against clients that disconnect mid-frame or speak garbage,
 //! weight batches naming what the network lacks, the connection cap,
-//! `Server::stop` under live traffic, and a full submission queue behind
-//! one connection.
+//! `Server::stop` under live traffic, a full submission queue behind one
+//! connection, and region addressing behind a two-region router and a
+//! bare service.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use skysr_core::bssr::Bssr;
+use skysr_core::error::QueryError;
+use skysr_core::route::equivalent_skylines;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
 use skysr_graph::{EpochId, VertexId, WeightDelta};
 use skysr_service::net::wire::{read_frame, Frame, MAX_FRAME, PROTOCOL_VERSION};
-use skysr_service::net::MAX_CONNECTIONS;
+use skysr_service::net::{DatasetFingerprint, MAX_CONNECTIONS};
 use skysr_service::replay::{build_pool, replay_remote, ReplaySpec};
 use skysr_service::{
-    QueryRequest, QueryService, RegionId, RemoteService, Served, Server, ServerConfig, Service,
-    ServiceConfig, ServiceContext, ShardRegistry,
+    QueryRequest, QueryService, RegionId, RemoteService, Router, Served, Server, ServerConfig,
+    Service, ServiceConfig, ServiceContext,
 };
 
 /// The deterministic city every fixture here is built from — daemon and
@@ -159,40 +163,40 @@ fn deadline_cutoff_yields_valid_approximate_partials() {
 #[test]
 fn region_less_remote_requests_are_routed_by_a_multi_shard_daemon() {
     // A daemon serving two regions behind a router: a client that sets no
-    // region on its requests is served by the shard vertex-space routing
-    // picks for each start, while the same connection sees the full
-    // registry and can address either region.
-    let mut registry = ShardRegistry::new();
-    for (i, seed) in [21u64, 22].into_iter().enumerate() {
+    // region on its requests is served by region 0, the region whose
+    // fingerprint the handshake carries, with the answers a fresh search
+    // on region 0's city gives. The same connection sees the full
+    // registry, reaches the second region by address, and an address no
+    // shard holds is refused at the front door.
+    let regions = [21u64, 22].into_iter().enumerate().map(|(i, seed)| {
         let d = DatasetSpec::preset(Preset::CalSmall).scale(0.08).seed(seed).generate();
-        let ctx = Arc::new(ServiceContext::from_dataset(d));
-        registry.add(
-            format!("region-{i}"),
-            ctx,
-            ServiceConfig { workers: 2, ..ServiceConfig::default() },
-        );
-    }
-    let router = Arc::new(registry.into_router());
+        (format!("region-{i}"), Arc::new(ServiceContext::from_dataset(d)))
+    });
+    let router =
+        Arc::new(Router::new(regions, &ServiceConfig { workers: 2, ..ServiceConfig::default() }));
     let mut server = Server::spawn("127.0.0.1:0", Arc::clone(&router), ServerConfig::default())
         .expect("bind a loopback listener");
     let remote = RemoteService::connect(server.local_addr()).expect("connect");
-    let pool =
-        build_pool(&city(), &ReplaySpec { distinct: 6, seq_len: 2, ..ReplaySpec::default() });
+    let north = city();
+    assert_eq!(
+        remote.fingerprint(),
+        DatasetFingerprint::of(router.context(RegionId(0)).expect("region 0")),
+        "the handshake carries region 0's fingerprint"
+    );
+    let pool = build_pool(&north, &ReplaySpec { distinct: 6, seq_len: 2, ..ReplaySpec::default() });
     for q in &pool {
         let request = QueryRequest::new(q.clone());
         assert_eq!(request.options.region, None);
         let response = remote.submit(request).wait().expect("region-less submit is served");
-        assert!(!response.routes.is_empty(), "a routed request is answered in full");
+        let fresh = Bssr::new(&north.context()).run(q).expect("a pool query is valid").routes;
+        assert!(
+            equivalent_skylines(&response.routes, &fresh),
+            "a region-less answer must be region 0's: {q:?}"
+        );
     }
-
-    // Every region-less submit was served, each by the shard vertex-space
-    // routing deterministically assigns its start — never misrouted.
-    let expected_on = |region: RegionId| {
-        pool.iter().filter(|q| router.route_start(q.start) == region).count() as u64
-    };
-    assert_eq!(router.shard_metrics(RegionId(0)).unwrap().completed, expected_on(RegionId(0)));
-    let south = expected_on(RegionId(1));
-    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed, south);
+    let completed = |region| router.shard_metrics(region).expect("a region").completed;
+    assert_eq!(completed(RegionId(0)), pool.len() as u64, "every region-less submit on region 0");
+    assert_eq!(completed(RegionId(1)), 0);
     assert_eq!(router.misrouted(), 0);
 
     // The connection sees both regions and reaches the second by address.
@@ -208,10 +212,47 @@ fn region_less_remote_requests_are_routed_by_a_multi_shard_daemon() {
         .submit(QueryRequest::new(pool_south[0].clone()).region(RegionId(1)))
         .wait()
         .expect("addressed submit is served");
-    assert_eq!(router.shard_metrics(RegionId(1)).unwrap().completed, south + 1);
+    assert_eq!(completed(RegionId(1)), 1);
+
+    // An address no shard holds is answered UnknownRegion and counted as
+    // misrouted; no shard's counters move.
+    let err = remote
+        .submit(QueryRequest::new(pool[0].clone()).region(RegionId(7)))
+        .wait()
+        .expect_err("region 7 is not served");
+    assert_eq!(err, QueryError::UnknownRegion(7));
+    assert_eq!(router.misrouted(), 1);
     let farewell = remote.shutdown();
     server.join();
     assert_eq!(farewell.completed, pool.len() as u64 + 1, "the farewell merges every shard");
+    assert_eq!(farewell.failed, 0, "a misroute is no shard's failure");
+}
+
+#[test]
+fn a_bare_service_daemon_answers_any_region_but_0_unknown() {
+    // A bare service is region 0 alone: over the wire it serves requests
+    // addressed to region 0 or to none, and answers any other address
+    // UnknownRegion, counted as failed.
+    let (service, mut server) = spawn_daemon(2);
+    let remote = RemoteService::connect(server.local_addr()).expect("connect");
+    let regions = remote.regions();
+    assert_eq!(regions.len(), 1);
+    assert_eq!((regions[0].id, regions[0].name.as_str()), (RegionId(0), "region-0"));
+    let pool =
+        build_pool(&city(), &ReplaySpec { distinct: 2, seq_len: 2, ..ReplaySpec::default() });
+    let err = remote
+        .submit(QueryRequest::new(pool[0].clone()).region(RegionId(1)))
+        .wait()
+        .expect_err("a bare service serves region 0 alone");
+    assert_eq!(err, QueryError::UnknownRegion(1));
+    for request in [QueryRequest::new(pool[0].clone()).region(RegionId(0)), pool[1].clone().into()]
+    {
+        remote.submit(request).wait().expect("region 0 and region-less submits are served");
+    }
+    let m = service.metrics();
+    assert_eq!((m.completed, m.failed), (2, 1));
+    let _ = remote.shutdown();
+    server.join();
 }
 
 /// A reader that counts the bytes it hands out.

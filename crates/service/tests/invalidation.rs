@@ -247,7 +247,6 @@ fn update_heavy_replay_verifies_at_pinned_epochs() {
         qps: 2500.0,
         update_rate: 250.0,
         update_burst: 16,
-        update_magnitude: 2.5,
         verify: true,
         ..ReplaySpec::default()
     };

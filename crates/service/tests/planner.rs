@@ -63,7 +63,6 @@ fn spec_for(subset: Subset, pattern: StreamPattern, distinct: usize, seed: u64) 
         // (or lazy-invalidation) rung runs for real.
         update_every: pool_len / 2,
         update_burst: 4,
-        update_magnitude: 2.0,
         verify: true,
         ..ReplaySpec::default()
     }

@@ -27,7 +27,6 @@ fn update_heavy_repair_replay_verifies_and_repairs_in_place() {
         seq_len: 2,
         update_every: 8,
         update_burst: 8,
-        update_magnitude: 2.0,
         verify: true,
         ..ReplaySpec::default()
     };

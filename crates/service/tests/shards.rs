@@ -1,27 +1,23 @@
 //! Multi-tenant shard isolation: regions behind one [`Router`] share
-//! nothing, and the router's addressing is deterministic.
+//! nothing.
 //!
 //! The headline property: a weight-delta storm on shard A must leave
 //! shard B *bit-for-bit undisturbed* — epoch ring unmoved, zero cache
 //! invalidations, zero stale serves, every answer still oracle-exact at
 //! B's own pinned epoch, and B's cache-hit latency profile within noise.
-//! Plus: region-less routing is a pure function of the start vertex
-//! (property-tested), and mis-addressed requests die at the front door
-//! without touching any shard's counters.
+//! Plus: mis-addressed requests die at the front door without touching
+//! any shard's counters.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::prelude::*;
 use skysr_core::bssr::Bssr;
 use skysr_core::error::QueryError;
 use skysr_core::route::equivalent_skylines;
 use skysr_data::dataset::{Dataset, DatasetSpec, Preset};
-use skysr_graph::{EpochId, VertexId};
+use skysr_graph::EpochId;
 use skysr_service::replay::{build_pool, random_traffic_deltas, replay_sharded, ReplaySpec};
-use skysr_service::{
-    QueryRequest, QueryService, RegionId, Router, ServiceConfig, ServiceContext, ShardRegistry,
-};
+use skysr_service::{QueryRequest, QueryService, RegionId, Router, ServiceConfig, ServiceContext};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,16 +28,10 @@ fn city(seed: u64) -> Dataset {
 
 /// A router over `seeds.len()` regions, one CalSmall city per seed.
 fn router_over(seeds: &[u64], workers: usize) -> Router {
-    let mut registry = ShardRegistry::new();
-    for (i, &seed) in seeds.iter().enumerate() {
-        let ctx = Arc::new(ServiceContext::from_dataset(city(seed)));
-        registry.add(
-            format!("region-{i}"),
-            ctx,
-            ServiceConfig { workers, ..ServiceConfig::default() },
-        );
-    }
-    registry.into_router()
+    let regions = seeds.iter().enumerate().map(|(i, &seed)| {
+        (format!("region-{i}"), Arc::new(ServiceContext::from_dataset(city(seed))))
+    });
+    Router::new(regions, &ServiceConfig { workers, ..ServiceConfig::default() })
 }
 
 #[test]
@@ -167,8 +157,8 @@ fn misaddressed_requests_fail_at_the_front_door() {
         assert_eq!((m.completed, m.failed), (0, 0), "misroutes must not touch shard {region}");
     }
 
-    // A shard handed a foreign request directly rejects it itself — the
-    // registry stamped its identity, so router and shard cannot disagree.
+    // A shard is a bare service, region 0 alone: handed a request
+    // addressed to another region directly, it refuses it itself.
     let err = router
         .shard(RegionId(0))
         .unwrap()
@@ -216,41 +206,4 @@ fn sharded_replay_verifies_every_shard_with_zero_misroutes() {
     }
     assert_eq!(report.total(), 320);
     assert_eq!(report.merged_metrics().completed, 320);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // Region-less routing is a pure function of the start vertex and the
-    // registry shape: two identically built routers agree on every
-    // start, repeated calls agree with themselves, and the answer is
-    // always a registered region.
-    #[test]
-    fn region_less_routing_is_deterministic(starts in prop::collection::vec(0u32..200_000, 1..32)) {
-        // Differently sized graphs make eligibility non-trivial: small
-        // starts fit every shard, large ones only some (or none).
-        let build = || {
-            let mut registry = ShardRegistry::new();
-            for (i, (seed, scale)) in [(21u64, 0.05), (22, 0.08), (23, 0.12)].iter().enumerate() {
-                let d = DatasetSpec::preset(Preset::CalSmall).scale(*scale).seed(*seed).generate();
-                let ctx = Arc::new(ServiceContext::from_dataset(d));
-                registry.add(
-                    format!("region-{i}"),
-                    ctx,
-                    ServiceConfig { workers: 1, ..ServiceConfig::default() },
-                );
-            }
-            registry.into_router()
-        };
-        let first = build();
-        let second = build();
-        for &start in &starts {
-            let chosen = first.route_start(VertexId(start));
-            prop_assert!((chosen.0 as usize) < first.len(), "routed outside the registry");
-            prop_assert_eq!(chosen, first.route_start(VertexId(start)), "unstable across calls");
-            prop_assert_eq!(chosen, second.route_start(VertexId(start)), "unstable across builds");
-        }
-        let _ = first.shutdown();
-        let _ = second.shutdown();
-    }
 }
