@@ -1,9 +1,10 @@
 //! Tiny dependency-free argument parser for the CLI.
 //!
 //! Supports one leading command word, one optional positional argument,
-//! and `--flag value` pairs. Unknown or leftover flags are reported.
+//! and `--flag value` pairs. A flag the command never asks for is
+//! reported as unknown.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command line.
 #[derive(Clone)]
@@ -12,6 +13,8 @@ pub struct Args {
     pub command: String,
     positional: Option<String>,
     flags: BTreeMap<String, String>,
+    /// Every flag name the command asked for, given or not.
+    asked: BTreeSet<String>,
 }
 
 impl Args {
@@ -33,7 +36,7 @@ impl Args {
                 return Err(format!("unexpected argument {a:?}"));
             }
         }
-        Ok(Args { command, positional, flags })
+        Ok(Args { command, positional, flags, asked: BTreeSet::new() })
     }
 
     /// The positional argument (e.g. a dataset file).
@@ -49,20 +52,27 @@ impl Args {
 
     /// Takes a required flag.
     pub fn require(&mut self, name: &str) -> Result<String, String> {
-        self.flags.remove(name).ok_or_else(|| format!("missing --{name}"))
+        self.optional(name).ok_or_else(|| format!("missing --{name}"))
     }
 
     /// Takes an optional flag.
     pub fn optional(&mut self, name: &str) -> Option<String> {
-        self.flags.remove(name)
+        self.asked.insert(name.to_owned());
+        self.flags.get(name).cloned()
     }
 
-    /// Fails if unconsumed flags remain.
+    /// Fails if a flag was given that the command never asked for.
     pub fn finish(&self) -> Result<(), String> {
-        match self.flags.keys().next() {
+        match self.flags.keys().find(|k| !self.asked.contains(*k)) {
             Some(k) => Err(format!("unknown flag --{k}")),
             None => Ok(()),
         }
+    }
+
+    /// Every flag name the command asked for so far, given or not: once
+    /// its parse has run, the flags the command takes.
+    pub fn asked(&self) -> impl Iterator<Item = &str> {
+        self.asked.iter().map(String::as_str)
     }
 }
 

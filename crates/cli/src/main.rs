@@ -18,8 +18,8 @@
 //! `replay` streams a skewed workload (`--pattern
 //! zipf|duplicate|prefix|hierarchy`) through the concurrent
 //! `skysr-service` engine, optionally open-loop (`--qps`), under live
-//! weight updates (`--update-rate`, `--update-every`), deadlines and
-//! overload, over several in-process shards (`--shards N`) or against a
+//! weight updates (a burst after every `--update-every` requests),
+//! deadlines and overload, over several in-process shards (`--shards N`) or against a
 //! running `skysr-d` (`--connect HOST:PORT`), and prints the report.
 //! `--verify true` re-answers every request at the epoch it was served
 //! under. Every run must pass `ReplayReport::check`. `--scenario NAME`
@@ -31,7 +31,7 @@
 //! fixed fraction of the twin's engine work. Without a row, unset flags
 //! take `ReplaySpec::default()`; the spec's own rules are
 //! `ReplaySpec::validate`. `docs/OPERATIONS.md` (§ Replay driver)
-//! describes every flag.
+//! describes every flag, and a test holds its table to the parser.
 
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -43,7 +43,8 @@ use skysr_cli::city::{
     check_seq_len, dataset_args, load, parse_flag, parse_preset, region_datasets, service_flags,
     CityArgs, SERVICE_FLAGS,
 };
-use skysr_cli::serve;
+use skysr_cli::serve::{self, SERVE_FLAGS};
+use skysr_cli::{exit, Failure};
 use skysr_core::bssr::{Bssr, BssrConfig};
 use skysr_core::variants::destination::DestinationQuery;
 use skysr_core::variants::rated::RatedQuery;
@@ -66,64 +67,17 @@ use skysr_service::{
 /// socket (CI starts the daemon in the background and races it).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Why a command failed.
-enum Failure {
-    /// A bad argument or input: reported with the usage.
-    Usage(String),
-    /// A command that ran and failed — a gate, a verification, a socket or
-    /// a file write: reported alone, so the failure is what the log ends
-    /// with.
-    Run(String),
-    /// Writing to stdout failed.
-    Output(io::Error),
-}
-
-impl From<String> for Failure {
-    fn from(e: String) -> Failure {
-        Failure::Usage(e)
-    }
-}
-
-impl From<&str> for Failure {
-    fn from(e: &str) -> Failure {
-        Failure::Usage(e.to_owned())
-    }
-}
-
-impl From<io::Error> for Failure {
-    fn from(e: io::Error) -> Failure {
-        Failure::Output(e)
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // Every printer writes through this one lock, so a closed stdout is an
     // error the command returns, not a panic in `println!`.
     let mut out = io::stdout().lock();
-    match run(argv, &mut out).and_then(|()| Ok(out.flush()?)) {
-        Ok(()) => ExitCode::SUCCESS,
-        // The reader has all it wanted (`| head`, `| grep -q`).
-        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
-        Err(Failure::Output(e)) => {
-            eprintln!("error: cannot write to stdout: {e}");
-            ExitCode::FAILURE
-        }
-        Err(Failure::Usage(e)) => {
-            eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", usage());
-            ExitCode::FAILURE
-        }
-        Err(Failure::Run(e)) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    exit(run(argv, &mut out).and_then(|()| Ok(out.flush()?)), &usage())
 }
 
-fn usage() -> &'static str {
-    "usage:\n  \
+fn usage() -> String {
+    format!(
+        "usage:\n  \
      skysr-cli generate --preset <tokyo|nyc|cal|tokyo-small|nyc-small|cal-small> \
      [--scale F] [--seed N] --out FILE.skysr\n  \
      skysr-cli info FILE\n  \
@@ -135,17 +89,14 @@ fn usage() -> &'static str {
      \t[--zipf S] [--cache N] [--queue N]\n  \
      \t[--pattern zipf|duplicate|prefix|hierarchy] [--burst N]\n  \
      \t[--coalesce true|false] [--verify true|false] [--repair true|false]\n  \
-     \t[--retention K] [--qps F]\n  \
-     \t[--update-rate F] [--update-burst N] [--update-every N]\n  \
+     \t[--retention K] [--qps F] [--update-every N] [--update-burst N]\n  \
      \t[--deadline-ms F] [--overload X]\n  \
      \t[--admission true|false] [--shards N] [--trace-out FILE.jsonl]\n  \
      \t[--metrics-out FILE.prom] [--connect HOST:PORT]\n  \
-     skysr-cli serve [FILE] [--preset P] [--scale F] [--seed N]\n  \
-     \t[--addr HOST:PORT] [--workers N] [--cache N] [--queue N]\n  \
-     \t[--coalesce true|false] [--repair true|false]\n  \
-     \t[--admission true|false] [--shards N]\n  \
+     skysr-cli serve {SERVE_FLAGS}\n  \
      skysr-cli shutdown --connect HOST:PORT\n  \
      skysr-cli demo"
+    )
 }
 
 fn run(argv: Vec<String>, out: &mut impl Write) -> Result<(), Failure> {
@@ -278,8 +229,8 @@ fn run(argv: Vec<String>, out: &mut impl Write) -> Result<(), Failure> {
             }
             Ok(())
         }
-        "replay" => replay(args, out),
-        "serve" => Ok(serve::run_serve(&mut args)?),
+        "replay" => replay(&mut args, out),
+        "serve" => serve::run_serve(&mut args),
         "shutdown" => {
             let addr = args.require("connect")?;
             args.finish()?;
@@ -317,7 +268,7 @@ fn run(argv: Vec<String>, out: &mut impl Write) -> Result<(), Failure> {
 /// in-process row (`--scenario all`), or an ad-hoc run, the caller's
 /// flags overriding the row's values. Prints each report and fails
 /// naming every failing row and its gate.
-fn replay(mut args: Args, out: &mut impl Write) -> Result<(), Failure> {
+fn replay(args: &mut Args, out: &mut impl Write) -> Result<(), Failure> {
     let connect = args.optional("connect");
     let trace_out = args.optional("trace-out");
     let metrics_out = args.optional("metrics-out");
@@ -343,7 +294,7 @@ fn replay(mut args: Args, out: &mut impl Write) -> Result<(), Failure> {
     // first.
     let rows = rows
         .into_iter()
-        .map(|row| override_row(args.clone(), row, connect.is_some(), trace_out.is_some()))
+        .map(|row| override_row(args, row, connect.is_some(), trace_out.is_some()))
         .collect::<Result<Vec<_>, _>>()?;
     let mut failures = Vec::new();
     for (row, city) in &rows {
@@ -438,7 +389,7 @@ fn replay_row(
 /// ([`ReplaySpec::validate`]) and those of `--connect`, `--shards` and
 /// `--trace-out`.
 fn override_row(
-    mut args: Args,
+    args: &mut Args,
     mut row: Scenario,
     connect: bool,
     trace_out: bool,
@@ -458,31 +409,30 @@ fn override_row(
             ));
         }
     }
-    let city = dataset_args(&mut args, row.city, row.spec.seed)?;
+    let city = dataset_args(args, row.city, row.spec.seed)?;
     // The row carries the city it replays, so its twin does too.
     row.city = city.city;
     let spec = &mut row.spec;
     spec.seed = city.seed;
-    spec.total = parse_flag(&mut args, "queries", spec.total)?;
-    spec.distinct = parse_flag(&mut args, "distinct", spec.distinct)?;
-    spec.seq_len = parse_flag(&mut args, "seq-len", spec.seq_len)?;
-    spec.pattern = parse_flag(&mut args, "pattern", spec.pattern)?;
-    spec.zipf_exponent = parse_flag(&mut args, "zipf", spec.zipf_exponent)?;
-    spec.burst = parse_flag(&mut args, "burst", spec.burst)?;
-    spec.service = service_flags(&mut args, spec.service.clone())?;
-    spec.qps = parse_flag(&mut args, "qps", spec.qps)?;
-    spec.update_rate = parse_flag(&mut args, "update-rate", spec.update_rate)?;
-    spec.update_burst = parse_flag(&mut args, "update-burst", spec.update_burst)?;
-    spec.update_every = parse_flag(&mut args, "update-every", spec.update_every)?;
-    spec.retention = parse_flag(&mut args, "retention", spec.retention)?;
-    spec.overload = parse_flag(&mut args, "overload", spec.overload)?;
-    spec.verify = parse_flag(&mut args, "verify", spec.verify)?;
+    spec.total = parse_flag(args, "queries", spec.total)?;
+    spec.distinct = parse_flag(args, "distinct", spec.distinct)?;
+    spec.seq_len = parse_flag(args, "seq-len", spec.seq_len)?;
+    spec.pattern = parse_flag(args, "pattern", spec.pattern)?;
+    spec.zipf_exponent = parse_flag(args, "zipf", spec.zipf_exponent)?;
+    spec.burst = parse_flag(args, "burst", spec.burst)?;
+    spec.service = service_flags(args, spec.service.clone())?;
+    spec.qps = parse_flag(args, "qps", spec.qps)?;
+    spec.update_burst = parse_flag(args, "update-burst", spec.update_burst)?;
+    spec.update_every = parse_flag(args, "update-every", spec.update_every)?;
+    spec.retention = parse_flag(args, "retention", spec.retention)?;
+    spec.overload = parse_flag(args, "overload", spec.overload)?;
+    spec.verify = parse_flag(args, "verify", spec.verify)?;
     if let Some(ms) = args.optional("deadline-ms") {
         let ms: f64 = ms.parse().map_err(|_| "bad --deadline-ms".to_string())?;
         // Out-of-range values saturate, and validation rejects them.
         spec.deadline = Some(Duration::try_from_secs_f64(ms / 1e3).unwrap_or(Duration::MAX));
     }
-    row.shards = parse_flag(&mut args, "shards", row.shards)?;
+    row.shards = parse_flag(args, "shards", row.shards)?;
     args.finish()?;
     // Dumping spans only makes sense over a complete record: --trace-out
     // switches span retention to full (every request), which also arms
@@ -577,15 +527,41 @@ mod tests {
     #[test]
     fn a_city_override_reaches_the_twin() {
         let row = scenario::find("repair/waves").expect("a table row");
-        let flags = replay_args(&["--preset", "nyc-small", "--scale", "2.0"]);
-        let (row, city) = override_row(flags, row, false, false).expect("valid overrides");
+        let mut flags = replay_args(&["--preset", "nyc-small", "--scale", "2.0"]);
+        let (row, city) = override_row(&mut flags, row, false, false).expect("valid overrides");
         let twin = row.twin_row().expect("repair/waves has a twin");
         assert_eq!(twin.city, City { preset: Preset::NycSmall, scale: 2.0 });
         assert_eq!(city.city, twin.city);
         // The monolith twin scales the overridden city, not the table's.
         let row = scenario::find("shards/four").expect("a table row");
-        let (row, _) = override_row(replay_args(&["--scale", "0.25"]), row, false, false)
+        let (row, _) = override_row(&mut replay_args(&["--scale", "0.25"]), row, false, false)
             .expect("valid overrides");
         assert_eq!(row.twin_row().expect("a twin").city.scale, 1.0);
+    }
+
+    #[test]
+    fn the_operations_guide_lists_every_replay_flag() {
+        // A flag nothing asks for stops `replay` at its parse, after every
+        // flag it takes was asked for and before anything replays.
+        let mut args = replay_args(&["--no-such-flag", "1"]);
+        match replay(&mut args, &mut io::sink()) {
+            Err(Failure::Usage(e)) => assert_eq!(e, "unknown flag --no-such-flag"),
+            other => panic!("the parse must fail first: {other:?}"),
+        }
+        let guide = include_str!("../../../docs/OPERATIONS.md");
+        let section = guide.split("(`skysr-cli replay`)").nth(1).expect("a replay flag table");
+        let section = section.split("\n#").next().unwrap_or(section);
+        // A row names its flags first: "| `--queries N` | `total` | ...",
+        // or several: "| `--workers N`, `--queue N`, ... | `service` | ...".
+        let mut documented: Vec<&str> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| ")?.split(" | ").next())
+            .flat_map(|cell| cell.split("`--").skip(1))
+            .filter_map(|flag| flag.split([' ', '`']).next())
+            .collect();
+        let mut taken: Vec<&str> = args.asked().collect();
+        documented.sort_unstable();
+        taken.sort_unstable();
+        assert_eq!(documented, taken, "docs/OPERATIONS.md's replay flag table");
     }
 }

@@ -22,20 +22,28 @@ use skysr_service::{
 
 use crate::args::Args;
 use crate::city::{dataset_args, parse_flag, region_datasets, service_flags};
+use crate::Failure;
 
-/// Usage text of the standalone `skysr-d` binary (the `serve` flags).
-pub fn usage() -> &'static str {
-    "usage:\n  \
-     skysr-d [FILE] [--preset <tokyo|nyc|cal|tokyo-small|nyc-small|cal-small>]\n  \
-     \t[--scale F] [--seed N] [--addr HOST:PORT] [--workers N] [--cache N]\n  \
-     \t[--queue N] [--coalesce true|false] [--repair true|false]\n  \
-     \t[--admission true|false] [--shards N]\n\n\
-     Serves SkySR queries over the skysr-d wire protocol until a client\n\
-     sends Shutdown (e.g. `skysr-cli shutdown --connect HOST:PORT`).\n\
-     --shards N (default 1) serves N regions (datasets seeded --seed,\n\
-     --seed+1, ...) behind one router on a single socket; a request that\n\
-     names no region is served by region 0.\n\
-     `skysr-cli serve` accepts the same flags."
+/// The flags `skysr-d` and `skysr-cli serve` take, as their usage lines
+/// print them after the command.
+pub const SERVE_FLAGS: &str = "[FILE] [--preset P] [--scale F] [--seed N]\n  \
+     \t[--addr HOST:PORT] [--workers N] [--cache N] [--queue N]\n  \
+     \t[--coalesce true|false] [--repair true|false]\n  \
+     \t[--admission true|false] [--shards N]";
+
+/// Usage text of the standalone `skysr-d` binary.
+pub fn usage() -> String {
+    format!(
+        "usage:\n  \
+         skysr-d {SERVE_FLAGS}\n\n\
+         Serves SkySR queries over the skysr-d wire protocol until a client\n\
+         sends Shutdown (e.g. `skysr-cli shutdown --connect HOST:PORT`).\n\
+         P is tokyo, nyc, cal, tokyo-small, nyc-small or cal-small.\n\
+         --shards N (default 1) serves N regions (datasets seeded --seed,\n\
+         --seed+1, ...) behind one router on a single socket; a request that\n\
+         names no region is served by region 0.\n\
+         `skysr-cli serve` accepts the same flags."
+    )
 }
 
 /// A daemon's lifetime counters, as its "drained and stopped" lines print
@@ -47,8 +55,9 @@ pub fn lifetime(m: &MetricsSnapshot) -> String {
     )
 }
 
-/// Runs the daemon: bind, announce, serve until drained.
-pub fn run_serve(args: &mut Args) -> Result<(), String> {
+/// Runs the daemon: bind, announce, serve until drained. A bad flag is a
+/// usage error; a socket that cannot be bound is a run failure.
+pub fn run_serve(args: &mut Args) -> Result<(), Failure> {
     // The daemon defaults to the stack and city a replay defaults to.
     let defaults = ReplaySpec::default();
     let city = dataset_args(args, City::default(), defaults.seed)?;
@@ -75,7 +84,7 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
     }
     let router = Arc::new(Router::new(regions, &config));
     let mut server = Server::spawn(addr.as_str(), Arc::clone(&router), ServerConfig::default())
-        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+        .map_err(|e| Failure::Run(format!("cannot bind {addr}: {e}")))?;
     let plural = if shards == 1 { "" } else { "s" };
     // The listening line goes to stdout so scripts (CI) can wait on it.
     println!(
@@ -90,4 +99,36 @@ pub fn run_serve(args: &mut Args) -> Result<(), String> {
         router.misrouted()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::city::SERVICE_FLAGS;
+
+    #[test]
+    fn the_operations_guide_lists_the_daemons_own_flags() {
+        // A flag nothing asks for stops the daemon at its parse, after
+        // every flag it takes was asked for and before any city is built.
+        let argv = ["serve", "--no-such-flag", "1"].map(String::from).to_vec();
+        let mut args = Args::parse(argv).expect("valid arguments");
+        match run_serve(&mut args) {
+            Err(Failure::Usage(e)) => assert_eq!(e, "unknown flag --no-such-flag"),
+            other => panic!("the parse must fail first: {other:?}"),
+        }
+        let guide = include_str!("../../../docs/OPERATIONS.md");
+        let section = guide.split("## Running `skysr-d`").nth(1).expect("a daemon flag table");
+        let section = section.split("\n## ").next().unwrap_or(section);
+        // A row names its flags first: "| `--addr HOST:PORT` | ...".
+        let mut documented: Vec<&str> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| ")?.split(" | ").next())
+            .flat_map(|cell| cell.split("`--").skip(1))
+            .filter_map(|flag| flag.split([' ', '`']).next())
+            .collect();
+        let mut own: Vec<&str> = args.asked().filter(|f| !SERVICE_FLAGS.contains(f)).collect();
+        documented.sort_unstable();
+        own.sort_unstable();
+        assert_eq!(documented, own, "docs/OPERATIONS.md's skysr-d flag table");
+    }
 }

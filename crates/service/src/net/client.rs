@@ -10,8 +10,11 @@
 //! one code path.
 //!
 //! Request/response pairs without ids (`MetricsReq` → `MetricsRep`,
-//! `PublishWeights` → `WeightsPublished`) are matched FIFO, which is
-//! sound because the server answers each connection's frames in order.
+//! `PublishWeights` → `WeightsPublished`) are matched FIFO: the server
+//! answers each connection's frames in order, and a caller queues its
+//! waiter while it holds the writer lock, so waiters queue in the order
+//! their frames are written. Callers sharing one client each get their
+//! own answer.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -151,11 +154,15 @@ impl RemoteService {
         &self.registry
     }
 
-    fn send(&self, frame: &Frame) {
+    /// Writes `frame`, having registered its answer's waiter with
+    /// `register` under the writer lock, so waiters queue in the order their
+    /// frames are written — and before the answer can race back.
+    fn send(&self, frame: &Frame, register: impl FnOnce(&mut Demux)) {
         if self.shared.dead.load(Ordering::Acquire) {
             panic!("skysr-d connection lost: {}", self.shared.fault_message());
         }
         let mut writer = self.writer.lock().expect("client writer poisoned");
+        register(&mut self.shared.demux.lock().expect("client demux poisoned"));
         if writer.write_all(&frame.to_bytes()).is_err() {
             self.shared.poison("write failed".into());
             panic!("skysr-d connection lost: write failed");
@@ -167,16 +174,14 @@ impl QueryService for RemoteService {
     fn submit_to(&self, request: QueryRequest, reply: Reply) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let streaming = reply.streaming();
-        // Register before writing: the answer may race back before the
-        // write call even returns.
-        self.shared.demux.lock().expect("client demux poisoned").queries.insert(id, reply);
-        self.send(&Frame::Submit { id, streaming, request });
+        self.send(&Frame::Submit { id, streaming, request }, |demux| {
+            demux.queries.insert(id, reply);
+        });
     }
 
     fn metrics(&self) -> MetricsSnapshot {
         let (tx, rx) = std::sync::mpsc::channel();
-        self.shared.demux.lock().expect("client demux poisoned").metrics.push_back(tx);
-        self.send(&Frame::MetricsReq);
+        self.send(&Frame::MetricsReq, |demux| demux.metrics.push_back(tx));
         match rx.recv() {
             Ok(snapshot) => snapshot,
             Err(_) => panic!("skysr-d connection lost: {}", self.shared.fault_message()),
@@ -188,8 +193,7 @@ impl QueryService for RemoteService {
     /// connection, with the daemon's reason.
     fn publish_weights(&self, deltas: &[WeightDelta]) -> Result<EpochId, DeltaError> {
         let (tx, rx) = std::sync::mpsc::channel();
-        self.shared.demux.lock().expect("client demux poisoned").epochs.push_back(tx);
-        self.send(&Frame::PublishWeights(deltas.to_vec()));
+        self.send(&Frame::PublishWeights(deltas.to_vec()), |demux| demux.epochs.push_back(tx));
         match rx.recv() {
             Ok(epoch) => Ok(epoch),
             Err(_) => panic!("skysr-d connection lost: {}", self.shared.fault_message()),
@@ -200,8 +204,7 @@ impl QueryService for RemoteService {
         // The server answers Shutdown with one final MetricsRep after
         // draining, so the reply rides the same FIFO as plain metrics.
         let (tx, rx) = std::sync::mpsc::channel();
-        self.shared.demux.lock().expect("client demux poisoned").metrics.push_back(tx);
-        self.send(&Frame::Shutdown);
+        self.send(&Frame::Shutdown, |demux| demux.metrics.push_back(tx));
         let snapshot = match rx.recv() {
             Ok(snapshot) => snapshot,
             Err(_) => panic!("skysr-d connection lost: {}", self.shared.fault_message()),

@@ -330,19 +330,19 @@ pub fn table() -> Vec<Scenario> {
         ..base.clone()
     };
     let prefix = ReplaySpec { pattern: PrefixChains, total: 400, distinct: 12, ..base.clone() };
-    // Open-loop streams with wall-clock weight churn.
-    let churn = |spec: &ReplaySpec, total, qps, update_rate, update_burst| ReplaySpec {
+    // Open-loop streams with a weight burst every `update_every` requests.
+    let churn = |spec: &ReplaySpec, total, qps, update_every, update_burst| ReplaySpec {
         total,
         qps,
-        update_rate,
+        update_every,
         update_burst,
         ..spec.clone()
     };
     let zipf = ReplaySpec { pattern: Zipf, distinct: 24, ..base.clone() };
     let churn = [
-        churn(&zipf, 600, 1200.0, 60.0, 24),
-        churn(&duplicate, 600, 1500.0, 100.0, 16),
-        churn(&prefix, 480, 1200.0, 100.0, 16),
+        churn(&zipf, 600, 1200.0, 20, 24),
+        churn(&duplicate, 600, 1500.0, 15, 16),
+        churn(&prefix, 480, 1200.0, 12, 16),
     ];
     let repaired = |spec: &ReplaySpec| ReplaySpec { service: stack(8, true), ..spec.clone() };
     // The queue holds the whole stream (an overload spec must), so what
@@ -353,7 +353,7 @@ pub fn table() -> Vec<Scenario> {
         distinct: 10_000,
         zipf_exponent: 0.5,
         service: ServiceConfig { admission: true, queue_capacity: 12_000, ..stack(4, true) },
-        update_rate: 50.0,
+        update_every: 1000,
         overload: 2.0,
         deadline: Some(std::time::Duration::from_millis(25)),
         ..base.clone()
@@ -419,7 +419,7 @@ pub fn table() -> Vec<Scenario> {
         total: 3000,
         distinct: 32,
         qps: 3000.0,
-        update_rate: 300.0,
+        update_every: 10,
         retention: 8,
         verify: false,
         ..repaired(&churn[0])
@@ -427,7 +427,7 @@ pub fn table() -> Vec<Scenario> {
     rows.push(row("retention/soak", 3.0, &soak, Gates { compactions: true, ..none }));
     let retained = ReplaySpec {
         qps: 2000.0,
-        update_rate: 150.0,
+        update_every: 13,
         update_burst: 16,
         retention: 6,
         ..repaired(&churn[0])
@@ -514,7 +514,7 @@ pub fn table() -> Vec<Scenario> {
         total: 400,
         distinct: 24,
         qps: 1200.0,
-        update_rate: 60.0,
+        update_every: 20,
         update_burst: 16,
         verify: true,
         ..ReplaySpec::default()

@@ -4,8 +4,9 @@
 //! robustness against clients that disconnect mid-frame or speak garbage,
 //! weight batches naming what the network lacks, the connection cap,
 //! `Server::stop` under live traffic, a full submission queue behind one
-//! connection, and region addressing behind a two-region router and a
-//! bare service.
+//! connection, region addressing behind a two-region router and a bare
+//! service, and answers matched to their callers when several threads
+//! share one client.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -421,6 +422,69 @@ fn a_bad_weight_batch_is_refused_with_a_fault_and_the_daemon_serves_on() {
     s.write_all(&Frame::MetricsReq.to_bytes()).expect("write metrics request");
     assert!(matches!(read_frame(&mut s, MAX_FRAME), Ok(Frame::MetricsRep(_))));
     server.stop();
+}
+
+#[test]
+fn each_caller_sharing_a_client_gets_the_epoch_its_own_batch_published() {
+    // Weight batches and metrics requests carry no id: the client matches
+    // their answers to callers in the order the frames were written.
+    let (service, mut server) = spawn_daemon(1);
+    let remote = RemoteService::connect(server.local_addr()).expect("connect");
+    let graph = service.context().graph().clone();
+    // One edge per thread, each a distinct pair of vertices.
+    let slots: Vec<usize> = (0..graph.num_arcs())
+        .filter(|&s| {
+            let (from, to, _) = graph.arc(s);
+            from < to
+        })
+        .take(4)
+        .collect();
+    const BATCHES: usize = 300;
+    let published: Vec<(usize, f64, EpochId)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = slots
+            .iter()
+            .map(|&slot| {
+                let (remote, graph) = (&remote, &graph);
+                scope.spawn(move || {
+                    let (from, to, base) = graph.arc(slot);
+                    (0..BATCHES)
+                        .map(|i| {
+                            // A weight no other batch of this edge carries.
+                            let weight = base.get() * (1.0 + (i + 1) as f64 / 1024.0);
+                            let delta = WeightDelta::new(from, to, weight);
+                            let epoch = remote.publish_weights(&[delta]).expect("an edge");
+                            if i % 50 == 0 {
+                                remote.metrics();
+                            }
+                            (slot, weight, epoch)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads.into_iter().flat_map(|t| t.join().expect("a publishing thread")).collect()
+    });
+    assert_eq!(published.len(), slots.len() * BATCHES);
+    // The epoch each caller got is the one its batch made: its weight is
+    // in place at that epoch and not at the one before.
+    let ctx = service.context();
+    let weight_at = |slot, epoch: u64| {
+        ctx.pin_at(EpochId(epoch)).expect("every epoch stays pinnable").graph().arc(slot).2.get()
+    };
+    let foreign: Vec<_> = published
+        .iter()
+        .filter(|&&(slot, weight, epoch)| {
+            weight_at(slot, epoch.get()) != weight || weight_at(slot, epoch.get() - 1) == weight
+        })
+        .collect();
+    assert!(
+        foreign.is_empty(),
+        "{} of {} batches got another caller's epoch",
+        foreign.len(),
+        published.len()
+    );
+    let _ = remote.shutdown();
+    server.join();
 }
 
 /// Opens a raw connection and completes the handshake.

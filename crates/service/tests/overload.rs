@@ -45,7 +45,7 @@ fn overload_spec(seed: u64, total: usize) -> ReplaySpec {
         zipf_exponent: 0.5,
         service: ServiceConfig { workers: 4, repair: true, ..ServiceConfig::default() },
         seed,
-        update_rate: 100.0,
+        update_every: 1000,
         update_burst: 8,
         verify: true,
         ..ReplaySpec::default()

@@ -17,9 +17,10 @@ use skysr_service::{ServiceConfig, ServiceContext};
 #[test]
 fn update_heavy_repair_replay_verifies_and_repairs_in_place() {
     let dataset = DatasetSpec::preset(Preset::CalSmall).scale(0.08).seed(21).generate();
-    // Closed-loop update waves, not a wall-clock updater: every run crosses
-    // the same epochs at the same points of the stream, so the split of
-    // repairs into in-place and fallback does not depend on timing.
+    // A closed loop publishes each wave once the requests before it are
+    // answered: every run crosses the same epochs at the same points of the
+    // stream, so the split of repairs into in-place and fallback does not
+    // depend on timing.
     let spec = ReplaySpec {
         total: 240,
         distinct: 16,
@@ -58,7 +59,7 @@ fn bounded_retention_soak_keeps_history_within_the_ring() {
         distinct: 16,
         seq_len: 2,
         qps: 3000.0,
-        update_rate: 400.0,
+        update_every: 8,
         update_burst: 8,
         service: ServiceConfig { workers, repair: true, ..ServiceConfig::default() },
         retention: K,
@@ -67,7 +68,7 @@ fn bounded_retention_soak_keeps_history_within_the_ring() {
     let pool = build_pool(&dataset, &spec);
     let ctx = Arc::new(ServiceContext::from_dataset(dataset));
     let report = replay_on(Arc::clone(&ctx), &pool, &spec);
-    assert!(report.epochs_published as usize > 2 * K, "the soak must overflow the ring");
+    assert_eq!(report.epochs_published, 50, "a burst after every 8 of 400 requests");
     let gc = report.metrics.epochs;
     assert_eq!(gc.retention, K);
     assert!(gc.retained <= K, "after drain the ring holds at most K epochs: {gc:?}");
