@@ -15,23 +15,13 @@
 //! skysr-cli demo
 //! ```
 //!
-//! `replay` streams a skewed workload (`--pattern
-//! zipf|duplicate|prefix|hierarchy`) through the concurrent
-//! `skysr-service` engine, optionally open-loop (`--qps`), under live
-//! weight updates (a burst after every `--update-every` requests),
-//! deadlines and overload, over several in-process shards (`--shards N`) or against a
-//! running `skysr-d` (`--connect HOST:PORT`), and prints the report.
-//! `--verify true` re-answers every request at the epoch it was served
-//! under. Every run must pass `ReplayReport::check`. `--scenario NAME`
-//! runs one row of the scenario table (`skysr_service::scenario`) with
-//! its gates, the flags given overriding the row's values; `--scenario
-//! all` runs every in-process row and fails listing each failing row and
-//! gate. A row with a twin gate is replayed again as its twin, the flags
-//! given included and the row's mechanism switched off, and must do a
-//! fixed fraction of the twin's engine work. Without a row, unset flags
-//! take `ReplaySpec::default()`; the spec's own rules are
-//! `ReplaySpec::validate`. `docs/OPERATIONS.md` (§ Replay driver)
-//! describes every flag, and a test holds its table to the parser.
+//! `replay` builds a `ReplaySpec` from its flags, or from a row of the
+//! scenario table (`--scenario NAME|all`, the flags given overriding the
+//! row), and runs it through `skysr_service::replay`, whose docs describe
+//! the streams, the update schedule and the oracle; every run must pass
+//! `ReplayReport::check` and the row's gates. `docs/OPERATIONS.md`
+//! (§ Replay driver) describes every flag, and a test holds its table to
+//! the parser.
 
 use std::io::{self, Write};
 use std::process::ExitCode;

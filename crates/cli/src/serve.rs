@@ -1,18 +1,12 @@
 //! The `skysr-d` serve loop, shared by the standalone daemon binary and
 //! `skysr-cli serve`.
 //!
-//! Builds (or loads) the datasets of `--shards N` regions (one by
-//! default), stands up a [`Router`] over them, binds the TCP server and
-//! blocks until a client sends the `Shutdown` frame — at which point the
-//! daemon stops accepting, drains every in-flight query, answers the
-//! requester with a final metrics snapshot and exits. The server serves up
-//! to 64 connections at once, each on a reader thread and a writer
-//! thread; a full submission queue stops a connection's reads, and a
-//! client that stops reading stops being read once 4 MiB of answers wait
-//! for it. Its `Welcome` advertises the region registry, and `Submit`
-//! frames may carry a region id; a region-less request goes to region 0
-//! (the rule is [`skysr_service::shard`]'s).
+//! Binds its TCP socket, builds (or loads) the datasets of `--shards N`
+//! regions (one by default), stands up a [`Router`] over them, serves the
+//! socket with [`Server`] and blocks until a client's `Shutdown` has
+//! drained it, then prints the lifetime counters.
 
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,8 +49,8 @@ pub fn lifetime(m: &MetricsSnapshot) -> String {
     )
 }
 
-/// Runs the daemon: bind, announce, serve until drained. A bad flag is a
-/// usage error; a socket that cannot be bound is a run failure.
+/// Runs the daemon: bind, build, announce, serve until drained. A bad flag
+/// is a usage error; a socket that cannot be bound is a run failure.
 pub fn run_serve(args: &mut Args) -> Result<(), Failure> {
     // The daemon defaults to the stack and city a replay defaults to.
     let defaults = ReplaySpec::default();
@@ -65,6 +59,10 @@ pub fn run_serve(args: &mut Args) -> Result<(), Failure> {
     let config = service_flags(args, defaults.service)?;
     let shards: usize = parse_flag(args, "shards", 1)?;
     args.finish()?;
+    // The socket is claimed before any city is built, so a port clash
+    // fails at once rather than after the build.
+    let listener = TcpListener::bind(addr.as_str())
+        .map_err(|e| Failure::Run(format!("cannot bind {addr}: {e}")))?;
     let mut stats = Vec::with_capacity(shards);
     let mut regions = Vec::with_capacity(shards);
     for (name, dataset) in region_datasets(&city, shards)? {
@@ -73,7 +71,7 @@ pub fn run_serve(args: &mut Args) -> Result<(), Failure> {
         regions.push((name, Arc::new(ServiceContext::from_dataset(dataset))));
     }
     if config.repair {
-        // Each region's landmark table is built before the daemon listens:
+        // Each region's landmark table is built before the daemon serves:
         // left to the first repaired request, the build would run on its
         // worker while every other repair waits for it.
         let started = Instant::now();
@@ -83,8 +81,8 @@ pub fn run_serve(args: &mut Args) -> Result<(), Failure> {
         eprintln!("skysr-d: repair landmarks built in {:.2} s", started.elapsed().as_secs_f64());
     }
     let router = Arc::new(Router::new(regions, &config));
-    let mut server = Server::spawn(addr.as_str(), Arc::clone(&router), ServerConfig::default())
-        .map_err(|e| Failure::Run(format!("cannot bind {addr}: {e}")))?;
+    let mut server = Server::serve(listener, Arc::clone(&router), ServerConfig::default())
+        .map_err(|e| Failure::Run(format!("cannot serve {addr}: {e}")))?;
     let plural = if shards == 1 { "" } else { "s" };
     // The listening line goes to stdout so scripts (CI) can wait on it.
     println!(

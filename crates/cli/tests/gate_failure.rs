@@ -1,7 +1,7 @@
 //! A command that ran and failed is a failed run, not a usage error:
 //! exit 1 with the failure last on stderr and no usage text after it — a
-//! replay whose gate fails, and a daemon whose socket is taken. A bad flag
-//! still prints the usage.
+//! replay whose gate fails, and a daemon whose socket is taken, which it
+//! finds before it builds anything. A bad flag still prints the usage.
 
 use std::net::TcpListener;
 use std::process::Command;
@@ -45,10 +45,14 @@ fn a_daemon_whose_port_is_taken_exits_1_without_the_usage() {
             .expect("skysr-d runs");
         (run.status.code(), String::from_utf8_lossy(&run.stderr).into_owned())
     };
-    let (code, stderr) = skysr_d(&[]);
+    // The socket is claimed first: a clash fails before any city or
+    // landmark table is built.
+    let (code, stderr) = skysr_d(&["--repair", "true"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains(&format!("error: cannot bind {addr}")), "{stderr}");
     assert!(!stderr.contains("usage:"), "{stderr}");
+    assert!(!stderr.contains("generating"), "{stderr}");
+    assert!(!stderr.contains("landmarks built"), "{stderr}");
     let (code, stderr) = skysr_d(&["--shards", "many"]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("error: bad --shards"), "{stderr}");

@@ -90,7 +90,7 @@ use crate::error::QueryError;
 use crate::prepared::PreparedQuery;
 use crate::query::SkySrQuery;
 use crate::route::{PartialRoute, SkylineRoute};
-use crate::stats::{EngineProfile, QueryStats};
+use crate::stats::QueryStats;
 
 /// How the modified-Dijkstra expansions of different queued routes share
 /// work.
@@ -235,31 +235,19 @@ pub struct BssrResult {
 pub struct BssrScratch {
     ws: DijkstraWorkspace,
     scratch: Scratch,
-    profile: EngineProfile,
 }
 
 impl BssrScratch {
     /// Scratch sized for graphs with up to `n` vertices (grown on demand if
     /// a larger graph shows up).
     pub fn new(n: usize) -> BssrScratch {
-        BssrScratch {
-            ws: DijkstraWorkspace::new(n),
-            scratch: Scratch::new(n),
-            profile: EngineProfile::default(),
-        }
-    }
-
-    /// Cumulative engine-work profile over every query this scratch has
-    /// served — across all the engines that recycled it. The telemetry
-    /// layer's "how much raw graph work has this worker done" gauge.
-    pub fn profile(&self) -> EngineProfile {
-        self.profile
+        BssrScratch { ws: DijkstraWorkspace::new(n), scratch: Scratch::new(n) }
     }
 }
 
 impl std::fmt::Debug for BssrScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BssrScratch").field("profile", &self.profile).finish_non_exhaustive()
+        f.debug_struct("BssrScratch").finish_non_exhaustive()
     }
 }
 
@@ -270,7 +258,6 @@ pub struct Bssr<'g> {
     cfg: BssrConfig,
     ws: DijkstraWorkspace,
     scratch: Scratch,
-    profile: EngineProfile,
     deadline: Option<Instant>,
 }
 
@@ -291,15 +278,15 @@ impl<'g> Bssr<'g> {
     /// Engine recycling previously allocated scratch (see [`BssrScratch`]).
     pub fn with_scratch(ctx: &QueryContext<'g>, cfg: BssrConfig, scratch: BssrScratch) -> Bssr<'g> {
         let n = ctx.graph.num_vertices();
-        let BssrScratch { mut ws, scratch: mut sc, profile } = scratch;
+        let BssrScratch { mut ws, scratch: mut sc } = scratch;
         ws.ensure(n);
         sc.ensure(n);
-        Bssr { ctx: *ctx, cfg, ws, scratch: sc, profile, deadline: None }
+        Bssr { ctx: *ctx, cfg, ws, scratch: sc, deadline: None }
     }
 
     /// Releases the engine's scratch for reuse by a successor engine.
     pub fn into_scratch(self) -> BssrScratch {
-        BssrScratch { ws: self.ws, scratch: self.scratch, profile: self.profile }
+        BssrScratch { ws: self.ws, scratch: self.scratch }
     }
 
     /// Active configuration.
@@ -318,17 +305,6 @@ impl<'g> Bssr<'g> {
     /// expansions. The setting persists across runs until changed.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
-    }
-
-    /// Cumulative engine-work profile (carried through the recycled
-    /// scratch; see [`BssrScratch::profile`]).
-    pub fn profile(&self) -> EngineProfile {
-        self.profile
-    }
-
-    /// Folds one run's stats into the cumulative profile.
-    pub(crate) fn absorb_profile(&mut self, stats: &QueryStats) {
-        self.profile.absorb(&stats.profile());
     }
 
     /// Validates and runs `query`.
@@ -527,7 +503,6 @@ impl<'g> Bssr<'g> {
         }
 
         stats.total_time = t0.elapsed();
-        self.profile.absorb(&stats.profile());
         BssrResult { routes: skyline.into_routes(), stats, truncated }
     }
 }
@@ -726,26 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_profile_accumulates_across_recycled_engines() {
-        let ex = PaperExample::new();
-        let ctx = ex.context();
-        let mut engine = Bssr::with_scratch(&ctx, BssrConfig::default(), BssrScratch::new(16));
-        let r1 = engine.run(&ex.query()).unwrap();
-        let after_one = engine.profile();
-        assert_eq!(after_one, r1.stats.profile(), "first run seeds the tally");
-        assert!(after_one.settled > 0 && after_one.heap_pushes > 0);
-        // Recycle the scratch into a fresh engine: the tally must carry
-        // over and keep growing.
-        let scratch = engine.into_scratch();
-        assert_eq!(scratch.profile(), after_one);
-        let mut engine = Bssr::with_scratch(&ctx, BssrConfig::default(), scratch);
-        engine.run(&ex.query()).unwrap();
-        let after_two = engine.profile();
-        assert!(after_two.settled >= after_one.settled * 2);
-        assert_eq!(after_two.mdijkstra_runs, after_one.mdijkstra_runs * 2);
-    }
-
-    #[test]
     fn recycled_scratch_matches_fresh_engine() {
         // Runs on a scratch that earlier searches left behind must match a
         // fresh engine's; the stamps' wrap-around is tested in skysr-graph,
@@ -764,6 +719,7 @@ mod tests {
         for cfg in [BssrConfig::default(), no_init, BssrConfig::paper(), BssrConfig::unoptimized()]
         {
             let mut scratch = BssrScratch::new(4);
+            let mut grouped_routes = 0;
             for round in 0..3 {
                 for q in &queries {
                     let mut engine = Bssr::with_scratch(&ctx, cfg, scratch);
@@ -772,10 +728,11 @@ mod tests {
                     let fresh = Bssr::with_config(&ctx, cfg).run(q).unwrap();
                     assert_eq!(got.routes, fresh.routes, "{cfg:?} round {round} on {q:?}");
                     assert_eq!(got.stats.profile(), fresh.stats.profile(), "{cfg:?} on {q:?}");
+                    grouped_routes += got.stats.grouped_routes;
                 }
             }
             // The grouped engines ran shared searches on the recycled scratch.
-            let grouped = scratch.profile().grouped_routes > 0;
+            let grouped = grouped_routes > 0;
             assert_eq!(grouped, cfg.expansion == Expansion::Grouped, "{cfg:?}");
         }
     }

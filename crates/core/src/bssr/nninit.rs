@@ -10,6 +10,8 @@
 //! skyline set with several routes, at the cost of |S_q| plain Dijkstra
 //! searches.
 //!
+//! # Where a leg stops
+//!
 //! A leg stops at the nearest PoI whose similarity reaches the position's
 //! [`best_sim`](crate::prepared::Position::best_sim): 1 when a perfect
 //! match exists — the paper's chain, so whenever every position has a

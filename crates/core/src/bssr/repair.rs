@@ -736,7 +736,6 @@ impl<'g> Bssr<'g> {
             match self.repair_in_place(query.start, cached, None, delta, landmarks, &mut stats) {
                 InPlace::Promoted { routes, repair, memo } => {
                     stats.total_time = t0.elapsed();
-                    self.absorb_profile(&stats);
                     RepairResult { routes, stats, repair, memo }
                 }
                 InPlace::Fallback(f) => {
@@ -765,7 +764,6 @@ impl<'g> Bssr<'g> {
             match self.repair_in_place(pq.start, cached, memo, delta, landmarks, &mut stats) {
                 InPlace::Promoted { routes, repair, memo } => {
                     stats.total_time = t0.elapsed();
-                    self.absorb_profile(&stats);
                     RepairResult { routes, stats, repair, memo }
                 }
                 InPlace::Fallback(f) => self.fallback(pq, f, stats, t0),
@@ -944,11 +942,8 @@ impl<'g> Bssr<'g> {
             None => self.run_prepared_warm(pq, &seeds),
         };
         self.deadline = deadline;
-        // The warm search absorbed its own work into the scratch profile;
-        // the rest (legs, the relevance check or the search for `h`, the
-        // routes kept on stored paths) is only in `stats`, so count it here
-        // — each unit of work exactly once.
-        self.absorb_profile(&stats);
+        // The legs, the relevance check or the search for `h`, and the
+        // routes kept on stored paths are in `stats`, not in the search's.
         result.stats.search.merge(&stats.search);
         result.stats.routes_reused = stats.routes_reused;
         result.stats.restricted_researches = stats.restricted_researches;

@@ -8,11 +8,23 @@
 //! per-category table; complex requirements (§6) precompute a per-vertex
 //! map by scanning the PoI list once.
 //!
+//! # The position memo
+//!
 //! A plain-category position depends only on its category, the forest,
 //! the PoI table and the similarity measure — never on the start vertex or
-//! the edge weights. A long-lived caller serving many queries over one
-//! such bundle can therefore compile each category once and share the
-//! result through a [`PositionMemo`].
+//! the edge weights. Compiling one means visiting every PoI of its
+//! category tree, tens of thousands on the Tokyo city. A long-lived caller
+//! serving many queries over one such bundle can therefore compile each
+//! category once and share the result through a [`PositionMemo`], whose
+//! entries hold at every weight epoch.
+//!
+//! The service owns one memo per `ServiceContext` (so one per shard) and
+//! reaches it only through `PinnedContext::prepare`, which also compiles
+//! complex requirements per request. The oracles — replay's `--verify`
+//! and the benchmark's verdict — re-answer requests through
+//! [`Bssr::run`](crate::bssr::Bssr::run), which compiles fresh, so a wrong
+//! memo entry shows up as a mismatch instead of being shared by the
+//! service and its checker.
 
 use std::sync::{Arc, OnceLock};
 

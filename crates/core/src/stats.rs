@@ -97,10 +97,7 @@ impl QueryStats {
 /// the counters that answer "why was this search slow" without shipping
 /// the full (allocating) [`QueryStats`] around.
 ///
-/// Derived from [`QueryStats::profile`] per run; [`EngineProfile::absorb`]
-/// makes it cumulative, which is how a worker's
-/// [`BssrScratch`](crate::bssr::BssrScratch) keeps a lifetime tally across
-/// the engines that recycle it.
+/// Derived from [`QueryStats::profile`] per run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineProfile {
     /// Vertices settled across every graph search of the run.
@@ -134,25 +131,6 @@ impl EngineProfile {
     pub fn pruned_labels(&self) -> u64 {
         self.threshold_prunes + self.lower_bound_prunes
     }
-
-    /// Adds `other` into this profile (saturating — a lifetime tally must
-    /// never wrap into nonsense).
-    pub fn absorb(&mut self, other: &EngineProfile) {
-        self.settled = self.settled.saturating_add(other.settled);
-        self.relaxed = self.relaxed.saturating_add(other.relaxed);
-        self.heap_pushes = self.heap_pushes.saturating_add(other.heap_pushes);
-        self.routes_enqueued = self.routes_enqueued.saturating_add(other.routes_enqueued);
-        self.threshold_prunes = self.threshold_prunes.saturating_add(other.threshold_prunes);
-        self.lower_bound_prunes = self.lower_bound_prunes.saturating_add(other.lower_bound_prunes);
-        self.seeds_survived = self.seeds_survived.saturating_add(other.seeds_survived);
-        self.mdijkstra_runs = self.mdijkstra_runs.saturating_add(other.mdijkstra_runs);
-        self.mdijkstra_cache_hits =
-            self.mdijkstra_cache_hits.saturating_add(other.mdijkstra_cache_hits);
-        self.grouped_routes = self.grouped_routes.saturating_add(other.grouped_routes);
-        self.routes_reused = self.routes_reused.saturating_add(other.routes_reused);
-        self.restricted_researches =
-            self.restricted_researches.saturating_add(other.restricted_researches);
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_projects_and_absorbs() {
+    fn profile_projects_the_stats() {
         let s = QueryStats {
             mdijkstra_runs: 4,
             cache_hits: 2,
@@ -192,14 +170,10 @@ mod tests {
         assert_eq!(p.heap_pushes, 30);
         assert_eq!(p.seeds_survived, 3);
         assert_eq!(p.pruned_labels(), 11);
-        let mut total = EngineProfile::default();
-        total.absorb(&p);
-        total.absorb(&p);
-        assert_eq!(total.settled, 20);
-        assert_eq!(total.mdijkstra_runs, 8);
-        assert_eq!(total.mdijkstra_cache_hits, 4);
-        assert_eq!(total.grouped_routes, 18);
-        assert_eq!(total.routes_reused, 4);
-        assert_eq!(total.restricted_researches, 2);
+        assert_eq!(p.mdijkstra_runs, 4);
+        assert_eq!(p.mdijkstra_cache_hits, 2);
+        assert_eq!(p.grouped_routes, 9);
+        assert_eq!(p.routes_reused, 2);
+        assert_eq!(p.restricted_researches, 1);
     }
 }

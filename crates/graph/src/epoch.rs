@@ -7,42 +7,54 @@
 //! half-applied update. Instead, a [`WeightEpoch`] manager applies batched
 //! [`WeightDelta`]s as sparse, immutable [`WeightOverlay`]s over one shared
 //! base storage, and each published batch gets a monotonically increasing
-//! [`EpochId`]:
+//! [`EpochId`].
+//!
+//! # Views and publishes
 //!
 //! * **Readers pin views.** [`WeightEpoch::pin`] returns a [`RoadNetwork`]
 //!   view (two `Arc` clones) frozen at the current epoch; a search that
 //!   holds it sees one consistent set of weights no matter how many
 //!   updates publish concurrently. A view owns its overlay, so it stays
-//!   valid after its epoch leaves the history.
+//!   valid after its epoch leaves the history, and nothing a reader holds
+//!   keeps history alive.
 //! * **Writers copy-on-write.** [`WeightEpoch::publish`] merges the new
 //!   deltas with the newest cumulative overlay into a fresh overlay —
 //!   O(cumulative changed arcs + batch), which stays far below O(|E|) as
 //!   long as traffic touches a fraction of the network.
-//! * **History is a log of batches.** The manager keeps one overlay, the
-//!   newest, plus a log holding each published batch: its arcs with their
-//!   weights before and after it, and the ratio floor of the epoch before
-//!   it. An epoch costs the arcs its publish changed, however many earlier
-//!   epochs changed, as the incremental-versioning literature stores a
-//!   version as only the components it changed.
-//!   [`WeightEpoch::pin_at`] rebuilds an older epoch's overlay from the
-//!   newest by undoing the later batches. With a retention ring
-//!   ([`WeightEpoch::set_retention`]) the log keeps the batches of the
-//!   newest K epochs only, and the older epochs can no longer be pinned.
-//!   [`WeightEpoch::gc_stats`] reports the pinnable epochs, the dropped
-//!   ones and the history's bytes for service metrics.
-//! * **Deltas are introspectable.** [`WeightEpoch::delta_between`] reads
-//!   the batches between two pinnable epochs into a [`DeltaSet`] (touched
-//!   arc slots with both weights, endpoint vertices, the set of touched
-//!   tails, and weight-ratio floors) — the raw material incremental
-//!   skyline *repair* classifies cached results against instead of
-//!   recomputing them.
 //!
 //! Overlay entries are keyed by *arc slot* (see [`RoadNetwork::arc`]) and
 //! sorted. Every overlay of one manager shares one bit per vertex, set for
 //! the tail of every arc any of its overlays reweights. Neighbour
 //! iteration reads an unmarked vertex's base weights with no overlay
 //! lookup at all; at a marked vertex it probes the overlay once for the
-//! vertex's slot range and walks that sorted sub-slice with a cursor.
+//! vertex's slot range and walks that sorted sub-slice with a cursor. So
+//! while updates touch few vertices, a search at a later epoch costs about
+//! what it costs at epoch 0.
+//!
+//! # The history log
+//!
+//! The manager keeps one overlay, the newest, plus a log holding each
+//! published batch: its arcs with their weights before and after it, and
+//! the ratio floor of the epoch before it. An epoch costs the arcs its
+//! publish changed, however many earlier epochs changed, as the
+//! incremental-versioning literature stores a version as only the
+//! components it changed; history grows with the arcs published, not with
+//! the square of the epoch count. [`WeightEpoch::pin_at`] rebuilds an
+//! older epoch's overlay from the newest by undoing the later batches.
+//! With a retention ring ([`WeightEpoch::set_retention`]) the log keeps
+//! the batches of the newest K epochs only, and the older epochs can no
+//! longer be pinned; the default keeps every epoch.
+//! [`WeightEpoch::gc_stats`] reports the pinnable epochs, the dropped ones
+//! and the history's bytes (the log plus the newest overlay) for service
+//! metrics.
+//!
+//! # Deltas
+//!
+//! [`WeightEpoch::delta_between`] reads the batches between two pinnable
+//! epochs into a [`DeltaSet`] (touched arc slots with both weights,
+//! endpoint vertices, the set of touched tails, and weight-ratio floors) —
+//! the raw material incremental skyline *repair* classifies cached results
+//! against instead of recomputing them.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

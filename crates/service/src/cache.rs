@@ -2,12 +2,14 @@
 //!
 //! Keys are *canonicalized* queries: start vertex, the canonical form of
 //! every sequence position, and the engine configuration the result was
-//! computed under. Since PR 2, complex
+//! computed under. Complex
 //! [`Requirement`](skysr_category::Requirement) positions canonicalize too
 //! (sorted/deduplicated/flattened connectives, normalized exclusion
 //! chains — see [`skysr_core::CanonicalPosition`]), so *every* valid query
 //! is cacheable and structurally different spellings of one requirement
 //! share a single entry.
+//!
+//! # Epoch stamps
 //!
 //! Values are `Arc<[SkylineRoute]>` *stamped with the weight
 //! [`EpochId`] they were computed under*, plus, for a repaired entry, the
@@ -32,6 +34,8 @@
 //! performs lazy invalidation deliberately
 //! ([`discard_older`](ResultCache::discard_older)) when a stale entry has
 //! no repair path.
+//!
+//! # Counters
 //!
 //! The cache counts only what it alone can see: stored results
 //! (`insertions`; inserting over an identical key refreshes the entry
@@ -276,12 +280,12 @@ impl ResultCache {
     /// as long as that stamp is **not newer** than `epoch` (a requester
     /// must never observe a future epoch's skyline; an entry published
     /// after its pin simply does not exist for it). The caller decides
-    /// what the stamp means: equal ⇒ exact hit; older ⇒ repair source,
-    /// provably-untouched seed material, or lazy-invalidation candidate
+    /// what the stamp means: equal ⇒ exact hit; older ⇒ repair source or
+    /// lazy-invalidation candidate
     /// ([`discard_older`](ResultCache::discard_older)).
     ///
-    /// A found entry is marked recently used: reuse as a seed or repair
-    /// source is a use.
+    /// A found entry is marked recently used: reuse as a repair source is
+    /// a use.
     pub fn probe(&self, key: &QueryKey, epoch: EpochId) -> Option<(EpochId, Arc<[SkylineRoute]>)> {
         self.probe_entry(key, epoch).map(|(e, routes, _)| (e, routes))
     }

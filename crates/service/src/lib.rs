@@ -2,86 +2,34 @@
 //!
 //! The algorithm crates answer one query on one thread against a borrowed
 //! [`QueryContext`](skysr_core::QueryContext). This crate adds the serving
-//! layer the ROADMAP's scaling work builds on. Category forest, PoI table
-//! and similarity measure are immutable after construction; the road
-//! network's *edge weights* are dynamic (live traffic), managed as
-//! epoch-versioned copy-on-write overlays
-//! ([`skysr_graph::epoch`]). A single owned [`ServiceContext`] is shared
-//! by `Arc` across any number of worker threads; each worker pins a
-//! consistent snapshot ([`context::PinnedContext`]) per request and runs
-//! the unchanged [`Bssr`](skysr_core::bssr::Bssr) engine on it with
-//! recycled scratch state.
+//! layer: a single owned [`ServiceContext`] (road network with
+//! epoch-versioned edge weights, category forest, PoI table, similarity)
+//! is shared by `Arc` across a worker pool; each worker pins a consistent
+//! snapshot ([`context::PinnedContext`]) per request and runs the
+//! unchanged [`Bssr`](skysr_core::bssr::Bssr) engine on it with recycled
+//! scratch state.
 //!
-//! Components:
+//! Each mechanism is documented in its module:
 //!
-//! * [`context::ServiceContext`] — the owned, `Arc`-shared counterpart of
-//!   the borrowed `QueryContext`, with
-//!   [`publish_weights`](ServiceContext::publish_weights) /
-//!   [`pin`](ServiceContext::pin) /
-//!   [`pin_at`](ServiceContext::pin_at) for dynamic weights;
-//! * [`pool`] — a std-only worker pool fed by a bounded submission queue
-//!   that holds only work needing an engine (when the queue is full,
-//!   [`QueryService::submit`] blocks — backpressure), plus the singleflight
-//!   [`pool::InflightTable`] behind request coalescing (keyed per canonical
-//!   query *and* weight epoch);
-//! * [`cache`] — a cross-query LRU result cache keyed by the *canonical*
-//!   query (start vertex + canonical form of every position + engine
-//!   configuration; complex requirements canonicalize too), with entries
-//!   stamped by weight epoch (lazy invalidation; stale entries are never
-//!   served) and exact insertion/eviction/invalidation counters;
-//! * [`metrics`] — one latency histogram per serving rung that each
-//!   response records itself in, and the counts, rates and percentiles
-//!   derived from them;
-//! * [`replay`] — a workload-replay driver with four stream shapes
-//!   (Zipf, duplicate bursts, prefix chains, hierarchy chains), optional
-//!   open-loop arrivals and mid-stream weight-update bursts, and
-//!   epoch-aware verification against sequential execution, summarised
-//!   in a [`replay::ReplayReport`]. In-process, sharded and remote
-//!   replays share one lane runner and one check
-//!   ([`ReplayReport::check`]). The CLI's `replay` subcommand is a thin
-//!   wrapper around it;
-//! * [`scenario`] — the scenario table: every replay CI runs as a named
-//!   row with typed gates, including twin gates that bound a mechanism's
-//!   engine work against the same row with the mechanism switched off;
-//! * [`shard`] — multi-tenant scale-out: a [`Router`] builds one complete
-//!   share-nothing serving stack per region and implements
-//!   [`QueryService`] — [`QueryRequest::region`] addressing (region-less
-//!   requests go to region 0), per-shard metrics under the merged
-//!   aggregate, and shard-local weight updates/invalidation/overload by
-//!   construction;
-//! * [`telemetry`] — per-request [`TraceSpan`]s (queue → plan → engine
-//!   stage timings, rung-ladder probe trail, engine-work profile) retained
-//!   in a sampled bounded [`TraceBuffer`], log-linear mergeable latency
-//!   [`Histogram`]s recorded per rung and for the queue-wait/engine split,
-//!   and the `--trace-out` (JSON lines) / `--metrics-out` (Prometheus
-//!   text) exporters ([`telemetry::export`]). Full tracing enforces the
-//!   trace-completeness invariant: exactly one span per response, with
-//!   `span.rung` matching the response's `Served` classification.
+//! * [`Service`] and the [`QueryService`] trait every endpoint implements:
+//!   submission, backpressure and where deadlines are enforced;
+//! * [`plan`] — the reuse planner, which names the one rung
+//!   (`ExactHit → Repair → ColdSearch`) that answers a request;
+//! * [`cache`] — the epoch-stamped canonical-key result cache;
+//! * [`pool`] — the scheduled submission queue and the singleflight behind
+//!   request coalescing;
+//! * [`metrics`] and [`telemetry`] — the per-rung outcome record and what
+//!   derives from it, trace spans, exporters;
+//! * [`replay`] and [`scenario`] — the workload driver and the table of
+//!   every replay CI runs;
+//! * [`shard`] — one share-nothing stack per region behind a [`Router`];
+//! * [`net`] — the `skysr-d` server, its wire codec and the
+//!   [`RemoteService`] client.
 //!
-//! Between a request and a BSSR search sits the **reuse planner**
-//! ([`plan`]): it probes the cache once through the unified non-counting
-//! [`ResultCache::probe_entry`] and names the one rung
-//! ([`plan::PlanStep`]) of the ladder `ExactHit → Repair → ColdSearch`
-//! that answers a request. A request is planned once where it arrives: a
-//! cache hit is answered on the submitting thread and never queues, a
-//! duplicate of a running search parks on its flight, and the rest queue
-//! for a worker, which leads the request's flight, plans again at its
-//! pinned epoch and executes the plan mechanically. Request coalescing
-//! lets concurrent duplicates share one computation's `Arc`'d skyline —
-//! the leader fills the cache *before* ending the flight, so a key is
-//! never searched twice concurrently. The cache and the flights are
-//! epoch-exact: a cached skyline or an in-flight computation is reused
-//! only by requests pinned to the same weight epoch — except where
-//! *incremental repair* ([`ServiceConfig::repair`]) proves a cross-epoch
-//! reuse sound: a cached skyline at an older epoch is repaired against
-//! the exact weight delta
-//! ([`skysr_core::bssr::repair`]) and promoted to the new epoch in place.
-//! The weight-epoch history is the newest overlay plus a log of each
-//! publish's arcs, so it grows with the arcs published, not with the
-//! square of the epoch count. It can be bounded too
-//! ([`ServiceContext::set_epoch_retention`]): the log then keeps the
-//! newest K epochs' batches, so long-running services under churn hold at
-//! most K pinnable epochs.
+//! How they fit, and the invariants that span crates (the epoch lifecycle,
+//! the rung ladder, the wire protocol), are in `docs/ARCHITECTURE.md` at
+//! the repository root; flags, counters and capacity in
+//! `docs/OPERATIONS.md`.
 //!
 //! ## Quickstart
 //!
@@ -104,39 +52,6 @@
 //! let m = service.metrics();
 //! assert_eq!(m.completed, 8);
 //! ```
-//!
-//! Every endpoint implements [`QueryService`], whose one submission
-//! method, [`QueryService::submit_to`], takes the request and the
-//! [`Reply`] its answer goes to; [`Ticket`] and [`StreamTicket`] are
-//! replies over a channel.
-//!
-//! The same engine serves over the network: [`net`] adds the `skysr-d`
-//! server ([`net::Server`]: blocking sockets, up to
-//! [`net::MAX_CONNECTIONS`] connections, each on a reader thread that
-//! submits through [`QueryService::submit_to`] and a writer thread the
-//! replies post their frames to; a full submission queue stops that
-//! connection's reads, and a client that stops reading stops being read
-//! past [`ServerConfig::write_buf_cap`]), the length-prefixed wire
-//! protocol ([`net::wire`]) and the [`RemoteService`] client — which
-//! implements the same [`QueryService`] trait as [`Service`], so every
-//! driver in this crate runs against either transport.
-//!
-//! Under overload the service degrades deliberately instead of
-//! collapsing: requests may carry deadlines
-//! ([`QueryRequest::deadline`]), cache hits never queue, the submission
-//! queue serves repairs ahead of searches and earlier deadlines first
-//! within each, with an anti-starvation aging bound
-//! ([`pool::ScheduledQueue`]), an admission gate
-//! ([`ServiceConfig::admission`]) refuses provably-unmeetable deadlines
-//! up front, expired-in-queue work is shed un-executed, and a search
-//! that outlives its deadline serves a *valid* partial skyline flagged
-//! approximate — never cached, never wrong.
-//!
-//! The prose companions to this API documentation live at the
-//! repository root: `docs/ARCHITECTURE.md` (crate map, rung ladder,
-//! scheduling, epoch lifecycle, wire protocol) and `docs/OPERATIONS.md`
-//! (running `skysr-d`, tuning knobs, counter taxonomy, capacity
-//! planning).
 
 pub mod cache;
 pub mod context;

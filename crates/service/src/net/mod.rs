@@ -21,12 +21,19 @@
 //!   [`Service`](crate::Service), so every driver in this crate (replay,
 //!   examples) runs against either transport unchanged.
 //!
+//! # Anytime streaming
+//!
 //! The anytime-streaming contract holds across the wire: every
 //! `Progress` route the daemon emits is a genuine valid route that is
 //! dominated-or-equal by the final exact skyline, so a client that stops
 //! listening at its deadline (`StreamTicket::wait_deadline`) holds a
 //! sound — merely possibly incomplete — partial answer, flagged
-//! `approximate`.
+//! `approximate`. `StreamTicket::wait_deadline(d)` returns the exact
+//! answer in time, or at `d` folds the provisional points into a mutually
+//! non-dominated partial skyline: the client-side counterpart of the
+//! server's `Approximate` rung. A request the server shed under its own
+//! deadline (`Overloaded`) is cut off the same way. Cache hits, coalesced
+//! followers and repairs answer in the `Final` frame alone.
 
 pub mod client;
 pub mod server;

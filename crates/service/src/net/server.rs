@@ -1,5 +1,7 @@
 //! The `skysr-d` server: blocking sockets, two threads per connection.
 //!
+//! # Connections
+//!
 //! The runtime has no async stack (std-only, by constraint), so the daemon
 //! serves each connection on blocking threads. An acceptor thread takes
 //! connections, up to [`MAX_CONNECTIONS`] at once, and gives each one a
@@ -25,7 +27,20 @@
 //!
 //! The engine runs on the backend's own worker pool. Nothing polls and
 //! nothing sleeps on a timer: every thread blocks on a socket, the
-//! submission queue or a condition variable.
+//! submission queue or a condition variable. A request keeps the arrival
+//! clock it got before a full queue made it wait, so one whose deadline
+//! lapses there is shed `Overloaded` at dequeue.
+//!
+//! # Stopping
+//!
+//! [`Server::stop`] (and dropping the `Server`) cuts every socket and
+//! joins every thread, leaving the backend running. A client's
+//! [`Frame::Shutdown`] drains instead: the acceptor stops accepting, each
+//! `Submit` counts itself as an owed answer before it checks for the
+//! drain (so later ones get a `Fault`), and once nothing is owed the
+//! server shuts the backend down, posts the final [`Frame::MetricsRep`]
+//! to the requester and closes each connection after its writer has
+//! flushed.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -78,16 +93,25 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// spawns the acceptor serving `backend` — an `Arc<Service>` (single
-    /// shard), an `Arc<Router>` (multi-tenant) or any other
-    /// [`QueryService`].
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), then
+    /// [serves](Server::serve) `backend` on it.
     pub fn spawn<A: ToSocketAddrs, B: QueryService + 'static>(
         addr: A,
         backend: Arc<B>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
+        Server::serve(TcpListener::bind(addr)?, backend, config)
+    }
+
+    /// Spawns the acceptor serving `backend` — an `Arc<Service>` (single
+    /// shard), an `Arc<Router>` (multi-tenant) or any other
+    /// [`QueryService`] — on a listener bound beforehand, so a daemon can
+    /// claim its socket before it builds what it serves.
+    pub fn serve<B: QueryService + 'static>(
+        listener: TcpListener,
+        backend: Arc<B>,
+        config: ServerConfig,
+    ) -> std::io::Result<Server> {
         let addr = listener.local_addr()?;
         // The registry (and region 0's fingerprint inside it) is
         // captured once at spawn: the handshake advertises the epoch the

@@ -1,30 +1,24 @@
 //! The `skysr-d` wire protocol: length-prefixed binary frames over TCP.
 //!
-//! Every frame is `[u32 len][u8 type][payload]`, little-endian, where
-//! `len` counts the type byte plus the payload. Floating-point values
-//! travel as raw IEEE-754 bits ([`f64::to_bits`]), so skylines round-trip
-//! **bit-exactly** — the oracle verifier compares scores at `1e-9`
-//! resolution and the transport must not perturb them.
+//! The protocol spans crates — the server, the [`RemoteService`] client
+//! and the CLI speak it — so its framing (`[u32 len][u8 type][payload]`,
+//! floats as raw IEEE-754 bits), its one-version rule and its frame table
+//! are documented once, in `docs/ARCHITECTURE.md` § The `skysr-d` wire
+//! protocol. A test in this module holds that table to [`Frame`]'s codec.
 //!
-//! A connection opens with a version handshake: the client sends
-//! [`Frame::Hello`] (its protocol version), the server answers
-//! [`Frame::Welcome`] (its version, the [`DatasetFingerprint`] of region
-//! 0, and the *dataset registry* — one `(region id, name, fingerprint)`
-//! entry per resident shard). A `Submit`'s options may address a region
-//! (option flag bit 3); a region-less request goes to region 0 (the rule
-//! is [`crate::shard`]'s). One protocol version is spoken: a mismatched
-//! `Hello` is answered with the server's `Welcome` and the connection
-//! closes, so the client reports a typed
-//! [`ProtocolError::VersionMismatch`], never a garbled stream. A `Hello`
-//! of another version decodes to its version alone, whatever that
-//! version's layout carries after it.
+//! # Decoding
 //!
-//! Decoding is defensive end to end: adversarial bytes produce
-//! [`ProtocolError`]s (`Oversized`, `Malformed`), never panics — every
-//! length is bounds-checked, every enum tag matched exhaustively, every
-//! float validated before it reaches a panicking constructor
-//! ([`Cost::new`], [`WeightDelta::new`]), and recursive requirement
-//! payloads are depth- and breadth-limited.
+//! Decoding is defensive end to end: adversarial bytes (truncated frames,
+//! hostile payloads, oversized length prefixes, recursion bombs in
+//! requirement trees) produce [`ProtocolError`]s (`Oversized`,
+//! `Malformed`), never panics — every length is bounds-checked, every enum
+//! tag matched exhaustively, every float validated before it reaches a
+//! panicking constructor ([`Cost::new`], [`WeightDelta::new`]), and
+//! recursive requirement payloads are depth- and breadth-limited. A
+//! version mismatch is the typed [`ProtocolError::VersionMismatch`], never
+//! a garbled stream.
+//!
+//! [`RemoteService`]: crate::net::RemoteService
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -1284,5 +1278,76 @@ mod tests {
             assert_eq!(id, 1);
             assert_eq!(error, e);
         }
+    }
+
+    #[test]
+    fn the_architecture_frame_table_is_the_codecs() {
+        // The name a row gives a frame. No wildcard arm: a new frame does
+        // not compile until it is named here.
+        fn name(frame: &Frame) -> &'static str {
+            match frame {
+                Frame::Hello { .. } => "Hello",
+                Frame::Welcome { .. } => "Welcome",
+                Frame::Submit { .. } => "Submit",
+                Frame::Progress { .. } => "Progress",
+                Frame::Final { .. } => "Final",
+                Frame::QueryFailed { .. } => "QueryFailed",
+                Frame::MetricsReq => "MetricsReq",
+                Frame::MetricsRep(_) => "MetricsRep",
+                Frame::PublishWeights(_) => "PublishWeights",
+                Frame::WeightsPublished { .. } => "WeightsPublished",
+                Frame::Shutdown => "Shutdown",
+                Frame::Fault { .. } => "Fault",
+            }
+        }
+        let guide = include_str!("../../../../docs/ARCHITECTURE.md");
+        // A row: "|    1 | `Hello` | client → server | protocol version |".
+        let rows: Vec<(u8, &str)> = guide
+            .lines()
+            .filter_map(|l| {
+                let mut cells = l.strip_prefix('|')?.split('|').map(str::trim);
+                let byte = cells.next()?.parse().ok()?;
+                Some((byte, cells.next()?.strip_prefix('`')?.strip_suffix('`')?))
+            })
+            .collect();
+        // Every type byte the decoder knows has a row, and no other byte.
+        let known: Vec<u8> = (0..=u8::MAX)
+            .filter(|&b| {
+                !matches!(Frame::decode(&[b]), Err(ProtocolError::Malformed("unknown frame type")))
+            })
+            .collect();
+        assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), known, "the table's type bytes");
+        let fingerprint =
+            DatasetFingerprint { vertices: 1, arcs: 2, pois: 3, epoch: EpochId::BASE };
+        let response = QueryResponse {
+            routes: vec![sample_route()].into(),
+            epoch: EpochId(1),
+            served: Served::CacheHit,
+            latency: Duration::from_micros(1),
+            request_id: 1,
+            queue_wait: Duration::ZERO,
+        };
+        let frames = [
+            Frame::Hello { version: PROTOCOL_VERSION },
+            Frame::Welcome { version: PROTOCOL_VERSION, fingerprint, registry: Vec::new() },
+            Frame::Submit { id: 1, streaming: false, request: QueryRequest::new(sample_query()) },
+            Frame::Progress { id: 1, route: sample_route() },
+            Frame::Final { id: 1, response },
+            Frame::QueryFailed { id: 1, error: QueryError::Overloaded },
+            Frame::MetricsReq,
+            Frame::MetricsRep(Box::default()),
+            Frame::PublishWeights(vec![WeightDelta::new(VertexId(0), VertexId(1), 2.0)]),
+            Frame::WeightsPublished { epoch: EpochId(1) },
+            Frame::Shutdown,
+            Frame::Fault { message: "bye".into() },
+        ];
+        for frame in &frames {
+            let byte = frame.to_bytes()[4];
+            let row = rows.iter().find(|r| r.0 == byte).map(|r| r.1);
+            assert_eq!(row, Some(name(frame)), "the row of type byte {byte}");
+        }
+        let mut encoded: Vec<u8> = frames.iter().map(|f| f.to_bytes()[4]).collect();
+        encoded.sort_unstable();
+        assert_eq!(encoded, known, "one sample frame per type byte");
     }
 }

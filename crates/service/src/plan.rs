@@ -1,5 +1,7 @@
 //! The reuse planner: serving policy as data.
 //!
+//! # Planned, then executed
+//!
 //! [`ReusePlanner::plan`] probes the cache (through the unified
 //! [`probe_entry`](crate::cache::ResultCache::probe_entry)) and names the
 //! one rung of the ladder
@@ -27,7 +29,9 @@
 //!
 //! Lazy invalidation of stale entries is part of planning (policy), not
 //! probing: it happens here, deliberately, only when no repair path
-//! exists.
+//! exists. With repair on, a stale entry whose epoch has left the
+//! retention ring has no delta to repair against: the request searches,
+//! and its insert replaces the entry.
 
 use std::sync::Arc;
 

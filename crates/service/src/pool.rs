@@ -2,13 +2,29 @@
 //! scheduling queue with blocking producers (backpressure) and a
 //! singleflight in-flight table for request coalescing.
 //!
+//! # The scheduled queue
+//!
 //! The queue holds only work that needs an engine: cache hits are
-//! answered where they arrive and never queue. Under open-loop saturation
-//! a FIFO would let a backlog of cold searches hold up the repairs queued
-//! behind it, so [`ScheduledQueue`] dequeues by *cost band* first (the
-//! rung the request's plan named when it arrived — see [`CostClass`]) and
-//! by *effective deadline* within a band, with an aging bound so a search
-//! can never be starved forever by a stream of repairs.
+//! answered where they arrive and never queue, so no flood of them can
+//! delay a search. Under open-loop saturation a FIFO would let a backlog
+//! of cold searches hold up the repairs queued behind it, so
+//! [`ScheduledQueue`] keeps one min-heap per *cost band* — the rung the
+//! request's plan named when it arrived ([`CostClass`]): repairs, then
+//! searches — ordered within a band by (effective deadline, submission
+//! sequence), a deadline-less request sorting as far-future, that is FIFO
+//! behind every deadline carrier. Dequeue serves the cheaper non-empty
+//! band, except that a band head older than the aging bound (500 ms in
+//! the service) wins outright, so a stream of repairs can never starve a
+//! search.
+//!
+//! # Coalescing
+//!
+//! [`InflightTable`] is the singleflight behind request coalescing, which
+//! the service keys per canonical query *and* weight epoch: the first
+//! request of a key leads the flight, and duplicates park on it and
+//! receive the leader's `Arc`'d skyline. The leader fills the cache
+//! *before* it ends the flight, so a key is never searched twice
+//! concurrently.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;

@@ -2,6 +2,8 @@
 //! queries, executed through a [`QueryService`] — optionally as an
 //! *open-loop* arrival process with live weight updates underneath.
 //!
+//! # Streams
+//!
 //! Real query traffic repeats itself — popular start areas and category
 //! sequences recur, which is exactly what the cross-query reuse layer
 //! (result cache, request coalescing) exploits.
@@ -9,7 +11,7 @@
 //!
 //! * **Zipf** — `total` requests drawn from the pool with
 //!   Zipf(`zipf_exponent`) popularity, shuffled into an arrival order
-//!   (PR 1's original stream; exercises the cache).
+//!   (exercises the cache).
 //! * **Duplicate bursts** — the Zipf draw repeated in consecutive bursts
 //!   of [`ReplaySpec::burst`] identical requests, so duplicates are in
 //!   flight *simultaneously*; exercises request coalescing.
@@ -24,6 +26,8 @@
 //!   walked in wavefronts the same way. Generated queries name leaf
 //!   categories, so the ancestor variants are the only queries naming an
 //!   internal category, which no PoI matches perfectly.
+//!
+//! # Load and updates
 //!
 //! Two orthogonal realism knobs turn the closed-loop batch into a live
 //! serving experiment:
@@ -46,6 +50,11 @@
 //!   epoch current at dequeue time; cached skylines from older epochs are
 //!   lazily invalidated and must never be served.
 //!
+//! A spec the replay cannot run as given is rejected up front
+//! ([`ReplaySpec::validate`]).
+//!
+//! # Verification
+//!
 //! With [`ReplaySpec::verify`] set, every answered request is re-answered
 //! by a sequential cold [`Bssr`] run *at the epoch the response reports it
 //! was pinned to*. Each lane mirrors every weight burst it publishes into
@@ -56,7 +65,20 @@
 //! required — a warm-started search may return a different
 //! *representative* route for a score-tied skyline point.) Together with
 //! the report's stale-serve count (which must be zero) this is the
-//! end-to-end proof that staleness never leaks.
+//! end-to-end proof that staleness never leaks. An answer served
+//! approximate under a deadline is audited as a valid partial instead.
+//! [`ReplayReport::check`] holds every replay to its gates.
+//!
+//! # Lanes
+//!
+//! Every replay runs through one lane runner. In-process replays are
+//! lanes registered as the shards of one [`Router`] (a single-tenant
+//! replay is the one-lane case), each driving its stream through
+//! [`Router::region_service`]; a `--connect` replay
+//! ([`replay_remote`]) is one lane driven through a [`RemoteService`]
+//! against a local *shadow* built from the same city recipe and checked
+//! against the daemon's handshake fingerprint. Every lane ends in the same
+//! report builder and the same check.
 
 use std::borrow::Cow;
 use std::sync::Arc;

@@ -8,13 +8,21 @@
 //! --scenario NAME|all` runs rows from [`table`], and a failing run names
 //! its row and gate.
 //!
+//! The `daemon/*` rows run only against a running `skysr-d`
+//! (`--connect`); `--scenario all` runs every other row.
+//!
+//! # Twin gates
+//!
 //! A row with a [`TwinGate`] proves what its mechanism saves: the runner
 //! replays the row, then its twin (the same row, flag overrides included,
 //! with the mechanism switched off), and the row may do at most a fixed
 //! fraction of the twin's engine work. The work is counted, not timed —
 //! searches run or vertices settled depend on the stream, not on the
 //! clock — so the gate reads the same on a loaded 2-core runner as on an
-//! idle workstation.
+//! idle workstation. Switching the mechanism off on the row makes it equal
+//! to its twin, and its gate fails. The gated rows, their measured work
+//! and their limits are listed in `docs/OPERATIONS.md` § Capacity
+//! planning, which a test in this module holds to [`table`].
 
 use std::time::Duration;
 

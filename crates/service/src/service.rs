@@ -10,14 +10,41 @@
 //!   implement, so replay and verify drive any of them through
 //!   `&dyn QueryService`.
 //!
-//! Requests travel as a [`QueryRequest`] envelope (query + per-request
-//! options); answers go to the [`Reply`] submitted with them — a
-//! [`Ticket`], a [`StreamTicket`] for *anytime* responses that surface
-//! provisional Pareto points while the search runs, or the daemon's sink
-//! that posts frames to a connection. A request is planned where it
-//! arrives: a cache hit is answered on the submitting thread, a duplicate
-//! of a running search parks on it, and everything else queues for a
-//! worker.
+//! # Submission
+//!
+//! [`QueryService::submit_to`] is the one submission method: requests
+//! travel as a [`QueryRequest`] envelope (query + per-request options),
+//! and answers go to the [`Reply`] submitted with them — a [`Ticket`], a
+//! [`StreamTicket`] for *anytime* responses that surface provisional
+//! Pareto points while the search runs, or the daemon's sink that posts
+//! frames to a connection. A streaming reply receives each provisional
+//! route, then the outcome, from the one thread that produces them, so
+//! `Progress` precedes `Final` by construction. `submit`,
+//! `submit_streaming`, `submit_query` and `run_queries` are provided over
+//! it. A request is planned where it arrives: a cache hit is answered on
+//! the submitting thread, a duplicate of a running search parks on it,
+//! and everything else queues for a worker. A full queue blocks the
+//! submitter (backpressure).
+//!
+//! # Deadlines
+//!
+//! A request may carry a deadline ([`RequestOptions::deadline`]), and the
+//! service enforces it at three points, each counted:
+//!
+//! 1. **Admission** ([`ServiceConfig::admission`]): a request whose class's
+//!    estimated service time plus the backlog ahead of it already exceeds
+//!    its budget is refused [`QueryError::Overloaded`] before it queues
+//!    (`rejected`). Deadline-less requests are always admitted, hits and
+//!    parked duplicates never meet the gate, and an untrained gate admits
+//!    everything.
+//! 2. **Dequeue**: a request whose deadline lapsed while it queued is shed
+//!    un-executed (`shed_deadline`).
+//! 3. **Mid-engine**: a search that outlives its deadline stops and serves
+//!    its provable partial skyline as [`Served::Approximate`]
+//!    (`approximate_served`), never cached.
+//!
+//! The queue itself orders by cost band, then deadline
+//! ([`ScheduledQueue`](crate::pool::ScheduledQueue)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};

@@ -1,6 +1,8 @@
 //! Serving-pipeline observability: per-request trace spans, per-rung
 //! latency histograms, and exporters.
 //!
+//! # Layers
+//!
 //! Three layers, cheapest first:
 //!
 //! 1. **Histograms** ([`histogram`]) — always on. Every response lands in
@@ -18,6 +20,13 @@
 //! 3. **Exporters** ([`export`]) — pull-based. JSON-lines span dumps
 //!    (`--trace-out`) and Prometheus-style text exposition
 //!    (`--metrics-out`).
+//!
+//! Latency is recorded three ways: total (in the rung's histogram),
+//! queue wait (submission → dequeue) and engine time (search or repair
+//! only), so queueing delay reads apart from execution cost. The
+//! end-to-end histogram is the rung histograms merged, not a separate
+//! record. What keeping every span costs is counted, not timed, by
+//! `crates/service/tests/trace_cost.rs`.
 
 pub mod export;
 pub mod histogram;

@@ -10,9 +10,13 @@ use skysr_graph::EpochId;
 
 use crate::telemetry::{Rung, TelemetryConfig};
 
-/// One rung-ladder probe and what came of it, e.g. `"exact:miss"`,
-/// `"coalesce:lead"`, `"repair:attempt"`. The full vocabulary is documented
-/// in the README's Observability section.
+/// One rung-ladder probe and what came of it, from a fixed vocabulary:
+/// `exact:hit`, `exact:stale-refused`, `exact:miss`, `coalesce:join`,
+/// `coalesce:lead`, `repair:attempt` and `cold`. A hit at submission
+/// records `["exact:hit"]`; a duplicate parked there
+/// `["exact:miss", "coalesce:join"]`; a queued leader that finds the
+/// answer of a flight completed while it waited
+/// `["exact:miss", "coalesce:lead", "exact:hit"]`.
 pub type Attempt = &'static str;
 
 /// The complete story of one served request: where its time went
@@ -58,7 +62,9 @@ pub struct TraceSpan {
 
 impl TraceSpan {
     /// One JSON object, no trailing newline — the `--trace-out` JSON-lines
-    /// format.
+    /// format. Keys are the field names, durations in microseconds under
+    /// `<field>_us`, and the profile's counters inline: its two prune
+    /// counts summed as `pruned_labels`, its memo hits left out.
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(256);
         s.push('{');

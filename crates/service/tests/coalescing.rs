@@ -113,7 +113,7 @@ fn interleaved_distinct_queries_coalesce_per_key() {
 
 #[test]
 fn coalescing_disabled_searches_duplicates_redundantly() {
-    // The PR 1 failure mode this PR removes, pinned as a contrast test:
+    // The failure mode coalescing removes, pinned as a contrast test:
     // with coalescing off, duplicates in flight during the slow leader
     // search each run their own redundant search.
     let ex = PaperExample::new();

@@ -15,10 +15,11 @@
 //! explicit.
 //!
 //! Beyond this API reference, two prose documents at the repository root
-//! cover the system as a whole: `docs/ARCHITECTURE.md` (crate map, the
-//! serving rung ladder, deadline scheduling, the weight-epoch lifecycle,
-//! the `skysr-d` wire protocol) and `docs/OPERATIONS.md` (running the
-//! daemon, every tuning knob, the counter taxonomy, capacity planning).
+//! cover the system as a whole: `docs/ARCHITECTURE.md` (the crate map and
+//! the invariants that span crates: the weight-epoch lifecycle, the
+//! serving rung ladder, the `skysr-d` wire protocol) and
+//! `docs/OPERATIONS.md` (running the daemon, every flag, the counter
+//! taxonomy, capacity planning).
 //!
 //! ## Quickstart
 //!

@@ -3,9 +3,11 @@
 
 Scans README.md and docs/*.md for inline markdown links. For every
 relative link it asserts the target file exists; for every fragment
-(`path#anchor` or in-page `#anchor`) it asserts the target document
-declares a heading whose GitHub-style slug matches. External links
-(http/https/mailto) are not fetched — CI must stay offline-clean.
+(`path#anchor` or in-page `#anchor`) it asserts the target declares a
+heading whose GitHub-style slug matches: a markdown heading in a `.md`
+file, a module-doc heading (`//! # The memo` is `#the-memo`) in a `.rs`
+file. External links (http/https/mailto) are not fetched — CI must stay
+offline-clean.
 
 Exit status is the number of broken links (0 = all good).
 """
@@ -35,9 +37,19 @@ def slugify(heading: str) -> str:
     return text.replace(" ", "-")
 
 
+def headed_lines(path: Path):
+    """The lines a heading may start: every line of a markdown file, the
+    module docs (`//!` lines, prefix removed) of a Rust file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if path.suffix != ".rs":
+        return lines
+    return [line[4:] if line.startswith("//! ") else line[3:]
+            for line in lines if line.startswith("//!")]
+
+
 def anchors(path: Path) -> set:
     out, counts, in_fence = set(), {}, False
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in headed_lines(path):
         if FENCE.match(line):
             in_fence = not in_fence
             continue
@@ -79,7 +91,7 @@ def main() -> int:
                 print(f"{where}: broken link {target!r} (no such file)")
                 broken += 1
                 continue
-            if fragment and dest.suffix == ".md":
+            if fragment and dest.suffix in (".md", ".rs"):
                 if dest not in anchor_cache:
                     anchor_cache[dest] = anchors(dest)
                 if fragment not in anchor_cache[dest]:
