@@ -13,7 +13,10 @@
 //!    skyline, verbatim. The proof is [the one bound](#the-one-bound) at
 //!    the delta's older epoch, taken once per touched tail. No graph search
 //!    runs at all. Tier 2 reads its per-route floor and its suspicious
-//!    arcs from the same per-tail bounds.
+//!    arcs from the same per-tail bounds. The check needs no engine and no
+//!    workspace: [`untouched`] runs it alone, and every repair runs it
+//!    first through the same function, so the service can run it where a
+//!    request arrives and queue for a worker only what it cannot prove.
 //! 2. **Rescore** — otherwise each cached route's length is recomputed as
 //!    its sum of point-to-point shortest-path legs at the new epoch
 //!    (early-terminating Dijkstras — far cheaper than a branch-and-bound
@@ -590,11 +593,39 @@ struct Survivor {
     path: Option<Path>,
 }
 
+/// A skyline the in-place tiers promoted to the delta's newer epoch.
+struct Promoted {
+    routes: Vec<SkylineRoute>,
+    repair: RepairStats,
+    memo: RepairMemo,
+}
+
+impl Promoted {
+    fn into_result(self, stats: QueryStats) -> RepairResult {
+        let Promoted { routes, repair, memo } = self;
+        RepairResult { routes, stats, repair, memo }
+    }
+}
+
 /// Outcome of the in-place tiers (1–2): either a promoted skyline, or the
 /// survivors a fallback search should be seeded with.
 enum InPlace {
-    Promoted { routes: Vec<SkylineRoute>, repair: RepairStats, memo: RepairMemo },
+    Promoted(Promoted),
     Fallback(Fallback),
+}
+
+/// What tier 1 read on its way to a proof it could not complete; tier 2
+/// reads the same per-tail bounds and budget.
+struct Unproven<'a> {
+    bounds: TouchBounds<'a>,
+    /// The skyline radius `T`.
+    max_len: Cost,
+    /// [`TouchBounds::floor`] at the older epoch.
+    floor: f64,
+    /// The start's decrease budget at the newer epoch.
+    budget: Option<Budget>,
+    /// The newer epoch's bound.
+    newer: Bound,
 }
 
 /// What tier 2 hands the re-search.
@@ -693,6 +724,87 @@ fn check_memo(graph: &RoadNetwork, start: VertexId, result: &RepairResult) {
     }
 }
 
+/// `memo` when it belongs to `cached` at the delta's older epoch (see
+/// [`RepairMemo`]).
+fn usable<'m>(
+    memo: Option<&'m RepairMemo>,
+    cached: &[SkylineRoute],
+    delta: &DeltaSet,
+) -> Option<&'m RepairMemo> {
+    memo.filter(|m| m.epoch == delta.from_epoch() && m.paths.len() == cached.len())
+}
+
+/// Tier 1: the skyline promoted verbatim when the delta is empty or every
+/// touched tail is provably beyond the skyline radius, with the stored
+/// paths of `memo` (already [`usable`]) and the start's budget carried to
+/// the newer epoch; otherwise what it read, for tier 2. An empty skyline
+/// is promoted too: no valid sequenced route exists for topological or
+/// semantic reasons, and reweighting cannot create one.
+fn tier_one<'a>(
+    graph: &RoadNetwork,
+    start: VertexId,
+    cached: &[SkylineRoute],
+    memo: Option<&RepairMemo>,
+    delta: &'a DeltaSet,
+    landmarks: Option<&Landmarks>,
+) -> Result<Promoted, Unproven<'a>> {
+    let to = delta.to_epoch();
+    let repair = RepairStats {
+        outcome: RepairOutcome::Untouched,
+        routes_untouched: cached.len(),
+        routes_rescored: 0,
+    };
+    let Some(max_len) = cached.iter().map(|r| r.length).max() else {
+        let memo = RepairMemo { epoch: to, paths: Box::default(), budget: None };
+        return Ok(Promoted { routes: Vec::new(), repair, memo });
+    };
+
+    // The start's decrease budget at the older epoch, from the memo or
+    // fresh where no weight is below its origin, and carried to the newer
+    // one; each epoch's bound reads its own.
+    let bounds = TouchBounds::new(delta, landmarks, start);
+    let held = (memo.and_then(|m| m.budget))
+        .or_else(|| (delta.from_min_ratio() == 1.0).then(|| Budget::fresh(max_len)));
+    let budget = held.and_then(|b| bounds.carry(b, graph));
+    let older = Bound::new(delta.from_min_ratio(), held, max_len);
+    let newer = Bound::new(delta.to_min_ratio(), budget, max_len);
+
+    // Emptiness is tested on its own: at a zero ratio floor without a
+    // budget the floor over no touches is NaN, and clears nothing.
+    let floor = bounds.floor(older);
+    if !delta.is_empty() && !safely_beyond(floor, max_len.get()) {
+        return Err(Unproven { bounds, max_len, floor, budget, newer });
+    }
+    let survivors = (cached.iter().enumerate())
+        .map(|(i, r)| Survivor { route: r.clone(), path: memo.and_then(|m| m.paths[i].clone()) })
+        .collect();
+    let (routes, memo) = promote(survivors, to, budget);
+    Ok(Promoted { routes, repair, memo })
+}
+
+/// Tier 1 alone, with no engine and no workspace: `cached`, a skyline
+/// computed for a query from `start` at `delta.from_epoch()`, promoted to
+/// `delta.to_epoch()` when the delta is empty or every touched tail is
+/// provably beyond its radius; `None` otherwise. When it promotes,
+/// [`Bssr::repair_prepared`] returns the same for the same arguments:
+/// outcome [`RepairOutcome::Untouched`], no search, and the memo for the
+/// entry's next repair. Only the origin weights of `graph` are read, so
+/// any view of the weight manager the delta was diffed on will do;
+/// `landmarks` must be built over those weights.
+pub fn untouched(
+    graph: &RoadNetwork,
+    start: VertexId,
+    cached: &[SkylineRoute],
+    memo: Option<&RepairMemo>,
+    delta: &DeltaSet,
+    landmarks: Option<&Landmarks>,
+) -> Option<RepairResult> {
+    let t0 = Instant::now();
+    let memo = usable(memo, cached, delta);
+    let promoted = tier_one(graph, start, cached, memo, delta, landmarks).ok()?;
+    Some(promoted.into_result(QueryStats { total_time: t0.elapsed(), ..QueryStats::default() }))
+}
+
 impl<'g> Bssr<'g> {
     /// Repairs `cached` — a skyline computed for `query` at
     /// `delta.from_epoch()` — into the exact skyline at this engine's
@@ -734,9 +846,9 @@ impl<'g> Bssr<'g> {
         let mut stats = QueryStats::default();
         let result =
             match self.repair_in_place(query.start, cached, None, delta, landmarks, &mut stats) {
-                InPlace::Promoted { routes, repair, memo } => {
+                InPlace::Promoted(p) => {
                     stats.total_time = t0.elapsed();
-                    RepairResult { routes, stats, repair, memo }
+                    p.into_result(stats)
                 }
                 InPlace::Fallback(f) => {
                     let pq = PreparedQuery::prepare(&self.ctx, query)?;
@@ -762,9 +874,9 @@ impl<'g> Bssr<'g> {
         let mut stats = QueryStats::default();
         let result =
             match self.repair_in_place(pq.start, cached, memo, delta, landmarks, &mut stats) {
-                InPlace::Promoted { routes, repair, memo } => {
+                InPlace::Promoted(p) => {
                     stats.total_time = t0.elapsed();
-                    RepairResult { routes, stats, repair, memo }
+                    p.into_result(stats)
                 }
                 InPlace::Fallback(f) => self.fallback(pq, f, stats, t0),
             };
@@ -773,7 +885,7 @@ impl<'g> Bssr<'g> {
     }
 
     /// Tiers 1–2: everything that can be decided without compiling the
-    /// query.
+    /// query. Tier 1 is [`untouched`]'s check.
     fn repair_in_place(
         &mut self,
         start: VertexId,
@@ -785,54 +897,13 @@ impl<'g> Bssr<'g> {
     ) -> InPlace {
         let ctx = self.ctx;
         let to = delta.to_epoch();
-
-        // An empty skyline is weight-independent: no valid sequenced route
-        // exists for topological/semantic reasons, and reweighting cannot
-        // create one.
-        if cached.is_empty() {
-            return InPlace::Promoted {
-                routes: Vec::new(),
-                repair: RepairStats {
-                    outcome: RepairOutcome::Untouched,
-                    routes_untouched: 0,
-                    routes_rescored: 0,
-                },
-                memo: RepairMemo { epoch: to, paths: Box::default(), budget: None },
+        let memo = usable(memo, cached, delta);
+        let Unproven { bounds, max_len, floor, budget, newer } =
+            match tier_one(ctx.graph, start, cached, memo, delta, landmarks) {
+                Ok(promoted) => return InPlace::Promoted(promoted),
+                Err(unproven) => unproven,
             };
-        }
-        let max_len = cached.iter().map(|r| r.length).max().expect("non-empty");
-        let memo = memo.filter(|m| m.epoch == delta.from_epoch() && m.paths.len() == cached.len());
         let stored_path = |i: usize| memo.and_then(|m| m.paths[i].clone());
-        let kept = |i: usize, r: &SkylineRoute| Survivor { route: r.clone(), path: stored_path(i) };
-
-        // The start's decrease budget at the older epoch, from the memo or
-        // fresh where no weight is below its origin, and carried to the
-        // newer one; each epoch's bound reads its own.
-        let bounds = TouchBounds::new(delta, landmarks, start);
-        let held = (memo.and_then(|m| m.budget))
-            .or_else(|| (delta.from_min_ratio() == 1.0).then(|| Budget::fresh(max_len)));
-        let budget = held.and_then(|b| bounds.carry(b, ctx.graph));
-        let older = Bound::new(delta.from_min_ratio(), held, max_len);
-        let newer = Bound::new(delta.to_min_ratio(), budget, max_len);
-
-        // Tier 1: the delta is empty, or every touched tail is provably
-        // beyond the skyline radius. Emptiness is tested on its own: at a
-        // zero ratio floor without a budget the floor over no touches is
-        // NaN, and clears nothing.
-        let floor = bounds.floor(older);
-        if delta.is_empty() || safely_beyond(floor, max_len.get()) {
-            let survivors = cached.iter().enumerate().map(|(i, r)| kept(i, r)).collect();
-            let (routes, memo) = promote(survivors, to, budget);
-            return InPlace::Promoted {
-                routes,
-                repair: RepairStats {
-                    outcome: RepairOutcome::Untouched,
-                    routes_untouched: cached.len(),
-                    routes_rescored: 0,
-                },
-                memo,
-            };
-        }
 
         // Tier 2: rescore each route's legs at the new epoch. Routes
         // strictly below the touched-distance floor provably kept their
@@ -852,7 +923,7 @@ impl<'g> Bssr<'g> {
             if below_floor || deferred {
                 routes_untouched += 1;
                 stats.routes_reused += u64::from(deferred);
-                survivors.push(kept(i, r));
+                survivors.push(Survivor { route: r.clone(), path: stored_path(i) });
                 continue;
             }
             routes_rescored += 1;
@@ -895,15 +966,9 @@ impl<'g> Bssr<'g> {
         };
         if all_unchanged && !relevant {
             let (routes, memo) = promote(survivors, to, budget);
-            return InPlace::Promoted {
-                routes,
-                repair: RepairStats {
-                    outcome: RepairOutcome::Rescored,
-                    routes_untouched,
-                    routes_rescored,
-                },
-                memo,
-            };
+            let repair =
+                RepairStats { outcome: RepairOutcome::Rescored, routes_untouched, routes_rescored };
+            return InPlace::Promoted(Promoted { routes, repair, memo });
         }
         InPlace::Fallback(Fallback {
             survivors,

@@ -15,11 +15,11 @@ use skysr_graph::{
     WeightEpoch,
 };
 
-/// Landmarks built for the repair lower bounds: enough for useful
-/// triangle-inequality bounds, few enough that the one-time build (one
-/// full Dijkstra each, run on every core) stays small next to serving:
-/// 0.3–0.5 s on Tokyo's 576,377 vertices on two cores.
-const REPAIR_LANDMARKS: usize = 8;
+/// Landmarks built for the repair lower bounds: as many as one table line
+/// holds, a bound then costs two cache lines whatever the count. The
+/// one-time build (one full Dijkstra each, run on every core) stays small
+/// next to serving: 0.3–0.5 s on Tokyo's 576,377 vertices on two cores.
+const REPAIR_LANDMARKS: usize = Landmarks::CAPACITY;
 
 /// Recent per-epoch-pair [`DeltaSet`]s kept resident. Traffic repairs
 /// against a handful of live epoch pairs at a time (workers re-pin per

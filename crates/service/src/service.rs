@@ -21,10 +21,13 @@
 //! route, then the outcome, from the one thread that produces them, so
 //! `Progress` precedes `Final` by construction. `submit`,
 //! `submit_streaming`, `submit_query` and `run_queries` are provided over
-//! it. A request is planned where it arrives: a cache hit is answered on
-//! the submitting thread, a duplicate of a running search parks on it,
-//! and everything else queues for a worker. A full queue blocks the
-//! submitter (backpressure).
+//! it. A request is planned where it arrives, and what needs no search is
+//! answered there, on the submitting thread: a cache hit, and a repair
+//! whose first tier proves the stale skyline untouched
+//! ([`repair::untouched`], a landmark check of a few microseconds, cheaper
+//! than the hand-off to a worker). A duplicate of a running flight parks
+//! on it, and everything else queues for a worker. A full queue blocks
+//! the submitter (backpressure).
 //!
 //! # Deadlines
 //!
@@ -52,13 +55,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch, ProgressSink};
+use skysr_core::bssr::repair::{self, RepairMemo};
+use skysr_core::bssr::{Bssr, BssrConfig, BssrScratch, ProgressSink, RepairStats};
 use skysr_core::dominance::SkylineSet;
 use skysr_core::error::QueryError;
 use skysr_core::query::SkySrQuery;
 use skysr_core::route::SkylineRoute;
 use skysr_core::stats::EngineProfile;
-use skysr_graph::{DeltaError, EpochId, WeightDelta};
+use skysr_graph::{DeltaError, DeltaSet, EpochId, VertexId, WeightDelta};
 
 use crate::cache::{QueryKey, ResultCache};
 use crate::context::ServiceContext;
@@ -444,11 +448,11 @@ pub trait QueryService: Send + Sync {
     /// Submits one request whose answer goes to `reply` (backpressure may
     /// block briefly). A request refused at submission — shed by the
     /// admission gate, or addressed to a region this endpoint does not
-    /// serve — is answered before this returns, and a cache hit may be
-    /// too: the reply's sink then runs on the submitting thread (for
-    /// `skysr-d`, the connection's reader). Requests answered without a
-    /// search (cache hits, coalesced followers, repairs) stream nothing:
-    /// the outcome is the whole story.
+    /// serve — is answered before this returns, and a cache hit or an
+    /// untouched repair may be too: the reply's sink then runs on the
+    /// submitting thread (for `skysr-d`, the connection's reader).
+    /// Requests answered without a search (cache hits, coalesced
+    /// followers, repairs) stream nothing: the outcome is the whole story.
     fn submit_to(&self, request: QueryRequest, reply: Reply);
 
     /// Metrics snapshot over the service's lifetime so far.
@@ -560,6 +564,15 @@ struct ExecTrace {
     delta_index: Option<(EpochId, EpochId)>,
 }
 
+/// The outcome a repair is served as.
+fn served_as(repair: &RepairStats) -> Served {
+    Served::Repaired {
+        fallback: !repair.repaired_in_place(),
+        routes_untouched: repair.routes_untouched,
+        routes_rescored: repair.routes_rescored,
+    }
+}
+
 /// Coalescing key: one flight per canonical query *per weight epoch*. A
 /// request pinned to epoch N+1 must never join (and be answered by) a
 /// leader that is searching epoch-N weights, so the epoch is part of the
@@ -614,9 +627,10 @@ const SUBMIT_AFTER_SHUTDOWN: &str = "submit after shutdown: the submission queue
 /// the shared [`ServiceContext`]. Before each job the worker re-pins the
 /// context's current weight epoch, so published weight updates take effect
 /// on the next dequeued query while in-progress searches finish on their
-/// own consistent snapshot. Cache hits never reach a worker: they are
-/// answered on the submitting thread. Dropping the service closes the
-/// submission queue, drains in-flight work and joins every worker.
+/// own consistent snapshot. Cache hits and untouched repairs never reach a
+/// worker: they are answered on the submitting thread (see `submit_to`
+/// below). Dropping the service closes the submission queue, drains
+/// in-flight work and joins every worker.
 pub struct Service {
     shared: Arc<Shared>,
     next_id: AtomicU64,
@@ -755,6 +769,13 @@ impl QueryService for Service {
     ///   reply's sink runs on this thread;
     /// * a **duplicate** of a search running at that epoch parks on its
     ///   flight, and the flight's leader answers it;
+    /// * a **repair** whose first tier proves the stale skyline untouched
+    ///   ([`repair::untouched`]) is answered here too, the same way: this
+    ///   thread leads the (key, epoch) flight, reads the cache again (a
+    ///   flight that completed meanwhile makes the request a hit), and
+    ///   otherwise inserts the promoted skyline with its memo and answers
+    ///   [`Served::Repaired`], its followers [`Served::Coalesced`], with
+    ///   the check's time as the span's engine time;
     /// * **everything else** queues for the worker pool in the band its
     ///   plan names (repair or search). Queueing blocks while the
     ///   submission queue is full (backpressure); the request's deadline
@@ -796,27 +817,38 @@ impl QueryService for Service {
                 trace: options.trace,
             },
         };
-        let class = match step {
+        let (class, source) = match step {
             PlanStep::ExactHit(stamp, routes) if stamp == epoch => {
                 waiter.pending.attempts.push("exact:hit");
                 return s.respond(waiter, ExecTrace::default(), routes, epoch, Served::CacheHit);
             }
-            PlanStep::Repair { .. } => CostClass::Repair,
+            PlanStep::Repair { cached, memo, delta } => {
+                (CostClass::Repair, Some((cached, memo, delta)))
+            }
             // A hit stamped with another epoch is left to the worker's
             // stale-serve tripwire.
-            PlanStep::ExactHit(..) | PlanStep::ColdSearch => CostClass::Search,
+            PlanStep::ExactHit(..) | PlanStep::ColdSearch => (CostClass::Search, None),
         };
         let st = planner.strategies();
         if st.caching {
             waiter.pending.attempts.push("exact:miss");
         }
-        if let Some(key) = key.as_ref().filter(|_| st.coalesce) {
+        let flight = key.as_ref().filter(|_| st.coalesce).map(|key| (key.clone(), epoch));
+        if let Some(fk) = &flight {
             waiter.pending.attempts.push("coalesce:join");
-            match s.inflight.join(&(key.clone(), epoch), waiter) {
+            match s.inflight.join(fk, waiter) {
                 Ok(()) => return,
                 Err(back) => waiter = back,
             }
             waiter.pending.attempts.pop();
+        }
+        if let Some((cached, memo, delta)) = source {
+            let key = key.as_ref().expect("a repair implies a key");
+            let source = (&*cached, memo.as_deref(), &*delta);
+            match s.repair_untouched(waiter, query.start, key, flight, epoch, source) {
+                Ok(()) => return,
+                Err(back) => waiter = back,
+            }
         }
         let deadline = options.deadline.map(|d| submitted + d);
         let sched = SchedKey { class: class.index() as u8, deadline, submitted };
@@ -864,10 +896,10 @@ impl Drop for Service {
 impl Shared {
     /// Answers one request with the shared routes, recording its metrics
     /// and completing its trace span. The one choke point every successful
-    /// response passes through — on the submitting thread for a hit, on a
-    /// worker otherwise — which is what makes the trace-completeness
-    /// invariant (exactly one span per response, rung = `Served`)
-    /// structural rather than aspirational.
+    /// response passes through — on the submitting thread for a hit or an
+    /// untouched repair, on a worker otherwise — which is what makes the
+    /// trace-completeness invariant (exactly one span per response, rung =
+    /// `Served`) structural rather than aspirational.
     fn respond(
         &self,
         to: Waiter,
@@ -917,11 +949,100 @@ impl Shared {
         }));
     }
 
+    /// Claims `flight` for `waiter`: `None` when the flight was running and
+    /// the waiter parked on it, otherwise the waiter back as the leader
+    /// (as it is without a flight, when coalescing is off).
+    fn lead(&self, flight: Option<&FlightKey>, mut waiter: Waiter) -> Option<Waiter> {
+        let Some(fk) = flight else {
+            return Some(waiter);
+        };
+        waiter.pending.attempts.push("coalesce:join");
+        let Begin::Leader(mut leader) = self.inflight.begin(fk.clone(), waiter) else {
+            return None;
+        };
+        let probes = &mut leader.pending.attempts;
+        probes.pop();
+        probes.push("coalesce:lead");
+        Some(leader)
+    }
+
+    /// Ends `flight` and answers its leader `served` and every waiter
+    /// parked on it with the same routes. Followers of a truncated flight
+    /// share the partial answer, so they share its `Approximate` label
+    /// too: coalescing must never launder the degraded flag into an
+    /// "exact" `Coalesced` response.
+    fn finish(
+        &self,
+        flight: Option<&FlightKey>,
+        leader: Waiter,
+        exec: ExecTrace,
+        routes: Arc<[SkylineRoute]>,
+        epoch: EpochId,
+        served: Served,
+    ) {
+        let waiters = flight.map_or_else(Vec::new, |fk| self.inflight.complete(fk));
+        let follower = if served == Served::Approximate { served } else { Served::Coalesced };
+        self.respond(leader, exec, Arc::clone(&routes), epoch, served);
+        for w in waiters {
+            self.respond(w, ExecTrace::default(), Arc::clone(&routes), epoch, follower);
+        }
+    }
+
+    /// Tier 1 of a planned repair, on the submitting thread
+    /// ([`repair::untouched`]). When it proves the stale skyline, the
+    /// request leads its `flight` and reads the cache again: a flight of
+    /// the same (key, epoch) that completed meanwhile makes it a hit.
+    /// Otherwise it inserts the promoted skyline with its memo, as a
+    /// worker's repair would, and answers it, and its followers, here.
+    /// Hands the waiter back when tier 1 cannot prove the skyline: a
+    /// worker repairs it.
+    fn repair_untouched(
+        &self,
+        waiter: Waiter,
+        start: VertexId,
+        key: &QueryKey,
+        flight: Option<FlightKey>,
+        epoch: EpochId,
+        (cached, memo, delta): (&[SkylineRoute], Option<&RepairMemo>, &DeltaSet),
+    ) -> Result<(), Waiter> {
+        let t0 = Instant::now();
+        let proved =
+            repair::untouched(self.ctx.graph(), start, cached, memo, delta, self.ctx.landmarks());
+        let Some(r) = proved else {
+            return Err(waiter);
+        };
+        let engine = t0.elapsed();
+        let Some(mut leader) = self.lead(flight.as_ref(), waiter) else {
+            return Ok(());
+        };
+        let (routes, served, exec) = match self.cache.probe_entry(key, epoch) {
+            Some((stamp, routes, _)) if stamp == epoch => {
+                leader.pending.attempts.push("exact:hit");
+                (routes, Served::CacheHit, ExecTrace::default())
+            }
+            _ => {
+                leader.pending.attempts.push("repair:attempt");
+                let routes: Arc<[SkylineRoute]> = r.routes.into();
+                let memo = Some(Arc::new(r.memo));
+                self.cache.insert_repaired(key.clone(), epoch, Arc::clone(&routes), memo);
+                let exec = ExecTrace {
+                    engine: Some(engine),
+                    profile: r.stats.profile(),
+                    repair_tier: Some(r.repair.outcome.label()),
+                    delta_index: Some((delta.from_epoch(), delta.to_epoch())),
+                };
+                (routes, served_as(&r.repair), exec)
+            }
+        };
+        self.finish(flight.as_ref(), leader, exec, routes, epoch, served);
+        Ok(())
+    }
+
     /// The per-worker serving loop: **lead, then plan, then execute** —
     /// all reuse policy lives in [`ReusePlanner::plan`]; this loop only
-    /// runs the rung it names. Hits do not reach it: `submit_to` answers
-    /// them, and parks a duplicate of a running flight on that flight. For
-    /// every queued job, in order:
+    /// runs the rung it names. Hits and untouched repairs do not reach it:
+    /// `submit_to` answers them, and parks a duplicate of a running flight
+    /// on that flight. For every queued job, in order:
     ///
     /// 0. **Pin.** The worker refreshes its [`PinnedContext`] snapshot if
     ///    the context's weight epoch advanced since the previous job. The
@@ -1000,19 +1121,11 @@ impl Shared {
             leader.pending.queue_depth = queue_depth;
 
             // Rung: coalescing, before the cache is read.
-            let mut flight: Option<FlightKey> = None;
-            if let Some(key) = key.as_ref().filter(|_| planner.strategies().coalesce) {
-                let fk = (key.clone(), epoch);
-                leader.pending.attempts.push("coalesce:join");
-                match self.inflight.begin(fk.clone(), leader) {
-                    Begin::Joined => continue,
-                    Begin::Leader(w) => leader = w,
-                }
-                let probes = &mut leader.pending.attempts;
-                probes.pop();
-                probes.push("coalesce:lead");
-                flight = Some(fk);
-            }
+            let flight = key.as_ref().filter(|_| planner.strategies().coalesce);
+            let flight = flight.map(|key| (key.clone(), epoch));
+            let Some(mut leader) = self.lead(flight.as_ref(), leader) else {
+                continue;
+            };
 
             let plan_t0 = Instant::now();
             let mut step = planner.plan(&query, key.as_ref(), epoch, &self.cache, &self.ctx);
@@ -1064,12 +1177,7 @@ impl Shared {
                             );
                             exec.repair_tier = Some(r.repair.outcome.label());
                             exec.profile = r.stats.profile();
-                            let served = Served::Repaired {
-                                fallback: !r.repair.repaired_in_place(),
-                                routes_untouched: r.repair.routes_untouched,
-                                routes_rescored: r.repair.routes_rescored,
-                            };
-                            return (r.routes, served, Some(Arc::new(r.memo)));
+                            return (r.routes, served_as(&r.repair), Some(Arc::new(r.memo)));
                         }
                         // Anytime streaming: a streaming reply receives
                         // each provisional Pareto point as the search
@@ -1105,22 +1213,13 @@ impl Shared {
                 }
             };
 
-            let waiters = flight.map_or_else(Vec::new, |fk| self.inflight.complete(&fk));
             match outcome {
                 Ok((routes, served, exec)) => {
                     self.cost.observe(class, dequeued.elapsed());
-                    // Followers of a truncated flight share the partial
-                    // answer, so they share its Approximate label too —
-                    // coalescing must never launder the degraded flag into
-                    // an "exact" Coalesced response.
-                    let follower =
-                        if served == Served::Approximate { served } else { Served::Coalesced };
-                    self.respond(leader, exec, Arc::clone(&routes), epoch, served);
-                    for w in waiters {
-                        self.respond(w, ExecTrace::default(), Arc::clone(&routes), epoch, follower);
-                    }
+                    self.finish(flight.as_ref(), leader, exec, routes, epoch, served);
                 }
                 Err(e) => {
+                    let waiters = flight.map_or_else(Vec::new, |fk| self.inflight.complete(&fk));
                     self.metrics.count(Counter::Failed);
                     leader.reply.answer(Err(e.clone()));
                     for w in waiters {
@@ -1198,6 +1297,140 @@ mod tests {
         let span = spans.iter().find(|s| s.request_id == hit.request_id).expect("a forced span");
         assert_eq!(span.attempts, ["exact:hit"]);
         assert_eq!(span.queue_depth, 0);
+    }
+
+    /// A 30-vertex line `0 — 1 — … — 29` of unit edges, with an Asian
+    /// restaurant at 1 and 26 and a gift shop at 2 and 29, served with
+    /// repair on by `workers` workers, and two queries for them: from 0,
+    /// whose skyline (0 → 1 → 2) lies far from the edge 27 — 28, and from
+    /// 27, whose skyline (27 → 26 → 29) crosses it.
+    fn line_service(workers: usize) -> (Arc<ServiceContext>, Service, [SkySrQuery; 2]) {
+        use skysr_category::ForestBuilder;
+        use skysr_core::PoiTable;
+        use skysr_graph::GraphBuilder;
+        let mut fb = ForestBuilder::new();
+        let food = fb.add_root("Food");
+        let asian = fb.add_child(food, "Asian");
+        let shop = fb.add_root("Shop");
+        let gift = fb.add_child(shop, "Gift");
+        let forest = fb.build();
+        let mut gb = GraphBuilder::new();
+        let v: Vec<VertexId> = (0..30).map(|_| gb.add_vertex()).collect();
+        for w in v.windows(2) {
+            gb.add_edge(w[0], w[1], 1.0);
+        }
+        let graph = gb.build();
+        let mut pois = PoiTable::new(graph.num_vertices());
+        for (at, category) in [(1, asian), (26, asian), (2, gift), (29, gift)] {
+            pois.add_poi(v[at], category);
+        }
+        pois.finalize(&forest);
+        let ctx = Arc::new(ServiceContext::new(graph, forest, pois));
+        let config = ServiceConfig { workers, repair: true, ..ServiceConfig::default() };
+        let service = Service::new(Arc::clone(&ctx), config);
+        let queries = [v[0], v[27]].map(|start| SkySrQuery::new(start, [asian, gift]));
+        (ctx, service, queries)
+    }
+
+    /// Publishes the edge 27 — 28 at `weight`.
+    fn reweigh_far_edge(ctx: &ServiceContext, weight: f64) -> EpochId {
+        ctx.publish_weights(&[WeightDelta::new(VertexId(27), VertexId(28), weight)])
+    }
+
+    /// Whether `routes` score as a fresh search at `epoch` does.
+    fn exact_at(ctx: &ServiceContext, epoch: EpochId, query: &SkySrQuery, routes: &[SkylineRoute]) {
+        let pinned = ctx.pin_at(epoch).unwrap();
+        let fresh = Bssr::new(&pinned.query_context()).run(query).unwrap().routes;
+        let equivalent = skysr_core::route::equivalent_skylines(routes, &fresh);
+        assert!(equivalent, "{routes:?} vs a fresh search's {fresh:?}");
+    }
+
+    #[test]
+    fn an_untouched_repair_is_answered_at_submission_while_the_only_worker_is_held() {
+        let (ctx, service, [far, near]) = line_service(1);
+        for q in [&far, &near] {
+            service.submit_query(q.clone()).wait().unwrap();
+        }
+        // Hold the only worker inside a reply: its sink signals that it
+        // was entered, then blocks until released.
+        let (entered_tx, entered) = mpsc::channel::<()>();
+        let (release, held) = mpsc::channel::<()>();
+        let cold = QueryRequest::new(far.clone()).restrict(ReuseStrategies::none());
+        service.submit_to(
+            cold,
+            Reply::new(false, move |_| {
+                entered_tx.send(()).unwrap();
+                let _ = held.recv();
+            }),
+        );
+        entered.recv().unwrap();
+        let e1 = reweigh_far_edge(&ctx, 3.0);
+        let untouched = service.submit(QueryRequest::new(far.clone()).traced()).try_wait();
+        // Tier 1 cannot clear the edge from the second start: it queues.
+        let touched = service.submit(QueryRequest::new(near.clone()));
+        let waited = touched.try_wait().is_none();
+        release.send(()).unwrap();
+        let repaired = untouched.expect("an untouched repair is answered before submit returns");
+        let repaired = repaired.unwrap();
+        assert!(waited, "a repair tier 1 cannot prove waits for the worker");
+        let in_place =
+            Served::Repaired { fallback: false, routes_untouched: 1, routes_rescored: 0 };
+        assert_eq!((repaired.served, repaired.epoch), (in_place, e1));
+        assert_eq!(repaired.queue_wait, Duration::ZERO);
+        exact_at(&ctx, e1, &far, &repaired.routes);
+        let spans = service.traces().drain();
+        let span = spans.iter().find(|s| s.request_id == repaired.request_id).unwrap();
+        assert_eq!(span.attempts, ["exact:miss", "coalesce:lead", "repair:attempt"]);
+        assert_eq!(span.repair_tier, Some("untouched"));
+        assert_eq!(span.delta_index, Some((EpochId::BASE, e1)));
+        let searched = touched.wait().unwrap();
+        assert!(searched.repaired() && searched.queue_wait > Duration::ZERO);
+        exact_at(&ctx, e1, &near, &searched.routes);
+        // The promoted entry answers the next request at its epoch.
+        assert!(service.submit_query(far).wait().unwrap().cache_hit());
+    }
+
+    #[test]
+    fn concurrent_untouched_repairs_of_one_key_repair_it_once() {
+        // Each round reweighs the far edge, and every thread then asks the
+        // same 13 stale keys in the same order: the queries from starts
+        // 0–12, whose skylines lie within 12 of their starts. Threads that
+        // start a round together reach a key together now and then, so a
+        // race between a probe of the cache and the insert after it shows
+        // within a few hundred rounds.
+        const THREADS: usize = 4;
+        let (ctx, service, [far, _]) = line_service(2);
+        let keys: Vec<SkySrQuery> =
+            (0..13).map(|start| SkySrQuery { start: VertexId(start), ..far.clone() }).collect();
+        service.run_queries(&keys);
+        assert!(ctx.landmarks().is_some());
+        let barrier = std::sync::Barrier::new(THREADS);
+        for round in 0..1000 {
+            let executed = service.metrics().executed;
+            reweigh_far_edge(&ctx, 2.0 + f64::from(round % 2));
+            let served: Vec<Vec<Served>> = std::thread::scope(|s| {
+                let submit = || {
+                    barrier.wait();
+                    let ask = |q: &SkySrQuery| service.submit_query(q.clone()).wait().unwrap();
+                    keys.iter().map(|q| ask(q).served).collect::<Vec<_>>()
+                };
+                let threads: Vec<_> = (0..THREADS).map(|_| s.spawn(submit)).collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            for key in 0..keys.len() {
+                let answers: Vec<Served> = served.iter().map(|asked| asked[key]).collect();
+                let repaired = answers.iter().filter(|s| matches!(s, Served::Repaired { .. }));
+                let shared =
+                    answers.iter().filter(|s| matches!(s, Served::Coalesced | Served::CacheHit));
+                assert_eq!(
+                    (repaired.count(), shared.count()),
+                    (1, THREADS - 1),
+                    "round {round}, key {key}: {answers:?}"
+                );
+            }
+            let executed = service.metrics().executed - executed;
+            assert_eq!(executed, keys.len() as u64, "round {round}");
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@ use crate::telemetry::{Rung, TelemetryConfig};
 /// `exact:hit`, `exact:stale-refused`, `exact:miss`, `coalesce:join`,
 /// `coalesce:lead`, `repair:attempt` and `cold`. A hit at submission
 /// records `["exact:hit"]`; a duplicate parked there
-/// `["exact:miss", "coalesce:join"]`; a queued leader that finds the
-/// answer of a flight completed while it waited
+/// `["exact:miss", "coalesce:join"]`; a repair answered there, or by a
+/// worker, `["exact:miss", "coalesce:lead", "repair:attempt"]`; a leader
+/// that finds the answer of a flight completed while it waited or checked
 /// `["exact:miss", "coalesce:lead", "exact:hit"]`.
 pub type Attempt = &'static str;
 
