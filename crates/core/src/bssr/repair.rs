@@ -16,7 +16,7 @@
 //!    arcs from the same per-tail bounds. The check needs no engine and no
 //!    workspace: [`untouched`] runs it alone, and every repair runs it
 //!    first through the same function, so the service can run it where a
-//!    request arrives and queue for a worker only what it cannot prove.
+//!    request arrives and queue only what it cannot prove.
 //! 2. **Rescore** — otherwise each cached route's length is recomputed as
 //!    its sum of point-to-point shortest-path legs at the new epoch
 //!    (early-terminating Dijkstras — far cheaper than a branch-and-bound

@@ -52,9 +52,10 @@ use crate::service::ServiceConfig;
 /// repairs ahead of searches, and the admission gate keeps one
 /// service-time estimate per class to decide whether a deadline is still
 /// meetable. Hits have no class: they are answered where they arrive and
-/// never queue. The class is a *prediction* — a worker plans again at
-/// dequeue, and a prediction gone stale (entry evicted, flight completed,
-/// epoch moved) costs only scheduling precision, never correctness.
+/// never queue. The class is a *prediction* — the worker or waiting
+/// caller that takes the job plans again, and a prediction gone stale
+/// (entry evicted, flight completed, epoch moved) costs only scheduling
+/// precision, never correctness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CostClass {
     /// Planned to repair a stale entry against the epoch delta: bounded,

@@ -1,6 +1,7 @@
 //! Std-only worker-pool plumbing: a bounded, deadline/cost-ordered MPMC
-//! scheduling queue with blocking producers (backpressure) and a
-//! singleflight in-flight table for request coalescing.
+//! scheduling queue with blocking producers (backpressure), a
+//! singleflight in-flight table for request coalescing, and the fixed set
+//! of executor slots that workers and waiting callers share (`Slots`).
 //!
 //! # The scheduled queue
 //!
@@ -28,7 +29,7 @@
 
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::plan::CostClass;
@@ -267,7 +268,7 @@ impl<T> ScheduledQueue<T> {
 /// key whose leader has already completed. The converse race (a leader
 /// completes, *then* a new request begins the same key) is handled by the
 /// leader reading the result cache only after `begin`, and by inserting
-/// into the cache *before* completing (see `Shared::worker_loop` in
+/// into the cache *before* completing (see `Shared::run_job` in
 /// `service.rs`): the latecomer leads and finds the answer as a hit. With
 /// caching disabled it simply leads a fresh computation.
 pub struct InflightTable<K, W> {
@@ -338,6 +339,51 @@ impl<K: Eq + Hash, W> InflightTable<K, W> {
 impl<K: Eq + Hash, W> Default for InflightTable<K, W> {
     fn default() -> InflightTable<K, W> {
         InflightTable::new()
+    }
+}
+
+/// A fixed set of interchangeable slots, each taken for a while and given
+/// back: the service's engine scratches. A worker waits for a free slot
+/// ([`take`](Self::take)); a caller running its own request takes one only
+/// if one is free ([`try_take`](Self::try_take)).
+pub(crate) struct Slots<T> {
+    free: Mutex<Vec<T>>,
+    given: Condvar,
+}
+
+impl<T> Slots<T> {
+    /// No slots yet: each is [given](Self::give) once to start with.
+    pub(crate) fn new() -> Slots<T> {
+        Slots { free: Mutex::new(Vec::new()), given: Condvar::new() }
+    }
+
+    /// Takes a free slot, blocking until one is given back.
+    pub(crate) fn take(&self) -> T {
+        let mut free = self.lock();
+        loop {
+            if let Some(slot) = free.pop() {
+                return slot;
+            }
+            free = self.given.wait(free).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Takes a free slot if there is one.
+    pub(crate) fn try_take(&self) -> Option<T> {
+        self.lock().pop()
+    }
+
+    /// Gives a slot back and wakes one waiting taker.
+    pub(crate) fn give(&self, slot: T) {
+        self.lock().push(slot);
+        self.given.notify_one();
+    }
+
+    /// A slot is given back while a panicking run unwinds, which must not
+    /// panic again: no code panics while holding this lock, so a poisoned
+    /// one still holds a consistent list.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<T>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

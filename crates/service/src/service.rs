@@ -26,8 +26,42 @@
 //! whose first tier proves the stale skyline untouched
 //! ([`repair::untouched`], a landmark check of a few microseconds, cheaper
 //! than the hand-off to a worker). A duplicate of a running flight parks
-//! on it, and everything else queues for a worker. A full queue blocks
-//! the submitter (backpressure).
+//! on it, and everything else queues. A full queue blocks the submitter
+//! (backpressure).
+//!
+//! # Where a queued request runs
+//!
+//! A queued request runs on the worker that dequeues it, or on the caller
+//! waiting for it. [`Service`]'s own [`submit`](QueryService::submit)
+//! gives the ticket of a request it queued a claim on the job, and
+//! [`Ticket::wait`] uses it: if no worker has taken the job and an
+//! executor slot is free, the waiting thread takes both and runs the job
+//! through the body a worker runs (shed at dequeue, lead, plan, execute,
+//! insert, answer). The answer then costs no thread wake-up, where a
+//! worker's costs two: the worker's, then the caller's. If no slot is
+//! free, or a worker got there first, `wait` blocks for the worker's
+//! answer.
+//!
+//! * **Slots.** An executor slot is one engine scratch ([`BssrScratch`]).
+//!   There are exactly as many as workers, each allocated on its worker's
+//!   thread at start-up, and workers and callers share them, so memory
+//!   and engine concurrency stay what the pool size makes them. A worker
+//!   waits for a free slot; a caller never does.
+//! * **A slot is held for the engine run only.** A worker parked in a slow
+//!   reply sink, such as a daemon connection's writer, holds none. A run
+//!   that unwinds gives its slot back too, a fresh scratch if the engine
+//!   kept it, so a panicking query never shrinks the pool.
+//! * **Own job only.** A caller runs the job its ticket names, never the
+//!   queue's next one, so everyone else's requests keep their band and
+//!   deadline order.
+//!
+//! Only a queued request's ticket carries a claim: a hit, a parked
+//! duplicate and an untouched repair pay nothing for it. A reply given to
+//! `submit_to` itself (`skysr-d`'s sinks, the shard router, streaming
+//! tickets) and [`Ticket::try_wait`] leave the job to the workers. A job
+//! its caller took stays queued until a worker pops it and finds it gone.
+//! Shutdown drains the queue, joins the workers, then waits for the
+//! callers still running their own jobs.
 //!
 //! # Deadlines
 //!
@@ -51,7 +85,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -65,11 +99,11 @@ use skysr_core::stats::EngineProfile;
 use skysr_graph::{DeltaError, DeltaSet, EpochId, VertexId, WeightDelta};
 
 use crate::cache::{QueryKey, ResultCache};
-use crate::context::ServiceContext;
+use crate::context::{PinnedContext, ServiceContext};
 use crate::metrics::{Counter, LatencyBreakdown, MetricsRecorder, MetricsSnapshot, Served};
 use crate::net::DatasetFingerprint;
 use crate::plan::{CostClass, PlanStep, ReusePlanner, ReuseStrategies};
-use crate::pool::{Begin, InflightTable, SchedKey, ScheduledQueue, SCHED_BANDS};
+use crate::pool::{Begin, InflightTable, SchedKey, ScheduledQueue, Slots, SCHED_BANDS};
 use crate::shard::{RegionId, RegionInfo};
 use crate::telemetry::{Rung, TelemetryConfig, TraceBuffer, TraceSpan};
 
@@ -303,6 +337,15 @@ impl Reply {
 /// Waitable handle for one submitted query: a [`Reply`] over a channel.
 pub struct Ticket {
     rx: mpsc::Receiver<Answer>,
+    /// The job of a request [`Service::submit`] queued, which
+    /// [`wait`](Self::wait) may run itself.
+    claim: Option<Claim>,
+}
+
+/// A queued request's job as its ticket holds it.
+struct Claim {
+    shared: Arc<Shared>,
+    job: Queued,
 }
 
 impl Ticket {
@@ -314,11 +357,22 @@ impl Ticket {
             // the ticket) is not an error.
             let _ = tx.send(answer);
         });
-        (reply, Ticket { rx })
+        (reply, Ticket { rx, claim: None })
     }
 
-    /// Blocks until the worker finishes this query.
-    pub fn wait(self) -> Result<QueryResponse, QueryError> {
+    /// Blocks until the query is answered. A request [`Service::submit`]
+    /// queued may be run right here, on the calling thread, if no worker
+    /// has taken it and an executor slot is free (`service.rs` § Where a
+    /// queued request runs). A panic in that run unwinds out of this call
+    /// with its own message.
+    ///
+    /// # Panics
+    /// If the request's run panicked on another thread: its reply was
+    /// dropped unanswered.
+    pub fn wait(mut self) -> Result<QueryResponse, QueryError> {
+        if let Some(Claim { shared, job }) = self.claim.take() {
+            shared.run_claimed(&job);
+        }
         loop {
             if let Answer::Final(outcome) = self.rx.recv().expect(DROPPED) {
                 return outcome;
@@ -340,7 +394,7 @@ impl Ticket {
 }
 
 /// What a waiter reports when the reply it waits on was dropped unanswered.
-const DROPPED: &str = "worker dropped a job without responding";
+const DROPPED: &str = "a request was dropped without an answer: the thread running it panicked";
 
 /// Handle for a streaming (anytime) submission: provisional Pareto points
 /// arrive as the search proves them, then the final exact answer, all on
@@ -433,7 +487,9 @@ impl StreamTicket {
 ///   search or answered (it may block for backpressure, never for a
 ///   search), and answers the [`Reply`] exactly once, from whichever
 ///   thread finishes the request — the submitting thread itself for an
-///   answer given at submission, such as a cache hit;
+///   answer given at submission, such as a cache hit, and for a
+///   [`Service`] ticket also the caller waiting on it, which may run its
+///   own queued request ([`Ticket::wait`]);
 /// * answers are **oracle-exact at their pinned epoch** — `response.epoch`
 ///   names the weight epoch the routes are exact for;
 /// * a streaming reply additionally receives provisional Pareto points,
@@ -510,6 +566,15 @@ pub trait QueryService: Send + Sync {
     }
 }
 
+/// A queued request's job, taken once: by the worker that dequeues it or
+/// by the caller waiting on its ticket, whichever comes first.
+type Queued = Arc<Mutex<Option<Job>>>;
+
+/// Takes `queued`'s job, unless another thread has.
+fn take(queued: &Queued) -> Option<Job> {
+    queued.lock().expect("queued job poisoned").take()
+}
+
 /// A request that needs an engine, as it waits in the queue.
 struct Job {
     query: SkySrQuery,
@@ -532,8 +597,8 @@ struct Job {
 struct PendingSpan {
     id: u64,
     submitted: Instant,
-    /// When a worker took the request; `submitted` for a request answered
-    /// or parked at submission, which never queued.
+    /// When a worker or its waiting caller took the request; `submitted`
+    /// for a request answered or parked at submission, which never queued.
     dequeued: Instant,
     queue_depth: usize,
     plan: Duration,
@@ -580,12 +645,20 @@ fn served_as(repair: &RepairStats) -> Served {
 type FlightKey = (QueryKey, EpochId);
 
 /// Per-[`CostClass`] EWMA of observed dequeue-to-response times, in
-/// nanoseconds — the admission gate's service-time estimates. Workers feed
-/// it after every queued request they answer, under the class it was
-/// queued in; a slot that has never observed reads as zero, so an
-/// untrained gate estimates optimistically and admits (the gate must never
-/// shed before it has evidence). Updates are racy-by-design (load/store,
-/// no CAS loop): a lost sample moves an *estimate*, nothing more.
+/// nanoseconds — the admission gate's service-time estimates. Every queued
+/// request that is answered feeds it, under the class it was queued in,
+/// whether a worker or its waiting caller ran it (`Shared::run_job`); a
+/// slot that has never observed reads as zero, so an untrained gate
+/// estimates optimistically and admits (the gate must never shed before it
+/// has evidence). Updates are racy-by-design (load/store, no CAS loop): a
+/// lost sample moves an *estimate*, nothing more.
+///
+/// The estimates describe the population the gate prices. The gate runs
+/// at submission after everything answered there, so it prices only
+/// requests that queue: for the repair band, the repairs tier 1 could not
+/// prove untouched. Those are exactly the repairs that train the band;
+/// the untouched ones, answered where they arrive, neither meet the gate
+/// nor train it.
 pub(crate) struct CostModel {
     nanos: [AtomicU64; SCHED_BANDS],
 }
@@ -622,15 +695,17 @@ const SUBMIT_AFTER_SHUTDOWN: &str = "submit after shutdown: the submission queue
 
 /// A multi-threaded in-process SkySR query engine.
 ///
-/// Construction spawns the worker pool; each worker owns a [`Bssr`] engine
-/// (reusing its Dijkstra workspace and scratch state across queries) over
-/// the shared [`ServiceContext`]. Before each job the worker re-pins the
-/// context's current weight epoch, so published weight updates take effect
-/// on the next dequeued query while in-progress searches finish on their
-/// own consistent snapshot. Cache hits and untouched repairs never reach a
+/// Construction spawns the worker pool; each worker allocates one executor
+/// slot, a [`BssrScratch`] that every engine run reuses, over the shared
+/// [`ServiceContext`]. Before each job the worker re-pins the context's
+/// current weight epoch, so published weight updates take effect on the
+/// next dequeued query while in-progress searches finish on their own
+/// consistent snapshot. Cache hits and untouched repairs never reach a
 /// worker: they are answered on the submitting thread (see `submit_to`
-/// below). Dropping the service closes the submission queue, drains
-/// in-flight work and joins every worker.
+/// below), and a caller waiting on its ticket may run its own queued
+/// request (`service.rs` § Where a queued request runs). Dropping the
+/// service closes the submission queue, drains in-flight work and joins
+/// every worker.
 pub struct Service {
     shared: Arc<Shared>,
     next_id: AtomicU64,
@@ -648,7 +723,12 @@ struct Shared {
     /// The service's strategies and engine configuration; a request's
     /// reuse mask restricts them.
     planner: ReusePlanner,
-    queue: ScheduledQueue<Job>,
+    queue: ScheduledQueue<Queued>,
+    /// The executor slots, one per worker.
+    slots: Slots<BssrScratch>,
+    /// Held shared by each caller running its own job, and exclusively by
+    /// shutdown, which so waits for them.
+    callers: RwLock<()>,
     cache: ResultCache,
     inflight: InflightTable<FlightKey, Waiter>,
     cost: CostModel,
@@ -672,6 +752,8 @@ impl Service {
             ctx,
             planner: ReusePlanner::new(ReuseStrategies::resolve(&config), config.engine),
             queue: ScheduledQueue::new(config.queue_capacity.max(1), AGE_LIMIT),
+            slots: Slots::new(),
+            callers: RwLock::new(()),
             cache: ResultCache::new(config.cache_capacity.max(1)),
             inflight: InflightTable::new(),
             cost: CostModel::new(),
@@ -757,45 +839,18 @@ impl Service {
                 panic!("worker panicked");
             }
         }
+        // The workers took every job its caller had not: wait for the
+        // callers still running theirs.
+        drop(self.shared.callers.write().expect("caller lock poisoned"));
     }
-}
 
-impl QueryService for Service {
-    /// Plans the request once, at the epoch current on arrival, and acts on
-    /// the plan where it arrives:
-    ///
-    /// * a **cache hit** is answered [`Served::CacheHit`] at that epoch
-    ///   before this returns — no admission check, no queue wait, and the
-    ///   reply's sink runs on this thread;
-    /// * a **duplicate** of a search running at that epoch parks on its
-    ///   flight, and the flight's leader answers it;
-    /// * a **repair** whose first tier proves the stale skyline untouched
-    ///   ([`repair::untouched`]) is answered here too, the same way: this
-    ///   thread leads the (key, epoch) flight, reads the cache again (a
-    ///   flight that completed meanwhile makes the request a hit), and
-    ///   otherwise inserts the promoted skyline with its memo and answers
-    ///   [`Served::Repaired`], its followers [`Served::Coalesced`], with
-    ///   the check's time as the span's engine time;
-    /// * **everything else** queues for the worker pool in the band its
-    ///   plan names (repair or search). Queueing blocks while the
-    ///   submission queue is full (backpressure); the request's deadline
-    ///   clock starts before the wait, so a request that waited out its
-    ///   deadline is shed at dequeue. With admission control on, a request
-    ///   whose deadline the gate judges unmeetable is answered
-    ///   [`QueryError::Overloaded`] instead (counted rejected).
-    ///
-    /// A request addressed to a region other than 0 is answered
-    /// [`QueryError::UnknownRegion`] (counted failed, never planned): a
-    /// bare service is region 0 alone ([`crate::shard#regions`]).
-    ///
-    /// # Panics
-    /// If called after [`QueryService::shutdown`] closed the queue, a
-    /// would-be hit included.
-    fn submit_to(&self, request: QueryRequest, reply: Reply) {
+    /// `submit_to`'s body, which returns the request's job when it queued.
+    fn accept(&self, request: QueryRequest, reply: Reply) -> Option<Queued> {
         let s = &*self.shared;
         if let Some(region) = request.options.region.filter(|&r| r != RegionId(0)) {
             s.metrics.count(Counter::Failed);
-            return reply.answer(Err(QueryError::UnknownRegion(region.0)));
+            reply.answer(Err(QueryError::UnknownRegion(region.0)));
+            return None;
         }
         assert!(!s.queue.is_closed(), "{SUBMIT_AFTER_SHUTDOWN}");
         let submitted = Instant::now();
@@ -820,12 +875,13 @@ impl QueryService for Service {
         let (class, source) = match step {
             PlanStep::ExactHit(stamp, routes) if stamp == epoch => {
                 waiter.pending.attempts.push("exact:hit");
-                return s.respond(waiter, ExecTrace::default(), routes, epoch, Served::CacheHit);
+                s.respond(waiter, ExecTrace::default(), routes, epoch, Served::CacheHit);
+                return None;
             }
             PlanStep::Repair { cached, memo, delta } => {
                 (CostClass::Repair, Some((cached, memo, delta)))
             }
-            // A hit stamped with another epoch is left to the worker's
+            // A hit stamped with another epoch is left to the queued job's
             // stale-serve tripwire.
             PlanStep::ExactHit(..) | PlanStep::ColdSearch => (CostClass::Search, None),
         };
@@ -837,7 +893,7 @@ impl QueryService for Service {
         if let Some(fk) = &flight {
             waiter.pending.attempts.push("coalesce:join");
             match s.inflight.join(fk, waiter) {
-                Ok(()) => return,
+                Ok(()) => return None,
                 Err(back) => waiter = back,
             }
             waiter.pending.attempts.pop();
@@ -846,7 +902,7 @@ impl QueryService for Service {
             let key = key.as_ref().expect("a repair implies a key");
             let source = (&*cached, memo.as_deref(), &*delta);
             match s.repair_untouched(waiter, query.start, key, flight, epoch, source) {
-                Ok(()) => return,
+                Ok(()) => return None,
                 Err(back) => waiter = back,
             }
         }
@@ -854,12 +910,63 @@ impl QueryService for Service {
         let sched = SchedKey { class: class.index() as u8, deadline, submitted };
         if !self.admit(&sched, class) {
             s.metrics.count(Counter::Rejected);
-            return waiter.reply.answer(Err(QueryError::Overloaded));
+            waiter.reply.answer(Err(QueryError::Overloaded));
+            return None;
         }
-        let job = Job { query, deadline, key, planner, class, waiter };
-        if s.queue.push(job, sched).is_err() {
+        let job = Arc::new(Mutex::new(Some(Job { query, deadline, key, planner, class, waiter })));
+        if s.queue.push(Arc::clone(&job), sched).is_err() {
             panic!("{SUBMIT_AFTER_SHUTDOWN}");
         }
+        Some(job)
+    }
+}
+
+impl QueryService for Service {
+    /// Plans the request once, at the epoch current on arrival, and acts on
+    /// the plan where it arrives:
+    ///
+    /// * a **cache hit** is answered [`Served::CacheHit`] at that epoch
+    ///   before this returns — no admission check, no queue wait, and the
+    ///   reply's sink runs on this thread;
+    /// * a **duplicate** of a search running at that epoch parks on its
+    ///   flight, and the flight's leader answers it;
+    /// * a **repair** whose first tier proves the stale skyline untouched
+    ///   ([`repair::untouched`]) is answered here too, the same way: this
+    ///   thread leads the (key, epoch) flight, reads the cache again (a
+    ///   flight that completed meanwhile makes the request a hit), and
+    ///   otherwise inserts the promoted skyline with its memo and answers
+    ///   [`Served::Repaired`], its followers [`Served::Coalesced`], with
+    ///   the check's time as the span's engine time;
+    /// * **everything else** queues in the band its plan names (repair or
+    ///   search), for a worker or, when [`submit`](QueryService::submit)
+    ///   queued it, the caller waiting on its ticket. Queueing blocks while
+    ///   the submission queue is full (backpressure); the request's
+    ///   deadline clock starts before the wait, so a request that waited
+    ///   out its deadline is shed at dequeue. With admission control on, a
+    ///   request whose deadline the gate judges unmeetable is answered
+    ///   [`QueryError::Overloaded`] instead (counted rejected).
+    ///
+    /// A request addressed to a region other than 0 is answered
+    /// [`QueryError::UnknownRegion`] (counted failed, never planned): a
+    /// bare service is region 0 alone ([`crate::shard#regions`]).
+    ///
+    /// # Panics
+    /// If called after [`QueryService::shutdown`] closed the queue, a
+    /// would-be hit included.
+    fn submit_to(&self, request: QueryRequest, reply: Reply) {
+        self.accept(request, reply);
+    }
+
+    /// [`submit_to`](QueryService::submit_to) with a ticket that holds a
+    /// claim on the request's job when it queued, so that
+    /// [`Ticket::wait`] can run it on the waiting thread (`service.rs` §
+    /// Where a queued request runs).
+    fn submit(&self, request: QueryRequest) -> Ticket {
+        let (reply, mut ticket) = Ticket::reply(false);
+        let shared = &self.shared;
+        let claim = |job| Claim { shared: Arc::clone(shared), job };
+        ticket.claim = self.accept(request, reply).map(claim);
+        ticket
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -897,9 +1004,9 @@ impl Shared {
     /// Answers one request with the shared routes, recording its metrics
     /// and completing its trace span. The one choke point every successful
     /// response passes through — on the submitting thread for a hit or an
-    /// untouched repair, on a worker otherwise — which is what makes the
-    /// trace-completeness invariant (exactly one span per response, rung =
-    /// `Served`) structural rather than aspirational.
+    /// untouched repair, where the queued job ran otherwise — which is what
+    /// makes the trace-completeness invariant (exactly one span per
+    /// response, rung = `Served`) structural rather than aspirational.
     fn respond(
         &self,
         to: Waiter,
@@ -993,9 +1100,9 @@ impl Shared {
     /// request leads its `flight` and reads the cache again: a flight of
     /// the same (key, epoch) that completed meanwhile makes it a hit.
     /// Otherwise it inserts the promoted skyline with its memo, as a
-    /// worker's repair would, and answers it, and its followers, here.
-    /// Hands the waiter back when tier 1 cannot prove the skyline: a
-    /// worker repairs it.
+    /// queued repair would, and answers it, and its followers, here.
+    /// Hands the waiter back when tier 1 cannot prove the skyline: the
+    /// request queues.
     fn repair_untouched(
         &self,
         waiter: Waiter,
@@ -1038,26 +1145,51 @@ impl Shared {
         Ok(())
     }
 
-    /// The per-worker serving loop: **lead, then plan, then execute** —
-    /// all reuse policy lives in [`ReusePlanner::plan`]; this loop only
-    /// runs the rung it names. Hits and untouched repairs do not reach it:
-    /// `submit_to` answers them, and parks a duplicate of a running flight
-    /// on that flight. For every queued job, in order:
+    /// A worker: allocates its executor slot on its own thread, then runs
+    /// each job it dequeues, skipping one its caller took back.
+    fn worker_loop(&self) {
+        let mut pinned = self.ctx.pin();
+        self.slots.give(BssrScratch::new(pinned.graph().num_vertices()));
+        while let Some((queued, queue_depth)) = self.queue.pop_with_depth() {
+            if let Some(job) = take(&queued) {
+                self.run_job(job, queue_depth, &mut pinned, None);
+            }
+        }
+    }
+
+    /// Runs a queued job on the caller waiting for it, if no worker has
+    /// taken the job and an executor slot is free; otherwise leaves it to
+    /// the worker that dequeues it.
+    fn run_claimed(&self, queued: &Queued) {
+        let Some(scratch) = self.slots.try_take() else {
+            return;
+        };
+        let slot = Slot { shared: self, scratch: Some(scratch) };
+        let _running = self.callers.read().expect("caller lock poisoned");
+        if let Some(job) = take(queued) {
+            self.run_job(job, self.queue.len(), &mut self.ctx.pin(), Some(slot));
+        }
+    }
+
+    /// Serves one queued job, on a worker or on the caller that took it
+    /// back: **lead, then plan, then execute** — all reuse policy lives in
+    /// [`ReusePlanner::plan`]; this body only runs the rung it names. Hits
+    /// and untouched repairs do not reach it: `submit_to` answers them,
+    /// and parks a duplicate of a running flight on that flight. In order:
     ///
-    /// 0. **Pin.** The worker refreshes its [`PinnedContext`] snapshot if
-    ///    the context's weight epoch advanced since the previous job. The
-    ///    whole request — coalescing, planning, search, cache fill — runs
-    ///    against that one pinned epoch.
+    /// 0. **Pin.** `pinned` is refreshed if the context's weight epoch
+    ///    advanced since it was pinned. The whole request — coalescing,
+    ///    planning, search, cache fill — runs against that one pinned
+    ///    epoch.
     /// 1. **Shed.** A request whose deadline lapsed in the queue is
     ///    answered [`QueryError::Overloaded`] and dropped before any work
     ///    runs (counted `shed_deadline`, no trace span — there is no
     ///    response to describe).
     /// 2. **Coalesce.** With coalescing on, `InflightTable::begin` on the
     ///    (key, epoch) pair atomically either parks this request under an
-    ///    in-flight duplicate of the same epoch (the worker moves on — the
-    ///    leader will answer it) or elects this worker the flight's
-    ///    leader. Requests pinned to different epochs never share a
-    ///    flight.
+    ///    in-flight duplicate of the same epoch (its leader will answer
+    ///    it) or elects this request the flight's leader. Requests pinned
+    ///    to different epochs never share a flight.
     /// 3. **Plan.** The leader plans at the pinned epoch: one probe of the
     ///    cache ([`ResultCache::probe_entry`]) names the rung, its raw
     ///    material resolved, and lazy invalidation of a stale entry is
@@ -1068,9 +1200,11 @@ impl Shared {
     ///    against the pinned epoch — the stale-serve tripwire: a mismatch
     ///    is unreachable unless the planner's epoch filter is broken, and
     ///    then the stale skyline is refused, counted `stale_served`, and
-    ///    searched afresh. Otherwise the leader prepares the query once,
-    ///    taking its category positions from the context's memo
-    ///    ([`PinnedContext::prepare`]), and runs the planned rung — repair
+    ///    searched afresh. Otherwise the leader runs the planned rung in
+    ///    an executor slot, `held` (the caller's) or one a worker waits
+    ///    for, and gives the slot back when the engine returns. It
+    ///    prepares the query once, taking its category positions from the
+    ///    context's memo ([`PinnedContext::prepare`]), and runs repair
     ///    against the shared epoch-pair index, or a search. A search runs
     ///    with the request's deadline armed as the engine's anytime
     ///    cutoff: on expiry the partial skyline comes back `truncated` and
@@ -1091,150 +1225,174 @@ impl Shared {
     ///
     /// [`PinnedContext`]: crate::context::PinnedContext
     /// [`PinnedContext::prepare`]: crate::context::PinnedContext::prepare
-    fn worker_loop(&self) {
-        let mut pinned = self.ctx.pin();
-        // One engine scratch per worker for its whole lifetime: re-pinning
-        // an epoch rebuilds the engine view but recycles the (large,
-        // already paged-in) workspaces.
-        let mut scratch = Some(BssrScratch::new(pinned.graph().num_vertices()));
-        while let Some((job, queue_depth)) = self.queue.pop_with_depth() {
-            let dequeued = Instant::now();
-            if pinned.epoch() != self.ctx.current_epoch() {
-                pinned = self.ctx.pin();
-            }
-            let epoch = pinned.epoch();
-            let Job { query, deadline, key, planner, class, waiter: mut leader } = job;
+    fn run_job<'c>(
+        &'c self,
+        job: Job,
+        queue_depth: usize,
+        pinned: &mut PinnedContext<'c>,
+        mut held: Option<Slot<'c>>,
+    ) {
+        let dequeued = Instant::now();
+        if pinned.epoch() != self.ctx.current_epoch() {
+            *pinned = self.ctx.pin();
+        }
+        let epoch = pinned.epoch();
+        let Job { query, deadline, key, planner, class, waiter: mut leader } = job;
 
-            // A deadline that lapsed while the request sat in the queue is
-            // shed here, *before* any work runs: executing it would burn a
-            // worker on an answer nobody is waiting for, starving requests
-            // that can still make theirs. Shed requests are answered with
-            // the typed overload error and counted in neither `completed`
-            // nor `failed` — and they get no trace span, because they
-            // produce no response for a span to describe.
-            if deadline.is_some_and(|at| dequeued >= at) {
-                self.metrics.count(Counter::ShedDeadline);
-                leader.reply.answer(Err(QueryError::Overloaded));
-                continue;
-            }
-            leader.pending.dequeued = dequeued;
-            leader.pending.queue_depth = queue_depth;
+        // A deadline that lapsed while the request sat in the queue is
+        // shed here, *before* any work runs: executing it would burn an
+        // engine on an answer nobody is waiting for, starving requests
+        // that can still make theirs. Shed requests are answered with the
+        // typed overload error and counted in neither `completed` nor
+        // `failed` — and they get no trace span, because they produce no
+        // response for a span to describe.
+        if deadline.is_some_and(|at| dequeued >= at) {
+            self.metrics.count(Counter::ShedDeadline);
+            leader.reply.answer(Err(QueryError::Overloaded));
+            return;
+        }
+        leader.pending.dequeued = dequeued;
+        leader.pending.queue_depth = queue_depth;
 
-            // Rung: coalescing, before the cache is read.
-            let flight = key.as_ref().filter(|_| planner.strategies().coalesce);
-            let flight = flight.map(|key| (key.clone(), epoch));
-            let Some(mut leader) = self.lead(flight.as_ref(), leader) else {
-                continue;
-            };
+        // Rung: coalescing, before the cache is read.
+        let flight = key.as_ref().filter(|_| planner.strategies().coalesce);
+        let flight = flight.map(|key| (key.clone(), epoch));
+        let Some(mut leader) = self.lead(flight.as_ref(), leader) else {
+            return;
+        };
 
-            let plan_t0 = Instant::now();
-            let mut step = planner.plan(&query, key.as_ref(), epoch, &self.cache, &self.ctx);
-            leader.pending.plan = plan_t0.elapsed();
-            // The stale-serve tripwire (step 4 above).
-            if matches!(step, PlanStep::ExactHit(stamp, _) if stamp != epoch) {
-                self.metrics.count(Counter::StaleServed);
-                leader.pending.attempts.push("exact:stale-refused");
-                step = PlanStep::ColdSearch;
+        let plan_t0 = Instant::now();
+        let mut step = planner.plan(&query, key.as_ref(), epoch, &self.cache, &self.ctx);
+        leader.pending.plan = plan_t0.elapsed();
+        // The stale-serve tripwire (step 4 above).
+        if matches!(step, PlanStep::ExactHit(stamp, _) if stamp != epoch) {
+            self.metrics.count(Counter::StaleServed);
+            leader.pending.attempts.push("exact:stale-refused");
+            step = PlanStep::ColdSearch;
+        }
+        let outcome = match step {
+            PlanStep::ExactHit(_, routes) => {
+                leader.pending.attempts.push("exact:hit");
+                Ok((routes, Served::CacheHit, ExecTrace::default()))
             }
-            let outcome = match step {
-                PlanStep::ExactHit(_, routes) => {
-                    leader.pending.attempts.push("exact:hit");
-                    Ok((routes, Served::CacheHit, ExecTrace::default()))
+            terminal => {
+                let search = matches!(terminal, PlanStep::ColdSearch);
+                leader.pending.attempts.push(if search { "cold" } else { "repair:attempt" });
+                let mut slot = held
+                    .take()
+                    .unwrap_or_else(|| Slot { shared: self, scratch: Some(self.slots.take()) });
+                let qctx = pinned.query_context();
+                let mut engine = Bssr::with_scratch(
+                    &qctx,
+                    planner.engine(),
+                    slot.scratch.take().expect("a held slot has its scratch"),
+                );
+                // Degraded mode: arm the engine's anytime cutoff only for
+                // searches. A search that runs out of deadline returns its
+                // partial skyline flagged `truncated` and is served
+                // Approximate — degraded but honest. Repairs stay unarmed:
+                // they promise exact score-equivalence, and their
+                // warm-re-search fallback disarms an inherited deadline
+                // itself (see `bssr::repair`).
+                if search {
+                    engine.set_deadline(deadline);
                 }
-                terminal => {
-                    let search = matches!(terminal, PlanStep::ColdSearch);
-                    leader.pending.attempts.push(if search { "cold" } else { "repair:attempt" });
-                    let qctx = pinned.query_context();
-                    let mut engine = Bssr::with_scratch(
-                        &qctx,
-                        planner.engine(),
-                        scratch.take().expect("scratch is recycled"),
-                    );
-                    // Degraded mode: arm the engine's anytime cutoff only
-                    // for searches. A search that runs out of deadline
-                    // returns its partial skyline flagged `truncated` and
-                    // is served Approximate — degraded but honest. Repairs
-                    // stay unarmed: they promise exact score-equivalence,
-                    // and their warm-re-search fallback disarms an
-                    // inherited deadline itself (see `bssr::repair`).
-                    if search {
-                        engine.set_deadline(deadline);
+                let engine_t0 = Instant::now();
+                let mut exec = ExecTrace::default();
+                // Category positions come from the context's memo: after a
+                // category's first use, preparing costs one `Arc` clone
+                // per position.
+                let outcome = pinned.prepare(&query).map(|pq| {
+                    if let PlanStep::Repair { cached, memo, delta } = &terminal {
+                        exec.delta_index = Some((delta.from_epoch(), delta.to_epoch()));
+                        let r = engine.repair_prepared(
+                            &pq,
+                            cached,
+                            memo.as_deref(),
+                            delta,
+                            self.ctx.landmarks(),
+                        );
+                        exec.repair_tier = Some(r.repair.outcome.label());
+                        exec.profile = r.stats.profile();
+                        return (r.routes, served_as(&r.repair), Some(Arc::new(r.memo)));
                     }
-                    let engine_t0 = Instant::now();
-                    let mut exec = ExecTrace::default();
-                    // Category positions come from the context's memo:
-                    // after a category's first use, preparing costs one
-                    // `Arc` clone per position.
-                    let outcome = pinned.prepare(&query).map(|pq| {
-                        if let PlanStep::Repair { cached, memo, delta } = &terminal {
-                            exec.delta_index = Some((delta.from_epoch(), delta.to_epoch()));
-                            let r = engine.repair_prepared(
-                                &pq,
-                                cached,
-                                memo.as_deref(),
-                                delta,
-                                self.ctx.landmarks(),
-                            );
-                            exec.repair_tier = Some(r.repair.outcome.label());
-                            exec.profile = r.stats.profile();
-                            return (r.routes, served_as(&r.repair), Some(Arc::new(r.memo)));
-                        }
-                        // Anytime streaming: a streaming reply receives
-                        // each provisional Pareto point as the search
-                        // proves it, from this thread, before the outcome.
-                        let reply = &mut leader.reply;
-                        let mut send = if reply.streaming() {
-                            Some(|r: &SkylineRoute| reply.progress(r.clone()))
-                        } else {
-                            None
-                        };
-                        let sink = send.as_mut().map(|f| f as ProgressSink<'_>);
-                        let result = engine.run_prepared_observed(&pq, &[], sink);
-                        exec.profile = result.stats.profile();
-                        let served =
-                            if result.truncated { Served::Approximate } else { Served::Search };
-                        (result.routes, served, None)
-                    });
-                    exec.engine = Some(engine_t0.elapsed());
-                    scratch = Some(engine.into_scratch());
-                    outcome.map(|(routes, served, memo)| {
-                        let routes: Arc<[SkylineRoute]> = routes.into();
-                        // A truncated partial is NEVER cached: it is exact
-                        // only in the weak dominated-or-equal sense, and a
-                        // later deadline-less request must not inherit it
-                        // as "the" answer. A repaired skyline keeps its
-                        // repair's memo.
-                        if planner.strategies().caching && served != Served::Approximate {
-                            let key = key.expect("caching implies a key");
-                            self.cache.insert_repaired(key, epoch, Arc::clone(&routes), memo);
-                        }
-                        (routes, served, exec)
-                    })
-                }
-            };
+                    // Anytime streaming: a streaming reply receives each
+                    // provisional Pareto point as the search proves it,
+                    // from this thread, before the outcome.
+                    let reply = &mut leader.reply;
+                    let mut send = if reply.streaming() {
+                        Some(|r: &SkylineRoute| reply.progress(r.clone()))
+                    } else {
+                        None
+                    };
+                    let sink = send.as_mut().map(|f| f as ProgressSink<'_>);
+                    let result = engine.run_prepared_observed(&pq, &[], sink);
+                    exec.profile = result.stats.profile();
+                    let served =
+                        if result.truncated { Served::Approximate } else { Served::Search };
+                    (result.routes, served, None)
+                });
+                exec.engine = Some(engine_t0.elapsed());
+                slot.scratch = Some(engine.into_scratch());
+                drop(slot);
+                outcome.map(|(routes, served, memo)| {
+                    let routes: Arc<[SkylineRoute]> = routes.into();
+                    // A truncated partial is NEVER cached: it is exact only
+                    // in the weak dominated-or-equal sense, and a later
+                    // deadline-less request must not inherit it as "the"
+                    // answer. A repaired skyline keeps its repair's memo.
+                    if planner.strategies().caching && served != Served::Approximate {
+                        let key = key.expect("caching implies a key");
+                        self.cache.insert_repaired(key, epoch, Arc::clone(&routes), memo);
+                    }
+                    (routes, served, exec)
+                })
+            }
+        };
+        // A caller's slot goes back unused when no engine ran.
+        drop(held);
 
-            match outcome {
-                Ok((routes, served, exec)) => {
-                    self.cost.observe(class, dequeued.elapsed());
-                    self.finish(flight.as_ref(), leader, exec, routes, epoch, served);
-                }
-                Err(e) => {
-                    let waiters = flight.map_or_else(Vec::new, |fk| self.inflight.complete(&fk));
+        match outcome {
+            Ok((routes, served, exec)) => {
+                self.cost.observe(class, dequeued.elapsed());
+                self.finish(flight.as_ref(), leader, exec, routes, epoch, served);
+            }
+            Err(e) => {
+                let waiters = flight.map_or_else(Vec::new, |fk| self.inflight.complete(&fk));
+                self.metrics.count(Counter::Failed);
+                leader.reply.answer(Err(e.clone()));
+                for w in waiters {
                     self.metrics.count(Counter::Failed);
-                    leader.reply.answer(Err(e.clone()));
-                    for w in waiters {
-                        self.metrics.count(Counter::Failed);
-                        w.reply.answer(Err(e.clone()));
-                    }
+                    w.reply.answer(Err(e.clone()));
                 }
             }
         }
     }
 }
 
+/// An executor slot held for one engine run. Dropping it gives the
+/// scratch back to the pool, and a fresh one when a run that unwound left
+/// the scratch inside the engine, so a panicking query never shrinks the
+/// pool below one slot per worker.
+struct Slot<'a> {
+    shared: &'a Shared,
+    scratch: Option<BssrScratch>,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let scratch = self
+            .scratch
+            .take()
+            .unwrap_or_else(|| BssrScratch::new(self.shared.ctx.graph().num_vertices()));
+        self.shared.slots.give(scratch);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skysr_category::{CategoryForest, CategoryId, Similarity, WuPalmer};
     use skysr_core::paper_example::PaperExample;
     use skysr_graph::{VertexId, WeightDelta};
 
@@ -1244,6 +1402,43 @@ mod tests {
             Arc::new(ServiceContext::new(ex.graph.clone(), ex.forest.clone(), ex.pois.clone()));
         let cfg = ServiceConfig { workers, cache_capacity: cache, ..ServiceConfig::default() };
         (ex, Service::new(ctx, cfg))
+    }
+
+    /// Holds the only worker inside a reply: submits `query` uncached to a
+    /// sink, which no caller can take back, and returns once the worker
+    /// has entered the sink. It blocks there until the returned sender
+    /// sends or is dropped.
+    fn hold_the_worker(service: &Service, query: SkySrQuery) -> mpsc::Sender<()> {
+        let (entered_tx, entered) = mpsc::channel::<()>();
+        let (release, held) = mpsc::channel::<()>();
+        let cold = QueryRequest::new(query).restrict(ReuseStrategies::none());
+        service.submit_to(
+            cold,
+            Reply::new(false, move |_| {
+                entered_tx.send(()).unwrap();
+                let _ = held.recv();
+            }),
+        );
+        entered.recv().unwrap();
+        release
+    }
+
+    /// `request`'s answer through `submit(..).wait()` on a thread of its
+    /// own, or the panic that unwound out of the wait; `None` when neither
+    /// came within 30 s. The thread holds the service, so a wait that
+    /// never returns fails the test instead of hanging it in the service's
+    /// drop.
+    fn answer_within(
+        service: &Arc<Service>,
+        request: QueryRequest,
+    ) -> Option<std::thread::Result<QueryResponse>> {
+        let (tx, rx) = mpsc::channel();
+        let service = Arc::clone(service);
+        std::thread::spawn(move || {
+            let wait = std::panic::AssertUnwindSafe(|| service.submit(request).wait().unwrap());
+            tx.send(std::panic::catch_unwind(wait))
+        });
+        rx.recv_timeout(Duration::from_secs(30)).ok()
     }
 
     #[test]
@@ -1275,19 +1470,7 @@ mod tests {
     fn a_hit_is_answered_at_submission_while_the_only_worker_is_held() {
         let (ex, service) = service(1, 16);
         service.submit_query(ex.query()).wait().unwrap();
-        // Hold the only worker inside a reply: its sink signals that it
-        // was entered, then blocks until released.
-        let (entered_tx, entered) = mpsc::channel::<()>();
-        let (release, held) = mpsc::channel::<()>();
-        let cold = QueryRequest::new(ex.query()).restrict(ReuseStrategies::none());
-        service.submit_to(
-            cold,
-            Reply::new(false, move |_| {
-                entered_tx.send(()).unwrap();
-                let _ = held.recv();
-            }),
-        );
-        entered.recv().unwrap();
+        let release = hold_the_worker(&service, ex.query());
         let hit = service.submit(QueryRequest::new(ex.query()).traced()).try_wait();
         release.send(()).unwrap();
         let hit = hit.expect("a hit is answered before submit returns").unwrap();
@@ -1305,6 +1488,13 @@ mod tests {
     /// whose skyline (0 → 1 → 2) lies far from the edge 27 — 28, and from
     /// 27, whose skyline (27 → 26 → 29) crosses it.
     fn line_service(workers: usize) -> (Arc<ServiceContext>, Service, [SkySrQuery; 2]) {
+        let (ctx, queries) = line_context(Arc::new(WuPalmer));
+        let config = ServiceConfig { workers, repair: true, ..ServiceConfig::default() };
+        (Arc::clone(&ctx), Service::new(ctx, config), queries)
+    }
+
+    /// [`line_service`]'s context and queries, under `similarity`.
+    fn line_context(similarity: Arc<dyn Similarity>) -> (Arc<ServiceContext>, [SkySrQuery; 2]) {
         use skysr_category::ForestBuilder;
         use skysr_core::PoiTable;
         use skysr_graph::GraphBuilder;
@@ -1325,11 +1515,9 @@ mod tests {
             pois.add_poi(v[at], category);
         }
         pois.finalize(&forest);
-        let ctx = Arc::new(ServiceContext::new(graph, forest, pois));
-        let config = ServiceConfig { workers, repair: true, ..ServiceConfig::default() };
-        let service = Service::new(Arc::clone(&ctx), config);
+        let ctx = Arc::new(ServiceContext::with_similarity(graph, forest, pois, similarity));
         let queries = [v[0], v[27]].map(|start| SkySrQuery::new(start, [asian, gift]));
-        (ctx, service, queries)
+        (ctx, queries)
     }
 
     /// Publishes the edge 27 — 28 at `weight`.
@@ -1337,10 +1525,15 @@ mod tests {
         ctx.publish_weights(&[WeightDelta::new(VertexId(27), VertexId(28), weight)])
     }
 
+    /// A fresh search's skyline for `query` at `epoch`.
+    fn fresh_at(ctx: &ServiceContext, epoch: EpochId, query: &SkySrQuery) -> Vec<SkylineRoute> {
+        let pinned = ctx.pin_at(epoch).unwrap();
+        Bssr::new(&pinned.query_context()).run(query).unwrap().routes
+    }
+
     /// Whether `routes` score as a fresh search at `epoch` does.
     fn exact_at(ctx: &ServiceContext, epoch: EpochId, query: &SkySrQuery, routes: &[SkylineRoute]) {
-        let pinned = ctx.pin_at(epoch).unwrap();
-        let fresh = Bssr::new(&pinned.query_context()).run(query).unwrap().routes;
+        let fresh = fresh_at(ctx, epoch, query);
         let equivalent = skysr_core::route::equivalent_skylines(routes, &fresh);
         assert!(equivalent, "{routes:?} vs a fresh search's {fresh:?}");
     }
@@ -1351,19 +1544,7 @@ mod tests {
         for q in [&far, &near] {
             service.submit_query(q.clone()).wait().unwrap();
         }
-        // Hold the only worker inside a reply: its sink signals that it
-        // was entered, then blocks until released.
-        let (entered_tx, entered) = mpsc::channel::<()>();
-        let (release, held) = mpsc::channel::<()>();
-        let cold = QueryRequest::new(far.clone()).restrict(ReuseStrategies::none());
-        service.submit_to(
-            cold,
-            Reply::new(false, move |_| {
-                entered_tx.send(()).unwrap();
-                let _ = held.recv();
-            }),
-        );
-        entered.recv().unwrap();
+        let release = hold_the_worker(&service, far.clone());
         let e1 = reweigh_far_edge(&ctx, 3.0);
         let untouched = service.submit(QueryRequest::new(far.clone()).traced()).try_wait();
         // Tier 1 cannot clear the edge from the second start: it queues.
@@ -1390,47 +1571,190 @@ mod tests {
         assert!(service.submit_query(far).wait().unwrap().cache_hit());
     }
 
-    #[test]
-    fn concurrent_untouched_repairs_of_one_key_repair_it_once() {
-        // Each round reweighs the far edge, and every thread then asks the
-        // same 13 stale keys in the same order: the queries from starts
-        // 0–12, whose skylines lie within 12 of their starts. Threads that
-        // start a round together reach a key together now and then, so a
-        // race between a probe of the cache and the insert after it shows
-        // within a few hundred rounds.
+    /// 1,000 rounds in which 4 threads ask every key of `keys` in order,
+    /// each round at a new weight of the far edge. Threads that start a
+    /// round together reach a key together now and then, so a race
+    /// between a probe of the cache and the insert after it, or one job
+    /// run twice, shows within a few hundred rounds. Each round, each key
+    /// is repaired once, after a queue wait exactly when `queued`, and its
+    /// answer is shared with the other threads; `executed` rises by the
+    /// key count and `completed` by every request; and every answer is
+    /// exact at the round's epoch.
+    fn each_key_is_repaired_once_a_round(
+        ctx: &ServiceContext,
+        service: &Service,
+        keys: &[SkySrQuery],
+        queued: bool,
+    ) {
         const THREADS: usize = 4;
-        let (ctx, service, [far, _]) = line_service(2);
-        let keys: Vec<SkySrQuery> =
-            (0..13).map(|start| SkySrQuery { start: VertexId(start), ..far.clone() }).collect();
-        service.run_queries(&keys);
+        service.run_queries(keys);
         assert!(ctx.landmarks().is_some());
         let barrier = std::sync::Barrier::new(THREADS);
         for round in 0..1000 {
-            let executed = service.metrics().executed;
-            reweigh_far_edge(&ctx, 2.0 + f64::from(round % 2));
-            let served: Vec<Vec<Served>> = std::thread::scope(|s| {
+            let before = service.metrics();
+            let epoch = reweigh_far_edge(ctx, 2.0 + f64::from(round % 2));
+            let answers: Vec<Vec<QueryResponse>> = std::thread::scope(|s| {
                 let submit = || {
                     barrier.wait();
                     let ask = |q: &SkySrQuery| service.submit_query(q.clone()).wait().unwrap();
-                    keys.iter().map(|q| ask(q).served).collect::<Vec<_>>()
+                    keys.iter().map(ask).collect::<Vec<_>>()
                 };
                 let threads: Vec<_> = (0..THREADS).map(|_| s.spawn(submit)).collect();
                 threads.into_iter().map(|t| t.join().unwrap()).collect()
             });
-            for key in 0..keys.len() {
-                let answers: Vec<Served> = served.iter().map(|asked| asked[key]).collect();
-                let repaired = answers.iter().filter(|s| matches!(s, Served::Repaired { .. }));
-                let shared =
-                    answers.iter().filter(|s| matches!(s, Served::Coalesced | Served::CacheHit));
+            for (key, query) in keys.iter().enumerate() {
+                let asked: Vec<&QueryResponse> = answers.iter().map(|a| &a[key]).collect();
+                let served: Vec<Served> = asked.iter().map(|r| r.served).collect();
+                let repaired: Vec<_> = asked.iter().filter(|r| r.repaired()).collect();
+                let shared = asked.iter().filter(|r| r.coalesced() || r.cache_hit());
                 assert_eq!(
-                    (repaired.count(), shared.count()),
+                    (repaired.len(), shared.count()),
                     (1, THREADS - 1),
-                    "round {round}, key {key}: {answers:?}"
+                    "round {round}, key {key}: {served:?}"
                 );
+                assert_eq!(repaired[0].queue_wait > Duration::ZERO, queued, "round {round}");
+                let fresh = fresh_at(ctx, epoch, query);
+                for r in asked {
+                    assert_eq!(r.epoch, epoch);
+                    let exact = skysr_core::route::equivalent_skylines(&r.routes, &fresh);
+                    assert!(exact, "round {round}, key {key}: {r:?} against {fresh:?}");
+                }
             }
-            let executed = service.metrics().executed - executed;
-            assert_eq!(executed, keys.len() as u64, "round {round}");
+            let after = service.metrics();
+            let (executed, completed) =
+                (after.executed - before.executed, after.completed - before.completed);
+            let asked = (THREADS * keys.len()) as u64;
+            assert_eq!((executed, completed), (keys.len() as u64, asked), "round {round}");
         }
+    }
+
+    #[test]
+    fn concurrent_untouched_repairs_of_one_key_repair_it_once() {
+        // The queries from starts 0–12, whose skylines lie within 12 of
+        // their starts: tier 1 proves each untouched where it arrives.
+        let (ctx, service, [far, _]) = line_service(2);
+        let keys: Vec<SkySrQuery> =
+            (0..13).map(|start| SkySrQuery { start: VertexId(start), ..far.clone() }).collect();
+        each_key_is_repaired_once_a_round(&ctx, &service, &keys, false);
+    }
+
+    #[test]
+    fn concurrent_queued_repairs_of_one_key_repair_it_once() {
+        // The queries from starts 16–29, whose skylines run 26 → 29 across
+        // the reweighed edge at each of its weights: tier 1 cannot prove
+        // them, so each queues, and the one worker and the four waiting
+        // callers race to take the jobs.
+        let (ctx, service, [_, near]) = line_service(1);
+        let keys: Vec<SkySrQuery> =
+            (16..30).map(|start| SkySrQuery { start: VertexId(start), ..near.clone() }).collect();
+        each_key_is_repaired_once_a_round(&ctx, &service, &keys, true);
+    }
+
+    #[test]
+    fn a_waiting_caller_runs_its_own_request_while_the_only_worker_is_held() {
+        let (ctx, service, [far, _]) = line_service(1);
+        let service = Arc::new(service);
+        let release = hold_the_worker(&service, far.clone());
+        let cold = QueryRequest::new(far.clone()).restrict(ReuseStrategies::none());
+        let answered = answer_within(&service, cold);
+        release.send(()).unwrap();
+        let searched = answered.expect("the caller answers while the worker is held").unwrap();
+        assert_eq!(searched.served, Served::Search);
+        exact_at(&ctx, searched.epoch, &far, &searched.routes);
+    }
+
+    #[test]
+    fn a_job_its_caller_runs_trains_its_class() {
+        let (ctx, service, [far, near]) = line_service(1);
+        let service = Arc::new(service);
+        service.submit_query(near.clone()).wait().unwrap();
+        let release = hold_the_worker(&service, far);
+        reweigh_far_edge(&ctx, 3.0);
+        let cost = &service.shared.cost;
+        assert_eq!(cost.estimate(CostClass::Repair), Duration::ZERO);
+        // Tier 1 cannot prove `near`'s skyline: its repair queues, and the
+        // caller runs it while the worker is held.
+        let answered = answer_within(&service, QueryRequest::new(near));
+        release.send(()).unwrap();
+        let repaired = answered.expect("the caller answers while the worker is held").unwrap();
+        assert!(repaired.repaired() && repaired.queue_wait > Duration::ZERO);
+        let trained = cost.estimate(CostClass::Repair);
+        let service_time = repaired.latency - repaired.queue_wait;
+        assert!(Duration::ZERO < trained && trained <= service_time, "{trained:?}");
+    }
+
+    #[test]
+    fn a_query_that_panics_on_its_caller_gives_the_slot_back() {
+        /// Wu–Palmer, except that it panics when asked from the category
+        /// named `.0`, so that category poisons a query.
+        struct Poisoned(&'static str);
+        impl Similarity for Poisoned {
+            fn sim(&self, forest: &CategoryForest, a: CategoryId, b: CategoryId) -> f64 {
+                if forest.by_name(self.0) == Some(a) {
+                    panic!("similarity poisoned on {}", self.0);
+                }
+                WuPalmer.sim(forest, a, b)
+            }
+        }
+        let (ctx, [far, near]) = line_context(Arc::new(Poisoned("Food")));
+        let config = ServiceConfig { workers: 1, ..ServiceConfig::default() };
+        let service = Arc::new(Service::new(Arc::clone(&ctx), config));
+        let release = hold_the_worker(&service, far.clone());
+        let food = ctx.forest().by_name("Food").unwrap();
+        let poisoned = QueryRequest::new(SkySrQuery::new(far.start, [food]));
+        let ran = answer_within(&service, poisoned).expect("the caller runs the poisoned query");
+        let message = ran.expect_err("the poisoned query panics").downcast::<String>().unwrap();
+        assert_eq!(*message, "similarity poisoned on Food");
+        // The slot came back: the caller still runs a query while the
+        // worker is held, and the worker one that no caller can take back.
+        let cold = |q: &SkySrQuery| QueryRequest::new(q.clone()).restrict(ReuseStrategies::none());
+        let by_caller = answer_within(&service, cold(&near));
+        release.send(()).unwrap();
+        let by_caller = by_caller.expect("the caller answers while the worker is held").unwrap();
+        assert_eq!(by_caller.served, Served::Search);
+        let (tx, rx) = mpsc::channel();
+        service.submit_to(cold(&far), Reply::new(false, move |answer| drop(tx.send(answer))));
+        let by_worker = rx.recv_timeout(Duration::from_secs(30)).expect("the worker answers");
+        assert!(matches!(by_worker, Answer::Final(Ok(r)) if r.served == Served::Search));
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_job_its_caller_runs() {
+        /// Wu–Palmer, except that the first similarity asked from the
+        /// category named `.0` signals that it was entered, then blocks
+        /// until its gate opens.
+        struct Gated(&'static str, Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>);
+        impl Similarity for Gated {
+            fn sim(&self, forest: &CategoryForest, a: CategoryId, b: CategoryId) -> f64 {
+                let gate = self.1.lock().unwrap().take_if(|_| forest.by_name(self.0) == Some(a));
+                if let Some((entered, gate)) = gate {
+                    entered.send(()).unwrap();
+                    let _ = gate.recv();
+                }
+                WuPalmer.sim(forest, a, b)
+            }
+        }
+        let (entered_tx, entered) = mpsc::channel();
+        let (open, gate) = mpsc::channel();
+        let similarity = Gated("Food", Mutex::new(Some((entered_tx, gate))));
+        let (ctx, [far, _]) = line_context(Arc::new(similarity));
+        let config = ServiceConfig { workers: 1, ..ServiceConfig::default() };
+        let service = Service::new(Arc::clone(&ctx), config);
+        let release = hold_the_worker(&service, far.clone());
+        let food = ctx.forest().by_name("Food").unwrap();
+        let gated = service.submit(QueryRequest::new(SkySrQuery::new(far.start, [food])));
+        let caller = std::thread::spawn(move || gated.wait());
+        entered.recv_timeout(Duration::from_secs(30)).expect("the caller runs its own job");
+        release.send(()).unwrap();
+        // The gate opens long after a shutdown that did not wait returned.
+        let opener = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            open.send(())
+        });
+        let held_and_gated = service.shutdown().completed;
+        assert_eq!(held_and_gated, 2, "shutdown returned before the caller's answer");
+        assert!(caller.join().unwrap().is_ok());
+        opener.join().unwrap().unwrap();
     }
 
     #[test]
@@ -1454,15 +1778,9 @@ mod tests {
             assert!(provisional.contains(route), "final member never streamed: {route:?}");
         }
 
-        // Hold the only worker inside a reply: the next request waits in
-        // the queue past its 1 ns budget, whatever the scheduling.
-        let (release, held) = mpsc::channel::<()>();
-        service.submit_to(
-            cold.clone(),
-            Reply::new(false, move |_| {
-                let _ = held.recv();
-            }),
-        );
+        // Hold the only worker: the next request waits in the queue past
+        // its 1 ns budget, whatever the scheduling.
+        let release = hold_the_worker(&service, ex.query());
         let anytime =
             service.submit_streaming(cold).wait_deadline(Duration::from_nanos(1)).unwrap();
         release.send(()).unwrap();
